@@ -2,9 +2,9 @@
 """Run the built-in scenario pack paired (avoidance on and off) and
 print a side-by-side comparison table.
 
-Writes the same report files as `uamcas batch` plus one trace per run
-under <out>/traces/.  This is the eyeball view of what the system buys
-per encounter; the CLI is the stable scripting interface.
+Runs the same batch as `uamcas batch` and writes the same report files
+and per-run traces under <out>.  This is the eyeball view of what the
+system buys per encounter; the CLI is the stable scripting interface.
 """
 
 import argparse
@@ -14,20 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from uamcas import engine, metrics, scenario_io
-
-
-def sim_params(sc, dt, cas_enabled):
-    overrides = dict(sc.sim_overrides)
-    if dt is not None:
-        overrides["dt"] = dt
-    overrides["cas_enabled"] = cas_enabled and overrides.get("cas_enabled", True)
-    return engine.SimParams(**overrides)
-
-
-def baselines(sc):
-    perf = sc.performance()
-    return {rid: metrics.theoretical_flight_time(r, perf) for rid, r in sc.routes.items()}
+from uamcas import cli, engine, scenario_io
 
 
 def outcome(row):
@@ -50,31 +37,13 @@ def main(argv=None):
     ap.add_argument("--pack", default="default", help="pack directory or 'default'")
     ap.add_argument("--out", default="out", help="report directory")
     ap.add_argument("--dt", type=float, default=None, help="override tick size [s]")
-    ap.add_argument("--format", default="csv", choices=["csv", "structured", "both"])
+    ap.add_argument("--format", default="csv", choices=scenario_io.REPORT_FORMATS)
     args = ap.parse_args(argv)
 
     pack = scenario_io.load_pack(args.pack)
-    out_dir = Path(args.out)
-    trace_dir = out_dir / "traces"
-    trace_dir.mkdir(parents=True, exist_ok=True)
-
-    with_cas = {}
-    without_cas = {}
     t0 = time.perf_counter()
-    for sid in sorted(pack.ids()):
-        sc = pack[sid]
-        base = baselines(sc)
-        res_on = engine.run(sc, sim_params(sc, args.dt, True))
-        res_off = engine.run(sc, sim_params(sc, args.dt, False))
-        with_cas[sid] = metrics.delays(res_on, base)
-        without_cas[sid] = metrics.delays(res_off, base)
-        for res, name in [(res_on, f"{sid}.csv"), (res_off, f"{sid}_nocas.csv")]:
-            path = trace_dir / name
-            path.write_text("\n".join(engine.trace_csv_lines(res)) + "\n", encoding="utf-8")
+    table = cli.run_batch(pack, args.out, dt=args.dt, fmt=args.format, config=None)
     elapsed = time.perf_counter() - t0
-
-    table = metrics.summarize_batch(with_cas, without_cas)
-    written = scenario_io.write_batch_report(table, out_dir, fmt=args.format)
 
     print(f"{'scenario':<18} {'outcome':<20} {'cpa_on':>9} {'cpa_off':>9} "
           f"{'d_grnd':>7} {'d_air':>7} {'d_total':>8}")
@@ -82,12 +51,10 @@ def main(argv=None):
         print(f"{row.scenario_id:<18} {outcome(row):<20} {fmt(row.cpa_with, 9)} "
               f"{fmt(row.cpa_without, 9)} {fmt(row.d_ground, 7)} "
               f"{fmt(row.d_air, 7)} {fmt(row.d_total, 8)}")
-    departed = sum(1 for r in table.rows if r.d_air is not None)
-    if table.mean_d_air is not None:
-        print(f"\nmean airborne delay over {departed} departed scenarios: "
-              f"{table.mean_d_air:.3f} s")
-    print(f"{len(table.rows)} scenarios, paired, in {elapsed:.2f} s; "
-          f"reports: {', '.join(str(p) for p in written)}")
+    footer = scenario_io.batch_footer(table)
+    if footer is not None:
+        print(footer)
+    print(f"{len(table.rows)} scenarios, paired, in {elapsed:.2f} s; reports in {args.out}")
     return 0
 
 

@@ -15,7 +15,15 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .geo import EnuPoint, RouteId, bearing, horizontal_distance, normalize_track, signed_track_diff
+from .geo import (
+    EnuPoint,
+    RouteId,
+    bearing,
+    horizontal_distance,
+    normalize_track,
+    signed_track_diff,
+    track_unit,
+)
 from .maneuvers import (
     Action,
     InfeasibleManeuverError,
@@ -85,7 +93,6 @@ class OwnshipState:
     ground_speed: float
     vertical_speed: float
     flight_mode: FlightMode
-    active_route: RouteId
     next_waypoint_index: int
 
     def __post_init__(self) -> None:
@@ -514,11 +521,6 @@ class IntruderRecord:
 Vec3 = tuple[float, float, float]
 
 
-def _track_unit(track_deg: float) -> tuple[float, float]:
-    rad = math.radians(track_deg)
-    return math.sin(rad), math.cos(rad)
-
-
 def intruder_state_at(
     rec: IntruderRecord,
     t: float,
@@ -544,7 +546,7 @@ def intruder_state_at(
     if script.mode is ScriptMode.PASS_BY:
         if script.duration is not None and rel > script.duration:
             return None
-        ue, un = _track_unit(script.track)
+        ue, un = track_unit(script.track)
         pos = EnuPoint(
             script.anchor.east + script.speed * rel * ue,
             script.anchor.north + script.speed * rel * un,

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from . import engine, metrics, scenario_io
 from .engine import RunResult, SimParams, TerminalKind
-from .geo import RouteId
 from .scenario_io import Scenario, ScenarioError
 
 EXIT_OK = 0
@@ -37,17 +36,23 @@ _TERMINAL_EXIT = {
 }
 
 
-def _sim_params(sc: Scenario, dt: float | None, cas_enabled: bool = True) -> SimParams:
+def simulate(
+    sc: Scenario, dt: float | None, cas_enabled: bool = True
+) -> tuple[RunResult, metrics.MetricsReport]:
+    """Run one scenario and score it against the still-air time of each
+    of its routes.
+
+    dt (None keeps the scenario's own tick) and cas_enabled (False runs
+    the system-off side of a pair) override the scenario's SIM settings.
+    """
     overrides = dict(sc.sim_overrides)
     if dt is not None:
         overrides["dt"] = dt
     overrides["cas_enabled"] = cas_enabled and overrides.get("cas_enabled", True)
-    return SimParams(**overrides)
-
-
-def _baselines(sc: Scenario) -> dict[RouteId, float]:
+    result = engine.run(sc, SimParams(**overrides))
     perf = sc.performance()
-    return {rid: metrics.theoretical_flight_time(r, perf) for rid, r in sc.routes.items()}
+    baselines = {rid: metrics.theoretical_flight_time(r, perf) for rid, r in sc.routes.items()}
+    return result, metrics.delays(result, baselines)
 
 
 def _apply_config(sc: Scenario, config_path: str, base_dir: Path | None) -> Scenario:
@@ -61,10 +66,6 @@ def _write_trace(result: RunResult, path: Path) -> None:
     path.write_text("\n".join(engine.trace_csv_lines(result)) + "\n", encoding="utf-8")
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else f"{v:.3f}"
-
-
 def _terminal_phrase(result: RunResult) -> str:
     kind = result.terminal.kind
     if kind is TerminalKind.LANDED_AT:
@@ -74,22 +75,6 @@ def _terminal_phrase(result: RunResult) -> str:
     if kind is TerminalKind.POSTPONED_ON_GROUND:
         return "postponed on ground"
     return "timed out"
-
-
-def _run_report_lines(
-    report: metrics.MetricsReport, off_report: metrics.MetricsReport | None
-) -> list[str]:
-    lines = [
-        "metric,value",
-        f"t_sim_s,{_fmt(report.t_sim)}",
-        f"d_ground_s,{_fmt(report.d_ground)}",
-        f"d_air_s,{_fmt(report.d_air)}",
-        f"d_total_s,{_fmt(report.d_total)}",
-        f"cpa_with_m,{_fmt(report.cpa)}",
-    ]
-    if off_report is not None:
-        lines.append(f"cpa_without_m,{_fmt(off_report.cpa)}")
-    return lines
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -107,38 +92,18 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = engine.run(sc, _sim_params(sc, args.dt))
-    report = metrics.delays(result, _baselines(sc))
+    result, report = simulate(sc, args.dt)
     _write_trace(result, out / f"{sc.id}_trace.csv")
-
     off_report = None
     if args.compare:
-        off = engine.run(sc, _sim_params(sc, args.dt, cas_enabled=False))
-        off_report = metrics.delays(off, _baselines(sc))
+        off, off_report = simulate(sc, args.dt, cas_enabled=False)
         _write_trace(off, out / f"{sc.id}_trace_nocas.csv")
+    scenario_io.write_run_report(sc.id, report, off_report, out, args.format)
 
-    if args.format in ("csv", "both"):
-        lines = _run_report_lines(report, off_report)
-        (out / f"{sc.id}_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if args.format in ("structured", "both"):
-        import json
-
-        doc = {
-            "scenario_id": sc.id,
-            "terminal": result.terminal.kind.name,
-            "landed_at": result.terminal.vertiport,
-            "t_sim_s": report.t_sim,
-            "d_ground_s": report.d_ground,
-            "d_air_s": report.d_air,
-            "d_total_s": report.d_total,
-            "cpa_with_m": report.cpa,
-            "cpa_without_m": off_report.cpa if off_report else None,
-        }
-        (out / f"{sc.id}_report.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
-    print(f"{sc.id}: {_terminal_phrase(result)}, t_sim={_fmt(report.t_sim)} s")
+    line = f"{sc.id}: {_terminal_phrase(result)}"
+    if report.t_sim is not None:
+        line += f", t_sim={report.t_sim:.3f} s"
+    print(line)
     return _TERMINAL_EXIT[result.terminal.kind]
 
 
@@ -148,41 +113,47 @@ def _resolve_pack(selector: str | None) -> scenario_io.ScenarioPack:
     return scenario_io.load_pack(selector)
 
 
+def run_batch(
+    pack: scenario_io.ScenarioPack,
+    out: str | Path,
+    *,
+    dt: float | None,
+    fmt: str,
+    config: str | None,
+) -> metrics.BatchTable:
+    """Run every scenario of the pack with the system on and off, in id
+    order.  Writes one trace per run under <out>/traces/ and the batch
+    report under <out>; config is an optional file of SET overrides
+    applied to each scenario."""
+    out = Path(out)
+    traces = out / "traces"
+    traces.mkdir(parents=True, exist_ok=True)
+    with_cas: dict[str, metrics.MetricsReport] = {}
+    without_cas: dict[str, metrics.MetricsReport] = {}
+    for sc in sorted(pack, key=lambda s: s.id):
+        if config:
+            sc = _apply_config(sc, config, None)
+        on, with_cas[sc.id] = simulate(sc, dt)
+        _write_trace(on, traces / f"{sc.id}.csv")
+        off, without_cas[sc.id] = simulate(sc, dt, cas_enabled=False)
+        _write_trace(off, traces / f"{sc.id}_nocas.csv")
+    table = metrics.summarize_batch(with_cas, without_cas)
+    scenario_io.write_batch_report(table, out, fmt)
+    return table
+
+
 def cmd_batch(args: argparse.Namespace) -> int:
     try:
         pack = _resolve_pack(args.pack)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    out = Path(args.out)
-    traces = out / "traces"
-    traces.mkdir(parents=True, exist_ok=True)
-
-    with_cas: dict[str, metrics.MetricsReport] = {}
-    without_cas: dict[str, metrics.MetricsReport] = {}
-    try:
-        for sc in sorted(pack, key=lambda s: s.id):
-            if args.config:
-                sc = _apply_config(sc, args.config, None)
-            baselines = _baselines(sc)
-            on = engine.run(sc, _sim_params(sc, args.dt))
-            off = engine.run(sc, _sim_params(sc, args.dt, cas_enabled=False))
-            with_cas[sc.id] = metrics.delays(on, baselines)
-            without_cas[sc.id] = metrics.delays(off, baselines)
-            _write_trace(on, traces / f"{sc.id}.csv")
-            _write_trace(off, traces / f"{sc.id}_nocas.csv")
+        table = run_batch(pack, args.out, dt=args.dt, fmt=args.format, config=args.config)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    table = metrics.summarize_batch(with_cas, without_cas)
-    scenario_io.write_batch_report(table, out, args.format)
     for line in scenario_io.batch_csv_lines(table):
         print(line)
-    if table.mean_d_air is not None:
-        print(f"# mean airborne delay over {len(table.rows)} scenarios: "
-              f"{table.mean_d_air:.3f} s")
+    footer = scenario_io.batch_footer(table)
+    if footer is not None:
+        print(footer)
     return EXIT_OK
 
 
@@ -226,15 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, default=None, help="timestep override, seconds")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument(
-            "--format", choices=("csv", "structured", "both"), default="csv",
+            "--format", choices=scenario_io.REPORT_FORMATS, default="csv",
             help="report format",
         )
         p.add_argument("--config", default=None, help="file of SET overrides to apply")
-        p.add_argument(
-            "--seedless", action="store_true",
-            help="forbid nondeterministic inputs (the simulator uses none; "
-            "accepted so invocations are explicit about it)",
-        )
 
     p_run = sub.add_parser("run", help="simulate one scenario file")
     p_run.add_argument("scenario", help="path to a scenario directive file")

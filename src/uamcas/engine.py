@@ -142,7 +142,6 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
         ground_speed=0.0,
         vertical_speed=0.0,
         flight_mode=FlightMode.GROUND,
-        active_route=decision.route,
         next_waypoint_index=0,
     )
 

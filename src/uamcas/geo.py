@@ -125,6 +125,12 @@ def bearing(a: EnuPoint, b: EnuPoint) -> float:
     return math.degrees(math.atan2(de, dn)) % 360.0
 
 
+def track_unit(track_deg: float) -> tuple[float, float]:
+    """Horizontal (east, north) unit vector along a compass track."""
+    rad = math.radians(track_deg)
+    return math.sin(rad), math.cos(rad)
+
+
 def normalize_track(deg: float) -> float:
     return deg % 360.0
 
@@ -166,10 +172,6 @@ def distance_point_to_polyline(p: EnuPoint, pts: Sequence[EnuPoint]) -> float:
     if len(pts) == 1:
         return horizontal_distance(p, pts[0])
     return min(point_segment_distance(p, a, b) for a, b in zip(pts, pts[1:]))
-
-
-def distance_point_to_route(p: EnuPoint, origin: GeoPoint, route: Route) -> float:
-    return distance_point_to_polyline(p, project_route(origin, route))
 
 
 def _seg_seg_distance(

@@ -1,5 +1,5 @@
 """Scenario files, trajectory playback CSVs, the built-in scenario pack,
-and batch report output.
+and run and batch report output.
 
 A scenario file is line oriented; ``#`` starts a comment.  Directives:
 
@@ -60,8 +60,10 @@ from .geo import (
     bearing,
     from_enu,
     horizontal_distance,
+    polyline_length_enu,
     polyline_point_at,
     to_enu,
+    track_unit,
 )
 
 FT_TO_M = 0.3048
@@ -621,22 +623,13 @@ _INTRUDER_ALT_M = DEFAULT_CRUISE_ALT_M
 _GROUND_INTRUDER_ALT_M = 100.0
 
 
-def _unit(track_deg: float) -> tuple[float, float]:
-    rad = math.radians(track_deg)
-    return math.sin(rad), math.cos(rad)
-
-
 def _lerp(a: EnuPoint, b: EnuPoint, f: float) -> EnuPoint:
     return EnuPoint(a.east + f * (b.east - a.east), a.north + f * (b.north - a.north), 0.0)
 
 
 def _shift(p: EnuPoint, track_deg: float, dist: float, up: float | None = None) -> EnuPoint:
-    ue, un = _unit(track_deg)
+    ue, un = track_unit(track_deg)
     return EnuPoint(p.east + dist * ue, p.north + dist * un, p.up if up is None else up)
-
-
-def _enu_length(pts: Sequence[EnuPoint]) -> float:
-    return sum(horizontal_distance(a, b) for a, b in zip(pts, pts[1:]))
 
 
 def _solve_width(length_fn, target: float) -> float:
@@ -665,7 +658,7 @@ def _build_network() -> tuple[dict[str, Vertiport], dict[RouteId, Route], tuple,
         b = _shift(_lerp(p1, p2, 2.0 / 3.0), brg12 - 90.0, w)
         return (p1, a, b, p2)
 
-    w1 = _solve_width(lambda w: _enu_length(route1_pts(w)), ROUTE1_LENGTH_M)
+    w1 = _solve_width(lambda w: polyline_length_enu(route1_pts(w)), ROUTE1_LENGTH_M)
     r1_enu = route1_pts(w1)
 
     brg13 = bearing(p1, p3)
@@ -674,7 +667,7 @@ def _build_network() -> tuple[dict[str, Vertiport], dict[RouteId, Route], tuple,
         c = _shift(_lerp(p1, p3, 0.5), brg13 + 90.0, w)
         return (p1, c, p3, p2)
 
-    w2 = _solve_width(lambda w: _enu_length(route2_pts(w)), ROUTE2_LENGTH_M)
+    w2 = _solve_width(lambda w: polyline_length_enu(route2_pts(w)), ROUTE2_LENGTH_M)
     r2_enu = route2_pts(w2)
 
     def mk_route(rid: RouteId, pts: Sequence[EnuPoint]) -> Route:
@@ -944,9 +937,13 @@ def export_pack(pack: ScenarioPack, out_dir: str | Path) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# Batch reports
+# Run and batch reports
+#
+# Every report cell is formatted by _cell (CSV) or _json_num (JSON), so a
+# value reads the same in a run report and in a batch report.
 
 
+REPORT_FORMATS = ("csv", "structured", "both")
 BATCH_CSV_HEADER = "scenario_id,cpa_with_m,cpa_without_m,t_sim_s,d_ground_s,d_air_s,d_total_s"
 
 
@@ -956,6 +953,63 @@ def _cell(v: float | None) -> str:
     if math.isinf(v):
         return "inf"
     return f"{v:.3f}"
+
+
+def _json_num(v: float | None) -> float | str | None:
+    # strict JSON has no Infinity literal
+    if v is None or math.isfinite(v):
+        return v
+    return "inf"
+
+
+def _formats(fmt: str) -> tuple[bool, bool]:
+    """(write CSV, write JSON) for a report format name."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return fmt in ("csv", "both"), fmt in ("structured", "both")
+
+
+def _write_lines(path: Path, lines: Sequence[str]) -> Path:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _write_json(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def write_run_report(
+    scenario_id: str, report, off_report, out_dir: str | Path, fmt: str = "csv"
+) -> None:
+    """Write one run's metrics as <id>_report.csv and/or <id>_report.json.
+
+    off_report, the paired system-off run when there is one, contributes
+    its CPA as cpa_without_m.
+    """
+    csv_out, json_out = _formats(fmt)
+    out = Path(out_dir)
+    cells = {
+        "t_sim_s": report.t_sim,
+        "d_ground_s": report.d_ground,
+        "d_air_s": report.d_air,
+        "d_total_s": report.d_total,
+        "cpa_with_m": report.cpa,
+    }
+    if off_report is not None:
+        cells["cpa_without_m"] = off_report.cpa
+    if csv_out:
+        lines = ["metric,value"] + [f"{k},{_cell(v)}" for k, v in cells.items()]
+        _write_lines(out / f"{scenario_id}_report.csv", lines)
+    if json_out:
+        doc = {
+            "scenario_id": scenario_id,
+            "terminal": report.terminal.kind.name,
+            "landed_at": report.terminal.vertiport,
+            "cpa_without_m": None,
+            **{k: _json_num(v) for k, v in cells.items()},
+        }
+        _write_json(out / f"{scenario_id}_report.json", doc)
 
 
 def batch_csv_lines(table) -> list[str]:
@@ -968,6 +1022,15 @@ def batch_csv_lines(table) -> list[str]:
     return lines
 
 
+def batch_footer(table) -> str | None:
+    """The mean airborne delay line, averaged over the departed rows
+    (those with an airborne delay); None when nothing departed."""
+    if table.mean_d_air is None:
+        return None
+    departed = sum(1 for row in table.rows if row.d_air is not None)
+    return f"# mean airborne delay over {departed} scenarios: {table.mean_d_air:.3f} s"
+
+
 def write_batch_report(table, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
     """Write the batch summary and its plot-data companions.
 
@@ -975,17 +1038,13 @@ def write_batch_report(table, out_dir: str | Path, fmt: str = "csv") -> list[Pat
     "structured" writes report.json; "both" writes all four.  Output is
     byte-stable across reruns of the same pack.
     """
-    if fmt not in ("csv", "structured", "both"):
-        raise ValueError(f"unknown report format {fmt!r}")
+    csv_out, json_out = _formats(fmt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    if fmt in ("csv", "both"):
-        summary = out / "summary.csv"
-        summary.write_text("\n".join(batch_csv_lines(table)) + "\n", encoding="utf-8")
-        written.append(summary)
-
+    if csv_out:
+        written.append(_write_lines(out / "summary.csv", batch_csv_lines(table)))
         delays = ["scenario_id,d_ground_s,d_air_s,d_total_s"]
         cpa = ["scenario_id,cpa_with_m,cpa_without_m"]
         for row in table.rows:
@@ -993,37 +1052,27 @@ def write_batch_report(table, out_dir: str | Path, fmt: str = "csv") -> list[Pat
                 f"{row.scenario_id},{_cell(row.d_ground)},{_cell(row.d_air)},{_cell(row.d_total)}"
             )
             cpa.append(f"{row.scenario_id},{_cell(row.cpa_with)},{_cell(row.cpa_without)}")
-        for name, lines in (("delays.csv", delays), ("cpa_compare.csv", cpa)):
-            path = out / name
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(path)
+        written.append(_write_lines(out / "delays.csv", delays))
+        written.append(_write_lines(out / "cpa_compare.csv", cpa))
 
-    if fmt in ("structured", "both"):
-        def num(v):
-            # strict JSON has no Infinity literal
-            if v is None or math.isfinite(v):
-                return v
-            return "inf"
-
+    if json_out:
         doc = {
             "rows": [
                 {
                     "scenario_id": row.scenario_id,
-                    "cpa_with_m": num(row.cpa_with),
-                    "cpa_without_m": num(row.cpa_without),
-                    "t_sim_s": num(row.t_sim),
-                    "d_ground_s": num(row.d_ground),
-                    "d_air_s": num(row.d_air),
-                    "d_total_s": num(row.d_total),
+                    "cpa_with_m": _json_num(row.cpa_with),
+                    "cpa_without_m": _json_num(row.cpa_without),
+                    "t_sim_s": _json_num(row.t_sim),
+                    "d_ground_s": _json_num(row.d_ground),
+                    "d_air_s": _json_num(row.d_air),
+                    "d_total_s": _json_num(row.d_total),
                     "terminal": row.terminal.kind.name,
                     "landed_at": row.terminal.vertiport,
                 }
                 for row in table.rows
             ],
-            "mean_d_air_s": num(table.mean_d_air),
+            "mean_d_air_s": _json_num(table.mean_d_air),
         }
-        path = out / "report.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(path)
+        written.append(_write_json(out / "report.json", doc))
 
     return written

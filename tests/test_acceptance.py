@@ -36,16 +36,17 @@ COLLISION_RADIUS_M = 150.0
 DESCEND_ALT_M = 243.84  # 800 ft
 
 
-def run_scenario(sid: str, dt: float, cas_enabled: bool = True) -> engine.RunResult:
-    sc = PACK[sid]
-    params = engine.SimParams(**{**sc.sim_overrides, "dt": dt, "cas_enabled": cas_enabled})
-    return engine.run(sc, params)
+Scored = tuple[engine.RunResult, metrics.MetricsReport]
 
 
-def baselines_for(sid: str) -> dict[RouteId, float]:
+def run_scenario(sid: str, dt: float, cas_enabled: bool = True) -> Scored:
+    """One pack scenario, run and scored through the shipped path."""
+    return cli.simulate(PACK[sid], dt, cas_enabled)
+
+
+def theory_for(sid: str, rid: RouteId) -> float:
     sc = PACK[sid]
-    perf = sc.performance()
-    return {rid: metrics.theoretical_flight_time(r, perf) for rid, r in sc.routes.items()}
+    return metrics.theoretical_flight_time(sc.routes[rid], sc.performance())
 
 
 def min_cpa(result: engine.RunResult) -> float:
@@ -55,9 +56,9 @@ def min_cpa(result: engine.RunResult) -> float:
 
 
 @pytest.fixture(scope="module")
-def paired_runs() -> dict[str, tuple[engine.RunResult, engine.RunResult]]:
+def paired_runs() -> dict[str, tuple[Scored, Scored]]:
     """Every airborne-encounter scenario, once with avoidance active and
-    once with it disabled, both at dt=0.1."""
+    once with it disabled, both at dt=0.1, each as (run, report)."""
     return {
         sid: (run_scenario(sid, 0.1, True), run_scenario(sid, 0.1, False))
         for sid in ENCOUNTER_IDS
@@ -65,7 +66,7 @@ def paired_runs() -> dict[str, tuple[engine.RunResult, engine.RunResult]]:
 
 
 @pytest.fixture(scope="module")
-def ground_runs() -> dict[str, engine.RunResult]:
+def ground_runs() -> dict[str, Scored]:
     # Takeoff-phase outcomes are dt-independent; dt=0.5 keeps these quick.
     return {sid: run_scenario(sid, 0.5) for sid in GROUND_IDS}
 
@@ -94,9 +95,9 @@ def test_criterion_02_reference_flights_track_theory():
     """Undisturbed reference flights land at V2 with simulated time within
     2% of theory at dt=0.1 and within 2.5% at dt=0.5."""
     for sid, rid in [("ref-route1", RouteId.ROUTE1), ("ref-route2", RouteId.ROUTE2)]:
-        theory = baselines_for(sid)[rid]
+        theory = theory_for(sid, rid)
         for dt, tol in [(0.1, 0.02), (0.5, 0.025)]:
-            res = run_scenario(sid, dt)
+            res, _ = run_scenario(sid, dt)
             assert res.terminal.kind is engine.TerminalKind.LANDED_AT
             assert res.terminal.vertiport == "V2"
             t_sim = res.end_time - res.departure_time
@@ -113,13 +114,13 @@ def test_criterion_03_ground_phase_decisions(ground_runs):
         "ground-660": (RouteId.ROUTE2, 660.0),
     }
     for sid, (route, delay) in expected.items():
-        res = ground_runs[sid]
+        res, _ = ground_runs[sid]
         assert not res.ground_decision.postponed, sid
         assert res.ground_decision.route is route, sid
         assert res.ground_decision.delay_s == delay, sid
         assert res.departure_time == delay
         assert res.terminal.kind is engine.TerminalKind.LANDED_AT
-    postponed = ground_runs["ground-postponed"]
+    postponed, _ = ground_runs["ground-postponed"]
     assert postponed.ground_decision.postponed
     assert postponed.terminal.kind is engine.TerminalKind.POSTPONED_ON_GROUND
     assert postponed.ticks == []
@@ -136,7 +137,6 @@ def test_criterion_04_right_of_way_tables():
         ground_speed=78.0,
         vertical_speed=0.0,
         flight_mode=FlightMode.CRUISE,
-        active_route=RouteId.ROUTE1,
         next_waypoint_index=0,
     )
     vports = {"V1": EnuPoint(0.0, 0.0), "V2": EnuPoint(2000.0, 0.0), "V3": EnuPoint(500.0, 0.0)}
@@ -193,11 +193,11 @@ def test_criterion_05_encounters_resolved(paired_runs):
     """With avoidance active, encounter scenarios 1-13 stay clear of the
     collision envelope and land; scenario 14 is the designed collision."""
     for sid in ENCOUNTER_IDS[:13]:
-        res = paired_runs[sid][0]
+        res, _ = paired_runs[sid][0]
         assert res.terminal.kind is engine.TerminalKind.LANDED_AT, sid
         sep = min_cpa(res)
         assert sep > COLLISION_RADIUS_M, (sid, sep)
-    collided = paired_runs["sc-14"][0]
+    collided, _ = paired_runs["sc-14"][0]
     assert collided.terminal.kind is engine.TerminalKind.COLLIDED
 
 
@@ -209,7 +209,7 @@ def test_criterion_06_cpa_never_worse(paired_runs):
     # different tick timestamps.  One micrometer absorbs that float
     # noise; genuine degradation would show up in meters.
     for sid in ENCOUNTER_IDS:
-        res_on, res_off = paired_runs[sid]
+        (res_on, _), (res_off, _) = paired_runs[sid]
         assert min_cpa(res_on) >= min_cpa(res_off) - 1e-6, sid
 
 
@@ -217,10 +217,10 @@ def test_criterion_07_delay_identity_and_published_table(paired_runs, ground_run
     """Total delay is exactly ground plus airborne for every assembled
     report, and the published 14-row delay table reproduces."""
     for sid in ENCOUNTER_IDS:
-        rep = metrics.delays(paired_runs[sid][0], baselines_for(sid))
+        _, rep = paired_runs[sid][0]
         assert rep.d_total == rep.d_ground + rep.d_air, sid
     for sid in GROUND_IDS:
-        rep = metrics.delays(ground_runs[sid], baselines_for(sid))
+        _, rep = ground_runs[sid]
         if rep.terminal.kind is engine.TerminalKind.POSTPONED_ON_GROUND:
             assert rep.d_total is None and rep.d_ground == math.inf
         else:
@@ -244,7 +244,7 @@ def test_criterion_07_delay_identity_and_published_table(paired_runs, ground_run
 def test_criterion_08_linger_delay_band(paired_runs):
     """A 500 s blocking linger on the corridor costs between L and L+60 s
     of airborne delay."""
-    rep = metrics.delays(paired_runs["sc-01"][0], baselines_for("sc-01"))
+    _, rep = paired_runs["sc-01"][0]
     assert 500.0 <= rep.d_air <= 560.0, rep.d_air
 
 

@@ -59,7 +59,6 @@ def cruise_state(pos, track, perf=VT, idx=0):
         ground_speed=perf.cruise_speed,
         vertical_speed=0.0,
         flight_mode=FlightMode.CRUISE,
-        active_route=RouteId.ROUTE1,
         next_waypoint_index=idx,
     )
 
@@ -104,14 +103,14 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             OwnshipState(
                 0.0, EnuPoint(0, 0, 300), 0.0, 10.0, 0.0,
-                FlightMode.HOVER, RouteId.ROUTE1, 0,
+                FlightMode.HOVER, 0,
             )
 
     def test_ground_needs_zero_altitude(self):
         with pytest.raises(ValueError):
             OwnshipState(
                 0.0, EnuPoint(0, 0, 10), 0.0, 0.0, 0.0,
-                FlightMode.GROUND, RouteId.ROUTE1, 0,
+                FlightMode.GROUND, 0,
             )
 
 
@@ -198,7 +197,7 @@ class TestClimbOut:
         p = plan((0, 0, 0), (10000, 0, 0))
         st0 = OwnshipState(
             0.0, EnuPoint(0, 0, 0), 0.0, 0.0, 0.0,
-            FlightMode.GROUND, RouteId.ROUTE1, 0,
+            FlightMode.GROUND, 0,
         )
         g = follow_plan(p)
         dt = 0.1
@@ -214,7 +213,7 @@ class TestClimbOut:
         p = plan((0, 0, 0), (10000, 0, 0))
         st0 = OwnshipState(
             0.0, EnuPoint(0, 0, 304.75), 0.0, 0.0, VT.climb_rate,
-            FlightMode.VERTICAL_CLIMB, RouteId.ROUTE1, 0,
+            FlightMode.VERTICAL_CLIMB, 0,
         )
         state = ownship_step(st0, VT, follow_plan(p), 0.1)
         assert state.flight_mode is FlightMode.CRUISE
@@ -251,7 +250,7 @@ class TestCruise:
         p = plan((0, 0, 304.8))
         st0 = OwnshipState(
             0.0, EnuPoint(0, 0, 0.1), 90.0, 0.0, -1.7,
-            FlightMode.VERTICAL_DESCENT, RouteId.ROUTE1, 1,
+            FlightMode.VERTICAL_DESCENT, 1,
         )
         st1 = ownship_step(st0, VT, follow_plan(p), 0.1)
         assert st1.flight_mode is FlightMode.GROUND

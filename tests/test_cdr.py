@@ -52,7 +52,7 @@ def own_state(pos=(0, 0, 304.8), track=0.0):
     return OwnshipState(
         t=0.0, pos=EnuPoint(*pos), track=track, ground_speed=78.0,
         vertical_speed=0.0, flight_mode=FlightMode.CRUISE,
-        active_route=RouteId.ROUTE1, next_waypoint_index=1,
+        next_waypoint_index=1,
     )
 
 

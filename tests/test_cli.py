@@ -1,9 +1,11 @@
 """Command line contract: subcommands, artifacts, exit codes, and the
 environment hooks."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,9 @@ def scn_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("scn")
     export_pack(default_pack(), d)
     return d
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def scn(scn_dir, sid):
@@ -77,7 +82,7 @@ class TestRun:
         rc = main(["run", scn(scn_dir, "ground-postponed"), "--dt", "0.5",
                    "--out", str(tmp_path)])
         assert rc == 3
-        assert "postponed on ground" in capsys.readouterr().out
+        assert capsys.readouterr().out == "ground-postponed: postponed on ground\n"
 
     def test_collision_exit_code(self, scn_dir, tmp_path, capsys):
         rc = main(["run", scn(scn_dir, "sc-14"), "--dt", "0.5",
@@ -105,10 +110,18 @@ class TestRun:
         assert rc == 1  # timed out
         assert "timed out" in capsys.readouterr().out
 
-    def test_seedless_flag_accepted(self, scn_dir, tmp_path):
-        rc = main(["run", scn(scn_dir, "ref-route1"), "--dt", "0.5",
-                   "--seedless", "--out", str(tmp_path)])
-        assert rc == 0
+    def test_postponed_structured_report_is_strict_json(self, scn_dir, tmp_path):
+        rc = main(["run", scn(scn_dir, "ground-postponed"), "--dt", "0.5",
+                   "--format", "structured", "--out", str(tmp_path)])
+        assert rc == 3
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "ground-postponed_report.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["d_ground_s"] == "inf"  # as in the batch report.json
+        assert doc["t_sim_s"] is None and doc["d_air_s"] is None
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +144,8 @@ class TestBatch:
         assert stdout[0] == BATCH_CSV_HEADER
         ids = [ln.split(",")[0] for ln in stdout[1:4]]
         assert ids == ["ground-postponed", "ref-route1", "sc-03"]
-        assert stdout[4].startswith("# mean airborne delay over 3 scenarios:")
+        # averaged over the two departed rows; ground-postponed has no d_air
+        assert stdout[4].startswith("# mean airborne delay over 2 scenarios:")
 
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary == stdout[:4]
@@ -179,6 +193,24 @@ class TestBatch:
         assert (a / "traces" / "sc-03.csv").read_bytes() == (
             b / "traces" / "sc-03.csv"
         ).read_bytes()
+
+
+    def test_script_writes_the_batch_artifacts(self, mini_pack_dir, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "run_default_pack", SCRIPTS / "run_default_pack.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        a, b = tmp_path / "batch", tmp_path / "script"
+        common = ["--pack", str(mini_pack_dir), "--dt", "0.5", "--format", "both"]
+        assert main(["batch", *common, "--out", str(a)]) == 0
+        assert script.main([*common, "--out", str(b)]) == 0
+        capsys.readouterr()
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        assert len(files) == 4 + 2 * 3  # four reports, two traces per scenario
+        for rel in files:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 class TestValidate:
