@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 
 from .geo import (
     EnuPoint,
-    RouteId,
     bearing,
     horizontal_distance,
     normalize_track,
@@ -65,7 +64,6 @@ class PerformanceModel:
     descent_rate: float = DEFAULT_DESCENT_RATE_M_S
     cruise_alt: float = DEFAULT_CRUISE_ALT_M
     turn_rate: float = DEFAULT_TURN_RATE_DEG_S
-    hover_capable: bool = True
     head_on_strategy: HeadOnStrategy = HeadOnStrategy.TURN_RIGHT
 
     def __post_init__(self) -> None:
@@ -75,8 +73,7 @@ class PerformanceModel:
 
 
 # Cruise speeds: vectored thrust is the published figure; the other three
-# are editable defaults in the manufacturer-brochure ballpark.  All four
-# airframes take off and land vertically, hence hover_capable.
+# are editable defaults in the manufacturer-brochure ballpark.
 DEFAULT_PERFORMANCE: Mapping[OwnshipConfig, PerformanceModel] = {
     OwnshipConfig.MULTICOPTER: PerformanceModel(28.0, head_on_strategy=HeadOnStrategy.DESCEND),
     OwnshipConfig.LIFT_CRUISE: PerformanceModel(50.0, head_on_strategy=HeadOnStrategy.DESCEND),
@@ -109,7 +106,6 @@ class NavPlan:
     """Horizontal waypoints the guidance currently steers to."""
 
     waypoints: tuple[EnuPoint, ...]
-    route_id: RouteId
     destination_id: str
 
 
@@ -154,13 +150,9 @@ def resolve_command(
         return follow_plan(plan, guidance.capture_radius), state
 
     if cmd.action is Action.HOVER:
-        if not perf.hover_capable:
-            raise InfeasibleManeuverError("hover not available for this model")
         return Guidance(GuidanceKind.HOVER, plan, capture_radius=guidance.capture_radius), state
 
     if cmd.action is Action.HOVER_AND_DESCEND_TO:
-        if not perf.hover_capable:
-            raise InfeasibleManeuverError("hover not available for this model")
         if cmd.target_alt >= perf.cruise_alt:
             raise InfeasibleManeuverError("descend target at or above cruise altitude")
         return (
@@ -194,7 +186,7 @@ def resolve_command(
             raise InfeasibleManeuverError(
                 f"unknown diversion vertiport {cmd.target_vertiport!r}"
             ) from None
-        new_plan = NavPlan((target_pos,), plan.route_id, cmd.target_vertiport)
+        new_plan = NavPlan((target_pos,), cmd.target_vertiport)
         # No explicit side means keep whatever turn is already in progress.
         slew = cmd.direction if cmd.direction is not None else guidance.slew
         new_state = replace(state, next_waypoint_index=0)
@@ -234,7 +226,7 @@ def _offset_plan(state: OwnshipState, plan: NavPlan, offset_m: float) -> NavPlan
         EnuPoint(wp.east + de, wp.north + dn, wp.up) for wp in remaining[:-1]
     ]
     new_wpts = (side_step, *shifted, remaining[-1])
-    return NavPlan(new_wpts, plan.route_id, plan.destination_id)
+    return NavPlan(new_wpts, plan.destination_id)
 
 
 def _slew_track(track: float, target: float, max_step: float, forced: TurnDirection | None) -> float:

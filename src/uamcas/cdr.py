@@ -23,7 +23,6 @@ from .agents import (
 from .envelopes import Zone
 from .geo import (
     EnuPoint,
-    RouteId,
     bearing,
     distance_point_to_polyline,
     distance_segment_to_polyline,
@@ -63,22 +62,14 @@ class GroundCheckParams:
             raise ValueError("max_waits must be at least 1")
 
 
-class ThreatClass(enum.Enum):
-    NONE = "NONE"
-    OVERHEAD = "OVERHEAD"
-    ROUTE1_THREAT = "ROUTE1_THREAT"
-    ROUTE2_THREAT = "ROUTE2_THREAT"
-    BOTH_ROUTES_THREAT = "BOTH_ROUTES_THREAT"
-
-
 @dataclass(frozen=True)
 class GroundDecision:
     postponed: bool
-    route: RouteId | None = None
+    route: str | None = None
     delay_s: float | None = None
 
     @staticmethod
-    def depart(route: RouteId, delay_s: float) -> "GroundDecision":
+    def depart(route: str, delay_s: float) -> "GroundDecision":
         return GroundDecision(False, route, delay_s)
 
     @staticmethod
@@ -125,75 +116,63 @@ def heading_threat(
     pos: EnuPoint,
     velocity: Vec3,
     v1: EnuPoint,
-    route_polylines: Mapping[RouteId, Sequence[EnuPoint]],
+    route_polylines: Mapping[str, Sequence[EnuPoint]],
     params: GroundCheckParams,
-) -> ThreatClass:
-    """Classify one intruder for the pre-departure picture.
+) -> frozenset[str]:
+    """The routes one intruder blocks in the pre-departure picture.
 
-    Inside the overhead ring everything is dangerous regardless of
+    Inside the overhead ring it blocks every route regardless of
     heading.  Otherwise the intruder's straight-line projection over the
     lookahead window is tested against each route corridor.
     """
     if horizontal_distance(pos, v1) <= params.overhead_radius:
-        return ThreatClass.OVERHEAD
+        return frozenset(route_polylines)
     vx, vy, _ = velocity
     end = EnuPoint(pos.east + vx * params.lookahead, pos.north + vy * params.lookahead, pos.up)
-    threatened: list[RouteId] = []
+    blocked = []
     for route_id, pts in route_polylines.items():
         if vx == 0.0 and vy == 0.0:
             d = distance_point_to_polyline(pos, pts)
         else:
             d = distance_segment_to_polyline(pos, end, pts)
         if d <= params.corridor_half_width:
-            threatened.append(route_id)
-    if len(threatened) == 2:
-        return ThreatClass.BOTH_ROUTES_THREAT
-    if threatened == [RouteId.ROUTE1]:
-        return ThreatClass.ROUTE1_THREAT
-    if threatened == [RouteId.ROUTE2]:
-        return ThreatClass.ROUTE2_THREAT
-    return ThreatClass.NONE
-
-
-def _route_blocked(threats: Sequence[ThreatClass], route: RouteId) -> bool:
-    own = ThreatClass.ROUTE1_THREAT if route is RouteId.ROUTE1 else ThreatClass.ROUTE2_THREAT
-    return any(
-        tc in (ThreatClass.OVERHEAD, ThreatClass.BOTH_ROUTES_THREAT, own) for tc in threats
-    )
+            blocked.append(route_id)
+    return frozenset(blocked)
 
 
 def takeoff_delay_check(
     intruders: Sequence[IntruderRecord],
     v1: EnuPoint,
-    route_polylines: Mapping[RouteId, Sequence[EnuPoint]],
+    route_polylines: Mapping[str, Sequence[EnuPoint]],
     params: GroundCheckParams,
-    planned: RouteId = RouteId.ROUTE1,
+    planned: str,
 ) -> GroundDecision:
     """Strategic departure ladder.
 
     Scan at t = 0: depart the planned route immediately if it is clean.
     Re-scan every wait_step: prefer the planned route, fall back to the
-    other one (which costs the reroute buffer on top of the wait).  The
-    final re-scan considers the fallback only; if that is still
-    threatened the departure is postponed.
+    first other route in route_polylines order (which costs the reroute
+    buffer on top of the wait).  The final re-scan considers the
+    fallback only; if that is still blocked, or there is no other
+    route, the departure is postponed.
     """
-    fallback = RouteId.ROUTE2 if planned is RouteId.ROUTE1 else RouteId.ROUTE1
+    fallback = next((rid for rid in route_polylines if rid != planned), None)
 
-    def threats_at(tau: float) -> list[ThreatClass]:
-        out = []
+    def blocked_at(tau: float) -> frozenset[str]:
+        blocked: frozenset[str] = frozenset()
         for rec in intruders:
             st = intruder_state_at(rec, tau)
             if st is not None:
-                out.append(heading_threat(st[0], st[1], v1, route_polylines, params))
-        return out
+                blocked |= heading_threat(st[0], st[1], v1, route_polylines, params)
+        return blocked
 
     for k in range(params.max_waits + 1):
         tau = k * params.wait_step
-        threats = threats_at(tau)
+        blocked = blocked_at(tau)
         last = k == params.max_waits
-        if not last and not _route_blocked(threats, planned):
+        if not last and planned not in blocked:
             return GroundDecision.depart(planned, tau)
-        if k >= 1 and not _route_blocked(threats, fallback):
+        if k >= 1 and fallback is not None and fallback not in blocked:
             return GroundDecision.depart(fallback, tau + params.reroute_buffer)
     return GroundDecision.postpone()
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import engine, metrics, scenario_io
-from .engine import RunResult, SimParams, TerminalKind
+from .engine import RunResult, TerminalKind
 from .scenario_io import Scenario, ScenarioError
 
 EXIT_OK = 0
@@ -45,19 +46,19 @@ def simulate(
     dt (None keeps the scenario's own tick) and cas_enabled (False runs
     the system-off side of a pair) override the scenario's SIM settings.
     """
-    overrides = dict(sc.sim_overrides)
-    if dt is not None:
-        overrides["dt"] = dt
-    overrides["cas_enabled"] = cas_enabled and overrides.get("cas_enabled", True)
-    result = engine.run(sc, SimParams(**overrides))
-    perf = sc.performance()
-    baselines = {rid: metrics.theoretical_flight_time(r, perf) for rid, r in sc.routes.items()}
+    params = replace(
+        sc.sim,
+        dt=sc.sim.dt if dt is None else dt,
+        cas_enabled=cas_enabled and sc.sim.cas_enabled,
+    )
+    result = engine.run(sc, params)
+    baselines = {rid: metrics.theoretical_flight_time(r, sc.perf) for rid, r in sc.routes.items()}
     return result, metrics.delays(result, baselines)
 
 
-def _apply_config(sc: Scenario, config_path: str, base_dir: Path | None) -> Scenario:
-    """Overlay a file of SET directives onto an already-parsed scenario."""
-    overlay = Path(config_path).read_text(encoding="utf-8")
+def _apply_config(sc: Scenario, overlay: str, base_dir: Path | None) -> Scenario:
+    """Overlay SET directives onto an already-parsed scenario; base_dir
+    anchors the scenario's relative CSV paths."""
     text = scenario_io.serialize_scenario(sc) + "\n" + overlay
     return scenario_io.parse_scenario(text, base_dir=base_dir)
 
@@ -82,7 +83,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         sc = scenario_io.load_scenario(path)
         if args.config:
-            sc = _apply_config(sc, args.config, path.parent)
+            sc = _apply_config(sc, Path(args.config).read_text(encoding="utf-8"), path.parent)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -128,11 +129,12 @@ def run_batch(
     out = Path(out)
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)
+    overlay = Path(config).read_text(encoding="utf-8") if config else None
     with_cas: dict[str, metrics.MetricsReport] = {}
     without_cas: dict[str, metrics.MetricsReport] = {}
     for sc in sorted(pack, key=lambda s: s.id):
-        if config:
-            sc = _apply_config(sc, config, None)
+        if overlay is not None:
+            sc = _apply_config(sc, overlay, pack.base_dir)
         on, with_cas[sc.id] = simulate(sc, dt)
         _write_trace(on, traces / f"{sc.id}.csv")
         off, without_cas[sc.id] = simulate(sc, dt, cas_enabled=False)

@@ -84,8 +84,6 @@ class RunResult:
     ground_decision: cdr.GroundDecision
     departure_time: float
     end_time: float
-    planned_route: geo.RouteId
-    departed_route: geo.RouteId | None
     command_log: list[tuple[float, ManeuverCommand]]
 
 
@@ -98,14 +96,14 @@ def governing_intruder(rec: TickRecord) -> IntruderTick | None:
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     """Execute one scenario end to end."""
     if params is None:
-        params = SimParams(**scenario.sim_overrides)
+        params = scenario.sim
     sc = scenario
     origin = sc.vertiports["V1"].position
     vertiports_enu: Mapping[str, EnuPoint] = {
         vid: geo.to_enu(origin, vp.position) for vid, vp in sc.vertiports.items()
     }
     polylines = {rid: geo.project_route(origin, route) for rid, route in sc.routes.items()}
-    perf = sc.performance()
+    perf = sc.perf
 
     # Strategic phase.  Only intruders scheduled on the absolute clock
     # exist before departure; the rest are encounter scripts pinned to
@@ -126,13 +124,11 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             ground_decision=decision,
             departure_time=math.inf,
             end_time=0.0,
-            planned_route=sc.planned_route,
-            departed_route=None,
             command_log=[],
         )
 
     departure = decision.delay_s
-    plan = NavPlan(polylines[decision.route], decision.route, sc.destination_id(decision.route))
+    plan = NavPlan(polylines[decision.route], sc.destination_id(decision.route))
     guidance = agents.follow_plan(plan, sc.capture_radius)
 
     own = OwnshipState(
@@ -256,8 +252,6 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
         ground_decision=decision,
         departure_time=departure,
         end_time=t,
-        planned_route=sc.planned_route,
-        departed_route=decision.route,
         command_log=command_log,
     )
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .agents import DEFAULT_PERFORMANCE, FlightMode, OwnshipConfig
 
@@ -96,25 +95,3 @@ def classify(separation: float, env: EnvelopeSet) -> Zone:
         return Zone.CAUTION
     return Zone.CLEAR
 
-
-def zone_transitions(
-    series: Iterable[tuple[float, float]], env: EnvelopeSet
-) -> list[tuple[float, Zone]]:
-    """Zone-entry events for a separation time series.
-
-    The baseline before the first sample is CLEAR (an intruder appears
-    from absence), so a series opening inside a ring emits an event at
-    its first timestamp.  One event per change, none while unchanged.
-    """
-    events: list[tuple[float, Zone]] = []
-    current = Zone.CLEAR
-    last_t: float | None = None
-    for t, sep in series:
-        if last_t is not None and t <= last_t:
-            raise ValueError("separation series must be monotone in t")
-        last_t = t
-        zone = classify(sep, env)
-        if zone is not current:
-            events.append((t, zone))
-            current = zone
-    return events

@@ -10,7 +10,6 @@ kilometres) the distortion is far below any envelope radius.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,16 +64,13 @@ class Vertiport:
     position: GeoPoint
 
 
-class RouteId(enum.Enum):
-    ROUTE1 = "ROUTE1"
-    ROUTE2 = "ROUTE2"
-
-
 @dataclass(frozen=True)
 class Route:
-    """Ordered geodetic polyline from origin vertiport to destination."""
+    """Ordered geodetic polyline from origin vertiport to destination.
 
-    id: RouteId
+    A route's id is its key in the scenario's route mapping.
+    """
+
     waypoints: tuple[GeoPoint, ...]
     cruise_alt: float
 

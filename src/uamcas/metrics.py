@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 from .agents import PerformanceModel
 from .engine import RunResult, Terminal, TerminalKind, TickRecord
-from .geo import Route, RouteId, cpa_linear, polyline_length
+from .geo import Route, cpa_linear, polyline_length
 
 
 class NoEncounterError(ValueError):
@@ -82,7 +82,6 @@ class MetricsReport:
     d_ground: float
     d_air: float | None
     d_total: float | None
-    route_flown: RouteId | None
     terminal: Terminal
 
 
@@ -91,7 +90,7 @@ def compose_delays(d_ground: float, d_air: float) -> float:
     return d_ground + d_air
 
 
-def delays(result: RunResult, baselines: Mapping[RouteId, float]) -> MetricsReport:
+def delays(result: RunResult, baselines: Mapping[str, float]) -> MetricsReport:
     """Assemble the delay decomposition for one run.
 
     The airborne baseline is the theoretical time of the route the
@@ -105,12 +104,11 @@ def delays(result: RunResult, baselines: Mapping[RouteId, float]) -> MetricsRepo
             d_ground=math.inf,
             d_air=None,
             d_total=None,
-            route_flown=None,
             terminal=result.terminal,
         )
     t_sim = result.end_time - result.departure_time
     d_ground = float(result.ground_decision.delay_s)
-    d_air = max(0.0, t_sim - baselines[result.departed_route])
+    d_air = max(0.0, t_sim - baselines[result.ground_decision.route])
     ids = intruder_ids(result)
     cpa_val = min(cpa(result, i) for i in ids) if ids else None
     return MetricsReport(
@@ -119,7 +117,6 @@ def delays(result: RunResult, baselines: Mapping[RouteId, float]) -> MetricsRepo
         d_ground=d_ground,
         d_air=d_air,
         d_total=compose_delays(d_ground, d_air),
-        route_flown=result.departed_route,
         terminal=result.terminal,
     )
 

@@ -6,8 +6,8 @@ A scenario file is line oriented; ``#`` starts a comment.  Directives:
     SCENARIO <id>
     OWNSHIP <MULTICOPTER|LIFT_CRUISE|TILT_ROTOR|VECTORED_THRUST>
     VERTIPORT <id> <lat_deg> <lon_deg> [NAME=<label>]
-    ROUTE <ROUTE1|ROUTE2> <lat,lon> <lat,lon> ... [ALT=<metres>]
-    PLAN <ROUTE1|ROUTE2>
+    ROUTE <id> <lat,lon> <lat,lon> ... [ALT=<metres>]
+    PLAN <id>
     INTRUDER <id> <DRONE|BIRD> <PREDICTABLE|UNPREDICTABLE> CSV <path>
     INTRUDER <id> <DRONE|BIRD> <PREDICTABLE|UNPREDICTABLE> SCRIPT <mode> KEY=VALUE ...
     SPAWN <id> AT <seconds> [GROUND]
@@ -21,6 +21,11 @@ and is converted to metres.  SPAWN times are relative to the ownship
 departure unless marked GROUND, which pins the intruder to the
 absolute clock and restricts it to the pre-departure scan.
 
+A route id is any name token; PLAN names the route the flight intends
+to take.  When the departure check finds that route blocked, it tries
+the first other ROUTE in file order; with no other route, the final
+scan postpones the departure.
+
 Parsing is whole-file: every malformed line is reported, with its line
 number, in a single ScenarioError.
 """
@@ -31,7 +36,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -50,12 +55,12 @@ from .agents import (
     Trajectory,
 )
 from .cdr import CdrParams, GroundCheckParams
+from .engine import SimParams
 from .envelopes import EnvelopeParams, EnvelopeSet, Zone
 from .geo import (
     EnuPoint,
     GeoPoint,
     Route,
-    RouteId,
     Vertiport,
     bearing,
     from_enu,
@@ -93,14 +98,15 @@ class Scenario:
     id: str
     ownship_config: OwnshipConfig
     vertiports: dict[str, Vertiport]
-    routes: dict[RouteId, Route]
-    planned_route: RouteId
+    routes: dict[str, Route]
+    planned_route: str
     intruders: tuple[IntruderRecord, ...] = ()
     envelope_params: EnvelopeParams = EnvelopeParams()
     cdr_params: CdrParams = CdrParams()
     ground_params: GroundCheckParams = GroundCheckParams()
-    sim_overrides: dict = field(default_factory=dict)
-    perf_overrides: dict = field(default_factory=dict)
+    sim: SimParams = SimParams()
+    # None takes the ownship configuration's default performance.
+    perf: PerformanceModel | None = None
     capture_radius: float = DEFAULT_CAPTURE_RADIUS_M
 
     def __post_init__(self) -> None:
@@ -109,15 +115,11 @@ class Scenario:
         if len(self.vertiports) < 2:
             raise ValueError("scenario needs at least two vertiports")
         if self.planned_route not in self.routes:
-            raise ValueError(f"planned route {self.planned_route.name} is not defined")
+            raise ValueError(f"planned route {self.planned_route} is not defined")
+        if self.perf is None:
+            object.__setattr__(self, "perf", DEFAULT_PERFORMANCE[self.ownship_config])
 
-    def performance(self) -> PerformanceModel:
-        base = DEFAULT_PERFORMANCE[self.ownship_config]
-        if not self.perf_overrides:
-            return base
-        return replace(base, **self.perf_overrides)
-
-    def destination_id(self, route_id: RouteId) -> str:
+    def destination_id(self, route_id: str) -> str:
         """Vertiport id at the end of the given route."""
         route = self.routes[route_id]
         origin = route.waypoints[0]
@@ -169,18 +171,22 @@ def parse_trajectory_csv(text: str, origin: GeoPoint | None = None) -> Trajector
             errors.append((n, f"non-numeric field in {','.join(row)!r}"))
             continue
         t = vals[0]
+        if not math.isfinite(t):
+            errors.append((n, f"non-finite time {row[0]!r}"))
+            continue
         if last_t is not None and t <= last_t:
             errors.append((n, f"time {t} does not increase over {last_t}"))
             continue
         last_t = t
-        if geodetic:
-            try:
+        # GeoPoint and EnuPoint reject non-finite coordinates.
+        try:
+            if geodetic:
                 pos = to_enu(origin, GeoPoint(vals[1], vals[2], vals[3]))
-            except ValueError as exc:
-                errors.append((n, str(exc)))
-                continue
-        else:
-            pos = EnuPoint(vals[1], vals[2], vals[3])
+            else:
+                pos = EnuPoint(vals[1], vals[2], vals[3])
+        except ValueError as exc:
+            errors.append((n, str(exc)))
+            continue
         samples.append((t, pos))
 
     if not errors and len(samples) < 2:
@@ -199,16 +205,21 @@ def load_trajectory_csv(path: str | Path, origin: GeoPoint | None = None) -> Tra
 
 
 _CONFIG_NAMES = {c.name: c for c in OwnshipConfig}
-_ROUTE_NAMES = {r.name: r for r in RouteId}
 _KIND_NAMES = {k.name: k for k in IntruderKind}
 _BEHAVIOR_NAMES = {b.name: b for b in IntruderBehavior}
 _MODE_NAMES = {m.name: m for m in ScriptMode}
 
+# Defaults of the SET groups that build one typed object each; PERF's
+# default depends on the ownship configuration.
+_GROUP_DEFAULTS = {
+    "ENV": EnvelopeParams(),
+    "CDR": CdrParams(),
+    "GROUND": GroundCheckParams(),
+    "SIM": SimParams(),
+}
+
 _SET_GROUPS: dict[str, frozenset[str]] = {
-    "ENV": frozenset(f.name for f in fields(EnvelopeParams)),
-    "CDR": frozenset(f.name for f in fields(CdrParams)),
-    "GROUND": frozenset(f.name for f in fields(GroundCheckParams)),
-    "SIM": frozenset({"dt", "max_sim_time", "cas_enabled", "contact_distance"}),
+    **{g: frozenset(f.name for f in fields(d)) for g, d in _GROUP_DEFAULTS.items()},
     "PERF": frozenset({"cruise_speed", "climb_rate", "descent_rate", "cruise_alt", "turn_rate"}),
     "NAV": frozenset({"capture_radius"}),
 }
@@ -219,8 +230,12 @@ _SCRIPT_KEYS = ("SPEED", "ANCHOR", "TRACK", "HOLD", "OFFSET", "DURATION")
 def _num(tok: str) -> float:
     t = tok.strip()
     if t.lower().endswith("ft"):
-        return float(t[:-2]) * FT_TO_M
-    return float(t)
+        v = float(t[:-2]) * FT_TO_M
+    else:
+        v = float(t)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {tok!r}")
+    return v
 
 
 def _parse_set_value(group: str, name: str, raw: str) -> object:
@@ -261,8 +276,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     sid: str | None = None
     config: OwnshipConfig | None = None
     verts: dict[str, Vertiport] = {}
-    routes: dict[RouteId, Route] = {}
-    planned: RouteId | None = None
+    routes: dict[str, Route] = {}
+    planned: str | None = None
     plan_line = 0
     sets: dict[str, dict[str, object]] = {g: {} for g in _SET_GROUPS}
     intruder_lines: list[tuple[int, list[str]]] = []
@@ -309,12 +324,9 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             if len(toks) < 4:
                 errors.append((n, "ROUTE needs an id and at least two waypoints"))
                 continue
-            if toks[1] not in _ROUTE_NAMES:
-                errors.append((n, f"unknown route id {toks[1]!r}"))
-                continue
-            rid = _ROUTE_NAMES[toks[1]]
+            rid = toks[1]
             if rid in routes:
-                errors.append((n, f"duplicate route {rid.name}"))
+                errors.append((n, f"duplicate route {rid!r}"))
                 continue
             alt = DEFAULT_CRUISE_ALT_M
             wpt_toks = toks[2:]
@@ -339,16 +351,16 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             if bad:
                 continue
             try:
-                routes[rid] = Route(rid, tuple(wpts), alt)
+                routes[rid] = Route(tuple(wpts), alt)
             except ValueError as exc:
                 errors.append((n, str(exc)))
         elif word == "PLAN":
-            if len(toks) != 2 or toks[1] not in _ROUTE_NAMES:
-                errors.append((n, "PLAN takes ROUTE1 or ROUTE2"))
+            if len(toks) != 2:
+                errors.append((n, "PLAN takes exactly one route id"))
             elif planned is not None:
                 errors.append((n, "duplicate PLAN directive"))
             else:
-                planned = _ROUTE_NAMES[toks[1]]
+                planned = toks[1]
                 plan_line = n
         elif word == "SET":
             if len(toks) != 3 or "." not in toks[1]:
@@ -480,18 +492,20 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     if "V1" not in verts:
         errors.append((0, "vertiport V1 (frame origin) is required"))
     if planned is not None and planned not in routes:
-        errors.append((plan_line, f"planned route {planned.name} is not defined"))
+        errors.append((plan_line, f"planned route {planned} is not defined"))
 
+    defaults = dict(_GROUP_DEFAULTS)
+    if config is not None:
+        defaults["PERF"] = DEFAULT_PERFORMANCE[config]
     params: dict[str, object] = {}
-    for group, cls, key in (
-        ("ENV", EnvelopeParams, "envelope_params"),
-        ("CDR", CdrParams, "cdr_params"),
-        ("GROUND", GroundCheckParams, "ground_params"),
-    ):
+    for group, default in defaults.items():
         try:
-            params[key] = cls(**sets[group])
+            params[group] = replace(default, **sets[group]) if sets[group] else default
         except ValueError as exc:
             errors.append((0, f"{group} parameters: {exc}"))
+    capture_radius = sets["NAV"].get("capture_radius", DEFAULT_CAPTURE_RADIUS_M)
+    if capture_radius <= 0.0:
+        errors.append((0, "NAV parameters: capture_radius must be positive"))
 
     if errors:
         raise ScenarioError(errors)
@@ -503,12 +517,12 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         routes=routes,
         planned_route=planned,
         intruders=tuple(intruders),
-        envelope_params=params["envelope_params"],
-        cdr_params=params["cdr_params"],
-        ground_params=params["ground_params"],
-        sim_overrides=sets["SIM"],
-        perf_overrides=sets["PERF"],
-        capture_radius=float(sets["NAV"].get("capture_radius", DEFAULT_CAPTURE_RADIUS_M)),
+        envelope_params=params["ENV"],
+        cdr_params=params["CDR"],
+        ground_params=params["GROUND"],
+        sim=params["SIM"],
+        perf=params["PERF"],
+        capture_radius=float(capture_radius),
     )
 
 
@@ -569,18 +583,16 @@ def serialize_scenario(sc: Scenario) -> str:
     """
     lines = [f"SCENARIO {sc.id}", f"OWNSHIP {sc.ownship_config.name}"]
     for group, current, default in (
-        ("ENV", sc.envelope_params, EnvelopeParams()),
-        ("CDR", sc.cdr_params, CdrParams()),
-        ("GROUND", sc.ground_params, GroundCheckParams()),
+        ("ENV", sc.envelope_params, _GROUP_DEFAULTS["ENV"]),
+        ("CDR", sc.cdr_params, _GROUP_DEFAULTS["CDR"]),
+        ("GROUND", sc.ground_params, _GROUP_DEFAULTS["GROUND"]),
+        ("SIM", sc.sim, _GROUP_DEFAULTS["SIM"]),
+        ("PERF", sc.perf, DEFAULT_PERFORMANCE[sc.ownship_config]),
     ):
         for f in fields(current):
             v = getattr(current, f.name)
             if v != getattr(default, f.name):
                 lines.append(f"SET {group}.{f.name.upper()} {_fmt_set_value(v)}")
-    for k in sorted(sc.sim_overrides):
-        lines.append(f"SET SIM.{k.upper()} {_fmt_set_value(sc.sim_overrides[k])}")
-    for k in sorted(sc.perf_overrides):
-        lines.append(f"SET PERF.{k.upper()} {_fmt_set_value(sc.perf_overrides[k])}")
     if sc.capture_radius != DEFAULT_CAPTURE_RADIUS_M:
         lines.append(f"SET NAV.CAPTURE_RADIUS {sc.capture_radius!r}")
     for vid in sorted(sc.vertiports):
@@ -589,16 +601,13 @@ def serialize_scenario(sc: Scenario) -> str:
         if vp.name != vp.id:
             line += f" NAME={vp.name}"
         lines.append(line)
-    for rid in (RouteId.ROUTE1, RouteId.ROUTE2):
-        if rid not in sc.routes:
-            continue
-        r = sc.routes[rid]
+    for rid, r in sc.routes.items():
         wpts = " ".join(f"{p.lat!r},{p.lon!r}" for p in r.waypoints)
-        line = f"ROUTE {rid.name} {wpts}"
+        line = f"ROUTE {rid} {wpts}"
         if r.cruise_alt != DEFAULT_CRUISE_ALT_M:
             line += f" ALT={r.cruise_alt!r}"
         lines.append(line)
-    lines.append(f"PLAN {sc.planned_route.name}")
+    lines.append(f"PLAN {sc.planned_route}")
     for rec in sc.intruders:
         lines.extend(_intruder_lines(rec))
     return "\n".join(lines) + "\n"
@@ -645,7 +654,7 @@ def _solve_width(length_fn, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _build_network() -> tuple[dict[str, Vertiport], dict[RouteId, Route], tuple, tuple]:
+def _build_network() -> tuple[dict[str, Vertiport], dict[str, Route], tuple, tuple]:
     origin = V1_GEO
     p1 = EnuPoint(0.0, 0.0, 0.0)
     p2 = to_enu(origin, V2_GEO)
@@ -670,25 +679,25 @@ def _build_network() -> tuple[dict[str, Vertiport], dict[RouteId, Route], tuple,
     w2 = _solve_width(lambda w: polyline_length_enu(route2_pts(w)), ROUTE2_LENGTH_M)
     r2_enu = route2_pts(w2)
 
-    def mk_route(rid: RouteId, pts: Sequence[EnuPoint]) -> Route:
-        return Route(rid, tuple(from_enu(origin, p) for p in pts), DEFAULT_CRUISE_ALT_M)
+    def mk_route(pts: Sequence[EnuPoint]) -> Route:
+        return Route(tuple(from_enu(origin, p) for p in pts), DEFAULT_CRUISE_ALT_M)
 
     verts = {
         "V1": Vertiport("V1", "EDDM", V1_GEO),
         "V2": Vertiport("V2", "MUC-HBF", V2_GEO),
         "V3": Vertiport("V3", "EDNX", V3_GEO),
     }
-    routes = {
-        RouteId.ROUTE1: mk_route(RouteId.ROUTE1, r1_enu),
-        RouteId.ROUTE2: mk_route(RouteId.ROUTE2, r2_enu),
-    }
+    routes = {"ROUTE1": mk_route(r1_enu), "ROUTE2": mk_route(r2_enu)}
     return verts, routes, r1_enu, r2_enu
 
 
 @dataclass(frozen=True)
 class ScenarioPack:
-    name: str
+    """Scenarios plus, for a pack loaded from a directory, that directory,
+    which anchors the scenarios' relative CSV paths."""
+
     scenarios: tuple[Scenario, ...]
+    base_dir: Path | None = None
 
     def __iter__(self) -> Iterator[Scenario]:
         return iter(self.scenarios)
@@ -793,7 +802,7 @@ def default_pack() -> ScenarioPack:
         return passby(iid, anchor, leg - 180.0, speed, spawn, duration,
                       kind=kind, behavior=behavior, offset=port_offset)
 
-    def scenario(sid, intruders, planned=RouteId.ROUTE1):
+    def scenario(sid, intruders, planned="ROUTE1"):
         return Scenario(
             id=sid,
             ownship_config=OwnshipConfig.VECTORED_THRUST,
@@ -818,7 +827,7 @@ def default_pack() -> ScenarioPack:
 
     scenarios = [
         scenario("ref-route1", []),
-        scenario("ref-route2", [], planned=RouteId.ROUTE2),
+        scenario("ref-route2", [], planned="ROUTE2"),
         # Strategic departure outcomes.
         scenario("ground-0", [
             passby("g1", _shift(EnuPoint(0.0, 0.0, 0.0), 35.0, 5000.0, _GROUND_INTRUDER_ALT_M),
@@ -893,11 +902,11 @@ def default_pack() -> ScenarioPack:
         scenario("sc-12", [
             reciprocal("i1", r2, 27000.0, 0.0, 35.0, 450.0, 250.0,
                        behavior=IntruderBehavior.UNPREDICTABLE),
-        ], planned=RouteId.ROUTE2),
+        ], planned="ROUTE2"),
         scenario("sc-13", [
             reciprocal("i1", r2, 23400.0, 0.0, 35.0, 400.0, 250.0,
                        behavior=IntruderBehavior.UNPREDICTABLE),
-        ], planned=RouteId.ROUTE2),
+        ], planned="ROUTE2"),
         # Non-cooperative fast pursuer; the encounter is not survivable.
         scenario("sc-14", [
             ground_loiter(),
@@ -905,7 +914,7 @@ def default_pack() -> ScenarioPack:
                     kind=IntruderKind.BIRD, behavior=IntruderBehavior.UNPREDICTABLE),
         ]),
     ]
-    return ScenarioPack("default", tuple(scenarios))
+    return ScenarioPack(tuple(scenarios))
 
 
 def load_pack(source: str | Path) -> ScenarioPack:
@@ -922,7 +931,7 @@ def load_pack(source: str | Path) -> ScenarioPack:
     files = sorted(root.glob("*.scn"))
     if not files:
         raise ScenarioError([(0, f"no .scn files in {str(root)!r}")])
-    return ScenarioPack(root.name, tuple(load_scenario(f) for f in files))
+    return ScenarioPack(tuple(load_scenario(f) for f in files), root)
 
 
 def export_pack(pack: ScenarioPack, out_dir: str | Path) -> list[Path]:

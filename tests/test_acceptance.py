@@ -24,7 +24,7 @@ from uamcas.agents import (
 )
 from uamcas.cdr import ApproachDirection, RelativePosition
 from uamcas.envelopes import Zone
-from uamcas.geo import EnuPoint, RouteId, polyline_length
+from uamcas.geo import EnuPoint, polyline_length
 from uamcas.maneuvers import Action, IssuedBy, TurnDirection
 from uamcas.scenario_io import default_pack
 
@@ -44,9 +44,9 @@ def run_scenario(sid: str, dt: float, cas_enabled: bool = True) -> Scored:
     return cli.simulate(PACK[sid], dt, cas_enabled)
 
 
-def theory_for(sid: str, rid: RouteId) -> float:
+def theory_for(sid: str, rid: str) -> float:
     sc = PACK[sid]
-    return metrics.theoretical_flight_time(sc.routes[rid], sc.performance())
+    return metrics.theoretical_flight_time(sc.routes[rid], sc.perf)
 
 
 def min_cpa(result: engine.RunResult) -> float:
@@ -74,10 +74,10 @@ def ground_runs() -> dict[str, Scored]:
 def test_criterion_01_theoretical_flight_times():
     """Closed-form still-air times for both corridors, plus their cruise
     and climb components, to the published figures."""
-    expected = {RouteId.ROUTE1: 692.0, RouteId.ROUTE2: 744.0}
-    cruise_component = {RouteId.ROUTE1: 333.33, RouteId.ROUTE2: 384.61}
+    expected = {"ROUTE1": 692.0, "ROUTE2": 744.0}
+    cruise_component = {"ROUTE1": 333.33, "ROUTE2": 384.61}
     sc = PACK["ref-route1"]
-    perf = sc.performance()
+    perf = sc.perf
     t0 = time.perf_counter()
     for rid, route in sc.routes.items():
         total = metrics.theoretical_flight_time(route, perf)
@@ -94,7 +94,7 @@ def test_criterion_01_theoretical_flight_times():
 def test_criterion_02_reference_flights_track_theory():
     """Undisturbed reference flights land at V2 with simulated time within
     2% of theory at dt=0.1 and within 2.5% at dt=0.5."""
-    for sid, rid in [("ref-route1", RouteId.ROUTE1), ("ref-route2", RouteId.ROUTE2)]:
+    for sid, rid in [("ref-route1", "ROUTE1"), ("ref-route2", "ROUTE2")]:
         theory = theory_for(sid, rid)
         for dt, tol in [(0.1, 0.02), (0.5, 0.025)]:
             res, _ = run_scenario(sid, dt)
@@ -108,15 +108,15 @@ def test_criterion_03_ground_phase_decisions(ground_runs):
     """The five takeoff setups resolve to exactly the expected ladder of
     departures plus one postponement."""
     expected = {
-        "ground-0": (RouteId.ROUTE1, 0.0),
-        "ground-300": (RouteId.ROUTE1, 300.0),
-        "ground-360": (RouteId.ROUTE2, 360.0),
-        "ground-660": (RouteId.ROUTE2, 660.0),
+        "ground-0": ("ROUTE1", 0.0),
+        "ground-300": ("ROUTE1", 300.0),
+        "ground-360": ("ROUTE2", 360.0),
+        "ground-660": ("ROUTE2", 660.0),
     }
     for sid, (route, delay) in expected.items():
         res, _ = ground_runs[sid]
         assert not res.ground_decision.postponed, sid
-        assert res.ground_decision.route is route, sid
+        assert res.ground_decision.route == route, sid
         assert res.ground_decision.delay_s == delay, sid
         assert res.departure_time == delay
         assert res.terminal.kind is engine.TerminalKind.LANDED_AT
@@ -283,11 +283,9 @@ def test_criterion_09_cpa_analytic_vs_brute():
             scenario_id=f"synthetic-{trial}",
             ticks=ticks,
             terminal=engine.Terminal(engine.TerminalKind.LANDED_AT, "V2"),
-            ground_decision=cdr.GroundDecision.depart(RouteId.ROUTE1, 0.0),
+            ground_decision=cdr.GroundDecision.depart("ROUTE1", 0.0),
             departure_time=0.0,
             end_time=(n_ticks - 1) * dt,
-            planned_route=RouteId.ROUTE1,
-            departed_route=RouteId.ROUTE1,
             command_log=[],
         )
         analytic = metrics.cpa(result, "i1")

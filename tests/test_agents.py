@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from uamcas.geo import EnuPoint, RouteId, horizontal_distance
+from uamcas.geo import EnuPoint, horizontal_distance
 from uamcas.agents import (
     DEFAULT_PERFORMANCE,
     FlightMode,
@@ -35,7 +35,6 @@ from uamcas.maneuvers import (
     IssuedBy,
     TurnDirection,
     continue_flight,
-    hover,
     hover_and_descend_to,
     lateral_offset,
     reroute_to,
@@ -48,7 +47,7 @@ VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
 
 
 def plan(*wpts, dest="V2"):
-    return NavPlan(tuple(EnuPoint(*w) for w in wpts), RouteId.ROUTE1, dest)
+    return NavPlan(tuple(EnuPoint(*w) for w in wpts), dest)
 
 
 def cruise_state(pos, track, perf=VT, idx=0):
@@ -73,7 +72,6 @@ class TestPerformanceTable:
         assert VT.descent_rate == 1.7
         assert VT.cruise_alt == 304.8
         assert VT.turn_rate == 10.0
-        assert VT.hover_capable
         assert VT.head_on_strategy is HeadOnStrategy.TURN_RIGHT
 
     def test_speed_ordering(self):
@@ -124,12 +122,6 @@ class TestResolveCommand:
         assert g2.kind is GuidanceKind.FOLLOW_PLAN
         assert g2.plan is self.P
         assert st2 is st0
-
-    def test_hover_requires_capability(self):
-        fixed_wing = PerformanceModel(60.0, hover_capable=False)
-        st0 = cruise_state((0, 0, 304.8), 0.0, perf=fixed_wing)
-        with pytest.raises(InfeasibleManeuverError):
-            resolve_command(st0, fixed_wing, follow_plan(self.P), hover(AUTO, 1.0), {})
 
     def test_descend_target_must_be_below_cruise(self):
         st0 = cruise_state((0, 0, 304.8), 0.0)

@@ -26,7 +26,6 @@ from uamcas.cdr import (
     GroundDecision,
     IntruderObservation,
     RelativePosition,
-    ThreatClass,
     approach_direction,
     cdr_step,
     de_escalated,
@@ -38,7 +37,7 @@ from uamcas.cdr import (
     takeoff_delay_check,
 )
 from uamcas.envelopes import Zone
-from uamcas.geo import EnuPoint, RouteId
+from uamcas.geo import EnuPoint
 from uamcas.maneuvers import Action, IssuedBy, ManeuverCommand, TurnDirection
 
 VT = OwnshipConfig.VECTORED_THRUST
@@ -266,7 +265,7 @@ class TestDeEscalation:
 V1 = EnuPoint(0, 0, 0)
 R1_POLY = (EnuPoint(0, 0, 0), EnuPoint(10000, 0, 304.8))
 R2_POLY = (EnuPoint(0, 0, 0), EnuPoint(0, 10000, 304.8))
-POLYS = {RouteId.ROUTE1: R1_POLY, RouteId.ROUTE2: R2_POLY}
+POLYS = {"ROUTE1": R1_POLY, "ROUTE2": R2_POLY}
 GP = GroundCheckParams()
 
 
@@ -283,37 +282,37 @@ def linger(pos, spawn=0.0, hold=1e6, name="L"):
 class TestHeadingThreat:
     def test_overhead_ring_trumps_heading(self):
         tc = heading_threat(EnuPoint(300, 300, 60), (5.0, 5.0, 0.0), V1, POLYS, GP)
-        assert tc is ThreatClass.OVERHEAD
+        assert tc == {"ROUTE1", "ROUTE2"}
 
     def test_stationary_inside_corridor(self):
         tc = heading_threat(EnuPoint(5000, 200, 100), (0.0, 0.0, 0.0), V1, POLYS, GP)
-        assert tc is ThreatClass.ROUTE1_THREAT
+        assert tc == {"ROUTE1"}
 
     def test_projection_crosses_corridor(self):
         # 1 km off the corridor but converging: 600 s lookahead at 2 m/s
         tc = heading_threat(EnuPoint(5000, 1000, 100), (0.0, -2.0, 0.0), V1, POLYS, GP)
-        assert tc is ThreatClass.ROUTE1_THREAT
+        assert tc == {"ROUTE1"}
 
     def test_parallel_track_outside_corridor_is_clear(self):
         tc = heading_threat(EnuPoint(5000, 1000, 100), (2.0, 0.0, 0.0), V1, POLYS, GP)
-        assert tc is ThreatClass.NONE
+        assert tc == set()
 
     def test_both_routes(self):
         tc = heading_threat(EnuPoint(700, 700, 100), (-1.0, -1.0, 0.0), V1, POLYS, GP)
-        assert tc is ThreatClass.BOTH_ROUTES_THREAT
+        assert tc == {"ROUTE1", "ROUTE2"}
 
 
 class TestTakeoffLadder:
-    def check(self, intruders, planned=RouteId.ROUTE1):
+    def check(self, intruders, planned="ROUTE1"):
         return takeoff_delay_check(intruders, V1, POLYS, GP, planned)
 
     def test_clean_sky_departs_immediately(self):
         d = self.check([])
-        assert d == GroundDecision.depart(RouteId.ROUTE1, 0.0)
+        assert d == GroundDecision.depart("ROUTE1", 0.0)
 
     def test_overhead_clears_after_one_wait(self):
         d = self.check([linger((100, 0, 60), hold=250.0)])
-        assert d == GroundDecision.depart(RouteId.ROUTE1, 300.0)
+        assert d == GroundDecision.depart("ROUTE1", 300.0)
 
     def test_persistent_overhead_postpones(self):
         d = self.check([linger((100, 0, 60))])
@@ -324,7 +323,7 @@ class TestTakeoffLadder:
         # route 1 corridor occupied indefinitely; fallback available at
         # the first re-scan, costing wait + reroute buffer
         d = self.check([linger((5000, 100, 150))])
-        assert d == GroundDecision.depart(RouteId.ROUTE2, 360.0)
+        assert d == GroundDecision.depart("ROUTE2", 360.0)
 
     def test_fallback_only_at_final_scan(self):
         d = self.check(
@@ -333,7 +332,7 @@ class TestTakeoffLadder:
                 linger((100, 5000, 150), hold=550.0, name="r2"),
             ]
         )
-        assert d == GroundDecision.depart(RouteId.ROUTE2, 660.0)
+        assert d == GroundDecision.depart("ROUTE2", 660.0)
 
     def test_everything_blocked_postpones(self):
         d = self.check(
@@ -342,13 +341,25 @@ class TestTakeoffLadder:
         assert d.postponed
 
     def test_planned_route_two_symmetric(self):
-        d = self.check([linger((5000, 100, 150))], planned=RouteId.ROUTE2)
-        assert d == GroundDecision.depart(RouteId.ROUTE2, 0.0)
+        d = self.check([linger((5000, 100, 150))], planned="ROUTE2")
+        assert d == GroundDecision.depart("ROUTE2", 0.0)
+
+    def test_single_route_has_no_fallback(self):
+        d = takeoff_delay_check([linger((5000, 100, 150))], V1, {"ROUTE1": R1_POLY}, GP, "ROUTE1")
+        assert d.postponed
+
+    @pytest.mark.parametrize("order", [("EAST", "NORTH", "SOUTH"), ("EAST", "SOUTH", "NORTH")])
+    def test_fallback_is_first_other_route_in_order(self, order):
+        south = (EnuPoint(0, 0, 0), EnuPoint(0, -10000, 304.8))
+        polys = {"EAST": R1_POLY, "NORTH": R2_POLY, "SOUTH": south}
+        polys = {rid: polys[rid] for rid in order}
+        d = takeoff_delay_check([linger((5000, 100, 150))], V1, polys, GP, "EAST")
+        assert d == GroundDecision.depart(order[1], 360.0)
 
     def test_spawn_times_respected(self):
         # threat only materializes at the second scan; t=0 is clean
         d = self.check([linger((100, 0, 60), spawn=200.0)])
-        assert d == GroundDecision.depart(RouteId.ROUTE1, 0.0)
+        assert d == GroundDecision.depart("ROUTE1", 0.0)
 
 
 # ----------------------------------------------------------- phase walk

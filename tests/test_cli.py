@@ -34,6 +34,19 @@ def scn(scn_dir, sid):
     return str(scn_dir / f"{sid}.scn")
 
 
+# One corridor from V1 to V2 and a pre-departure loiterer on it, 5 km out.
+ONE_ROUTE = """\
+SCENARIO one-route
+OWNSHIP VECTORED_THRUST
+VERTIPORT V1 48.3537 11.786
+VERTIPORT V2 48.1669 11.5883
+ROUTE {rid} 48.3537,11.786 48.1669,11.5883
+PLAN {rid}
+INTRUDER g1 DRONE UNPREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR=-2921.7,-4154.2,100 HOLD={hold}
+SPAWN g1 AT 0 GROUND
+"""
+
+
 class TestRun:
     def test_nominal_run(self, scn_dir, tmp_path, capsys):
         rc = main(["run", scn(scn_dir, "ref-route1"), "--dt", "0.5",
@@ -109,6 +122,25 @@ class TestRun:
                    "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1  # timed out
         assert "timed out" in capsys.readouterr().out
+
+    def test_one_route_blocked_on_every_scan_is_postponed(self, tmp_path, capsys):
+        # the loiterer sits on the corridor, outside the overhead ring,
+        # for longer than the whole departure ladder
+        path = tmp_path / "one.scn"
+        path.write_text(ONE_ROUTE.format(rid="ROUTE1", hold=4000))
+        rc = main(["run", str(path), "--dt", "0.5", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().out == "one-route: postponed on ground\n"
+
+    def test_one_route_clear_at_first_rescan_departs_on_plan(self, tmp_path, capsys):
+        path = tmp_path / "one.scn"
+        path.write_text(ONE_ROUTE.format(rid="CITY", hold=250))
+        rc = main(["run", str(path), "--dt", "0.5", "--format", "structured",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("one-route: landed at V2,")
+        doc = json.loads((tmp_path / "one-route_report.json").read_text())
+        assert doc["d_ground_s"] == 300.0
 
     def test_postponed_structured_report_is_strict_json(self, scn_dir, tmp_path):
         rc = main(["run", scn(scn_dir, "ground-postponed"), "--dt", "0.5",
@@ -194,6 +226,22 @@ class TestBatch:
             b / "traces" / "sc-03.csv"
         ).read_bytes()
 
+    def test_config_overlay_on_pack_with_csv_intruder(self, tmp_path, capsys):
+        # the CSV path is relative to the pack directory, not to the cwd
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        (pack / "r0.csv").write_text(
+            "t_s,east_m,north_m,up_m\n0,-9000,-3000,300\n600,-9000,3000,300\n"
+        )
+        network = ONE_ROUTE.format(rid="ROUTE1", hold=0).split("INTRUDER")[0]
+        (pack / "csv-01.scn").write_text(network + "INTRUDER r0 DRONE PREDICTABLE CSV r0.csv\n")
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text("SET SIM.DT 0.5\n")
+        out = tmp_path / "out"
+        rc = main(["batch", "--pack", str(pack), "--config", str(cfg), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        trace = (out / "traces" / "one-route.csv").read_text().splitlines()
+        assert trace[1].startswith("0.500,")  # the overlay's tick
 
     def test_script_writes_the_batch_artifacts(self, mini_pack_dir, tmp_path, capsys):
         spec = importlib.util.spec_from_file_location(
@@ -232,6 +280,19 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["validate", str(tmp_path / "gone.scn")])
         assert rc == 1
+
+    @pytest.mark.parametrize("line", [
+        "SET SIM.DT -1",
+        "SET SIM.MAX_SIM_TIME 0",
+        "SET PERF.CRUISE_SPEED -5",
+        "SET NAV.CAPTURE_RADIUS -3",
+    ])
+    def test_values_a_run_would_reject_fail_validation(self, scn_dir, tmp_path, capsys, line):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(Path(scn(scn_dir, "ref-route1")).read_text() + line + "\n")
+        rc = main(["validate", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"{bad}:0: ")
 
 
 class TestPackExport:

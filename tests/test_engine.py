@@ -2,13 +2,13 @@
 determinism, the disabled-system baseline, and terminal conditions."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from uamcas import engine, metrics
 from uamcas.agents import FlightMode
-from uamcas.engine import SimParams, TerminalKind, TRACE_HEADER, trace_csv_lines
-from uamcas.geo import RouteId
+from uamcas.engine import TerminalKind, TRACE_HEADER, trace_csv_lines
 from uamcas.scenario_io import default_pack
 
 PACK = default_pack()
@@ -16,14 +16,14 @@ PACK = default_pack()
 
 def run(sid, **kw):
     sc = PACK[sid]
-    params = SimParams(**{**sc.sim_overrides, **kw}) if kw else None
+    params = replace(sc.sim, **kw) if kw else None
     return engine.run(sc, params)
 
 
 def theory(sid):
     sc = PACK[sid]
     return metrics.theoretical_flight_time(
-        sc.routes[sc.planned_route], sc.performance()
+        sc.routes[sc.planned_route], sc.perf
     )
 
 
@@ -41,7 +41,7 @@ class TestReferenceFlights:
         res = run("ref-route1", dt=0.5)
         assert res.departure_time == 0.0
         assert res.ground_decision.delay_s == 0.0
-        assert res.departed_route is RouteId.ROUTE1
+        assert res.ground_decision.route == "ROUTE1"
 
     def test_no_commands_in_clean_sky(self):
         res = run("ref-route1", dt=0.5)
@@ -86,7 +86,7 @@ class TestTickDiscipline:
 
     def test_no_teleportation(self):
         res = run("sc-05", dt=0.5)
-        perf = PACK["sc-05"].performance()
+        perf = PACK["sc-05"].perf
         limit = perf.cruise_speed * 0.5 * (1 + 1e-9)
         prev = None
         for rec in res.ticks:
@@ -101,7 +101,7 @@ class TestTickDiscipline:
 
     def test_altitude_stays_in_band(self):
         res = run("sc-09", dt=0.5)
-        perf = PACK["sc-09"].performance()
+        perf = PACK["sc-09"].perf
         for rec in res.ticks:
             assert -1e-9 <= rec.own_up <= perf.cruise_alt + 1e-9
 
@@ -110,20 +110,20 @@ class TestTerminals:
     def test_ground_wait_delays_departure(self):
         res = run("ground-300", dt=0.5)
         assert res.departure_time == 300.0
-        assert res.departed_route is RouteId.ROUTE1
+        assert res.ground_decision.route == "ROUTE1"
         assert res.terminal.kind is TerminalKind.LANDED_AT
 
     def test_reroute_departure_uses_other_route(self):
         res = run("ground-660", dt=0.5)
         assert res.departure_time == 660.0
-        assert res.departed_route is RouteId.ROUTE2
+        assert res.ground_decision.route == "ROUTE2"
 
     def test_postponed_run_has_no_airborne_segment(self):
         res = run("ground-postponed", dt=0.5)
         assert res.terminal.kind is TerminalKind.POSTPONED_ON_GROUND
         assert res.ticks == []
         assert res.departure_time == math.inf
-        assert res.departed_route is None
+        assert res.ground_decision.route is None
 
     def test_unavoidable_pursuit_ends_in_collision(self):
         res = run("sc-14", dt=0.1)

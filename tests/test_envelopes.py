@@ -12,7 +12,6 @@ from uamcas.envelopes import (
     Zone,
     classify,
     envelopes_for,
-    zone_transitions,
 )
 
 VT = OwnshipConfig.VECTORED_THRUST
@@ -106,48 +105,3 @@ class TestClassify:
             want = Zone.CLEAR
         assert classify(sep, self.ENV) is want
 
-
-class TestTransitions:
-    ENV = EnvelopeSet(2000.0, 1000.0, 150.0)
-
-    def test_approach_and_departure(self):
-        series = [
-            (0.0, 2500.0),
-            (1.0, 1800.0),   # caution
-            (2.0, 1400.0),
-            (3.0, 900.0),    # warning
-            (4.0, 1200.0),   # back to caution
-            (5.0, 2400.0),   # clear
-        ]
-        assert zone_transitions(series, self.ENV) == [
-            (1.0, Zone.CAUTION),
-            (3.0, Zone.WARNING),
-            (4.0, Zone.CAUTION),
-            (5.0, Zone.CLEAR),
-        ]
-
-    def test_opening_inside_ring_fires_immediately(self):
-        assert zone_transitions([(10.0, 500.0)], self.ENV) == [(10.0, Zone.WARNING)]
-
-    def test_no_events_while_unchanged(self):
-        series = [(float(i), 1800.0 - i) for i in range(5)]
-        assert zone_transitions(series, self.ENV) == [(0.0, Zone.CAUTION)]
-
-    def test_non_monotone_time_rejected(self):
-        with pytest.raises(ValueError):
-            zone_transitions([(0.0, 100.0), (0.0, 90.0)], self.ENV)
-
-    @given(
-        seps=st.lists(st.floats(1, 4000), min_size=1, max_size=30),
-    )
-    def test_event_count_matches_naive_scan(self, seps):
-        series = [(float(i), s) for i, s in enumerate(seps)]
-        events = zone_transitions(series, self.ENV)
-        zones = [classify(s, self.ENV) for s in seps]
-        naive = []
-        cur = Zone.CLEAR
-        for i, z in enumerate(zones):
-            if z is not cur:
-                naive.append((float(i), z))
-                cur = z
-        assert events == naive

@@ -13,7 +13,6 @@ from uamcas.geo import (
     GeoPoint,
     GeoRangeError,
     Route,
-    RouteId,
     bearing,
     cpa_linear,
     distance_point_to_polyline,
@@ -118,15 +117,14 @@ class TestRoute:
     def test_needs_two_distinct_waypoints(self):
         p = GeoPoint(48.0, 11.0, 0.0)
         with pytest.raises(ValueError):
-            Route(RouteId.ROUTE1, (p,), 300.0)
+            Route((p,), 300.0)
         with pytest.raises(ValueError):
-            Route(RouteId.ROUTE1, (p, p), 300.0)
+            Route((p, p), 300.0)
         with pytest.raises(ValueError):
-            Route(RouteId.ROUTE1, (p, GeoPoint(48.1, 11.0, 0.0)), 0.0)
+            Route((p, GeoPoint(48.1, 11.0, 0.0)), 0.0)
 
     def test_length_matches_haversine_sum(self):
         r = Route(
-            RouteId.ROUTE1,
             (MUNICH, GeoPoint(48.2394, 11.5614, 0.0), GeoPoint(48.1669, 11.5883, 0.0)),
             304.8,
         )
@@ -137,7 +135,6 @@ class TestRoute:
 
     def test_projection_preserves_length(self):
         r = Route(
-            RouteId.ROUTE2,
             (MUNICH, GeoPoint(48.30, 11.65, 0.0), GeoPoint(48.1669, 11.5883, 0.0)),
             304.8,
         )

@@ -12,7 +12,6 @@ from uamcas.agents import DEFAULT_PERFORMANCE, FlightMode, OwnshipConfig
 from uamcas.cdr import CdrPhase, GroundDecision
 from uamcas.engine import IntruderTick, RunResult, Terminal, TerminalKind, TickRecord
 from uamcas.envelopes import Zone
-from uamcas.geo import RouteId
 from uamcas.scenario_io import default_pack
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
@@ -22,18 +21,18 @@ PACK = default_pack()
 class TestTheoreticalTimes:
     def test_route_one_baseline(self):
         sc = PACK["ref-route1"]
-        t = metrics.theoretical_flight_time(sc.routes[RouteId.ROUTE1], VT)
+        t = metrics.theoretical_flight_time(sc.routes["ROUTE1"], VT)
         # 26 km at 78 m/s plus a 304.8 m climb and descent at 1.7 m/s
         assert t == pytest.approx(691.92, abs=0.01)
 
     def test_route_two_baseline(self):
         sc = PACK["ref-route2"]
-        t = metrics.theoretical_flight_time(sc.routes[RouteId.ROUTE2], VT)
+        t = metrics.theoretical_flight_time(sc.routes["ROUTE2"], VT)
         assert t == pytest.approx(743.20, abs=0.01)
 
     def test_components(self):
         sc = PACK["ref-route1"]
-        t = metrics.theoretical_flight_time(sc.routes[RouteId.ROUTE1], VT)
+        t = metrics.theoretical_flight_time(sc.routes["ROUTE1"], VT)
         cruise = 26000.0 / 78.0
         vertical = 2 * 304.8 / 1.7
         assert t == pytest.approx(cruise + vertical)
@@ -41,7 +40,7 @@ class TestTheoreticalTimes:
         assert vertical / 2 == pytest.approx(179.294, abs=1e-3)
 
 
-def synth_result(tick_data, terminal=None, departure=0.0, route=RouteId.ROUTE1):
+def synth_result(tick_data, terminal=None, departure=0.0, route="ROUTE1"):
     """tick_data: [(t, (ox,oy,oz), [(iid, (x,y,z)), ...])]"""
     ticks = []
     for t, own, intruders in tick_data:
@@ -70,8 +69,6 @@ def synth_result(tick_data, terminal=None, departure=0.0, route=RouteId.ROUTE1):
         ground_decision=GroundDecision.depart(route, departure),
         departure_time=departure,
         end_time=ticks[-1].t if ticks else 0.0,
-        planned_route=route,
-        departed_route=route,
         command_log=[],
     )
 
@@ -135,9 +132,9 @@ class TestCpa:
 
 
 class TestDelays:
-    BASE = {RouteId.ROUTE1: 691.92, RouteId.ROUTE2: 743.20}
+    BASE = {"ROUTE1": 691.92, "ROUTE2": 743.20}
 
-    def simple_result(self, t_sim, departure=0.0, route=RouteId.ROUTE1):
+    def simple_result(self, t_sim, departure=0.0, route="ROUTE1"):
         data = [(departure + t_sim, (26000.0, 0.0, 0.0), [])]
         return synth_result(data, departure=departure, route=route)
 
@@ -155,24 +152,22 @@ class TestDelays:
         assert rep.d_total == 0.0
 
     def test_baseline_keyed_by_departed_route(self):
-        rep = metrics.delays(
-            self.simple_result(800.0, departure=660.0, route=RouteId.ROUTE2), self.BASE
-        )
+        res = self.simple_result(800.0, departure=660.0, route="ROUTE2")
+        rep = metrics.delays(res, self.BASE)
         assert rep.d_air == pytest.approx(800.0 - 743.20)
-        assert rep.route_flown is RouteId.ROUTE2
+        assert res.ground_decision.route == "ROUTE2"
 
     def test_postponed_reports_infinite_ground_delay(self):
         res = RunResult(
             scenario_id="p", ticks=[],
             terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
             ground_decision=GroundDecision.postpone(),
-            departure_time=math.inf, end_time=0.0,
-            planned_route=RouteId.ROUTE1, departed_route=None, command_log=[],
+            departure_time=math.inf, end_time=0.0, command_log=[],
         )
         rep = metrics.delays(res, self.BASE)
         assert rep.d_ground == math.inf
         assert rep.t_sim is None and rep.d_air is None and rep.d_total is None
-        assert rep.route_flown is None
+        assert res.ground_decision.route is None
 
     @given(
         d_ground=st.floats(0, 1e4, allow_nan=False),
@@ -186,7 +181,7 @@ class TestBatch:
     def report(self, cpa=None, d_air=10.0):
         return metrics.MetricsReport(
             cpa=cpa, t_sim=700.0, d_ground=0.0, d_air=d_air,
-            d_total=d_air, route_flown=RouteId.ROUTE1,
+            d_total=d_air,
             terminal=Terminal(TerminalKind.LANDED_AT, "V2"),
         )
 
@@ -205,7 +200,7 @@ class TestBatch:
     def test_mean_skips_postponed(self):
         postponed = metrics.MetricsReport(
             cpa=None, t_sim=None, d_ground=math.inf, d_air=None, d_total=None,
-            route_flown=None, terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
+            terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
         )
         on = {"a": self.report(d_air=100.0), "b": self.report(d_air=50.0), "p": postponed}
         off = {"a": self.report(), "b": self.report(), "p": postponed}
@@ -215,7 +210,7 @@ class TestBatch:
     def test_all_postponed_has_no_mean(self):
         postponed = metrics.MetricsReport(
             cpa=None, t_sim=None, d_ground=math.inf, d_air=None, d_total=None,
-            route_flown=None, terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
+            terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
         )
         table = metrics.summarize_batch({"p": postponed}, {"p": postponed})
         assert table.mean_d_air is None

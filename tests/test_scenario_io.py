@@ -14,9 +14,9 @@ from uamcas.agents import (
     ScriptMode,
 )
 from uamcas.cdr import GroundCheckParams
-from uamcas.engine import Terminal, TerminalKind
+from uamcas.engine import SimParams, Terminal, TerminalKind
 from uamcas.envelopes import EnvelopeSet, Zone
-from uamcas.geo import GeoPoint, RouteId, polyline_length
+from uamcas.geo import GeoPoint, polyline_length
 from uamcas.metrics import BatchRow, BatchTable
 from uamcas.scenario_io import (
     BATCH_CSV_HEADER,
@@ -50,14 +50,14 @@ class TestParseBasics:
         assert set(sc.vertiports) == {"V1", "V2"}
         assert sc.vertiports["V2"].name == "City"
         assert sc.vertiports["V1"].name == "V1"
-        assert sc.planned_route is RouteId.ROUTE1
+        assert sc.planned_route == "ROUTE1"
         assert sc.intruders == ()
 
     def test_comments_and_blanks_ignored(self):
         noisy = "# header\n\n" + MINIMAL.replace(
             "PLAN ROUTE1", "PLAN ROUTE1   # trailing comment"
         )
-        assert parse_scenario(noisy).planned_route is RouteId.ROUTE1
+        assert parse_scenario(noisy).planned_route == "ROUTE1"
 
     def test_missing_scenario_id_gets_default(self):
         text = MINIMAL.replace("SCENARIO t-01\n", "")
@@ -69,7 +69,7 @@ class TestParseBasics:
             "ROUTE ROUTE1 48.3537,11.786 48.1669,11.5883 ALT=1000ft",
         )
         sc = parse_scenario(text)
-        assert sc.routes[RouteId.ROUTE1].cruise_alt == pytest.approx(304.8)
+        assert sc.routes["ROUTE1"].cruise_alt == pytest.approx(304.8)
 
     def test_all_errors_collected_with_line_numbers(self):
         bad = """\
@@ -119,7 +119,7 @@ class TestSetDirectives:
 
     def test_sim_flags(self):
         sc = self.with_sets("SET SIM.DT 0.5", "SET SIM.CAS_ENABLED FALSE")
-        assert sc.sim_overrides == {"dt": 0.5, "cas_enabled": False}
+        assert sc.sim == SimParams(dt=0.5, cas_enabled=False)
 
     def test_ground_max_waits_is_int(self):
         sc = self.with_sets("SET GROUND.MAX_WAITS 3")
@@ -136,8 +136,8 @@ class TestSetDirectives:
 
     def test_perf_override_applies(self):
         sc = self.with_sets("SET PERF.CRUISE_SPEED 60")
-        assert sc.performance().cruise_speed == 60.0
-        assert sc.performance().climb_rate == 1.7  # untouched
+        assert sc.perf.cruise_speed == 60.0
+        assert sc.perf.climb_rate == 1.7  # untouched
 
     def test_nav_capture_radius(self):
         sc = self.with_sets("SET NAV.CAPTURE_RADIUS 75")
@@ -285,6 +285,64 @@ class TestTrajectoryCsv:
         assert "two samples" in str(ei.value)
 
 
+# A scenario with every kind of numeric slot: (line number, text to
+# replace, replacement with {v} standing for the value under test).
+NUMERIC_BASE = MINIMAL + (
+    "INTRUDER i1 DRONE PREDICTABLE SCRIPT PASS_BY SPEED=20 ANCHOR=100,-200,304.8 "
+    "TRACK=270 HOLD=5 OFFSET=10 DURATION=300\n"
+    "SPAWN i1 AT 340\n"
+)
+NUMERIC_SLOTS = {
+    "vertiport-lat": (3, "V1 48.3537 ", "V1 {v} "),
+    "vertiport-lon": (3, "48.3537 11.786\n", "48.3537 {v}\n"),
+    "waypoint-lat": (5, "ROUTE1 48.3537,", "ROUTE1 {v},"),
+    "waypoint-lon": (5, "48.1669,11.5883", "48.1669,{v}"),
+    "route-alt": (5, "11.5883\nPLAN", "11.5883 ALT={v}\nPLAN"),
+    "script-speed": (7, "SPEED=20", "SPEED={v}"),
+    "anchor-east": (7, "ANCHOR=100,", "ANCHOR={v},"),
+    "anchor-up": (7, "-200,304.8", "-200,{v}"),
+    "script-track": (7, "TRACK=270", "TRACK={v}"),
+    "script-hold": (7, "HOLD=5", "HOLD={v}"),
+    "script-offset": (7, "OFFSET=10", "OFFSET={v}"),
+    "script-duration": (7, "DURATION=300", "DURATION={v}"),
+    "spawn-time": (8, "AT 340", "AT {v}"),
+    **{
+        setting.split()[0]: (9, "AT 340\n", f"AT 340\nSET {setting}\n")
+        for setting in (
+            "ENV.T_DETECT {v}", "ENV.FORWARD_OVERRIDE 2000,1000,{v}", "CDR.DETECT_DURATION {v}",
+            "GROUND.LOOKAHEAD {v}", "GROUND.MAX_WAITS {v}", "SIM.DT {v}", "SIM.MAX_SIM_TIME {v}",
+            "SIM.CONTACT_DISTANCE {v}", "PERF.CRUISE_SPEED {v}", "NAV.CAPTURE_RADIUS {v}",
+        )
+    },
+}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "infft"])
+    @pytest.mark.parametrize("slot", NUMERIC_SLOTS)
+    def test_scenario_slot_rejects(self, slot, value):
+        line, old, new = NUMERIC_SLOTS[slot]
+        assert NUMERIC_BASE.count(old) == 1
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario(NUMERIC_BASE.replace(old, new.format(v=value)))
+        assert line in [n for n, _ in ei.value.errors]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("col", range(4))
+    @pytest.mark.parametrize("header,row", [
+        ("t_s,east_m,north_m,up_m", ("10", "100", "0", "300")),
+        ("t_s,lat_deg,lon_deg,alt_m", ("10", "48.35", "11.78", "300")),
+    ], ids=["enu", "geodetic"])
+    def test_trajectory_field_rejects(self, header, row, col, value):
+        bad = list(row)
+        bad[col] = value
+        rest = ",".join(row[1:])
+        text = "\n".join([header, f"0,{rest}", ",".join(bad), f"20,{rest}"]) + "\n"
+        with pytest.raises(ScenarioError) as ei:
+            parse_trajectory_csv(text, GeoPoint(48.3537, 11.786, 0.0))
+        assert [n for n, _ in ei.value.errors] == [3]
+
+
 class TestScenarioValidation:
     def test_needs_v1(self):
         pack = default_pack()
@@ -299,12 +357,12 @@ class TestScenarioValidation:
     def test_planned_route_must_be_defined(self):
         pack = default_pack()
         sc = pack["ref-route1"]
-        routes = {RouteId.ROUTE1: sc.routes[RouteId.ROUTE1]}
+        routes = {"ROUTE1": sc.routes["ROUTE1"]}
         with pytest.raises(ValueError):
             Scenario(
                 id="x", ownship_config=sc.ownship_config,
                 vertiports=dict(sc.vertiports), routes=routes,
-                planned_route=RouteId.ROUTE2,
+                planned_route="ROUTE2",
             )
 
 
@@ -324,13 +382,13 @@ class TestDefaultPack:
 
     def test_route_lengths_hit_targets(self):
         sc = self.PACK["ref-route1"]
-        assert polyline_length(sc.routes[RouteId.ROUTE1]) == pytest.approx(26000.0, abs=0.5)
-        assert polyline_length(sc.routes[RouteId.ROUTE2]) == pytest.approx(30000.0, abs=0.5)
+        assert polyline_length(sc.routes["ROUTE1"]) == pytest.approx(26000.0, abs=0.5)
+        assert polyline_length(sc.routes["ROUTE2"]) == pytest.approx(30000.0, abs=0.5)
 
     def test_both_routes_end_at_city_pad(self):
         sc = self.PACK["ref-route1"]
-        assert sc.destination_id(RouteId.ROUTE1) == "V2"
-        assert sc.destination_id(RouteId.ROUTE2) == "V2"
+        assert sc.destination_id("ROUTE1") == "V2"
+        assert sc.destination_id("ROUTE2") == "V2"
 
     def test_encounter_mix(self):
         kinds = set()
@@ -345,7 +403,7 @@ class TestDefaultPack:
 
     def test_route_two_scenarios_plan_route_two(self):
         for sid in ("ref-route2", "sc-12", "sc-13"):
-            assert self.PACK[sid].planned_route is RouteId.ROUTE2
+            assert self.PACK[sid].planned_route == "ROUTE2"
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
