@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .geo import (
@@ -259,59 +259,46 @@ def ownship_step(
         raise ValueError("dt must be positive")
     t = state.t + dt
     kind = guidance.kind
+    pos = state.pos
+    idx = state.next_waypoint_index
 
     if kind is GuidanceKind.HOVER:
-        return replace(
-            state, t=t, ground_speed=0.0, vertical_speed=0.0, flight_mode=FlightMode.HOVER
-        )
+        return OwnshipState(t, pos, state.track, 0.0, 0.0, FlightMode.HOVER, idx)
 
     if kind is GuidanceKind.HOVER_DESCEND:
         target = guidance.target_alt
-        up = state.pos.up
+        up = pos.up
         if up > target:
             new_up = max(target, up - perf.descent_rate * dt)
             mode = FlightMode.VERTICAL_DESCENT if new_up > target else FlightMode.HOVER
             vs = -perf.descent_rate if new_up > target else 0.0
-            return replace(
-                state,
-                t=t,
-                pos=EnuPoint(state.pos.east, state.pos.north, new_up),
-                ground_speed=0.0,
-                vertical_speed=vs,
-                flight_mode=mode,
+            return OwnshipState(
+                t, EnuPoint(pos.east, pos.north, new_up), state.track, 0.0, vs, mode, idx
             )
-        return replace(
-            state, t=t, ground_speed=0.0, vertical_speed=0.0, flight_mode=FlightMode.HOVER
-        )
+        return OwnshipState(t, pos, state.track, 0.0, 0.0, FlightMode.HOVER, idx)
 
-    if state.flight_mode is FlightMode.GROUND:
+    mode = state.flight_mode
+    if mode is FlightMode.GROUND:
         # Departure: climb vertically off the pad.
         new_up = min(perf.cruise_alt, perf.climb_rate * dt)
-        return replace(
-            state,
-            t=t,
-            pos=EnuPoint(state.pos.east, state.pos.north, new_up),
-            ground_speed=0.0,
-            vertical_speed=perf.climb_rate,
-            flight_mode=FlightMode.VERTICAL_CLIMB,
+        return OwnshipState(
+            t, EnuPoint(pos.east, pos.north, new_up), state.track, 0.0,
+            perf.climb_rate, FlightMode.VERTICAL_CLIMB, idx,
         )
 
-    if state.flight_mode is FlightMode.VERTICAL_CLIMB:
-        new_up = state.pos.up + perf.climb_rate * dt
+    if mode is FlightMode.VERTICAL_CLIMB:
+        new_up = pos.up + perf.climb_rate * dt
         if new_up < perf.cruise_alt:
-            return replace(
-                state,
-                t=t,
-                pos=EnuPoint(state.pos.east, state.pos.north, new_up),
-                vertical_speed=perf.climb_rate,
-                flight_mode=FlightMode.VERTICAL_CLIMB,
+            return OwnshipState(
+                t, EnuPoint(pos.east, pos.north, new_up), state.track, state.ground_speed,
+                perf.climb_rate, FlightMode.VERTICAL_CLIMB, idx,
             )
         # Top of climb: level off aligned with the outbound course,
         # skipping plan points already inside the capture ring (the
         # departure pad itself, for a fresh climb-out).
-        pos = EnuPoint(state.pos.east, state.pos.north, perf.cruise_alt)
+        pos = EnuPoint(pos.east, pos.north, perf.cruise_alt)
         wpts = guidance.plan.waypoints
-        idx = min(state.next_waypoint_index, len(wpts) - 1)
+        idx = min(idx, len(wpts) - 1)
         while (
             idx < len(wpts) - 1
             and horizontal_distance(pos, wpts[idx]) <= guidance.capture_radius
@@ -321,34 +308,17 @@ def ownship_step(
             track = bearing(pos, wpts[idx])
         except ValueError:
             track = state.track
-        return replace(
-            state,
-            t=t,
-            pos=pos,
-            track=track,
-            ground_speed=perf.cruise_speed,
-            vertical_speed=0.0,
-            flight_mode=FlightMode.CRUISE,
-            next_waypoint_index=idx,
-        )
+        return OwnshipState(t, pos, track, perf.cruise_speed, 0.0, FlightMode.CRUISE, idx)
 
-    if state.flight_mode is FlightMode.VERTICAL_DESCENT:
-        new_up = state.pos.up - perf.descent_rate * dt
+    if mode is FlightMode.VERTICAL_DESCENT:
+        new_up = pos.up - perf.descent_rate * dt
         if new_up > 0.0:
-            return replace(
-                state,
-                t=t,
-                pos=EnuPoint(state.pos.east, state.pos.north, new_up),
-                vertical_speed=-perf.descent_rate,
-                flight_mode=FlightMode.VERTICAL_DESCENT,
+            return OwnshipState(
+                t, EnuPoint(pos.east, pos.north, new_up), state.track, state.ground_speed,
+                -perf.descent_rate, FlightMode.VERTICAL_DESCENT, idx,
             )
-        return replace(
-            state,
-            t=t,
-            pos=EnuPoint(state.pos.east, state.pos.north, 0.0),
-            ground_speed=0.0,
-            vertical_speed=0.0,
-            flight_mode=FlightMode.GROUND,
+        return OwnshipState(
+            t, EnuPoint(pos.east, pos.north, 0.0), state.track, 0.0, 0.0, FlightMode.GROUND, idx
         )
 
     # Cruise (also reached from HOVER when guidance reverts to a path).
@@ -356,42 +326,18 @@ def ownship_step(
 
     if kind is GuidanceKind.HOLD_TRACK:
         track = _slew_track(state.track, guidance.target_track, max_step, guidance.slew)
-        h_speed, vs, new_up = _cruise_vertical(state.pos.up, perf, dt)
-        rad = math.radians(track)
-        pos = EnuPoint(
-            state.pos.east + h_speed * dt * math.sin(rad),
-            state.pos.north + h_speed * dt * math.cos(rad),
-            new_up,
-        )
-        return replace(
-            state,
-            t=t,
-            pos=pos,
-            track=track,
-            ground_speed=h_speed,
-            vertical_speed=vs,
-            flight_mode=FlightMode.CRUISE,
-        )
-
-    # FOLLOW_PLAN
-    wpts = guidance.plan.waypoints
-    idx = state.next_waypoint_index
-    pos = state.pos
-    while idx < len(wpts) and horizontal_distance(pos, wpts[idx]) <= guidance.capture_radius:
-        idx += 1
-    if idx >= len(wpts):
-        # Destination captured: descend onto the pad.
-        return replace(
-            state,
-            t=t,
-            next_waypoint_index=idx,
-            ground_speed=0.0,
-            vertical_speed=-perf.descent_rate,
-            flight_mode=FlightMode.VERTICAL_DESCENT,
-            pos=EnuPoint(pos.east, pos.north, max(0.0, pos.up - perf.descent_rate * dt)),
-        )
-    target_track = bearing(pos, wpts[idx])
-    track = _slew_track(state.track, target_track, max_step, guidance.slew)
+    else:
+        # FOLLOW_PLAN
+        wpts = guidance.plan.waypoints
+        while idx < len(wpts) and horizontal_distance(pos, wpts[idx]) <= guidance.capture_radius:
+            idx += 1
+        if idx >= len(wpts):
+            # Destination captured: descend onto the pad.
+            return OwnshipState(
+                t, EnuPoint(pos.east, pos.north, max(0.0, pos.up - perf.descent_rate * dt)),
+                state.track, 0.0, -perf.descent_rate, FlightMode.VERTICAL_DESCENT, idx,
+            )
+        track = _slew_track(state.track, bearing(pos, wpts[idx]), max_step, guidance.slew)
     h_speed, vs, new_up = _cruise_vertical(pos.up, perf, dt)
     rad = math.radians(track)
     new_pos = EnuPoint(
@@ -399,16 +345,7 @@ def ownship_step(
         pos.north + h_speed * dt * math.cos(rad),
         new_up,
     )
-    return replace(
-        state,
-        t=t,
-        pos=new_pos,
-        track=track,
-        ground_speed=h_speed,
-        vertical_speed=vs,
-        flight_mode=FlightMode.CRUISE,
-        next_waypoint_index=idx,
-    )
+    return OwnshipState(t, new_pos, track, h_speed, vs, FlightMode.CRUISE, idx)
 
 
 def _cruise_vertical(up: float, perf: PerformanceModel, dt: float) -> tuple[float, float, float]:
@@ -453,6 +390,8 @@ class TrajectoryError(ValueError):
 @dataclass(frozen=True)
 class Trajectory:
     samples: tuple[tuple[float, EnuPoint], ...]
+    # Sample times in order, derived from samples for playback's bisect.
+    times: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.samples) < 2:
@@ -460,6 +399,7 @@ class Trajectory:
         times = [t for t, _ in self.samples]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise TrajectoryError("trajectory times must strictly increase")
+        object.__setattr__(self, "times", times)
 
 
 @dataclass(frozen=True)
@@ -577,7 +517,7 @@ def _pursuit_step(
 
 
 def _playback(traj: Trajectory, rel: float) -> tuple[EnuPoint, Vec3] | None:
-    times = [s[0] for s in traj.samples]
+    times = traj.times
     if rel < times[0] or rel > times[-1]:
         return None
     i = bisect_right(times, rel)

@@ -396,7 +396,9 @@ def cdr_step(
             passed_emergency=False,
         )
 
-    return replace(new_state, prev_zone=zone), cmd
+    if new_state.prev_zone is not zone:
+        new_state = replace(new_state, prev_zone=zone)
+    return new_state, cmd
 
 
 def _resolve_encounter(

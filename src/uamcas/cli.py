@@ -91,9 +91,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
+    try:
+        result, report = simulate(sc, args.dt)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result, report = simulate(sc, args.dt)
     _write_trace(result, out / f"{sc.id}_trace.csv")
     off_report = None
     if args.compare:

@@ -1,11 +1,13 @@
 """Fixed-timestep simulation loop.
 
 Per tick, in a fixed order chosen once for determinism: intruders
-advance, separations and zones are sensed against the not-yet-moved
-ownship, the decision tree runs (when the avoidance system is enabled),
-and finally the ownship moves under the resulting guidance.  The
-recorded tick snapshot pairs post-move positions so trace geometry is
-time-consistent.
+advance; when the avoidance system is enabled, separations and zones are
+sensed against the not-yet-moved ownship and the decision tree runs on
+them (with the system off nothing reads them, so sensing is skipped);
+finally the ownship moves under the resulting guidance.  The recorded
+tick snapshot pairs post-move positions so trace geometry is
+time-consistent.  Per-run constants (the envelope set of each flight
+mode, the tick, the contact distance) are resolved once before the loop.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class SimParams:
             raise ValueError("dt must be positive")
         if self.max_sim_time <= 0.0:
             raise ValueError("max_sim_time must be positive")
+        if self.contact_distance < 0.0:
+            raise ValueError("contact_distance must be non-negative")
 
 
 class TerminalKind(enum.Enum):
@@ -153,6 +157,22 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     history: dict[str, deque] = {r.id: deque(maxlen=hist_len) for r in airborne_records}
     prev_pos: dict[str, EnuPoint | None] = {r.id: None for r in airborne_records}
 
+    # Per-run constants: the envelope set of every flight mode, and the
+    # loop-invariant parameters.  env always belongs to own's current
+    # flight mode; the post-move set of one tick is the pre-move set of
+    # the next.
+    env_by_mode = {
+        mode: envelopes.envelopes_for(
+            sc.ownship_config, mode, sc.envelope_params, perf.cruise_speed
+        )
+        for mode in FlightMode
+    }
+    dt = params.dt
+    max_sim_time = params.max_sim_time
+    contact_distance = params.contact_distance
+    cas_enabled = params.cas_enabled
+    env = env_by_mode[own.flight_mode]
+
     ticks: list[TickRecord] = []
     command_log: list[tuple[float, ManeuverCommand]] = []
     active_label = ""
@@ -160,44 +180,40 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     t = departure
 
     while terminal is None:
-        t_next = t + params.dt
-        if t_next > params.max_sim_time:
+        t_next = t + dt
+        if t_next > max_sim_time:
             terminal = Terminal(TerminalKind.TIMED_OUT)
             break
 
         # 1. Intruders advance.
         present: list[tuple[agents.IntruderRecord, EnuPoint, agents.Vec3]] = []
         for rec in airborne_records:
-            st = agents.intruder_state_at(
-                rec, t_next, ownship_pos=own.pos, prev_pos=prev_pos[rec.id], dt=params.dt
-            )
+            st = agents.intruder_state_at(rec, t_next, own.pos, prev_pos[rec.id], dt)
             if st is None:
                 prev_pos[rec.id] = None
             else:
                 prev_pos[rec.id] = st[0]
                 present.append((rec, st[0], st[1]))
 
-        # 2. Sensing against the pre-move ownship.
-        env = envelopes.envelopes_for(
-            sc.ownship_config, own.flight_mode, sc.envelope_params, perf.cruise_speed
-        )
-        observations = []
-        sensed: dict[str, tuple[float, Zone]] = {}
-        for rec, pos, vel in present:
-            sep = geo.distance_3d(own.pos, pos)
-            zone = envelopes.classify(sep, env)
-            sensed[rec.id] = (sep, zone)
-            observations.append(
-                cdr.IntruderObservation(rec.id, rec.kind, pos, vel, sep, zone)
-            )
-        for rec in airborne_records:
-            sep_zone = sensed.get(rec.id)
-            history[rec.id].append(
-                (t_next, sep_zone[0] if sep_zone else None, sep_zone[1] if sep_zone else None)
-            )
+        # 2-3. Sensing against the pre-move ownship, then the decision.
+        # Only the decision tree reads observations and history, so both
+        # are skipped with the system off.
+        if cas_enabled:
+            observations = []
+            sensed: dict[str, tuple[float, Zone]] = {}
+            for rec, pos, vel in present:
+                sep = geo.distance_3d(own.pos, pos)
+                zone = envelopes.classify(sep, env)
+                sensed[rec.id] = (sep, zone)
+                observations.append(
+                    cdr.IntruderObservation(rec.id, rec.kind, pos, vel, sep, zone)
+                )
+            for rec in airborne_records:
+                sep_zone = sensed.get(rec.id)
+                history[rec.id].append(
+                    (t_next, sep_zone[0], sep_zone[1]) if sep_zone else (t_next, None, None)
+                )
 
-        # 3. Decision.
-        if params.cas_enabled:
             cdr_state, command = cdr.cdr_step(
                 cdr_state, t_next, own, observations, history,
                 vertiports_enu, sc.ownship_config, sc.cdr_params,
@@ -210,32 +226,24 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
                 )
 
         # 4. Ownship advances.
-        own = agents.ownship_step(own, perf, guidance, params.dt)
+        own = agents.ownship_step(own, perf, guidance, dt)
+        env = env_by_mode[own.flight_mode]
 
         # 5. Record the post-move snapshot.
         intruder_ticks = []
         contact = False
-        rec_env = envelopes.envelopes_for(
-            sc.ownship_config, own.flight_mode, sc.envelope_params, perf.cruise_speed
-        )
+        own_pos = own.pos
         for rec, pos, vel in present:
-            sep = geo.distance_3d(own.pos, pos)
+            sep = geo.distance_3d(own_pos, pos)
             intruder_ticks.append(
-                IntruderTick(rec.id, pos.east, pos.north, pos.up, sep, envelopes.classify(sep, rec_env))
+                IntruderTick(rec.id, pos.east, pos.north, pos.up, sep, envelopes.classify(sep, env))
             )
-            if sep <= params.contact_distance:
+            if sep <= contact_distance:
                 contact = True
         ticks.append(
             TickRecord(
-                t=t_next,
-                own_east=own.pos.east,
-                own_north=own.pos.north,
-                own_up=own.pos.up,
-                own_track=own.track,
-                flight_mode=own.flight_mode,
-                phase=cdr_state.phase,
-                intruders=tuple(intruder_ticks),
-                command=active_label,
+                t_next, own_pos.east, own_pos.north, own_pos.up, own.track,
+                own.flight_mode, cdr_state.phase, tuple(intruder_ticks), active_label,
             )
         )
 
@@ -259,6 +267,10 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
 TRACE_HEADER = "t_s,own_east_m,own_north_m,own_up_m,own_track_deg,phase,intruder_id,sep_m,zone,command"
 
 
+_PHASE_TEXT = {phase: phase.value for phase in cdr.CdrPhase}
+_ZONE_TEXT = {zone: zone.name for zone in Zone}
+
+
 def trace_csv_lines(result: RunResult) -> list[str]:
     """Render a run as the plot-ready trace table, one row per tick with
     the governing (nearest) intruder's columns."""
@@ -268,9 +280,9 @@ def trace_csv_lines(result: RunResult) -> list[str]:
         if gov is None:
             intr = ",,"
         else:
-            intr = f"{gov.intruder_id},{gov.separation:.3f},{gov.zone.name}"
+            intr = f"{gov.intruder_id},{gov.separation:.3f},{_ZONE_TEXT[gov.zone]}"
         lines.append(
             f"{rec.t:.3f},{rec.own_east:.3f},{rec.own_north:.3f},{rec.own_up:.3f},"
-            f"{rec.own_track:.3f},{rec.phase.value},{intr},{rec.command}"
+            f"{rec.own_track:.3f},{_PHASE_TEXT[rec.phase]},{intr},{rec.command}"
         )
     return lines

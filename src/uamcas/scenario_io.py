@@ -503,6 +503,16 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             params[group] = replace(default, **sets[group]) if sets[group] else default
         except ValueError as exc:
             errors.append((0, f"{group} parameters: {exc}"))
+    # A bird or DESCEND head-on encounter commands a descent from cruise
+    # to CDR.DESCEND_ALT_M, which must therefore lie between the ground
+    # and the cruise altitude.
+    if "PERF" in params and "CDR" in params:
+        cruise_alt, descend_alt = params["PERF"].cruise_alt, params["CDR"].descend_alt_m
+        if not 0.0 < descend_alt < cruise_alt:
+            errors.append((0, (
+                f"CDR.DESCEND_ALT_M ({descend_alt!r}) must lie above 0 and below "
+                f"PERF.CRUISE_ALT ({cruise_alt!r})"
+            )))
     capture_radius = sets["NAV"].get("capture_radius", DEFAULT_CAPTURE_RADIUS_M)
     if capture_radius <= 0.0:
         errors.append((0, "NAV parameters: capture_radius must be positive"))

@@ -2,6 +2,7 @@
 computations (climb timing, turn geometry) and closed-form positions."""
 
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -364,6 +365,59 @@ class TestTrajectories:
         # inclusive endpoints, absent outside
         assert intruder_state_at(rec, 20.0)[0].north == 100.0
         assert intruder_state_at(rec, 20.01) is None
+
+    def test_playback_matches_a_bisect_over_the_samples(self):
+        """Playback bisects the times Trajectory stores once; it must give
+        what a bisect over the samples themselves gives, at, between and
+        outside the sample times."""
+        traj = Trajectory(
+            (
+                (0.0, EnuPoint(0, 0, 0)),
+                (0.5, EnuPoint(3, -1, 2)),
+                (2.0, EnuPoint(3, 7, 2)),
+                (7.25, EnuPoint(-40, 7, 90)),
+            )
+        )
+
+        def reference(rel):
+            times = [t for t, _ in traj.samples]
+            if rel < times[0] or rel > times[-1]:
+                return None
+            i = min(bisect_right(times, rel), len(times) - 1)
+            (lo_t, lo), (hi_t, hi) = traj.samples[i - 1], traj.samples[i]
+            u = (rel - lo_t) / (hi_t - lo_t)
+            return (
+                (lo.east + u * (hi.east - lo.east),
+                 lo.north + u * (hi.north - lo.north),
+                 lo.up + u * (hi.up - lo.up)),
+                tuple((b - a) / (hi_t - lo_t)
+                      for a, b in zip((lo.east, lo.north, lo.up), (hi.east, hi.north, hi.up))),
+            )
+
+        rec = IntruderRecord(
+            "I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
+            IntruderSource.CSV_TRAJECTORY, trajectory=traj,
+        )
+        assert traj.times == [t for t, _ in traj.samples]
+        times = traj.times
+        mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
+        outside = [-1.0, -1e-9, times[-1] + 1e-9, 100.0]
+        for rel in [*times, *mids, *outside]:
+            got = intruder_state_at(rec, rel)
+            want = reference(rel)
+            if want is None:
+                assert got is None, rel
+            else:
+                pos, vel = got
+                assert ((pos.east, pos.north, pos.up), vel) == want, rel
+
+    def test_equal_samples_compare_equal(self):
+        samples = ((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0)))
+        a, b = Trajectory(samples), Trajectory(tuple(samples))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != Trajectory(((0.0, EnuPoint(0, 0, 0)), (11.0, EnuPoint(100, 0, 0))))
+        assert repr(a) == f"Trajectory(samples={samples!r})"
 
     def test_spawn_time_offsets_playback(self):
         traj = Trajectory(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0))))

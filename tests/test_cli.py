@@ -115,6 +115,16 @@ class TestRun:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", ["0", "-0.5"])
+    def test_non_positive_dt_is_an_error(self, scn_dir, tmp_path, capsys, dt):
+        out = tmp_path / "out"
+        rc = main(["run", scn(scn_dir, "ref-route1"), "--dt", dt, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: dt must be positive\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_config_overlay(self, scn_dir, tmp_path, capsys):
         cfg = tmp_path / "tight.cfg"
         cfg.write_text("SET SIM.MAX_SIM_TIME 100\n")
@@ -286,6 +296,10 @@ class TestValidate:
         "SET SIM.MAX_SIM_TIME 0",
         "SET PERF.CRUISE_SPEED -5",
         "SET NAV.CAPTURE_RADIUS -3",
+        "SET SIM.CONTACT_DISTANCE -1",
+        "SET PERF.CRUISE_ALT 200",
+        "SET PERF.CRUISE_ALT 243.84",
+        "SET CDR.DESCEND_ALT_M 400",
     ])
     def test_values_a_run_would_reject_fail_validation(self, scn_dir, tmp_path, capsys, line):
         bad = tmp_path / "bad.scn"
@@ -293,6 +307,25 @@ class TestValidate:
         rc = main(["validate", str(bad)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"{bad}:0: ")
+
+
+    @pytest.mark.parametrize("sid,line,message", [
+        ("sc-14", "SET SIM.CONTACT_DISTANCE -1", "contact_distance must be non-negative"),
+        ("sc-09", "SET PERF.CRUISE_ALT 200", "below PERF.CRUISE_ALT (200.0)"),
+        ("sc-09", "SET CDR.DESCEND_ALT_M 0", "CDR.DESCEND_ALT_M (0.0) must lie above 0"),
+    ])
+    def test_pack_scenarios_with_bad_limits_fail_validation(
+        self, scn_dir, tmp_path, capsys, sid, line, message
+    ):
+        """sc-14 with a negative contact distance would skip its collision,
+        and sc-09 with its descent target at the ground or above cruise would
+        die at the bird encounter; all are rejected before any run."""
+        bad = tmp_path / f"{sid}.scn"
+        bad.write_text(Path(scn(scn_dir, sid)).read_text() + line + "\n")
+        assert main(["validate", str(bad)]) == 1
+        assert message in capsys.readouterr().err
+        assert main(["run", str(bad), "--dt", "0.5", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 class TestPackExport:

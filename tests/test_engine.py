@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from uamcas import engine, metrics
+from uamcas import cdr, engine, envelopes, geo, metrics
 from uamcas.agents import FlightMode
 from uamcas.engine import TerminalKind, TRACE_HEADER, trace_csv_lines
 from uamcas.scenario_io import default_pack
@@ -197,3 +197,59 @@ class TestTrace:
                 intruders=(), command="",
             )
         ) is None
+
+
+class TestPerRunEnvelopes:
+    """The engine resolves each flight mode's envelope set once per run;
+    every zone it senses or records must still be the one envelopes_for
+    gives for the ownship's flight mode at that instant."""
+
+    def test_zones_match_envelopes_for_over_the_default_pack(self, monkeypatch):
+        sensed = []
+        step = cdr.cdr_step
+
+        def spy(state, t, own, observations, *rest):
+            sensed.extend((own, obs) for obs in observations)
+            return step(state, t, own, observations, *rest)
+
+        monkeypatch.setattr(cdr, "cdr_step", spy)
+        recorded = observed = 0
+        for sid in PACK.ids():
+            sc = PACK[sid]
+
+            def env(mode):
+                return envelopes.envelopes_for(
+                    sc.ownship_config, mode, sc.envelope_params, sc.perf.cruise_speed
+                )
+
+            sensed.clear()
+            result = engine.run(sc)
+            for rec in result.ticks:
+                for it in rec.intruders:
+                    assert it.zone is envelopes.classify(it.separation, env(rec.flight_mode)), (sid, rec.t)
+                    recorded += 1
+            for own, obs in sensed:
+                assert obs.separation == geo.distance_3d(own.pos, obs.pos)
+                assert obs.zone is envelopes.classify(obs.separation, env(own.flight_mode)), sid
+            observed += len(sensed)
+        assert recorded > 0 and observed > 0
+
+    def test_system_off_senses_nothing(self, monkeypatch):
+        """With the system off only the tick records classify: one call per
+        recorded intruder, none for sensing, and no decision tree."""
+        calls = []
+        classify = envelopes.classify
+
+        def counting(sep, env):
+            calls.append(sep)
+            return classify(sep, env)
+
+        def fail(*args):
+            raise AssertionError("cdr_step called with the system off")
+
+        monkeypatch.setattr(envelopes, "classify", counting)
+        monkeypatch.setattr(cdr, "cdr_step", fail)
+        res = run("sc-09", cas_enabled=False)
+        recorded = sum(len(rec.intruders) for rec in res.ticks)
+        assert recorded > 0
+        assert len(calls) == recorded
