@@ -64,10 +64,14 @@ class PerformanceModel:
     descent_rate: float = DEFAULT_DESCENT_RATE_M_S
     cruise_alt: float = DEFAULT_CRUISE_ALT_M
     turn_rate: float = DEFAULT_TURN_RATE_DEG_S
+    # Horizontal distance at which a waypoint counts as reached.
+    capture_radius: float = DEFAULT_CAPTURE_RADIUS_M
     head_on_strategy: HeadOnStrategy = HeadOnStrategy.TURN_RIGHT
 
     def __post_init__(self) -> None:
-        for name in ("cruise_speed", "climb_rate", "descent_rate", "cruise_alt", "turn_rate"):
+        for name in (
+            "cruise_speed", "climb_rate", "descent_rate", "cruise_alt", "turn_rate", "capture_radius"
+        ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -125,11 +129,10 @@ class Guidance:
     target_track: float | None = None
     slew: TurnDirection | None = None
     target_alt: float | None = None
-    capture_radius: float = DEFAULT_CAPTURE_RADIUS_M
 
 
-def follow_plan(plan: NavPlan, capture_radius: float = DEFAULT_CAPTURE_RADIUS_M) -> Guidance:
-    return Guidance(GuidanceKind.FOLLOW_PLAN, plan, capture_radius=capture_radius)
+def follow_plan(plan: NavPlan) -> Guidance:
+    return Guidance(GuidanceKind.FOLLOW_PLAN, plan)
 
 
 def resolve_command(
@@ -147,35 +150,21 @@ def resolve_command(
     """
     plan = guidance.plan
     if cmd is None or cmd.action is Action.CONTINUE_FLIGHT:
-        return follow_plan(plan, guidance.capture_radius), state
+        return follow_plan(plan), state
 
     if cmd.action is Action.HOVER:
-        return Guidance(GuidanceKind.HOVER, plan, capture_radius=guidance.capture_radius), state
+        return Guidance(GuidanceKind.HOVER, plan), state
 
     if cmd.action is Action.HOVER_AND_DESCEND_TO:
         if cmd.target_alt >= perf.cruise_alt:
             raise InfeasibleManeuverError("descend target at or above cruise altitude")
-        return (
-            Guidance(
-                GuidanceKind.HOVER_DESCEND,
-                plan,
-                target_alt=cmd.target_alt,
-                capture_radius=guidance.capture_radius,
-            ),
-            state,
-        )
+        return Guidance(GuidanceKind.HOVER_DESCEND, plan, target_alt=cmd.target_alt), state
 
     if cmd.action is Action.TURN_BY:
         sign = 1.0 if cmd.direction is TurnDirection.RIGHT else -1.0
         target = normalize_track(state.track + sign * cmd.turn_deg)
         return (
-            Guidance(
-                GuidanceKind.HOLD_TRACK,
-                plan,
-                target_track=target,
-                slew=cmd.direction,
-                capture_radius=guidance.capture_radius,
-            ),
+            Guidance(GuidanceKind.HOLD_TRACK, plan, target_track=target, slew=cmd.direction),
             state,
         )
 
@@ -190,23 +179,11 @@ def resolve_command(
         # No explicit side means keep whatever turn is already in progress.
         slew = cmd.direction if cmd.direction is not None else guidance.slew
         new_state = replace(state, next_waypoint_index=0)
-        return (
-            Guidance(
-                GuidanceKind.FOLLOW_PLAN,
-                new_plan,
-                slew=slew,
-                capture_radius=guidance.capture_radius,
-            ),
-            new_state,
-        )
+        return Guidance(GuidanceKind.FOLLOW_PLAN, new_plan, slew=slew), new_state
 
     if cmd.action in (Action.LATERAL_OFFSET, Action.CHANGE_PATH):
         new_plan = _offset_plan(state, plan, cmd.offset_m)
-        new_state = replace(state, next_waypoint_index=0)
-        return (
-            Guidance(GuidanceKind.FOLLOW_PLAN, new_plan, capture_radius=guidance.capture_radius),
-            new_state,
-        )
+        return follow_plan(new_plan), replace(state, next_waypoint_index=0)
 
     raise AssertionError(f"unhandled action {cmd.action}")
 
@@ -301,7 +278,7 @@ def ownship_step(
         idx = min(idx, len(wpts) - 1)
         while (
             idx < len(wpts) - 1
-            and horizontal_distance(pos, wpts[idx]) <= guidance.capture_radius
+            and horizontal_distance(pos, wpts[idx]) <= perf.capture_radius
         ):
             idx += 1
         try:
@@ -329,7 +306,7 @@ def ownship_step(
     else:
         # FOLLOW_PLAN
         wpts = guidance.plan.waypoints
-        while idx < len(wpts) and horizontal_distance(pos, wpts[idx]) <= guidance.capture_radius:
+        while idx < len(wpts) and horizontal_distance(pos, wpts[idx]) <= perf.capture_radius:
             idx += 1
         if idx >= len(wpts):
             # Destination captured: descend onto the pad.

@@ -13,10 +13,9 @@ from typing import Mapping, Sequence
 from .agents import (
     IntruderKind,
     IntruderRecord,
-    OwnshipConfig,
     OwnshipState,
     HeadOnStrategy,
-    DEFAULT_PERFORMANCE,
+    PerformanceModel,
     Vec3,
     intruder_state_at,
 )
@@ -216,7 +215,7 @@ def _receding(direction: ApproachDirection, rel: RelativePosition) -> bool:
 
 
 def tactical_maneuver(
-    config: OwnshipConfig,
+    perf: PerformanceModel,
     kind: IntruderKind,
     direction: ApproachDirection,
     rel: RelativePosition,
@@ -225,7 +224,8 @@ def tactical_maneuver(
 ) -> ManeuverCommand:
     """Automated right-of-way action on entering the tactical phase.
 
-    Total over every (config, kind, direction, relative position) cell.
+    Total over every (head-on strategy, kind, direction, relative
+    position) cell.
     """
     by = IssuedBy.AUTOMATED
     if _receding(direction, rel):
@@ -237,8 +237,7 @@ def tactical_maneuver(
     if direction is ApproachDirection.LEFT:
         return continue_flight(by, issued_at)
     if direction is ApproachDirection.HEAD_ON:
-        strategy = DEFAULT_PERFORMANCE[config].head_on_strategy
-        if strategy is HeadOnStrategy.DESCEND:
+        if perf.head_on_strategy is HeadOnStrategy.DESCEND:
             return hover_and_descend_to(params.descend_alt_m, by, issued_at)
         return turn_by(params.turn_deg, TurnDirection.RIGHT, by, issued_at)
     # Same direction, ahead: yield the corridor.
@@ -329,7 +328,7 @@ def cdr_step(
     observations: Sequence[IntruderObservation],
     history: Mapping[str, Sequence[tuple[float, float | None, Zone | None]]],
     vertiports: Mapping[str, EnuPoint],
-    config: OwnshipConfig,
+    perf: PerformanceModel,
     params: CdrParams,
 ) -> tuple[CdrState, ManeuverCommand | None]:
     """One decision-tree tick.
@@ -372,7 +371,7 @@ def cdr_step(
         elif t - state.detect_started_at >= params.detect_duration:
             direction = approach_direction(own, governing.pos, governing.velocity, params)
             rel = relative_position(own, governing.pos)
-            cmd = tactical_maneuver(config, governing.kind, direction, rel, t, params)
+            cmd = tactical_maneuver(perf, governing.kind, direction, rel, t, params)
             new_state = replace(state, phase=CdrPhase.AVOID)
 
     elif phase is CdrPhase.AVOID:

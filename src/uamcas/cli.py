@@ -43,14 +43,11 @@ def simulate(
     """Run one scenario and score it against the still-air time of each
     of its routes.
 
-    dt (None keeps the scenario's own tick) and cas_enabled (False runs
-    the system-off side of a pair) override the scenario's SIM settings.
+    dt (None keeps the scenario's own tick) overrides the scenario's
+    SIM.DT; cas_enabled (False runs the system-off side of a pair) is
+    not a scenario setting.
     """
-    params = replace(
-        sc.sim,
-        dt=sc.sim.dt if dt is None else dt,
-        cas_enabled=cas_enabled and sc.sim.cas_enabled,
-    )
+    params = replace(sc.sim, dt=sc.sim.dt if dt is None else dt, cas_enabled=cas_enabled)
     result = engine.run(sc, params)
     baselines = {rid: metrics.theoretical_flight_time(r, sc.perf) for rid, r in sc.routes.items()}
     return result, metrics.delays(result, baselines)

@@ -133,7 +133,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
 
     departure = decision.delay_s
     plan = NavPlan(polylines[decision.route], sc.destination_id(decision.route))
-    guidance = agents.follow_plan(plan, sc.capture_radius)
+    guidance = agents.follow_plan(plan)
 
     own = OwnshipState(
         t=departure,
@@ -162,10 +162,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     # flight mode; the post-move set of one tick is the pre-move set of
     # the next.
     env_by_mode = {
-        mode: envelopes.envelopes_for(
-            sc.ownship_config, mode, sc.envelope_params, perf.cruise_speed
-        )
-        for mode in FlightMode
+        mode: envelopes.envelopes_for(perf, mode, sc.envelope_params) for mode in FlightMode
     }
     dt = params.dt
     max_sim_time = params.max_sim_time
@@ -216,7 +213,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
 
             cdr_state, command = cdr.cdr_step(
                 cdr_state, t_next, own, observations, history,
-                vertiports_enu, sc.ownship_config, sc.cdr_params,
+                vertiports_enu, perf, sc.cdr_params,
             )
             if command is not None:
                 command_log.append((t_next, command))

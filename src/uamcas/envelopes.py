@@ -3,7 +3,7 @@
 Radii follow a time-budget rule: the warning ring is sized so that at an
 assumed closure speed the intruder needs the full detect + avoid budget
 to reach the ownship, the caution ring doubles that, and the collision
-ring is a fixed alerting floor.  Forward flight uses the configuration's
+ring is a fixed alerting floor.  Forward flight uses the ownship's
 cruise speed in the closure assumption; vertical and hover modes carry
 no forward speed and get the correspondingly tighter set.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .agents import DEFAULT_PERFORMANCE, FlightMode, OwnshipConfig
+from .agents import FlightMode, PerformanceModel
 
 
 class Zone(enum.IntEnum):
@@ -57,19 +57,19 @@ _FORWARD_MODES = frozenset({FlightMode.CRUISE})
 
 
 def envelopes_for(
-    config: OwnshipConfig,
+    perf: PerformanceModel,
     flight_mode: FlightMode,
     params: EnvelopeParams = DEFAULT_ENVELOPE_PARAMS,
-    cruise_speed: float | None = None,
 ) -> EnvelopeSet:
-    """Envelope set for one configuration in one flight mode."""
+    """Envelope set for an ownship of the given performance in one
+    flight mode."""
     forward = flight_mode in _FORWARD_MODES
     if forward and params.forward_override is not None:
         return params.forward_override
     if not forward and params.vertical_override is not None:
         return params.vertical_override
     if forward:
-        speed = cruise_speed if cruise_speed is not None else DEFAULT_PERFORMANCE[config].cruise_speed
+        speed = perf.cruise_speed
         collision = params.collision_radius_forward
     else:
         speed = 0.0

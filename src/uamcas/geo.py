@@ -68,17 +68,15 @@ class Vertiport:
 class Route:
     """Ordered geodetic polyline from origin vertiport to destination.
 
-    A route's id is its key in the scenario's route mapping.
+    A route's id is its key in the scenario's route mapping; the flight
+    altitude belongs to the ownship's performance model.
     """
 
     waypoints: tuple[GeoPoint, ...]
-    cruise_alt: float
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
             raise ValueError("route needs at least two waypoints")
-        if self.cruise_alt <= 0.0:
-            raise ValueError("cruise altitude must be positive")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a.lat == b.lat and a.lon == b.lon:
                 raise ValueError("consecutive route waypoints coincide")

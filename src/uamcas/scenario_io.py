@@ -6,7 +6,7 @@ A scenario file is line oriented; ``#`` starts a comment.  Directives:
     SCENARIO <id>
     OWNSHIP <MULTICOPTER|LIFT_CRUISE|TILT_ROTOR|VECTORED_THRUST>
     VERTIPORT <id> <lat_deg> <lon_deg> [NAME=<label>]
-    ROUTE <id> <lat,lon> <lat,lon> ... [ALT=<metres>]
+    ROUTE <id> <lat,lon> <lat,lon> ...
     PLAN <id>
     INTRUDER <id> <DRONE|BIRD> <PREDICTABLE|UNPREDICTABLE> CSV <path>
     INTRUDER <id> <DRONE|BIRD> <PREDICTABLE|UNPREDICTABLE> SCRIPT <mode> KEY=VALUE ...
@@ -15,8 +15,9 @@ A scenario file is line oriented; ``#`` starts a comment.  Directives:
 
 Script keys: SPEED, ANCHOR=<east,north,up>, TRACK, HOLD, OFFSET,
 DURATION.  SET groups: ENV (safety envelopes), CDR (decision logic),
-GROUND (departure check), SIM (engine), PERF (ownship performance),
-NAV (waypoint capture).  Any numeric value may carry a trailing ``ft``
+GROUND (departure check), SIM (engine) and PERF (ownship performance,
+whose defaults OWNSHIP picks; it alone says how the ownship flies, so a
+route has no altitude).  Any numeric value may carry a trailing ``ft``
 and is converted to metres.  SPAWN times are relative to the ownship
 departure unless marked GROUND, which pins the intruder to the
 absolute clock and restricts it to the pre-departure scan.
@@ -41,9 +42,9 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .agents import (
-    DEFAULT_CAPTURE_RADIUS_M,
     DEFAULT_CRUISE_ALT_M,
     DEFAULT_PERFORMANCE,
+    FlightMode,
     IntruderBehavior,
     IntruderKind,
     IntruderRecord,
@@ -56,7 +57,7 @@ from .agents import (
 )
 from .cdr import CdrParams, GroundCheckParams
 from .engine import SimParams
-from .envelopes import EnvelopeParams, EnvelopeSet, Zone
+from .envelopes import EnvelopeParams, EnvelopeSet, Zone, envelopes_for
 from .geo import (
     EnuPoint,
     GeoPoint,
@@ -107,7 +108,6 @@ class Scenario:
     sim: SimParams = SimParams()
     # None takes the ownship configuration's default performance.
     perf: PerformanceModel | None = None
-    capture_radius: float = DEFAULT_CAPTURE_RADIUS_M
 
     def __post_init__(self) -> None:
         if "V1" not in self.vertiports:
@@ -218,10 +218,11 @@ _GROUP_DEFAULTS = {
     "SIM": SimParams(),
 }
 
-_SET_GROUPS: dict[str, frozenset[str]] = {
-    **{g: frozenset(f.name for f in fields(d)) for g, d in _GROUP_DEFAULTS.items()},
-    "PERF": frozenset({"cruise_speed", "climb_rate", "descent_rate", "cruise_alt", "turn_rate"}),
-    "NAV": frozenset({"capture_radius"}),
+# The fields a SET line may name, in field order.  Whether the system is
+# on is the caller's choice, and the head-on strategy is the airframe's.
+_SET_GROUPS: dict[str, tuple[str, ...]] = {
+    group: tuple(f.name for f in fields(d) if f.name not in ("cas_enabled", "head_on_strategy"))
+    for group, d in {**_GROUP_DEFAULTS, "PERF": PerformanceModel}.items()
 }
 
 _SCRIPT_KEYS = ("SPEED", "ANCHOR", "TRACK", "HOLD", "OFFSET", "DURATION")
@@ -251,10 +252,6 @@ def _parse_set_value(group: str, name: str, raw: str) -> object:
             return Zone[raw.upper()]
         except KeyError:
             raise ValueError(f"unknown zone {raw!r}") from None
-    if group == "SIM" and name == "cas_enabled":
-        if raw.upper() in ("TRUE", "FALSE"):
-            return raw.upper() == "TRUE"
-        raise ValueError("cas_enabled must be TRUE or FALSE")
     if group == "GROUND" and name == "max_waits":
         return int(_num(raw))
     return _num(raw)
@@ -328,18 +325,9 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             if rid in routes:
                 errors.append((n, f"duplicate route {rid!r}"))
                 continue
-            alt = DEFAULT_CRUISE_ALT_M
-            wpt_toks = toks[2:]
-            if wpt_toks and wpt_toks[-1].startswith("ALT="):
-                try:
-                    alt = _num(wpt_toks[-1][4:])
-                except ValueError:
-                    errors.append((n, f"bad ALT value {wpt_toks[-1][4:]!r}"))
-                    continue
-                wpt_toks = wpt_toks[:-1]
             wpts = []
             bad = False
-            for tok in wpt_toks:
+            for tok in toks[2:]:
                 parts = tok.split(",")
                 try:
                     if len(parts) != 2:
@@ -351,7 +339,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             if bad:
                 continue
             try:
-                routes[rid] = Route(tuple(wpts), alt)
+                routes[rid] = Route(tuple(wpts))
             except ValueError as exc:
                 errors.append((n, str(exc)))
         elif word == "PLAN":
@@ -513,9 +501,14 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
                 f"CDR.DESCEND_ALT_M ({descend_alt!r}) must lie above 0 and below "
                 f"PERF.CRUISE_ALT ({cruise_alt!r})"
             )))
-    capture_radius = sets["NAV"].get("capture_radius", DEFAULT_CAPTURE_RADIUS_M)
-    if capture_radius <= 0.0:
-        errors.append((0, "NAV parameters: capture_radius must be positive"))
+    # The run builds the forward and the vertical envelope set from ENV
+    # and the cruise speed; their radii must be in order.
+    if "PERF" in params and "ENV" in params:
+        try:
+            for mode in (FlightMode.CRUISE, FlightMode.HOVER):
+                envelopes_for(params["PERF"], mode, params["ENV"])
+        except ValueError as exc:
+            errors.append((0, f"ENV parameters: {exc}"))
 
     if errors:
         raise ScenarioError(errors)
@@ -532,7 +525,6 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         ground_params=params["GROUND"],
         sim=params["SIM"],
         perf=params["PERF"],
-        capture_radius=float(capture_radius),
     )
 
 
@@ -546,8 +538,6 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _fmt_set_value(v: object) -> str:
-    if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
     if isinstance(v, Zone):
         return v.name
     if isinstance(v, EnvelopeSet):
@@ -599,12 +589,10 @@ def serialize_scenario(sc: Scenario) -> str:
         ("SIM", sc.sim, _GROUP_DEFAULTS["SIM"]),
         ("PERF", sc.perf, DEFAULT_PERFORMANCE[sc.ownship_config]),
     ):
-        for f in fields(current):
-            v = getattr(current, f.name)
-            if v != getattr(default, f.name):
-                lines.append(f"SET {group}.{f.name.upper()} {_fmt_set_value(v)}")
-    if sc.capture_radius != DEFAULT_CAPTURE_RADIUS_M:
-        lines.append(f"SET NAV.CAPTURE_RADIUS {sc.capture_radius!r}")
+        for name in _SET_GROUPS[group]:
+            v = getattr(current, name)
+            if v != getattr(default, name):
+                lines.append(f"SET {group}.{name.upper()} {_fmt_set_value(v)}")
     for vid in sorted(sc.vertiports):
         vp = sc.vertiports[vid]
         line = f"VERTIPORT {vp.id} {vp.position.lat!r} {vp.position.lon!r}"
@@ -613,10 +601,7 @@ def serialize_scenario(sc: Scenario) -> str:
         lines.append(line)
     for rid, r in sc.routes.items():
         wpts = " ".join(f"{p.lat!r},{p.lon!r}" for p in r.waypoints)
-        line = f"ROUTE {rid} {wpts}"
-        if r.cruise_alt != DEFAULT_CRUISE_ALT_M:
-            line += f" ALT={r.cruise_alt!r}"
-        lines.append(line)
+        lines.append(f"ROUTE {rid} {wpts}")
     lines.append(f"PLAN {sc.planned_route}")
     for rec in sc.intruders:
         lines.extend(_intruder_lines(rec))
@@ -690,7 +675,7 @@ def _build_network() -> tuple[dict[str, Vertiport], dict[str, Route], tuple, tup
     r2_enu = route2_pts(w2)
 
     def mk_route(pts: Sequence[EnuPoint]) -> Route:
-        return Route(tuple(from_enu(origin, p) for p in pts), DEFAULT_CRUISE_ALT_M)
+        return Route(tuple(from_enu(origin, p) for p in pts))
 
     verts = {
         "V1": Vertiport("V1", "EDDM", V1_GEO),

@@ -143,7 +143,7 @@ def test_criterion_04_right_of_way_tables():
     for config, kind, direction, rel in itertools.product(
         OwnshipConfig, IntruderKind, ApproachDirection, RelativePosition
     ):
-        cmd = cdr.tactical_maneuver(config, kind, direction, rel)
+        cmd = cdr.tactical_maneuver(DEFAULT_PERFORMANCE[config], kind, direction, rel)
         assert cmd.issued_by is IssuedBy.AUTOMATED, (config, kind, direction, rel)
     for direction, kind in itertools.product(ApproachDirection, IntruderKind):
         cmd = cdr.emergency_maneuver(direction, kind, own, vports)
@@ -152,17 +152,19 @@ def test_criterion_04_right_of_way_tables():
     # Tactical cells, with the intruder approaching (ahead).
     drone, bird = IntruderKind.DRONE, IntruderKind.BIRD
     ahead = RelativePosition.AHEAD
-    vt = OwnshipConfig.VECTORED_THRUST
+    vt = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
     cell = cdr.tactical_maneuver(vt, drone, ApproachDirection.RIGHT, ahead)
     assert cell.action is Action.HOVER
     cell = cdr.tactical_maneuver(vt, drone, ApproachDirection.LEFT, ahead)
     assert cell.action is Action.CONTINUE_FLIGHT
     for config in (OwnshipConfig.MULTICOPTER, OwnshipConfig.LIFT_CRUISE):
-        cell = cdr.tactical_maneuver(config, drone, ApproachDirection.HEAD_ON, ahead)
+        perf = DEFAULT_PERFORMANCE[config]
+        cell = cdr.tactical_maneuver(perf, drone, ApproachDirection.HEAD_ON, ahead)
         assert cell.action is Action.HOVER_AND_DESCEND_TO
         assert cell.target_alt == DESCEND_ALT_M
     for config in (OwnshipConfig.TILT_ROTOR, OwnshipConfig.VECTORED_THRUST):
-        cell = cdr.tactical_maneuver(config, drone, ApproachDirection.HEAD_ON, ahead)
+        perf = DEFAULT_PERFORMANCE[config]
+        cell = cdr.tactical_maneuver(perf, drone, ApproachDirection.HEAD_ON, ahead)
         assert cell.action is Action.TURN_BY
         assert (cell.turn_deg, cell.direction) == (45.0, TurnDirection.RIGHT)
     cell = cdr.tactical_maneuver(vt, drone, ApproachDirection.SAME_DIRECTION, ahead)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from uamcas.agents import (
+    DEFAULT_PERFORMANCE,
     FlightMode,
     IntruderBehavior,
     IntruderKind,
@@ -40,7 +41,7 @@ from uamcas.envelopes import Zone
 from uamcas.geo import EnuPoint
 from uamcas.maneuvers import Action, IssuedBy, ManeuverCommand, TurnDirection
 
-VT = OwnshipConfig.VECTORED_THRUST
+VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
 DRONE = IntruderKind.DRONE
 BIRD = IntruderKind.BIRD
 AHEAD = RelativePosition.AHEAD
@@ -121,13 +122,13 @@ class TestTacticalTable:
 
     def test_head_on_slow_airframes_descend(self):
         for cfg in (OwnshipConfig.MULTICOPTER, OwnshipConfig.LIFT_CRUISE):
-            c = self.cmd(cfg, DRONE, ApproachDirection.HEAD_ON)
+            c = self.cmd(DEFAULT_PERFORMANCE[cfg], DRONE, ApproachDirection.HEAD_ON)
             assert c.action is Action.HOVER_AND_DESCEND_TO
             assert c.target_alt == pytest.approx(243.84)  # 800 ft
 
     def test_head_on_fast_airframes_turn_right(self):
         for cfg in (OwnshipConfig.TILT_ROTOR, OwnshipConfig.VECTORED_THRUST):
-            c = self.cmd(cfg, DRONE, ApproachDirection.HEAD_ON)
+            c = self.cmd(DEFAULT_PERFORMANCE[cfg], DRONE, ApproachDirection.HEAD_ON)
             assert c.action is Action.TURN_BY
             assert (c.turn_deg, c.direction) == (45.0, TurnDirection.RIGHT)
 
@@ -157,7 +158,7 @@ class TestTacticalTable:
         for cfg, kind, direction, rel in itertools.product(
             OwnshipConfig, IntruderKind, ApproachDirection, RelativePosition
         ):
-            c = tactical_maneuver(cfg, kind, direction, rel)
+            c = tactical_maneuver(DEFAULT_PERFORMANCE[cfg], kind, direction, rel)
             assert isinstance(c, ManeuverCommand)
             assert c.issued_by is IssuedBy.AUTOMATED
 

@@ -291,22 +291,35 @@ class TestValidate:
         rc = main(["validate", str(tmp_path / "gone.scn")])
         assert rc == 1
 
+    # Lines naming an input the format does not have fail on their own
+    # line; the other cases are file-level (line 0) checks.
+    REMOVED_INPUTS = (
+        "ROUTE ROUTE3 48.3537,11.786 48.1669,11.5883 ALT=600",
+        "SET SIM.CAS_ENABLED FALSE",
+        "SET NAV.CAPTURE_RADIUS 75",
+    )
+
     @pytest.mark.parametrize("line", [
         "SET SIM.DT -1",
         "SET SIM.MAX_SIM_TIME 0",
         "SET PERF.CRUISE_SPEED -5",
-        "SET NAV.CAPTURE_RADIUS -3",
+        "SET PERF.CAPTURE_RADIUS -3",
         "SET SIM.CONTACT_DISTANCE -1",
         "SET PERF.CRUISE_ALT 200",
         "SET PERF.CRUISE_ALT 243.84",
         "SET CDR.DESCEND_ALT_M 400",
+        "SET ENV.COLLISION_RADIUS_FORWARD 5000",
+        "SET ENV.CAUTION_FACTOR 0.5",
+        *REMOVED_INPUTS,
     ])
     def test_values_a_run_would_reject_fail_validation(self, scn_dir, tmp_path, capsys, line):
+        text = Path(scn(scn_dir, "ref-route1")).read_text()
         bad = tmp_path / "bad.scn"
-        bad.write_text(Path(scn(scn_dir, "ref-route1")).read_text() + line + "\n")
+        bad.write_text(text + line + "\n")
         rc = main(["validate", str(bad)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"{bad}:0: ")
+        at = len(text.splitlines()) + 1 if line in self.REMOVED_INPUTS else 0
+        assert capsys.readouterr().err.startswith(f"{bad}:{at}: ")
 
 
     @pytest.mark.parametrize("sid,line,message", [

@@ -9,7 +9,7 @@ import pytest
 from uamcas import cdr, engine, envelopes, geo, metrics
 from uamcas.agents import FlightMode
 from uamcas.engine import TerminalKind, TRACE_HEADER, trace_csv_lines
-from uamcas.scenario_io import default_pack
+from uamcas.scenario_io import default_pack, parse_scenario, serialize_scenario
 
 PACK = default_pack()
 
@@ -42,6 +42,18 @@ class TestReferenceFlights:
         assert res.departure_time == 0.0
         assert res.ground_decision.delay_s == 0.0
         assert res.ground_decision.route == "ROUTE1"
+
+    def test_capture_radius_comes_from_perf(self):
+        """A wider capture ring cuts the route's corners and starts the
+        descent short of the pad, so the flight lands sooner; the setting
+        survives a serialize/parse round trip."""
+        text = serialize_scenario(PACK["ref-route1"]) + "SET PERF.CAPTURE_RADIUS 2000\n"
+        sc = parse_scenario(text)
+        assert sc.perf.capture_radius == 2000.0
+        assert parse_scenario(serialize_scenario(sc)) == sc
+        wide = engine.run(sc, replace(sc.sim, dt=0.5))
+        assert wide.terminal.kind is TerminalKind.LANDED_AT
+        assert wide.end_time < run("ref-route1", dt=0.5).end_time
 
     def test_no_commands_in_clean_sky(self):
         res = run("ref-route1", dt=0.5)
@@ -218,9 +230,7 @@ class TestPerRunEnvelopes:
             sc = PACK[sid]
 
             def env(mode):
-                return envelopes.envelopes_for(
-                    sc.ownship_config, mode, sc.envelope_params, sc.perf.cruise_speed
-                )
+                return envelopes.envelopes_for(sc.perf, mode, sc.envelope_params)
 
             sensed.clear()
             result = engine.run(sc)

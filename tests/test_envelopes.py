@@ -1,10 +1,12 @@
 """Envelope radii against the published time-budget arithmetic, plus the
 zone classifier's boundary conventions."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from uamcas.agents import FlightMode, OwnshipConfig
+from uamcas.agents import DEFAULT_PERFORMANCE, FlightMode, OwnshipConfig
 from uamcas.envelopes import (
     DEFAULT_ENVELOPE_PARAMS,
     EnvelopeParams,
@@ -14,7 +16,7 @@ from uamcas.envelopes import (
     envelopes_for,
 )
 
-VT = OwnshipConfig.VECTORED_THRUST
+VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
 
 
 class TestRadii:
@@ -45,12 +47,12 @@ class TestRadii:
             OwnshipConfig.VECTORED_THRUST: 1078.0,
         }
         for cfg, warn in expect.items():
-            env = envelopes_for(cfg, FlightMode.CRUISE)
+            env = envelopes_for(DEFAULT_PERFORMANCE[cfg], FlightMode.CRUISE)
             assert env.warning_radius == pytest.approx(warn)
             assert env.caution_radius == pytest.approx(2 * warn)
 
     def test_explicit_cruise_speed_wins(self):
-        env = envelopes_for(VT, FlightMode.CRUISE, cruise_speed=100.0)
+        env = envelopes_for(replace(VT, cruise_speed=100.0), FlightMode.CRUISE)
         assert env.warning_radius == pytest.approx(11 * 120.0)
 
     def test_param_knobs(self):

@@ -117,27 +117,19 @@ class TestRoute:
     def test_needs_two_distinct_waypoints(self):
         p = GeoPoint(48.0, 11.0, 0.0)
         with pytest.raises(ValueError):
-            Route((p,), 300.0)
+            Route((p,))
         with pytest.raises(ValueError):
-            Route((p, p), 300.0)
-        with pytest.raises(ValueError):
-            Route((p, GeoPoint(48.1, 11.0, 0.0)), 0.0)
+            Route((p, p))
 
     def test_length_matches_haversine_sum(self):
-        r = Route(
-            (MUNICH, GeoPoint(48.2394, 11.5614, 0.0), GeoPoint(48.1669, 11.5883, 0.0)),
-            304.8,
-        )
+        r = Route((MUNICH, GeoPoint(48.2394, 11.5614, 0.0), GeoPoint(48.1669, 11.5883, 0.0)))
         expect = haversine_m(r.waypoints[0], r.waypoints[1]) + haversine_m(
             r.waypoints[1], r.waypoints[2]
         )
         assert polyline_length(r) == pytest.approx(expect, rel=1e-3)
 
     def test_projection_preserves_length(self):
-        r = Route(
-            (MUNICH, GeoPoint(48.30, 11.65, 0.0), GeoPoint(48.1669, 11.5883, 0.0)),
-            304.8,
-        )
+        r = Route((MUNICH, GeoPoint(48.30, 11.65, 0.0), GeoPoint(48.1669, 11.5883, 0.0)))
         pts = project_route(MUNICH, r)
         assert polyline_length_enu(pts) == pytest.approx(polyline_length(r))
 

@@ -64,12 +64,8 @@ class TestParseBasics:
         assert parse_scenario(text).id == "scenario"
 
     def test_feet_suffix_converts(self):
-        text = MINIMAL.replace(
-            "ROUTE ROUTE1 48.3537,11.786 48.1669,11.5883",
-            "ROUTE ROUTE1 48.3537,11.786 48.1669,11.5883 ALT=1000ft",
-        )
-        sc = parse_scenario(text)
-        assert sc.routes["ROUTE1"].cruise_alt == pytest.approx(304.8)
+        sc = parse_scenario(MINIMAL + "SET PERF.CRUISE_ALT 1000ft\n")
+        assert sc.perf.cruise_alt == pytest.approx(304.8)
 
     def test_all_errors_collected_with_line_numbers(self):
         bad = """\
@@ -118,8 +114,8 @@ class TestSetDirectives:
         assert sc.cdr_params.tactical_trigger_zone is Zone.WARNING
 
     def test_sim_flags(self):
-        sc = self.with_sets("SET SIM.DT 0.5", "SET SIM.CAS_ENABLED FALSE")
-        assert sc.sim == SimParams(dt=0.5, cas_enabled=False)
+        sc = self.with_sets("SET SIM.DT 0.5", "SET SIM.MAX_SIM_TIME 600")
+        assert sc.sim == SimParams(dt=0.5, max_sim_time=600.0)
 
     def test_ground_max_waits_is_int(self):
         sc = self.with_sets("SET GROUND.MAX_WAITS 3")
@@ -140,8 +136,8 @@ class TestSetDirectives:
         assert sc.perf.climb_rate == 1.7  # untouched
 
     def test_nav_capture_radius(self):
-        sc = self.with_sets("SET NAV.CAPTURE_RADIUS 75")
-        assert sc.capture_radius == 75.0
+        sc = self.with_sets("SET PERF.CAPTURE_RADIUS 75")
+        assert sc.perf.capture_radius == 75.0
 
     def test_unknown_parameter_reported(self):
         with pytest.raises(ScenarioError) as ei:
@@ -153,7 +149,7 @@ class TestSetDirectives:
     def test_bad_values_reported(self):
         with pytest.raises(ScenarioError) as ei:
             self.with_sets(
-                "SET SIM.CAS_ENABLED MAYBE",
+                "SET SIM.DT fast",
                 "SET ENV.FORWARD_OVERRIDE 1,2",
                 "SET CDR.TACTICAL_TRIGGER_ZONE PANIC",
             )
@@ -297,7 +293,6 @@ NUMERIC_SLOTS = {
     "vertiport-lon": (3, "48.3537 11.786\n", "48.3537 {v}\n"),
     "waypoint-lat": (5, "ROUTE1 48.3537,", "ROUTE1 {v},"),
     "waypoint-lon": (5, "48.1669,11.5883", "48.1669,{v}"),
-    "route-alt": (5, "11.5883\nPLAN", "11.5883 ALT={v}\nPLAN"),
     "script-speed": (7, "SPEED=20", "SPEED={v}"),
     "anchor-east": (7, "ANCHOR=100,", "ANCHOR={v},"),
     "anchor-up": (7, "-200,304.8", "-200,{v}"),
@@ -311,7 +306,8 @@ NUMERIC_SLOTS = {
         for setting in (
             "ENV.T_DETECT {v}", "ENV.FORWARD_OVERRIDE 2000,1000,{v}", "CDR.DETECT_DURATION {v}",
             "GROUND.LOOKAHEAD {v}", "GROUND.MAX_WAITS {v}", "SIM.DT {v}", "SIM.MAX_SIM_TIME {v}",
-            "SIM.CONTACT_DISTANCE {v}", "PERF.CRUISE_SPEED {v}", "NAV.CAPTURE_RADIUS {v}",
+            "SIM.CONTACT_DISTANCE {v}", "PERF.CRUISE_SPEED {v}", "PERF.CAPTURE_RADIUS {v}",
+            "NAV.CAPTURE_RADIUS {v}",
         )
     },
 }
