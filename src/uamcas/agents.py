@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Sequence
 
 from .geo import (
     EnuPoint,
@@ -86,8 +86,7 @@ DEFAULT_PERFORMANCE: Mapping[OwnshipConfig, PerformanceModel] = {
 }
 
 
-@dataclass(frozen=True)
-class OwnshipState:
+class _OwnshipFields(NamedTuple):
     t: float
     pos: EnuPoint
     track: float
@@ -96,13 +95,40 @@ class OwnshipState:
     flight_mode: FlightMode
     next_waypoint_index: int
 
-    def __post_init__(self) -> None:
-        if self.ground_speed < 0.0:
+
+class OwnshipState(_OwnshipFields):
+    """Ownship kinematic state at one instant.
+
+    An immutable tuple, built once per tick (see geo.EnuPoint); every
+    construction, also through _replace and _make, checks that the
+    speeds fit the flight mode.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        t: float,
+        pos: EnuPoint,
+        track: float,
+        ground_speed: float,
+        vertical_speed: float,
+        flight_mode: FlightMode,
+        next_waypoint_index: int,
+    ) -> "OwnshipState":
+        if ground_speed < 0.0:
             raise ValueError("ground_speed must be non-negative")
-        if self.flight_mode is FlightMode.HOVER and self.ground_speed != 0.0:
+        if flight_mode is FlightMode.HOVER and ground_speed != 0.0:
             raise ValueError("hover requires zero ground speed")
-        if self.flight_mode is FlightMode.GROUND and self.pos.up != 0.0:
+        if flight_mode is FlightMode.GROUND and pos.up != 0.0:
             raise ValueError("ground mode requires zero altitude")
+        return tuple.__new__(
+            cls, (t, pos, track, ground_speed, vertical_speed, flight_mode, next_waypoint_index)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "OwnshipState":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -178,12 +204,12 @@ def resolve_command(
         new_plan = NavPlan((target_pos,), cmd.target_vertiport)
         # No explicit side means keep whatever turn is already in progress.
         slew = cmd.direction if cmd.direction is not None else guidance.slew
-        new_state = replace(state, next_waypoint_index=0)
+        new_state = state._replace(next_waypoint_index=0)
         return Guidance(GuidanceKind.FOLLOW_PLAN, new_plan, slew=slew), new_state
 
     if cmd.action in (Action.LATERAL_OFFSET, Action.CHANGE_PATH):
         new_plan = _offset_plan(state, plan, cmd.offset_m)
-        return follow_plan(new_plan), replace(state, next_waypoint_index=0)
+        return follow_plan(new_plan), state._replace(next_waypoint_index=0)
 
     raise AssertionError(f"unhandled action {cmd.action}")
 
@@ -234,46 +260,43 @@ def ownship_step(
     """Advance the ownship one tick under the active directive."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    t = state.t + dt
+    # Unpacked once: tuple unpacking is cheaper than named field reads.
+    t, pos, track, ground_speed, _, mode, idx = state
+    east, north, up = pos
+    t += dt
     kind = guidance.kind
-    pos = state.pos
-    idx = state.next_waypoint_index
 
     if kind is GuidanceKind.HOVER:
-        return OwnshipState(t, pos, state.track, 0.0, 0.0, FlightMode.HOVER, idx)
+        return OwnshipState(t, pos, track, 0.0, 0.0, FlightMode.HOVER, idx)
 
     if kind is GuidanceKind.HOVER_DESCEND:
         target = guidance.target_alt
-        up = pos.up
         if up > target:
             new_up = max(target, up - perf.descent_rate * dt)
             mode = FlightMode.VERTICAL_DESCENT if new_up > target else FlightMode.HOVER
             vs = -perf.descent_rate if new_up > target else 0.0
-            return OwnshipState(
-                t, EnuPoint(pos.east, pos.north, new_up), state.track, 0.0, vs, mode, idx
-            )
-        return OwnshipState(t, pos, state.track, 0.0, 0.0, FlightMode.HOVER, idx)
+            return OwnshipState(t, EnuPoint(east, north, new_up), track, 0.0, vs, mode, idx)
+        return OwnshipState(t, pos, track, 0.0, 0.0, FlightMode.HOVER, idx)
 
-    mode = state.flight_mode
     if mode is FlightMode.GROUND:
         # Departure: climb vertically off the pad.
         new_up = min(perf.cruise_alt, perf.climb_rate * dt)
         return OwnshipState(
-            t, EnuPoint(pos.east, pos.north, new_up), state.track, 0.0,
+            t, EnuPoint(east, north, new_up), track, 0.0,
             perf.climb_rate, FlightMode.VERTICAL_CLIMB, idx,
         )
 
     if mode is FlightMode.VERTICAL_CLIMB:
-        new_up = pos.up + perf.climb_rate * dt
+        new_up = up + perf.climb_rate * dt
         if new_up < perf.cruise_alt:
             return OwnshipState(
-                t, EnuPoint(pos.east, pos.north, new_up), state.track, state.ground_speed,
+                t, EnuPoint(east, north, new_up), track, ground_speed,
                 perf.climb_rate, FlightMode.VERTICAL_CLIMB, idx,
             )
         # Top of climb: level off aligned with the outbound course,
         # skipping plan points already inside the capture ring (the
         # departure pad itself, for a fresh climb-out).
-        pos = EnuPoint(pos.east, pos.north, perf.cruise_alt)
+        pos = EnuPoint(east, north, perf.cruise_alt)
         wpts = guidance.plan.waypoints
         idx = min(idx, len(wpts) - 1)
         while (
@@ -284,25 +307,25 @@ def ownship_step(
         try:
             track = bearing(pos, wpts[idx])
         except ValueError:
-            track = state.track
+            pass  # straight above the waypoint: keep the current track
         return OwnshipState(t, pos, track, perf.cruise_speed, 0.0, FlightMode.CRUISE, idx)
 
     if mode is FlightMode.VERTICAL_DESCENT:
-        new_up = pos.up - perf.descent_rate * dt
+        new_up = up - perf.descent_rate * dt
         if new_up > 0.0:
             return OwnshipState(
-                t, EnuPoint(pos.east, pos.north, new_up), state.track, state.ground_speed,
+                t, EnuPoint(east, north, new_up), track, ground_speed,
                 -perf.descent_rate, FlightMode.VERTICAL_DESCENT, idx,
             )
         return OwnshipState(
-            t, EnuPoint(pos.east, pos.north, 0.0), state.track, 0.0, 0.0, FlightMode.GROUND, idx
+            t, EnuPoint(east, north, 0.0), track, 0.0, 0.0, FlightMode.GROUND, idx
         )
 
     # Cruise (also reached from HOVER when guidance reverts to a path).
     max_step = perf.turn_rate * dt
 
     if kind is GuidanceKind.HOLD_TRACK:
-        track = _slew_track(state.track, guidance.target_track, max_step, guidance.slew)
+        track = _slew_track(track, guidance.target_track, max_step, guidance.slew)
     else:
         # FOLLOW_PLAN
         wpts = guidance.plan.waypoints
@@ -311,15 +334,15 @@ def ownship_step(
         if idx >= len(wpts):
             # Destination captured: descend onto the pad.
             return OwnshipState(
-                t, EnuPoint(pos.east, pos.north, max(0.0, pos.up - perf.descent_rate * dt)),
-                state.track, 0.0, -perf.descent_rate, FlightMode.VERTICAL_DESCENT, idx,
+                t, EnuPoint(east, north, max(0.0, up - perf.descent_rate * dt)),
+                track, 0.0, -perf.descent_rate, FlightMode.VERTICAL_DESCENT, idx,
             )
-        track = _slew_track(state.track, bearing(pos, wpts[idx]), max_step, guidance.slew)
-    h_speed, vs, new_up = _cruise_vertical(pos.up, perf, dt)
+        track = _slew_track(track, bearing(pos, wpts[idx]), max_step, guidance.slew)
+    h_speed, vs, new_up = _cruise_vertical(up, perf, dt)
     rad = math.radians(track)
     new_pos = EnuPoint(
-        pos.east + h_speed * dt * math.sin(rad),
-        pos.north + h_speed * dt * math.cos(rad),
+        east + h_speed * dt * math.sin(rad),
+        north + h_speed * dt * math.cos(rad),
         new_up,
     )
     return OwnshipState(t, new_pos, track, h_speed, vs, FlightMode.CRUISE, idx)
@@ -456,11 +479,8 @@ def intruder_state_at(
         if script.duration is not None and rel > script.duration:
             return None
         ue, un = track_unit(script.track)
-        pos = EnuPoint(
-            script.anchor.east + script.speed * rel * ue,
-            script.anchor.north + script.speed * rel * un,
-            script.anchor.up,
-        )
+        east, north, up = script.anchor
+        pos = EnuPoint(east + script.speed * rel * ue, north + script.speed * rel * un, up)
         return pos, (script.speed * ue, script.speed * un, 0.0)
 
     if script.mode is ScriptMode.LINGER:
@@ -500,14 +520,10 @@ def _playback(traj: Trajectory, rel: float) -> tuple[EnuPoint, Vec3] | None:
     i = bisect_right(times, rel)
     if i == len(times):
         i -= 1
-    lo_t, lo = traj.samples[i - 1]
-    hi_t, hi = traj.samples[i]
+    lo_t, (lo_e, lo_n, lo_u) = traj.samples[i - 1]
+    hi_t, (hi_e, hi_n, hi_u) = traj.samples[i]
     span = hi_t - lo_t
     u = (rel - lo_t) / span
-    pos = EnuPoint(
-        lo.east + u * (hi.east - lo.east),
-        lo.north + u * (hi.north - lo.north),
-        lo.up + u * (hi.up - lo.up),
-    )
-    vel = ((hi.east - lo.east) / span, (hi.north - lo.north) / span, (hi.up - lo.up) / span)
+    pos = EnuPoint(lo_e + u * (hi_e - lo_e), lo_n + u * (hi_n - lo_n), lo_u + u * (hi_u - lo_u))
+    vel = ((hi_e - lo_e) / span, (hi_n - lo_n) / span, (hi_u - lo_u) / span)
     return pos, vel

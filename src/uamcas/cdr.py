@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .agents import (
     IntruderKind,
@@ -302,8 +302,7 @@ def de_escalated(
     return all(a < b for a, b in zip(seps, seps[1:]))
 
 
-@dataclass(frozen=True)
-class IntruderObservation:
+class IntruderObservation(NamedTuple):
     intruder_id: str
     kind: IntruderKind
     pos: EnuPoint

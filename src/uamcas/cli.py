@@ -64,6 +64,16 @@ def _write_trace(result: RunResult, path: Path) -> None:
     path.write_text("\n".join(engine.trace_csv_lines(result)) + "\n", encoding="utf-8")
 
 
+def _simulate_to_trace(
+    sc: Scenario, dt: float | None, cas_enabled: bool, trace: Path
+) -> metrics.MetricsReport:
+    """Run, score and write the trace of one batch run.  Only the report
+    leaves, so a batch never holds more than one run's tick records."""
+    result, report = simulate(sc, dt, cas_enabled)
+    _write_trace(result, trace)
+    return report
+
+
 def _terminal_phrase(result: RunResult) -> str:
     kind = result.terminal.kind
     if kind is TerminalKind.LANDED_AT:
@@ -136,10 +146,8 @@ def run_batch(
     for sc in sorted(pack, key=lambda s: s.id):
         if overlay is not None:
             sc = _apply_config(sc, overlay, pack.base_dir)
-        on, with_cas[sc.id] = simulate(sc, dt)
-        _write_trace(on, traces / f"{sc.id}.csv")
-        off, without_cas[sc.id] = simulate(sc, dt, cas_enabled=False)
-        _write_trace(off, traces / f"{sc.id}_nocas.csv")
+        with_cas[sc.id] = _simulate_to_trace(sc, dt, True, traces / f"{sc.id}.csv")
+        without_cas[sc.id] = _simulate_to_trace(sc, dt, False, traces / f"{sc.id}_nocas.csv")
     table = metrics.summarize_batch(with_cas, without_cas)
     scenario_io.write_batch_report(table, out, fmt)
     return table

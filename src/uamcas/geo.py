@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -45,16 +45,32 @@ class GeoPoint:
             raise ValueError(f"altitude below ground reference: {self.alt}")
 
 
-@dataclass(frozen=True)
-class EnuPoint:
+class _EnuFields(NamedTuple):
     east: float
     north: float
     up: float = 0.0
 
-    def __post_init__(self) -> None:
-        for v in (self.east, self.north, self.up):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite ENU component: {v}")
+
+class EnuPoint(_EnuFields):
+    """Position in the tangent plane, metres.
+
+    An immutable tuple: the simulation builds several per tick, and a
+    tuple builds in half the time of a frozen dataclass or less.  Every
+    construction, also through _replace and _make, rejects non-finite
+    components.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, east: float, north: float, up: float = 0.0) -> "EnuPoint":
+        if not (math.isfinite(east) and math.isfinite(north) and math.isfinite(up)):
+            bad = next(v for v in (east, north, up) if not math.isfinite(v))
+            raise ValueError(f"non-finite ENU component: {bad}")
+        return tuple.__new__(cls, (east, north, up))
+
+    @classmethod
+    def _make(cls, iterable) -> "EnuPoint":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .agents import PerformanceModel
-from .engine import RunResult, Terminal, TerminalKind, TickRecord
+from .engine import RunResult, Terminal, TerminalKind
 from .geo import Route, cpa_linear, polyline_length
-
-
-class NoEncounterError(ValueError):
-    """CPA requested for an intruder that never appeared in the trace."""
 
 
 class PairingError(ValueError):
@@ -30,37 +26,39 @@ def theoretical_flight_time(route: Route, perf: PerformanceModel) -> float:
     )
 
 
-def cpa(result: RunResult, intruder_id: str) -> float:
-    """Minimum 3-D separation over the encounter.
+def cpa(result: RunResult) -> dict[str, float]:
+    """Minimum 3-D separation over the encounter, per intruder, in the
+    order intruders first appear.
 
     Within each tick both agents move linearly, so the continuous
     minimum on a tick interval is the closed-form CPA of the relative
-    motion; the result can only be at or below every sampled separation.
+    motion; each result can only be at or below every sampled
+    separation.  One sweep over the ticks keeps every present
+    intruder's relative position for the next tick; an intruder absent
+    at a tick starts afresh, so no interval bridges an absence.
     """
-    best = math.inf
-    prev: tuple[float, tuple[float, float, float]] | None = None
-    for rec in result.ticks:
-        it = None
-        for cand in rec.intruders:
-            if cand.intruder_id == intruder_id:
-                it = cand
-                break
-        if it is None:
-            prev = None
-            continue
-        own_p = (rec.own_east, rec.own_north, rec.own_up)
-        intr_p = (it.east, it.north, it.up)
-        rel = (intr_p[0] - own_p[0], intr_p[1] - own_p[1], intr_p[2] - own_p[2])
-        best = min(best, math.sqrt(rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2))
-        if prev is not None:
-            t0, rel0 = prev
-            span = rec.t - t0
-            rel_vel = ((rel[0] - rel0[0]) / span, (rel[1] - rel0[1]) / span, (rel[2] - rel0[2]) / span)
-            _, d = cpa_linear(rel0, rel_vel, span)
-            best = min(best, d)
-        prev = (rec.t, rel)
-    if best is math.inf:
-        raise NoEncounterError(f"intruder {intruder_id!r} never present")
+    best: dict[str, float] = {}
+    prev: dict[str, tuple[float, tuple[float, float, float]]] = {}
+    for t, own_e, own_n, own_u, _, _, _, intruders, _ in result.ticks:
+        present = {}
+        for iid, east, north, up, _, _ in intruders:
+            dx, dy, dz = east - own_e, north - own_n, up - own_u
+            d = math.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+            low = best.get(iid, math.inf)
+            if d < low:
+                low = d
+            last = prev.get(iid)
+            if last is not None:
+                t0, rel0 = last
+                span = t - t0
+                px, py, pz = rel0
+                rel_vel = ((dx - px) / span, (dy - py) / span, (dz - pz) / span)
+                _, d = cpa_linear(rel0, rel_vel, span)
+                if d < low:
+                    low = d
+            best[iid] = low
+            present[iid] = (t, (dx, dy, dz))
+        prev = present
     return best
 
 
@@ -109,8 +107,8 @@ def delays(result: RunResult, baselines: Mapping[str, float]) -> MetricsReport:
     t_sim = result.end_time - result.departure_time
     d_ground = float(result.ground_decision.delay_s)
     d_air = max(0.0, t_sim - baselines[result.ground_decision.route])
-    ids = intruder_ids(result)
-    cpa_val = min(cpa(result, i) for i in ids) if ids else None
+    minima = cpa(result)
+    cpa_val = min(minima.values()) if minima else None
     return MetricsReport(
         cpa=cpa_val,
         t_sim=t_sim,

@@ -274,6 +274,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     config: OwnshipConfig | None = None
     verts: dict[str, Vertiport] = {}
     routes: dict[str, Route] = {}
+    # Ids of ROUTE lines already reported, so PLAN does not report them again.
+    rejected_routes: set[str] = set()
     planned: str | None = None
     plan_line = 0
     sets: dict[str, dict[str, object]] = {g: {} for g in _SET_GROUPS}
@@ -320,6 +322,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         elif word == "ROUTE":
             if len(toks) < 4:
                 errors.append((n, "ROUTE needs an id and at least two waypoints"))
+                if len(toks) > 1:
+                    rejected_routes.add(toks[1])
                 continue
             rid = toks[1]
             if rid in routes:
@@ -337,11 +341,13 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
                     errors.append((n, str(exc)))
                     bad = True
             if bad:
+                rejected_routes.add(rid)
                 continue
             try:
                 routes[rid] = Route(tuple(wpts))
             except ValueError as exc:
                 errors.append((n, str(exc)))
+                rejected_routes.add(rid)
         elif word == "PLAN":
             if len(toks) != 2:
                 errors.append((n, "PLAN takes exactly one route id"))
@@ -479,7 +485,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         errors.append((0, "need at least two VERTIPORT directives"))
     if "V1" not in verts:
         errors.append((0, "vertiport V1 (frame origin) is required"))
-    if planned is not None and planned not in routes:
+    if planned is not None and planned not in routes and planned not in rejected_routes:
         errors.append((plan_line, f"planned route {planned} is not defined"))
 
     defaults = dict(_GROUP_DEFAULTS)

@@ -50,9 +50,9 @@ def theory_for(sid: str, rid: str) -> float:
 
 
 def min_cpa(result: engine.RunResult) -> float:
-    ids = metrics.intruder_ids(result)
-    assert ids, f"{result.scenario_id}: no airborne intruder in trace"
-    return min(metrics.cpa(result, i) for i in ids)
+    minima = metrics.cpa(result)
+    assert minima, f"{result.scenario_id}: no airborne intruder in trace"
+    return min(minima.values())
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +290,7 @@ def test_criterion_09_cpa_analytic_vs_brute():
             end_time=(n_ticks - 1) * dt,
             command_log=[],
         )
-        analytic = metrics.cpa(result, "i1")
+        analytic = metrics.cpa(result)["i1"]
 
         fine = dt / 100.0
         ts = np.arange(0.0, (n_ticks - 1) * dt + fine / 2.0, fine)

@@ -5,10 +5,12 @@ import importlib.util
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from uamcas import engine
 from uamcas.cli import main
 from uamcas.engine import TRACE_HEADER
 from uamcas.scenario_io import (
@@ -199,6 +201,27 @@ class TestBatch:
             else:
                 assert has_trace and has_off
 
+    def test_each_run_is_released_before_the_next(
+        self, mini_pack_dir, tmp_path, capsys, monkeypatch
+    ):
+        """A batch holds one run's tick records at a time: no earlier
+        RunResult is alive when the next run starts."""
+        run = engine.run
+        runs = []
+        alive_at_start = []
+
+        def tracked(scenario, params=None):
+            alive_at_start.append(sum(ref() is not None for ref in runs))
+            result = run(scenario, params)
+            runs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(engine, "run", tracked)
+        assert main(["batch", "--pack", str(mini_pack_dir), "--dt", "0.5",
+                     "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert alive_at_start == [0] * 6
+
     def test_postponed_row_shape(self, mini_pack_dir, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["batch", "--pack", str(mini_pack_dir), "--dt", "0.5",
@@ -290,6 +313,19 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["validate", str(tmp_path / "gone.scn")])
         assert rc == 1
+
+    @pytest.mark.parametrize("suffix", [" ALT=600", " 48.2,11.6,9", " 48.1669,11.5883"])
+    def test_rejected_route_is_reported_once(self, scn_dir, tmp_path, capsys, suffix):
+        """A bad ROUTE line is reported on its own line only, not again as
+        an undefined route on the PLAN line that names it."""
+        lines = Path(scn(scn_dir, "sc-01")).read_text().splitlines()
+        n = next(i for i, ln in enumerate(lines) if ln.startswith("ROUTE ROUTE1 "))
+        lines[n] += suffix
+        bad = tmp_path / "bad.scn"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(ln.startswith(f"{bad}:{n + 1}: ") for ln in err), err
 
     # Lines naming an input the format does not have fail on their own
     # line; the other cases are file-level (line 0) checks.

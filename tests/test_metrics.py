@@ -7,11 +7,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from uamcas import metrics
+from uamcas import cli, metrics
 from uamcas.agents import DEFAULT_PERFORMANCE, FlightMode, OwnshipConfig
 from uamcas.cdr import CdrPhase, GroundDecision
 from uamcas.engine import IntruderTick, RunResult, Terminal, TerminalKind, TickRecord
 from uamcas.envelopes import Zone
+from uamcas.geo import cpa_linear
 from uamcas.scenario_io import default_pack
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
@@ -81,7 +82,7 @@ class TestCpa:
             (1.0, (0.0, 0.0, 300.0), [("I", (-50.0, 0.0, 300.0))]),
             (2.0, (0.0, 0.0, 300.0), [("I", (50.0, 0.0, 300.0))]),
         ]
-        assert metrics.cpa(synth_result(data), "I") == pytest.approx(0.0, abs=1e-9)
+        assert metrics.cpa(synth_result(data))["I"] == pytest.approx(0.0, abs=1e-9)
 
     def test_absence_gaps_reset_interpolation(self):
         # the intruder teleports while absent; no segment may bridge the gap
@@ -90,13 +91,13 @@ class TestCpa:
             (2.0, (0.0, 0.0, 300.0), []),
             (3.0, (0.0, 0.0, 300.0), [("I", (500.0, 100.0, 300.0))]),
         ]
-        d = metrics.cpa(synth_result(data), "I")
+        d = metrics.cpa(synth_result(data))["I"]
         assert d == pytest.approx(math.hypot(500.0, 100.0))
 
-    def test_unknown_intruder_raises(self):
+    def test_absent_intruder_has_no_entry(self):
         data = [(1.0, (0.0, 0.0, 300.0), [("I", (100.0, 0.0, 300.0))])]
-        with pytest.raises(metrics.NoEncounterError):
-            metrics.cpa(synth_result(data), "ghost")
+        assert "ghost" not in metrics.cpa(synth_result(data))
+        assert metrics.cpa(synth_result([(1.0, (0.0, 0.0, 300.0), [])])) == {}
 
     def test_matches_brute_force_on_random_linear_encounters(self):
         rng = random.Random(20260819)
@@ -113,7 +114,7 @@ class TestCpa:
                 ((i + 1) * dt, own_at((i + 1) * dt), [("I", intr_at((i + 1) * dt))])
                 for i in range(n)
             ]
-            analytic = metrics.cpa(synth_result(data), "I")
+            analytic = metrics.cpa(synth_result(data))["I"]
             # dense sampling at dt/100 can only sit above the true minimum
             fine = dt / 100.0
             brute = min(
@@ -129,6 +130,63 @@ class TestCpa:
             (2.0, (0, 0, 300), [("C", (300, 0, 300))]),
         ]
         assert metrics.intruder_ids(synth_result(data)) == ["B", "A", "C"]
+
+
+def reference_cpa(result, intruder_id):
+    """One intruder's minimum by a rescan of every tick: the per-intruder
+    loop the one-sweep metrics.cpa replaced, kept as its reference."""
+    best = math.inf
+    prev = None
+    for rec in result.ticks:
+        it = None
+        for cand in rec.intruders:
+            if cand.intruder_id == intruder_id:
+                it = cand
+                break
+        if it is None:
+            prev = None
+            continue
+        own_p = (rec.own_east, rec.own_north, rec.own_up)
+        intr_p = (it.east, it.north, it.up)
+        rel = (intr_p[0] - own_p[0], intr_p[1] - own_p[1], intr_p[2] - own_p[2])
+        best = min(best, math.sqrt(rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2))
+        if prev is not None:
+            t0, rel0 = prev
+            span = rec.t - t0
+            rel_vel = ((rel[0] - rel0[0]) / span, (rel[1] - rel0[1]) / span, (rel[2] - rel0[2]) / span)
+            _, d = cpa_linear(rel0, rel_vel, span)
+            best = min(best, d)
+        prev = (rec.t, rel)
+    return best
+
+
+def assert_matches_reference(result):
+    minima = metrics.cpa(result)
+    ids = metrics.intruder_ids(result)
+    assert list(minima) == ids
+    for iid in ids:
+        assert minima[iid] == reference_cpa(result, iid), (result.scenario_id, iid)
+
+
+class TestCpaMatchesReference:
+    @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
+    def test_every_default_pack_run(self, cas_enabled):
+        for sc in PACK:
+            result, _ = cli.simulate(sc, None, cas_enabled)
+            assert_matches_reference(result)
+
+    def test_many_intruders_with_absence_gaps(self):
+        rng = random.Random(7)
+        data = []
+        for k in range(400):
+            own = (rng.uniform(-100, 100), rng.uniform(-100, 100), 300.0)
+            present = [
+                (iid, (rng.uniform(-900, 900), rng.uniform(-900, 900), rng.uniform(0, 600)))
+                for iid in ("C", "A", "B", "D")
+                if rng.random() < 0.7
+            ]
+            data.append((0.1 * (k + 1), own, present))
+        assert_matches_reference(synth_result(data))
 
 
 class TestDelays:
