@@ -4,7 +4,7 @@ intruder state generation (CSV playback and scripted behaviors).
 The ownship is a point mass flying a climb / waypoint-cruise / descent
 profile.  Avoidance commands are resolved into a Guidance directive
 once, at issuance, and the per-tick step function is pure in
-(state, perf, guidance, dt).
+(state, perf, guidance, dt), with the state passed as plain values.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
-from .geo import (
-    EnuPoint,
-    bearing,
-    horizontal_distance,
-    normalize_track,
-    signed_track_diff,
-    track_unit,
-)
+from .geo import EnuPoint, non_finite_error, normalize_track, track_unit
 from .maneuvers import (
     Action,
     InfeasibleManeuverError,
@@ -86,6 +79,22 @@ DEFAULT_PERFORMANCE: Mapping[OwnshipConfig, PerformanceModel] = {
 }
 
 
+def check_ownship(
+    east: float, north: float, up: float, ground_speed: float, flight_mode: FlightMode
+) -> None:
+    """The rules every ownship state keeps, whether an OwnshipState or
+    the plain values ownship_step takes: a finite position, and speeds
+    and altitude that fit the flight mode."""
+    if not (math.isfinite(east) and math.isfinite(north) and math.isfinite(up)):
+        raise non_finite_error(east, north, up)
+    if ground_speed < 0.0:
+        raise ValueError("ground_speed must be non-negative")
+    if flight_mode is FlightMode.HOVER and ground_speed != 0.0:
+        raise ValueError("hover requires zero ground speed")
+    if flight_mode is FlightMode.GROUND and up != 0.0:
+        raise ValueError("ground mode requires zero altitude")
+
+
 class _OwnshipFields(NamedTuple):
     t: float
     pos: EnuPoint
@@ -99,9 +108,9 @@ class _OwnshipFields(NamedTuple):
 class OwnshipState(_OwnshipFields):
     """Ownship kinematic state at one instant.
 
-    An immutable tuple, built once per tick (see geo.EnuPoint); every
-    construction, also through _replace and _make, checks that the
-    speeds fit the flight mode.
+    An immutable tuple, built by the engine only on a tick that issues a
+    command (resolve_command takes it); every construction, also through
+    _replace and _make, runs check_ownship.
     """
 
     __slots__ = ()
@@ -116,12 +125,7 @@ class OwnshipState(_OwnshipFields):
         flight_mode: FlightMode,
         next_waypoint_index: int,
     ) -> "OwnshipState":
-        if ground_speed < 0.0:
-            raise ValueError("ground_speed must be non-negative")
-        if flight_mode is FlightMode.HOVER and ground_speed != 0.0:
-            raise ValueError("hover requires zero ground speed")
-        if flight_mode is FlightMode.GROUND and pos.up != 0.0:
-            raise ValueError("ground mode requires zero altitude")
+        check_ownship(*pos, ground_speed, flight_mode)
         return tuple.__new__(
             cls, (t, pos, track, ground_speed, vertical_speed, flight_mode, next_waypoint_index)
         )
@@ -232,134 +236,149 @@ def _offset_plan(state: OwnshipState, plan: NavPlan, offset_m: float) -> NavPlan
     return NavPlan(new_wpts, plan.destination_id)
 
 
-def _slew_track(track: float, target: float, max_step: float, forced: TurnDirection | None) -> float:
-    """Rotate track toward target by at most max_step degrees.
-
-    A forced side only matters while far from the target; once within one
-    step the track snaps on, so a forced turn cannot wind up again on the
-    small corrections that follow.
-    """
-    diff = signed_track_diff(track, target)
-    if abs(diff) <= max_step:
-        return normalize_track(target)
-    if forced is TurnDirection.RIGHT:
-        step = max_step
-    elif forced is TurnDirection.LEFT:
-        step = -max_step
-    else:
-        step = math.copysign(max_step, diff)
-    return normalize_track(track + step)
-
-
 def ownship_step(
-    state: OwnshipState,
+    east: float,
+    north: float,
+    up: float,
+    track: float,
+    ground_speed: float,
+    mode: FlightMode,
+    idx: int,
     perf: PerformanceModel,
     guidance: Guidance,
     dt: float,
-) -> OwnshipState:
-    """Advance the ownship one tick under the active directive."""
+) -> tuple[float, float, float, float, float, float, FlightMode, int]:
+    """Advance the ownship one tick under the active directive.
+
+    The state is carried as plain values, the fields of OwnshipState
+    without its clock or vertical speed (the step reads neither), and
+    comes back as (east, north, up, track, ground_speed,
+    vertical_speed, mode, idx).  The given state must pass the checks
+    OwnshipState makes; a state that does not raises the same
+    ValueError.  This is the only kinematics implementation: the
+    engine runs it every tick without building a state object.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    # Unpacked once: tuple unpacking is cheaper than named field reads.
-    t, pos, track, ground_speed, _, mode, idx = state
-    east, north, up = pos
-    t += dt
+    check_ownship(east, north, up, ground_speed, mode)
     kind = guidance.kind
 
     if kind is GuidanceKind.HOVER:
-        return OwnshipState(t, pos, track, 0.0, 0.0, FlightMode.HOVER, idx)
+        return east, north, up, track, 0.0, 0.0, FlightMode.HOVER, idx
 
     if kind is GuidanceKind.HOVER_DESCEND:
         target = guidance.target_alt
         if up > target:
             new_up = max(target, up - perf.descent_rate * dt)
-            mode = FlightMode.VERTICAL_DESCENT if new_up > target else FlightMode.HOVER
-            vs = -perf.descent_rate if new_up > target else 0.0
-            return OwnshipState(t, EnuPoint(east, north, new_up), track, 0.0, vs, mode, idx)
-        return OwnshipState(t, pos, track, 0.0, 0.0, FlightMode.HOVER, idx)
+            if new_up > target:
+                return (
+                    east, north, new_up, track, 0.0, -perf.descent_rate,
+                    FlightMode.VERTICAL_DESCENT, idx,
+                )
+            return east, north, new_up, track, 0.0, 0.0, FlightMode.HOVER, idx
+        return east, north, up, track, 0.0, 0.0, FlightMode.HOVER, idx
 
     if mode is FlightMode.GROUND:
         # Departure: climb vertically off the pad.
         new_up = min(perf.cruise_alt, perf.climb_rate * dt)
-        return OwnshipState(
-            t, EnuPoint(east, north, new_up), track, 0.0,
-            perf.climb_rate, FlightMode.VERTICAL_CLIMB, idx,
-        )
+        return east, north, new_up, track, 0.0, perf.climb_rate, FlightMode.VERTICAL_CLIMB, idx
 
     if mode is FlightMode.VERTICAL_CLIMB:
         new_up = up + perf.climb_rate * dt
         if new_up < perf.cruise_alt:
-            return OwnshipState(
-                t, EnuPoint(east, north, new_up), track, ground_speed,
-                perf.climb_rate, FlightMode.VERTICAL_CLIMB, idx,
+            return (
+                east, north, new_up, track, ground_speed, perf.climb_rate,
+                FlightMode.VERTICAL_CLIMB, idx,
             )
         # Top of climb: level off aligned with the outbound course,
         # skipping plan points already inside the capture ring (the
         # departure pad itself, for a fresh climb-out).
-        pos = EnuPoint(east, north, perf.cruise_alt)
         wpts = guidance.plan.waypoints
-        idx = min(idx, len(wpts) - 1)
-        while (
-            idx < len(wpts) - 1
-            and horizontal_distance(pos, wpts[idx]) <= perf.capture_radius
-        ):
+        last = len(wpts) - 1
+        idx = min(idx, last)
+        w_e, w_n, _ = wpts[idx]
+        while idx < last and math.hypot(w_e - east, w_n - north) <= perf.capture_radius:
             idx += 1
-        try:
-            track = bearing(pos, wpts[idx])
-        except ValueError:
-            pass  # straight above the waypoint: keep the current track
-        return OwnshipState(t, pos, track, perf.cruise_speed, 0.0, FlightMode.CRUISE, idx)
+            w_e, w_n, _ = wpts[idx]
+        de = w_e - east
+        dn = w_n - north
+        if de != 0.0 or dn != 0.0:
+            # Straight above the waypoint the current track is kept.
+            track = math.degrees(math.atan2(de, dn)) % 360.0
+        return (
+            east, north, perf.cruise_alt, track, perf.cruise_speed, 0.0,
+            FlightMode.CRUISE, idx,
+        )
 
     if mode is FlightMode.VERTICAL_DESCENT:
         new_up = up - perf.descent_rate * dt
         if new_up > 0.0:
-            return OwnshipState(
-                t, EnuPoint(east, north, new_up), track, ground_speed,
-                -perf.descent_rate, FlightMode.VERTICAL_DESCENT, idx,
+            return (
+                east, north, new_up, track, ground_speed, -perf.descent_rate,
+                FlightMode.VERTICAL_DESCENT, idx,
             )
-        return OwnshipState(
-            t, EnuPoint(east, north, 0.0), track, 0.0, 0.0, FlightMode.GROUND, idx
-        )
+        return east, north, 0.0, track, 0.0, 0.0, FlightMode.GROUND, idx
 
     # Cruise (also reached from HOVER when guidance reverts to a path).
-    max_step = perf.turn_rate * dt
-
     if kind is GuidanceKind.HOLD_TRACK:
-        track = _slew_track(track, guidance.target_track, max_step, guidance.slew)
+        target = guidance.target_track
     else:
         # FOLLOW_PLAN
         wpts = guidance.plan.waypoints
-        while idx < len(wpts) and horizontal_distance(pos, wpts[idx]) <= perf.capture_radius:
+        n_wpts = len(wpts)
+        capture = perf.capture_radius
+        while idx < n_wpts:
+            w_e, w_n, _ = wpts[idx]
+            if math.hypot(w_e - east, w_n - north) > capture:
+                break
             idx += 1
-        if idx >= len(wpts):
+        else:
             # Destination captured: descend onto the pad.
-            return OwnshipState(
-                t, EnuPoint(east, north, max(0.0, up - perf.descent_rate * dt)),
-                track, 0.0, -perf.descent_rate, FlightMode.VERTICAL_DESCENT, idx,
+            return (
+                east, north, max(0.0, up - perf.descent_rate * dt), track, 0.0,
+                -perf.descent_rate, FlightMode.VERTICAL_DESCENT, idx,
             )
-        track = _slew_track(track, bearing(pos, wpts[idx]), max_step, guidance.slew)
-    h_speed, vs, new_up = _cruise_vertical(up, perf, dt)
+        # Outside the capture ring, so the bearing is defined.
+        target = math.degrees(math.atan2(w_e - east, w_n - north)) % 360.0
+
+    # Slew toward the target by at most one step (geo.signed_track_diff,
+    # geo.normalize_track).  A forced side only matters while far from
+    # the target; once within one step the track snaps on, so a forced
+    # turn cannot wind up again on the small corrections that follow.
+    max_step = perf.turn_rate * dt
+    diff = (target - track) % 360.0
+    if diff > 180.0:
+        diff -= 360.0
+    if abs(diff) <= max_step:
+        track = target % 360.0
+    else:
+        slew = guidance.slew
+        if slew is TurnDirection.RIGHT:
+            step = max_step
+        elif slew is TurnDirection.LEFT:
+            step = -max_step
+        else:
+            step = math.copysign(max_step, diff)
+        track = (track + step) % 360.0
+
+    # Below cruise altitude (after a commanded descent) the climb back
+    # comes out of the speed budget, so the total velocity never exceeds
+    # cruise_speed.
+    cruise_speed = perf.cruise_speed
+    if up >= perf.cruise_alt:
+        h_speed = cruise_speed
+        vs = 0.0
+        new_up = up
+    else:
+        vs = min(perf.climb_rate, cruise_speed * 0.999)
+        h_speed = math.sqrt(cruise_speed**2 - vs**2)
+        new_up = min(perf.cruise_alt, up + vs * dt)
     rad = math.radians(track)
-    new_pos = EnuPoint(
+    return (
         east + h_speed * dt * math.sin(rad),
         north + h_speed * dt * math.cos(rad),
-        new_up,
+        new_up, track, h_speed, vs, FlightMode.CRUISE, idx,
     )
-    return OwnshipState(t, new_pos, track, h_speed, vs, FlightMode.CRUISE, idx)
-
-
-def _cruise_vertical(up: float, perf: PerformanceModel, dt: float) -> tuple[float, float, float]:
-    """Climbing cruise back to cruise altitude after a commanded descent.
-
-    The climb component comes out of the speed budget so the total
-    velocity never exceeds cruise_speed.
-    """
-    if up >= perf.cruise_alt:
-        return perf.cruise_speed, 0.0, up
-    vs = min(perf.climb_rate, perf.cruise_speed * 0.999)
-    h_speed = math.sqrt(perf.cruise_speed**2 - vs**2)
-    new_up = min(perf.cruise_alt, up + vs * dt)
-    return h_speed, vs, new_up
 
 
 class IntruderKind(enum.Enum):
@@ -499,16 +518,18 @@ def intruder_state_at(
 
 
 def _pursuit_step(
-    pos: EnuPoint, target: EnuPoint, speed: float, step_len: float
+    pos: EnuPoint, target: Vec3, speed: float, step_len: float
 ) -> tuple[EnuPoint, Vec3]:
-    dx = target.east - pos.east
-    dy = target.north - pos.north
-    dz = target.up - pos.up
+    east, north, up = pos
+    t_e, t_n, t_u = target
+    dx = t_e - east
+    dy = t_n - north
+    dz = t_u - up
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist == 0.0 or step_len == 0.0:
         return pos, (0.0, 0.0, 0.0)
     scale = min(1.0, step_len / dist)
-    new_pos = EnuPoint(pos.east + dx * scale, pos.north + dy * scale, pos.up + dz * scale)
+    new_pos = EnuPoint(east + dx * scale, north + dy * scale, up + dz * scale)
     vel = (speed * dx / dist, speed * dy / dist, speed * dz / dist)
     return new_pos, vel
 

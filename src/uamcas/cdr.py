@@ -13,7 +13,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .agents import (
     IntruderKind,
     IntruderRecord,
-    OwnshipState,
     HeadOnStrategy,
     PerformanceModel,
     Vec3,
@@ -177,7 +176,8 @@ def takeoff_delay_check(
 
 
 def approach_direction(
-    own: OwnshipState,
+    own_pos: EnuPoint,
+    own_track: float,
     intr_pos: EnuPoint,
     intr_velocity: Vec3,
     params: CdrParams = CdrParams(),
@@ -187,12 +187,12 @@ def approach_direction(
     A stationary intruder carries no track, so it is classed purely by
     which half-plane it occupies; head-on is excluded for it.
     """
-    rel_bearing = signed_track_diff(own.track, bearing(own.pos, intr_pos))
+    rel_bearing = signed_track_diff(own_track, bearing(own_pos, intr_pos))
     vx, vy, _ = intr_velocity
     if vx == 0.0 and vy == 0.0:
         return ApproachDirection.RIGHT if rel_bearing >= 0.0 else ApproachDirection.LEFT
     intr_track = math.degrees(math.atan2(vx, vy)) % 360.0
-    delta = abs(signed_track_diff(own.track, intr_track))
+    delta = abs(signed_track_diff(own_track, intr_track))
     if delta >= 180.0 - params.head_on_half_angle:
         return ApproachDirection.HEAD_ON
     if delta <= params.same_dir_half_angle:
@@ -200,8 +200,10 @@ def approach_direction(
     return ApproachDirection.RIGHT if rel_bearing >= 0.0 else ApproachDirection.LEFT
 
 
-def relative_position(own: OwnshipState, intr_pos: EnuPoint) -> RelativePosition:
-    rel_bearing = signed_track_diff(own.track, bearing(own.pos, intr_pos))
+def relative_position(
+    own_pos: EnuPoint, own_track: float, intr_pos: EnuPoint
+) -> RelativePosition:
+    rel_bearing = signed_track_diff(own_track, bearing(own_pos, intr_pos))
     return RelativePosition.AHEAD if abs(rel_bearing) <= 90.0 else RelativePosition.BEHIND
 
 
@@ -258,14 +260,15 @@ def diversion_target(pos: EnuPoint, vertiports: Mapping[str, EnuPoint]) -> str:
 def emergency_maneuver(
     direction: ApproachDirection,
     kind: IntruderKind,
-    own: OwnshipState,
+    own_pos: EnuPoint,
     vertiports: Mapping[str, EnuPoint],
     issued_at: float = 0.0,
     params: CdrParams = CdrParams(),
 ) -> ManeuverCommand:
-    """Pilot-level action on warning-envelope penetration."""
+    """Pilot-level action on warning-envelope penetration; own_pos picks
+    the diversion field."""
     by = IssuedBy.PILOT
-    divert = diversion_target(own.pos, vertiports)
+    divert = diversion_target(own_pos, vertiports)
     if kind is IntruderKind.BIRD:
         return reroute_to(divert, by, issued_at, direction=TurnDirection.RIGHT)
     if direction is ApproachDirection.RIGHT:
@@ -285,21 +288,42 @@ def de_escalated(
     hold_duration: float,
 ) -> bool:
     """Conflict resolved: gone for the whole hold window, or outside the
-    warning ring with strictly opening range throughout it."""
+    warning ring with strictly opening range throughout it.
+
+    history holds (time, separation, zone) entries in time order, with
+    separation and zone None while the intruder is absent.  The window
+    is the entries at or after now - hold_duration; the history must
+    reach back to that instant.  One pass from the newest entry, which
+    stops at the first entry that settles the answer.
+    """
     if not history:
         return False
-    window = [h for h in history if h[0] >= now - hold_duration]
-    if not window or history[0][0] > now - hold_duration:
+    cutoff = now - hold_duration
+    if history[0][0] > cutoff:
         return False  # not enough history yet
-    seps = [s for _, s, _ in window]
-    if all(s is None for s in seps):
+    entries = reversed(history)
+    t, later, last_zone = next(entries)
+    if t < cutoff:
+        return False  # nothing inside the window
+    if later is None:
+        # Absent now: resolved only if absent throughout the window.
+        for t, sep, _ in entries:
+            if t < cutoff:
+                return True
+            if sep is not None:
+                return False
         return True
-    if any(s is None for s in seps):
-        return False
-    last_zone = window[-1][2]
     if last_zone is None or last_zone >= Zone.WARNING:
         return False
-    return all(a < b for a, b in zip(seps, seps[1:]))
+    # Present now: every older entry in the window must be present and
+    # strictly closer than the one after it.
+    for t, sep, _ in entries:
+        if t < cutoff:
+            return True
+        if sep is None or not sep < later:
+            return False
+        later = sep
+    return True
 
 
 class IntruderObservation(NamedTuple):
@@ -323,7 +347,8 @@ class CdrState:
 def cdr_step(
     state: CdrState,
     t: float,
-    own: OwnshipState,
+    own_pos: EnuPoint,
+    own_track: float,
     observations: Sequence[IntruderObservation],
     history: Mapping[str, Sequence[tuple[float, float | None, Zone | None]]],
     vertiports: Mapping[str, EnuPoint],
@@ -332,6 +357,10 @@ def cdr_step(
 ) -> tuple[CdrState, ManeuverCommand | None]:
     """One decision-tree tick.
 
+    own_pos (an EnuPoint or a plain (east, north, up) tuple) and
+    own_track are the ownship's position and track before this tick's
+    move; they are all of the ownship the decision reads, and only on
+    the ticks that classify an encounter or pick a diversion field.
     observations hold the currently present intruders with their sensed
     separation and zone; the smallest separation governs.  history is
     the per-intruder separation record used by the de-escalation test.
@@ -368,22 +397,26 @@ def cdr_step(
             # Contact evaporated before classification finished.
             new_state = replace(state, phase=CdrPhase.MONITORING, detect_started_at=None, encounter_id=None)
         elif t - state.detect_started_at >= params.detect_duration:
-            direction = approach_direction(own, governing.pos, governing.velocity, params)
-            rel = relative_position(own, governing.pos)
+            direction = approach_direction(
+                own_pos, own_track, governing.pos, governing.velocity, params
+            )
+            rel = relative_position(own_pos, own_track, governing.pos)
             cmd = tactical_maneuver(perf, governing.kind, direction, rel, t, params)
             new_state = replace(state, phase=CdrPhase.AVOID)
 
     elif phase is CdrPhase.AVOID:
         if governing is not None and zone >= Zone.WARNING:
-            direction = approach_direction(own, governing.pos, governing.velocity, params)
-            cmd = emergency_maneuver(direction, governing.kind, own, vertiports, t, params)
+            direction = approach_direction(
+                own_pos, own_track, governing.pos, governing.velocity, params
+            )
+            cmd = emergency_maneuver(direction, governing.kind, own_pos, vertiports, t, params)
             new_state = replace(state, phase=CdrPhase.EMERGENCY, passed_emergency=True)
         elif de_escalated(history.get(state.encounter_id, ()), t, params.hold_duration):
-            new_state, cmd = _resolve_encounter(state, own, vertiports, t)
+            new_state, cmd = _resolve_encounter(state, own_pos, vertiports, t)
 
     elif phase is CdrPhase.EMERGENCY:
         if de_escalated(history.get(state.encounter_id, ()), t, params.hold_duration):
-            new_state, cmd = _resolve_encounter(state, own, vertiports, t)
+            new_state, cmd = _resolve_encounter(state, own_pos, vertiports, t)
 
     elif phase is CdrPhase.DE_ESCALATED:
         new_state = replace(
@@ -401,14 +434,14 @@ def cdr_step(
 
 def _resolve_encounter(
     state: CdrState,
-    own: OwnshipState,
+    own_pos: EnuPoint,
     vertiports: Mapping[str, EnuPoint],
     t: float,
 ) -> tuple[CdrState, ManeuverCommand]:
     """Post-conflict: divert if a pilot had to step in, otherwise pick the
     original plan back up."""
     if state.passed_emergency:
-        cmd = reroute_to(diversion_target(own.pos, vertiports), IssuedBy.PILOT, t)
+        cmd = reroute_to(diversion_target(own_pos, vertiports), IssuedBy.PILOT, t)
     else:
         cmd = continue_flight(IssuedBy.AUTOMATED, t)
     return replace(state, phase=CdrPhase.DE_ESCALATED), cmd

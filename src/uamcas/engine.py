@@ -1,9 +1,10 @@
 """Fixed-timestep simulation loop.
 
 Per tick, in a fixed order chosen once for determinism: intruders
-advance; when the avoidance system is enabled, separations and zones are
-sensed against the not-yet-moved ownship and the decision tree runs on
-them (with the system off nothing reads them, so sensing is skipped);
+advance and, when the avoidance system is enabled, are sensed in the
+same pass against the not-yet-moved ownship (separation, zone, history
+entry and observation; with the system off nothing reads them, so
+sensing is skipped); the decision tree runs on the observations;
 finally the ownship moves under the resulting guidance.  The recorded
 tick snapshot pairs post-move positions so trace geometry is
 time-consistent.  Per-run constants (the envelope set of each flight
@@ -11,14 +12,22 @@ mode, the tick, the contact distance) are resolved once before the loop,
 and the envelope set is looked up again only when the flight mode
 changes (a plain Enum hashes in Python code).
 
-The records built on every tick (TickRecord, IntruderTick, and the
-OwnshipState, EnuPoint and IntruderObservation they come from) are
-NamedTuples: a tuple builds in half the time of a frozen dataclass or
-less, since the dataclass's __init__ sets each field through
-object.__setattr__.  Reading a NamedTuple field by name costs more than
-reading a slot, so the per-tick readers that take most of a record's
-fields (trace_csv_lines, metrics.cpa, agents.ownship_step) unpack it by
-position instead.
+The ownship is carried as local floats (position, track, speeds) plus
+its flight mode and waypoint index, and agents.ownship_step takes and
+returns those values.  The decision reads only the ownship's position
+and track, so an OwnshipState is built only on a tick that issues a
+command, for agents.resolve_command.  The records built on every tick
+are TickRecord, one IntruderTick per present intruder, and, with the
+system on, one IntruderObservation per present intruder; the intruder
+positions are EnuPoints from agents.intruder_state_at.  All are
+NamedTuples, which build in half the time of a frozen dataclass or
+less.  The three tick records carry no rules, so the loop builds them
+with tuple.__new__ and skips the generated __new__'s keyword handling;
+EnuPoint and OwnshipState check their fields in __new__ and are always
+built through their constructors.  Reading a NamedTuple field by name
+costs more than reading a slot, so the per-tick readers that take most
+of a record's fields (trace_csv_lines, metrics.cpa, the geo distance
+helpers) unpack it by position instead.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import agents, cdr, envelopes, geo
 from .agents import FlightMode, NavPlan, OwnshipState
+from .cdr import IntruderObservation
 from .envelopes import Zone
 from .geo import EnuPoint
 from .maneuvers import ManeuverCommand
@@ -48,6 +58,9 @@ class SimParams:
     contact_distance: float = 5.0
 
     def __post_init__(self) -> None:
+        for name in ("dt", "max_sim_time", "contact_distance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.max_sim_time <= 0.0:
@@ -148,16 +161,6 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     plan = NavPlan(polylines[decision.route], sc.destination_id(decision.route))
     guidance = agents.follow_plan(plan)
 
-    own = OwnshipState(
-        t=departure,
-        pos=EnuPoint(plan.waypoints[0].east, plan.waypoints[0].north, 0.0),
-        track=0.0,
-        ground_speed=0.0,
-        vertical_speed=0.0,
-        flight_mode=FlightMode.GROUND,
-        next_waypoint_index=0,
-    )
-
     # Pin departure-relative spawn clocks now that departure is known.
     records = [
         r if r.ground_clock else replace(r, spawn_time=r.spawn_time + departure)
@@ -170,10 +173,9 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     history: dict[str, deque] = {r.id: deque(maxlen=hist_len) for r in airborne_records}
     prev_pos: dict[str, EnuPoint | None] = {r.id: None for r in airborne_records}
 
-    # Per-run constants: the envelope set of every flight mode, and the
-    # loop-invariant parameters.  env and own_pos always belong to own;
-    # the post-move values of one tick are the pre-move values of the
-    # next.
+    # Per-run constants: the envelope set of every flight mode, the
+    # loop-invariant parameters, and the layers called every tick (bound
+    # here, so a patched module attribute is still the one called).
     env_by_mode = {
         mode: envelopes.envelopes_for(perf, mode, sc.envelope_params) for mode in FlightMode
     }
@@ -181,9 +183,22 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     max_sim_time = params.max_sim_time
     contact_distance = params.contact_distance
     cas_enabled = params.cas_enabled
-    env_mode = own.flight_mode
-    env = env_by_mode[env_mode]
-    own_pos = own.pos
+    cdr_params = sc.cdr_params
+    ownship_step = agents.ownship_step
+    intruder_state_at = agents.intruder_state_at
+    distance_3d = geo.distance_3d
+    classify = envelopes.classify
+    cdr_step = cdr.cdr_step
+
+    # The ownship, as plain values; env and own_pos always belong to
+    # them, and the post-move values of one tick are the pre-move values
+    # of the next.
+    east, north, _ = plan.waypoints[0]
+    up = track = ground_speed = vertical_speed = 0.0
+    mode = FlightMode.GROUND
+    idx = 0
+    own_pos = (east, north, up)
+    env = env_by_mode[mode]
 
     ticks: list[TickRecord] = []
     command_log: list[tuple[float, ManeuverCommand]] = []
@@ -197,68 +212,72 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             terminal = Terminal(TerminalKind.TIMED_OUT)
             break
 
-        # 1. Intruders advance.
-        present: list[tuple[agents.IntruderRecord, EnuPoint, agents.Vec3]] = []
+        # 1-2. Intruders advance and, with the system on, are sensed
+        # against the pre-move ownship.  Only the decision tree reads
+        # observations and history, so both are skipped with it off.
+        present: list[tuple[str, EnuPoint]] = []
+        observations: list[IntruderObservation] = []
         for rec in airborne_records:
-            st = agents.intruder_state_at(rec, t_next, own_pos, prev_pos[rec.id], dt)
+            rid = rec.id
+            st = intruder_state_at(rec, t_next, own_pos, prev_pos[rid], dt)
             if st is None:
-                prev_pos[rec.id] = None
-            else:
-                prev_pos[rec.id] = st[0]
-                present.append((rec, st[0], st[1]))
-
-        # 2-3. Sensing against the pre-move ownship, then the decision.
-        # Only the decision tree reads observations and history, so both
-        # are skipped with the system off.
-        if cas_enabled:
-            observations = []
-            sensed: dict[str, tuple[float, Zone]] = {}
-            for rec, pos, vel in present:
-                sep = geo.distance_3d(own_pos, pos)
-                zone = envelopes.classify(sep, env)
-                sensed[rec.id] = (sep, zone)
+                prev_pos[rid] = None
+                if cas_enabled:
+                    history[rid].append((t_next, None, None))
+                continue
+            pos, vel = st
+            prev_pos[rid] = pos
+            present.append((rid, pos))
+            if cas_enabled:
+                sep = distance_3d(own_pos, pos)
+                zone = classify(sep, env)
+                history[rid].append((t_next, sep, zone))
                 observations.append(
-                    cdr.IntruderObservation(rec.id, rec.kind, pos, vel, sep, zone)
-                )
-            for rec in airborne_records:
-                sep_zone = sensed.get(rec.id)
-                history[rec.id].append(
-                    (t_next, sep_zone[0], sep_zone[1]) if sep_zone else (t_next, None, None)
+                    tuple.__new__(IntruderObservation, (rid, rec.kind, pos, vel, sep, zone))
                 )
 
-            cdr_state, command = cdr.cdr_step(
-                cdr_state, t_next, own, observations, history,
-                vertiports_enu, perf, sc.cdr_params,
+        # 3. The decision, on the pre-move position and track.
+        if cas_enabled:
+            cdr_state, command = cdr_step(
+                cdr_state, t_next, own_pos, track, observations, history,
+                vertiports_enu, perf, cdr_params,
             )
             if command is not None:
                 command_log.append((t_next, command))
                 active_label = command.label()
+                own = OwnshipState(
+                    t, EnuPoint(east, north, up), track, ground_speed, vertical_speed, mode, idx
+                )
                 guidance, own = agents.resolve_command(
                     own, perf, guidance, command, vertiports_enu
                 )
+                idx = own.next_waypoint_index
 
         # 4. Ownship advances.
-        own = agents.ownship_step(own, perf, guidance, dt)
-        own_pos = own.pos
-        mode = own.flight_mode
-        if mode is not env_mode:
-            env_mode = mode
+        east, north, up, track, ground_speed, vertical_speed, new_mode, idx = ownship_step(
+            east, north, up, track, ground_speed, mode, idx, perf, guidance, dt
+        )
+        own_pos = (east, north, up)
+        if new_mode is not mode:
+            mode = new_mode
             env = env_by_mode[mode]
 
         # 5. Record the post-move snapshot.
         intruder_ticks = []
         contact = False
-        for rec, pos, vel in present:
-            sep = geo.distance_3d(own_pos, pos)
+        for rid, pos in present:
+            sep = distance_3d(own_pos, pos)
+            p_e, p_n, p_u = pos
             intruder_ticks.append(
-                IntruderTick(rec.id, pos.east, pos.north, pos.up, sep, envelopes.classify(sep, env))
+                tuple.__new__(IntruderTick, (rid, p_e, p_n, p_u, sep, classify(sep, env)))
             )
             if sep <= contact_distance:
                 contact = True
         ticks.append(
-            TickRecord(
-                t_next, own_pos.east, own_pos.north, own_pos.up, own.track,
-                mode, cdr_state.phase, tuple(intruder_ticks), active_label,
+            tuple.__new__(
+                TickRecord,
+                (t_next, east, north, up, track, mode, cdr_state.phase,
+                 tuple(intruder_ticks), active_label),
             )
         )
 

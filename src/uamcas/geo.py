@@ -64,13 +64,20 @@ class EnuPoint(_EnuFields):
 
     def __new__(cls, east: float, north: float, up: float = 0.0) -> "EnuPoint":
         if not (math.isfinite(east) and math.isfinite(north) and math.isfinite(up)):
-            bad = next(v for v in (east, north, up) if not math.isfinite(v))
-            raise ValueError(f"non-finite ENU component: {bad}")
+            raise non_finite_error(east, north, up)
         return tuple.__new__(cls, (east, north, up))
 
     @classmethod
     def _make(cls, iterable) -> "EnuPoint":
         return cls(*iterable)
+
+
+def non_finite_error(east: float, north: float, up: float) -> ValueError:
+    """The error for a position with a non-finite component, shared by
+    EnuPoint and the ownship kernel, which carries its position as
+    floats."""
+    bad = next(v for v in (east, north, up) if not math.isfinite(v))
+    return ValueError(f"non-finite ENU component: {bad}")
 
 
 @dataclass(frozen=True)
@@ -116,20 +123,29 @@ def from_enu(origin: GeoPoint, p: EnuPoint) -> GeoPoint:
     return GeoPoint(lat, lon, p.up + origin.alt)
 
 
+# The three distance helpers unpack their points by position, so they
+# take an EnuPoint or a plain (east, north, up) tuple alike: the engine
+# carries the ownship's position as floats.
+
+
 def horizontal_distance(a: EnuPoint, b: EnuPoint) -> float:
-    return math.hypot(b.east - a.east, b.north - a.north)
+    a_e, a_n, _ = a
+    b_e, b_n, _ = b
+    return math.hypot(b_e - a_e, b_n - a_n)
 
 
 def distance_3d(a: EnuPoint, b: EnuPoint) -> float:
-    return math.sqrt(
-        (b.east - a.east) ** 2 + (b.north - a.north) ** 2 + (b.up - a.up) ** 2
-    )
+    a_e, a_n, a_u = a
+    b_e, b_n, b_u = b
+    return math.sqrt((b_e - a_e) ** 2 + (b_n - a_n) ** 2 + (b_u - a_u) ** 2)
 
 
 def bearing(a: EnuPoint, b: EnuPoint) -> float:
     """Compass bearing from a to b in degrees: 0 north, 90 east, [0, 360)."""
-    de = b.east - a.east
-    dn = b.north - a.north
+    a_e, a_n, _ = a
+    b_e, b_n, _ = b
+    de = b_e - a_e
+    dn = b_n - a_n
     if de == 0.0 and dn == 0.0:
         raise BearingUndefinedError("bearing between coincident points")
     return math.degrees(math.atan2(de, dn)) % 360.0

@@ -146,7 +146,7 @@ def test_criterion_04_right_of_way_tables():
         cmd = cdr.tactical_maneuver(DEFAULT_PERFORMANCE[config], kind, direction, rel)
         assert cmd.issued_by is IssuedBy.AUTOMATED, (config, kind, direction, rel)
     for direction, kind in itertools.product(ApproachDirection, IntruderKind):
-        cmd = cdr.emergency_maneuver(direction, kind, own, vports)
+        cmd = cdr.emergency_maneuver(direction, kind, own.pos, vports)
         assert cmd.issued_by is IssuedBy.PILOT, (direction, kind)
 
     # Tactical cells, with the intruder approaching (ahead).
@@ -174,18 +174,18 @@ def test_criterion_04_right_of_way_tables():
     assert cell.target_alt == DESCEND_ALT_M
 
     # Emergency cells.  Nearest vertiport to the ownship above is V3.
-    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, drone, own, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, drone, own.pos, vports)
     assert cell.action is Action.TURN_BY
     assert (cell.turn_deg, cell.direction) == (45.0, TurnDirection.LEFT)
-    cell = cdr.emergency_maneuver(ApproachDirection.LEFT, drone, own, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.LEFT, drone, own.pos, vports)
     assert (cell.action, cell.target_vertiport) == (Action.REROUTE_TO, "V3")
     assert cell.direction is TurnDirection.RIGHT
-    cell = cdr.emergency_maneuver(ApproachDirection.HEAD_ON, drone, own, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.HEAD_ON, drone, own.pos, vports)
     assert (cell.action, cell.target_vertiport) == (Action.REROUTE_TO, "V3")
     assert cell.direction is None
-    cell = cdr.emergency_maneuver(ApproachDirection.SAME_DIRECTION, drone, own, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.SAME_DIRECTION, drone, own.pos, vports)
     assert cell.action is Action.LATERAL_OFFSET
-    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, bird, own, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, bird, own.pos, vports)
     assert (cell.action, cell.target_vertiport) == (Action.REROUTE_TO, "V3")
     assert cell.direction is TurnDirection.RIGHT
     assert cdr.diversion_target(own.pos, vports) == "V3"

@@ -51,6 +51,16 @@ def plan(*wpts, dest="V2"):
     return NavPlan(tuple(EnuPoint(*w) for w in wpts), dest)
 
 
+def step(state, perf, guidance, dt):
+    """One ownship_step on an OwnshipState, returning the next one."""
+    t, (east, north, up), track, ground_speed, _, mode, idx = state
+    out = ownship_step(east, north, up, track, ground_speed, mode, idx, perf, guidance, dt)
+    east, north, up, track, ground_speed, vertical_speed, mode, idx = out
+    return OwnshipState(
+        t + dt, EnuPoint(east, north, up), track, ground_speed, vertical_speed, mode, idx
+    )
+
+
 def cruise_state(pos, track, perf=VT, idx=0):
     return OwnshipState(
         t=0.0,
@@ -196,7 +206,7 @@ class TestClimbOut:
         dt = 0.1
         state = st0
         while state.flight_mode is not FlightMode.CRUISE:
-            state = ownship_step(state, VT, g, dt)
+            state = step(state, VT, g, dt)
             assert state.t < 200.0, "climb never finished"
         expect = VT.cruise_alt / VT.climb_rate
         assert expect <= state.t <= expect + 2 * dt
@@ -208,7 +218,7 @@ class TestClimbOut:
             0.0, EnuPoint(0, 0, 304.75), 0.0, 0.0, VT.climb_rate,
             FlightMode.VERTICAL_CLIMB, 0,
         )
-        state = ownship_step(st0, VT, follow_plan(p), 0.1)
+        state = step(st0, VT, follow_plan(p), 0.1)
         assert state.flight_mode is FlightMode.CRUISE
         assert state.next_waypoint_index == 1  # pad is inside the capture ring
         assert state.track == pytest.approx(90.0)
@@ -219,7 +229,7 @@ class TestCruise:
     def test_straight_leg_advances_at_cruise_speed(self):
         p = plan((10000, 0, 304.8))
         st0 = cruise_state((0, 0, 304.8), 90.0)
-        st1 = ownship_step(st0, VT, follow_plan(p), 0.5)
+        st1 = step(st0, VT, follow_plan(p), 0.5)
         assert st1.pos.east == pytest.approx(39.0)
         assert st1.pos.north == pytest.approx(0.0)
         assert st1.track == 90.0
@@ -227,14 +237,14 @@ class TestCruise:
     def test_waypoint_capture_switches_target(self):
         p = plan((10000, 0, 304.8), (10000, 8000, 304.8))
         st0 = cruise_state((9960, 0, 304.8), 90.0)  # 40 m out: captured
-        st1 = ownship_step(st0, VT, follow_plan(p), 0.1)
+        st1 = step(st0, VT, follow_plan(p), 0.1)
         assert st1.next_waypoint_index == 1
         assert st1.track == pytest.approx(90.0 - VT.turn_rate * 0.1)
 
     def test_destination_capture_starts_descent(self):
         p = plan((10000, 0, 304.8))
         st0 = cruise_state((9970, 0, 304.8), 90.0)
-        st1 = ownship_step(st0, VT, follow_plan(p), 0.1)
+        st1 = step(st0, VT, follow_plan(p), 0.1)
         assert st1.flight_mode is FlightMode.VERTICAL_DESCENT
         assert st1.ground_speed == 0.0
         assert st1.pos.up == pytest.approx(304.8 - 1.7 * 0.1)
@@ -245,7 +255,7 @@ class TestCruise:
             0.0, EnuPoint(0, 0, 0.1), 90.0, 0.0, -1.7,
             FlightMode.VERTICAL_DESCENT, 1,
         )
-        st1 = ownship_step(st0, VT, follow_plan(p), 0.1)
+        st1 = step(st0, VT, follow_plan(p), 0.1)
         assert st1.flight_mode is FlightMode.GROUND
         assert st1.pos.up == 0.0
 
@@ -257,7 +267,7 @@ class TestCruise:
         dt = 0.1
         n = 0
         while st.track != 0.0:
-            st = ownship_step(st, VT, g, dt)
+            st = step(st, VT, g, dt)
             n += 1
             assert n < 200
         assert n * dt == pytest.approx(9.0, abs=2 * dt)
@@ -266,7 +276,7 @@ class TestCruise:
         # recovering altitude after a commanded descent trades forward speed
         p = plan((100000, 0, 304.8))
         st0 = cruise_state((0, 0, 150.0), 90.0)
-        st1 = ownship_step(st0, VT, follow_plan(p), 1.0)
+        st1 = step(st0, VT, follow_plan(p), 1.0)
         assert st1.vertical_speed == pytest.approx(VT.climb_rate)
         total = math.hypot(st1.ground_speed, st1.vertical_speed)
         assert total == pytest.approx(VT.cruise_speed)
@@ -279,7 +289,7 @@ class TestHoverDirectives:
     def test_hover_freezes_position(self):
         st0 = cruise_state((500, 0, 304.8), 90.0)
         g = Guidance(GuidanceKind.HOVER, self.P)
-        st1 = ownship_step(st0, VT, g, 0.5)
+        st1 = step(st0, VT, g, 0.5)
         assert st1.flight_mode is FlightMode.HOVER
         assert (st1.pos.east, st1.pos.north, st1.pos.up) == (500, 0, 304.8)
         assert st1.ground_speed == 0.0
@@ -288,7 +298,7 @@ class TestHoverDirectives:
         g = Guidance(GuidanceKind.HOVER_DESCEND, self.P, target_alt=300.0)
         st = cruise_state((500, 0, 304.8), 90.0)
         for _ in range(40):
-            st = ownship_step(st, VT, g, 0.1)
+            st = step(st, VT, g, 0.1)
         assert st.pos.up == pytest.approx(300.0)
         assert st.flight_mode is FlightMode.HOVER
         assert st.pos.east == 500.0
@@ -300,18 +310,18 @@ class TestHoverDirectives:
             target_track=350.0, slew=TurnDirection.RIGHT,
         )
         st = cruise_state((0, 0, 304.8), 10.0)
-        st = ownship_step(st, VT, g, 1.0)
+        st = step(st, VT, g, 1.0)
         assert st.track == pytest.approx(20.0)  # moved away: long way round
         for _ in range(40):
-            st = ownship_step(st, VT, g, 1.0)
+            st = step(st, VT, g, 1.0)
         assert st.track == pytest.approx(350.0)
 
     def test_unforced_turn_takes_short_way(self):
         g = Guidance(GuidanceKind.HOLD_TRACK, self.P, target_track=350.0)
         st = cruise_state((0, 0, 304.8), 10.0)
-        st = ownship_step(st, VT, g, 1.0)
+        st = step(st, VT, g, 1.0)
         assert st.track == pytest.approx(0.0)
-        st = ownship_step(st, VT, g, 1.0)
+        st = step(st, VT, g, 1.0)
         assert st.track == pytest.approx(350.0)
 
 
@@ -326,7 +336,7 @@ class TestSpeedInvariant:
     def test_cruise_speed_never_exceeded(self, east, north, up, track, dt):
         p = plan((20000, 20000, 304.8))
         st0 = cruise_state((east, north, up), track)
-        st1 = ownship_step(st0, VT, follow_plan(p), dt)
+        st1 = step(st0, VT, follow_plan(p), dt)
         moved = math.sqrt(
             (st1.pos.east - east) ** 2
             + (st1.pos.north - north) ** 2

@@ -3,8 +3,10 @@ classes, the right-of-way tables cell by cell, de-escalation, and a full
 walk of the airborne phase machine."""
 
 import itertools
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uamcas.agents import (
     DEFAULT_PERFORMANCE,
@@ -65,7 +67,7 @@ class TestApproachDirection:
         vx = 10.0 * math.sin(math.radians(intr_track_deg))
         vy = 10.0 * math.cos(math.radians(intr_track_deg))
         pos = EnuPoint(bearing_east, 1000.0, 304.8)
-        return approach_direction(self.OWN, pos, (vx, vy, 0.0))
+        return approach_direction(self.OWN.pos, self.OWN.track, pos, (vx, vy, 0.0))
 
     def test_reciprocal_track_is_head_on(self):
         assert self.case(180.0, 0.0) is ApproachDirection.HEAD_ON
@@ -88,22 +90,22 @@ class TestApproachDirection:
     def test_stationary_intruder_classified_by_half_plane(self):
         own = self.OWN
         still = (0.0, 0.0, 0.0)
-        assert approach_direction(own, EnuPoint(10, 1000, 304.8), still) is ApproachDirection.RIGHT
-        assert approach_direction(own, EnuPoint(-10, 1000, 304.8), still) is ApproachDirection.LEFT
+        assert approach_direction(own.pos, own.track, EnuPoint(10, 1000, 304.8), still) is ApproachDirection.RIGHT
+        assert approach_direction(own.pos, own.track, EnuPoint(-10, 1000, 304.8), still) is ApproachDirection.LEFT
         # dead ahead counts as right (never head-on without a track)
-        assert approach_direction(own, EnuPoint(0, 1000, 304.8), still) is ApproachDirection.RIGHT
+        assert approach_direction(own.pos, own.track, EnuPoint(0, 1000, 304.8), still) is ApproachDirection.RIGHT
 
 
 class TestRelativePosition:
     def test_quadrants(self):
         own = own_state(track=90.0)  # flying east
-        assert relative_position(own, EnuPoint(100, 50, 304.8)) is AHEAD
-        assert relative_position(own, EnuPoint(100, -50, 304.8)) is AHEAD
-        assert relative_position(own, EnuPoint(-100, 10, 304.8)) is BEHIND
+        assert relative_position(own.pos, own.track, EnuPoint(100, 50, 304.8)) is AHEAD
+        assert relative_position(own.pos, own.track, EnuPoint(100, -50, 304.8)) is AHEAD
+        assert relative_position(own.pos, own.track, EnuPoint(-100, 10, 304.8)) is BEHIND
 
     def test_abeam_counts_as_ahead(self):
         own = own_state(track=0.0)
-        assert relative_position(own, EnuPoint(500, 0, 304.8)) is AHEAD
+        assert relative_position(own.pos, own.track, EnuPoint(500, 0, 304.8)) is AHEAD
 
 
 class TestTacticalTable:
@@ -172,7 +174,7 @@ class TestEmergencyTable:
     OWN = own_state(pos=(10000, 0, 304.8), track=90.0)  # V3 nearest
 
     def cmd(self, direction, kind=DRONE):
-        return emergency_maneuver(direction, kind, self.OWN, self.PORTS, issued_at=9.0)
+        return emergency_maneuver(direction, kind, self.OWN.pos, self.PORTS, issued_at=9.0)
 
     def test_right_turns_away_left(self):
         c = self.cmd(ApproachDirection.RIGHT)
@@ -254,11 +256,108 @@ class TestDeEscalation:
         hist = [(float(t), 500.0 + 40 * t, Zone.WARNING) for t in range(0, 11)]
         assert not de_escalated(hist, 10.0, self.HOLD)
 
+    def test_gap_at_window_start_does_not_resolve(self):
+        hist = [(float(t), 1100.0 + 40 * t, Zone.CAUTION) for t in range(0, 11)]
+        hist[5] = (5.0, None, None)  # exactly at now - hold
+        assert not de_escalated(hist, 10.0, self.HOLD)
+        assert de_escalated(hist[6:], 10.0, 4.0)
+
     def test_dip_inside_window_does_not_resolve(self):
         seps = [1100, 1140, 1120, 1180, 1220, 1260]
         hist = [(float(5 + i), float(s), Zone.CAUTION) for i, s in enumerate(seps)]
         hist.insert(0, (0.0, 1000.0, Zone.CAUTION))
         assert not de_escalated(hist, 10.0, self.HOLD)
+
+
+def reference_de_escalated(history, now, hold_duration):
+    """The list-building de-escalation test the one-pass de_escalated
+    replaced, kept as its reference."""
+    if not history:
+        return False
+    window = [h for h in history if h[0] >= now - hold_duration]
+    if not window or history[0][0] > now - hold_duration:
+        return False  # not enough history yet
+    seps = [s for _, s, _ in window]
+    if all(s is None for s in seps):
+        return True
+    if any(s is None for s in seps):
+        return False
+    last_zone = window[-1][2]
+    if last_zone is None or last_zone >= Zone.WARNING:
+        return False
+    return all(a < b for a, b in zip(seps, seps[1:]))
+
+
+# Weighted toward the zones that let an opening range resolve.
+ZONES = st.sampled_from([Zone.CLEAR, Zone.CLEAR, Zone.CAUTION, Zone.CAUTION, None, Zone.WARNING, Zone.COLLISION])
+FLAWS = st.sampled_from([None, "gap", "present", "plateau", "plateau", "dip", "dip"])
+
+
+NOW = 10.0
+
+
+@st.composite
+def histories(draw):
+    """A hold time and a time-ordered (t, sep, zone) history ending at
+    or before NOW, on a 0.5 s grid so an entry can fall exactly on
+    NOW - hold.  Shaped to reach every branch: it may start after the
+    window opens or end before it, one instant may repeat, and the
+    separations are absent throughout or opening, each with at most one
+    flaw among the newest entries (a gap, a presence, a plateau or a
+    dip), or drawn from a few repeated values."""
+    hold = draw(st.sampled_from([2.5, 5.0]))
+    first = draw(st.one_of(st.integers(0, 10), st.integers(0, 20)))
+    last = draw(st.one_of(st.just(20), st.just(20), st.integers(first, 20)))
+    ticks = list(range(first, last + 1))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(ticks) - 1))
+        ticks.insert(i, ticks[i])
+    n = len(ticks)
+    shape = draw(st.sampled_from(["absent", "opening", "random"]))
+    if shape == "absent":
+        seps = [None] * n
+    elif shape == "opening":
+        seps, sep = [], draw(st.floats(0.0, 2000.0))
+        for _ in range(n):
+            sep += draw(st.sampled_from([1.0, 40.0, 75.5]))
+            seps.append(sep)
+    else:
+        seps = draw(st.lists(st.sampled_from([None, 100.0, 200.0, 300.0]), min_size=n, max_size=n))
+    flaw = draw(FLAWS) if shape != "random" else None
+    if flaw is not None:
+        i = draw(st.integers(max(0, n - 12), n - 1))
+        if flaw == "gap":
+            seps[i] = None
+        elif flaw == "present":
+            seps[i] = 500.0
+        elif i > 0 and seps[i - 1] is not None:
+            seps[i] = seps[i - 1] - (0.0 if flaw == "plateau" else 10.0)
+    zones = [draw(ZONES) if sep is not None else None for sep in seps]
+    history = [(k * 0.5, sep, zone) for k, sep, zone in zip(ticks, seps, zones)]
+    return history, hold
+
+
+class TestDeEscalationMatchesReference:
+    @settings(max_examples=400)
+    @given(case=histories(), empty=st.booleans())
+    def test_random_histories(self, case, empty):
+        history, hold = case
+        if empty:
+            history = []
+        expected = reference_de_escalated(history, NOW, hold)
+        assert de_escalated(history, NOW, hold) == expected
+        assert de_escalated(deque(history), NOW, hold) == expected
+
+    def test_strategy_reaches_both_answers(self):
+        answers = set()
+
+        @settings(max_examples=200)
+        @given(case=histories())
+        def collect(case):
+            answers.add(reference_de_escalated(case[0], NOW, case[1]))
+
+        collect()
+        assert answers == {True, False}
 
 
 # ---------------------------------------------------------------- ground
@@ -373,8 +472,9 @@ def obs(sep, zone, pos=(400, 300, 304.8), vel=(-10.0, 0.0, 0.0), name="X", kind=
 
 
 def step(state, t, observations, history=None, own=None, params=CdrParams()):
+    own = own or own_state(track=0.0)
     return cdr_step(
-        state, t, own or own_state(track=0.0), observations,
+        state, t, own.pos, own.track, observations,
         history or {}, PORTS, VT, params,
     )
 

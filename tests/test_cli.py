@@ -127,6 +127,16 @@ class TestRun:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt", ["inf", "-inf", "nan"])
+    def test_non_finite_dt_is_an_error(self, scn_dir, tmp_path, capsys, dt):
+        out = tmp_path / "out"
+        rc = main(["run", scn(scn_dir, "ref-route1"), f"--dt={dt}", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: dt must be finite\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_config_overlay(self, scn_dir, tmp_path, capsys):
         cfg = tmp_path / "tight.cfg"
         cfg.write_text("SET SIM.MAX_SIM_TIME 100\n")
@@ -232,6 +242,17 @@ class TestBatch:
             if ln.startswith("ground-postponed,")
         )
         assert row == "ground-postponed,,,,inf,,"
+
+    @pytest.mark.parametrize("dt", ["inf", "nan"])
+    def test_non_finite_dt_is_an_error(self, mini_pack_dir, tmp_path, capsys, dt):
+        out = tmp_path / "out"
+        rc = main(["batch", "--pack", str(mini_pack_dir), "--dt", dt, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: dt must be finite\n"
+        assert captured.out == ""
+        assert not (out / "summary.csv").exists()
+        assert list((out / "traces").iterdir()) == []
 
     def test_env_var_selects_pack(self, mini_pack_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("UAMCAS_PACK_DIR", str(mini_pack_dir))

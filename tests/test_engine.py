@@ -211,6 +211,42 @@ class TestTrace:
         ) is None
 
 
+class TestOwnshipObjects:
+    """The engine carries the ownship as plain values and builds an
+    OwnshipState only for resolve_command, once per issued command."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        make = engine.OwnshipState
+
+        def counting(*args, **kwargs):
+            state = make(*args, **kwargs)
+            built.append(state)
+            return state
+
+        monkeypatch.setattr(engine, "OwnshipState", counting)
+        return built
+
+    def test_clean_sky_builds_none(self, built):
+        res = run("ref-route1")
+        assert res.terminal.kind is TerminalKind.LANDED_AT
+        assert built == []
+
+    def test_one_per_issued_command(self, built):
+        res = run("sc-11")
+        assert len(res.command_log) >= 2
+        assert len(built) == len(res.command_log)
+
+
+class TestSimParams:
+    @pytest.mark.parametrize("field", ["dt", "max_sim_time", "contact_distance"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            engine.SimParams(**{field: value})
+
+
 class TestPerRunEnvelopes:
     """The engine resolves each flight mode's envelope set once per run;
     every zone it senses or records must still be the one envelopes_for
@@ -220,9 +256,9 @@ class TestPerRunEnvelopes:
         sensed = []
         step = cdr.cdr_step
 
-        def spy(state, t, own, observations, *rest):
-            sensed.extend((own, obs) for obs in observations)
-            return step(state, t, own, observations, *rest)
+        def spy(state, t, own_pos, own_track, observations, *rest):
+            sensed.extend((t, own_pos, obs) for obs in observations)
+            return step(state, t, own_pos, own_track, observations, *rest)
 
         monkeypatch.setattr(cdr, "cdr_step", spy)
         recorded = observed = 0
@@ -238,9 +274,19 @@ class TestPerRunEnvelopes:
                 for it in rec.intruders:
                     assert it.zone is envelopes.classify(it.separation, env(rec.flight_mode)), (sid, rec.t)
                     recorded += 1
-            for own, obs in sensed:
-                assert obs.separation == geo.distance_3d(own.pos, obs.pos)
-                assert obs.zone is envelopes.classify(obs.separation, env(own.flight_mode)), sid
+            # Sensing sees the ownship before the tick's move: the
+            # previous tick's recorded position and flight mode.
+            index = {rec.t: i for i, rec in enumerate(result.ticks)}
+            for t, own_pos, obs in sensed:
+                i = index[t]
+                if i == 0:
+                    mode = FlightMode.GROUND  # still on the pad
+                else:
+                    prev = result.ticks[i - 1]
+                    assert own_pos == (prev.own_east, prev.own_north, prev.own_up)
+                    mode = prev.flight_mode
+                assert obs.separation == geo.distance_3d(own_pos, obs.pos)
+                assert obs.zone is envelopes.classify(obs.separation, env(mode)), sid
             observed += len(sensed)
         assert recorded > 0 and observed > 0
 

@@ -1,14 +1,24 @@
 """The per-tick records are NamedTuples: immutable, and the two that
 carry rules (EnuPoint, OwnshipState) check them on every construction,
 including the _replace and _make paths that would otherwise bypass
-__new__."""
+__new__.  The ownship kernel, which takes the state as plain values,
+keeps the same rules."""
 
 import dataclasses
 import math
 
 import pytest
 
-from uamcas.agents import FlightMode, IntruderKind, OwnshipState
+from uamcas.agents import (
+    DEFAULT_PERFORMANCE,
+    FlightMode,
+    IntruderKind,
+    NavPlan,
+    OwnshipConfig,
+    OwnshipState,
+    follow_plan,
+    ownship_step,
+)
 from uamcas.cdr import CdrPhase, IntruderObservation
 from uamcas.engine import IntruderTick, TickRecord
 from uamcas.envelopes import Zone
@@ -84,3 +94,30 @@ class TestOwnshipStateChecks:
             base._replace(**changes)
         with pytest.raises(ValueError, match=message):
             OwnshipState._make(fields.values())
+        with pytest.raises(ValueError, match=message):
+            step(fields)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_position(self, axis, value):
+        pos = list(POINT)
+        pos[axis] = value
+        fields = dict(CRUISING._asdict(), pos=tuple(pos))
+        with pytest.raises(ValueError, match="non-finite ENU component"):
+            OwnshipState(**fields)
+        with pytest.raises(ValueError, match="non-finite ENU component"):
+            step(fields)
+
+    def test_valid_states_step(self):
+        for base in (CRUISING, ON_PAD):
+            assert len(step(base._asdict())) == 8
+
+
+def step(fields):
+    """ownship_step on the values of an OwnshipState's fields."""
+    east, north, up = fields["pos"]
+    return ownship_step(
+        east, north, up, fields["track"], fields["ground_speed"], fields["flight_mode"],
+        fields["next_waypoint_index"], DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST],
+        follow_plan(NavPlan((EnuPoint(5000.0, 0.0, 0.0),), "V2")), 0.1,
+    )
