@@ -79,19 +79,25 @@ DEFAULT_PERFORMANCE: Mapping[OwnshipConfig, PerformanceModel] = {
 }
 
 
+# Bound once for check_ownship, which runs on every ownship step.
+_isfinite = math.isfinite
+_HOVER = FlightMode.HOVER
+_GROUND = FlightMode.GROUND
+
+
 def check_ownship(
     east: float, north: float, up: float, ground_speed: float, flight_mode: FlightMode
 ) -> None:
     """The rules every ownship state keeps, whether an OwnshipState or
     the plain values ownship_step takes: a finite position, and speeds
     and altitude that fit the flight mode."""
-    if not (math.isfinite(east) and math.isfinite(north) and math.isfinite(up)):
+    if not (_isfinite(east) and _isfinite(north) and _isfinite(up)):
         raise non_finite_error(east, north, up)
     if ground_speed < 0.0:
         raise ValueError("ground_speed must be non-negative")
-    if flight_mode is FlightMode.HOVER and ground_speed != 0.0:
+    if flight_mode is _HOVER and ground_speed != 0.0:
         raise ValueError("hover requires zero ground speed")
-    if flight_mode is FlightMode.GROUND and up != 0.0:
+    if flight_mode is _GROUND and up != 0.0:
         raise ValueError("ground mode requires zero altitude")
 
 
@@ -440,6 +446,9 @@ class ScriptedBehavior:
     linger_duration: float = 0.0
     offset: float = 0.0
     duration: float | None = None
+    # (east, north) unit vector along track, derived from track for
+    # PASS_BY playback.
+    unit: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.speed <= 0.0:
@@ -448,6 +457,7 @@ class ScriptedBehavior:
             raise ValueError("linger duration must be non-negative")
         if self.duration is not None and self.duration <= 0.0:
             raise ValueError("script duration must be positive")
+        object.__setattr__(self, "unit", track_unit(self.track))
 
 
 @dataclass(frozen=True)
@@ -497,7 +507,7 @@ def intruder_state_at(
     if script.mode is ScriptMode.PASS_BY:
         if script.duration is not None and rel > script.duration:
             return None
-        ue, un = track_unit(script.track)
+        ue, un = script.unit
         east, north, up = script.anchor
         pos = EnuPoint(east + script.speed * rel * ue, north + script.speed * rel * un, up)
         return pos, (script.speed * ue, script.speed * un, 0.0)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .agents import (
@@ -335,6 +336,10 @@ class IntruderObservation(NamedTuple):
     zone: Zone
 
 
+# cdr_step's key for the governing (nearest) observation.
+_SEPARATION = attrgetter("separation")
+
+
 @dataclass(frozen=True)
 class CdrState:
     phase: CdrPhase = CdrPhase.MONITORING
@@ -369,7 +374,7 @@ def cdr_step(
     if state.phase is CdrPhase.COLLIDED:
         return state, None
 
-    governing = min(observations, key=lambda o: o.separation) if observations else None
+    governing = min(observations, key=_SEPARATION) if observations else None
     zone = governing.zone if governing is not None else Zone.CLEAR
 
     if governing is not None and zone is Zone.COLLISION:

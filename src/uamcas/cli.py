@@ -98,17 +98,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
+    # Both runs finish before anything is written, so a run that fails
+    # leaves no partial output.
     try:
         result, report = simulate(sc, args.dt)
-    except ValueError as exc:
+        off, off_report = (
+            simulate(sc, args.dt, cas_enabled=False) if args.compare else (None, None)
+        )
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_trace(result, out / f"{sc.id}_trace.csv")
-    off_report = None
-    if args.compare:
-        off, off_report = simulate(sc, args.dt, cas_enabled=False)
+    if off is not None:
         _write_trace(off, out / f"{sc.id}_trace_nocas.csv")
     scenario_io.write_run_report(sc.id, report, off_report, out, args.format)
 
@@ -157,7 +160,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     try:
         pack = _resolve_pack(args.pack)
         table = run_batch(pack, args.out, dt=args.dt, fmt=args.format, config=args.config)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ScenarioError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     for line in scenario_io.batch_csv_lines(table):

@@ -28,6 +28,15 @@ built through their constructors.  Reading a NamedTuple field by name
 costs more than reading a slot, so the per-tick readers that take most
 of a record's fields (trace_csv_lines, metrics.cpa, the geo distance
 helpers) unpack it by position instead.
+
+Float formatting dominates trace rendering, and a tick often repeats
+the previous one's ownship values (east and north change on about half
+the pack's rows, track on a sixth), so trace_csv_lines keeps the text of
+the east/north pair, of up and of the track/phase group and formats one
+again only when its value changes.  Equal floats print alike with one
+exception: 0.0 == -0.0, yet they print as 0.000 and -0.000.  A text is
+therefore reused only for the same float object or an equal nonzero
+value, and a repeated zero that is a new object is formatted again.
 """
 
 from __future__ import annotations
@@ -65,6 +74,8 @@ class SimParams:
             raise ValueError("dt must be positive")
         if self.max_sim_time <= 0.0:
             raise ValueError("max_sim_time must be positive")
+        if self.max_sim_time + self.dt == self.max_sim_time:
+            raise ValueError("dt is too small to advance the clock at max_sim_time")
         if self.contact_distance < 0.0:
             raise ValueError("contact_distance must be non-negative")
 
@@ -83,6 +94,11 @@ class Terminal:
 
 
 class IntruderTick(NamedTuple):
+    """One present intruder in a tick's post-move snapshot.  separation
+    is geo.distance_3d(ownship, intruder) of exactly the recorded
+    positions, so it equals that distance bit for bit; metrics.cpa takes
+    its sampled distances from it."""
+
     intruder_id: str
     east: float
     north: float
@@ -306,19 +322,34 @@ _ZONE_TEXT = {zone: zone.name for zone in Zone}
 
 def trace_csv_lines(result: RunResult) -> list[str]:
     """Render a run as the plot-ready trace table, one row per tick with
-    the governing (nearest) intruder's columns."""
+    the governing (nearest; the first listed on a tie) intruder's
+    columns."""
     lines = [TRACE_HEADER]
-    last_phase = phase_text = None
+    # Text of the last east/north pair, up, and track/phase group.  A
+    # value's text is reused while it is the previous row's object, or
+    # equal to it and nonzero: 0.0 == -0.0, but they print differently.
+    last_e = last_n = last_up = last_track = last_phase = None
+    en = u = tp = ""
     for t, east, north, up, track, _, phase, intruders, command in result.ticks:
-        if phase is not last_phase:
-            last_phase, phase_text = phase, phase.value
-        if intruders:
-            iid, _, _, _, sep, zone = min(intruders, key=_SEPARATION)
-            intr = f"{iid},{sep:.3f},{_ZONE_TEXT[zone]}"
-        else:
-            intr = ",,"
+        if not (
+            (east is last_e or east == last_e and east)
+            and (north is last_n or north == last_n and north)
+        ):
+            en = "%.3f,%.3f" % (east, north)
+            last_e, last_n = east, north
+        if not (up is last_up or up == last_up and up):
+            u = "%.3f" % up
+            last_up = up
+        if phase is not last_phase or not (track is last_track or track == last_track and track):
+            tp = "%.3f,%s" % (track, phase.value)
+            last_track, last_phase = track, phase
+        if not intruders:
+            lines.append("%.3f,%s,%s,%s,,,,%s" % (t, en, u, tp, command))
+            continue
+        iid, _, _, _, sep, zone = (
+            intruders[0] if len(intruders) == 1 else min(intruders, key=_SEPARATION)
+        )
         lines.append(
-            f"{t:.3f},{east:.3f},{north:.3f},{up:.3f},"
-            f"{track:.3f},{phase_text},{intr},{command}"
+            "%.3f,%s,%s,%s,%s,%.3f,%s,%s" % (t, en, u, tp, iid, sep, _ZONE_TEXT[zone], command)
         )
     return lines

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 from .agents import PerformanceModel
 from .engine import RunResult, Terminal, TerminalKind
-from .geo import Route, cpa_linear, polyline_length
+from .geo import Route, polyline_length
 
 
 class PairingError(ValueError):
@@ -30,36 +30,47 @@ def cpa(result: RunResult) -> dict[str, float]:
     """Minimum 3-D separation over the encounter, per intruder, in the
     order intruders first appear.
 
+    Each sampled distance is the tick's recorded separation, which the
+    engine computes as geo.distance_3d of the same recorded positions.
     Within each tick both agents move linearly, so the continuous
     minimum on a tick interval is the closed-form CPA of the relative
-    motion; each result can only be at or below every sampled
-    separation.  One sweep over the ticks keeps every present
-    intruder's relative position for the next tick; an intruder absent
-    at a tick starts afresh, so no interval bridges an absence.
+    motion (geo.cpa_linear, inlined with the same operations in the
+    same order); each result can only be at or below every sampled
+    separation.  One sweep over the ticks keeps, per intruder, the index
+    of its last tick, its relative position there and its minimum so
+    far; an intruder absent at the tick before starts afresh, so no
+    interval bridges an absence.
     """
-    best: dict[str, float] = {}
-    prev: dict[str, tuple[float, tuple[float, float, float]]] = {}
-    for t, own_e, own_n, own_u, _, _, _, intruders, _ in result.ticks:
-        present = {}
-        for iid, east, north, up, _, _ in intruders:
+    sqrt = math.sqrt
+    inf = math.inf
+    last_seen: dict[str, tuple[int, float, float, float, float, float]] = {}
+    for k, (t, own_e, own_n, own_u, _, _, _, intruders, _) in enumerate(result.ticks):
+        for iid, east, north, up, sep, _ in intruders:
             dx, dy, dz = east - own_e, north - own_n, up - own_u
-            d = math.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
-            low = best.get(iid, math.inf)
-            if d < low:
-                low = d
-            last = prev.get(iid)
-            if last is not None:
-                t0, rel0 = last
-                span = t - t0
-                px, py, pz = rel0
-                rel_vel = ((dx - px) / span, (dy - py) / span, (dz - pz) / span)
-                _, d = cpa_linear(rel0, rel_vel, span)
-                if d < low:
-                    low = d
-            best[iid] = low
-            present[iid] = (t, (dx, dy, dz))
-        prev = present
-    return best
+            last = last_seen.get(iid)
+            if last is None:
+                low = inf
+            else:
+                k0, t0, px, py, pz, low = last
+                if k0 == k - 1:
+                    span = t - t0
+                    vx, vy, vz = (dx - px) / span, (dy - py) / span, (dz - pz) / span
+                    v2 = vx * vx + vy * vy + vz * vz
+                    if v2 == 0.0:
+                        t_star = 0.0
+                    else:
+                        t_star = -(px * vx + py * vy + pz * vz) / v2
+                        # max(0.0, min(span, t_star)), as cpa_linear clamps.
+                        t_star = t_star if t_star < span else span
+                        t_star = t_star if t_star > 0.0 else 0.0
+                    ex, ey, ez = px + vx * t_star, py + vy * t_star, pz + vz * t_star
+                    d = sqrt(ex * ex + ey * ey + ez * ez)
+                    if d < low:
+                        low = d
+            if sep < low:
+                low = sep
+            last_seen[iid] = (k, t, dx, dy, dz, low)
+    return {iid: last[5] for iid, last in last_seen.items()}
 
 
 def intruder_ids(result: RunResult) -> list[str]:

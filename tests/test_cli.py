@@ -49,6 +49,16 @@ SPAWN g1 AT 0 GROUND
 """
 
 
+def overflowing_sc03(scn_dir, where):
+    """sc-03 with its i1 intruder at SPEED=1e308, whose positions
+    overflow float arithmetic once it spawns."""
+    text = Path(scn(scn_dir, "sc-03")).read_text()
+    assert "PASS_BY SPEED=20.0 " in text
+    bad = where / "sc-03.scn"
+    bad.write_text(text.replace("PASS_BY SPEED=20.0 ", "PASS_BY SPEED=1e308 "))
+    return bad
+
+
 class TestRun:
     def test_nominal_run(self, scn_dir, tmp_path, capsys):
         rc = main(["run", scn(scn_dir, "ref-route1"), "--dt", "0.5",
@@ -134,6 +144,28 @@ class TestRun:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err == "error: dt must be finite\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_dt_too_small_to_advance_the_clock_is_an_error(self, scn_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", scn(scn_dir, "sc-03"), "--dt", "1e-300", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: dt is too small to advance the clock at max_sim_time\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_overflowing_script_speed_is_an_error(self, scn_dir, tmp_path, capsys):
+        """An intruder too fast for float geometry fails the run with one
+        error line, not a traceback, and leaves no report."""
+        bad = overflowing_sc03(scn_dir, tmp_path)
+        out = tmp_path / "out"
+        rc = main(["run", str(bad), "--compare", "--format", "both", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
 
@@ -253,6 +285,29 @@ class TestBatch:
         assert captured.out == ""
         assert not (out / "summary.csv").exists()
         assert list((out / "traces").iterdir()) == []
+
+    def test_dt_too_small_to_advance_the_clock_is_an_error(self, mini_pack_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["batch", "--pack", str(mini_pack_dir), "--dt", "1e-300", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: dt is too small to advance the clock at max_sim_time\n"
+        assert captured.out == ""
+        assert not (out / "summary.csv").exists()
+        assert list((out / "traces").iterdir()) == []
+
+    def test_overflowing_script_speed_is_an_error(self, scn_dir, tmp_path, capsys):
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        overflowing_sc03(scn_dir, pack)
+        out = tmp_path / "out"
+        rc = main(["batch", "--pack", str(pack), "--dt", "0.5", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (out / "summary.csv").exists()
 
     def test_env_var_selects_pack(self, mini_pack_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("UAMCAS_PACK_DIR", str(mini_pack_dir))

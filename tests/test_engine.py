@@ -211,6 +211,111 @@ class TestTrace:
         ) is None
 
 
+def reference_trace_lines(result):
+    """The trace renderer that formats every column of every row, kept
+    as the reference for engine.trace_csv_lines, which reuses the text
+    of columns that repeat."""
+    lines = [TRACE_HEADER]
+    last_phase = phase_text = None
+    for t, east, north, up, track, _, phase, intruders, command in result.ticks:
+        if phase is not last_phase:
+            last_phase, phase_text = phase, phase.value
+        if intruders:
+            iid, _, _, _, sep, zone = min(intruders, key=lambda it: it.separation)
+            intr = f"{iid},{sep:.3f},{zone.name}"
+        else:
+            intr = ",,"
+        lines.append(
+            f"{t:.3f},{east:.3f},{north:.3f},{up:.3f},"
+            f"{track:.3f},{phase_text},{intr},{command}"
+        )
+    return lines
+
+
+def synth_trace(rows):
+    """A RunResult over rows of (east, north, up, track, phase,
+    intruders); intruders are (id, separation) pairs."""
+    from uamcas.envelopes import Zone
+
+    ticks = [
+        engine.TickRecord(
+            t=0.1 * (k + 1), own_east=e, own_north=n, own_up=u, own_track=trk,
+            flight_mode=FlightMode.CRUISE, phase=phase,
+            intruders=tuple(
+                engine.IntruderTick(iid, 0.0, 0.0, 0.0, sep, Zone.CAUTION) for iid, sep in intr
+            ),
+            command="TURN_BY" if k % 3 else "",
+        )
+        for k, (e, n, u, trk, phase, intr) in enumerate(rows)
+    ]
+    return engine.RunResult(
+        scenario_id="synth", ticks=ticks,
+        terminal=engine.Terminal(TerminalKind.LANDED_AT, "V2"),
+        ground_decision=cdr.GroundDecision.depart("ROUTE1", 0.0),
+        departure_time=0.0, end_time=ticks[-1].t if ticks else 0.0, command_log=[],
+    )
+
+
+def with_fresh_floats(result):
+    """The run with every tick's ownship floats copied to new objects, so
+    equal values in consecutive rows are never the same object."""
+    fields = ("own_east", "own_north", "own_up", "own_track")
+    return replace(result, ticks=[
+        rec._replace(**{f: float(repr(getattr(rec, f))) for f in fields}) for rec in result.ticks
+    ])
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["shared", "fresh"])
+class TestTraceMatchesReference:
+    """trace_csv_lines reuses a column's text by float identity or by
+    equality, so every case runs with the records' own float objects
+    and with fresh copies."""
+
+    def render(self, result, fresh):
+        if fresh:
+            result = with_fresh_floats(result)
+        lines = trace_csv_lines(result)
+        assert lines == reference_trace_lines(result), result.scenario_id
+        return lines
+
+    @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
+    def test_every_default_pack_run(self, cas_enabled, fresh):
+        for sc in PACK:
+            self.render(engine.run(sc, replace(sc.sim, cas_enabled=cas_enabled)), fresh)
+
+    def test_repeated_values(self, fresh):
+        mon = cdr.CdrPhase.MONITORING
+        rows = [(12.5, -3.25, 300.0, 90.0, mon, [])] * 4 + [
+            (12.5, -3.0, 300.0, 90.0, mon, [("a", 40.0)]),
+            (12.5, -3.0, 301.0, 90.0, mon, [("a", 40.0)]),
+            (12.5, -3.0, 301.0, 90.0, mon, [("a", 40.0)]),
+        ]
+        self.render(synth_trace(rows), fresh)
+
+    @pytest.mark.parametrize("column", range(4), ids=["east", "north", "up", "track"])
+    def test_signed_zeros_stay_apart(self, column, fresh):
+        rows = []
+        for k in range(8):
+            values = [1.0, 2.0, 3.0, 4.0]
+            values[column] = -0.0 if k % 2 else 0.0
+            rows.append((*values, cdr.CdrPhase.MONITORING, []))
+        lines = self.render(synth_trace(rows), fresh)
+        assert sum("-0.000" in ln for ln in lines) == 4
+
+    def test_phase_change_with_repeated_floats(self, fresh):
+        phases = [cdr.CdrPhase.MONITORING, cdr.CdrPhase.AVOID, cdr.CdrPhase.AVOID,
+                  cdr.CdrPhase.MONITORING]
+        self.render(synth_trace([(0.0, 0.0, 0.0, 0.0, phase, []) for phase in phases]), fresh)
+
+    def test_tied_separations_take_the_first_listed(self, fresh):
+        rows = [
+            (1.0, 2.0, 3.0, 4.0, cdr.CdrPhase.MONITORING, [("b", 50.0), ("a", 50.0)]),
+            (1.0, 2.0, 3.0, 4.0, cdr.CdrPhase.MONITORING, [("a", 50.0), ("b", 50.0), ("c", 60.0)]),
+        ]
+        lines = self.render(synth_trace(rows), fresh)
+        assert [ln.split(",")[6] for ln in lines[1:]] == ["b", "a"]
+
+
 class TestOwnshipObjects:
     """The engine carries the ownship as plain values and builds an
     OwnshipState only for resolve_command, once per issued command."""
@@ -245,6 +350,16 @@ class TestSimParams:
     def test_non_finite_is_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             engine.SimParams(**{field: value})
+
+    @pytest.mark.parametrize("dt,max_sim_time", [(1e-300, 3600.0), (1e-13, 3600.0), (1e-20, 1.0)])
+    def test_dt_that_cannot_advance_the_clock_is_rejected(self, dt, max_sim_time):
+        with pytest.raises(ValueError, match="dt is too small to advance the clock"):
+            engine.SimParams(dt=dt, max_sim_time=max_sim_time)
+
+    def test_smallest_dt_that_advances_the_clock_is_accepted(self):
+        dt = math.ulp(3600.0)
+        assert 3600.0 + dt > 3600.0
+        assert engine.SimParams(dt=dt, max_sim_time=3600.0).dt == dt
 
 
 class TestPerRunEnvelopes:

@@ -12,7 +12,7 @@ from uamcas.agents import DEFAULT_PERFORMANCE, FlightMode, OwnshipConfig
 from uamcas.cdr import CdrPhase, GroundDecision
 from uamcas.engine import IntruderTick, RunResult, Terminal, TerminalKind, TickRecord
 from uamcas.envelopes import Zone
-from uamcas.geo import cpa_linear
+from uamcas.geo import cpa_linear, distance_3d
 from uamcas.scenario_io import default_pack
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
@@ -42,7 +42,9 @@ class TestTheoreticalTimes:
 
 
 def synth_result(tick_data, terminal=None, departure=0.0, route="ROUTE1"):
-    """tick_data: [(t, (ox,oy,oz), [(iid, (x,y,z)), ...])]"""
+    """tick_data: [(t, (ox,oy,oz), [(iid, (x,y,z)), ...])]; each
+    separation is geo.distance_3d of the two positions, as the engine
+    records it."""
     ticks = []
     for t, own, intruders in tick_data:
         its = tuple(
@@ -51,7 +53,7 @@ def synth_result(tick_data, terminal=None, departure=0.0, route="ROUTE1"):
                 p[0],
                 p[1],
                 p[2],
-                math.dist(own, p),
+                distance_3d(own, p),
                 Zone.CLEAR,
             )
             for iid, p in intruders
