@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from uamcas import cli, engine, scenario_io
+from uamcas import cli, engine, metrics
 
 
 def outcome(row):
@@ -37,10 +37,10 @@ def main(argv=None):
     ap.add_argument("--pack", default="default", help="pack directory or 'default'")
     ap.add_argument("--out", default="out", help="report directory")
     ap.add_argument("--dt", type=float, default=None, help="override tick size [s]")
-    ap.add_argument("--format", default="csv", choices=scenario_io.REPORT_FORMATS)
+    ap.add_argument("--format", default="csv", choices=metrics.REPORT_FORMATS)
     args = ap.parse_args(argv)
 
-    pack = scenario_io.load_pack(args.pack)
+    pack = cli.resolve_pack(args.pack)
     t0 = time.perf_counter()
     table = cli.run_batch(pack, args.out, dt=args.dt, fmt=args.format, config=None)
     elapsed = time.perf_counter() - t0
@@ -51,7 +51,7 @@ def main(argv=None):
         print(f"{row.scenario_id:<18} {outcome(row):<20} {fmt(row.cpa_with, 9)} "
               f"{fmt(row.cpa_without, 9)} {fmt(row.d_ground, 7)} "
               f"{fmt(row.d_air, 7)} {fmt(row.d_total, 8)}")
-    footer = scenario_io.batch_footer(table)
+    footer = metrics.batch_footer(table)
     if footer is not None:
         print(footer)
     print(f"{len(table.rows)} scenarios, paired, in {elapsed:.2f} s; reports in {args.out}")

@@ -28,6 +28,9 @@ DEFAULT_TURN_RATE_DEG_S = 10.0
 DEFAULT_CRUISE_ALT_M = 304.8  # 1000 ft
 DEFAULT_CLIMB_RATE_M_S = 1.7
 DEFAULT_DESCENT_RATE_M_S = 1.7
+# Ceiling on a scripted intruder's speed: the speed of sound, well above
+# any drone or bird.
+MAX_INTRUDER_SPEED_M_S = 343.0
 
 
 class OwnshipConfig(enum.IntEnum):
@@ -397,11 +400,6 @@ class IntruderBehavior(enum.Enum):
     UNPREDICTABLE = "UNPREDICTABLE"
 
 
-class IntruderSource(enum.Enum):
-    CSV_TRAJECTORY = "CSV_TRAJECTORY"
-    SCRIPTED = "SCRIPTED"
-
-
 class ScriptMode(enum.Enum):
     PASS_BY = "PASS_BY"
     LINGER = "LINGER"
@@ -453,6 +451,8 @@ class ScriptedBehavior:
     def __post_init__(self) -> None:
         if self.speed <= 0.0:
             raise ValueError("script speed must be positive")
+        if self.speed > MAX_INTRUDER_SPEED_M_S:
+            raise ValueError(f"script speed must not exceed {MAX_INTRUDER_SPEED_M_S!r} m/s")
         if self.linger_duration < 0.0:
             raise ValueError("linger duration must be non-negative")
         if self.duration is not None and self.duration <= 0.0:
@@ -462,10 +462,12 @@ class ScriptedBehavior:
 
 @dataclass(frozen=True)
 class IntruderRecord:
+    """One intruder; its source is whichever of trajectory (CSV
+    playback) and script it carries."""
+
     id: str
     kind: IntruderKind
     behavior: IntruderBehavior
-    source: IntruderSource
     spawn_time: float = 0.0
     trajectory: Trajectory | None = None
     script: ScriptedBehavior | None = None
@@ -473,10 +475,8 @@ class IntruderRecord:
     csv_path: str | None = None  # provenance for round-tripping trajectory intruders
 
     def __post_init__(self) -> None:
-        if self.source is IntruderSource.CSV_TRAJECTORY and self.trajectory is None:
-            raise ValueError(f"intruder {self.id}: CSV source without trajectory")
-        if self.source is IntruderSource.SCRIPTED and self.script is None:
-            raise ValueError(f"intruder {self.id}: scripted source without script")
+        if (self.trajectory is None) == (self.script is None):
+            raise ValueError(f"intruder {self.id}: needs exactly one of trajectory and script")
 
 
 Vec3 = tuple[float, float, float]
@@ -500,7 +500,7 @@ def intruder_state_at(
         return None
     rel = t - rec.spawn_time
 
-    if rec.source is IntruderSource.CSV_TRAJECTORY:
+    if rec.trajectory is not None:
         return _playback(rec.trajectory, rel)
 
     script = rec.script

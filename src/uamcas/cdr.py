@@ -110,6 +110,19 @@ class CdrParams:
     lateral_offset_m: float = 1200.0
     descend_alt_m: float = DESCEND_TARGET_ALT_M
 
+    def __post_init__(self) -> None:
+        for name in ("detect_duration", "hold_duration"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in ("head_on_half_angle", "same_dir_half_angle"):
+            if not 0.0 <= getattr(self, name) <= 180.0:
+                raise ValueError(f"{name} must lie in [0, 180]")
+        if self.turn_deg <= 0.0:
+            raise ValueError("turn_deg must be positive")
+        # Signed: positive offsets go to starboard.
+        if self.lateral_offset_m == 0.0:
+            raise ValueError("lateral_offset_m must be nonzero")
+
 
 def heading_threat(
     pos: EnuPoint,

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import engine, metrics, scenario_io
 from .engine import RunResult, TerminalKind
+from .pack import default_pack
 from .scenario_io import Scenario, ScenarioError
 
 EXIT_OK = 0
@@ -113,7 +114,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_trace(result, out / f"{sc.id}_trace.csv")
     if off is not None:
         _write_trace(off, out / f"{sc.id}_trace_nocas.csv")
-    scenario_io.write_run_report(sc.id, report, off_report, out, args.format)
+    metrics.write_run_report(sc.id, report, off_report, out, args.format)
 
     line = f"{sc.id}: {_terminal_phrase(result)}"
     if report.t_sim is not None:
@@ -122,9 +123,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _TERMINAL_EXIT[result.terminal.kind]
 
 
-def _resolve_pack(selector: str | None) -> scenario_io.ScenarioPack:
+def resolve_pack(selector: str | None) -> scenario_io.ScenarioPack:
+    """The pack a selector names: "default" is the built-in pack, anything
+    else a directory of .scn files; None reads UAMCAS_PACK_DIR, which
+    defaults to "default"."""
     if selector is None:
         selector = os.environ.get("UAMCAS_PACK_DIR", "default")
+    if selector == "default":
+        return default_pack()
     return scenario_io.load_pack(selector)
 
 
@@ -152,20 +158,20 @@ def run_batch(
         with_cas[sc.id] = _simulate_to_trace(sc, dt, True, traces / f"{sc.id}.csv")
         without_cas[sc.id] = _simulate_to_trace(sc, dt, False, traces / f"{sc.id}_nocas.csv")
     table = metrics.summarize_batch(with_cas, without_cas)
-    scenario_io.write_batch_report(table, out, fmt)
+    metrics.write_batch_report(table, out, fmt)
     return table
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
     try:
-        pack = _resolve_pack(args.pack)
+        pack = resolve_pack(args.pack)
         table = run_batch(pack, args.out, dt=args.dt, fmt=args.format, config=args.config)
     except (ScenarioError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    for line in scenario_io.batch_csv_lines(table):
+    for line in metrics.batch_csv_lines(table):
         print(line)
-    footer = scenario_io.batch_footer(table)
+    footer = metrics.batch_footer(table)
     if footer is not None:
         print(footer)
     return EXIT_OK
@@ -190,7 +196,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_pack(args: argparse.Namespace) -> int:
     try:
-        pack = _resolve_pack(args.pack)
+        pack = resolve_pack(args.pack)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -211,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, default=None, help="timestep override, seconds")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument(
-            "--format", choices=scenario_io.REPORT_FORMATS, default="csv",
+            "--format", choices=metrics.REPORT_FORMATS, default="csv",
             help="report format",
         )
         p.add_argument("--config", default=None, help="file of SET overrides to apply")

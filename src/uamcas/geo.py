@@ -105,14 +105,34 @@ class Route:
                 raise ValueError("consecutive route waypoints coincide")
 
 
-def to_enu(origin: GeoPoint, p: GeoPoint) -> EnuPoint:
-    """Equirectangular projection of p onto the tangent plane at origin."""
+def plane_offset(origin: GeoPoint, p: GeoPoint) -> tuple[float, float]:
+    """(east, north) of p in the tangent plane at origin; GeoRangeError
+    when p is too far from origin for a flat plane."""
     east = EARTH_RADIUS_M * math.cos(math.radians(origin.lat)) * math.radians(p.lon - origin.lon)
     north = EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
     if math.hypot(east, north) > MAX_PROJECTION_RANGE_M:
         raise GeoRangeError(
             f"point {p.lat:.4f},{p.lon:.4f} beyond flat-plane validity of origin"
         )
+    return east, north
+
+
+_MAX_RANGE_SQ = MAX_PROJECTION_RANGE_M**2
+
+
+def in_plane_range(p: EnuPoint) -> EnuPoint:
+    """p, unless it lies farther than MAX_PROJECTION_RANGE_M from the
+    plane's origin, counting its height too."""
+    east, north, up = p
+    # Float products overflow to inf rather than raise, and inf is out.
+    if east * east + north * north + up * up > _MAX_RANGE_SQ:
+        raise GeoRangeError(f"point {east!r},{north!r},{up!r} beyond flat-plane validity of origin")
+    return p
+
+
+def to_enu(origin: GeoPoint, p: GeoPoint) -> EnuPoint:
+    """Equirectangular projection of p onto the tangent plane at origin."""
+    east, north = plane_offset(origin, p)
     return EnuPoint(east, north, p.alt - origin.alt)
 
 

@@ -1,10 +1,13 @@
 """Post-run accounting: theoretical baselines, closest point of
-approach, and the ground/airborne/total delay decomposition."""
+approach, the ground/airborne/total delay decomposition, and the run and
+batch report files that carry them."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .agents import PerformanceModel
@@ -177,3 +180,151 @@ def summarize_batch(
     finite = [r.d_air for r in rows if r.d_air is not None]
     mean_d_air = sum(finite) / len(finite) if finite else None
     return BatchTable(tuple(rows), mean_d_air)
+
+
+# ---------------------------------------------------------------------------
+# Run and batch reports
+#
+# Every report cell is formatted by _cell (CSV) or _json_num (JSON), so a
+# value reads the same in a run report and in a batch report.
+
+
+REPORT_FORMATS = ("csv", "structured", "both")
+
+# The batch report's columns after scenario_id: header -> BatchRow attribute.
+BATCH_COLUMNS = {
+    "cpa_with_m": "cpa_with",
+    "cpa_without_m": "cpa_without",
+    "t_sim_s": "t_sim",
+    "d_ground_s": "d_ground",
+    "d_air_s": "d_air",
+    "d_total_s": "d_total",
+}
+BATCH_CSV_HEADER = ",".join(("scenario_id", *BATCH_COLUMNS))
+# The batch CSV files and their columns; summary.csv has them all.
+_BATCH_CSV_FILES = {
+    "summary.csv": tuple(BATCH_COLUMNS),
+    "delays.csv": ("d_ground_s", "d_air_s", "d_total_s"),
+    "cpa_compare.csv": ("cpa_with_m", "cpa_without_m"),
+}
+
+
+def _cell(v: float | None) -> str:
+    if v is None:
+        return ""
+    if math.isinf(v):
+        return "inf"
+    return f"{v:.3f}"
+
+
+def _json_num(v: float | None) -> float | str | None:
+    # strict JSON has no Infinity literal
+    if v is None or math.isfinite(v):
+        return v
+    return "inf"
+
+
+def _formats(fmt: str) -> tuple[bool, bool]:
+    """(write CSV, write JSON) for a report format name."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return fmt in ("csv", "both"), fmt in ("structured", "both")
+
+
+def _write_lines(path: Path, lines: Sequence[str]) -> Path:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _write_json(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def write_run_report(
+    scenario_id: str, report: MetricsReport, off_report: MetricsReport | None,
+    out_dir: str | Path, fmt: str = "csv",
+) -> None:
+    """Write one run's metrics as <id>_report.csv and/or <id>_report.json.
+
+    off_report, the paired system-off run when there is one, contributes
+    its CPA as cpa_without_m.
+    """
+    csv_out, json_out = _formats(fmt)
+    out = Path(out_dir)
+    cells = {
+        "t_sim_s": report.t_sim,
+        "d_ground_s": report.d_ground,
+        "d_air_s": report.d_air,
+        "d_total_s": report.d_total,
+        "cpa_with_m": report.cpa,
+    }
+    if off_report is not None:
+        cells["cpa_without_m"] = off_report.cpa
+    if csv_out:
+        lines = ["metric,value"] + [f"{k},{_cell(v)}" for k, v in cells.items()]
+        _write_lines(out / f"{scenario_id}_report.csv", lines)
+    if json_out:
+        doc = {
+            "scenario_id": scenario_id,
+            "terminal": report.terminal.kind.name,
+            "landed_at": report.terminal.vertiport,
+            "cpa_without_m": None,
+            **{k: _json_num(v) for k, v in cells.items()},
+        }
+        _write_json(out / f"{scenario_id}_report.json", doc)
+
+
+def _csv_table(table: BatchTable, headers: Sequence[str]) -> list[str]:
+    attrs = [BATCH_COLUMNS[h] for h in headers]
+    lines = [",".join(("scenario_id", *headers))]
+    for row in table.rows:
+        lines.append(",".join([row.scenario_id, *(_cell(getattr(row, a)) for a in attrs)]))
+    return lines
+
+
+def batch_csv_lines(table: BatchTable) -> list[str]:
+    return _csv_table(table, _BATCH_CSV_FILES["summary.csv"])
+
+
+def batch_footer(table: BatchTable) -> str | None:
+    """The mean airborne delay line, averaged over the departed rows
+    (those with an airborne delay); None when nothing departed."""
+    if table.mean_d_air is None:
+        return None
+    departed = sum(1 for row in table.rows if row.d_air is not None)
+    return f"# mean airborne delay over {departed} scenarios: {table.mean_d_air:.3f} s"
+
+
+def write_batch_report(table: BatchTable, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
+    """Write the batch summary and its plot-data companions.
+
+    fmt "csv" writes summary.csv plus delays.csv and cpa_compare.csv;
+    "structured" writes report.json; "both" writes all four.  Output is
+    byte-stable across reruns of the same pack.
+    """
+    csv_out, json_out = _formats(fmt)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+
+    if csv_out:
+        for name, headers in _BATCH_CSV_FILES.items():
+            written.append(_write_lines(out / name, _csv_table(table, headers)))
+
+    if json_out:
+        doc = {
+            "rows": [
+                {
+                    "scenario_id": row.scenario_id,
+                    **{h: _json_num(getattr(row, a)) for h, a in BATCH_COLUMNS.items()},
+                    "terminal": row.terminal.kind.name,
+                    "landed_at": row.terminal.vertiport,
+                }
+                for row in table.rows
+            ],
+            "mean_d_air_s": _json_num(table.mean_d_air),
+        }
+        written.append(_write_json(out / "report.json", doc))
+
+    return written

@@ -3,9 +3,19 @@
 The acceptance tests are a numbered checklist; after the run a summary
 block prints one PASS/FAIL line per criterion so the outcome of each is
 visible at a glance.
+
+HYPOTHESIS_PROFILE=ci selects a derandomized hypothesis profile: every
+run draws the same examples, so a property failure seen in CI
+reproduces locally with the same setting.
 """
 
+import os
 import re
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

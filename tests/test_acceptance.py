@@ -26,7 +26,7 @@ from uamcas.cdr import ApproachDirection, RelativePosition
 from uamcas.envelopes import Zone
 from uamcas.geo import EnuPoint, polyline_length
 from uamcas.maneuvers import Action, IssuedBy, TurnDirection
-from uamcas.scenario_io import default_pack
+from uamcas.pack import default_pack
 
 PACK = default_pack()
 ENCOUNTER_IDS = [f"sc-{i:02d}" for i in range(1, 15)]

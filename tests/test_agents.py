@@ -17,7 +17,6 @@ from uamcas.agents import (
     IntruderBehavior,
     IntruderKind,
     IntruderRecord,
-    IntruderSource,
     NavPlan,
     OwnshipConfig,
     OwnshipState,
@@ -364,7 +363,7 @@ class TestTrajectories:
         )
         rec = IntruderRecord(
             "I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
-            IntruderSource.CSV_TRAJECTORY, trajectory=traj,
+            trajectory=traj,
         )
         pos, vel = intruder_state_at(rec, 5.0)
         assert (pos.east, pos.north) == pytest.approx((50.0, 0.0))
@@ -406,7 +405,7 @@ class TestTrajectories:
 
         rec = IntruderRecord(
             "I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
-            IntruderSource.CSV_TRAJECTORY, trajectory=traj,
+            trajectory=traj,
         )
         assert traj.times == [t for t, _ in traj.samples]
         times = traj.times
@@ -433,22 +432,22 @@ class TestTrajectories:
         traj = Trajectory(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0))))
         rec = IntruderRecord(
             "I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
-            IntruderSource.CSV_TRAJECTORY, spawn_time=100.0, trajectory=traj,
+            spawn_time=100.0, trajectory=traj,
         )
         assert intruder_state_at(rec, 99.9) is None
         pos, _ = intruder_state_at(rec, 105.0)
         assert pos.east == pytest.approx(50.0)
 
     def test_record_validation(self):
+        # a record carries exactly one of a trajectory and a script
+        traj = Trajectory(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0))))
+        script = ScriptedBehavior(ScriptMode.LINGER, speed=1.0, anchor=EnuPoint(0, 0, 0))
         with pytest.raises(ValueError):
-            IntruderRecord(
-                "bad", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
-                IntruderSource.CSV_TRAJECTORY,
-            )
+            IntruderRecord("bad", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE)
         with pytest.raises(ValueError):
             IntruderRecord(
                 "bad", IntruderKind.BIRD, IntruderBehavior.UNPREDICTABLE,
-                IntruderSource.SCRIPTED,
+                trajectory=traj, script=script,
             )
 
 
@@ -460,7 +459,7 @@ class TestScriptedMotion:
         )
         rec = IntruderRecord(
             "D1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
-            IntruderSource.SCRIPTED, spawn_time=50.0, script=script,
+            spawn_time=50.0, script=script,
         )
         assert intruder_state_at(rec, 49.9) is None
         pos, vel = intruder_state_at(rec, 60.0)
@@ -477,7 +476,7 @@ class TestScriptedMotion:
         )
         rec = IntruderRecord(
             "D2", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
-            IntruderSource.SCRIPTED, script=script,
+            script=script,
         )
         pos, vel = intruder_state_at(rec, 15.0)
         assert pos == EnuPoint(500, 500, 120)
@@ -491,7 +490,7 @@ class TestScriptedMotion:
         )
         rec = IntruderRecord(
             "B1", IntruderKind.BIRD, IntruderBehavior.UNPREDICTABLE,
-            IntruderSource.SCRIPTED, script=script,
+            script=script,
         )
         own = EnuPoint(0, 0, 50)
         pos, vel = intruder_state_at(rec, 5.0, ownship_pos=own, prev_pos=None, dt=1.0)
@@ -506,7 +505,7 @@ class TestScriptedMotion:
         script = ScriptedBehavior(ScriptMode.PURSUIT, speed=5.0, anchor=EnuPoint(100, 0, 50))
         rec = IntruderRecord(
             "B1", IntruderKind.BIRD, IntruderBehavior.UNPREDICTABLE,
-            IntruderSource.SCRIPTED, script=script,
+            script=script,
         )
         own = EnuPoint(0, 0, 50)
         pos, _ = intruder_state_at(

@@ -14,7 +14,6 @@ from uamcas.agents import (
     IntruderBehavior,
     IntruderKind,
     IntruderRecord,
-    IntruderSource,
     OwnshipConfig,
     OwnshipState,
     ScriptMode,
@@ -371,7 +370,7 @@ GP = GroundCheckParams()
 
 def linger(pos, spawn=0.0, hold=1e6, name="L"):
     return IntruderRecord(
-        name, DRONE, IntruderBehavior.PREDICTABLE, IntruderSource.SCRIPTED,
+        name, DRONE, IntruderBehavior.PREDICTABLE,
         spawn_time=spawn, ground_clock=True,
         script=ScriptedBehavior(
             ScriptMode.LINGER, speed=1.0, anchor=EnuPoint(*pos), linger_duration=hold

@@ -13,12 +13,9 @@ import pytest
 from uamcas import engine
 from uamcas.cli import main
 from uamcas.engine import TRACE_HEADER
-from uamcas.scenario_io import (
-    BATCH_CSV_HEADER,
-    default_pack,
-    export_pack,
-    serialize_scenario,
-)
+from uamcas.metrics import BATCH_CSV_HEADER
+from uamcas.pack import default_pack
+from uamcas.scenario_io import export_pack, serialize_scenario
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +53,15 @@ def overflowing_sc03(scn_dir, where):
     assert "PASS_BY SPEED=20.0 " in text
     bad = where / "sc-03.scn"
     bad.write_text(text.replace("PASS_BY SPEED=20.0 ", "PASS_BY SPEED=1e308 "))
+    return bad
+
+
+def far_v3_sc03(scn_dir, where):
+    """sc-03 with V3 moved 140 km north of V1, beyond the flat frame."""
+    text = Path(scn(scn_dir, "sc-03")).read_text()
+    assert "VERTIPORT V3 48.2394 11.5614 " in text
+    bad = where / "sc-03.scn"
+    bad.write_text(text.replace("VERTIPORT V3 48.2394 ", "VERTIPORT V3 49.5 "))
     return bad
 
 
@@ -309,6 +315,19 @@ class TestBatch:
         assert captured.out == ""
         assert not (out / "summary.csv").exists()
 
+    def test_point_beyond_the_frame_writes_no_trace(self, scn_dir, tmp_path, capsys):
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        (pack / "ref-route1.scn").write_text(Path(scn(scn_dir, "ref-route1")).read_text())
+        far_v3_sc03(scn_dir, pack)
+        out = tmp_path / "out"
+        rc = main(["batch", "--pack", str(pack), "--dt", "0.5", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "beyond flat-plane validity" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_env_var_selects_pack(self, mini_pack_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("UAMCAS_PACK_DIR", str(mini_pack_dir))
         out = tmp_path / "out"
@@ -451,6 +470,39 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert main(["run", str(bad), "--dt", "0.5", "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+    def test_point_beyond_the_frame_fails_validation(self, scn_dir, tmp_path, capsys):
+        bad = far_v3_sc03(scn_dir, tmp_path)
+        n = bad.read_text().splitlines().index("VERTIPORT V3 49.5 11.5614 NAME=EDNX") + 1
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{bad}:{n}: point 49.5000,11.5614 beyond flat-plane validity of origin"]
+
+    @pytest.mark.parametrize("line,message", [
+        ("SET CDR.TURN_DEG 0", "turn_deg must be positive"),
+        ("SET CDR.LATERAL_OFFSET_M 0", "lateral_offset_m must be nonzero"),
+        ("SET CDR.HOLD_DURATION -1", "hold_duration must be non-negative"),
+        ("SET CDR.HOLD_DURATION 1e300",
+         "CDR.HOLD_DURATION (1e+300) must not exceed SIM.MAX_SIM_TIME (3600.0)"),
+        ("SET CDR.DETECT_DURATION -0.5", "detect_duration must be non-negative"),
+        ("SET CDR.HEAD_ON_HALF_ANGLE 180.5", "head_on_half_angle must lie in [0, 180]"),
+        ("SET CDR.SAME_DIR_HALF_ANGLE -1", "same_dir_half_angle must lie in [0, 180]"),
+        ("SET GROUND.MAX_WAITS 2.7", "GROUND.MAX_WAITS: '2.7' is not a whole number"),
+    ])
+    def test_parameters_a_run_cannot_use_fail_validation(
+        self, scn_dir, tmp_path, capsys, line, message
+    ):
+        """Each of these used to validate, then either failed the run or
+        silently changed its outcome."""
+        text = Path(scn(scn_dir, "sc-05")).read_text()
+        bad = tmp_path / "sc-05.scn"
+        bad.write_text(text + line + "\n")
+        assert main(["validate", str(bad)]) == 1
+        # SET values that do not parse fail on their line, the rest at file level
+        at = len(text.splitlines()) + 1 if "MAX_WAITS" in line else 0
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"{bad}:{at}: ") and err.endswith(message), err
 
 
 class TestPackExport:

@@ -9,7 +9,8 @@ import pytest
 from uamcas import cdr, engine, envelopes, geo, metrics
 from uamcas.agents import FlightMode
 from uamcas.engine import TerminalKind, TRACE_HEADER, trace_csv_lines
-from uamcas.scenario_io import default_pack, parse_scenario, serialize_scenario
+from uamcas.pack import default_pack
+from uamcas.scenario_io import parse_scenario, serialize_scenario
 
 PACK = default_pack()
 

@@ -13,7 +13,7 @@ from uamcas.cdr import CdrPhase, GroundDecision
 from uamcas.engine import IntruderTick, RunResult, Terminal, TerminalKind, TickRecord
 from uamcas.envelopes import Zone
 from uamcas.geo import cpa_linear, distance_3d
-from uamcas.scenario_io import default_pack
+from uamcas.pack import default_pack
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
 PACK = default_pack()

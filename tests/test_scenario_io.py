@@ -3,33 +3,39 @@ report files."""
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uamcas.agents import (
     IntruderBehavior,
     IntruderKind,
-    IntruderSource,
     OwnshipConfig,
     ScriptMode,
 )
 from uamcas.cdr import GroundCheckParams
+from uamcas.cli import resolve_pack
 from uamcas.engine import SimParams, Terminal, TerminalKind
 from uamcas.envelopes import EnvelopeSet, Zone
 from uamcas.geo import GeoPoint, polyline_length
-from uamcas.metrics import BatchRow, BatchTable
-from uamcas.scenario_io import (
+from uamcas.metrics import (
     BATCH_CSV_HEADER,
+    BatchRow,
+    BatchTable,
+    batch_csv_lines,
+    write_batch_report,
+)
+from uamcas.pack import default_pack
+from uamcas.scenario_io import (
     Scenario,
     ScenarioError,
-    batch_csv_lines,
-    default_pack,
     export_pack,
     load_pack,
     parse_scenario,
     parse_trajectory_csv,
     serialize_scenario,
-    write_batch_report,
 )
 
 MINIMAL = """\
@@ -172,7 +178,7 @@ class TestIntruderDirectives:
         sc = parse_scenario(text)
         (rec,) = sc.intruders
         assert rec.kind is IntruderKind.DRONE
-        assert rec.source is IntruderSource.SCRIPTED
+        assert rec.trajectory is None
         assert rec.script.mode is ScriptMode.PASS_BY
         assert rec.script.speed == 20.0
         assert rec.script.anchor.north == -200.0
@@ -220,7 +226,7 @@ class TestIntruderDirectives:
         text = MINIMAL + "INTRUDER i1 DRONE PREDICTABLE CSV track.csv\n"
         sc = parse_scenario(text, base_dir=tmp_path)
         (rec,) = sc.intruders
-        assert rec.source is IntruderSource.CSV_TRAJECTORY
+        assert rec.script is None
         assert rec.csv_path == "track.csv"
         assert rec.trajectory.samples[1][1].east == 50.0
 
@@ -233,6 +239,51 @@ class TestIntruderDirectives:
         (rec,) = sc.intruders
         assert rec.trajectory.samples[0][1].east == pytest.approx(0.0, abs=1e-6)
         assert rec.trajectory.samples[1][1].north == pytest.approx(1000.0, rel=1e-3)
+
+    def test_non_utf8_csv_reported_with_intruder_line(self, tmp_path):
+        (tmp_path / "track.csv").write_bytes(b"t_s,east_m,north_m,up_m\n0,0,0,\xff\n")
+        text = MINIMAL + "INTRUDER i1 DRONE PREDICTABLE CSV track.csv\n"
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario(text, base_dir=tmp_path)
+        (err,) = ei.value.errors
+        assert err[0] == 7
+        assert err[1].startswith("cannot read 'track.csv'")
+
+    @pytest.mark.parametrize("speed,ok", [("343", True), ("343.5", False), ("1e308", False)])
+    def test_script_speed_ceiling(self, speed, ok):
+        text = MINIMAL + f"INTRUDER i1 BIRD UNPREDICTABLE SCRIPT PURSUIT SPEED={speed} ANCHOR=0,0,0\n"
+        if ok:
+            assert parse_scenario(text).intruders[0].script.speed == float(speed)
+            return
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario(text)
+        assert ei.value.errors == [(7, "bad script: script speed must not exceed 343.0 m/s")]
+
+    @pytest.mark.parametrize("anchor", ["1e308,0,300", "0,-70000,80000", "99999,0,0"])
+    def test_script_anchor_within_frame_range(self, anchor):
+        text = MINIMAL + f"INTRUDER i1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR={anchor}\n"
+        if anchor == "99999,0,0":
+            assert parse_scenario(text).intruders[0].script.anchor.east == 99999.0
+            return
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario(text)
+        (err,) = ei.value.errors
+        assert err[0] == 7 and "beyond flat-plane validity" in err[1]
+
+    @pytest.mark.parametrize("header,far", [
+        ("t_s,east_m,north_m,up_m", "1e308,0,300"),
+        ("t_s,lat_deg,lon_deg,alt_m", "48.3537,11.786,1e308"),
+        ("t_s,lat_deg,lon_deg,alt_m", "49.5,11.786,300"),
+    ], ids=["enu", "geodetic-altitude", "geodetic-position"])
+    def test_csv_sample_within_frame_range(self, tmp_path, header, far):
+        near = "0,0,300" if header.endswith("up_m") else "48.3537,11.786,300"
+        (tmp_path / "far.csv").write_text(f"{header}\n0,{near}\n10,{far}\n20,{near}\n")
+        text = MINIMAL + "INTRUDER i1 DRONE PREDICTABLE CSV far.csv\n"
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario(text, base_dir=tmp_path)
+        (err,) = ei.value.errors
+        assert err[0] == 7
+        assert err[1].startswith("far.csv: line 3: ") and "beyond flat-plane validity" in err[1]
 
     def test_missing_csv_reported_with_intruder_line(self, tmp_path):
         text = MINIMAL + "INTRUDER i1 DRONE PREDICTABLE CSV nowhere.csv\n"
@@ -279,6 +330,12 @@ class TestTrajectoryCsv:
         with pytest.raises(ScenarioError) as ei:
             parse_trajectory_csv("t_s,east_m,north_m,up_m\n0,0,0,100\n")
         assert "two samples" in str(ei.value)
+
+    def test_field_over_the_csv_limit_is_reported(self):
+        text = "t_s,east_m,north_m,up_m\n0,0,0,100\n1,0,0," + "1" * 200_000 + "\n"
+        with pytest.raises(ScenarioError) as ei:
+            parse_trajectory_csv(text)
+        assert [n for n, _ in ei.value.errors] == [3]
 
 
 # A scenario with every kind of numeric slot: (line number, text to
@@ -421,7 +478,7 @@ class TestRoundTrip:
         assert {s.id: s for s in loaded} == {s.id: s for s in self.PACK}
 
     def test_load_default_by_name(self):
-        assert load_pack("default").ids() == self.PACK.ids()
+        assert resolve_pack("default").ids() == self.PACK.ids()
 
     def test_missing_pack_dir_raises(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -483,3 +540,67 @@ class TestBatchReport:
         write_batch_report(self.TABLE, b, "both")
         for name in ("summary.csv", "delays.csv", "cpa_compare.csv", "report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# Every exported pack scenario, the tokens they are made of (whole, and
+# split at "=" and ","), and values at the edges of what the grammar takes.
+PACK_TEXTS = [serialize_scenario(sc) for sc in default_pack()]
+_PIECES = re.compile(r"[=,]")
+EDIT_TOKENS = sorted(
+    {tok for text in PACK_TEXTS for tok in text.split()}
+    | {p for text in PACK_TEXTS for tok in text.split() for p in _PIECES.split(tok) if p}
+    | {"0", "-0", "-1", "2.7", "1e300", "1e308", "-1e308", "5e-324", "nan", "-inf",
+       "1000ft", "NONE", "=", ",", "#", "AT", "GROUND", "CSV", "SCRIPT", "V1", "ROUTE3"}
+)
+_value = st.one_of(
+    st.sampled_from(EDIT_TOKENS),
+    st.floats().map(repr),
+    st.text(min_size=1, max_size=6),
+)
+
+
+@st.composite
+def edited_pack_scenarios(draw):
+    """An exported pack scenario with one to three edits: a token or a
+    piece of one replaced, a token inserted or dropped, a line dropped
+    or doubled."""
+    lines = draw(st.sampled_from(PACK_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split() or [""]
+        j = draw(st.integers(0, len(toks) - 1))
+        op = draw(st.sampled_from(["token", "piece", "insert", "drop-token", "drop", "double"]))
+        if op == "token":
+            toks[j] = draw(_value)
+        elif op == "piece":
+            parts = _PIECES.split(toks[j])
+            seps = _PIECES.findall(toks[j])
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(_value)
+            toks[j] = "".join(p + s for p, s in zip(parts, seps + [""]))
+        elif op == "insert":
+            toks.insert(j, draw(_value))
+        elif op == "drop-token":
+            del toks[j]
+        if op == "drop":
+            del lines[i]
+        elif op == "double":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = " ".join(toks)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    # Relative CSV paths resolve under a directory that does not exist.
+    BASE = Path(__file__).with_name("no-such-dir")
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=edited_pack_scenarios())
+    def test_edited_pack_scenarios_fail_cleanly_or_round_trip(self, text):
+        try:
+            sc = parse_scenario(text, base_dir=self.BASE)
+        except ScenarioError:
+            return
+        assert parse_scenario(serialize_scenario(sc), base_dir=self.BASE) == sc
