@@ -13,7 +13,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping
 
 from .geo import EnuPoint, non_finite_error, normalize_track, track_unit
 from .maneuvers import (
@@ -31,6 +31,8 @@ DEFAULT_DESCENT_RATE_M_S = 1.7
 # Ceiling on a scripted intruder's speed: the speed of sound, well above
 # any drone or bird.
 MAX_INTRUDER_SPEED_M_S = 343.0
+
+Vec3 = tuple[float, float, float]
 
 
 class OwnshipConfig(enum.IntEnum):
@@ -82,66 +84,9 @@ DEFAULT_PERFORMANCE: Mapping[OwnshipConfig, PerformanceModel] = {
 }
 
 
-# Bound once for check_ownship, which runs on every ownship step.
+# Bound once for ownship_step, which runs every tick.
 _isfinite = math.isfinite
-_HOVER = FlightMode.HOVER
 _GROUND = FlightMode.GROUND
-
-
-def check_ownship(
-    east: float, north: float, up: float, ground_speed: float, flight_mode: FlightMode
-) -> None:
-    """The rules every ownship state keeps, whether an OwnshipState or
-    the plain values ownship_step takes: a finite position, and speeds
-    and altitude that fit the flight mode."""
-    if not (_isfinite(east) and _isfinite(north) and _isfinite(up)):
-        raise non_finite_error(east, north, up)
-    if ground_speed < 0.0:
-        raise ValueError("ground_speed must be non-negative")
-    if flight_mode is _HOVER and ground_speed != 0.0:
-        raise ValueError("hover requires zero ground speed")
-    if flight_mode is _GROUND and up != 0.0:
-        raise ValueError("ground mode requires zero altitude")
-
-
-class _OwnshipFields(NamedTuple):
-    t: float
-    pos: EnuPoint
-    track: float
-    ground_speed: float
-    vertical_speed: float
-    flight_mode: FlightMode
-    next_waypoint_index: int
-
-
-class OwnshipState(_OwnshipFields):
-    """Ownship kinematic state at one instant.
-
-    An immutable tuple, built by the engine only on a tick that issues a
-    command (resolve_command takes it); every construction, also through
-    _replace and _make, runs check_ownship.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        t: float,
-        pos: EnuPoint,
-        track: float,
-        ground_speed: float,
-        vertical_speed: float,
-        flight_mode: FlightMode,
-        next_waypoint_index: int,
-    ) -> "OwnshipState":
-        check_ownship(*pos, ground_speed, flight_mode)
-        return tuple.__new__(
-            cls, (t, pos, track, ground_speed, vertical_speed, flight_mode, next_waypoint_index)
-        )
-
-    @classmethod
-    def _make(cls, iterable) -> "OwnshipState":
-        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -175,36 +120,40 @@ def follow_plan(plan: NavPlan) -> Guidance:
 
 
 def resolve_command(
-    state: OwnshipState,
+    pos: Vec3,
+    track: float,
+    idx: int,
     perf: PerformanceModel,
     guidance: Guidance,
     cmd: ManeuverCommand | None,
     vertiports: Mapping[str, EnuPoint],
-) -> tuple[Guidance, OwnshipState]:
+) -> tuple[Guidance, int]:
     """Turn a freshly issued command into the directive that executes it.
 
-    Returns the new guidance plus the (possibly re-indexed) state.  Plan
-    rewrites reset the waypoint index; the caller keeps the result as the
-    active directive until the next command.
+    pos, track and idx are the ownship's position, track and next
+    waypoint index when the command is issued.  Returns the new guidance
+    plus the waypoint index to carry on with: a plan rewrite starts the
+    new plan at index 0.  The caller keeps the result as the active
+    directive until the next command.
     """
     plan = guidance.plan
     if cmd is None or cmd.action is Action.CONTINUE_FLIGHT:
-        return follow_plan(plan), state
+        return follow_plan(plan), idx
 
     if cmd.action is Action.HOVER:
-        return Guidance(GuidanceKind.HOVER, plan), state
+        return Guidance(GuidanceKind.HOVER, plan), idx
 
     if cmd.action is Action.HOVER_AND_DESCEND_TO:
         if cmd.target_alt >= perf.cruise_alt:
             raise InfeasibleManeuverError("descend target at or above cruise altitude")
-        return Guidance(GuidanceKind.HOVER_DESCEND, plan, target_alt=cmd.target_alt), state
+        return Guidance(GuidanceKind.HOVER_DESCEND, plan, target_alt=cmd.target_alt), idx
 
     if cmd.action is Action.TURN_BY:
         sign = 1.0 if cmd.direction is TurnDirection.RIGHT else -1.0
-        target = normalize_track(state.track + sign * cmd.turn_deg)
+        target = normalize_track(track + sign * cmd.turn_deg)
         return (
             Guidance(GuidanceKind.HOLD_TRACK, plan, target_track=target, slew=cmd.direction),
-            state,
+            idx,
         )
 
     if cmd.action is Action.REROUTE_TO:
@@ -217,27 +166,26 @@ def resolve_command(
         new_plan = NavPlan((target_pos,), cmd.target_vertiport)
         # No explicit side means keep whatever turn is already in progress.
         slew = cmd.direction if cmd.direction is not None else guidance.slew
-        new_state = state._replace(next_waypoint_index=0)
-        return Guidance(GuidanceKind.FOLLOW_PLAN, new_plan, slew=slew), new_state
+        return Guidance(GuidanceKind.FOLLOW_PLAN, new_plan, slew=slew), 0
 
     if cmd.action in (Action.LATERAL_OFFSET, Action.CHANGE_PATH):
-        new_plan = _offset_plan(state, plan, cmd.offset_m)
-        return follow_plan(new_plan), state._replace(next_waypoint_index=0)
+        return follow_plan(_offset_plan(pos, track, idx, plan, cmd.offset_m)), 0
 
     raise AssertionError(f"unhandled action {cmd.action}")
 
 
-def _offset_plan(state: OwnshipState, plan: NavPlan, offset_m: float) -> NavPlan:
+def _offset_plan(pos: Vec3, track: float, idx: int, plan: NavPlan, offset_m: float) -> NavPlan:
     """Parallel path: shift the remaining legs sideways, rejoin at the
     final waypoint so the destination itself never moves."""
     # Perpendicular to current track; positive offset to starboard.
-    angle = math.radians(normalize_track(state.track + math.copysign(90.0, offset_m)))
+    angle = math.radians(normalize_track(track + math.copysign(90.0, offset_m)))
     de = abs(offset_m) * math.sin(angle)
     dn = abs(offset_m) * math.cos(angle)
-    remaining = plan.waypoints[state.next_waypoint_index:]
+    remaining = plan.waypoints[idx:]
     if not remaining:
         remaining = plan.waypoints[-1:]
-    side_step = EnuPoint(state.pos.east + de, state.pos.north + dn, state.pos.up)
+    east, north, up = pos
+    side_step = EnuPoint(east + de, north + dn, up)
     shifted = [
         EnuPoint(wp.east + de, wp.north + dn, wp.up) for wp in remaining[:-1]
     ]
@@ -250,55 +198,50 @@ def ownship_step(
     north: float,
     up: float,
     track: float,
-    ground_speed: float,
     mode: FlightMode,
     idx: int,
     perf: PerformanceModel,
     guidance: Guidance,
     dt: float,
-) -> tuple[float, float, float, float, float, float, FlightMode, int]:
+) -> tuple[float, float, float, float, FlightMode, int]:
     """Advance the ownship one tick under the active directive.
 
-    The state is carried as plain values, the fields of OwnshipState
-    without its clock or vertical speed (the step reads neither), and
-    comes back as (east, north, up, track, ground_speed,
-    vertical_speed, mode, idx).  The given state must pass the checks
-    OwnshipState makes; a state that does not raises the same
-    ValueError.  This is the only kinematics implementation: the
-    engine runs it every tick without building a state object.
+    The ownship is its position, track, flight mode and next waypoint
+    index, carried as plain values and returned as (east, north, up,
+    track, mode, idx).  The given state must have a finite position,
+    and zero altitude on the ground; a state that does not raises
+    ValueError.  This is the only kinematics implementation: the engine
+    runs it every tick without building a state object.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    check_ownship(east, north, up, ground_speed, mode)
+    if not (_isfinite(east) and _isfinite(north) and _isfinite(up)):
+        raise non_finite_error(east, north, up)
+    if mode is _GROUND and up != 0.0:
+        raise ValueError("ground mode requires zero altitude")
     kind = guidance.kind
 
     if kind is GuidanceKind.HOVER:
-        return east, north, up, track, 0.0, 0.0, FlightMode.HOVER, idx
+        return east, north, up, track, FlightMode.HOVER, idx
 
     if kind is GuidanceKind.HOVER_DESCEND:
         target = guidance.target_alt
         if up > target:
             new_up = max(target, up - perf.descent_rate * dt)
             if new_up > target:
-                return (
-                    east, north, new_up, track, 0.0, -perf.descent_rate,
-                    FlightMode.VERTICAL_DESCENT, idx,
-                )
-            return east, north, new_up, track, 0.0, 0.0, FlightMode.HOVER, idx
-        return east, north, up, track, 0.0, 0.0, FlightMode.HOVER, idx
+                return east, north, new_up, track, FlightMode.VERTICAL_DESCENT, idx
+            return east, north, new_up, track, FlightMode.HOVER, idx
+        return east, north, up, track, FlightMode.HOVER, idx
 
-    if mode is FlightMode.GROUND:
+    if mode is _GROUND:
         # Departure: climb vertically off the pad.
         new_up = min(perf.cruise_alt, perf.climb_rate * dt)
-        return east, north, new_up, track, 0.0, perf.climb_rate, FlightMode.VERTICAL_CLIMB, idx
+        return east, north, new_up, track, FlightMode.VERTICAL_CLIMB, idx
 
     if mode is FlightMode.VERTICAL_CLIMB:
         new_up = up + perf.climb_rate * dt
         if new_up < perf.cruise_alt:
-            return (
-                east, north, new_up, track, ground_speed, perf.climb_rate,
-                FlightMode.VERTICAL_CLIMB, idx,
-            )
+            return east, north, new_up, track, FlightMode.VERTICAL_CLIMB, idx
         # Top of climb: level off aligned with the outbound course,
         # skipping plan points already inside the capture ring (the
         # departure pad itself, for a fresh climb-out).
@@ -314,19 +257,13 @@ def ownship_step(
         if de != 0.0 or dn != 0.0:
             # Straight above the waypoint the current track is kept.
             track = math.degrees(math.atan2(de, dn)) % 360.0
-        return (
-            east, north, perf.cruise_alt, track, perf.cruise_speed, 0.0,
-            FlightMode.CRUISE, idx,
-        )
+        return east, north, perf.cruise_alt, track, FlightMode.CRUISE, idx
 
     if mode is FlightMode.VERTICAL_DESCENT:
         new_up = up - perf.descent_rate * dt
         if new_up > 0.0:
-            return (
-                east, north, new_up, track, ground_speed, -perf.descent_rate,
-                FlightMode.VERTICAL_DESCENT, idx,
-            )
-        return east, north, 0.0, track, 0.0, 0.0, FlightMode.GROUND, idx
+            return east, north, new_up, track, FlightMode.VERTICAL_DESCENT, idx
+        return east, north, 0.0, track, _GROUND, idx
 
     # Cruise (also reached from HOVER when guidance reverts to a path).
     if kind is GuidanceKind.HOLD_TRACK:
@@ -344,8 +281,8 @@ def ownship_step(
         else:
             # Destination captured: descend onto the pad.
             return (
-                east, north, max(0.0, up - perf.descent_rate * dt), track, 0.0,
-                -perf.descent_rate, FlightMode.VERTICAL_DESCENT, idx,
+                east, north, max(0.0, up - perf.descent_rate * dt), track,
+                FlightMode.VERTICAL_DESCENT, idx,
             )
         # Outside the capture ring, so the bearing is defined.
         target = math.degrees(math.atan2(w_e - east, w_n - north)) % 360.0
@@ -376,7 +313,6 @@ def ownship_step(
     cruise_speed = perf.cruise_speed
     if up >= perf.cruise_alt:
         h_speed = cruise_speed
-        vs = 0.0
         new_up = up
     else:
         vs = min(perf.climb_rate, cruise_speed * 0.999)
@@ -386,7 +322,7 @@ def ownship_step(
     return (
         east + h_speed * dt * math.sin(rad),
         north + h_speed * dt * math.cos(rad),
-        new_up, track, h_speed, vs, FlightMode.CRUISE, idx,
+        new_up, track, FlightMode.CRUISE, idx,
     )
 
 
@@ -477,9 +413,6 @@ class IntruderRecord:
     def __post_init__(self) -> None:
         if (self.trajectory is None) == (self.script is None):
             raise ValueError(f"intruder {self.id}: needs exactly one of trajectory and script")
-
-
-Vec3 = tuple[float, float, float]
 
 
 def intruder_state_at(

@@ -235,7 +235,6 @@ def tactical_maneuver(
     kind: IntruderKind,
     direction: ApproachDirection,
     rel: RelativePosition,
-    issued_at: float = 0.0,
     params: CdrParams = CdrParams(),
 ) -> ManeuverCommand:
     """Automated right-of-way action on entering the tactical phase.
@@ -245,19 +244,19 @@ def tactical_maneuver(
     """
     by = IssuedBy.AUTOMATED
     if _receding(direction, rel):
-        return continue_flight(by, issued_at)
+        return continue_flight(by)
     if kind is IntruderKind.BIRD:
-        return hover_and_descend_to(params.descend_alt_m, by, issued_at)
+        return hover_and_descend_to(params.descend_alt_m, by)
     if direction is ApproachDirection.RIGHT:
-        return hover(by, issued_at)
+        return hover(by)
     if direction is ApproachDirection.LEFT:
-        return continue_flight(by, issued_at)
+        return continue_flight(by)
     if direction is ApproachDirection.HEAD_ON:
         if perf.head_on_strategy is HeadOnStrategy.DESCEND:
-            return hover_and_descend_to(params.descend_alt_m, by, issued_at)
-        return turn_by(params.turn_deg, TurnDirection.RIGHT, by, issued_at)
+            return hover_and_descend_to(params.descend_alt_m, by)
+        return turn_by(params.turn_deg, TurnDirection.RIGHT, by)
     # Same direction, ahead: yield the corridor.
-    return change_path(params.lateral_offset_m, by, issued_at)
+    return change_path(params.lateral_offset_m, by)
 
 
 def diversion_target(pos: EnuPoint, vertiports: Mapping[str, EnuPoint]) -> str:
@@ -276,7 +275,6 @@ def emergency_maneuver(
     kind: IntruderKind,
     own_pos: EnuPoint,
     vertiports: Mapping[str, EnuPoint],
-    issued_at: float = 0.0,
     params: CdrParams = CdrParams(),
 ) -> ManeuverCommand:
     """Pilot-level action on warning-envelope penetration; own_pos picks
@@ -284,16 +282,16 @@ def emergency_maneuver(
     by = IssuedBy.PILOT
     divert = diversion_target(own_pos, vertiports)
     if kind is IntruderKind.BIRD:
-        return reroute_to(divert, by, issued_at, direction=TurnDirection.RIGHT)
+        return reroute_to(divert, by, direction=TurnDirection.RIGHT)
     if direction is ApproachDirection.RIGHT:
-        return turn_by(params.turn_deg, TurnDirection.LEFT, by, issued_at)
+        return turn_by(params.turn_deg, TurnDirection.LEFT, by)
     if direction is ApproachDirection.LEFT:
-        return reroute_to(divert, by, issued_at, direction=TurnDirection.RIGHT)
+        return reroute_to(divert, by, direction=TurnDirection.RIGHT)
     if direction is ApproachDirection.HEAD_ON:
         # Keep whatever turn the tactical phase started and head for the
         # diversion field.
-        return reroute_to(divert, by, issued_at, direction=None)
-    return lateral_offset(params.lateral_offset_m, by, issued_at)
+        return reroute_to(divert, by, direction=None)
+    return lateral_offset(params.lateral_offset_m, by)
 
 
 def de_escalated(
@@ -419,7 +417,7 @@ def cdr_step(
                 own_pos, own_track, governing.pos, governing.velocity, params
             )
             rel = relative_position(own_pos, own_track, governing.pos)
-            cmd = tactical_maneuver(perf, governing.kind, direction, rel, t, params)
+            cmd = tactical_maneuver(perf, governing.kind, direction, rel, params)
             new_state = replace(state, phase=CdrPhase.AVOID)
 
     elif phase is CdrPhase.AVOID:
@@ -427,14 +425,14 @@ def cdr_step(
             direction = approach_direction(
                 own_pos, own_track, governing.pos, governing.velocity, params
             )
-            cmd = emergency_maneuver(direction, governing.kind, own_pos, vertiports, t, params)
+            cmd = emergency_maneuver(direction, governing.kind, own_pos, vertiports, params)
             new_state = replace(state, phase=CdrPhase.EMERGENCY, passed_emergency=True)
         elif de_escalated(history.get(state.encounter_id, ()), t, params.hold_duration):
-            new_state, cmd = _resolve_encounter(state, own_pos, vertiports, t)
+            new_state, cmd = _resolve_encounter(state, own_pos, vertiports)
 
     elif phase is CdrPhase.EMERGENCY:
         if de_escalated(history.get(state.encounter_id, ()), t, params.hold_duration):
-            new_state, cmd = _resolve_encounter(state, own_pos, vertiports, t)
+            new_state, cmd = _resolve_encounter(state, own_pos, vertiports)
 
     elif phase is CdrPhase.DE_ESCALATED:
         new_state = replace(
@@ -454,12 +452,11 @@ def _resolve_encounter(
     state: CdrState,
     own_pos: EnuPoint,
     vertiports: Mapping[str, EnuPoint],
-    t: float,
 ) -> tuple[CdrState, ManeuverCommand]:
     """Post-conflict: divert if a pilot had to step in, otherwise pick the
     original plan back up."""
     if state.passed_emergency:
-        cmd = reroute_to(diversion_target(own_pos, vertiports), IssuedBy.PILOT, t)
+        cmd = reroute_to(diversion_target(own_pos, vertiports), IssuedBy.PILOT)
     else:
-        cmd = continue_flight(IssuedBy.AUTOMATED, t)
+        cmd = continue_flight(IssuedBy.AUTOMATED)
     return replace(state, phase=CdrPhase.DE_ESCALATED), cmd

@@ -50,7 +50,10 @@ def simulate(
     """
     params = replace(sc.sim, dt=sc.sim.dt if dt is None else dt, cas_enabled=cas_enabled)
     result = engine.run(sc, params)
-    baselines = {rid: metrics.theoretical_flight_time(r, sc.perf) for rid, r in sc.routes.items()}
+    origin = sc.vertiports["V1"].position
+    baselines = {
+        rid: metrics.theoretical_flight_time(origin, r, sc.perf) for rid, r in sc.routes.items()
+    }
     return result, metrics.delays(result, baselines)
 
 
@@ -196,11 +199,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_pack(args: argparse.Namespace) -> int:
     try:
-        pack = resolve_pack(args.pack)
-    except ScenarioError as exc:
+        written = scenario_io.export_pack(resolve_pack(args.pack), args.out)
+    except (ScenarioError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    written = scenario_io.export_pack(pack, args.out)
     print(f"wrote {len(written)} scenarios to {args.out}")
     return EXIT_OK
 

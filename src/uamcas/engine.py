@@ -12,22 +12,22 @@ mode, the tick, the contact distance) are resolved once before the loop,
 and the envelope set is looked up again only when the flight mode
 changes (a plain Enum hashes in Python code).
 
-The ownship is carried as local floats (position, track, speeds) plus
-its flight mode and waypoint index, and agents.ownship_step takes and
-returns those values.  The decision reads only the ownship's position
-and track, so an OwnshipState is built only on a tick that issues a
-command, for agents.resolve_command.  The records built on every tick
-are TickRecord, one IntruderTick per present intruder, and, with the
-system on, one IntruderObservation per present intruder; the intruder
-positions are EnuPoints from agents.intruder_state_at.  All are
-NamedTuples, which build in half the time of a frozen dataclass or
-less.  The three tick records carry no rules, so the loop builds them
-with tuple.__new__ and skips the generated __new__'s keyword handling;
-EnuPoint and OwnshipState check their fields in __new__ and are always
-built through their constructors.  Reading a NamedTuple field by name
-costs more than reading a slot, so the per-tick readers that take most
-of a record's fields (trace_csv_lines, metrics.cpa, the geo distance
-helpers) unpack it by position instead.
+The ownship is carried as local floats (position and track) plus its
+flight mode and waypoint index, and agents.ownship_step takes and
+returns exactly those values.  The decision reads only the ownship's
+position and track, and agents.resolve_command, on a tick that issues a
+command, reads those plus the waypoint index, so no ownship object is
+ever built.  The records built on every tick are TickRecord, one
+IntruderTick per present intruder, and, with the system on, one
+IntruderObservation per present intruder; the intruder positions are
+EnuPoints from agents.intruder_state_at.  All are NamedTuples, which
+build in half the time of a frozen dataclass or less.  The three tick
+records carry no rules, so the loop builds them with tuple.__new__ and
+skips the generated __new__'s keyword handling; EnuPoint checks its
+fields in __new__ and is always built through its constructor.  Reading
+a NamedTuple field by name costs more than reading a slot, so the
+per-tick readers that take most of a record's fields (trace_csv_lines,
+metrics.cpa, the geo distance helpers) unpack it by position instead.
 
 Float formatting dominates trace rendering, and a tick often repeats
 the previous one's ownship values (east and north change on about half
@@ -49,7 +49,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import agents, cdr, envelopes, geo
-from .agents import FlightMode, NavPlan, OwnshipState
+from .agents import FlightMode, NavPlan
 from .cdr import IntruderObservation
 from .envelopes import Zone
 from .geo import EnuPoint
@@ -127,16 +127,11 @@ class RunResult:
     ground_decision: cdr.GroundDecision
     departure_time: float
     end_time: float
+    # (issue time, command), in issue order.
     command_log: list[tuple[float, ManeuverCommand]]
 
 
 _SEPARATION = attrgetter("separation")
-
-
-def governing_intruder(rec: TickRecord) -> IntruderTick | None:
-    if not rec.intruders:
-        return None
-    return min(rec.intruders, key=_SEPARATION)
 
 
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
@@ -210,7 +205,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     # them, and the post-move values of one tick are the pre-move values
     # of the next.
     east, north, _ = plan.waypoints[0]
-    up = track = ground_speed = vertical_speed = 0.0
+    up = track = 0.0
     mode = FlightMode.GROUND
     idx = 0
     own_pos = (east, north, up)
@@ -261,17 +256,13 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             if command is not None:
                 command_log.append((t_next, command))
                 active_label = command.label()
-                own = OwnshipState(
-                    t, EnuPoint(east, north, up), track, ground_speed, vertical_speed, mode, idx
+                guidance, idx = agents.resolve_command(
+                    own_pos, track, idx, perf, guidance, command, vertiports_enu
                 )
-                guidance, own = agents.resolve_command(
-                    own, perf, guidance, command, vertiports_enu
-                )
-                idx = own.next_waypoint_index
 
         # 4. Ownship advances.
-        east, north, up, track, ground_speed, vertical_speed, new_mode, idx = ownship_step(
-            east, north, up, track, ground_speed, mode, idx, perf, guidance, dt
+        east, north, up, track, new_mode, idx = ownship_step(
+            east, north, up, track, mode, idx, perf, guidance, dt
         )
         own_pos = (east, north, up)
         if new_mode is not mode:

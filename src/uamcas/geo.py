@@ -191,10 +191,9 @@ def project_route(origin: GeoPoint, route: Route) -> tuple[EnuPoint, ...]:
     return tuple(to_enu(origin, wp) for wp in route.waypoints)
 
 
-def polyline_length(route: Route) -> float:
-    """Horizontal length of the route polyline, projected at its first waypoint."""
-    pts = project_route(route.waypoints[0], route)
-    return polyline_length_enu(pts)
+def polyline_length(origin: GeoPoint, route: Route) -> float:
+    """Horizontal length of the route polyline, projected at origin."""
+    return polyline_length_enu(project_route(origin, route))
 
 
 def polyline_length_enu(pts: Sequence[EnuPoint]) -> float:
@@ -284,7 +283,7 @@ def cpa_linear(
     rel_vel: tuple[float, float, float],
     t_max: float,
 ) -> tuple[float, float]:
-    """Closed point of approach for linear relative motion on [0, t_max].
+    """Closest point of approach for linear relative motion on [0, t_max].
 
     Returns (t_star, distance).  Minimizes |rel_pos + rel_vel * t|, a
     quadratic in t, clamped to the interval.

@@ -46,7 +46,6 @@ class ManeuverCommand:
 
     action: Action
     issued_by: IssuedBy
-    issued_at: float
     turn_deg: float | None = None
     direction: TurnDirection | None = None
     target_alt: float | None = None
@@ -87,50 +86,33 @@ class ManeuverCommand:
         return ":".join(parts)
 
 
-def continue_flight(issued_by: IssuedBy, issued_at: float) -> ManeuverCommand:
-    return ManeuverCommand(Action.CONTINUE_FLIGHT, issued_by, issued_at)
+def continue_flight(issued_by: IssuedBy) -> ManeuverCommand:
+    return ManeuverCommand(Action.CONTINUE_FLIGHT, issued_by)
 
 
-def hover(issued_by: IssuedBy, issued_at: float) -> ManeuverCommand:
-    return ManeuverCommand(Action.HOVER, issued_by, issued_at)
+def hover(issued_by: IssuedBy) -> ManeuverCommand:
+    return ManeuverCommand(Action.HOVER, issued_by)
 
 
-def hover_and_descend_to(
-    alt_m: float, issued_by: IssuedBy, issued_at: float
-) -> ManeuverCommand:
-    return ManeuverCommand(
-        Action.HOVER_AND_DESCEND_TO, issued_by, issued_at, target_alt=alt_m
-    )
+def hover_and_descend_to(alt_m: float, issued_by: IssuedBy) -> ManeuverCommand:
+    return ManeuverCommand(Action.HOVER_AND_DESCEND_TO, issued_by, target_alt=alt_m)
 
 
-def turn_by(
-    deg: float, direction: TurnDirection, issued_by: IssuedBy, issued_at: float
-) -> ManeuverCommand:
-    return ManeuverCommand(
-        Action.TURN_BY, issued_by, issued_at, turn_deg=deg, direction=direction
-    )
+def turn_by(deg: float, direction: TurnDirection, issued_by: IssuedBy) -> ManeuverCommand:
+    return ManeuverCommand(Action.TURN_BY, issued_by, turn_deg=deg, direction=direction)
 
 
 def reroute_to(
-    vertiport_id: str,
-    issued_by: IssuedBy,
-    issued_at: float,
-    direction: TurnDirection | None = None,
+    vertiport_id: str, issued_by: IssuedBy, direction: TurnDirection | None = None
 ) -> ManeuverCommand:
     return ManeuverCommand(
-        Action.REROUTE_TO,
-        issued_by,
-        issued_at,
-        target_vertiport=vertiport_id,
-        direction=direction,
+        Action.REROUTE_TO, issued_by, target_vertiport=vertiport_id, direction=direction
     )
 
 
-def lateral_offset(
-    offset_m: float, issued_by: IssuedBy, issued_at: float
-) -> ManeuverCommand:
-    return ManeuverCommand(Action.LATERAL_OFFSET, issued_by, issued_at, offset_m=offset_m)
+def lateral_offset(offset_m: float, issued_by: IssuedBy) -> ManeuverCommand:
+    return ManeuverCommand(Action.LATERAL_OFFSET, issued_by, offset_m=offset_m)
 
 
-def change_path(offset_m: float, issued_by: IssuedBy, issued_at: float) -> ManeuverCommand:
-    return ManeuverCommand(Action.CHANGE_PATH, issued_by, issued_at, offset_m=offset_m)
+def change_path(offset_m: float, issued_by: IssuedBy) -> ManeuverCommand:
+    return ManeuverCommand(Action.CHANGE_PATH, issued_by, offset_m=offset_m)

@@ -12,18 +12,19 @@ from typing import Mapping, Sequence
 
 from .agents import PerformanceModel
 from .engine import RunResult, Terminal, TerminalKind
-from .geo import Route, polyline_length
+from .geo import GeoPoint, Route, polyline_length
 
 
 class PairingError(ValueError):
     """Batch rows without a matching with/without counterpart."""
 
 
-def theoretical_flight_time(route: Route, perf: PerformanceModel) -> float:
-    """Still-air time: cruise over the polyline plus the vertical climb
-    and descent legs."""
+def theoretical_flight_time(origin: GeoPoint, route: Route, perf: PerformanceModel) -> float:
+    """Still-air time: cruise over the polyline, projected at origin (the
+    scenario's V1, as the engine flies it), plus the vertical climb and
+    descent legs."""
     return (
-        polyline_length(route) / perf.cruise_speed
+        polyline_length(origin, route) / perf.cruise_speed
         + perf.cruise_alt / perf.climb_rate
         + perf.cruise_alt / perf.descent_rate
     )

@@ -120,10 +120,10 @@ class Scenario:
             object.__setattr__(self, "perf", DEFAULT_PERFORMANCE[self.ownship_config])
 
     def destination_id(self, route_id: str) -> str:
-        """Vertiport id at the end of the given route."""
-        route = self.routes[route_id]
-        origin = route.waypoints[0]
-        last = to_enu(origin, route.waypoints[-1])
+        """Vertiport id at the end of the given route, compared in the
+        frame the engine flies: the flat plane centred on V1."""
+        origin = self.vertiports["V1"].position
+        last = to_enu(origin, self.routes[route_id].waypoints[-1])
         return min(
             self.vertiports.values(),
             key=lambda vp: horizontal_distance(to_enu(origin, vp.position), last),
@@ -544,7 +544,11 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
-    return parse_scenario(p.read_text(encoding="utf-8"), base_dir=p.parent)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([(0, f"not UTF-8 text: {exc}")]) from None
+    return parse_scenario(text, base_dir=p.parent)
 
 
 # ---------------------------------------------------------------------------

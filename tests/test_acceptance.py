@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from uamcas import cdr, cli, engine, metrics
-from uamcas.agents import (
-    DEFAULT_PERFORMANCE,
-    FlightMode,
-    IntruderKind,
-    OwnshipConfig,
-    OwnshipState,
-)
+from uamcas.agents import DEFAULT_PERFORMANCE, FlightMode, IntruderKind, OwnshipConfig
 from uamcas.cdr import ApproachDirection, RelativePosition
 from uamcas.envelopes import Zone
 from uamcas.geo import EnuPoint, polyline_length
@@ -46,7 +40,7 @@ def run_scenario(sid: str, dt: float, cas_enabled: bool = True) -> Scored:
 
 def theory_for(sid: str, rid: str) -> float:
     sc = PACK[sid]
-    return metrics.theoretical_flight_time(sc.routes[rid], sc.perf)
+    return metrics.theoretical_flight_time(sc.vertiports["V1"].position, sc.routes[rid], sc.perf)
 
 
 def min_cpa(result: engine.RunResult) -> float:
@@ -78,11 +72,12 @@ def test_criterion_01_theoretical_flight_times():
     cruise_component = {"ROUTE1": 333.33, "ROUTE2": 384.61}
     sc = PACK["ref-route1"]
     perf = sc.perf
+    origin = sc.vertiports["V1"].position
     t0 = time.perf_counter()
     for rid, route in sc.routes.items():
-        total = metrics.theoretical_flight_time(route, perf)
+        total = metrics.theoretical_flight_time(origin, route, perf)
         assert total == pytest.approx(expected[rid], abs=1.0)
-        cruise = polyline_length(route) / perf.cruise_speed
+        cruise = polyline_length(origin, route) / perf.cruise_speed
         assert cruise == pytest.approx(cruise_component[rid], abs=0.01)
         climb = perf.cruise_alt / perf.climb_rate
         assert climb == pytest.approx(179.29, abs=0.01)
@@ -130,15 +125,7 @@ def test_criterion_04_right_of_way_tables():
     """Both decision tables are total over their whole input product and
     match the contract cell by cell."""
     # Totality: every combination yields a command with the right issuer.
-    own = OwnshipState(
-        t=0.0,
-        pos=EnuPoint(1000.0, 0.0, 304.8),
-        track=90.0,
-        ground_speed=78.0,
-        vertical_speed=0.0,
-        flight_mode=FlightMode.CRUISE,
-        next_waypoint_index=0,
-    )
+    own = EnuPoint(1000.0, 0.0, 304.8)  # the ownship's position
     vports = {"V1": EnuPoint(0.0, 0.0), "V2": EnuPoint(2000.0, 0.0), "V3": EnuPoint(500.0, 0.0)}
     for config, kind, direction, rel in itertools.product(
         OwnshipConfig, IntruderKind, ApproachDirection, RelativePosition
@@ -146,7 +133,7 @@ def test_criterion_04_right_of_way_tables():
         cmd = cdr.tactical_maneuver(DEFAULT_PERFORMANCE[config], kind, direction, rel)
         assert cmd.issued_by is IssuedBy.AUTOMATED, (config, kind, direction, rel)
     for direction, kind in itertools.product(ApproachDirection, IntruderKind):
-        cmd = cdr.emergency_maneuver(direction, kind, own.pos, vports)
+        cmd = cdr.emergency_maneuver(direction, kind, own, vports)
         assert cmd.issued_by is IssuedBy.PILOT, (direction, kind)
 
     # Tactical cells, with the intruder approaching (ahead).
@@ -174,21 +161,21 @@ def test_criterion_04_right_of_way_tables():
     assert cell.target_alt == DESCEND_ALT_M
 
     # Emergency cells.  Nearest vertiport to the ownship above is V3.
-    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, drone, own.pos, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, drone, own, vports)
     assert cell.action is Action.TURN_BY
     assert (cell.turn_deg, cell.direction) == (45.0, TurnDirection.LEFT)
-    cell = cdr.emergency_maneuver(ApproachDirection.LEFT, drone, own.pos, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.LEFT, drone, own, vports)
     assert (cell.action, cell.target_vertiport) == (Action.REROUTE_TO, "V3")
     assert cell.direction is TurnDirection.RIGHT
-    cell = cdr.emergency_maneuver(ApproachDirection.HEAD_ON, drone, own.pos, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.HEAD_ON, drone, own, vports)
     assert (cell.action, cell.target_vertiport) == (Action.REROUTE_TO, "V3")
     assert cell.direction is None
-    cell = cdr.emergency_maneuver(ApproachDirection.SAME_DIRECTION, drone, own.pos, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.SAME_DIRECTION, drone, own, vports)
     assert cell.action is Action.LATERAL_OFFSET
-    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, bird, own.pos, vports)
+    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, bird, own, vports)
     assert (cell.action, cell.target_vertiport) == (Action.REROUTE_TO, "V3")
     assert cell.direction is TurnDirection.RIGHT
-    assert cdr.diversion_target(own.pos, vports) == "V3"
+    assert cdr.diversion_target(own, vports) == "V3"
 
 
 def test_criterion_05_encounters_resolved(paired_runs):

@@ -3,11 +3,12 @@ computations (climb timing, turn geometry) and closed-form positions."""
 
 import math
 from bisect import bisect_right
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
-from uamcas.geo import EnuPoint, horizontal_distance
+from uamcas.geo import EnuPoint
 from uamcas.agents import (
     DEFAULT_PERFORMANCE,
     FlightMode,
@@ -19,7 +20,6 @@ from uamcas.agents import (
     IntruderRecord,
     NavPlan,
     OwnshipConfig,
-    OwnshipState,
     PerformanceModel,
     ScriptMode,
     ScriptedBehavior,
@@ -50,26 +50,24 @@ def plan(*wpts, dest="V2"):
     return NavPlan(tuple(EnuPoint(*w) for w in wpts), dest)
 
 
+class Own(NamedTuple):
+    """The values ownship_step takes and returns, named for the tests."""
+
+    east: float
+    north: float
+    up: float
+    track: float
+    mode: FlightMode
+    idx: int
+
+
 def step(state, perf, guidance, dt):
-    """One ownship_step on an OwnshipState, returning the next one."""
-    t, (east, north, up), track, ground_speed, _, mode, idx = state
-    out = ownship_step(east, north, up, track, ground_speed, mode, idx, perf, guidance, dt)
-    east, north, up, track, ground_speed, vertical_speed, mode, idx = out
-    return OwnshipState(
-        t + dt, EnuPoint(east, north, up), track, ground_speed, vertical_speed, mode, idx
-    )
+    """One ownship_step from state, returning the next one."""
+    return Own._make(ownship_step(*state, perf, guidance, dt))
 
 
-def cruise_state(pos, track, perf=VT, idx=0):
-    return OwnshipState(
-        t=0.0,
-        pos=EnuPoint(*pos),
-        track=track,
-        ground_speed=perf.cruise_speed,
-        vertical_speed=0.0,
-        flight_mode=FlightMode.CRUISE,
-        next_waypoint_index=idx,
-    )
+def cruise_state(pos, track, idx=0):
+    return Own(*pos, track, FlightMode.CRUISE, idx)
 
 
 class TestPerformanceTable:
@@ -107,88 +105,68 @@ class TestPerformanceTable:
 
 
 class TestStateValidation:
-    def test_hover_needs_zero_speed(self):
-        with pytest.raises(ValueError):
-            OwnshipState(
-                0.0, EnuPoint(0, 0, 300), 0.0, 10.0, 0.0,
-                FlightMode.HOVER, 0,
-            )
-
     def test_ground_needs_zero_altitude(self):
-        with pytest.raises(ValueError):
-            OwnshipState(
-                0.0, EnuPoint(0, 0, 10), 0.0, 0.0, 0.0,
-                FlightMode.GROUND, 0,
-            )
+        with pytest.raises(ValueError, match="ground mode requires zero altitude"):
+            step(Own(0, 0, 10, 0.0, FlightMode.GROUND, 0), VT, follow_plan(plan((0, 0, 0))), 0.1)
 
 
 class TestResolveCommand:
     P = plan((0, 5000, 304.8), (0, 10000, 304.8))
+    POS = (0.0, 0.0, 304.8)
 
     def test_continue_reverts_to_plan(self):
-        st0 = cruise_state((0, 0, 304.8), 0.0)
         g = Guidance(GuidanceKind.HOVER, self.P)
-        g2, st2 = resolve_command(st0, VT, g, continue_flight(AUTO, 5.0), {})
+        g2, idx = resolve_command(self.POS, 0.0, 1, VT, g, continue_flight(AUTO), {})
         assert g2.kind is GuidanceKind.FOLLOW_PLAN
         assert g2.plan is self.P
-        assert st2 is st0
+        assert idx == 1
 
     def test_descend_target_must_be_below_cruise(self):
-        st0 = cruise_state((0, 0, 304.8), 0.0)
+        g = follow_plan(self.P)
         with pytest.raises(InfeasibleManeuverError):
-            resolve_command(
-                st0, VT, follow_plan(self.P),
-                hover_and_descend_to(304.8, AUTO, 1.0), {},
-            )
-        g2, _ = resolve_command(
-            st0, VT, follow_plan(self.P), hover_and_descend_to(150.0, AUTO, 1.0), {}
-        )
+            resolve_command(self.POS, 0.0, 0, VT, g, hover_and_descend_to(304.8, AUTO), {})
+        g2, _ = resolve_command(self.POS, 0.0, 0, VT, g, hover_and_descend_to(150.0, AUTO), {})
         assert g2.kind is GuidanceKind.HOVER_DESCEND
         assert g2.target_alt == 150.0
 
     def test_turn_sets_held_track(self):
-        st0 = cruise_state((0, 0, 304.8), 350.0)
         g2, _ = resolve_command(
-            st0, VT, follow_plan(self.P),
-            turn_by(45.0, TurnDirection.RIGHT, AUTO, 1.0), {},
+            self.POS, 350.0, 0, VT, follow_plan(self.P),
+            turn_by(45.0, TurnDirection.RIGHT, AUTO), {},
         )
         assert g2.kind is GuidanceKind.HOLD_TRACK
         assert g2.target_track == pytest.approx(35.0)
         assert g2.slew is TurnDirection.RIGHT
 
     def test_reroute_replaces_plan(self):
-        st0 = cruise_state((0, 0, 304.8), 0.0, idx=1)
         ports = {"V3": EnuPoint(-8000, 2000, 0)}
-        g2, st2 = resolve_command(
-            st0, VT, follow_plan(self.P), reroute_to("V3", IssuedBy.PILOT, 2.0), ports
+        g2, idx = resolve_command(
+            self.POS, 0.0, 1, VT, follow_plan(self.P), reroute_to("V3", IssuedBy.PILOT), ports
         )
         assert g2.plan.waypoints == (ports["V3"],)
         assert g2.plan.destination_id == "V3"
-        assert st2.next_waypoint_index == 0
+        assert idx == 0
 
     def test_reroute_unknown_pad_is_infeasible(self):
-        st0 = cruise_state((0, 0, 304.8), 0.0)
         with pytest.raises(InfeasibleManeuverError):
             resolve_command(
-                st0, VT, follow_plan(self.P), reroute_to("V9", IssuedBy.PILOT, 2.0), {}
+                self.POS, 0.0, 0, VT, follow_plan(self.P), reroute_to("V9", IssuedBy.PILOT), {}
             )
 
     def test_lateral_offset_shifts_path_keeps_destination(self):
         # track north, positive offset goes east (starboard)
-        st0 = cruise_state((0, 0, 304.8), 0.0)
-        g2, st2 = resolve_command(
-            st0, VT, follow_plan(self.P), lateral_offset(300.0, IssuedBy.PILOT, 3.0), {}
+        g2, idx = resolve_command(
+            self.POS, 0.0, 0, VT, follow_plan(self.P), lateral_offset(300.0, IssuedBy.PILOT), {}
         )
         w = g2.plan.waypoints
         assert (w[0].east, w[0].north) == pytest.approx((300.0, 0.0))
         assert (w[1].east, w[1].north) == pytest.approx((300.0, 5000.0))
         assert w[-1] == self.P.waypoints[-1]  # rejoin: destination unmoved
-        assert st2.next_waypoint_index == 0
+        assert idx == 0
 
     def test_negative_offset_goes_port(self):
-        st0 = cruise_state((0, 0, 304.8), 0.0)
         g2, _ = resolve_command(
-            st0, VT, follow_plan(self.P), lateral_offset(-300.0, IssuedBy.PILOT, 3.0), {}
+            self.POS, 0.0, 0, VT, follow_plan(self.P), lateral_offset(-300.0, IssuedBy.PILOT), {}
         )
         assert g2.plan.waypoints[0].east == pytest.approx(-300.0)
 
@@ -197,31 +175,26 @@ class TestClimbOut:
     def test_climb_duration_matches_rate(self):
         # 304.8 m at 1.7 m/s: airborne until ~179.3 s, then level cruise
         p = plan((0, 0, 0), (10000, 0, 0))
-        st0 = OwnshipState(
-            0.0, EnuPoint(0, 0, 0), 0.0, 0.0, 0.0,
-            FlightMode.GROUND, 0,
-        )
         g = follow_plan(p)
         dt = 0.1
-        state = st0
-        while state.flight_mode is not FlightMode.CRUISE:
+        state = Own(0, 0, 0, 0.0, FlightMode.GROUND, 0)
+        t = 0.0
+        while state.mode is not FlightMode.CRUISE:
             state = step(state, VT, g, dt)
-            assert state.t < 200.0, "climb never finished"
+            t += dt
+            assert t < 200.0, "climb never finished"
         expect = VT.cruise_alt / VT.climb_rate
-        assert expect <= state.t <= expect + 2 * dt
-        assert state.pos.up == VT.cruise_alt
+        assert expect <= t <= expect + 2 * dt
+        assert state.up == VT.cruise_alt
 
     def test_level_off_skips_departure_pad(self):
         p = plan((0, 0, 0), (10000, 0, 0))
-        st0 = OwnshipState(
-            0.0, EnuPoint(0, 0, 304.75), 0.0, 0.0, VT.climb_rate,
-            FlightMode.VERTICAL_CLIMB, 0,
-        )
+        st0 = Own(0, 0, 304.75, 0.0, FlightMode.VERTICAL_CLIMB, 0)
         state = step(st0, VT, follow_plan(p), 0.1)
-        assert state.flight_mode is FlightMode.CRUISE
-        assert state.next_waypoint_index == 1  # pad is inside the capture ring
+        assert state.mode is FlightMode.CRUISE
+        assert state.idx == 1  # pad is inside the capture ring
         assert state.track == pytest.approx(90.0)
-        assert state.ground_speed == VT.cruise_speed
+        assert state.up == VT.cruise_alt
 
 
 class TestCruise:
@@ -229,34 +202,31 @@ class TestCruise:
         p = plan((10000, 0, 304.8))
         st0 = cruise_state((0, 0, 304.8), 90.0)
         st1 = step(st0, VT, follow_plan(p), 0.5)
-        assert st1.pos.east == pytest.approx(39.0)
-        assert st1.pos.north == pytest.approx(0.0)
+        assert st1.east == pytest.approx(39.0)
+        assert st1.north == pytest.approx(0.0)
         assert st1.track == 90.0
 
     def test_waypoint_capture_switches_target(self):
         p = plan((10000, 0, 304.8), (10000, 8000, 304.8))
         st0 = cruise_state((9960, 0, 304.8), 90.0)  # 40 m out: captured
         st1 = step(st0, VT, follow_plan(p), 0.1)
-        assert st1.next_waypoint_index == 1
+        assert st1.idx == 1
         assert st1.track == pytest.approx(90.0 - VT.turn_rate * 0.1)
 
     def test_destination_capture_starts_descent(self):
         p = plan((10000, 0, 304.8))
         st0 = cruise_state((9970, 0, 304.8), 90.0)
         st1 = step(st0, VT, follow_plan(p), 0.1)
-        assert st1.flight_mode is FlightMode.VERTICAL_DESCENT
-        assert st1.ground_speed == 0.0
-        assert st1.pos.up == pytest.approx(304.8 - 1.7 * 0.1)
+        assert st1.mode is FlightMode.VERTICAL_DESCENT
+        assert (st1.east, st1.north) == (9970, 0)
+        assert st1.up == pytest.approx(304.8 - 1.7 * 0.1)
 
     def test_touchdown_clamps_to_ground(self):
         p = plan((0, 0, 304.8))
-        st0 = OwnshipState(
-            0.0, EnuPoint(0, 0, 0.1), 90.0, 0.0, -1.7,
-            FlightMode.VERTICAL_DESCENT, 1,
-        )
+        st0 = Own(0, 0, 0.1, 90.0, FlightMode.VERTICAL_DESCENT, 1)
         st1 = step(st0, VT, follow_plan(p), 0.1)
-        assert st1.flight_mode is FlightMode.GROUND
-        assert st1.pos.up == 0.0
+        assert st1.mode is FlightMode.GROUND
+        assert st1.up == 0.0
 
     def test_turn_rate_limit(self):
         # 90 degree heading change at 10 deg/s takes 9 s regardless of dt
@@ -272,14 +242,19 @@ class TestCruise:
         assert n * dt == pytest.approx(9.0, abs=2 * dt)
 
     def test_climb_back_respects_speed_budget(self):
-        # recovering altitude after a commanded descent trades forward speed
+        # recovering altitude after a commanded descent trades forward
+        # speed: the climb takes climb_rate, the rest of cruise_speed
+        # goes forward
         p = plan((100000, 0, 304.8))
+        dt = 0.5
         st0 = cruise_state((0, 0, 150.0), 90.0)
-        st1 = step(st0, VT, follow_plan(p), 1.0)
-        assert st1.vertical_speed == pytest.approx(VT.climb_rate)
-        total = math.hypot(st1.ground_speed, st1.vertical_speed)
-        assert total == pytest.approx(VT.cruise_speed)
-        assert st1.pos.up == pytest.approx(151.7)
+        st1 = step(st0, VT, follow_plan(p), dt)
+        horizontal = math.hypot(st1.east - st0.east, st1.north - st0.north)
+        assert horizontal == pytest.approx(
+            math.sqrt(VT.cruise_speed**2 - VT.climb_rate**2) * dt
+        )
+        assert st1.up - st0.up == pytest.approx(VT.climb_rate * dt)
+        assert math.hypot(horizontal, st1.up - st0.up) == pytest.approx(VT.cruise_speed * dt)
 
 
 class TestHoverDirectives:
@@ -289,18 +264,17 @@ class TestHoverDirectives:
         st0 = cruise_state((500, 0, 304.8), 90.0)
         g = Guidance(GuidanceKind.HOVER, self.P)
         st1 = step(st0, VT, g, 0.5)
-        assert st1.flight_mode is FlightMode.HOVER
-        assert (st1.pos.east, st1.pos.north, st1.pos.up) == (500, 0, 304.8)
-        assert st1.ground_speed == 0.0
+        assert st1.mode is FlightMode.HOVER
+        assert (st1.east, st1.north, st1.up) == (500, 0, 304.8)
 
     def test_hover_descend_stops_at_target(self):
         g = Guidance(GuidanceKind.HOVER_DESCEND, self.P, target_alt=300.0)
         st = cruise_state((500, 0, 304.8), 90.0)
         for _ in range(40):
             st = step(st, VT, g, 0.1)
-        assert st.pos.up == pytest.approx(300.0)
-        assert st.flight_mode is FlightMode.HOVER
-        assert st.pos.east == 500.0
+        assert st.up == pytest.approx(300.0)
+        assert st.mode is FlightMode.HOVER
+        assert st.east == 500.0
 
     def test_forced_turn_side_honoured(self):
         # going right to a target that is 20 degrees to the left
@@ -326,22 +300,41 @@ class TestHoverDirectives:
 
 class TestSpeedInvariant:
     @given(
+        config=st.sampled_from(OwnshipConfig),
+        mode=st.sampled_from(FlightMode),
+        kind=st.sampled_from(GuidanceKind),
         east=st.floats(-5000, 5000),
         north=st.floats(-5000, 5000),
-        up=st.floats(100, 304.8),
+        up_frac=st.floats(0, 1),
         track=st.floats(0, 360),
         dt=st.floats(0.05, 1.0),
+        target_track=st.floats(0, 360),
+        slew=st.sampled_from([None, *TurnDirection]),
+        target_alt_frac=st.floats(0.01, 0.99),
     )
-    def test_cruise_speed_never_exceeded(self, east, north, up, track, dt):
-        p = plan((20000, 20000, 304.8))
-        st0 = cruise_state((east, north, up), track)
-        st1 = step(st0, VT, follow_plan(p), dt)
+    def test_cruise_speed_never_exceeded(
+        self, config, mode, kind, east, north, up_frac, track, dt, target_track, slew,
+        target_alt_frac,
+    ):
+        """Whatever the airframe, valid flight mode and directive, one
+        tick moves the ownship no further than its fastest rate allows:
+        cruise, climb or descent."""
+        perf = DEFAULT_PERFORMANCE[config]
+        up = 0.0 if mode is FlightMode.GROUND else up_frac * perf.cruise_alt
+        if kind is GuidanceKind.HOLD_TRACK:
+            extra = {"target_track": target_track, "slew": slew}
+        elif kind is GuidanceKind.HOVER_DESCEND:
+            extra = {"target_alt": target_alt_frac * perf.cruise_alt}
+        else:
+            extra = {}
+        g = Guidance(kind, plan((20000, 20000, 304.8)), **extra)
+        st0 = Own(east, north, up, track, mode, 0)
+        st1 = step(st0, perf, g, dt)
         moved = math.sqrt(
-            (st1.pos.east - east) ** 2
-            + (st1.pos.north - north) ** 2
-            + (st1.pos.up - up) ** 2
+            (st1.east - east) ** 2 + (st1.north - north) ** 2 + (st1.up - up) ** 2
         )
-        assert moved <= VT.cruise_speed * dt * (1 + 1e-9)
+        fastest = max(perf.cruise_speed, perf.climb_rate, perf.descent_rate)
+        assert moved <= fastest * dt * (1 + 1e-9)
 
 
 class TestTrajectories:

@@ -1,0 +1,55 @@
+"""Byte-identity of the command line's artifacts.
+
+Each test runs one invocation in a fresh directory and compares a
+sha256 of everything it wrote, and of its stdout, with the digest the
+same invocation gave when it was pinned.  A change that means to alter
+an artifact updates the digest here and says which outputs moved and
+why; any other change must leave every digest as it is.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from uamcas.cli import main
+
+BATCH_DIGEST = "f2c83ad118cf38fe05987808ba0c72105b1eaca7f371fbaa9326eb0f92239d39"
+RUN_SC11_DIGEST = "9d549d2429618656d44ddb8404849344c9fd253d58618b94ea233c957513bd6c"
+PACK_DIGEST = "c4ff65354538aa4334ddf0b2b3e1278677a74f9d362cb74cb20277b6be280194"
+
+
+def digest(root: Path, stdout: str | None = None) -> str:
+    """sha256 over every file under root (relative path, size, bytes),
+    then over stdout when given."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    if stdout is not None:
+        data = stdout.encode()
+        h.update(f"<stdout>\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_default_pack_batch(workdir, capsys):
+    assert main(["batch", "--pack", "default", "--format", "both", "--out", "batch"]) == 0
+    assert digest(workdir / "batch", capsys.readouterr().out) == BATCH_DIGEST
+
+
+def test_pack_export_and_sc11_compare_run(workdir, capsys):
+    assert main(["pack", "--out", "pack"]) == 0
+    assert capsys.readouterr().out == "wrote 21 scenarios to pack\n"
+    assert digest(workdir / "pack") == PACK_DIGEST
+
+    rc = main(["run", "pack/sc-11.scn", "--compare", "--format", "both", "--out", "run11"])
+    assert rc == 0
+    assert digest(workdir / "run11", capsys.readouterr().out) == RUN_SC11_DIGEST

@@ -10,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from uamcas.agents import (
     DEFAULT_PERFORMANCE,
-    FlightMode,
     IntruderBehavior,
     IntruderKind,
     IntruderRecord,
     OwnshipConfig,
-    OwnshipState,
     ScriptMode,
     ScriptedBehavior,
 )
@@ -49,16 +47,13 @@ AHEAD = RelativePosition.AHEAD
 BEHIND = RelativePosition.BEHIND
 
 
-def own_state(pos=(0, 0, 304.8), track=0.0):
-    return OwnshipState(
-        t=0.0, pos=EnuPoint(*pos), track=track, ground_speed=78.0,
-        vertical_speed=0.0, flight_mode=FlightMode.CRUISE,
-        next_waypoint_index=1,
-    )
+def own(pos=(0, 0, 304.8), track=0.0):
+    """The ownship as the decision reads it: position and track."""
+    return EnuPoint(*pos), track
 
 
 class TestApproachDirection:
-    OWN = own_state(track=0.0)
+    OWN = own(track=0.0)
 
     def case(self, intr_track_deg, bearing_east):
         import math
@@ -66,7 +61,7 @@ class TestApproachDirection:
         vx = 10.0 * math.sin(math.radians(intr_track_deg))
         vy = 10.0 * math.cos(math.radians(intr_track_deg))
         pos = EnuPoint(bearing_east, 1000.0, 304.8)
-        return approach_direction(self.OWN.pos, self.OWN.track, pos, (vx, vy, 0.0))
+        return approach_direction(*self.OWN, pos, (vx, vy, 0.0))
 
     def test_reciprocal_track_is_head_on(self):
         assert self.case(180.0, 0.0) is ApproachDirection.HEAD_ON
@@ -87,31 +82,29 @@ class TestApproachDirection:
         assert self.case(90.0, -500.0) is ApproachDirection.LEFT
 
     def test_stationary_intruder_classified_by_half_plane(self):
-        own = self.OWN
         still = (0.0, 0.0, 0.0)
-        assert approach_direction(own.pos, own.track, EnuPoint(10, 1000, 304.8), still) is ApproachDirection.RIGHT
-        assert approach_direction(own.pos, own.track, EnuPoint(-10, 1000, 304.8), still) is ApproachDirection.LEFT
+        assert approach_direction(*self.OWN, EnuPoint(10, 1000, 304.8), still) is ApproachDirection.RIGHT
+        assert approach_direction(*self.OWN, EnuPoint(-10, 1000, 304.8), still) is ApproachDirection.LEFT
         # dead ahead counts as right (never head-on without a track)
-        assert approach_direction(own.pos, own.track, EnuPoint(0, 1000, 304.8), still) is ApproachDirection.RIGHT
+        assert approach_direction(*self.OWN, EnuPoint(0, 1000, 304.8), still) is ApproachDirection.RIGHT
 
 
 class TestRelativePosition:
     def test_quadrants(self):
-        own = own_state(track=90.0)  # flying east
-        assert relative_position(own.pos, own.track, EnuPoint(100, 50, 304.8)) is AHEAD
-        assert relative_position(own.pos, own.track, EnuPoint(100, -50, 304.8)) is AHEAD
-        assert relative_position(own.pos, own.track, EnuPoint(-100, 10, 304.8)) is BEHIND
+        east_bound = own(track=90.0)  # flying east
+        assert relative_position(*east_bound, EnuPoint(100, 50, 304.8)) is AHEAD
+        assert relative_position(*east_bound, EnuPoint(100, -50, 304.8)) is AHEAD
+        assert relative_position(*east_bound, EnuPoint(-100, 10, 304.8)) is BEHIND
 
     def test_abeam_counts_as_ahead(self):
-        own = own_state(track=0.0)
-        assert relative_position(own.pos, own.track, EnuPoint(500, 0, 304.8)) is AHEAD
+        assert relative_position(*own(track=0.0), EnuPoint(500, 0, 304.8)) is AHEAD
 
 
 class TestTacticalTable:
     """The automated right-of-way table, cell by cell."""
 
     def cmd(self, config, kind, direction, rel=AHEAD):
-        return tactical_maneuver(config, kind, direction, rel, issued_at=7.0)
+        return tactical_maneuver(config, kind, direction, rel)
 
     def test_intruder_from_right_yields(self):
         c = self.cmd(VT, DRONE, ApproachDirection.RIGHT)
@@ -170,10 +163,10 @@ class TestEmergencyTable:
         "V2": EnuPoint(20000, 0, 0),
         "V3": EnuPoint(9000, 4000, 0),
     }
-    OWN = own_state(pos=(10000, 0, 304.8), track=90.0)  # V3 nearest
+    OWN_POS = EnuPoint(10000, 0, 304.8)  # V3 nearest
 
     def cmd(self, direction, kind=DRONE):
-        return emergency_maneuver(direction, kind, self.OWN.pos, self.PORTS, issued_at=9.0)
+        return emergency_maneuver(direction, kind, self.OWN_POS, self.PORTS)
 
     def test_right_turns_away_left(self):
         c = self.cmd(ApproachDirection.RIGHT)
@@ -470,10 +463,9 @@ def obs(sep, zone, pos=(400, 300, 304.8), vel=(-10.0, 0.0, 0.0), name="X", kind=
     return IntruderObservation(name, kind, EnuPoint(*pos), vel, sep, zone)
 
 
-def step(state, t, observations, history=None, own=None, params=CdrParams()):
-    own = own or own_state(track=0.0)
+def step(state, t, observations, history=None, params=CdrParams()):
     return cdr_step(
-        state, t, own.pos, own.track, observations,
+        state, t, *own(track=0.0), observations,
         history or {}, PORTS, VT, params,
     )
 

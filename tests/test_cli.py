@@ -56,6 +56,33 @@ def overflowing_sc03(scn_dir, where):
     return bad
 
 
+# V2 is 89 km west of V1, and the route runs from 90 km east of V1 to
+# 90 km west of it: each point fits the flat frame centred on V1, but the
+# route is 180 km long, too long for a frame centred on its own first
+# point.
+ACROSS = """\
+SCENARIO across
+OWNSHIP VECTORED_THRUST
+VERTIPORT V1 48.3537 11.786
+VERTIPORT V2 48.3537 10.58
+ROUTE ACROSS 48.3537,13.0 48.3537,10.57
+PLAN ACROSS
+"""
+
+UNREADABLE = ["not-utf8", "directory"]
+
+
+def unreadable_scn(where, kind):
+    """An x.scn entry under where that cannot be read as text: bytes that
+    are not UTF-8, or a directory."""
+    bad = where / "x.scn"
+    if kind == "not-utf8":
+        bad.write_bytes(b"\xff\xfeSCENARIO x\n")
+    else:
+        bad.mkdir()
+    return bad
+
+
 def far_v3_sc03(scn_dir, where):
     """sc-03 with V3 moved 140 km north of V1, beyond the flat frame."""
     text = Path(scn(scn_dir, "sc-03")).read_text()
@@ -202,6 +229,15 @@ class TestRun:
         doc = json.loads((tmp_path / "one-route_report.json").read_text())
         assert doc["d_ground_s"] == 300.0
 
+    def test_route_is_flown_in_the_frame_of_v1(self, tmp_path, capsys):
+        path = tmp_path / "across.scn"
+        path.write_text(ACROSS)
+        assert main(["validate", str(path)]) == 0
+        rc = main(["run", str(path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert captured.out.splitlines()[-1] == "across: landed at V2, t_sim=2660.000 s"
+
     def test_postponed_structured_report_is_strict_json(self, scn_dir, tmp_path):
         rc = main(["run", scn(scn_dir, "ground-postponed"), "--dt", "0.5",
                    "--format", "structured", "--out", str(tmp_path)])
@@ -327,6 +363,17 @@ class TestBatch:
         assert captured.err.startswith("error: ") and "beyond flat-plane validity" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_scn_is_an_error(self, scn_dir, tmp_path, capsys, kind):
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        (pack / "ref-route1.scn").write_text(Path(scn(scn_dir, "ref-route1")).read_text())
+        unreadable_scn(pack, kind)
+        rc = main(["batch", "--pack", str(pack), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
     def test_env_var_selects_pack(self, mini_pack_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("UAMCAS_PACK_DIR", str(mini_pack_dir))
@@ -505,6 +552,18 @@ class TestValidate:
         assert err.startswith(f"{bad}:{at}: ") and err.endswith(message), err
 
 
+    @pytest.mark.parametrize(
+        "kind,message",
+        [("not-utf8", ":0: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+         ("directory", "Is a directory")],
+    )
+    def test_unreadable_scn_is_an_error(self, tmp_path, capsys, kind, message):
+        bad = unreadable_scn(tmp_path, kind)
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 class TestPackExport:
     def test_default_pack_export(self, tmp_path, capsys):
         out = tmp_path / "exported"
@@ -512,6 +571,19 @@ class TestPackExport:
         assert rc == 0
         assert capsys.readouterr().out.strip() == f"wrote 21 scenarios to {out}"
         assert len(list(out.glob("*.scn"))) == 21
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_scn_is_an_error(self, scn_dir, tmp_path, capsys, kind):
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        (pack / "ref-route1.scn").write_text(Path(scn(scn_dir, "ref-route1")).read_text())
+        unreadable_scn(pack, kind)
+        out = tmp_path / "exported"
+        rc = main(["pack", "--pack", str(pack), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
 
     def test_exported_files_validate(self, tmp_path, capsys):
         out = tmp_path / "exported"

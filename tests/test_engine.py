@@ -24,7 +24,7 @@ def run(sid, **kw):
 def theory(sid):
     sc = PACK[sid]
     return metrics.theoretical_flight_time(
-        sc.routes[sc.planned_route], sc.perf
+        sc.vertiports["V1"].position, sc.routes[sc.planned_route], sc.perf
     )
 
 
@@ -141,9 +141,7 @@ class TestTerminals:
     def test_unavoidable_pursuit_ends_in_collision(self):
         res = run("sc-14", dt=0.1)
         assert res.terminal.kind is TerminalKind.COLLIDED
-        last = res.ticks[-1]
-        gov = engine.governing_intruder(last)
-        assert gov.separation <= 5.0
+        assert min(i.separation for i in res.ticks[-1].intruders) <= 5.0
 
     def test_time_budget_enforced(self):
         res = run("ref-route1", dt=0.5, max_sim_time=100.0)
@@ -191,25 +189,12 @@ class TestTrace:
         assert row[6] == "" and row[7] == "" and row[8] == ""
 
     def test_governing_intruder_is_nearest(self):
-        from uamcas.envelopes import Zone
-
-        rec = engine.TickRecord(
-            t=1.0, own_east=0.0, own_north=0.0, own_up=300.0, own_track=0.0,
-            flight_mode=FlightMode.CRUISE, phase=engine.cdr.CdrPhase.MONITORING,
-            intruders=(
-                engine.IntruderTick("far", 900.0, 0.0, 300.0, 900.0, Zone.WARNING),
-                engine.IntruderTick("near", 500.0, 0.0, 300.0, 500.0, Zone.WARNING),
-            ),
-            command="",
-        )
-        assert engine.governing_intruder(rec).intruder_id == "near"
-        assert engine.governing_intruder(
-            engine.TickRecord(
-                t=1.0, own_east=0.0, own_north=0.0, own_up=300.0, own_track=0.0,
-                flight_mode=FlightMode.CRUISE, phase=engine.cdr.CdrPhase.MONITORING,
-                intruders=(), command="",
-            )
-        ) is None
+        lines = trace_csv_lines(synth_trace([
+            (0.0, 0.0, 300.0, 0.0, cdr.CdrPhase.MONITORING, [("far", 900.0), ("near", 500.0)]),
+            (0.0, 0.0, 300.0, 0.0, cdr.CdrPhase.MONITORING, []),
+        ]))
+        assert lines[1].split(",")[6:8] == ["near", "500.000"]
+        assert lines[2].split(",")[6:9] == ["", "", ""]
 
 
 def reference_trace_lines(result):
@@ -315,34 +300,6 @@ class TestTraceMatchesReference:
         ]
         lines = self.render(synth_trace(rows), fresh)
         assert [ln.split(",")[6] for ln in lines[1:]] == ["b", "a"]
-
-
-class TestOwnshipObjects:
-    """The engine carries the ownship as plain values and builds an
-    OwnshipState only for resolve_command, once per issued command."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        built = []
-        make = engine.OwnshipState
-
-        def counting(*args, **kwargs):
-            state = make(*args, **kwargs)
-            built.append(state)
-            return state
-
-        monkeypatch.setattr(engine, "OwnshipState", counting)
-        return built
-
-    def test_clean_sky_builds_none(self, built):
-        res = run("ref-route1")
-        assert res.terminal.kind is TerminalKind.LANDED_AT
-        assert built == []
-
-    def test_one_per_issued_command(self, built):
-        res = run("sc-11")
-        assert len(res.command_log) >= 2
-        assert len(built) == len(res.command_log)
 
 
 class TestSimParams:

@@ -126,12 +126,17 @@ class TestRoute:
         expect = haversine_m(r.waypoints[0], r.waypoints[1]) + haversine_m(
             r.waypoints[1], r.waypoints[2]
         )
-        assert polyline_length(r) == pytest.approx(expect, rel=1e-3)
+        assert polyline_length(MUNICH, r) == pytest.approx(expect, rel=1e-3)
 
     def test_projection_preserves_length(self):
+        # Moving the frame origin to the far end, 25 km away, changes the
+        # length by 0.13%.
         r = Route((MUNICH, GeoPoint(48.30, 11.65, 0.0), GeoPoint(48.1669, 11.5883, 0.0)))
         pts = project_route(MUNICH, r)
-        assert polyline_length_enu(pts) == pytest.approx(polyline_length(r))
+        assert polyline_length_enu(pts) == polyline_length(MUNICH, r)
+        assert polyline_length(r.waypoints[-1], r) == pytest.approx(
+            polyline_length(MUNICH, r), rel=2e-3
+        )
 
 
 class TestPolyline:

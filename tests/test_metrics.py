@@ -22,18 +22,18 @@ PACK = default_pack()
 class TestTheoreticalTimes:
     def test_route_one_baseline(self):
         sc = PACK["ref-route1"]
-        t = metrics.theoretical_flight_time(sc.routes["ROUTE1"], VT)
+        t = metrics.theoretical_flight_time(sc.vertiports["V1"].position, sc.routes["ROUTE1"], VT)
         # 26 km at 78 m/s plus a 304.8 m climb and descent at 1.7 m/s
         assert t == pytest.approx(691.92, abs=0.01)
 
     def test_route_two_baseline(self):
         sc = PACK["ref-route2"]
-        t = metrics.theoretical_flight_time(sc.routes["ROUTE2"], VT)
+        t = metrics.theoretical_flight_time(sc.vertiports["V1"].position, sc.routes["ROUTE2"], VT)
         assert t == pytest.approx(743.20, abs=0.01)
 
     def test_components(self):
         sc = PACK["ref-route1"]
-        t = metrics.theoretical_flight_time(sc.routes["ROUTE1"], VT)
+        t = metrics.theoretical_flight_time(sc.vertiports["V1"].position, sc.routes["ROUTE1"], VT)
         cruise = 26000.0 / 78.0
         vertical = 2 * 304.8 / 1.7
         assert t == pytest.approx(cruise + vertical)

@@ -1,8 +1,8 @@
-"""The per-tick records are NamedTuples: immutable, and the two that
-carry rules (EnuPoint, OwnshipState) check them on every construction,
-including the _replace and _make paths that would otherwise bypass
-__new__.  The ownship kernel, which takes the state as plain values,
-keeps the same rules."""
+"""The per-tick records are NamedTuples: immutable, and the one that
+carries rules (EnuPoint) checks them on every construction, including
+the _replace and _make paths that would otherwise bypass __new__.  The
+ownship kernel, which takes the ownship state as plain values, checks
+the rules of that state on every step."""
 
 import dataclasses
 import math
@@ -15,7 +15,6 @@ from uamcas.agents import (
     IntruderKind,
     NavPlan,
     OwnshipConfig,
-    OwnshipState,
     follow_plan,
     ownship_step,
 )
@@ -25,12 +24,12 @@ from uamcas.envelopes import Zone
 from uamcas.geo import EnuPoint
 
 POINT = EnuPoint(1.0, 2.0, 300.0)
-CRUISING = OwnshipState(0.0, POINT, 90.0, 78.0, 0.0, FlightMode.CRUISE, 1)
-ON_PAD = OwnshipState(0.0, EnuPoint(1.0, 2.0, 0.0), 0.0, 0.0, 0.0, FlightMode.GROUND, 0)
+# (east, north, up, track, mode, idx), as ownship_step takes them.
+CRUISING = (1.0, 2.0, 300.0, 90.0, FlightMode.CRUISE, 1)
+ON_PAD = (1.0, 2.0, 0.0, 0.0, FlightMode.GROUND, 0)
 INTRUDER_TICK = IntruderTick("i1", 5.0, 6.0, 300.0, 4.5, Zone.CLEAR)
 RECORDS = [
     POINT,
-    CRUISING,
     IntruderObservation("i1", IntruderKind.DRONE, POINT, (1.0, 0.0, 0.0), 4.5, Zone.CLEAR),
     INTRUDER_TICK,
     TickRecord(
@@ -77,47 +76,34 @@ class TestEnuPointChecks:
 
 
 class TestOwnshipStateChecks:
-    # (base state, changed fields, message) for each rule.
-    CASES = [
-        (CRUISING, {"ground_speed": -1.0}, "ground_speed must be non-negative"),
-        (CRUISING, {"flight_mode": FlightMode.HOVER}, "hover requires zero ground speed"),
-        (ON_PAD, {"pos": POINT}, "ground mode requires zero altitude"),
-        (CRUISING, {"flight_mode": FlightMode.GROUND}, "ground mode requires zero altitude"),
-    ]
-
-    @pytest.mark.parametrize("base,changes,message", CASES)
-    def test_every_construction_path_checks(self, base, changes, message):
-        fields = dict(base._asdict(), **changes)
-        with pytest.raises(ValueError, match=message):
-            OwnshipState(**fields)
-        with pytest.raises(ValueError, match=message):
-            base._replace(**changes)
-        with pytest.raises(ValueError, match=message):
-            OwnshipState._make(fields.values())
-        with pytest.raises(ValueError, match=message):
-            step(fields)
+    @pytest.mark.parametrize(
+        "state",
+        [
+            (1.0, 2.0, 300.0, 0.0, FlightMode.GROUND, 0),  # ON_PAD lifted to 300 m
+            (1.0, 2.0, 300.0, 90.0, FlightMode.GROUND, 1),  # CRUISING put in ground mode
+        ],
+        ids=["pad-lifted", "cruising-grounded"],
+    )
+    def test_ground_mode_requires_zero_altitude(self, state):
+        with pytest.raises(ValueError, match="ground mode requires zero altitude"):
+            step(state)
 
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_non_finite_position(self, axis, value):
-        pos = list(POINT)
-        pos[axis] = value
-        fields = dict(CRUISING._asdict(), pos=tuple(pos))
+        state = list(CRUISING)
+        state[axis] = value
         with pytest.raises(ValueError, match="non-finite ENU component"):
-            OwnshipState(**fields)
-        with pytest.raises(ValueError, match="non-finite ENU component"):
-            step(fields)
+            step(state)
 
     def test_valid_states_step(self):
-        for base in (CRUISING, ON_PAD):
-            assert len(step(base._asdict())) == 8
+        for state in (CRUISING, ON_PAD):
+            assert len(step(state)) == 6
 
 
-def step(fields):
-    """ownship_step on the values of an OwnshipState's fields."""
-    east, north, up = fields["pos"]
+def step(state):
+    """ownship_step from state toward a plan point 5 km east."""
     return ownship_step(
-        east, north, up, fields["track"], fields["ground_speed"], fields["flight_mode"],
-        fields["next_waypoint_index"], DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST],
+        *state, DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST],
         follow_plan(NavPlan((EnuPoint(5000.0, 0.0, 0.0),), "V2")), 0.1,
     )

@@ -435,8 +435,9 @@ class TestDefaultPack:
 
     def test_route_lengths_hit_targets(self):
         sc = self.PACK["ref-route1"]
-        assert polyline_length(sc.routes["ROUTE1"]) == pytest.approx(26000.0, abs=0.5)
-        assert polyline_length(sc.routes["ROUTE2"]) == pytest.approx(30000.0, abs=0.5)
+        origin = sc.vertiports["V1"].position
+        assert polyline_length(origin, sc.routes["ROUTE1"]) == pytest.approx(26000.0, abs=0.5)
+        assert polyline_length(origin, sc.routes["ROUTE2"]) == pytest.approx(30000.0, abs=0.5)
 
     def test_both_routes_end_at_city_pad(self):
         sc = self.PACK["ref-route1"]
