@@ -1,6 +1,6 @@
 """Conflict detection and resolution: the ground-phase departure check,
-the airborne detect/avoid phase machine, right-of-way maneuver tables,
-emergency handling, de-escalation, and diversion choice.
+the airborne detect/avoid phase machine, the decision table behind its
+automated and pilot actions, de-escalation, and diversion choice.
 """
 
 from __future__ import annotations
@@ -28,18 +28,7 @@ from .geo import (
     horizontal_distance,
     signed_track_diff,
 )
-from .maneuvers import (
-    IssuedBy,
-    ManeuverCommand,
-    TurnDirection,
-    change_path,
-    continue_flight,
-    hover,
-    hover_and_descend_to,
-    lateral_offset,
-    reroute_to,
-    turn_by,
-)
+from .maneuvers import Action, ManeuverCommand, TurnDirection
 
 DESCEND_TARGET_ALT_M = 243.84  # 800 ft
 
@@ -221,42 +210,83 @@ def relative_position(
     return RelativePosition.AHEAD if abs(rel_bearing) <= 90.0 else RelativePosition.BEHIND
 
 
-def _receding(direction: ApproachDirection, rel: RelativePosition) -> bool:
-    # A reciprocal-track intruder behind the ownship, or a same-track one
-    # already passed, is opening the range; acting on it would only churn.
-    return rel is RelativePosition.BEHIND and direction in (
-        ApproachDirection.HEAD_ON,
-        ApproachDirection.SAME_DIRECTION,
-    )
+class DecisionRow(NamedTuple):
+    """One DECISION_TABLE row: five match columns, where None matches any
+    value, then the action and its forced turn side."""
+
+    phase: CdrPhase
+    kind: IntruderKind | None
+    direction: ApproachDirection | None
+    rel: RelativePosition | None
+    strategy: HeadOnStrategy | None
+    action: Action
+    side: TurnDirection | None
 
 
-def tactical_maneuver(
-    perf: PerformanceModel,
+_AVOID, _EMERGENCY, _BIRD, _BEHIND = (
+    CdrPhase.AVOID, CdrPhase.EMERGENCY, IntruderKind.BIRD, RelativePosition.BEHIND
+)
+_D, _S, _A, _T = ApproachDirection, HeadOnStrategy, Action, TurnDirection
+
+# The decision tree, keyed by the phase being entered: AVOID rows are the
+# automated right-of-way action once detection ends, EMERGENCY rows the
+# pilot's action on warning-ring penetration.  The first matching row
+# wins.  Receding traffic (a reciprocal-track intruder behind, or a
+# same-track one already passed) comes first, so it beats the bird rule:
+# acting on it would only churn.
+DECISION_TABLE: tuple[DecisionRow, ...] = (
+    DecisionRow(_AVOID, None, _D.HEAD_ON, _BEHIND, None, _A.CONTINUE_FLIGHT, None),
+    DecisionRow(_AVOID, None, _D.SAME_DIRECTION, _BEHIND, None, _A.CONTINUE_FLIGHT, None),
+    DecisionRow(_AVOID, _BIRD, None, None, None, _A.HOVER_AND_DESCEND_TO, None),
+    DecisionRow(_AVOID, None, _D.RIGHT, None, None, _A.HOVER, None),
+    DecisionRow(_AVOID, None, _D.LEFT, None, None, _A.CONTINUE_FLIGHT, None),
+    DecisionRow(_AVOID, None, _D.HEAD_ON, None, _S.DESCEND, _A.HOVER_AND_DESCEND_TO, None),
+    DecisionRow(_AVOID, None, _D.HEAD_ON, None, _S.TURN_RIGHT, _A.TURN_BY, _T.RIGHT),
+    DecisionRow(_AVOID, None, _D.SAME_DIRECTION, None, None, _A.CHANGE_PATH, None),
+    DecisionRow(_EMERGENCY, _BIRD, None, None, None, _A.REROUTE_TO, _T.RIGHT),
+    DecisionRow(_EMERGENCY, None, _D.RIGHT, None, None, _A.TURN_BY, _T.LEFT),
+    DecisionRow(_EMERGENCY, None, _D.LEFT, None, None, _A.REROUTE_TO, _T.RIGHT),
+    # Keep whatever turn the tactical phase started.
+    DecisionRow(_EMERGENCY, None, _D.HEAD_ON, None, None, _A.REROUTE_TO, None),
+    DecisionRow(_EMERGENCY, None, _D.SAME_DIRECTION, None, None, _A.LATERAL_OFFSET, None),
+)
+
+
+def decide(
+    phase: CdrPhase,
     kind: IntruderKind,
     direction: ApproachDirection,
     rel: RelativePosition,
-    params: CdrParams = CdrParams(),
-) -> ManeuverCommand:
-    """Automated right-of-way action on entering the tactical phase.
+    strategy: HeadOnStrategy,
+) -> DecisionRow:
+    """The first DECISION_TABLE row that matches the key."""
+    key = (phase, kind, direction, rel, strategy)
+    for row in DECISION_TABLE:
+        if all(want is None or want is got for want, got in zip(row, key)):
+            return row
+    raise LookupError(f"no decision row matches {key}")
 
-    Total over every (head-on strategy, kind, direction, relative
-    position) cell.
-    """
-    by = IssuedBy.AUTOMATED
-    if _receding(direction, rel):
-        return continue_flight(by)
-    if kind is IntruderKind.BIRD:
-        return hover_and_descend_to(params.descend_alt_m, by)
-    if direction is ApproachDirection.RIGHT:
-        return hover(by)
-    if direction is ApproachDirection.LEFT:
-        return continue_flight(by)
-    if direction is ApproachDirection.HEAD_ON:
-        if perf.head_on_strategy is HeadOnStrategy.DESCEND:
-            return hover_and_descend_to(params.descend_alt_m, by)
-        return turn_by(params.turn_deg, TurnDirection.RIGHT, by)
-    # Same direction, ahead: yield the corridor.
-    return change_path(params.lateral_offset_m, by)
+
+def build_command(
+    action: Action,
+    side: TurnDirection | None,
+    own_pos: EnuPoint,
+    vertiports: Mapping[str, EnuPoint],
+    params: CdrParams,
+) -> ManeuverCommand:
+    """The command for an action, with the parameter it needs: the turn
+    size, the descent altitude, the offset, or the diversion field
+    nearest own_pos."""
+    divert = diversion_target(own_pos, vertiports) if action is Action.REROUTE_TO else None
+    offset = action is Action.LATERAL_OFFSET or action is Action.CHANGE_PATH
+    return ManeuverCommand(
+        action,
+        turn_deg=params.turn_deg if action is Action.TURN_BY else None,
+        direction=side,
+        target_alt=params.descend_alt_m if action is Action.HOVER_AND_DESCEND_TO else None,
+        target_vertiport=divert,
+        offset_m=params.lateral_offset_m if offset else None,
+    )
 
 
 def diversion_target(pos: EnuPoint, vertiports: Mapping[str, EnuPoint]) -> str:
@@ -268,30 +298,6 @@ def diversion_target(pos: EnuPoint, vertiports: Mapping[str, EnuPoint]) -> str:
         key=lambda kv: (horizontal_distance(pos, kv[1]), priority.get(kv[0], 99), kv[0]),
     )
     return best[0]
-
-
-def emergency_maneuver(
-    direction: ApproachDirection,
-    kind: IntruderKind,
-    own_pos: EnuPoint,
-    vertiports: Mapping[str, EnuPoint],
-    params: CdrParams = CdrParams(),
-) -> ManeuverCommand:
-    """Pilot-level action on warning-envelope penetration; own_pos picks
-    the diversion field."""
-    by = IssuedBy.PILOT
-    divert = diversion_target(own_pos, vertiports)
-    if kind is IntruderKind.BIRD:
-        return reroute_to(divert, by, direction=TurnDirection.RIGHT)
-    if direction is ApproachDirection.RIGHT:
-        return turn_by(params.turn_deg, TurnDirection.LEFT, by)
-    if direction is ApproachDirection.LEFT:
-        return reroute_to(divert, by, direction=TurnDirection.RIGHT)
-    if direction is ApproachDirection.HEAD_ON:
-        # Keep whatever turn the tactical phase started and head for the
-        # diversion field.
-        return reroute_to(divert, by, direction=None)
-    return lateral_offset(params.lateral_offset_m, by)
 
 
 def de_escalated(
@@ -356,7 +362,6 @@ class CdrState:
     phase: CdrPhase = CdrPhase.MONITORING
     detect_started_at: float | None = None
     encounter_id: str | None = None
-    passed_emergency: bool = False
     prev_zone: Zone = Zone.CLEAR
 
 
@@ -394,6 +399,7 @@ def cdr_step(
     phase = state.phase
     cmd: ManeuverCommand | None = None
     new_state = state
+    entering: CdrPhase | None = None  # set when a DECISION_TABLE row issues the command
 
     if phase is CdrPhase.MONITORING:
         if (
@@ -413,50 +419,35 @@ def cdr_step(
             # Contact evaporated before classification finished.
             new_state = replace(state, phase=CdrPhase.MONITORING, detect_started_at=None, encounter_id=None)
         elif t - state.detect_started_at >= params.detect_duration:
-            direction = approach_direction(
-                own_pos, own_track, governing.pos, governing.velocity, params
-            )
-            rel = relative_position(own_pos, own_track, governing.pos)
-            cmd = tactical_maneuver(perf, governing.kind, direction, rel, params)
-            new_state = replace(state, phase=CdrPhase.AVOID)
+            entering = CdrPhase.AVOID
 
-    elif phase is CdrPhase.AVOID:
-        if governing is not None and zone >= Zone.WARNING:
-            direction = approach_direction(
-                own_pos, own_track, governing.pos, governing.velocity, params
-            )
-            cmd = emergency_maneuver(direction, governing.kind, own_pos, vertiports, params)
-            new_state = replace(state, phase=CdrPhase.EMERGENCY, passed_emergency=True)
-        elif de_escalated(history.get(state.encounter_id, ()), t, params.hold_duration):
-            new_state, cmd = _resolve_encounter(state, own_pos, vertiports)
+    elif phase is CdrPhase.AVOID and governing is not None and zone >= Zone.WARNING:
+        entering = CdrPhase.EMERGENCY
 
-    elif phase is CdrPhase.EMERGENCY:
+    elif phase is CdrPhase.AVOID or phase is CdrPhase.EMERGENCY:
         if de_escalated(history.get(state.encounter_id, ()), t, params.hold_duration):
-            new_state, cmd = _resolve_encounter(state, own_pos, vertiports)
+            # Post-conflict: divert if a pilot had to step in, otherwise
+            # pick the original plan back up.
+            action = Action.REROUTE_TO if phase is CdrPhase.EMERGENCY else Action.CONTINUE_FLIGHT
+            cmd = build_command(action, None, own_pos, vertiports, params)
+            new_state = replace(state, phase=CdrPhase.DE_ESCALATED)
 
     elif phase is CdrPhase.DE_ESCALATED:
         new_state = replace(
-            state,
-            phase=CdrPhase.MONITORING,
-            detect_started_at=None,
-            encounter_id=None,
-            passed_emergency=False,
+            state, phase=CdrPhase.MONITORING, detect_started_at=None, encounter_id=None
         )
+
+    if entering is not None:
+        row = decide(
+            entering,
+            governing.kind,
+            approach_direction(own_pos, own_track, governing.pos, governing.velocity, params),
+            relative_position(own_pos, own_track, governing.pos),
+            perf.head_on_strategy,
+        )
+        cmd = build_command(row.action, row.side, own_pos, vertiports, params)
+        new_state = replace(state, phase=entering)
 
     if new_state.prev_zone is not zone:
         new_state = replace(new_state, prev_zone=zone)
     return new_state, cmd
-
-
-def _resolve_encounter(
-    state: CdrState,
-    own_pos: EnuPoint,
-    vertiports: Mapping[str, EnuPoint],
-) -> tuple[CdrState, ManeuverCommand]:
-    """Post-conflict: divert if a pilot had to step in, otherwise pick the
-    original plan back up."""
-    if state.passed_emergency:
-        cmd = reroute_to(diversion_target(own_pos, vertiports), IssuedBy.PILOT)
-    else:
-        cmd = continue_flight(IssuedBy.AUTOMATED)
-    return replace(state, phase=CdrPhase.DE_ESCALATED), cmd

@@ -53,10 +53,14 @@ from .agents import FlightMode, NavPlan
 from .cdr import IntruderObservation
 from .envelopes import Zone
 from .geo import EnuPoint
-from .maneuvers import ManeuverCommand
 
 if TYPE_CHECKING:
     from .scenario_io import Scenario
+
+
+# The most ticks one run may take, max_sim_time / dt: a bound on run time
+# that also rejects a dt too small to advance the clock (over 2**52 ticks).
+MAX_TICKS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,8 @@ class SimParams:
             raise ValueError("dt must be positive")
         if self.max_sim_time <= 0.0:
             raise ValueError("max_sim_time must be positive")
-        if self.max_sim_time + self.dt == self.max_sim_time:
-            raise ValueError("dt is too small to advance the clock at max_sim_time")
+        if self.max_sim_time / self.dt > MAX_TICKS:
+            raise ValueError(f"max_sim_time / dt must not exceed {MAX_TICKS} ticks")
         if self.contact_distance < 0.0:
             raise ValueError("contact_distance must be non-negative")
 
@@ -127,8 +131,6 @@ class RunResult:
     ground_decision: cdr.GroundDecision
     departure_time: float
     end_time: float
-    # (issue time, command), in issue order.
-    command_log: list[tuple[float, ManeuverCommand]]
 
 
 _SEPARATION = attrgetter("separation")
@@ -165,7 +167,6 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             ground_decision=decision,
             departure_time=math.inf,
             end_time=0.0,
-            command_log=[],
         )
 
     departure = decision.delay_s
@@ -212,7 +213,6 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     env = env_by_mode[mode]
 
     ticks: list[TickRecord] = []
-    command_log: list[tuple[float, ManeuverCommand]] = []
     active_label = ""
     terminal: Terminal | None = None
     t = departure
@@ -254,7 +254,6 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
                 vertiports_enu, perf, cdr_params,
             )
             if command is not None:
-                command_log.append((t_next, command))
                 active_label = command.label()
                 guidance, idx = agents.resolve_command(
                     own_pos, track, idx, perf, guidance, command, vertiports_enu
@@ -301,7 +300,6 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
         ground_decision=decision,
         departure_time=departure,
         end_time=t,
-        command_log=command_log,
     )
 
 

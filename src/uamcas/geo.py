@@ -197,7 +197,12 @@ def polyline_length(origin: GeoPoint, route: Route) -> float:
 
 
 def polyline_length_enu(pts: Sequence[EnuPoint]) -> float:
-    return sum(horizontal_distance(a, b) for a, b in zip(pts, pts[1:]))
+    # A left-to-right loop, not sum(): sum() compensates float error from
+    # Python 3.12 on, which would make route geometry version-dependent.
+    total = 0.0
+    for a, b in zip(pts, pts[1:]):
+        total += horizontal_distance(a, b)
+    return total
 
 
 def point_segment_distance(p: EnuPoint, a: EnuPoint, b: EnuPoint) -> float:

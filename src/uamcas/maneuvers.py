@@ -26,11 +26,6 @@ class TurnDirection(enum.Enum):
     RIGHT = "RIGHT"
 
 
-class IssuedBy(enum.Enum):
-    AUTOMATED = "AUTOMATED"
-    PILOT = "PILOT"
-
-
 class InfeasibleManeuverError(ValueError):
     """Command not executable by the active performance model."""
 
@@ -45,7 +40,6 @@ class ManeuverCommand:
     """
 
     action: Action
-    issued_by: IssuedBy
     turn_deg: float | None = None
     direction: TurnDirection | None = None
     target_alt: float | None = None
@@ -85,34 +79,3 @@ class ManeuverCommand:
             parts.append(f"{self.offset_m:g}")
         return ":".join(parts)
 
-
-def continue_flight(issued_by: IssuedBy) -> ManeuverCommand:
-    return ManeuverCommand(Action.CONTINUE_FLIGHT, issued_by)
-
-
-def hover(issued_by: IssuedBy) -> ManeuverCommand:
-    return ManeuverCommand(Action.HOVER, issued_by)
-
-
-def hover_and_descend_to(alt_m: float, issued_by: IssuedBy) -> ManeuverCommand:
-    return ManeuverCommand(Action.HOVER_AND_DESCEND_TO, issued_by, target_alt=alt_m)
-
-
-def turn_by(deg: float, direction: TurnDirection, issued_by: IssuedBy) -> ManeuverCommand:
-    return ManeuverCommand(Action.TURN_BY, issued_by, turn_deg=deg, direction=direction)
-
-
-def reroute_to(
-    vertiport_id: str, issued_by: IssuedBy, direction: TurnDirection | None = None
-) -> ManeuverCommand:
-    return ManeuverCommand(
-        Action.REROUTE_TO, issued_by, target_vertiport=vertiport_id, direction=direction
-    )
-
-
-def lateral_offset(offset_m: float, issued_by: IssuedBy) -> ManeuverCommand:
-    return ManeuverCommand(Action.LATERAL_OFFSET, issued_by, offset_m=offset_m)
-
-
-def change_path(offset_m: float, issued_by: IssuedBy) -> ManeuverCommand:
-    return ManeuverCommand(Action.CHANGE_PATH, issued_by, offset_m=offset_m)

@@ -178,8 +178,14 @@ def summarize_batch(
                 terminal=on.terminal,
             )
         )
-    finite = [r.d_air for r in rows if r.d_air is not None]
-    mean_d_air = sum(finite) / len(finite) if finite else None
+    # Added left to right, as geo.polyline_length_enu is and for the same
+    # reason: sum() rounds differently from Python 3.12 on.
+    total, n = 0.0, 0
+    for r in rows:
+        if r.d_air is not None:
+            total += r.d_air
+            n += 1
+    mean_d_air = total / n if n else None
     return BatchTable(tuple(rows), mean_d_air)
 
 

@@ -83,13 +83,13 @@ class ScenarioError(ValueError):
 
     errors holds every (line_number, message) pair found, not just the
     first; line 0 marks file-level problems such as missing mandatory
-    directives.
+    directives.  source, when given, names the file in the message.
     """
 
-    def __init__(self, errors: Sequence[tuple[int, str]]):
+    def __init__(self, errors: Sequence[tuple[int, str]], source: str | Path | None = None):
         self.errors = sorted(errors)
-        detail = "; ".join(f"line {n}: {msg}" for n, msg in self.errors)
-        super().__init__(detail or "invalid scenario")
+        detail = "; ".join(f"line {n}: {msg}" for n, msg in self.errors) or "invalid scenario"
+        super().__init__(detail if source is None else f"{source}: {detail}")
 
 
 @dataclass(frozen=True)
@@ -641,7 +641,13 @@ def load_pack(source: str | Path) -> ScenarioPack:
     files = sorted(root.glob("*.scn"))
     if not files:
         raise ScenarioError([(0, f"no .scn files in {str(root)!r}")])
-    return ScenarioPack(tuple(load_scenario(f) for f in files), root)
+    scenarios = []
+    for f in files:
+        try:
+            scenarios.append(load_scenario(f))
+        except ScenarioError as exc:
+            raise ScenarioError(exc.errors, source=f) from None
+    return ScenarioPack(tuple(scenarios), root)
 
 
 def export_pack(pack: ScenarioPack, out_dir: str | Path) -> list[Path]:

@@ -16,10 +16,10 @@ import pytest
 
 from uamcas import cdr, cli, engine, metrics
 from uamcas.agents import DEFAULT_PERFORMANCE, FlightMode, IntruderKind, OwnshipConfig
-from uamcas.cdr import ApproachDirection, RelativePosition
+from uamcas.cdr import ApproachDirection, CdrPhase, RelativePosition
 from uamcas.envelopes import Zone
 from uamcas.geo import EnuPoint, polyline_length
-from uamcas.maneuvers import Action, IssuedBy, TurnDirection
+from uamcas.maneuvers import Action, TurnDirection
 from uamcas.pack import default_pack
 
 PACK = default_pack()
@@ -122,57 +122,68 @@ def test_criterion_03_ground_phase_decisions(ground_runs):
 
 
 def test_criterion_04_right_of_way_tables():
-    """Both decision tables are total over their whole input product and
-    match the contract cell by cell."""
-    # Totality: every combination yields a command with the right issuer.
+    """The decision table is total over its whole input product and
+    matches the contract cell by cell."""
     own = EnuPoint(1000.0, 0.0, 304.8)  # the ownship's position
     vports = {"V1": EnuPoint(0.0, 0.0), "V2": EnuPoint(2000.0, 0.0), "V3": EnuPoint(500.0, 0.0)}
-    for config, kind, direction, rel in itertools.product(
-        OwnshipConfig, IntruderKind, ApproachDirection, RelativePosition
+
+    def tactical(perf, kind, direction, rel):
+        row = cdr.decide(CdrPhase.AVOID, kind, direction, rel, perf.head_on_strategy)
+        return cdr.build_command(row.action, row.side, own, vports, cdr.CdrParams())
+
+    def emergency(direction, kind):
+        row = cdr.decide(
+            CdrPhase.EMERGENCY, kind, direction, RelativePosition.AHEAD,
+            DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST].head_on_strategy,
+        )
+        return cdr.build_command(row.action, row.side, own, vports, cdr.CdrParams())
+
+    # Totality: every combination matches a row of the phase being entered.
+    for phase, config, kind, direction, rel in itertools.product(
+        (CdrPhase.AVOID, CdrPhase.EMERGENCY),
+        OwnshipConfig, IntruderKind, ApproachDirection, RelativePosition,
     ):
-        cmd = cdr.tactical_maneuver(DEFAULT_PERFORMANCE[config], kind, direction, rel)
-        assert cmd.issued_by is IssuedBy.AUTOMATED, (config, kind, direction, rel)
-    for direction, kind in itertools.product(ApproachDirection, IntruderKind):
-        cmd = cdr.emergency_maneuver(direction, kind, own, vports)
-        assert cmd.issued_by is IssuedBy.PILOT, (direction, kind)
+        strategy = DEFAULT_PERFORMANCE[config].head_on_strategy
+        row = cdr.decide(phase, kind, direction, rel, strategy)
+        assert row.phase is phase, (phase, config, kind, direction, rel)
 
     # Tactical cells, with the intruder approaching (ahead).
     drone, bird = IntruderKind.DRONE, IntruderKind.BIRD
     ahead = RelativePosition.AHEAD
     vt = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
-    cell = cdr.tactical_maneuver(vt, drone, ApproachDirection.RIGHT, ahead)
+    cell = tactical(vt, drone, ApproachDirection.RIGHT, ahead)
     assert cell.action is Action.HOVER
-    cell = cdr.tactical_maneuver(vt, drone, ApproachDirection.LEFT, ahead)
+    cell = tactical(vt, drone, ApproachDirection.LEFT, ahead)
     assert cell.action is Action.CONTINUE_FLIGHT
     for config in (OwnshipConfig.MULTICOPTER, OwnshipConfig.LIFT_CRUISE):
         perf = DEFAULT_PERFORMANCE[config]
-        cell = cdr.tactical_maneuver(perf, drone, ApproachDirection.HEAD_ON, ahead)
+        cell = tactical(perf, drone, ApproachDirection.HEAD_ON, ahead)
         assert cell.action is Action.HOVER_AND_DESCEND_TO
         assert cell.target_alt == DESCEND_ALT_M
     for config in (OwnshipConfig.TILT_ROTOR, OwnshipConfig.VECTORED_THRUST):
         perf = DEFAULT_PERFORMANCE[config]
-        cell = cdr.tactical_maneuver(perf, drone, ApproachDirection.HEAD_ON, ahead)
+        cell = tactical(perf, drone, ApproachDirection.HEAD_ON, ahead)
         assert cell.action is Action.TURN_BY
         assert (cell.turn_deg, cell.direction) == (45.0, TurnDirection.RIGHT)
-    cell = cdr.tactical_maneuver(vt, drone, ApproachDirection.SAME_DIRECTION, ahead)
+    cell = tactical(vt, drone, ApproachDirection.SAME_DIRECTION, ahead)
     assert cell.action is Action.CHANGE_PATH
-    cell = cdr.tactical_maneuver(vt, bird, ApproachDirection.RIGHT, ahead)
+    cell = tactical(vt, bird, ApproachDirection.RIGHT, ahead)
     assert cell.action is Action.HOVER_AND_DESCEND_TO
     assert cell.target_alt == DESCEND_ALT_M
 
     # Emergency cells.  Nearest vertiport to the ownship above is V3.
-    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, drone, own, vports)
+    cell = emergency(ApproachDirection.RIGHT, drone)
     assert cell.action is Action.TURN_BY
     assert (cell.turn_deg, cell.direction) == (45.0, TurnDirection.LEFT)
-    cell = cdr.emergency_maneuver(ApproachDirection.LEFT, drone, own, vports)
+    cell = emergency(ApproachDirection.LEFT, drone)
     assert (cell.action, cell.target_vertiport) == (Action.REROUTE_TO, "V3")
     assert cell.direction is TurnDirection.RIGHT
-    cell = cdr.emergency_maneuver(ApproachDirection.HEAD_ON, drone, own, vports)
+    cell = emergency(ApproachDirection.HEAD_ON, drone)
     assert (cell.action, cell.target_vertiport) == (Action.REROUTE_TO, "V3")
     assert cell.direction is None
-    cell = cdr.emergency_maneuver(ApproachDirection.SAME_DIRECTION, drone, own, vports)
+    cell = emergency(ApproachDirection.SAME_DIRECTION, drone)
     assert cell.action is Action.LATERAL_OFFSET
-    cell = cdr.emergency_maneuver(ApproachDirection.RIGHT, bird, own, vports)
+    cell = emergency(ApproachDirection.RIGHT, bird)
     assert (cell.action, cell.target_vertiport) == (Action.REROUTE_TO, "V3")
     assert cell.direction is TurnDirection.RIGHT
     assert cdr.diversion_target(own, vports) == "V3"
@@ -275,7 +286,6 @@ def test_criterion_09_cpa_analytic_vs_brute():
             ground_decision=cdr.GroundDecision.depart("ROUTE1", 0.0),
             departure_time=0.0,
             end_time=(n_ticks - 1) * dt,
-            command_log=[],
         )
         analytic = metrics.cpa(result)["i1"]
 

@@ -30,18 +30,7 @@ from uamcas.agents import (
     ownship_step,
     resolve_command,
 )
-from uamcas.maneuvers import (
-    InfeasibleManeuverError,
-    IssuedBy,
-    TurnDirection,
-    continue_flight,
-    hover_and_descend_to,
-    lateral_offset,
-    reroute_to,
-    turn_by,
-)
-
-AUTO = IssuedBy.AUTOMATED
+from uamcas.maneuvers import Action, InfeasibleManeuverError, ManeuverCommand, TurnDirection
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
 
@@ -110,13 +99,25 @@ class TestStateValidation:
             step(Own(0, 0, 10, 0.0, FlightMode.GROUND, 0), VT, follow_plan(plan((0, 0, 0))), 0.1)
 
 
+def descend(alt_m):
+    return ManeuverCommand(Action.HOVER_AND_DESCEND_TO, target_alt=alt_m)
+
+
+def reroute(vertiport_id):
+    return ManeuverCommand(Action.REROUTE_TO, target_vertiport=vertiport_id)
+
+
+def offset(offset_m):
+    return ManeuverCommand(Action.LATERAL_OFFSET, offset_m=offset_m)
+
+
 class TestResolveCommand:
     P = plan((0, 5000, 304.8), (0, 10000, 304.8))
     POS = (0.0, 0.0, 304.8)
 
     def test_continue_reverts_to_plan(self):
         g = Guidance(GuidanceKind.HOVER, self.P)
-        g2, idx = resolve_command(self.POS, 0.0, 1, VT, g, continue_flight(AUTO), {})
+        g2, idx = resolve_command(self.POS, 0.0, 1, VT, g, ManeuverCommand(Action.CONTINUE_FLIGHT), {})
         assert g2.kind is GuidanceKind.FOLLOW_PLAN
         assert g2.plan is self.P
         assert idx == 1
@@ -124,15 +125,15 @@ class TestResolveCommand:
     def test_descend_target_must_be_below_cruise(self):
         g = follow_plan(self.P)
         with pytest.raises(InfeasibleManeuverError):
-            resolve_command(self.POS, 0.0, 0, VT, g, hover_and_descend_to(304.8, AUTO), {})
-        g2, _ = resolve_command(self.POS, 0.0, 0, VT, g, hover_and_descend_to(150.0, AUTO), {})
+            resolve_command(self.POS, 0.0, 0, VT, g, descend(304.8), {})
+        g2, _ = resolve_command(self.POS, 0.0, 0, VT, g, descend(150.0), {})
         assert g2.kind is GuidanceKind.HOVER_DESCEND
         assert g2.target_alt == 150.0
 
     def test_turn_sets_held_track(self):
         g2, _ = resolve_command(
             self.POS, 350.0, 0, VT, follow_plan(self.P),
-            turn_by(45.0, TurnDirection.RIGHT, AUTO), {},
+            ManeuverCommand(Action.TURN_BY, turn_deg=45.0, direction=TurnDirection.RIGHT), {},
         )
         assert g2.kind is GuidanceKind.HOLD_TRACK
         assert g2.target_track == pytest.approx(35.0)
@@ -141,7 +142,7 @@ class TestResolveCommand:
     def test_reroute_replaces_plan(self):
         ports = {"V3": EnuPoint(-8000, 2000, 0)}
         g2, idx = resolve_command(
-            self.POS, 0.0, 1, VT, follow_plan(self.P), reroute_to("V3", IssuedBy.PILOT), ports
+            self.POS, 0.0, 1, VT, follow_plan(self.P), reroute("V3"), ports
         )
         assert g2.plan.waypoints == (ports["V3"],)
         assert g2.plan.destination_id == "V3"
@@ -150,13 +151,13 @@ class TestResolveCommand:
     def test_reroute_unknown_pad_is_infeasible(self):
         with pytest.raises(InfeasibleManeuverError):
             resolve_command(
-                self.POS, 0.0, 0, VT, follow_plan(self.P), reroute_to("V9", IssuedBy.PILOT), {}
+                self.POS, 0.0, 0, VT, follow_plan(self.P), reroute("V9"), {}
             )
 
     def test_lateral_offset_shifts_path_keeps_destination(self):
         # track north, positive offset goes east (starboard)
         g2, idx = resolve_command(
-            self.POS, 0.0, 0, VT, follow_plan(self.P), lateral_offset(300.0, IssuedBy.PILOT), {}
+            self.POS, 0.0, 0, VT, follow_plan(self.P), offset(300.0), {}
         )
         w = g2.plan.waypoints
         assert (w[0].east, w[0].north) == pytest.approx((300.0, 0.0))
@@ -166,7 +167,7 @@ class TestResolveCommand:
 
     def test_negative_offset_goes_port(self):
         g2, _ = resolve_command(
-            self.POS, 0.0, 0, VT, follow_plan(self.P), lateral_offset(-300.0, IssuedBy.PILOT), {}
+            self.POS, 0.0, 0, VT, follow_plan(self.P), offset(-300.0), {}
         )
         assert g2.plan.waypoints[0].east == pytest.approx(-300.0)
 

@@ -1,15 +1,17 @@
 """Decision logic: pre-departure threat ladder, encounter geometry
-classes, the right-of-way tables cell by cell, de-escalation, and a full
+classes, the decision table cell by cell, de-escalation, and a full
 walk of the airborne phase machine."""
 
 import itertools
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uamcas.agents import (
     DEFAULT_PERFORMANCE,
+    HeadOnStrategy,
     IntruderBehavior,
     IntruderKind,
     IntruderRecord,
@@ -22,23 +24,24 @@ from uamcas.cdr import (
     CdrParams,
     CdrPhase,
     CdrState,
+    DECISION_TABLE,
     GroundCheckParams,
     GroundDecision,
     IntruderObservation,
     RelativePosition,
     approach_direction,
+    build_command,
     cdr_step,
     de_escalated,
+    decide,
     diversion_target,
-    emergency_maneuver,
     heading_threat,
     relative_position,
-    tactical_maneuver,
     takeoff_delay_check,
 )
 from uamcas.envelopes import Zone
 from uamcas.geo import EnuPoint
-from uamcas.maneuvers import Action, IssuedBy, ManeuverCommand, TurnDirection
+from uamcas.maneuvers import Action, ManeuverCommand, TurnDirection
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
 DRONE = IntruderKind.DRONE
@@ -100,11 +103,25 @@ class TestRelativePosition:
         assert relative_position(*own(track=0.0), EnuPoint(500, 0, 304.8)) is AHEAD
 
 
+# V3 is the diversion field nearest TABLE_OWN_POS.
+TABLE_PORTS = {
+    "V1": EnuPoint(0, 0, 0),
+    "V2": EnuPoint(20000, 0, 0),
+    "V3": EnuPoint(9000, 4000, 0),
+}
+TABLE_OWN_POS = EnuPoint(10000, 0, 304.8)
+
+
+def table_command(phase, kind, direction, rel, strategy, params=CdrParams()):
+    row = decide(phase, kind, direction, rel, strategy)
+    return build_command(row.action, row.side, TABLE_OWN_POS, TABLE_PORTS, params)
+
+
 class TestTacticalTable:
-    """The automated right-of-way table, cell by cell."""
+    """The automated right-of-way rows, cell by cell."""
 
     def cmd(self, config, kind, direction, rel=AHEAD):
-        return tactical_maneuver(config, kind, direction, rel)
+        return table_command(CdrPhase.AVOID, kind, direction, rel, config.head_on_strategy)
 
     def test_intruder_from_right_yields(self):
         c = self.cmd(VT, DRONE, ApproachDirection.RIGHT)
@@ -152,21 +169,20 @@ class TestTacticalTable:
         for cfg, kind, direction, rel in itertools.product(
             OwnshipConfig, IntruderKind, ApproachDirection, RelativePosition
         ):
-            c = tactical_maneuver(DEFAULT_PERFORMANCE[cfg], kind, direction, rel)
+            c = self.cmd(DEFAULT_PERFORMANCE[cfg], kind, direction, rel)
             assert isinstance(c, ManeuverCommand)
-            assert c.issued_by is IssuedBy.AUTOMATED
 
 
 class TestEmergencyTable:
-    PORTS = {
-        "V1": EnuPoint(0, 0, 0),
-        "V2": EnuPoint(20000, 0, 0),
-        "V3": EnuPoint(9000, 4000, 0),
-    }
-    OWN_POS = EnuPoint(10000, 0, 304.8)  # V3 nearest
-
     def cmd(self, direction, kind=DRONE):
-        return emergency_maneuver(direction, kind, self.OWN_POS, self.PORTS)
+        """The pilot's command, which neither the relative position nor the
+        head-on strategy changes."""
+        cmds = {
+            table_command(CdrPhase.EMERGENCY, kind, direction, rel, strategy)
+            for rel, strategy in itertools.product(RelativePosition, HeadOnStrategy)
+        }
+        assert len(cmds) == 1, cmds
+        return cmds.pop()
 
     def test_right_turns_away_left(self):
         c = self.cmd(ApproachDirection.RIGHT)
@@ -196,9 +212,112 @@ class TestEmergencyTable:
             assert c.direction is TurnDirection.RIGHT
 
     def test_all_pilot_issued(self):
-        for direction, kind in itertools.product(ApproachDirection, IntruderKind):
-            c = self.cmd(direction, kind)
-            assert c.issued_by is IssuedBy.PILOT
+        # the phase column says who acts: every cell is an EMERGENCY row
+        for key in itertools.product(
+            IntruderKind, ApproachDirection, RelativePosition, HeadOnStrategy
+        ):
+            assert decide(CdrPhase.EMERGENCY, *key).phase is CdrPhase.EMERGENCY
+
+
+AVOID, EMERGENCY = CdrPhase.AVOID, CdrPhase.EMERGENCY
+HEAD_ON, SAME = ApproachDirection.HEAD_ON, ApproachDirection.SAME_DIRECTION
+RIGHT, LEFT = ApproachDirection.RIGHT, ApproachDirection.LEFT
+DESCEND, TURN_RIGHT = HeadOnStrategy.DESCEND, HeadOnStrategy.TURN_RIGHT
+TABLE_KEYS = list(itertools.product(
+    (AVOID, EMERGENCY), IntruderKind, ApproachDirection, RelativePosition, HeadOnStrategy
+))
+
+
+def expand(phase, kinds, directions, rels, strategies):
+    return itertools.product((phase,), kinds, directions, rels, strategies)
+
+
+# The command label (action, side and parameter) every key must give, as
+# the tactical and emergency tests and acceptance criterion 04 pin it.
+PINNED = [
+    (expand(AVOID, [DRONE], [RIGHT], RelativePosition, HeadOnStrategy), "HOVER"),
+    (expand(AVOID, [DRONE], [LEFT], RelativePosition, HeadOnStrategy), "CONTINUE_FLIGHT"),
+    (expand(AVOID, [DRONE], [HEAD_ON], [AHEAD], [DESCEND]), "HOVER_AND_DESCEND_TO:243.84"),
+    (expand(AVOID, [DRONE], [HEAD_ON], [AHEAD], [TURN_RIGHT]), "TURN_BY:45:RIGHT"),
+    (expand(AVOID, [DRONE], [SAME], [AHEAD], HeadOnStrategy), "CHANGE_PATH:1200"),
+    (expand(AVOID, [BIRD], [RIGHT, LEFT], RelativePosition, HeadOnStrategy),
+     "HOVER_AND_DESCEND_TO:243.84"),
+    (expand(AVOID, [BIRD], [HEAD_ON, SAME], [AHEAD], HeadOnStrategy),
+     "HOVER_AND_DESCEND_TO:243.84"),
+    (expand(AVOID, IntruderKind, [HEAD_ON, SAME], [BEHIND], HeadOnStrategy), "CONTINUE_FLIGHT"),
+    (expand(EMERGENCY, [DRONE], [RIGHT], RelativePosition, HeadOnStrategy), "TURN_BY:45:LEFT"),
+    (expand(EMERGENCY, [DRONE], [LEFT], RelativePosition, HeadOnStrategy), "REROUTE_TO:V3:RIGHT"),
+    (expand(EMERGENCY, [DRONE], [HEAD_ON], RelativePosition, HeadOnStrategy), "REROUTE_TO:V3"),
+    (expand(EMERGENCY, [DRONE], [SAME], RelativePosition, HeadOnStrategy), "LATERAL_OFFSET:1200"),
+    (expand(EMERGENCY, [BIRD], ApproachDirection, RelativePosition, HeadOnStrategy),
+     "REROUTE_TO:V3:RIGHT"),
+]
+
+
+def matches(row, key):
+    return all(want is None or want is got for want, got in zip(row, key))
+
+
+class TestDecisionTable:
+    def test_key_space_has_64_keys(self):
+        assert len(TABLE_KEYS) == 64
+
+    def test_every_key_matches_a_row(self):
+        for key in TABLE_KEYS:
+            assert any(matches(row, key) for row in DECISION_TABLE), key
+
+    def test_decide_returns_the_first_match(self):
+        for key in TABLE_KEYS:
+            first = next(row for row in DECISION_TABLE if matches(row, key))
+            assert decide(*key) is first, key
+
+    def test_no_row_is_shadowed(self):
+        first_matches = {DECISION_TABLE.index(decide(*key)) for key in TABLE_KEYS}
+        assert first_matches == set(range(len(DECISION_TABLE)))
+
+    def test_every_key_gives_its_pinned_command(self):
+        pinned = {}
+        for keys, label in PINNED:
+            for key in keys:
+                assert key not in pinned, key
+                pinned[key] = label
+        assert set(pinned) == set(TABLE_KEYS)
+        for key, label in pinned.items():
+            assert table_command(*key).label() == label, key
+
+    def test_unmatched_key_raises(self):
+        with pytest.raises(LookupError, match="no decision row"):
+            decide(CdrPhase.DETECT, DRONE, RIGHT, AHEAD, DESCEND)
+
+    def test_builder_takes_parameters_from_cdr_params(self):
+        p = CdrParams(turn_deg=30.0, lateral_offset_m=-500.0, descend_alt_m=200.0)
+
+        def build(action, side=None):
+            return build_command(action, side, TABLE_OWN_POS, TABLE_PORTS, p).label()
+
+        assert build(Action.TURN_BY, TurnDirection.LEFT) == "TURN_BY:30:LEFT"
+        assert build(Action.HOVER_AND_DESCEND_TO) == "HOVER_AND_DESCEND_TO:200"
+        assert build(Action.LATERAL_OFFSET) == "LATERAL_OFFSET:-500"
+        assert build(Action.CHANGE_PATH) == "CHANGE_PATH:-500"
+        assert build(Action.REROUTE_TO) == "REROUTE_TO:V3"
+        assert build(Action.HOVER) == "HOVER"
+
+    def test_readme_table_lists_every_row(self):
+        """The README's decision table is DECISION_TABLE, row by row, with
+        "any" for a match column's None and "-" for no turn side."""
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## How the system decides", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        lines = [ln for ln in section.splitlines() if ln.startswith("|")]
+        _, rule, *body = lines
+        assert set(rule.replace("|", "").strip()) <= {"-", " ", ":"}
+        cells = [[c.strip().strip("`") for c in ln.strip("|").split("|")] for ln in body]
+        expected = [
+            ["any" if v is None else v.value for v in row[:5]]
+            + [row.action.value, "-" if row.side is None else row.side.value]
+            for row in DECISION_TABLE
+        ]
+        assert cells == expected
 
 
 class TestDiversion:
@@ -486,27 +605,25 @@ class TestPhaseMachine:
         assert st.phase is CdrPhase.DETECT and cmd is None
         st, cmd = step(st, 13.0, [obs(1700.0, Zone.CAUTION)])
         assert st.phase is CdrPhase.AVOID
-        assert cmd is not None and cmd.issued_by is IssuedBy.AUTOMATED
+        assert cmd is not None
         assert cmd.action is Action.HOVER  # crossing drone from the right
 
         # warning penetration while avoiding: pilot steps in
         st, cmd = step(st, 14.0, [obs(900.0, Zone.WARNING)])
         assert st.phase is CdrPhase.EMERGENCY
-        assert st.passed_emergency
-        assert cmd is not None and cmd.issued_by is IssuedBy.PILOT
+        assert cmd is not None
+        assert cmd.action is Action.TURN_BY  # the pilot turns away from the right
 
         # conflict resolved: pilot reroutes to the nearest pad
         hist = {"X": [(float(t), 1100.0 + 50 * t, Zone.CAUTION) for t in range(9, 21)]}
         st, cmd = step(st, 20.0, [obs(2100.0, Zone.CAUTION)], history=hist)
         assert st.phase is CdrPhase.DE_ESCALATED
         assert cmd.action is Action.REROUTE_TO
-        assert cmd.issued_by is IssuedBy.PILOT
 
         # and the machine re-arms
         st, cmd = step(st, 21.0, [obs(2200.0, Zone.CLEAR)])
         assert st.phase is CdrPhase.MONITORING
         assert st.encounter_id is None
-        assert not st.passed_emergency
         assert cmd is None
 
     def test_avoid_resolves_automatically_without_emergency(self):
@@ -515,7 +632,6 @@ class TestPhaseMachine:
         st, cmd = step(st, 10.0, [obs(1800.0, Zone.CAUTION)], history=hist)
         assert st.phase is CdrPhase.DE_ESCALATED
         assert cmd.action is Action.CONTINUE_FLIGHT
-        assert cmd.issued_by is IssuedBy.AUTOMATED
 
     def test_detect_aborts_when_contact_vanishes(self):
         st = CdrState(phase=CdrPhase.DETECT, detect_started_at=5.0, encounter_id="X")
@@ -558,7 +674,7 @@ class TestPhaseMachine:
         assert st.phase is CdrPhase.DETECT
 
     def test_emergency_holds_until_window_clears(self):
-        st = CdrState(phase=CdrPhase.EMERGENCY, encounter_id="X", passed_emergency=True)
+        st = CdrState(phase=CdrPhase.EMERGENCY, encounter_id="X")
         hist = {"X": [(float(t), 2000.0 - 10 * t, Zone.CAUTION) for t in range(0, 12)]}
         st, cmd = step(st, 10.0, [obs(1900.0, Zone.CAUTION)], history=hist)
         assert st.phase is CdrPhase.EMERGENCY and cmd is None

@@ -185,7 +185,17 @@ class TestRun:
         rc = main(["run", scn(scn_dir, "sc-03"), "--dt", "1e-300", "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: dt is too small to advance the clock at max_sim_time\n"
+        assert captured.err == f"error: {TICK_CAP}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_dt_over_the_tick_cap_is_an_error(self, scn_dir, tmp_path, capsys):
+        """1e-9 s advances the clock, but 3.6e12 ticks would never end."""
+        out = tmp_path / "out"
+        rc = main(["run", scn(scn_dir, "sc-03"), "--dt", "1e-9", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {TICK_CAP}\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -250,6 +260,25 @@ class TestRun:
         doc = json.loads(text, parse_constant=reject)
         assert doc["d_ground_s"] == "inf"  # as in the batch report.json
         assert doc["t_sim_s"] is None and doc["d_air_s"] is None
+
+
+TICK_CAP = "max_sim_time / dt must not exceed 10000000 ticks"
+
+BOGUS_ERRORS = (
+    "line 0: missing OWNSHIP directive; line 0: missing PLAN directive; "
+    "line 0: need at least two VERTIPORT directives; "
+    "line 0: vertiport V1 (frame origin) is required; line 2: unknown directive 'BOGUS'"
+)
+
+
+def bad_file_pack(good_pack, tmp_path):
+    """A copy of good_pack plus one .scn file the parser rejects."""
+    pack = tmp_path / "pack"
+    pack.mkdir()
+    for f in good_pack.glob("*.scn"):
+        (pack / f.name).write_text(f.read_text())
+    (pack / "bogus.scn").write_text("SCENARIO bogus\nBOGUS 1\n")
+    return pack
 
 
 @pytest.fixture(scope="module")
@@ -333,10 +362,28 @@ class TestBatch:
         rc = main(["batch", "--pack", str(mini_pack_dir), "--dt", "1e-300", "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: dt is too small to advance the clock at max_sim_time\n"
+        assert captured.err == f"error: {TICK_CAP}\n"
         assert captured.out == ""
         assert not (out / "summary.csv").exists()
         assert list((out / "traces").iterdir()) == []
+
+    def test_dt_over_the_tick_cap_is_an_error(self, mini_pack_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["batch", "--pack", str(mini_pack_dir), "--dt", "1e-9", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {TICK_CAP}\n"
+        assert captured.out == ""
+        assert not (out / "summary.csv").exists()
+
+    def test_bad_scenario_in_pack_names_its_file(self, mini_pack_dir, tmp_path, capsys):
+        pack = bad_file_pack(mini_pack_dir, tmp_path)
+        out = tmp_path / "out"
+        rc = main(["batch", "--pack", str(pack), "--dt", "0.5", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {pack / 'bogus.scn'}: {BOGUS_ERRORS}\n"
+        assert captured.out == ""
 
     def test_overflowing_script_speed_is_an_error(self, scn_dir, tmp_path, capsys):
         pack = tmp_path / "pack"
@@ -437,6 +484,20 @@ class TestBatch:
 
 
 class TestValidate:
+    def test_tick_count_over_the_cap_fails_validation(self, scn_dir, tmp_path, capsys):
+        """A huge time budget with a huge step used to validate, then run
+        without end; it is rejected before any tick, with one error line."""
+        bad = tmp_path / "endless.scn"
+        bad.write_text(
+            Path(scn(scn_dir, "ref-route1")).read_text()
+            + "SET SIM.MAX_SIM_TIME 1e300\nSET SIM.DT 1e290\n"
+        )
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == f"{bad}:0: SIM parameters: {TICK_CAP}\n"
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 0: SIM parameters: {TICK_CAP}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_valid_file(self, scn_dir, capsys):
         rc = main(["validate", scn(scn_dir, "sc-07")])
         assert rc == 0
@@ -583,6 +644,16 @@ class TestPackExport:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+    def test_bad_scenario_in_pack_names_its_file(self, mini_pack_dir, tmp_path, capsys):
+        pack = bad_file_pack(mini_pack_dir, tmp_path)
+        out = tmp_path / "exported"
+        rc = main(["pack", "--pack", str(pack), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {pack / 'bogus.scn'}: {BOGUS_ERRORS}\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_exported_files_validate(self, tmp_path, capsys):

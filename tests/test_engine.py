@@ -58,7 +58,7 @@ class TestReferenceFlights:
 
     def test_no_commands_in_clean_sky(self):
         res = run("ref-route1", dt=0.5)
-        assert res.command_log == []
+        assert all(rec.command == "" for rec in res.ticks)
         assert all(not rec.intruders for rec in res.ticks)
 
 
@@ -74,7 +74,7 @@ class TestDeterminism:
         off = run("sc-01", dt=0.5, cas_enabled=False)
         ref = run("ref-route1", dt=0.5)
         assert off.departure_time == 0.0
-        assert off.command_log == []
+        assert all(rec.command == "" for rec in off.ticks)
         n = min(len(off.ticks), len(ref.ticks))
         assert n > 1000
         for a, b in zip(off.ticks[:n], ref.ticks[:n]):
@@ -152,9 +152,10 @@ class TestTerminals:
 class TestAvoidanceRuns:
     def test_commands_are_chronological(self):
         res = run("sc-04", dt=0.5)
-        times = [t for t, _ in res.command_log]
+        times = [rec.t for rec in res.ticks]
         assert times == sorted(times)
-        assert len(times) >= 2  # at least engage + resolve
+        issued = [b.t for a, b in zip(res.ticks, res.ticks[1:]) if b.command != a.command]
+        assert len(issued) >= 2  # at least engage + resolve
 
     def test_emergency_phase_reached_when_warning_penetrated(self):
         res = run("sc-06", dt=0.5)
@@ -169,8 +170,8 @@ class TestAvoidanceRuns:
         assert engine.cdr.CdrPhase.EMERGENCY not in phases
         from uamcas.maneuvers import Action
 
-        actions = [cmd.action for _, cmd in res.command_log]
-        assert Action.CONTINUE_FLIGHT in actions  # picked the plan back up
+        actions = {rec.command.split(":")[0] for rec in res.ticks}
+        assert Action.CONTINUE_FLIGHT.value in actions  # picked the plan back up
 
 
 class TestTrace:
@@ -238,7 +239,7 @@ def synth_trace(rows):
         scenario_id="synth", ticks=ticks,
         terminal=engine.Terminal(TerminalKind.LANDED_AT, "V2"),
         ground_decision=cdr.GroundDecision.depart("ROUTE1", 0.0),
-        departure_time=0.0, end_time=ticks[-1].t if ticks else 0.0, command_log=[],
+        departure_time=0.0, end_time=ticks[-1].t if ticks else 0.0,
     )
 
 
@@ -309,15 +310,30 @@ class TestSimParams:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             engine.SimParams(**{field: value})
 
+    TICK_CAP = r"max_sim_time / dt must not exceed 10000000 ticks"
+
     @pytest.mark.parametrize("dt,max_sim_time", [(1e-300, 3600.0), (1e-13, 3600.0), (1e-20, 1.0)])
     def test_dt_that_cannot_advance_the_clock_is_rejected(self, dt, max_sim_time):
-        with pytest.raises(ValueError, match="dt is too small to advance the clock"):
+        # the tick cap covers it: such a dt means over 2**52 ticks
+        assert max_sim_time + dt == max_sim_time
+        with pytest.raises(ValueError, match=self.TICK_CAP):
             engine.SimParams(dt=dt, max_sim_time=max_sim_time)
 
-    def test_smallest_dt_that_advances_the_clock_is_accepted(self):
-        dt = math.ulp(3600.0)
-        assert 3600.0 + dt > 3600.0
-        assert engine.SimParams(dt=dt, max_sim_time=3600.0).dt == dt
+    @pytest.mark.parametrize("dt,max_sim_time", [
+        (1.0, math.nextafter(1e7, math.inf)),  # one ulp over the cap
+        (1e-9, 3600.0),  # the clock advances, but 3.6e12 ticks would never end
+        (1e290, 1e300),
+        (5e-324, 3600.0),  # the quotient overflows to inf
+    ])
+    def test_tick_count_over_the_cap_is_rejected(self, dt, max_sim_time):
+        assert engine.MAX_TICKS == 10_000_000
+        with pytest.raises(ValueError, match=self.TICK_CAP):
+            engine.SimParams(dt=dt, max_sim_time=max_sim_time)
+
+    @pytest.mark.parametrize("dt,max_sim_time", [(1.0, 1e7), (0.5, 5e6), (3600.0 / 1e7, 3600.0)])
+    def test_tick_count_at_the_cap_is_accepted(self, dt, max_sim_time):
+        assert max_sim_time / dt == engine.MAX_TICKS
+        assert engine.SimParams(dt=dt, max_sim_time=max_sim_time).dt == dt
 
 
 class TestPerRunEnvelopes:

@@ -72,7 +72,6 @@ def synth_result(tick_data, terminal=None, departure=0.0, route="ROUTE1"):
         ground_decision=GroundDecision.depart(route, departure),
         departure_time=departure,
         end_time=ticks[-1].t if ticks else 0.0,
-        command_log=[],
     )
 
 
@@ -222,7 +221,7 @@ class TestDelays:
             scenario_id="p", ticks=[],
             terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
             ground_decision=GroundDecision.postpone(),
-            departure_time=math.inf, end_time=0.0, command_log=[],
+            departure_time=math.inf, end_time=0.0,
         )
         rep = metrics.delays(res, self.BASE)
         assert rep.d_ground == math.inf
