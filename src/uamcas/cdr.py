@@ -8,7 +8,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .agents import (
@@ -21,6 +20,7 @@ from .agents import (
 )
 from .envelopes import Zone
 from .geo import (
+    BearingUndefinedError,
     EnuPoint,
     bearing,
     distance_point_to_polyline,
@@ -106,6 +106,10 @@ class CdrParams:
         for name in ("head_on_half_angle", "same_dir_half_angle"):
             if not 0.0 <= getattr(self, name) <= 180.0:
                 raise ValueError(f"{name} must lie in [0, 180]")
+        # A COLLISION trigger would never detect, only collide, and a
+        # CLEAR one acts as CAUTION: detection needs a rising zone.
+        if self.tactical_trigger_zone not in (Zone.CAUTION, Zone.WARNING):
+            raise ValueError("tactical_trigger_zone must be CAUTION or WARNING")
         if self.turn_deg <= 0.0:
             raise ValueError("turn_deg must be positive")
         # Signed: positive offsets go to starboard.
@@ -178,6 +182,16 @@ def takeoff_delay_check(
     return GroundDecision.postpone()
 
 
+def _relative_bearing(own_pos: EnuPoint, own_track: float, intr_pos: EnuPoint) -> float:
+    """The intruder's bearing off the ownship's track, in (-180, 180].  An
+    intruder straight above or below the ownship has no bearing; it
+    counts as dead ahead (0), the cautious reading."""
+    try:
+        return signed_track_diff(own_track, bearing(own_pos, intr_pos))
+    except BearingUndefinedError:
+        return 0.0
+
+
 def approach_direction(
     own_pos: EnuPoint,
     own_track: float,
@@ -190,7 +204,7 @@ def approach_direction(
     A stationary intruder carries no track, so it is classed purely by
     which half-plane it occupies; head-on is excluded for it.
     """
-    rel_bearing = signed_track_diff(own_track, bearing(own_pos, intr_pos))
+    rel_bearing = _relative_bearing(own_pos, own_track, intr_pos)
     vx, vy, _ = intr_velocity
     if vx == 0.0 and vy == 0.0:
         return ApproachDirection.RIGHT if rel_bearing >= 0.0 else ApproachDirection.LEFT
@@ -206,7 +220,7 @@ def approach_direction(
 def relative_position(
     own_pos: EnuPoint, own_track: float, intr_pos: EnuPoint
 ) -> RelativePosition:
-    rel_bearing = signed_track_diff(own_track, bearing(own_pos, intr_pos))
+    rel_bearing = _relative_bearing(own_pos, own_track, intr_pos)
     return RelativePosition.AHEAD if abs(rel_bearing) <= 90.0 else RelativePosition.BEHIND
 
 
@@ -300,48 +314,29 @@ def diversion_target(pos: EnuPoint, vertiports: Mapping[str, EnuPoint]) -> str:
     return best[0]
 
 
-def de_escalated(
-    history: Sequence[tuple[float, float | None, Zone | None]],
-    now: float,
-    hold_duration: float,
-) -> bool:
-    """Conflict resolved: gone for the whole hold window, or outside the
-    warning ring with strictly opening range throughout it.
+Run = tuple[float, float | None, Zone | None]  # (since, separation, zone): see extend_run
 
-    history holds (time, separation, zone) entries in time order, with
-    separation and zone None while the intruder is absent.  The window
-    is the entries at or after now - hold_duration; the history must
-    reach back to that instant.  One pass from the newest entry, which
-    stops at the first entry that settles the answer.
-    """
-    if not history:
-        return False
+
+def extend_run(run: Run, t_prev: float, separation: float | None, zone: Zone | None) -> Run:
+    """One intruder's running record after one more tick, with separation
+    and zone None while it is absent.  The current run is every tick
+    after since, all absent or all present with strictly rising
+    separation; t_prev, the previous tick's time, becomes since when
+    this tick starts a new run."""
+    since, last, _ = run
+    if separation is None:
+        return run if last is None else (t_prev, None, None)
+    return (since if last is not None and last < separation else t_prev, separation, zone)
+
+
+def de_escalated(run: Run, now: float, hold_duration: float, first_tick: float) -> bool:
+    """Conflict resolved: gone for the whole hold window (the ticks at or
+    after now - hold_duration), or outside the warning ring with strictly
+    opening range throughout it.  The window must not start before the
+    flight's first tick."""
+    since, _, zone = run
     cutoff = now - hold_duration
-    if history[0][0] > cutoff:
-        return False  # not enough history yet
-    entries = reversed(history)
-    t, later, last_zone = next(entries)
-    if t < cutoff:
-        return False  # nothing inside the window
-    if later is None:
-        # Absent now: resolved only if absent throughout the window.
-        for t, sep, _ in entries:
-            if t < cutoff:
-                return True
-            if sep is not None:
-                return False
-        return True
-    if last_zone is None or last_zone >= Zone.WARNING:
-        return False
-    # Present now: every older entry in the window must be present and
-    # strictly closer than the one after it.
-    for t, sep, _ in entries:
-        if t < cutoff:
-            return True
-        if sep is None or not sep < later:
-            return False
-        later = sep
-    return True
+    return first_tick <= cutoff and since < cutoff and (zone is None or zone < Zone.WARNING)
 
 
 class IntruderObservation(NamedTuple):
@@ -353,16 +348,13 @@ class IntruderObservation(NamedTuple):
     zone: Zone
 
 
-# cdr_step's key for the governing (nearest) observation.
-_SEPARATION = attrgetter("separation")
-
-
 @dataclass(frozen=True)
 class CdrState:
     phase: CdrPhase = CdrPhase.MONITORING
     detect_started_at: float | None = None
     encounter_id: str | None = None
     prev_zone: Zone = Zone.CLEAR
+    first_tick: float = -math.inf  # the flight's, for de_escalated
 
 
 def cdr_step(
@@ -370,8 +362,8 @@ def cdr_step(
     t: float,
     own_pos: EnuPoint,
     own_track: float,
-    observations: Sequence[IntruderObservation],
-    history: Mapping[str, Sequence[tuple[float, float | None, Zone | None]]],
+    governing: IntruderObservation | None,
+    runs: Mapping[str, Run],
     vertiports: Mapping[str, EnuPoint],
     perf: PerformanceModel,
     params: CdrParams,
@@ -382,15 +374,14 @@ def cdr_step(
     own_track are the ownship's position and track before this tick's
     move; they are all of the ownship the decision reads, and only on
     the ticks that classify an encounter or pick a diversion field.
-    observations hold the currently present intruders with their sensed
-    separation and zone; the smallest separation governs.  history is
-    the per-intruder separation record used by the de-escalation test.
-    Returns the advanced state and at most one freshly issued command.
+    governing is the nearest present intruder, or None.  runs maps each
+    airborne intruder to its running record (extend_run); the
+    de-escalation test reads the encounter intruder's.  Returns the
+    advanced state and at most one freshly issued command.
     """
     if state.phase is CdrPhase.COLLIDED:
         return state, None
 
-    governing = min(observations, key=_SEPARATION) if observations else None
     zone = governing.zone if governing is not None else Zone.CLEAR
 
     if governing is not None and zone is Zone.COLLISION:
@@ -425,7 +416,7 @@ def cdr_step(
         entering = CdrPhase.EMERGENCY
 
     elif phase is CdrPhase.AVOID or phase is CdrPhase.EMERGENCY:
-        if de_escalated(history.get(state.encounter_id, ()), t, params.hold_duration):
+        if de_escalated(runs[state.encounter_id], t, params.hold_duration, state.first_tick):
             # Post-conflict: divert if a pilot had to step in, otherwise
             # pick the original plan back up.
             action = Action.REROUTE_TO if phase is CdrPhase.EMERGENCY else Action.CONTINUE_FLIGHT

@@ -2,11 +2,12 @@
 
 Per tick, in a fixed order chosen once for determinism: intruders
 advance and, when the avoidance system is enabled, are sensed in the
-same pass against the not-yet-moved ownship (separation, zone, history
-entry and observation; with the system off nothing reads them, so
-sensing is skipped); the decision tree runs on the observations;
-finally the ownship moves under the resulting guidance.  The recorded
-tick snapshot pairs post-move positions so trace geometry is
+same pass against the not-yet-moved ownship (separation and zone, which
+extend each intruder's running record, cdr.extend_run, and pick the
+nearest intruder; with the system off nothing reads them, so sensing is
+skipped); the decision tree runs on the nearest intruder and the
+records; finally the ownship moves under the resulting guidance.  The
+recorded tick snapshot pairs post-move positions so trace geometry is
 time-consistent.  Per-run constants (the envelope set of each flight
 mode, the tick, the contact distance) are resolved once before the loop,
 and the envelope set is looked up again only when the flight mode
@@ -18,12 +19,14 @@ returns exactly those values.  The decision reads only the ownship's
 position and track, and agents.resolve_command, on a tick that issues a
 command, reads those plus the waypoint index, so no ownship object is
 ever built.  The records built on every tick are TickRecord, one
-IntruderTick per present intruder, and, with the system on, one
-IntruderObservation per present intruder; the intruder positions are
-EnuPoints from agents.intruder_state_at.  All are NamedTuples, which
-build in half the time of a frozen dataclass or less.  The three tick
-records carry no rules, so the loop builds them with tuple.__new__ and
-skips the generated __new__'s keyword handling; EnuPoint checks its
+IntruderTick per present intruder, and, with the system on, an
+IntruderObservation for each intruder nearer than those before it in the
+pass, plus a plain (since, separation, zone) tuple for each running
+record that changes; the intruder positions are EnuPoints from
+agents.intruder_state_at.  All but the running records are NamedTuples,
+which build in half the time of a frozen dataclass or less.  The three
+tick records carry no rules, so the loop builds them with tuple.__new__
+and skips the generated __new__'s keyword handling; EnuPoint checks its
 fields in __new__ and is always built through its constructor.  Reading
 a NamedTuple field by name costs more than reading a slot, so the
 per-tick readers that take most of a record's fields (trace_csv_lines,
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
@@ -180,9 +182,8 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     ]
     airborne_records = [r for r in records if not r.ground_clock]
 
-    cdr_state = cdr.CdrState()
-    hist_len = max(3, int(math.ceil(sc.cdr_params.hold_duration / params.dt)) + 5)
-    history: dict[str, deque] = {r.id: deque(maxlen=hist_len) for r in airborne_records}
+    cdr_state = cdr.CdrState(first_tick=departure + params.dt)
+    runs: dict[str, cdr.Run] = {r.id: (departure, None, None) for r in airborne_records}
     prev_pos: dict[str, EnuPoint | None] = {r.id: None for r in airborne_records}
 
     # Per-run constants: the envelope set of every flight mode, the
@@ -200,6 +201,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     intruder_state_at = agents.intruder_state_at
     distance_3d = geo.distance_3d
     classify = envelopes.classify
+    extend_run = cdr.extend_run
     cdr_step = cdr.cdr_step
 
     # The ownship, as plain values; env and own_pos always belong to
@@ -224,17 +226,19 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             break
 
         # 1-2. Intruders advance and, with the system on, are sensed
-        # against the pre-move ownship.  Only the decision tree reads
-        # observations and history, so both are skipped with it off.
+        # against the pre-move ownship; the nearest (the first listed on
+        # a tie) governs.  Only the decision tree reads the sensed values,
+        # so sensing is skipped with the system off.
         present: list[tuple[str, EnuPoint]] = []
-        observations: list[IntruderObservation] = []
+        governing: IntruderObservation | None = None
+        nearest = math.inf
         for rec in airborne_records:
             rid = rec.id
             st = intruder_state_at(rec, t_next, own_pos, prev_pos[rid], dt)
             if st is None:
                 prev_pos[rid] = None
                 if cas_enabled:
-                    history[rid].append((t_next, None, None))
+                    runs[rid] = extend_run(runs[rid], t, None, None)
                 continue
             pos, vel = st
             prev_pos[rid] = pos
@@ -242,15 +246,15 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             if cas_enabled:
                 sep = distance_3d(own_pos, pos)
                 zone = classify(sep, env)
-                history[rid].append((t_next, sep, zone))
-                observations.append(
-                    tuple.__new__(IntruderObservation, (rid, rec.kind, pos, vel, sep, zone))
-                )
+                runs[rid] = extend_run(runs[rid], t, sep, zone)
+                if sep < nearest:
+                    nearest = sep
+                    governing = tuple.__new__(IntruderObservation, (rid, rec.kind, pos, vel, sep, zone))
 
         # 3. The decision, on the pre-move position and track.
         if cas_enabled:
             cdr_state, command = cdr_step(
-                cdr_state, t_next, own_pos, track, observations, history,
+                cdr_state, t_next, own_pos, track, governing, runs,
                 vertiports_enu, perf, cdr_params,
             )
             if command is not None:

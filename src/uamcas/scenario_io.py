@@ -511,8 +511,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
                 f"CDR.DESCEND_ALT_M ({descend_alt!r}) must lie above 0 and below "
                 f"PERF.CRUISE_ALT ({cruise_alt!r})"
             )))
-    # The run keeps hold_duration / dt ticks of history per intruder; a
-    # hold no longer than the run keeps that count within the clock's.
+    # A hold longer than the whole run could never end an encounter.
     if "CDR" in params and "SIM" in params:
         hold, max_time = params["CDR"].hold_duration, params["SIM"].max_sim_time
         if hold > max_time:

@@ -17,6 +17,7 @@ from uamcas.cli import main
 BATCH_DIGEST = "f2c83ad118cf38fe05987808ba0c72105b1eaca7f371fbaa9326eb0f92239d39"
 RUN_SC11_DIGEST = "9d549d2429618656d44ddb8404849344c9fd253d58618b94ea233c957513bd6c"
 PACK_DIGEST = "c4ff65354538aa4334ddf0b2b3e1278677a74f9d362cb74cb20277b6be280194"
+BATCH_SHORT_HOLD_DIGEST = "87de8dd72eb771ef1fd06c90828abb3a022fb6f663fa6b24f08ecc8c5f5d1275"
 
 
 def digest(root: Path, stdout: str | None = None) -> str:
@@ -43,6 +44,16 @@ def workdir(tmp_path, monkeypatch):
 def test_default_pack_batch(workdir, capsys):
     assert main(["batch", "--pack", "default", "--format", "both", "--out", "batch"]) == 0
     assert digest(workdir / "batch", capsys.readouterr().out) == BATCH_DIGEST
+
+
+def test_default_pack_batch_with_short_hold(workdir, capsys):
+    """At dt 0.2 with a 2 s hold and no detection delay, sc-01 to sc-14
+    de-escalate on ticks that the default settings never reach."""
+    (workdir / "short-hold.cfg").write_text("SET CDR.HOLD_DURATION 2\nSET CDR.DETECT_DURATION 0\n")
+    argv = ["batch", "--pack", "default", "--dt", "0.2", "--format", "both",
+            "--config", "short-hold.cfg", "--out", "batch"]
+    assert main(argv) == 0
+    assert digest(workdir / "batch", capsys.readouterr().out) == BATCH_SHORT_HOLD_DIGEST
 
 
 def test_pack_export_and_sc11_compare_run(workdir, capsys):

@@ -3,12 +3,13 @@ classes, the decision table cell by cell, de-escalation, and a full
 walk of the airborne phase machine."""
 
 import itertools
-from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uamcas import cdr, engine
 from uamcas.agents import (
     DEFAULT_PERFORMANCE,
     HeadOnStrategy,
@@ -35,6 +36,7 @@ from uamcas.cdr import (
     de_escalated,
     decide,
     diversion_target,
+    extend_run,
     heading_threat,
     relative_position,
     takeoff_delay_check,
@@ -42,6 +44,7 @@ from uamcas.cdr import (
 from uamcas.envelopes import Zone
 from uamcas.geo import EnuPoint
 from uamcas.maneuvers import Action, ManeuverCommand, TurnDirection
+from uamcas.scenario_io import parse_scenario
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
 DRONE = IntruderKind.DRONE
@@ -90,6 +93,20 @@ class TestApproachDirection:
         assert approach_direction(*self.OWN, EnuPoint(-10, 1000, 304.8), still) is ApproachDirection.LEFT
         # dead ahead counts as right (never head-on without a track)
         assert approach_direction(*self.OWN, EnuPoint(0, 1000, 304.8), still) is ApproachDirection.RIGHT
+
+    @pytest.mark.parametrize("own_track,unit", [
+        (0.0, (0.0, 1.0)), (90.0, (1.0, 0.0)), (180.0, (0.0, -1.0)), (270.0, (-1.0, 0.0)),
+    ])
+    def test_intruder_straight_above_or_below_counts_as_dead_ahead(self, own_track, unit):
+        own_pos = EnuPoint(250.0, -40.0, 304.8)
+        for up in (100.0, 304.8, 500.0):
+            overhead = EnuPoint(250.0, -40.0, up)
+            ahead = EnuPoint(250.0 + unit[0], -40.0 + unit[1], up)
+            for vel in ((0.0, 0.0, 0.0), (0.0, 10.0, 0.0), (-7.0, -7.0, 0.0), (3.0, 0.0, 1.0)):
+                assert approach_direction(own_pos, own_track, overhead, vel) is (
+                    approach_direction(own_pos, own_track, ahead, vel)
+                )
+            assert relative_position(own_pos, own_track, overhead) is AHEAD
 
 
 class TestRelativePosition:
@@ -336,53 +353,73 @@ class TestDiversion:
         assert diversion_target(EnuPoint(0, 0, 300), ports) == "V3"
 
 
+def fold(history, before):
+    """The running record once the engine has fed it history's (t, sep,
+    zone) entries in order, starting from the record of no tick with
+    since at before, the instant before the first entry."""
+    run, t_prev = (before, None, None), before
+    for t, sep, zone in history:
+        run, t_prev = extend_run(run, t_prev, sep, zone), t
+    return run
+
+
+def resolved(history, now, hold):
+    """de_escalated on the record history builds, for a flight whose
+    first tick is history's first entry, one second after departure."""
+    first = history[0][0]
+    return de_escalated(fold(history, first - 1.0), now, hold, first)
+
+
 class TestDeEscalation:
     HOLD = 5.0
 
     def test_empty_history_is_not_resolved(self):
-        assert not de_escalated([], 10.0, self.HOLD)
+        # The record of no tick, read before the flight's first tick.
+        for hold in (0.0, self.HOLD):
+            assert not de_escalated((0.0, None, None), 0.0, hold, 0.1)
 
     def test_needs_full_window_of_history(self):
-        hist = [(8.0, 900.0, Zone.CAUTION), (9.0, 950.0, Zone.CAUTION)]
-        assert not de_escalated(hist, 10.0, self.HOLD)
+        hist = [(8.0, 900.0, Zone.CAUTION), (9.0, 950.0, Zone.CAUTION), (10.0, 990.0, Zone.CAUTION)]
+        assert not resolved(hist, 10.0, self.HOLD)
+        assert resolved(hist, 10.0, 2.0)
 
     def test_absent_for_whole_window_resolves(self):
         hist = [(t, None, None) for t in range(0, 11)]
-        assert de_escalated(hist, 10.0, self.HOLD)
+        assert resolved(hist, 10.0, self.HOLD)
 
     def test_partial_absence_does_not_resolve(self):
         hist = [(float(t), None, None) for t in range(0, 10)]
         hist.append((10.0, 800.0, Zone.WARNING))
-        assert not de_escalated(hist, 10.0, self.HOLD)
+        assert not resolved(hist, 10.0, self.HOLD)
 
     def test_strictly_opening_range_outside_warning_resolves(self):
         hist = [(float(t), 1100.0 + 40 * t, Zone.CAUTION) for t in range(0, 11)]
-        assert de_escalated(hist, 10.0, self.HOLD)
+        assert resolved(hist, 10.0, self.HOLD)
 
     def test_plateau_does_not_resolve(self):
         hist = [(float(t), 1500.0, Zone.CAUTION) for t in range(0, 11)]
-        assert not de_escalated(hist, 10.0, self.HOLD)
+        assert not resolved(hist, 10.0, self.HOLD)
 
     def test_still_inside_warning_does_not_resolve(self):
         hist = [(float(t), 500.0 + 40 * t, Zone.WARNING) for t in range(0, 11)]
-        assert not de_escalated(hist, 10.0, self.HOLD)
+        assert not resolved(hist, 10.0, self.HOLD)
 
     def test_gap_at_window_start_does_not_resolve(self):
         hist = [(float(t), 1100.0 + 40 * t, Zone.CAUTION) for t in range(0, 11)]
         hist[5] = (5.0, None, None)  # exactly at now - hold
-        assert not de_escalated(hist, 10.0, self.HOLD)
-        assert de_escalated(hist[6:], 10.0, 4.0)
+        assert not resolved(hist, 10.0, self.HOLD)
+        assert resolved(hist[6:], 10.0, 4.0)
 
     def test_dip_inside_window_does_not_resolve(self):
         seps = [1100, 1140, 1120, 1180, 1220, 1260]
         hist = [(float(5 + i), float(s), Zone.CAUTION) for i, s in enumerate(seps)]
         hist.insert(0, (0.0, 1000.0, Zone.CAUTION))
-        assert not de_escalated(hist, 10.0, self.HOLD)
+        assert not resolved(hist, 10.0, self.HOLD)
 
 
 def reference_de_escalated(history, now, hold_duration):
-    """The list-building de-escalation test the one-pass de_escalated
-    replaced, kept as its reference."""
+    """The de-escalation test over a whole sensed history, built from
+    lists, kept as the reference for the running record."""
     if not history:
         return False
     window = [h for h in history if h[0] >= now - hold_duration]
@@ -399,8 +436,9 @@ def reference_de_escalated(history, now, hold_duration):
     return all(a < b for a, b in zip(seps, seps[1:]))
 
 
-# Weighted toward the zones that let an opening range resolve.
-ZONES = st.sampled_from([Zone.CLEAR, Zone.CLEAR, Zone.CAUTION, Zone.CAUTION, None, Zone.WARNING, Zone.COLLISION])
+# Weighted toward the zones that let an opening range resolve.  A present
+# intruder always has a zone; only an absent one has None.
+ZONES = st.sampled_from([Zone.CLEAR, Zone.CLEAR, Zone.CAUTION, Zone.CAUTION, Zone.WARNING, Zone.COLLISION])
 FLAWS = st.sampled_from([None, "gap", "present", "plateau", "plateau", "dip", "dip"])
 
 
@@ -413,9 +451,7 @@ def histories(draw):
     or before NOW, on a 0.5 s grid so an entry can fall exactly on
     NOW - hold.  Shaped to reach every branch: it may start after the
     window opens or end before it, one instant may repeat, and the
-    separations are absent throughout or opening, each with at most one
-    flaw among the newest entries (a gap, a presence, a plateau or a
-    dip), or drawn from a few repeated values."""
+    separations are drawn by sensed()."""
     hold = draw(st.sampled_from([2.5, 5.0]))
     first = draw(st.one_of(st.integers(0, 10), st.integers(0, 20)))
     last = draw(st.one_of(st.just(20), st.just(20), st.integers(first, 20)))
@@ -423,7 +459,14 @@ def histories(draw):
     if draw(st.booleans()):
         i = draw(st.integers(0, len(ticks) - 1))
         ticks.insert(i, ticks[i])
-    n = len(ticks)
+    history = [(k * 0.5, sep, zone) for k, (sep, zone) in zip(ticks, sensed(draw, len(ticks)))]
+    return history, hold
+
+
+def sensed(draw, n):
+    """n (sep, zone) samples: absent throughout or opening, each with at
+    most one flaw among the newest (a gap, a presence, a plateau or a
+    dip), or drawn from a few repeated values."""
     shape = draw(st.sampled_from(["absent", "opening", "random"]))
     if shape == "absent":
         seps = [None] * n
@@ -444,20 +487,54 @@ def histories(draw):
         elif i > 0 and seps[i - 1] is not None:
             seps[i] = seps[i - 1] - (0.0 if flaw == "plateau" else 10.0)
     zones = [draw(ZONES) if sep is not None else None for sep in seps]
-    history = [(k * 0.5, sep, zone) for k, sep, zone in zip(ticks, seps, zones)]
-    return history, hold
+    return list(zip(seps, zones))
+
+
+@st.composite
+def engine_histories(draw):
+    """A flight as the engine senses one intruder: the departure, one
+    (t, sep, zone) entry per tick on the clock the engine keeps (t +=
+    dt), the newest tick, and a hold from zero, under one tick, through
+    windows that open exactly on a tick or between the departure and
+    the first tick, to past the first tick."""
+    departure = draw(st.sampled_from([0.0, 17.3, 300.0]))
+    dt = draw(st.sampled_from([0.05, 0.1, 0.2, 0.5, 1 / 3]))
+    times, t = [], departure
+    for _ in range(draw(st.integers(1, 40))):
+        t = t + dt
+        times.append(t)
+    now = times[-1]
+    hold = draw(st.one_of(
+        st.sampled_from([0.0, 0.5 * dt, now - 0.5 * (departure + times[0])]),
+        st.sampled_from([now - tk for tk in times]),
+        st.floats(0.0, now - departure + dt),
+    ))
+    history = [(tk, sep, zone) for tk, (sep, zone) in zip(times, sensed(draw, len(times)))]
+    return departure, history, hold
 
 
 class TestDeEscalationMatchesReference:
     @settings(max_examples=400)
     @given(case=histories(), empty=st.booleans())
     def test_random_histories(self, case, empty):
+        # The record is read on the tick it was last extended, so each
+        # history is judged at its newest entry; an empty one, before
+        # the flight's first tick.
         history, hold = case
         if empty:
-            history = []
-        expected = reference_de_escalated(history, NOW, hold)
-        assert de_escalated(history, NOW, hold) == expected
-        assert de_escalated(deque(history), NOW, hold) == expected
+            expected = reference_de_escalated([], NOW, hold)
+            assert de_escalated((NOW - 1.0, None, None), NOW, hold, NOW + 0.5) == expected
+        else:
+            now = history[-1][0]
+            assert resolved(history, now, hold) == reference_de_escalated(history, now, hold)
+
+    @settings(max_examples=600)
+    @given(case=engine_histories())
+    def test_engine_shaped_histories(self, case):
+        departure, history, hold = case
+        now, first = history[-1][0], history[0][0]
+        run = fold(history, departure)
+        assert de_escalated(run, now, hold, first) == reference_de_escalated(history, now, hold)
 
     def test_strategy_reaches_both_answers(self):
         answers = set()
@@ -582,11 +659,8 @@ def obs(sep, zone, pos=(400, 300, 304.8), vel=(-10.0, 0.0, 0.0), name="X", kind=
     return IntruderObservation(name, kind, EnuPoint(*pos), vel, sep, zone)
 
 
-def step(state, t, observations, history=None, params=CdrParams()):
-    return cdr_step(
-        state, t, *own(track=0.0), observations,
-        history or {}, PORTS, VT, params,
-    )
+def step(state, t, governing, runs=None, params=CdrParams()):
+    return cdr_step(state, t, *own(track=0.0), governing, runs or {}, PORTS, VT, params)
 
 
 class TestPhaseMachine:
@@ -594,48 +668,57 @@ class TestPhaseMachine:
         st = CdrState()
 
         # caution entry arms the detect timer
-        st, cmd = step(st, 10.0, [obs(2000.0, Zone.CAUTION)])
+        st, cmd = step(st, 10.0, obs(2000.0, Zone.CAUTION))
         assert st.phase is CdrPhase.DETECT
         assert st.detect_started_at == 10.0
         assert st.encounter_id == "X"
         assert cmd is None
 
         # classification runs for detect_duration seconds
-        st, cmd = step(st, 11.0, [obs(1900.0, Zone.CAUTION)])
+        st, cmd = step(st, 11.0, obs(1900.0, Zone.CAUTION))
         assert st.phase is CdrPhase.DETECT and cmd is None
-        st, cmd = step(st, 13.0, [obs(1700.0, Zone.CAUTION)])
+        st, cmd = step(st, 13.0, obs(1700.0, Zone.CAUTION))
         assert st.phase is CdrPhase.AVOID
         assert cmd is not None
         assert cmd.action is Action.HOVER  # crossing drone from the right
 
         # warning penetration while avoiding: pilot steps in
-        st, cmd = step(st, 14.0, [obs(900.0, Zone.WARNING)])
+        st, cmd = step(st, 14.0, obs(900.0, Zone.WARNING))
         assert st.phase is CdrPhase.EMERGENCY
         assert cmd is not None
         assert cmd.action is Action.TURN_BY  # the pilot turns away from the right
 
         # conflict resolved: pilot reroutes to the nearest pad
-        hist = {"X": [(float(t), 1100.0 + 50 * t, Zone.CAUTION) for t in range(9, 21)]}
-        st, cmd = step(st, 20.0, [obs(2100.0, Zone.CAUTION)], history=hist)
+        hist = [(float(t), 1100.0 + 50 * t, Zone.CAUTION) for t in range(9, 21)]
+        st, cmd = step(st, 20.0, obs(2100.0, Zone.CAUTION), runs={"X": fold(hist, 8.0)})
         assert st.phase is CdrPhase.DE_ESCALATED
         assert cmd.action is Action.REROUTE_TO
 
         # and the machine re-arms
-        st, cmd = step(st, 21.0, [obs(2200.0, Zone.CLEAR)])
+        st, cmd = step(st, 21.0, obs(2200.0, Zone.CLEAR))
         assert st.phase is CdrPhase.MONITORING
         assert st.encounter_id is None
         assert cmd is None
 
     def test_avoid_resolves_automatically_without_emergency(self):
         st = CdrState(phase=CdrPhase.AVOID, detect_started_at=0.0, encounter_id="X")
-        hist = {"X": [(float(t), 1200.0 + 60 * t, Zone.CAUTION) for t in range(0, 12)]}
-        st, cmd = step(st, 10.0, [obs(1800.0, Zone.CAUTION)], history=hist)
+        hist = [(float(t), 1200.0 + 60 * t, Zone.CAUTION) for t in range(0, 11)]
+        st, cmd = step(st, 10.0, obs(1800.0, Zone.CAUTION), runs={"X": fold(hist, -1.0)})
         assert st.phase is CdrPhase.DE_ESCALATED
         assert cmd.action is Action.CONTINUE_FLIGHT
 
+    def test_flight_younger_than_the_hold_does_not_resolve(self):
+        # The window opens at 5.0: covered by a flight whose first tick is
+        # then, not by one that took off later.
+        hist = [(float(t), 1200.0 + 60 * t, Zone.CAUTION) for t in range(5, 11)]
+        runs = {"X": fold(hist, 4.0)}
+        for first_tick, phase in ((5.5, CdrPhase.AVOID), (5.0, CdrPhase.DE_ESCALATED)):
+            st = CdrState(phase=CdrPhase.AVOID, encounter_id="X", first_tick=first_tick)
+            assert step(st, 10.0, obs(1800.0, Zone.CAUTION), runs=runs)[0].phase is phase
+
     def test_detect_aborts_when_contact_vanishes(self):
         st = CdrState(phase=CdrPhase.DETECT, detect_started_at=5.0, encounter_id="X")
-        st, cmd = step(st, 6.0, [])
+        st, cmd = step(st, 6.0, None)
         assert st.phase is CdrPhase.MONITORING
         assert st.encounter_id is None and cmd is None
 
@@ -643,38 +726,65 @@ class TestPhaseMachine:
         # after resolution the opponent may still be inside a ring; only a
         # fresh ring crossing re-arms the machine
         st = CdrState(phase=CdrPhase.MONITORING, prev_zone=Zone.WARNING)
-        st, cmd = step(st, 30.0, [obs(900.0, Zone.WARNING)])
+        st, cmd = step(st, 30.0, obs(900.0, Zone.WARNING))
         assert st.phase is CdrPhase.MONITORING and cmd is None
         # decay to caution: still no trigger (zone not above previous)
-        st, cmd = step(st, 31.0, [obs(1500.0, Zone.CAUTION)])
+        st, cmd = step(st, 31.0, obs(1500.0, Zone.CAUTION))
         assert st.phase is CdrPhase.MONITORING
         # re-approach crossing back into warning is a fresh edge
-        st, cmd = step(st, 32.0, [obs(1000.0, Zone.WARNING)])
+        st, cmd = step(st, 32.0, obs(1000.0, Zone.WARNING))
         assert st.phase is CdrPhase.DETECT
 
     def test_collision_zone_absorbs(self):
         st = CdrState(phase=CdrPhase.AVOID, detect_started_at=0.0, encounter_id="X")
-        st, cmd = step(st, 9.0, [obs(100.0, Zone.COLLISION)])
+        st, cmd = step(st, 9.0, obs(100.0, Zone.COLLISION))
         assert st.phase is CdrPhase.COLLIDED and cmd is None
-        st2, cmd = step(st, 10.0, [obs(2000.0, Zone.CLEAR)])
+        st2, cmd = step(st, 10.0, obs(2000.0, Zone.CLEAR))
         assert st2 is st and cmd is None
 
     def test_closest_intruder_governs(self):
-        st = CdrState()
-        far = obs(2100.0, Zone.CAUTION, name="far")
-        near = obs(1800.0, Zone.CAUTION, name="near")
-        st, _ = step(st, 5.0, [far, near])
-        assert st.encounter_id == "near"
+        # The engine hands the decision the nearest intruder, the first
+        # listed on a tie: near and twin share an anchor, far lies 1 km
+        # further down the ownship's route.
+        linger = "DRONE PREDICTABLE SCRIPT LINGER SPEED=1.0 ANCHOR={},304.8 HOLD=500.0"
+        text = "\n".join([
+            "SCENARIO nearest",
+            "OWNSHIP VECTORED_THRUST",
+            "VERTIPORT V1 48.3537 11.786",
+            "VERTIPORT V2 48.1669 11.5883",
+            "ROUTE ROUTE1 48.3537,11.786 48.27961094611782,11.745395649201697"
+            " 48.217344279451154,11.679495649201698 48.1669,11.5883",
+            "PLAN ROUTE1",
+            "INTRUDER far " + linger.format("-6305.66,-13677.25"),
+            "INTRUDER near " + linger.format("-6305.66,-12677.25"),
+            "INTRUDER twin " + linger.format("-6305.66,-12677.25"),
+            "SPAWN far AT 340",
+            "SPAWN near AT 340",
+            "SPAWN twin AT 340",
+        ])
+        sc = parse_scenario(text)
+        encounters = []
+        real_step = cdr.cdr_step
+
+        def spy(*args):
+            state, cmd = real_step(*args)
+            encounters.append(state.encounter_id)
+            return state, cmd
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdr, "cdr_step", spy)
+            engine.run(sc, replace(sc.sim, dt=0.5))
+        assert {e for e in encounters if e is not None} == {"near"}
 
     def test_trigger_zone_configurable(self):
         p = CdrParams(tactical_trigger_zone=Zone.WARNING)
-        st, _ = step(CdrState(), 5.0, [obs(1900.0, Zone.CAUTION)], params=p)
+        st, _ = step(CdrState(), 5.0, obs(1900.0, Zone.CAUTION), params=p)
         assert st.phase is CdrPhase.MONITORING
-        st, _ = step(CdrState(), 5.0, [obs(900.0, Zone.WARNING)], params=p)
+        st, _ = step(CdrState(), 5.0, obs(900.0, Zone.WARNING), params=p)
         assert st.phase is CdrPhase.DETECT
 
     def test_emergency_holds_until_window_clears(self):
         st = CdrState(phase=CdrPhase.EMERGENCY, encounter_id="X")
-        hist = {"X": [(float(t), 2000.0 - 10 * t, Zone.CAUTION) for t in range(0, 12)]}
-        st, cmd = step(st, 10.0, [obs(1900.0, Zone.CAUTION)], history=hist)
+        hist = [(float(t), 2000.0 - 10 * t, Zone.CAUTION) for t in range(0, 11)]
+        st, cmd = step(st, 10.0, obs(1900.0, Zone.CAUTION), runs={"X": fold(hist, -1.0)})
         assert st.phase is CdrPhase.EMERGENCY and cmd is None

@@ -46,6 +46,20 @@ SPAWN g1 AT 0 GROUND
 """
 
 
+# A loiterer straight over V1, on the ownship's vertical climb: it has no
+# bearing from the ownship until the ownship leaves the pad.
+OVERHEAD = """\
+SCENARIO overhead
+OWNSHIP VECTORED_THRUST
+VERTIPORT V1 48.3537 11.786
+VERTIPORT V2 48.1669 11.5883
+ROUTE ROUTE1 48.3537,11.786 48.1669,11.5883
+PLAN ROUTE1
+INTRUDER i1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1.0 ANCHOR=0,0,250 HOLD=500
+SPAWN i1 AT 5
+"""
+
+
 def overflowing_sc03(scn_dir, where):
     """sc-03 with its i1 intruder at SPEED=1e308, whose positions
     overflow float arithmetic once it spawns."""
@@ -106,6 +120,19 @@ class TestRun:
         assert report[0] == "metric,value"
         assert any(ln.startswith("t_sim_s,") for ln in report)
         assert not (tmp_path / "ref-route1_trace_nocas.csv").exists()
+
+    def test_intruder_straight_overhead_is_treated_as_dead_ahead(self, tmp_path, capsys):
+        """Detected while straight above the climbing ownship, the
+        stationary loiterer is classed as dead ahead, a crossing from the
+        right, and the ownship hovers until it is gone."""
+        path = tmp_path / "overhead.scn"
+        path.write_text(OVERHEAD)
+        rc = main(["run", str(path), "--dt", "0.5", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("overhead: landed at V2, t_sim=")
+        rows = (tmp_path / "out" / "overhead_trace.csv").read_text().splitlines()[1:]
+        first = next(row.split(",") for row in rows if row.endswith(",HOVER"))
+        assert (first[1], first[2], first[5]) == ("0.000", "0.000", "AVOID")
 
     def test_compare_adds_baseline_artifacts(self, scn_dir, tmp_path):
         rc = main(["run", scn(scn_dir, "sc-03"), "--dt", "0.5", "--compare",
@@ -313,6 +340,16 @@ class TestBatch:
                 assert has_trace and has_off  # headers only
             else:
                 assert has_trace and has_off
+
+    def test_pack_with_an_intruder_straight_overhead_completes(self, tmp_path, capsys):
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        (pack / "overhead.scn").write_text(OVERHEAD)
+        rc = main(["batch", "--pack", str(pack), "--dt", "0.5", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0] == BATCH_CSV_HEADER
+        assert stdout[1].startswith("overhead,")
 
     def test_each_run_is_released_before_the_next(
         self, mini_pack_dir, tmp_path, capsys, monkeypatch
@@ -596,6 +633,8 @@ class TestValidate:
         ("SET CDR.DETECT_DURATION -0.5", "detect_duration must be non-negative"),
         ("SET CDR.HEAD_ON_HALF_ANGLE 180.5", "head_on_half_angle must lie in [0, 180]"),
         ("SET CDR.SAME_DIR_HALF_ANGLE -1", "same_dir_half_angle must lie in [0, 180]"),
+        ("SET CDR.TACTICAL_TRIGGER_ZONE COLLISION", "tactical_trigger_zone must be CAUTION or WARNING"),
+        ("SET CDR.TACTICAL_TRIGGER_ZONE CLEAR", "tactical_trigger_zone must be CAUTION or WARNING"),
         ("SET GROUND.MAX_WAITS 2.7", "GROUND.MAX_WAITS: '2.7' is not a whole number"),
     ])
     def test_parameters_a_run_cannot_use_fail_validation(

@@ -173,6 +173,33 @@ class TestAvoidanceRuns:
         actions = {rec.command.split(":")[0] for rec in res.ticks}
         assert Action.CONTINUE_FLIGHT.value in actions  # picked the plan back up
 
+    def test_hold_window_must_start_at_or_after_the_first_tick(self):
+        """An intruder sensed from the first tick (0.5 s) on, drawing away
+        in the caution ring, opens an encounter that reaches AVOID at 1.0 s.
+        With a 1.25 s hold the window at 1.5 s would open at 0.25 s,
+        before the flight's first tick, so the encounter de-escalates
+        only at 2.0 s."""
+        sc = parse_scenario("\n".join([
+            "SCENARIO first-tick",
+            "OWNSHIP VECTORED_THRUST",
+            "VERTIPORT V1 48.3537 11.786",
+            "VERTIPORT V2 48.1669 11.5883",
+            "ROUTE ROUTE1 48.3537,11.786 48.1669,11.5883",
+            "PLAN ROUTE1",
+            "INTRUDER i1 DRONE PREDICTABLE SCRIPT PASS_BY SPEED=20 ANCHOR=300,0,0 TRACK=90",
+            "SPAWN i1 AT 0",
+            "SET SIM.DT 0.5",
+            "SET CDR.DETECT_DURATION 0",
+            "SET CDR.HOLD_DURATION 1.25",
+        ]))
+        res = engine.run(sc)
+        phases = [(rec.t, rec.phase.value) for rec in res.ticks[:4]]
+        assert phases == [
+            (0.5, "DETECT"), (1.0, "AVOID"), (1.5, "AVOID"), (2.0, "DE_ESCALATED"),
+        ]
+        seps = [rec.intruders[0].separation for rec in res.ticks[:4]]
+        assert seps == sorted(set(seps))  # opening from the first tick
+
 
 class TestTrace:
     def test_header_and_shape(self):
@@ -345,9 +372,9 @@ class TestPerRunEnvelopes:
         sensed = []
         step = cdr.cdr_step
 
-        def spy(state, t, own_pos, own_track, observations, *rest):
-            sensed.extend((t, own_pos, obs) for obs in observations)
-            return step(state, t, own_pos, own_track, observations, *rest)
+        def spy(state, t, own_pos, own_track, governing, runs, *rest):
+            sensed.append((t, own_pos, governing, dict(runs)))
+            return step(state, t, own_pos, own_track, governing, runs, *rest)
 
         monkeypatch.setattr(cdr, "cdr_step", spy)
         recorded = observed = 0
@@ -364,9 +391,15 @@ class TestPerRunEnvelopes:
                     assert it.zone is envelopes.classify(it.separation, env(rec.flight_mode)), (sid, rec.t)
                     recorded += 1
             # Sensing sees the ownship before the tick's move: the
-            # previous tick's recorded position and flight mode.
+            # previous tick's recorded position and flight mode.  Every
+            # present intruder's record holds its sensed separation and
+            # zone, every absent one's None, and each record is the one
+            # before it extended by this tick; the nearest present
+            # intruder, the first listed on a tie, governs.
             index = {rec.t: i for i, rec in enumerate(result.ticks)}
-            for t, own_pos, obs in sensed:
+            expected = {r.id: (result.departure_time, None, None) for r in sc.intruders if not r.ground_clock}
+            t_prev = result.departure_time
+            for t, own_pos, governing, runs in sensed:
                 i = index[t]
                 if i == 0:
                     mode = FlightMode.GROUND  # still on the pad
@@ -374,9 +407,25 @@ class TestPerRunEnvelopes:
                     prev = result.ticks[i - 1]
                     assert own_pos == (prev.own_east, prev.own_north, prev.own_up)
                     mode = prev.flight_mode
-                assert obs.separation == geo.distance_3d(own_pos, obs.pos)
-                assert obs.zone is envelopes.classify(obs.separation, env(mode)), sid
-            observed += len(sensed)
+                present = {it.intruder_id: (it.east, it.north, it.up) for it in result.ticks[i].intruders}
+                nearest = None
+                for rid in expected:
+                    sep = zone = None
+                    if rid in present:
+                        sep = geo.distance_3d(own_pos, present[rid])
+                        zone = envelopes.classify(sep, env(mode))
+                        if nearest is None or sep < nearest[1]:
+                            nearest = (rid, sep, zone, present[rid])
+                    expected[rid] = cdr.extend_run(expected[rid], t_prev, sep, zone)
+                    assert runs[rid] == expected[rid], (sid, t, rid)
+                    assert runs[rid][2] is zone, (sid, t, rid)
+                    observed += rid in present
+                t_prev = t
+                if nearest is None:
+                    assert governing is None, (sid, t)
+                else:
+                    assert (governing.intruder_id, governing.separation, governing.zone, governing.pos) == nearest
+            assert len(sensed) == len(result.ticks)
         assert recorded > 0 and observed > 0
 
     def test_system_off_senses_nothing(self, monkeypatch):
