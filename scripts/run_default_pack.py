@@ -48,7 +48,7 @@ def main(argv=None):
     print(f"{'scenario':<18} {'outcome':<20} {'cpa_on':>9} {'cpa_off':>9} "
           f"{'d_grnd':>7} {'d_air':>7} {'d_total':>8}")
     for row in table.rows:
-        print(f"{row.scenario_id:<18} {outcome(row):<20} {fmt(row.cpa_with, 9)} "
+        print(f"{row.scenario_id:<18} {outcome(row):<20} {fmt(row.cpa, 9)} "
               f"{fmt(row.cpa_without, 9)} {fmt(row.d_ground, 7)} "
               f"{fmt(row.d_air, 7)} {fmt(row.d_total, 8)}")
     footer = metrics.batch_footer(table)

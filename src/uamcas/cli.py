@@ -57,11 +57,19 @@ def simulate(
     return result, metrics.delays(result, baselines)
 
 
-def _apply_config(sc: Scenario, overlay: str, base_dir: Path | None) -> Scenario:
-    """Overlay SET directives onto an already-parsed scenario; base_dir
-    anchors the scenario's relative CSV paths."""
-    text = scenario_io.serialize_scenario(sc) + "\n" + overlay
-    return scenario_io.parse_scenario(text, base_dir=base_dir)
+def _apply_config(sc: Scenario, overlay: str, config: str, base_dir: Path | None) -> Scenario:
+    """Overlay SET directives, the text of the file config, onto an
+    already-parsed scenario; base_dir anchors the scenario's relative CSV
+    paths.  An error on an overlay line is reported at that line of
+    config; any other error is the scenario's with the overlay, so it
+    names both, at line 0."""
+    base = scenario_io.serialize_scenario(sc) + "\n"
+    try:
+        return scenario_io.parse_scenario(base + overlay, base_dir=base_dir)
+    except ScenarioError as exc:
+        errors = [(max(0, n - base.count("\n")), msg) for n, msg in exc.errors]
+        whole = any(n == 0 for n, _ in errors)
+        raise ScenarioError(errors, f"{config} on {sc.id}" if whole else config) from None
 
 
 def _write_trace(result: RunResult, path: Path) -> None:
@@ -93,8 +101,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.scenario)
     try:
         sc = scenario_io.load_scenario(path)
-        if args.config:
-            sc = _apply_config(sc, Path(args.config).read_text(encoding="utf-8"), path.parent)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -105,23 +111,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Both runs finish before anything is written, so a run that fails
     # leaves no partial output.
     try:
-        result, report = simulate(sc, args.dt)
-        off, off_report = (
-            simulate(sc, args.dt, cas_enabled=False) if args.compare else (None, None)
-        )
-    except (ValueError, OverflowError) as exc:
+        if args.config:
+            overlay = Path(args.config).read_text(encoding="utf-8")
+            sc = _apply_config(sc, overlay, args.config, path.parent)
+        result, row = simulate(sc, args.dt)
+        if args.compare:
+            off, off_row = simulate(sc, args.dt, cas_enabled=False)
+            row = metrics.pair(row, off_row)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_trace(result, out / f"{sc.id}_trace.csv")
+        if args.compare:
+            _write_trace(off, out / f"{sc.id}_trace_nocas.csv")
+        metrics.write_run_report(row, args.compare, out, args.format)
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_trace(result, out / f"{sc.id}_trace.csv")
-    if off is not None:
-        _write_trace(off, out / f"{sc.id}_trace_nocas.csv")
-    metrics.write_run_report(sc.id, report, off_report, out, args.format)
 
     line = f"{sc.id}: {_terminal_phrase(result)}"
-    if report.t_sim is not None:
-        line += f", t_sim={report.t_sim:.3f} s"
+    if row.t_sim is not None:
+        line += f", t_sim={row.t_sim:.3f} s"
     print(line)
     return _TERMINAL_EXIT[result.terminal.kind]
 
@@ -153,14 +162,14 @@ def run_batch(
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)
     overlay = Path(config).read_text(encoding="utf-8") if config else None
-    with_cas: dict[str, metrics.MetricsReport] = {}
-    without_cas: dict[str, metrics.MetricsReport] = {}
+    rows = []
     for sc in sorted(pack, key=lambda s: s.id):
         if overlay is not None:
-            sc = _apply_config(sc, overlay, pack.base_dir)
-        with_cas[sc.id] = _simulate_to_trace(sc, dt, True, traces / f"{sc.id}.csv")
-        without_cas[sc.id] = _simulate_to_trace(sc, dt, False, traces / f"{sc.id}_nocas.csv")
-    table = metrics.summarize_batch(with_cas, without_cas)
+            sc = _apply_config(sc, overlay, config, pack.base_dir)
+        on = _simulate_to_trace(sc, dt, True, traces / f"{sc.id}.csv")
+        off = _simulate_to_trace(sc, dt, False, traces / f"{sc.id}_nocas.csv")
+        rows.append(metrics.pair(on, off))
+    table = metrics.summarize_batch(rows)
     metrics.write_batch_report(table, out, fmt)
     return table
 

@@ -6,17 +6,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .agents import PerformanceModel
 from .engine import RunResult, Terminal, TerminalKind
 from .geo import GeoPoint, Route, polyline_length
-
-
-class PairingError(ValueError):
-    """Batch rows without a matching with/without counterpart."""
 
 
 def theoretical_flight_time(origin: GeoPoint, route: Route, perf: PerformanceModel) -> float:
@@ -87,15 +83,18 @@ def intruder_ids(result: RunResult) -> list[str]:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Run-level outcome numbers; airborne fields are None when the
-    departure was postponed."""
+    """One scenario's outcome numbers, the row of every report: a run's,
+    and after pair() also its system-off run's CPA.  Airborne fields are
+    None when the departure was postponed."""
 
+    scenario_id: str
     cpa: float | None
     t_sim: float | None
     d_ground: float
     d_air: float | None
     d_total: float | None
     terminal: Terminal
+    cpa_without: float | None = None
 
 
 def compose_delays(d_ground: float, d_air: float) -> float:
@@ -112,6 +111,7 @@ def delays(result: RunResult, baselines: Mapping[str, float]) -> MetricsReport:
     """
     if result.terminal.kind is TerminalKind.POSTPONED_ON_GROUND:
         return MetricsReport(
+            scenario_id=result.scenario_id,
             cpa=None,
             t_sim=None,
             d_ground=math.inf,
@@ -125,6 +125,7 @@ def delays(result: RunResult, baselines: Mapping[str, float]) -> MetricsReport:
     minima = cpa(result)
     cpa_val = min(minima.values()) if minima else None
     return MetricsReport(
+        scenario_id=result.scenario_id,
         cpa=cpa_val,
         t_sim=t_sim,
         d_ground=d_ground,
@@ -134,50 +135,21 @@ def delays(result: RunResult, baselines: Mapping[str, float]) -> MetricsReport:
     )
 
 
-@dataclass(frozen=True)
-class BatchRow:
-    scenario_id: str
-    cpa_with: float | None
-    cpa_without: float | None
-    t_sim: float | None
-    d_ground: float
-    d_air: float | None
-    d_total: float | None
-    terminal: Terminal
+def pair(on: MetricsReport, off: MetricsReport) -> MetricsReport:
+    """One scenario's paired row: the system-on run's numbers, with the
+    system-off run's CPA as cpa_without."""
+    return replace(on, cpa_without=off.cpa)
 
 
 @dataclass(frozen=True)
 class BatchTable:
-    rows: tuple[BatchRow, ...]
+    rows: tuple[MetricsReport, ...]
     mean_d_air: float | None
 
 
-def summarize_batch(
-    with_cas: Mapping[str, MetricsReport],
-    without_cas: Mapping[str, MetricsReport],
-) -> BatchTable:
-    """Merge paired runs into the comparison table, ordered by scenario
-    id.  Delay columns come from the system-on run; the system-off run
-    contributes its CPA."""
-    if set(with_cas) != set(without_cas):
-        odd = set(with_cas) ^ set(without_cas)
-        raise PairingError(f"unpaired scenario ids: {sorted(odd)}")
-    rows = []
-    for sid in sorted(with_cas):
-        on = with_cas[sid]
-        off = without_cas[sid]
-        rows.append(
-            BatchRow(
-                scenario_id=sid,
-                cpa_with=on.cpa,
-                cpa_without=off.cpa,
-                t_sim=on.t_sim,
-                d_ground=on.d_ground,
-                d_air=on.d_air,
-                d_total=on.d_total,
-                terminal=on.terminal,
-            )
-        )
+def summarize_batch(rows: Sequence[MetricsReport]) -> BatchTable:
+    """The comparison table of paired rows, in the order given, with the
+    mean airborne delay over the rows that departed."""
     # Added left to right, as geo.polyline_length_enu is and for the same
     # reason: sum() rounds differently from Python 3.12 on.
     total, n = 0.0, 0
@@ -198,9 +170,9 @@ def summarize_batch(
 
 REPORT_FORMATS = ("csv", "structured", "both")
 
-# The batch report's columns after scenario_id: header -> BatchRow attribute.
+# The report columns after scenario_id: header -> MetricsReport attribute.
 BATCH_COLUMNS = {
-    "cpa_with_m": "cpa_with",
+    "cpa_with_m": "cpa",
     "cpa_without_m": "cpa_without",
     "t_sim_s": "t_sim",
     "d_ground_s": "d_ground",
@@ -214,6 +186,8 @@ _BATCH_CSV_FILES = {
     "delays.csv": ("d_ground_s", "d_air_s", "d_total_s"),
     "cpa_compare.csv": ("cpa_with_m", "cpa_without_m"),
 }
+# A run report's CSV lines; cpa_without_m follows for a paired run.
+_RUN_CSV_LINES = ("t_sim_s", "d_ground_s", "d_air_s", "d_total_s", "cpa_with_m")
 
 
 def _cell(v: float | None) -> str:
@@ -248,38 +222,33 @@ def _write_json(path: Path, doc: dict) -> Path:
     return path
 
 
-def write_run_report(
-    scenario_id: str, report: MetricsReport, off_report: MetricsReport | None,
-    out_dir: str | Path, fmt: str = "csv",
-) -> None:
-    """Write one run's metrics as <id>_report.csv and/or <id>_report.json.
+def _row_doc(row: MetricsReport) -> dict:
+    """A row as a run report's JSON and as each entry of report.json."""
+    return {
+        "scenario_id": row.scenario_id,
+        **{h: _json_num(getattr(row, a)) for h, a in BATCH_COLUMNS.items()},
+        "terminal": row.terminal.kind.name,
+        "landed_at": row.terminal.vertiport,
+    }
 
-    off_report, the paired system-off run when there is one, contributes
-    its CPA as cpa_without_m.
+
+def write_run_report(
+    row: MetricsReport, paired: bool, out_dir: str | Path, fmt: str = "csv"
+) -> None:
+    """Write one run's row as <id>_report.csv and/or <id>_report.json.
+
+    The JSON is the row's entry in a batch report.json; the CSV holds
+    the same cells, one per line, with cpa_without_m only when the row
+    is paired (its value can be empty, so paired says it).
     """
     csv_out, json_out = _formats(fmt)
     out = Path(out_dir)
-    cells = {
-        "t_sim_s": report.t_sim,
-        "d_ground_s": report.d_ground,
-        "d_air_s": report.d_air,
-        "d_total_s": report.d_total,
-        "cpa_with_m": report.cpa,
-    }
-    if off_report is not None:
-        cells["cpa_without_m"] = off_report.cpa
     if csv_out:
-        lines = ["metric,value"] + [f"{k},{_cell(v)}" for k, v in cells.items()]
-        _write_lines(out / f"{scenario_id}_report.csv", lines)
+        headers = (*_RUN_CSV_LINES, "cpa_without_m") if paired else _RUN_CSV_LINES
+        cells = [f"{h},{_cell(getattr(row, BATCH_COLUMNS[h]))}" for h in headers]
+        _write_lines(out / f"{row.scenario_id}_report.csv", ["metric,value", *cells])
     if json_out:
-        doc = {
-            "scenario_id": scenario_id,
-            "terminal": report.terminal.kind.name,
-            "landed_at": report.terminal.vertiport,
-            "cpa_without_m": None,
-            **{k: _json_num(v) for k, v in cells.items()},
-        }
-        _write_json(out / f"{scenario_id}_report.json", doc)
+        _write_json(out / f"{row.scenario_id}_report.json", _row_doc(row))
 
 
 def _csv_table(table: BatchTable, headers: Sequence[str]) -> list[str]:
@@ -321,15 +290,7 @@ def write_batch_report(table: BatchTable, out_dir: str | Path, fmt: str = "csv")
 
     if json_out:
         doc = {
-            "rows": [
-                {
-                    "scenario_id": row.scenario_id,
-                    **{h: _json_num(getattr(row, a)) for h, a in BATCH_COLUMNS.items()},
-                    "terminal": row.terminal.kind.name,
-                    "landed_at": row.terminal.vertiport,
-                }
-                for row in table.rows
-            ],
+            "rows": [_row_doc(row) for row in table.rows],
             "mean_d_air_s": _json_num(table.mean_d_air),
         }
         written.append(_write_json(out / "report.json", doc))

@@ -633,7 +633,8 @@ class ScenarioPack:
 
 
 def load_pack(source: str | Path) -> ScenarioPack:
-    """Load a directory of .scn directive files, sorted by filename."""
+    """Load a directory of .scn directive files, sorted by filename; no
+    two may declare the same scenario id."""
     root = Path(source)
     if not root.is_dir():
         raise ScenarioError([(0, f"pack directory {str(root)!r} does not exist")])
@@ -641,11 +642,17 @@ def load_pack(source: str | Path) -> ScenarioPack:
     if not files:
         raise ScenarioError([(0, f"no .scn files in {str(root)!r}")])
     scenarios = []
+    first_file: dict[str, Path] = {}
     for f in files:
         try:
-            scenarios.append(load_scenario(f))
+            sc = load_scenario(f)
         except ScenarioError as exc:
             raise ScenarioError(exc.errors, source=f) from None
+        if sc.id in first_file:
+            dup = f"scenario id {sc.id!r} is also declared by {first_file[sc.id]}"
+            raise ScenarioError([(0, dup)], source=f)
+        first_file[sc.id] = f
+        scenarios.append(sc)
     return ScenarioPack(tuple(scenarios), root)
 
 

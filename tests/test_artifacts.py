@@ -18,6 +18,7 @@ BATCH_DIGEST = "f2c83ad118cf38fe05987808ba0c72105b1eaca7f371fbaa9326eb0f92239d39
 RUN_SC11_DIGEST = "9d549d2429618656d44ddb8404849344c9fd253d58618b94ea233c957513bd6c"
 PACK_DIGEST = "c4ff65354538aa4334ddf0b2b3e1278677a74f9d362cb74cb20277b6be280194"
 BATCH_SHORT_HOLD_DIGEST = "87de8dd72eb771ef1fd06c90828abb3a022fb6f663fa6b24f08ecc8c5f5d1275"
+RUN_REPORTS_DIGEST = "a63c8098ef832806b67392d334f25fc3c134133e7322393d4c3fd3deb2a55853"
 
 
 def digest(root: Path, stdout: str | None = None) -> str:
@@ -64,3 +65,20 @@ def test_pack_export_and_sc11_compare_run(workdir, capsys):
     rc = main(["run", "pack/sc-11.scn", "--compare", "--format", "both", "--out", "run11"])
     assert rc == 0
     assert digest(workdir / "run11", capsys.readouterr().out) == RUN_SC11_DIGEST
+
+
+def test_run_reports_of_every_outcome(workdir, capsys):
+    """Run reports where the CPA cells are empty (no intruder), where
+    the flight never departs, where it collides, and of a run with no
+    system-off pair, all written into one directory."""
+    assert main(["pack", "--out", "pack"]) == 0
+    capsys.readouterr()
+    runs = [
+        (["pack/ref-route1.scn", "--compare"], 0),
+        (["pack/ground-postponed.scn", "--compare"], 3),
+        (["pack/sc-14.scn", "--compare"], 2),
+        (["pack/sc-03.scn"], 0),
+    ]
+    for args, code in runs:
+        assert main(["run", *args, "--format", "both", "--out", "runs"]) == code
+    assert digest(workdir / "runs", capsys.readouterr().out) == RUN_REPORTS_DIGEST

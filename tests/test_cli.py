@@ -247,6 +247,35 @@ class TestRun:
         assert rc == 1  # timed out
         assert "timed out" in capsys.readouterr().out
 
+    def test_config_error_names_the_config_line(self, scn_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("SET CDR.BOGUS 1\n")
+        out = tmp_path / "out"
+        rc = main(["run", scn(scn_dir, "sc-03"), "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}: line 1: unknown parameter 'CDR.BOGUS'\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_config_cross_check_names_config_and_scenario(self, scn_dir, tmp_path, capsys):
+        cfg = tmp_path / "hold.cfg"
+        cfg.write_text("SET CDR.HOLD_DURATION 99999\n")
+        rc = main(["run", scn(scn_dir, "sc-03"), "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg} on sc-03: line 0: CDR.HOLD_DURATION (99999.0) must not exceed "
+            "SIM.MAX_SIM_TIME (3600.0)\n"
+        )
+
+    def test_out_that_is_a_file_is_an_error(self, scn_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        rc = main(["run", scn(scn_dir, "sc-03"), "--dt", "0.5", "--out", str(afile)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_one_route_blocked_on_every_scan_is_postponed(self, tmp_path, capsys):
         # the loiterer sits on the corridor, outside the overhead ring,
         # for longer than the whole departure ladder
@@ -305,6 +334,20 @@ def bad_file_pack(good_pack, tmp_path):
     for f in good_pack.glob("*.scn"):
         (pack / f.name).write_text(f.read_text())
     (pack / "bogus.scn").write_text("SCENARIO bogus\nBOGUS 1\n")
+    return pack
+
+
+# sc-04 saved under sc-03's id, after sc-03 itself.
+DUPLICATE_ID_ERROR = "{pack}/b.scn: line 0: scenario id 'sc-03' is also declared by {pack}/a.scn"
+
+
+def duplicate_id_pack(scn_dir, tmp_path):
+    pack = tmp_path / "dup"
+    pack.mkdir()
+    (pack / "a.scn").write_text(Path(scn(scn_dir, "sc-03")).read_text())
+    sc04 = Path(scn(scn_dir, "sc-04")).read_text()
+    assert sc04.startswith("SCENARIO sc-04\n")
+    (pack / "b.scn").write_text(sc04.replace("SCENARIO sc-04", "SCENARIO sc-03", 1))
     return pack
 
 
@@ -502,6 +545,35 @@ class TestBatch:
         trace = (out / "traces" / "one-route.csv").read_text().splitlines()
         assert trace[1].startswith("0.500,")  # the overlay's tick
 
+    def test_duplicate_scenario_ids_are_an_error(self, scn_dir, tmp_path, capsys):
+        pack = duplicate_id_pack(scn_dir, tmp_path)
+        out = tmp_path / "out"
+        rc = main(["batch", "--pack", str(pack), "--dt", "0.5", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {DUPLICATE_ID_ERROR.format(pack=pack)}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_config_error_names_the_config_line(self, mini_pack_dir, tmp_path, capsys):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("# two overrides\nSET SIM.DT 0.5\nSET CDR.BOGUS 1\n")
+        rc = main(["batch", "--pack", str(mini_pack_dir), "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}: line 3: unknown parameter 'CDR.BOGUS'\n"
+        assert captured.out == ""
+
+    def test_config_cross_check_names_config_and_scenario(self, mini_pack_dir, tmp_path, capsys):
+        cfg = tmp_path / "hold.cfg"
+        cfg.write_text("SET CDR.HOLD_DURATION 99999\n")
+        rc = main(["batch", "--pack", str(mini_pack_dir), "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg} on ground-postponed: line 0: CDR.HOLD_DURATION (99999.0) must not"
+        )
+
     def test_script_writes_the_batch_artifacts(self, mini_pack_dir, tmp_path, capsys):
         spec = importlib.util.spec_from_file_location(
             "run_default_pack", SCRIPTS / "run_default_pack.py"
@@ -518,6 +590,33 @@ class TestBatch:
         assert len(files) == 4 + 2 * 3  # four reports, two traces per scenario
         for rel in files:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+class TestRunReportMatchesBatch:
+    IDS = ("ref-route1", "ground-postponed", "sc-03", "sc-14")
+
+    def test_run_reports_equal_the_batch_rows(self, scn_dir, tmp_path, capsys):
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        for sid in self.IDS:
+            (pack / f"{sid}.scn").write_text(Path(scn(scn_dir, sid)).read_text())
+        batch, runs = tmp_path / "batch", tmp_path / "runs"
+        common = ["--dt", "0.5", "--format", "both"]
+        assert main(["batch", "--pack", str(pack), *common, "--out", str(batch)]) == 0
+        for sid in self.IDS:
+            main(["run", str(pack / f"{sid}.scn"), "--compare", *common, "--out", str(runs)])
+        capsys.readouterr()
+
+        batch_rows = {row["scenario_id"]: row
+                      for row in json.loads((batch / "report.json").read_text())["rows"]}
+        header, *lines = (batch / "summary.csv").read_text().splitlines()
+        summary = {cells[0]: dict(zip(header.split(","), cells))
+                   for cells in (line.split(",") for line in lines)}
+        for sid in self.IDS:
+            assert json.loads((runs / f"{sid}_report.json").read_text()) == batch_rows[sid]
+            metric, *cells = (runs / f"{sid}_report.csv").read_text().splitlines()
+            assert metric == "metric,value"
+            assert {"scenario_id": sid, **dict(c.split(",") for c in cells)} == summary[sid]
 
 
 class TestValidate:
@@ -694,6 +793,15 @@ class TestPackExport:
         assert captured.err == f"error: {pack / 'bogus.scn'}: {BOGUS_ERRORS}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_duplicate_scenario_ids_are_an_error(self, scn_dir, tmp_path, capsys):
+        pack = duplicate_id_pack(scn_dir, tmp_path)
+        out = tmp_path / "exported"
+        rc = main(["pack", "--pack", str(pack), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {DUPLICATE_ID_ERROR.format(pack=pack)}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_exported_files_validate(self, tmp_path, capsys):
         out = tmp_path / "exported"

@@ -3,6 +3,7 @@ force, and the delay decomposition."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -237,39 +238,37 @@ class TestDelays:
 
 
 class TestBatch:
-    def report(self, cpa=None, d_air=10.0):
+    def report(self, sid="a", cpa=None, d_air=10.0):
         return metrics.MetricsReport(
-            cpa=cpa, t_sim=700.0, d_ground=0.0, d_air=d_air,
+            scenario_id=sid, cpa=cpa, t_sim=700.0, d_ground=0.0, d_air=d_air,
             d_total=d_air,
             terminal=Terminal(TerminalKind.LANDED_AT, "V2"),
         )
 
-    def test_rows_sorted_and_paired(self):
-        on = {"b": self.report(cpa=500.0), "a": self.report(cpa=400.0)}
-        off = {"a": self.report(cpa=40.0), "b": self.report(cpa=50.0)}
-        table = metrics.summarize_batch(on, off)
-        assert [r.scenario_id for r in table.rows] == ["a", "b"]
-        assert table.rows[0].cpa_with == 400.0
-        assert table.rows[0].cpa_without == 40.0
+    POSTPONED = metrics.MetricsReport(
+        scenario_id="p", cpa=None, t_sim=None, d_ground=math.inf, d_air=None, d_total=None,
+        terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
+    )
 
-    def test_unpaired_ids_raise(self):
-        with pytest.raises(metrics.PairingError):
-            metrics.summarize_batch({"a": self.report()}, {})
+    def test_pair_takes_the_system_off_cpa_only(self):
+        on = self.report(cpa=400.0, d_air=12.0)
+        off = replace(self.report(cpa=40.0, d_air=99.0), terminal=Terminal(TerminalKind.COLLIDED))
+        row = metrics.pair(on, off)
+        assert row == replace(on, cpa_without=40.0)
+        assert on.cpa_without is None
+
+    def test_rows_keep_their_order(self):
+        rows = [metrics.pair(self.report("b", 500.0), self.report("b", 50.0)),
+                metrics.pair(self.report("a", 400.0), self.report("a", 40.0))]
+        table = metrics.summarize_batch(rows)
+        assert [r.scenario_id for r in table.rows] == ["b", "a"]
+        assert (table.rows[1].cpa, table.rows[1].cpa_without) == (400.0, 40.0)
 
     def test_mean_skips_postponed(self):
-        postponed = metrics.MetricsReport(
-            cpa=None, t_sim=None, d_ground=math.inf, d_air=None, d_total=None,
-            terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
-        )
-        on = {"a": self.report(d_air=100.0), "b": self.report(d_air=50.0), "p": postponed}
-        off = {"a": self.report(), "b": self.report(), "p": postponed}
-        table = metrics.summarize_batch(on, off)
+        rows = [self.report("a", d_air=100.0), self.report("b", d_air=50.0), self.POSTPONED]
+        table = metrics.summarize_batch(rows)
         assert table.mean_d_air == pytest.approx(75.0)
 
     def test_all_postponed_has_no_mean(self):
-        postponed = metrics.MetricsReport(
-            cpa=None, t_sim=None, d_ground=math.inf, d_air=None, d_total=None,
-            terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
-        )
-        table = metrics.summarize_batch({"p": postponed}, {"p": postponed})
+        table = metrics.summarize_batch([self.POSTPONED])
         assert table.mean_d_air is None

@@ -22,8 +22,8 @@ from uamcas.envelopes import EnvelopeSet, Zone
 from uamcas.geo import GeoPoint, polyline_length
 from uamcas.metrics import (
     BATCH_CSV_HEADER,
-    BatchRow,
     BatchTable,
+    MetricsReport,
     batch_csv_lines,
     write_batch_report,
 )
@@ -493,10 +493,12 @@ class TestRoundTrip:
 class TestBatchReport:
     TABLE = BatchTable(
         rows=(
-            BatchRow("a-01", 352.125, 3.4567, 705.5, 300.0, 13.58, 313.58,
-                     Terminal(TerminalKind.LANDED_AT, "V2")),
-            BatchRow("a-02", None, None, None, math.inf, None, None,
-                     Terminal(TerminalKind.POSTPONED_ON_GROUND)),
+            MetricsReport("a-01", cpa=352.125, cpa_without=3.4567, t_sim=705.5, d_ground=300.0,
+                          d_air=13.58, d_total=313.58,
+                          terminal=Terminal(TerminalKind.LANDED_AT, "V2")),
+            MetricsReport("a-02", cpa=None, cpa_without=None, t_sim=None, d_ground=math.inf,
+                          d_air=None, d_total=None,
+                          terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND)),
         ),
         mean_d_air=13.58,
     )
