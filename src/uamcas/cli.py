@@ -15,7 +15,6 @@ deterministic: the same invocation writes byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -99,34 +98,22 @@ def _terminal_phrase(result: RunResult) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.scenario)
-    try:
-        sc = scenario_io.load_scenario(path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    sc = scenario_io.load_scenario(path)
+    if args.config:
+        overlay = Path(args.config).read_text(encoding="utf-8")
+        sc = _apply_config(sc, overlay, args.config, path.parent)
     # Both runs finish before anything is written, so a run that fails
     # leaves no partial output.
-    try:
-        if args.config:
-            overlay = Path(args.config).read_text(encoding="utf-8")
-            sc = _apply_config(sc, overlay, args.config, path.parent)
-        result, row = simulate(sc, args.dt)
-        if args.compare:
-            off, off_row = simulate(sc, args.dt, cas_enabled=False)
-            row = metrics.pair(row, off_row)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_trace(result, out / f"{sc.id}_trace.csv")
-        if args.compare:
-            _write_trace(off, out / f"{sc.id}_trace_nocas.csv")
-        metrics.write_run_report(row, args.compare, out, args.format)
-    except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    result, row = simulate(sc, args.dt)
+    if args.compare:
+        off, off_row = simulate(sc, args.dt, cas_enabled=False)
+        row = metrics.pair(row, off_row)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_trace(result, out / f"{sc.id}_trace.csv")
+    if args.compare:
+        _write_trace(off, out / f"{sc.id}_trace_nocas.csv")
+    metrics.write_run_report(row, args.compare, out, args.format)
 
     line = f"{sc.id}: {_terminal_phrase(result)}"
     if row.t_sim is not None:
@@ -135,12 +122,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _TERMINAL_EXIT[result.terminal.kind]
 
 
-def resolve_pack(selector: str | None) -> scenario_io.ScenarioPack:
+def resolve_pack(selector: str) -> scenario_io.ScenarioPack:
     """The pack a selector names: "default" is the built-in pack, anything
-    else a directory of .scn files; None reads UAMCAS_PACK_DIR, which
-    defaults to "default"."""
-    if selector is None:
-        selector = os.environ.get("UAMCAS_PACK_DIR", "default")
+    else a directory of .scn files."""
     if selector == "default":
         return default_pack()
     return scenario_io.load_pack(selector)
@@ -157,15 +141,16 @@ def run_batch(
     """Run every scenario of the pack with the system on and off, in id
     order.  Writes one trace per run under <out>/traces/ and the batch
     report under <out>; config is an optional file of SET overrides
-    applied to each scenario."""
+    applied to each scenario, all of them before anything is written."""
+    scenarios = sorted(pack, key=lambda s: s.id)
+    if config:
+        overlay = Path(config).read_text(encoding="utf-8")
+        scenarios = [_apply_config(sc, overlay, config, pack.base_dir) for sc in scenarios]
     out = Path(out)
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)
-    overlay = Path(config).read_text(encoding="utf-8") if config else None
     rows = []
-    for sc in sorted(pack, key=lambda s: s.id):
-        if overlay is not None:
-            sc = _apply_config(sc, overlay, config, pack.base_dir)
+    for sc in scenarios:
         on = _simulate_to_trace(sc, dt, True, traces / f"{sc.id}.csv")
         off = _simulate_to_trace(sc, dt, False, traces / f"{sc.id}_nocas.csv")
         rows.append(metrics.pair(on, off))
@@ -175,12 +160,8 @@ def run_batch(
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        pack = resolve_pack(args.pack)
-        table = run_batch(pack, args.out, dt=args.dt, fmt=args.format, config=args.config)
-    except (ScenarioError, ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    pack = resolve_pack(args.pack)
+    table = run_batch(pack, args.out, dt=args.dt, fmt=args.format, config=args.config)
     for line in metrics.batch_csv_lines(table):
         print(line)
     footer = metrics.batch_footer(table)
@@ -192,26 +173,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         scenario_io.load_scenario(args.scenario)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except ScenarioError as exc:
         for n, msg in exc.errors:
             print(f"{args.scenario}:{n}: {msg}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print("OK")
     return EXIT_OK
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
-    try:
-        written = scenario_io.export_pack(resolve_pack(args.pack), args.out)
-    except (ScenarioError, ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    written = scenario_io.export_pack(resolve_pack(args.pack), args.out)
     print(f"wrote {len(written)} scenarios to {args.out}")
     return EXIT_OK
 
@@ -240,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_batch = sub.add_parser("batch", help="run every scenario in a pack, paired on/off")
-    p_batch.add_argument("--pack", default=None, help='"default" or a directory of .scn files')
+    p_batch.add_argument("--pack", default="default", help='"default" or a directory of .scn files')
     common(p_batch)
     p_batch.set_defaults(func=cmd_batch)
 
@@ -249,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_pack = sub.add_parser("pack", help="export a pack as directive files")
-    p_pack.add_argument("--pack", default=None, help='"default" or a directory of .scn files')
+    p_pack.add_argument("--pack", default="default", help='"default" or a directory of .scn files')
     p_pack.add_argument("--out", default="pack", help="output directory")
     p_pack.set_defaults(func=cmd_pack)
 
@@ -257,9 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Every input error it raises, a ScenarioError
+    included, ends here as one "error: ..." line and exit code 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        return args.func(args)
+    except (ValueError, OverflowError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR

@@ -21,10 +21,13 @@ and is converted to metres.  SPAWN times are relative to the ownship
 departure unless marked GROUND, which pins the intruder to the
 absolute clock and restricts it to the pre-departure scan.
 
-A route id is any name token; PLAN names the route the flight intends
-to take.  When the departure check finds that route blocked, it tries
-the first other ROUTE in file order; with no other route, the final
-scan postpones the departure.
+An id (of a SCENARIO, VERTIPORT, ROUTE or INTRUDER) names output
+files and fills CSV cells, so it is made of ASCII letters, digits,
+``_``, ``-`` and ``.``, and does not start with ``.``.
+
+PLAN names the route the flight intends to take.  When the departure
+check finds that route blocked, it tries the first other ROUTE in file
+order; with no other route, the final scan postpones the departure.
 
 Every point is flown in the flat frame centred on V1, so a vertiport,
 route point, script anchor or trajectory sample farther than
@@ -39,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -221,6 +225,14 @@ _SET_NAMES = {
 # Each group's default but PERF's, which the ownship configuration picks.
 _DEFAULTS = {group: cls() for group, (_, cls) in _SET_GROUPS.items() if group != "PERF"}
 
+# What an id may be; see the module docstring.
+_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+
+
+def _id_error(what: str, ident: str) -> str:
+    return f"{what} id {ident!r} must be letters, digits, '_', '-' or '.', not starting with '.'"
+
+
 # The directives given at most once, each with one argument.
 _SINGLE = {"SCENARIO": "id", "OWNSHIP": "configuration name", "PLAN": "route id"}
 
@@ -318,6 +330,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
                 errors.append((n, f"unknown ownship configuration {toks[1]!r}"))
             elif word in single:
                 errors.append((n, f"duplicate {word} directive"))
+            elif word == "SCENARIO" and not _ID.fullmatch(toks[1]):
+                errors.append((n, _id_error("scenario", toks[1])))
             else:
                 single[word] = (n, toks[1])
         elif word == "VERTIPORT":
@@ -330,6 +344,9 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
                 errors.append((n, "VERTIPORT takes id, latitude, longitude"))
                 continue
             vid = body[0]
+            if not _ID.fullmatch(vid):
+                errors.append((n, _id_error("vertiport", vid)))
+                continue
             if vid in verts:
                 errors.append((n, f"duplicate vertiport {vid!r}"))
                 continue
@@ -346,6 +363,9 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
                 errors.append((n, "ROUTE needs an id and at least two waypoints"))
                 continue
             rid = toks[1]
+            if not _ID.fullmatch(rid):
+                errors.append((n, _id_error("route", rid)))
+                continue
             if rid in routes:
                 errors.append((n, f"duplicate route {rid!r}"))
                 continue
@@ -403,6 +423,9 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             errors.append((n, "INTRUDER needs id, kind, behaviour, and a source"))
             continue
         iid, kind_tok, beh_tok, src_tok = toks[1], toks[2], toks[3], toks[4]
+        if not _ID.fullmatch(iid):
+            errors.append((n, _id_error("intruder", iid)))
+            continue
         if iid in intruders:
             errors.append((n, f"duplicate intruder {iid!r}"))
             continue
@@ -542,12 +565,16 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Parse a directive file; a ScenarioError names the file."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ScenarioError([(0, f"not UTF-8 text: {exc}")]) from None
-    return parse_scenario(text, base_dir=p.parent)
+        raise ScenarioError([(0, f"not UTF-8 text: {exc}")], source=p) from None
+    try:
+        return parse_scenario(text, base_dir=p.parent)
+    except ScenarioError as exc:
+        raise ScenarioError(exc.errors, source=p) from None
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +600,14 @@ def _intruder_lines(rec: IntruderRecord) -> list[str]:
             spawn += " GROUND"
         lines.append(spawn)
     return lines
+
+
+def _trajectory_csv(traj: Trajectory) -> str:
+    """traj as a local-frame CSV that parse_trajectory_csv reads back
+    into an equal Trajectory, whatever frame its source file used."""
+    rows = [",".join(TRAJECTORY_ENU_HEADER)]
+    rows += [f"{t!r},{_fmt_value(p)}" for t, p in traj.samples]
+    return "\n".join(rows) + "\n"
 
 
 def serialize_scenario(sc: Scenario) -> str:
@@ -644,10 +679,7 @@ def load_pack(source: str | Path) -> ScenarioPack:
     scenarios = []
     first_file: dict[str, Path] = {}
     for f in files:
-        try:
-            sc = load_scenario(f)
-        except ScenarioError as exc:
-            raise ScenarioError(exc.errors, source=f) from None
+        sc = load_scenario(f)
         if sc.id in first_file:
             dup = f"scenario id {sc.id!r} is also declared by {first_file[sc.id]}"
             raise ScenarioError([(0, dup)], source=f)
@@ -657,11 +689,22 @@ def load_pack(source: str | Path) -> ScenarioPack:
 
 
 def export_pack(pack: ScenarioPack, out_dir: str | Path) -> list[Path]:
+    """Write each scenario to <id>.scn under out_dir, and each trajectory
+    it replays beside it, to <scenario id>@<intruder id>.csv, so the
+    export loads as a pack of its own.  Returns the .scn paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for sc in pack:
+        intruders = []
+        for rec in sc.intruders:
+            if rec.trajectory is not None:
+                name = f"{sc.id}@{rec.id}.csv"
+                (out / name).write_text(_trajectory_csv(rec.trajectory), encoding="utf-8")
+                rec = replace(rec, csv_path=name)
+            intruders.append(rec)
         path = out / f"{sc.id}.scn"
-        path.write_text(serialize_scenario(sc), encoding="utf-8")
+        text = serialize_scenario(replace(sc, intruders=tuple(intruders)))
+        path.write_text(text, encoding="utf-8")
         written.append(path)
     return written

@@ -1,8 +1,9 @@
 """Command line contract: subcommands, artifacts, exit codes, and the
-environment hooks."""
+launchers."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -27,6 +28,7 @@ def scn_dir(tmp_path_factory):
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def scn(scn_dir, sid):
@@ -267,6 +269,19 @@ class TestRun:
             "SIM.MAX_SIM_TIME (3600.0)\n"
         )
 
+    def test_unsafe_scenario_id_writes_nothing_outside_out(self, scn_dir, tmp_path, capsys):
+        """An id that would name files beside --out is rejected before
+        anything is written."""
+        text = Path(scn(scn_dir, "sc-03")).read_text()
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace("SCENARIO sc-03\n", "SCENARIO ../escaped\n", 1))
+        rc = main(["run", str(bad), "--dt", "0.5", "--out", str(tmp_path / "o1")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: line 1: scenario id '../escaped' must be")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.scn"]
+
     def test_out_that_is_a_file_is_an_error(self, scn_dir, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("")
@@ -502,13 +517,6 @@ class TestBatch:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
-    def test_env_var_selects_pack(self, mini_pack_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("UAMCAS_PACK_DIR", str(mini_pack_dir))
-        out = tmp_path / "out"
-        rc = main(["batch", "--dt", "0.5", "--out", str(out)])
-        assert rc == 0
-        assert (out / "summary.csv").exists()
-
     def test_missing_pack_dir_errors(self, tmp_path, capsys):
         rc = main(["batch", "--pack", str(tmp_path / "nothing"),
                    "--out", str(tmp_path / "o")])
@@ -573,6 +581,34 @@ class TestBatch:
         assert capsys.readouterr().err.startswith(
             f"error: {cfg} on ground-postponed: line 0: CDR.HOLD_DURATION (99999.0) must not"
         )
+
+    @pytest.mark.parametrize("case", ["bad-key", "missing-file", "later-scenario"])
+    def test_failed_config_writes_nothing(self, scn_dir, mini_pack_dir, tmp_path, capsys, case):
+        """The overlay is read and applied to every scenario before the
+        batch writes anything, so it fails with no output directory, even
+        when only a later scenario rejects it."""
+        cfg = tmp_path / "run.cfg"
+        pack = mini_pack_dir
+        if case == "bad-key":
+            cfg.write_text("SET SIM.DT 0.5\nSET CDR.BOGUS 1\n")
+            expected = f"error: {cfg}: line 2: unknown parameter 'CDR.BOGUS'"
+        elif case == "missing-file":
+            expected = "error: [Errno 2] No such file or directory"
+        else:
+            # ref-route1 sorts first and alone cruises above the descent target
+            pack = tmp_path / "pack"
+            pack.mkdir()
+            ref = Path(scn(scn_dir, "ref-route1")).read_text()
+            (pack / "ref-route1.scn").write_text(ref + "SET PERF.CRUISE_ALT 500\n")
+            (pack / "sc-03.scn").write_text(Path(scn(scn_dir, "sc-03")).read_text())
+            cfg.write_text("SET CDR.DESCEND_ALT_M 400\n")
+            expected = f"error: {cfg} on sc-03: line 0: CDR.DESCEND_ALT_M (400.0) must lie"
+        out = tmp_path / "out"
+        rc = main(["batch", "--pack", str(pack), "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(expected) and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
 
     def test_script_writes_the_batch_artifacts(self, mini_pack_dir, tmp_path, capsys):
         spec = importlib.util.spec_from_file_location(
@@ -803,6 +839,38 @@ class TestPackExport:
         assert captured.err == f"error: {DUPLICATE_ID_ERROR.format(pack=pack)}\n"
         assert captured.out == "" and not out.exists()
 
+    def test_export_writes_the_replayed_trajectories(self, tmp_path, capsys):
+        """A pack replaying a local-frame and a geodetic CSV, the first
+        from a subdirectory, exports with both beside its .scn file and
+        runs as its source does."""
+        src = tmp_path / "src"
+        (src / "tracks").mkdir(parents=True)
+        (src / "tracks" / "enu.csv").write_text(
+            "t_s,east_m,north_m,up_m\n0,-9000,-3000,300\n600,-9000,3000,300\n"
+        )
+        (src / "geo.csv").write_text(
+            "t_s,lat_deg,lon_deg,alt_m\n0,48.30,11.70,300\n600,48.25,11.75,250\n"
+        )
+        network = ONE_ROUTE.format(rid="ROUTE1", hold=0).split("INTRUDER")[0]
+        (src / "csv-01.scn").write_text(
+            network + "INTRUDER r0 DRONE PREDICTABLE CSV tracks/enu.csv\n"
+            "INTRUDER r1 BIRD UNPREDICTABLE CSV geo.csv\nSPAWN r1 AT 30\n"
+        )
+        exported = tmp_path / "exported"
+        assert main(["pack", "--pack", str(src), "--out", str(exported)]) == 0
+        assert sorted(p.name for p in exported.iterdir()) == [
+            "one-route.scn", "one-route@r0.csv", "one-route@r1.csv"
+        ]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["batch", "--pack", str(src), "--dt", "0.5", "--out", str(a)]) == 0
+        assert main(["batch", "--pack", str(exported), "--dt", "0.5", "--out", str(b)]) == 0
+        capsys.readouterr()
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        assert len(files) == 5  # three reports, two traces
+        for rel in files:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
     def test_exported_files_validate(self, tmp_path, capsys):
         out = tmp_path / "exported"
         main(["pack", "--out", str(out)])
@@ -811,20 +879,46 @@ class TestPackExport:
         assert rc == 0
 
 
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """python -m uamcas, importing the package from the source tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "uamcas", *args], capture_output=True, text=True, env=env
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self, scn_dir):
-        proc = subprocess.run(
-            [sys.executable, "-m", "uamcas", "validate", scn(scn_dir, "ref-route1")],
-            capture_output=True, text=True,
-        )
+        proc = run_module("validate", scn(scn_dir, "ref-route1"))
         assert proc.returncode == 0
         assert proc.stdout.strip() == "OK"
 
     def test_console_script_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "uamcas", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         for sub in ("run", "batch", "validate", "pack"):
             assert sub in proc.stdout
+
+    @pytest.mark.parametrize("command", ["run", "batch", "validate", "pack"])
+    def test_module_reports_an_input_error(self, tmp_path, command):
+        """Each subcommand ends a bad input with exit code 1, error lines
+        on stderr only, and no traceback."""
+        bad = tmp_path / "bad.scn"
+        bad.write_text("SCENARIO bad\nBOGUS 1\n")
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = {
+            "run": ["run", str(tmp_path / "nope.scn"), "--out", str(tmp_path / "o")],
+            "batch": ["batch", "--pack", str(tmp_path / "nothing"), "--out", str(tmp_path / "o")],
+            "validate": ["validate", str(bad)],
+            "pack": ["pack", "--out", str(afile)],
+        }[command]
+        proc = run_module(*argv)
+        assert proc.returncode == 1
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        if command == "validate":
+            assert len(lines) == 5 and all(ln.startswith(f"{bad}:") for ln in lines)
+            assert f"{bad}:2: unknown directive 'BOGUS'" in lines
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")

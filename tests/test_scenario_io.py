@@ -111,6 +111,37 @@ SPAWN ghost AT 10
         assert any("duplicate OWNSHIP" in m for m in msgs)
 
 
+# Each id kind: the line its id sits on, and MINIMAL with that id set.
+ID_KINDS = {
+    "scenario": (1, lambda i: MINIMAL.replace("SCENARIO t-01", f"SCENARIO {i}")),
+    "vertiport": (7, lambda i: MINIMAL + f"VERTIPORT {i} 48.2 11.6\n"),
+    "route": (7, lambda i: MINIMAL + f"ROUTE {i} 48.3537,11.786 48.1669,11.5883\n"),
+    "intruder": (
+        7, lambda i: MINIMAL + f"INTRUDER {i} DRONE PREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR=0,0,0\n"
+    ),
+}
+
+
+class TestIds:
+    """Ids name output files and fill CSV cells, so a path separator, a
+    comma or a leading dot is rejected on the id's own line."""
+
+    @pytest.mark.parametrize("ident", ["..", "a/b", "a,b"])
+    @pytest.mark.parametrize("kind", ID_KINDS)
+    def test_unsafe_id_is_an_error_on_its_line(self, kind, ident):
+        line, text = ID_KINDS[kind]
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario(text(ident))
+        assert ei.value.errors == [(line, (
+            f"{kind} id {ident!r} must be letters, digits, '_', '-' or '.', not starting with '.'"
+        ))]
+
+    @pytest.mark.parametrize("kind", ID_KINDS)
+    def test_safe_id_parses(self, kind):
+        _, text = ID_KINDS[kind]
+        parse_scenario(text("Az_09-x.y"))
+
+
 class TestSetDirectives:
     def with_sets(self, *lines):
         return parse_scenario(MINIMAL + "\n".join(lines) + "\n")
