@@ -19,6 +19,10 @@ RUN_SC11_DIGEST = "9d549d2429618656d44ddb8404849344c9fd253d58618b94ea233c957513b
 PACK_DIGEST = "c4ff65354538aa4334ddf0b2b3e1278677a74f9d362cb74cb20277b6be280194"
 BATCH_SHORT_HOLD_DIGEST = "87de8dd72eb771ef1fd06c90828abb3a022fb6f663fa6b24f08ecc8c5f5d1275"
 RUN_REPORTS_DIGEST = "a63c8098ef832806b67392d334f25fc3c134133e7322393d4c3fd3deb2a55853"
+BATCH_DT_DIGESTS = {
+    "0.05": "9e061843e07b968a5f198fb5d6bc790ed911eb81e4db13b30e12cba23e8a15db",
+    "0.2": "ab975b6bfd0db8aa73d01a02cbed6612b2ba0a7540243d42edbcb8ba14c8ba36",
+}
 
 
 def digest(root: Path, stdout: str | None = None) -> str:
@@ -45,6 +49,14 @@ def workdir(tmp_path, monkeypatch):
 def test_default_pack_batch(workdir, capsys):
     assert main(["batch", "--pack", "default", "--format", "both", "--out", "batch"]) == 0
     assert digest(workdir / "batch", capsys.readouterr().out) == BATCH_DIGEST
+
+
+@pytest.mark.parametrize("dt", sorted(BATCH_DT_DIGESTS))
+def test_default_pack_batch_at_other_ticks(workdir, capsys, dt):
+    """The default pack at a finer and a coarser tick, where quiet runs
+    and intruder spawns fall on other ticks than at the default dt."""
+    assert main(["batch", "--pack", "default", "--dt", dt, "--format", "both", "--out", "batch"]) == 0
+    assert digest(workdir / "batch", capsys.readouterr().out) == BATCH_DT_DIGESTS[dt]
 
 
 def test_default_pack_batch_with_short_hold(workdir, capsys):
