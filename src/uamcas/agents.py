@@ -203,15 +203,21 @@ def ownship_step(
     perf: PerformanceModel,
     guidance: Guidance,
     dt: float,
-) -> tuple[float, float, float, float, FlightMode, int]:
-    """Advance the ownship one tick under the active directive.
+    ticks: int | None = None,
+) -> tuple[float, float, float, float, FlightMode, int] | list[tuple[float, float, float, float]]:
+    """Advance the ownship one tick under the active directive, or, given
+    a tick count, up to that many ticks (the run form).
 
     The ownship is its position, track, flight mode and next waypoint
     index, carried as plain values and returned as (east, north, up,
-    track, mode, idx).  The given state must have a finite position,
-    and zero altitude on the ground; a state that does not raises
-    ValueError.  This is the only kinematics implementation: the engine
-    runs it every tick without building a state object.
+    track, mode, idx).  A run returns each tick's (east, north, up, track)
+    in a list and keeps mode and idx: it stops before the first tick that
+    would change either (top of climb, a capture, touchdown) and is empty
+    on the pad, in a hover or under a hover directive.  The given state
+    must have a finite position, and zero altitude on the ground; a state
+    that does not raises ValueError.  This is the only kinematics
+    implementation: a run takes the same loops as one tick, so it equals
+    one call per tick bit for bit.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -220,6 +226,12 @@ def ownship_step(
     if mode is _GROUND and up != 0.0:
         raise ValueError("ground mode requires zero altitude")
     kind = guidance.kind
+    run = ticks is not None
+    n = ticks if run else 1
+    path: list[tuple[float, float, float, float]] = []  # (east, north, up, track) per tick
+    if run and (mode is _GROUND or mode is FlightMode.HOVER or kind is GuidanceKind.HOVER
+                or kind is GuidanceKind.HOVER_DESCEND):
+        return path
 
     if kind is GuidanceKind.HOVER:
         return east, north, up, track, FlightMode.HOVER, idx
@@ -239,9 +251,14 @@ def ownship_step(
         return east, north, new_up, track, FlightMode.VERTICAL_CLIMB, idx
 
     if mode is FlightMode.VERTICAL_CLIMB:
-        new_up = up + perf.climb_rate * dt
-        if new_up < perf.cruise_alt:
-            return east, north, new_up, track, FlightMode.VERTICAL_CLIMB, idx
+        for _ in range(n):
+            new_up = up + perf.climb_rate * dt
+            if new_up >= perf.cruise_alt:
+                break
+            up = new_up
+            path.append((east, north, up, track))
+        if run or path:
+            return path if run else (east, north, up, track, mode, idx)
         # Top of climb: level off aligned with the outbound course,
         # skipping plan points already inside the capture ring (the
         # departure pad itself, for a fresh climb-out).
@@ -260,70 +277,79 @@ def ownship_step(
         return east, north, perf.cruise_alt, track, FlightMode.CRUISE, idx
 
     if mode is FlightMode.VERTICAL_DESCENT:
-        new_up = up - perf.descent_rate * dt
-        if new_up > 0.0:
-            return east, north, new_up, track, FlightMode.VERTICAL_DESCENT, idx
+        for _ in range(n):
+            new_up = up - perf.descent_rate * dt
+            if new_up <= 0.0:
+                break
+            up = new_up
+            path.append((east, north, up, track))
+        if run or path:
+            return path if run else (east, north, up, track, mode, idx)
         return east, north, 0.0, track, _GROUND, idx
 
     # Cruise (also reached from HOVER when guidance reverts to a path).
-    if kind is GuidanceKind.HOLD_TRACK:
-        target = guidance.target_track
-    else:
-        # FOLLOW_PLAN
-        wpts = guidance.plan.waypoints
-        n_wpts = len(wpts)
-        capture = perf.capture_radius
-        while idx < n_wpts:
-            w_e, w_n, _ = wpts[idx]
-            if math.hypot(w_e - east, w_n - north) > capture:
-                break
-            idx += 1
-        else:
-            # Destination captured: descend onto the pad.
-            return (
-                east, north, max(0.0, up - perf.descent_rate * dt), track,
-                FlightMode.VERTICAL_DESCENT, idx,
-            )
-        # Outside the capture ring, so the bearing is defined.
-        target = math.degrees(math.atan2(w_e - east, w_n - north)) % 360.0
-
-    # Slew toward the target by at most one step (geo.signed_track_diff,
-    # geo.normalize_track).  A forced side only matters while far from
-    # the target; once within one step the track snaps on, so a forced
-    # turn cannot wind up again on the small corrections that follow.
+    wpts = guidance.plan.waypoints
+    n_wpts = len(wpts)
+    capture = perf.capture_radius
     max_step = perf.turn_rate * dt
-    diff = (target - track) % 360.0
-    if diff > 180.0:
-        diff -= 360.0
-    if abs(diff) <= max_step:
-        track = target % 360.0
-    else:
-        slew = guidance.slew
-        if slew is TurnDirection.RIGHT:
-            step = max_step
-        elif slew is TurnDirection.LEFT:
-            step = -max_step
-        else:
-            step = math.copysign(max_step, diff)
-        track = (track + step) % 360.0
-
-    # Below cruise altitude (after a commanded descent) the climb back
-    # comes out of the speed budget, so the total velocity never exceeds
-    # cruise_speed.
     cruise_speed = perf.cruise_speed
-    if up >= perf.cruise_alt:
-        h_speed = cruise_speed
-        new_up = up
-    else:
-        vs = min(perf.climb_rate, cruise_speed * 0.999)
-        h_speed = math.sqrt(cruise_speed**2 - vs**2)
-        new_up = min(perf.cruise_alt, up + vs * dt)
-    rad = math.radians(track)
-    return (
-        east + h_speed * dt * math.sin(rad),
-        north + h_speed * dt * math.cos(rad),
-        new_up, track, FlightMode.CRUISE, idx,
-    )
+    for _ in range(n):
+        i = idx
+        if kind is GuidanceKind.HOLD_TRACK:
+            target = guidance.target_track
+        else:
+            # FOLLOW_PLAN
+            while i < n_wpts:
+                w_e, w_n, _ = wpts[i]
+                if math.hypot(w_e - east, w_n - north) > capture:
+                    break
+                i += 1
+            if i == n_wpts:
+                # Destination captured: descend onto the pad.
+                return path if run else (
+                    east, north, max(0.0, up - perf.descent_rate * dt), track,
+                    FlightMode.VERTICAL_DESCENT, i,
+                )
+            if run and i != idx:
+                break
+            # Outside the capture ring, so the bearing is defined.
+            target = math.degrees(math.atan2(w_e - east, w_n - north)) % 360.0
+
+        # Slew toward the target by at most one step (geo.signed_track_diff,
+        # geo.normalize_track).  A forced side only matters while far from
+        # the target; once within one step the track snaps on, so a forced
+        # turn cannot wind up again on the small corrections that follow.
+        diff = (target - track) % 360.0
+        if diff > 180.0:
+            diff -= 360.0
+        if abs(diff) <= max_step:
+            track = target % 360.0
+        else:
+            slew = guidance.slew
+            if slew is TurnDirection.RIGHT:
+                step = max_step
+            elif slew is TurnDirection.LEFT:
+                step = -max_step
+            else:
+                step = math.copysign(max_step, diff)
+            track = (track + step) % 360.0
+
+        # Below cruise altitude (after a commanded descent) the climb back
+        # comes out of the speed budget, so the total velocity never
+        # exceeds cruise_speed.
+        if up >= perf.cruise_alt:
+            h_speed = cruise_speed
+        else:
+            vs = min(perf.climb_rate, cruise_speed * 0.999)
+            h_speed = math.sqrt(cruise_speed**2 - vs**2)
+            up = min(perf.cruise_alt, up + vs * dt)
+        rad = math.radians(track)
+        east = east + h_speed * dt * math.sin(rad)
+        north = north + h_speed * dt * math.cos(rad)
+        if not run:
+            return east, north, up, track, FlightMode.CRUISE, i
+        path.append((east, north, up, track))
+    return path
 
 
 class IntruderKind(enum.Enum):
@@ -409,10 +435,21 @@ class IntruderRecord:
     script: ScriptedBehavior | None = None
     ground_clock: bool = False  # spawn_time on the absolute sim clock, not departure-relative
     csv_path: str | None = None  # provenance for round-tripping trajectory intruders
+    # Seconds after spawn past which the intruder is gone for good (inf:
+    # never), derived for intruder_state_at and the engine's quiet runs.
+    lifetime: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.trajectory is None) == (self.script is None):
             raise ValueError(f"intruder {self.id}: needs exactly one of trajectory and script")
+        script = self.script
+        if script is None:
+            lifetime = self.trajectory.times[-1]
+        elif script.mode is ScriptMode.LINGER:
+            lifetime = script.linger_duration
+        else:
+            lifetime = math.inf if script.duration is None else script.duration
+        object.__setattr__(self, "lifetime", lifetime)
 
 
 def intruder_state_at(
@@ -432,27 +469,23 @@ def intruder_state_at(
     if t < rec.spawn_time:
         return None
     rel = t - rec.spawn_time
+    if rel > rec.lifetime:
+        return None
 
     if rec.trajectory is not None:
         return _playback(rec.trajectory, rel)
 
     script = rec.script
     if script.mode is ScriptMode.PASS_BY:
-        if script.duration is not None and rel > script.duration:
-            return None
         ue, un = script.unit
         east, north, up = script.anchor
         pos = EnuPoint(east + script.speed * rel * ue, north + script.speed * rel * un, up)
         return pos, (script.speed * ue, script.speed * un, 0.0)
 
     if script.mode is ScriptMode.LINGER:
-        if rel > script.linger_duration:
-            return None
         return script.anchor, (0.0, 0.0, 0.0)
 
     # PURSUIT
-    if script.duration is not None and rel > script.duration:
-        return None
     if rel <= script.linger_duration or ownship_pos is None:
         return script.anchor, (0.0, 0.0, 0.0)
     start = prev_pos if prev_pos is not None else script.anchor
@@ -479,7 +512,7 @@ def _pursuit_step(
 
 def _playback(traj: Trajectory, rel: float) -> tuple[EnuPoint, Vec3] | None:
     times = traj.times
-    if rel < times[0] or rel > times[-1]:
+    if rel < times[0]:  # intruder_state_at returns early past the last sample
         return None
     i = bisect_right(times, rel)
     if i == len(times):

@@ -182,6 +182,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
+    if args.pack != "default" and Path(args.out).resolve() == Path(args.pack).resolve():
+        raise ValueError(f"--out {args.out} is the --pack directory; export to another directory")
     written = scenario_io.export_pack(resolve_pack(args.pack), args.out)
     print(f"wrote {len(written)} scenarios to {args.out}")
     return EXIT_OK

@@ -13,6 +13,18 @@ mode, the tick, the contact distance) are resolved once before the loop,
 and the envelope set is looked up again only when the flight mode
 changes (a plain Enum hashes in Python code).
 
+Most ticks are quiet: nothing was present on the tick before, the
+decision is idle (the system is off, or MONITORING with its last zone
+CLEAR, where cdr_step changes nothing), and every intruder is pending or
+gone for good (IntruderRecord.lifetime).  Such a tick senses nothing and
+leaves the running records as they are, so the loop steps the ownship
+through a run of them in one agents.ownship_step call (its run form).
+A run ends before the first tick at or after the earliest spawn, after
+max_sim_time, or changing the flight mode or waypoint index (top of
+climb, a capture, touchdown), and a full tick takes that one.  The clock
+still adds dt once per tick, and each tick still gets its TickRecord
+(with no intruders), so every artifact is what full ticks would give.
+
 The ownship is carried as local floats (position and track) plus its
 flight mode and waypoint index, and agents.ownship_step takes and
 returns exactly those values.  The decision reads only the ownship's
@@ -52,7 +64,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import agents, cdr, envelopes, geo
 from .agents import FlightMode, NavPlan
-from .cdr import IntruderObservation
+from .cdr import CdrPhase, IntruderObservation
 from .envelopes import Zone
 from .geo import EnuPoint
 
@@ -218,9 +230,29 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     active_label = ""
     terminal: Terminal | None = None
     t = departure
+    present: list[tuple[str, EnuPoint]] = []
 
     while terminal is None:
         t_next = t + dt
+        # 0. A quiet run (see above) while nothing was present on the last
+        # tick, the decision is idle, and every intruder not yet gone for
+        # good is pending: the run stops short of the earliest spawn.
+        if not present and (
+            not cas_enabled or cdr_state.phase is CdrPhase.MONITORING and cdr_state.prev_zone is Zone.CLEAR
+        ):
+            spawn = min([r.spawn_time for r in airborne_records if t_next - r.spawn_time <= r.lifetime],
+                        default=math.inf)
+            count = int((min(spawn, max_sim_time) - t) / dt) + 2 if t_next < spawn else 0
+            for e, n, u, trk in ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, count):
+                if t_next >= spawn or t_next > max_sim_time:
+                    break
+                ticks.append(tuple.__new__(
+                    TickRecord, (t_next, e, n, u, trk, mode, cdr_state.phase, (), active_label)
+                ))
+                east, north, up, track, t = e, n, u, trk, t_next
+                t_next = t + dt
+            own_pos = (east, north, up)
+
         if t_next > max_sim_time:
             terminal = Terminal(TerminalKind.TIMED_OUT)
             break
@@ -229,7 +261,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
         # against the pre-move ownship; the nearest (the first listed on
         # a tie) governs.  Only the decision tree reads the sensed values,
         # so sensing is skipped with the system off.
-        present: list[tuple[str, EnuPoint]] = []
+        present = []
         governing: IntruderObservation | None = None
         nearest = math.inf
         for rec in airborne_records:

@@ -319,6 +319,9 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     points: list[tuple[int, Sequence[GeoPoint]]] = []
     sets: dict[str, dict[str, object]] = {g: {} for g in _SET_GROUPS}
     intruder_lines: list[tuple[int, list[str]]] = []
+    # Every INTRUDER line's id, parsed or not, so SPAWN reports only an
+    # intruder no line defines.
+    intruder_ids: set[str] = set()
     spawn_lines: list[tuple[int, list[str]]] = []
 
     for n, toks in directives:
@@ -400,6 +403,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             except ValueError as exc:
                 errors.append((n, f"{toks[1]}: {exc}"))
         elif word == "INTRUDER":
+            intruder_ids.update(toks[1:2])
             intruder_lines.append((n, toks))
         elif word == "SPAWN":
             spawn_lines.append((n, toks))
@@ -495,7 +499,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             continue
         iid = toks[1]
         if iid not in intruders:
-            errors.append((n, f"SPAWN references unknown intruder {iid!r}"))
+            if iid not in intruder_ids:
+                errors.append((n, f"SPAWN references unknown intruder {iid!r}"))
             continue
         if "spawn_time" in intruders[iid]:
             errors.append((n, f"duplicate SPAWN for {iid!r}"))

@@ -299,6 +299,61 @@ class TestHoverDirectives:
         assert st.track == pytest.approx(350.0)
 
 
+class TestRunForm:
+    """ownship_step given a tick count: the same states as one call per
+    tick, up to the first tick that changes the flight mode or the
+    waypoint index."""
+
+    ROUTE = plan((0, 0, 0), (3000, 400, 0), (3500, -2500, 0), (-1000, -3000, 0))
+
+    def per_tick(self, state, guidance, dt, limit):
+        """One call per tick, while mode and idx stay as given."""
+        out = []
+        for _ in range(limit):
+            nxt = step(state, VT, guidance, dt)
+            if nxt.mode is not state.mode or nxt.idx != state.idx:
+                break
+            out.append(nxt[:4])
+            state = nxt
+        return out
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.7])
+    @pytest.mark.parametrize("case", ["climb", "descent", "cruise", "climb-back", "hold-track", "forced-slew"])
+    def test_run_equals_one_call_per_tick(self, case, dt):
+        guidance = follow_plan(self.ROUTE)
+        state = cruise_state((0.0, 0.0, 304.8), 0.0, idx=1)
+        if case == "climb":
+            state = Own(0.0, 0.0, 0.0, 0.0, FlightMode.VERTICAL_CLIMB, 0)
+        elif case == "descent":
+            state = Own(-1000.0, -3000.0, 304.8, 250.0, FlightMode.VERTICAL_DESCENT, 4)
+        elif case == "climb-back":
+            state = cruise_state((0.0, 0.0, 200.0), 0.0, idx=1)
+        elif case == "hold-track":
+            guidance = Guidance(GuidanceKind.HOLD_TRACK, self.ROUTE, target_track=135.0,
+                                slew=TurnDirection.LEFT)
+        elif case == "forced-slew":
+            guidance = Guidance(GuidanceKind.FOLLOW_PLAN, self.ROUTE, slew=TurnDirection.LEFT)
+        want = self.per_tick(state, guidance, dt, 8000)
+        got = ownship_step(*state, VT, guidance, dt, 8000)
+        assert len(want) > 10
+        assert repr(got) == repr(want)
+        assert repr(ownship_step(*state, VT, guidance, dt, 7)) == repr(want[:7])
+
+    @pytest.mark.parametrize("state,guidance", [
+        (Own(0.0, 0.0, 0.0, 0.0, FlightMode.GROUND, 0), follow_plan(ROUTE)),
+        (cruise_state((0.0, 0.0, 304.8), 0.0, idx=1)._replace(mode=FlightMode.HOVER), follow_plan(ROUTE)),
+        (cruise_state((0.0, 0.0, 304.8), 0.0, idx=1), Guidance(GuidanceKind.HOVER, ROUTE)),
+        (cruise_state((0.0, 0.0, 304.8), 0.0, idx=1),
+         Guidance(GuidanceKind.HOVER_DESCEND, ROUTE, target_alt=150.0)),
+        (cruise_state((2990.0, 400.0, 304.8), 90.0, idx=1), follow_plan(ROUTE)),  # captures at once
+    ], ids=["pad", "hover", "hover-directive", "hover-descend", "capture"])
+    def test_runs_that_start_with_a_change_are_empty(self, state, guidance):
+        assert ownship_step(*state, VT, guidance, 0.1, 50) == []
+
+    def test_zero_ticks(self):
+        assert ownship_step(*cruise_state((0.0, 0.0, 304.8), 0.0, idx=1), VT, follow_plan(self.ROUTE), 0.1, 0) == []
+
+
 class TestSpeedInvariant:
     @given(
         config=st.sampled_from(OwnshipConfig),

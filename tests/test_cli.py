@@ -702,6 +702,25 @@ class TestValidate:
         err = capsys.readouterr().err.splitlines()
         assert err and all(ln.startswith(f"{bad}:{n + 1}: ") for ln in err), err
 
+    @pytest.mark.parametrize("old,new", [
+        ("INTRUDER i1 DRONE ", "INTRUDER i1 DRONEX "),
+        ("INTRUDER i1 DRONE PREDICTABLE ", "INTRUDER i1 DRONE SOMETIMES "),
+        ("PASS_BY SPEED=20.0 ", "PASS_BY SPEED=20.0 COLOUR=red "),
+        ("PASS_BY SPEED=20.0 ", "PASS_BY SPEED=-20.0 "),
+    ])
+    def test_rejected_intruder_is_reported_once(self, scn_dir, tmp_path, capsys, old, new):
+        """A bad INTRUDER line is reported on its own line only, not again
+        as an unknown intruder on the SPAWN line that names it."""
+        lines = Path(scn(scn_dir, "sc-03")).read_text().splitlines()
+        n = next(i for i, ln in enumerate(lines) if ln.startswith("INTRUDER i1 "))
+        assert old in lines[n] and lines[n + 1].startswith("SPAWN i1 ")
+        lines[n] = lines[n].replace(old, new)
+        bad = tmp_path / "bad.scn"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(ln.startswith(f"{bad}:{n + 1}: ") for ln in err), err
+
     # Lines naming an input the format does not have fail on their own
     # line; the other cases are file-level (line 0) checks.
     REMOVED_INPUTS = (
@@ -838,6 +857,23 @@ class TestPackExport:
         captured = capsys.readouterr()
         assert captured.err == f"error: {DUPLICATE_ID_ERROR.format(pack=pack)}\n"
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dot", "parent"])
+    def test_export_onto_its_own_pack_is_refused(self, scn_dir, tmp_path, capsys, monkeypatch, spelling):
+        """A file named other than its scenario id would gain a second file
+        declaring the same id, and the directory would no longer load."""
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        (pack / "renamed.scn").write_text(Path(scn(scn_dir, "sc-03")).read_text())
+        monkeypatch.chdir(tmp_path)
+        out = {"same": "pack", "dot": "pack/.", "parent": str(pack / ".." / "pack")}[spelling]
+        rc = main(["pack", "--pack", "pack", "--out", out])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out} is the --pack directory; export to another directory\n"
+        assert captured.out == ""
+        assert [p.name for p in pack.iterdir()] == ["renamed.scn"]
+        assert main(["batch", "--pack", "pack", "--out", "b"]) == 0
 
     def test_export_writes_the_replayed_trajectories(self, tmp_path, capsys):
         """A pack replaying a local-frame and a geodetic CSV, the first

@@ -5,11 +5,15 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uamcas import cdr, engine, envelopes, geo, metrics
-from uamcas.agents import FlightMode
+from uamcas import agents, cdr, engine, envelopes, geo, metrics
+from uamcas.agents import (
+    FlightMode, IntruderBehavior, IntruderKind, IntruderRecord, Trajectory,
+)
 from uamcas.engine import TerminalKind, TRACE_HEADER, trace_csv_lines
 from uamcas.pack import default_pack
+from uamcas.geo import EnuPoint
 from uamcas.scenario_io import parse_scenario, serialize_scenario
 
 PACK = default_pack()
@@ -377,7 +381,7 @@ class TestPerRunEnvelopes:
             return step(state, t, own_pos, own_track, governing, runs, *rest)
 
         monkeypatch.setattr(cdr, "cdr_step", spy)
-        recorded = observed = 0
+        recorded = observed = quiet = 0
         for sid in PACK.ids():
             sc = PACK[sid]
 
@@ -395,19 +399,31 @@ class TestPerRunEnvelopes:
             # present intruder's record holds its sensed separation and
             # zone, every absent one's None, and each record is the one
             # before it extended by this tick; the nearest present
-            # intruder, the first listed on a tie, governs.
-            index = {rec.t: i for i, rec in enumerate(result.ticks)}
+            # intruder, the first listed on a tie, governs.  A tick the
+            # spy does not see is part of a quiet run: nothing was present
+            # on it or on the tick before, and the decision stayed idle.
+            sensed_at = {t: rest for t, *rest in sensed}
+            assert len(sensed_at) == len(sensed)
+            assert sensed_at.keys() <= {rec.t for rec in result.ticks}
             expected = {r.id: (result.departure_time, None, None) for r in sc.intruders if not r.ground_clock}
             t_prev = result.departure_time
-            for t, own_pos, governing, runs in sensed:
-                i = index[t]
+            for i, rec in enumerate(result.ticks):
+                t = rec.t
+                if t not in sensed_at:
+                    assert not rec.intruders and (i == 0 or not result.ticks[i - 1].intruders), (sid, t)
+                    assert rec.phase is cdr.CdrPhase.MONITORING, (sid, t)
+                    expected = {rid: cdr.extend_run(run, t_prev, None, None) for rid, run in expected.items()}
+                    t_prev = t
+                    quiet += 1
+                    continue
+                own_pos, governing, runs = sensed_at[t]
                 if i == 0:
                     mode = FlightMode.GROUND  # still on the pad
                 else:
                     prev = result.ticks[i - 1]
                     assert own_pos == (prev.own_east, prev.own_north, prev.own_up)
                     mode = prev.flight_mode
-                present = {it.intruder_id: (it.east, it.north, it.up) for it in result.ticks[i].intruders}
+                present = {it.intruder_id: (it.east, it.north, it.up) for it in rec.intruders}
                 nearest = None
                 for rid in expected:
                     sep = zone = None
@@ -425,8 +441,7 @@ class TestPerRunEnvelopes:
                     assert governing is None, (sid, t)
                 else:
                     assert (governing.intruder_id, governing.separation, governing.zone, governing.pos) == nearest
-            assert len(sensed) == len(result.ticks)
-        assert recorded > 0 and observed > 0
+        assert recorded > 0 and observed > 0 and quiet > 0
 
     def test_system_off_senses_nothing(self, monkeypatch):
         """With the system off only the tick records classify: one call per
@@ -447,3 +462,313 @@ class TestPerRunEnvelopes:
         recorded = sum(len(rec.intruders) for rec in res.ticks)
         assert recorded > 0
         assert len(calls) == recorded
+
+
+# ---------------------------------------------------------------- quiet runs
+
+
+def reference_run(scenario, params=None):
+    """engine.run as it was before quiet runs: every tick advances the
+    intruders, senses, decides and steps the ownship once, kept as the
+    reference for the quiet-run path."""
+    if params is None:
+        params = scenario.sim
+    sc = scenario
+    origin = sc.vertiports["V1"].position
+    vertiports_enu = {
+        vid: geo.to_enu(origin, vp.position) for vid, vp in sc.vertiports.items()
+    }
+    polylines = {rid: geo.project_route(origin, route) for rid, route in sc.routes.items()}
+    perf = sc.perf
+
+    # Strategic phase.  Only intruders scheduled on the absolute clock
+    # exist before departure; the rest are encounter scripts pinned to
+    # the departure the decision produces.
+    if params.cas_enabled:
+        ground_records = [r for r in sc.intruders if r.ground_clock]
+        decision = cdr.takeoff_delay_check(
+            ground_records, vertiports_enu["V1"], polylines, sc.ground_params, sc.planned_route
+        )
+    else:
+        decision = cdr.GroundDecision.depart(sc.planned_route, 0.0)
+
+    if decision.postponed:
+        return engine.RunResult(
+            scenario_id=sc.id,
+            ticks=[],
+            terminal=engine.Terminal(engine.TerminalKind.POSTPONED_ON_GROUND),
+            ground_decision=decision,
+            departure_time=math.inf,
+            end_time=0.0,
+        )
+
+    departure = decision.delay_s
+    plan = agents.NavPlan(polylines[decision.route], sc.destination_id(decision.route))
+    guidance = agents.follow_plan(plan)
+
+    # Pin departure-relative spawn clocks now that departure is known.
+    records = [
+        r if r.ground_clock else replace(r, spawn_time=r.spawn_time + departure)
+        for r in sc.intruders
+    ]
+    airborne_records = [r for r in records if not r.ground_clock]
+
+    cdr_state = cdr.CdrState(first_tick=departure + params.dt)
+    runs = {r.id: (departure, None, None) for r in airborne_records}
+    prev_pos = {r.id: None for r in airborne_records}
+
+    # Per-run constants: the envelope set of every flight mode, the
+    # loop-invariant parameters, and the layers called every tick (bound
+    # here, so a patched module attribute is still the one called).
+    env_by_mode = {
+        mode: envelopes.envelopes_for(perf, mode, sc.envelope_params) for mode in agents.FlightMode
+    }
+    dt = params.dt
+    max_sim_time = params.max_sim_time
+    contact_distance = params.contact_distance
+    cas_enabled = params.cas_enabled
+    cdr_params = sc.cdr_params
+    ownship_step = agents.ownship_step
+    intruder_state_at = agents.intruder_state_at
+    distance_3d = geo.distance_3d
+    classify = envelopes.classify
+    extend_run = cdr.extend_run
+    cdr_step = cdr.cdr_step
+
+    # The ownship, as plain values; env and own_pos always belong to
+    # them, and the post-move values of one tick are the pre-move values
+    # of the next.
+    east, north, _ = plan.waypoints[0]
+    up = track = 0.0
+    mode = agents.FlightMode.GROUND
+    idx = 0
+    own_pos = (east, north, up)
+    env = env_by_mode[mode]
+
+    ticks = []
+    active_label = ""
+    terminal = None
+    t = departure
+
+    while terminal is None:
+        t_next = t + dt
+        if t_next > max_sim_time:
+            terminal = engine.Terminal(engine.TerminalKind.TIMED_OUT)
+            break
+
+        # 1-2. Intruders advance and, with the system on, are sensed
+        # against the pre-move ownship; the nearest (the first listed on
+        # a tie) governs.  Only the decision tree reads the sensed values,
+        # so sensing is skipped with the system off.
+        present = []
+        governing = None
+        nearest = math.inf
+        for rec in airborne_records:
+            rid = rec.id
+            st = intruder_state_at(rec, t_next, own_pos, prev_pos[rid], dt)
+            if st is None:
+                prev_pos[rid] = None
+                if cas_enabled:
+                    runs[rid] = extend_run(runs[rid], t, None, None)
+                continue
+            pos, vel = st
+            prev_pos[rid] = pos
+            present.append((rid, pos))
+            if cas_enabled:
+                sep = distance_3d(own_pos, pos)
+                zone = classify(sep, env)
+                runs[rid] = extend_run(runs[rid], t, sep, zone)
+                if sep < nearest:
+                    nearest = sep
+                    governing = tuple.__new__(cdr.IntruderObservation, (rid, rec.kind, pos, vel, sep, zone))
+
+        # 3. The decision, on the pre-move position and track.
+        if cas_enabled:
+            cdr_state, command = cdr_step(
+                cdr_state, t_next, own_pos, track, governing, runs,
+                vertiports_enu, perf, cdr_params,
+            )
+            if command is not None:
+                active_label = command.label()
+                guidance, idx = agents.resolve_command(
+                    own_pos, track, idx, perf, guidance, command, vertiports_enu
+                )
+
+        # 4. Ownship advances.
+        east, north, up, track, new_mode, idx = ownship_step(
+            east, north, up, track, mode, idx, perf, guidance, dt
+        )
+        own_pos = (east, north, up)
+        if new_mode is not mode:
+            mode = new_mode
+            env = env_by_mode[mode]
+
+        # 5. Record the post-move snapshot.
+        intruder_ticks = []
+        contact = False
+        for rid, pos in present:
+            sep = distance_3d(own_pos, pos)
+            p_e, p_n, p_u = pos
+            intruder_ticks.append(
+                tuple.__new__(engine.IntruderTick, (rid, p_e, p_n, p_u, sep, classify(sep, env)))
+            )
+            if sep <= contact_distance:
+                contact = True
+        ticks.append(
+            tuple.__new__(
+                engine.TickRecord,
+                (t_next, east, north, up, track, mode, cdr_state.phase,
+                 tuple(intruder_ticks), active_label),
+            )
+        )
+
+        if contact:
+            terminal = engine.Terminal(engine.TerminalKind.COLLIDED)
+        elif mode is agents.FlightMode.GROUND:
+            terminal = engine.Terminal(engine.TerminalKind.LANDED_AT, guidance.plan.destination_id)
+        t = t_next
+
+    return engine.RunResult(
+        scenario_id=sc.id,
+        ticks=ticks,
+        terminal=terminal,
+        ground_decision=decision,
+        departure_time=departure,
+        end_time=t,
+    )
+
+
+def assert_same_run(sc, params=None):
+    """engine.run equals reference_run: every record, the terminal and
+    the end time.  The record's floats are compared by repr, because 0.0
+    == -0.0 but they print apart; a whole NamedTuple's repr would spend
+    most of the time on its enums' repr."""
+    got, want = engine.run(sc, params), reference_run(sc, params)
+    got_r, want_r = [(repr(r[:5]), r[5:]) for r in got.ticks], [(repr(r[:5]), r[5:]) for r in want.ticks]
+    if got_r != want_r:
+        k = next((k for k, (a, b) in enumerate(zip(got_r, want_r)) if a != b), min(len(got_r), len(want_r)))
+        pytest.fail(f"{sc.id}: record {k} of {len(got_r)}/{len(want_r)} differs")
+    assert got.terminal == want.terminal, sc.id
+    assert repr(got.end_time) == repr(want.end_time), sc.id
+    assert (got.departure_time, got.ground_decision) == (want.departure_time, want.ground_decision)
+    return got
+
+
+# ref-route1's flight at dt 0.1: climb to 179.3 s, cruise over three
+# legs to 512.1 s, descent to touchdown at 691.3 s.
+ROUTE1 = serialize_scenario(PACK["ref-route1"])
+
+
+def enu_scenario(*lines):
+    """ref-route1 with the given INTRUDER and SPAWN lines (ENU anchors)."""
+    return parse_scenario(ROUTE1 + "\n".join(lines) + "\n")
+
+
+# Far from the route, so it only breaks the quiet runs.
+def far_linger(iid, spawn, hold=15):
+    return (f"INTRUDER {iid} DRONE PREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR=20000,20000,300 HOLD={hold}",
+            f"SPAWN {iid} AT {spawn}")
+
+
+class TestQuietRuns:
+    """Quiet ticks are stepped in runs; every run must equal the tick by
+    tick loop it replaced."""
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.5])
+    @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
+    def test_default_pack(self, dt, cas_enabled):
+        for sc in PACK:
+            assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled))
+
+    @pytest.mark.parametrize("spawn,mode", [
+        (60.0, FlightMode.VERTICAL_CLIMB), (300.0, FlightMode.CRUISE), (600.0, FlightMode.VERTICAL_DESCENT),
+    ])
+    @pytest.mark.parametrize("dt", [0.1, 0.3, 0.5])
+    def test_spawn_mid_flight_phase(self, spawn, mode, dt):
+        """A spawn ends a quiet run, and the run after the intruder has
+        gone ends at the next one.  At dt 0.5 the clock is exact, so each
+        spawn falls on a tick."""
+        sc = enu_scenario(*far_linger("f1", spawn), *far_linger("f2", spawn + 30))
+        res = assert_same_run(sc, replace(sc.sim, dt=dt))
+        present = [rec for rec in res.ticks if rec.intruders]
+        assert present[0].t >= spawn and present[0].flight_mode is mode
+        assert {rec.intruders[0].intruder_id for rec in present} == {"f1", "f2"}
+
+    @pytest.mark.parametrize("spawn", [0.75, 100.25])
+    def test_intruder_present_only_at_its_lifetime(self, spawn):
+        """At dt 0.5 the clock is exact: the intruder's one present tick is
+        at rel == lifetime, after a tick where it was still pending.  At
+        0.75 s that tick follows the departure tick, so it is the first
+        of a quiet run unless the lifetime test counts it present."""
+        sc = enu_scenario(*far_linger("f1", spawn, hold=0.25))
+        res = assert_same_run(sc, replace(sc.sim, dt=0.5))
+        assert [rec.t for rec in res.ticks if rec.intruders] == [spawn + 0.25]
+
+    def test_trajectory_whose_first_sample_is_after_spawn(self):
+        """Between the spawn and the first sample the intruder is neither
+        pending nor gone, so no quiet run may cover those ticks."""
+        traj = Trajectory(((40.0, EnuPoint(20000.0, 20000.0, 300.0)), (70.0, EnuPoint(19000.0, 20000.0, 300.0))))
+        rec = IntruderRecord("c1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=200.0,
+                             trajectory=traj)
+        res = assert_same_run(replace(PACK["ref-route1"], intruders=(rec,)))
+        present = [r.t for r in res.ticks if r.intruders]
+        assert 240.0 <= present[0] < 240.2 and 269.8 < present[-1] <= 270.0
+
+    @pytest.mark.parametrize("max_sim_time", [0.05, 100.0, 100.05, 300.0, 560.0, 690.0])
+    def test_time_budget_inside_a_quiet_run(self, max_sim_time):
+        sc = enu_scenario(*far_linger("f1", 650))
+        res = assert_same_run(sc, replace(sc.sim, max_sim_time=max_sim_time))
+        assert res.terminal.kind is TerminalKind.TIMED_OUT
+        assert not (res.ticks and res.ticks[-1].intruders)
+        last = res.ticks[-1].t if res.ticks else res.departure_time
+        assert last <= max_sim_time < last + 0.1
+
+    @pytest.mark.parametrize("duration,commands", [
+        (45, ["TURN_BY:45:RIGHT", "CONTINUE_FLIGHT"]),
+        (70, ["TURN_BY:45:RIGHT", "REROUTE_TO:V1:RIGHT", "REROUTE_TO:V1"]),
+    ])
+    def test_quiet_runs_after_an_encounter(self, duration, commands):
+        """A head-on drone gone during AVOID: the ownship holds its turned
+        track, de-escalates, and its quiet run back to the plan slews
+        toward it.  Gone only in EMERGENCY, it diverts with a forced
+        slew."""
+        sc = enu_scenario(
+            f"INTRUDER h1 DRONE PREDICTABLE SCRIPT PASS_BY SPEED=20 ANCHOR=-2500,-7000,304.8 TRACK=20 "
+            f"DURATION={duration}",
+            "SPAWN h1 AT 200",
+        )
+        res = assert_same_run(sc)
+        issued = [b.command for a, b in zip(res.ticks, res.ticks[1:]) if b.command != a.command]
+        assert issued == commands
+        k = max(i for i, rec in enumerate(res.ticks) if rec.phase is cdr.CdrPhase.DE_ESCALATED)
+        after = res.ticks[k + 1:]
+        assert all(rec.phase is cdr.CdrPhase.MONITORING for rec in after)
+        assert len({rec.own_track for rec in after if not rec.intruders}) > 2  # turning in a quiet run
+
+    def test_pursuit_hold(self):
+        """A pursuer holding at its anchor, then chasing, then gone."""
+        sc = enu_scenario(
+            "INTRUDER p1 BIRD UNPREDICTABLE SCRIPT PURSUIT SPEED=15 ANCHOR=1500,1500,250 HOLD=20 DURATION=80",
+            "SPAWN p1 AT 100",
+        )
+        for dt in (0.1, 0.25):
+            res = assert_same_run(sc, replace(sc.sim, dt=dt))
+            seen = [(rec.intruders[0].east, rec.intruders[0].north) for rec in res.ticks if rec.intruders]
+            assert seen[0] == (1500.0, 1500.0) and seen[-1] != seen[0]
+            assert res.ticks[-1].t > 600.0 and not res.ticks[-1].intruders
+
+    @settings(max_examples=40, deadline=None)
+    @given(dt=st.floats(0.05, 1.0), max_sim_time=st.floats(0.05, 800.0))
+    def test_run_ends_by_max_sim_time(self, dt, max_sim_time):
+        """Cut anywhere in the climb, the cruise or the descent, and around
+        two spawns, a run ends by max_sim_time: TIMED_OUT only when the next
+        tick would overrun it, and landed otherwise."""
+        sc = enu_scenario(*far_linger("f1", 150), *far_linger("f2", 400))
+        params = replace(sc.sim, dt=dt, max_sim_time=max_sim_time)
+        res = assert_same_run(sc, params)
+        last = res.ticks[-1].t if res.ticks else res.departure_time
+        assert res.end_time == last <= max_sim_time
+        if res.terminal.kind is TerminalKind.TIMED_OUT:
+            assert last + dt > max_sim_time
+        else:
+            assert res.terminal.kind is TerminalKind.LANDED_AT
