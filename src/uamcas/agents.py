@@ -436,7 +436,7 @@ class IntruderRecord:
     ground_clock: bool = False  # spawn_time on the absolute sim clock, not departure-relative
     csv_path: str | None = None  # provenance for round-tripping trajectory intruders
     # Seconds after spawn past which the intruder is gone for good (inf:
-    # never), derived for intruder_state_at and the engine's quiet runs.
+    # never), derived for intruder_state_at and the engine's idle runs.
     lifetime: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

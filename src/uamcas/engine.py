@@ -13,17 +13,20 @@ mode, the tick, the contact distance) are resolved once before the loop,
 and the envelope set is looked up again only when the flight mode
 changes (a plain Enum hashes in Python code).
 
-Most ticks are quiet: nothing was present on the tick before, the
-decision is idle (the system is off, or MONITORING with its last zone
-CLEAR, where cdr_step changes nothing), and every intruder is pending or
-gone for good (IntruderRecord.lifetime).  Such a tick senses nothing and
-leaves the running records as they are, so the loop steps the ownship
-through a run of them in one agents.ownship_step call (its run form).
-A run ends before the first tick at or after the earliest spawn, after
-max_sim_time, or changing the flight mode or waypoint index (top of
-climb, a capture, touchdown), and a full tick takes that one.  The clock
-still adds dt once per tick, and each tick still gets its TickRecord
-(with no intruders), so every artifact is what full ticks would give.
+Most ticks are idle: the system is off, or in MONITORING with its last
+zone CLEAR, where cdr_step changes nothing while every present intruder
+stays CLEAR.  The loop takes a run of idle ticks in one
+agents.ownship_step call (its run form), then one pass per present
+intruder that makes a full tick's calls for it in the same order
+(intruder_state_at; with the system on, the pre-move distance_3d,
+classify and extend_run; the post-move IntruderTick), and zips the
+columns into TickRecords.  A run ends before the first tick that would
+change which intruders are present, lift a pre-move zone above CLEAR
+with the system on, bring a post-move separation to contact_distance or
+below, pass max_sim_time, or change the flight mode or waypoint index,
+and a full tick takes that one; a pass that ends it early has the passes
+made again at the shorter length.  The clock still adds dt once per
+tick, so every artifact is what full ticks would give.
 
 The ownship is carried as local floats (position and track) plus its
 flight mode and waypoint index, and agents.ownship_step takes and
@@ -59,6 +62,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -75,6 +79,9 @@ if TYPE_CHECKING:
 # The most ticks one run may take, max_sim_time / dt: a bound on run time
 # that also rejects a dt too small to advance the clock (over 2**52 ticks).
 MAX_TICKS = 10_000_000
+# The most ticks one idle run takes: it bounds the run's columns, and the
+# ownship steps computed past a tick that ends the run.
+_RUN_TICKS = 256
 
 
 @dataclass(frozen=True)
@@ -230,28 +237,72 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     active_label = ""
     terminal: Terminal | None = None
     t = departure
-    present: list[tuple[str, EnuPoint]] = []
 
     while terminal is None:
         t_next = t + dt
-        # 0. A quiet run (see above) while nothing was present on the last
-        # tick, the decision is idle, and every intruder not yet gone for
-        # good is pending: the run stops short of the earliest spawn.
-        if not present and (
-            not cas_enabled or cdr_state.phase is CdrPhase.MONITORING and cdr_state.prev_zone is Zone.CLEAR
-        ):
-            spawn = min([r.spawn_time for r in airborne_records if t_next - r.spawn_time <= r.lifetime],
-                        default=math.inf)
-            count = int((min(spawn, max_sim_time) - t) / dt) + 2 if t_next < spawn else 0
-            for e, n, u, trk in ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, count):
-                if t_next >= spawn or t_next > max_sim_time:
-                    break
-                ticks.append(tuple.__new__(
-                    TickRecord, (t_next, e, n, u, trk, mode, cdr_state.phase, (), active_label)
-                ))
-                east, north, up, track, t = e, n, u, trk, t_next
-                t_next = t + dt
-            own_pos = (east, north, up)
+        # 0. An idle run (see above) while the decision is idle; an
+        # intruder absent on the last tick and not gone for good stops it
+        # short of its spawn.
+        if not cas_enabled or cdr_state.phase is CdrPhase.MONITORING and cdr_state.prev_zone is Zone.CLEAR:
+            stop = min([r.spawn_time for r in airborne_records
+                        if prev_pos[r.id] is None and t_next - r.spawn_time <= r.lifetime], default=math.inf)
+            count = min(int((min(stop, max_sim_time) - t) / dt) + 2, _RUN_TICKS) if t_next < stop else 0
+            path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, count)
+            ts = []
+            while len(ts) < len(path) and t_next < stop and t_next <= max_sim_time:
+                ts.append(t_next)
+                t_next += dt
+            n = len(ts)
+            own = [p[:3] for p in path[:n]]  # post-move positions; pre[k] is tick k's pre-move one
+            pre = [own_pos, *own]
+            # One pass per present intruder.  A pass that ends the run
+            # early shortens it for the passes after it, and the passes
+            # are then made again at the shorter length.
+            n_run = -1
+            while n != n_run:
+                n_run = n
+                cols = []  # (id, ticks, position, running record) per pass
+                for rec in airborne_records:
+                    rid = rec.id
+                    pos = prev_pos[rid]
+                    if pos is None:
+                        continue
+                    rrun = extended = runs[rid]
+                    t_prev = t
+                    its = []
+                    for t_k, o_pre, o_post in zip(ts[:n], pre, own):
+                        st = intruder_state_at(rec, t_k, o_pre, pos, dt)
+                        if st is None:
+                            break
+                        p = st[0]
+                        if cas_enabled:
+                            sep = distance_3d(o_pre, p)
+                            zone = classify(sep, env)
+                            if zone is not Zone.CLEAR:
+                                break
+                            extended = extend_run(rrun, t_prev, sep, zone)
+                        sep = distance_3d(o_post, p)
+                        if sep <= contact_distance:
+                            break
+                        p_e, p_n, p_u = pos = p
+                        its.append(tuple.__new__(IntruderTick, (rid, p_e, p_n, p_u, sep, classify(sep, env))))
+                        rrun = extended
+                        t_prev = t_k
+                    n = len(its)
+                    cols.append((rid, its, pos, rrun))
+            if n:
+                columns = zip(*[c[1] for c in cols]) if cols else repeat(())
+                for (o_e, o_n, o_u, o_trk), t_k, row in zip(path, ts[:n], columns):
+                    ticks.append(tuple.__new__(
+                        TickRecord, (t_k, o_e, o_n, o_u, o_trk, mode, cdr_state.phase, row, active_label)
+                    ))
+                for rid, _, pos, rrun in cols:
+                    prev_pos[rid] = pos
+                    runs[rid] = rrun
+                east, north, up, track = path[n - 1]
+                own_pos = own[n - 1]
+                t = ts[n - 1]
+            t_next = t + dt
 
         if t_next > max_sim_time:
             terminal = Terminal(TerminalKind.TIMED_OUT)

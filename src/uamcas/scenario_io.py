@@ -696,8 +696,15 @@ def load_pack(source: str | Path) -> ScenarioPack:
 def export_pack(pack: ScenarioPack, out_dir: str | Path) -> list[Path]:
     """Write each scenario to <id>.scn under out_dir, and each trajectory
     it replays beside it, to <scenario id>@<intruder id>.csv, so the
-    export loads as a pack of its own.  Returns the .scn paths."""
+    export loads as a pack of its own.  Returns the .scn paths.  Before
+    writing, every other .scn already in out_dir must load and declare
+    none of the exported ids, since the export would then no longer load."""
     out = Path(out_dir)
+    ids = {sc.id for sc in pack}
+    for f in sorted(out.glob("*.scn")):
+        if f.stem not in ids and (sid := load_scenario(f).id) in ids:
+            raise ValueError(f"{f} declares scenario id {sid!r}, which the export writes to {sid}.scn; "
+                             "export to another directory")
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for sc in pack:

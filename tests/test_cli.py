@@ -16,7 +16,7 @@ from uamcas.cli import main
 from uamcas.engine import TRACE_HEADER
 from uamcas.metrics import BATCH_CSV_HEADER
 from uamcas.pack import default_pack
-from uamcas.scenario_io import export_pack, serialize_scenario
+from uamcas.scenario_io import export_pack, load_pack, serialize_scenario
 
 
 @pytest.fixture(scope="module")
@@ -874,6 +874,35 @@ class TestPackExport:
         assert captured.out == ""
         assert [p.name for p in pack.iterdir()] == ["renamed.scn"]
         assert main(["batch", "--pack", "pack", "--out", "b"]) == 0
+
+    def test_export_into_a_directory_declaring_an_exported_id_is_refused(self, scn_dir, tmp_path, capsys):
+        """A .scn under another name that declares an exported id would sit
+        beside the exported <id>.scn, and the directory would no longer
+        load; the refusal writes nothing."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "renamed.scn").write_text(Path(scn(scn_dir, "sc-03")).read_text())
+        rc = main(["pack", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {out / 'renamed.scn'} declares scenario id 'sc-03', which the export writes to "
+            "sc-03.scn; export to another directory\n"
+        )
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["renamed.scn"]
+        assert load_pack(out).ids() == ["sc-03"]
+
+    def test_export_into_a_directory_without_a_clash(self, scn_dir, tmp_path, capsys):
+        """A file named for an exported id is overwritten, whatever it
+        declares, and a file declaring another id stays beside the export."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sc-03.scn").write_text(Path(scn(scn_dir, "sc-04")).read_text())
+        (out / "extra.scn").write_text(ONE_ROUTE.format(rid="ROUTE1", hold=0))
+        assert main(["pack", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == f"wrote 21 scenarios to {out}"
+        assert sorted(load_pack(out).ids()) == sorted(default_pack().ids() + ["one-route"])
 
     def test_export_writes_the_replayed_trajectories(self, tmp_path, capsys):
         """A pack replaying a local-frame and a geodetic CSV, the first

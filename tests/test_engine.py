@@ -1,7 +1,9 @@
 """Whole-run behaviour of the fast-time engine: reference flight times,
 determinism, the disabled-system baseline, and terminal conditions."""
 
+import itertools
 import math
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,7 @@ from uamcas.agents import (
     FlightMode, IntruderBehavior, IntruderKind, IntruderRecord, Trajectory,
 )
 from uamcas.engine import TerminalKind, TRACE_HEADER, trace_csv_lines
+from uamcas.envelopes import Zone
 from uamcas.pack import default_pack
 from uamcas.geo import EnuPoint
 from uamcas.scenario_io import parse_scenario, serialize_scenario
@@ -400,47 +403,54 @@ class TestPerRunEnvelopes:
             # zone, every absent one's None, and each record is the one
             # before it extended by this tick; the nearest present
             # intruder, the first listed on a tie, governs.  A tick the
-            # spy does not see is part of a quiet run: nothing was present
-            # on it or on the tick before, and the decision stayed idle.
+            # spy does not see is part of an idle run: the decision was
+            # idle (MONITORING, its last governing zone CLEAR) and every
+            # present intruder was CLEAR before the move.
             sensed_at = {t: rest for t, *rest in sensed}
             assert len(sensed_at) == len(sensed)
             assert sensed_at.keys() <= {rec.t for rec in result.ticks}
             expected = {r.id: (result.departure_time, None, None) for r in sc.intruders if not r.ground_clock}
             t_prev = result.departure_time
+            idle = False  # the decision was idle on entering the tick
             for i, rec in enumerate(result.ticks):
                 t = rec.t
-                if t not in sensed_at:
-                    assert not rec.intruders and (i == 0 or not result.ticks[i - 1].intruders), (sid, t)
-                    assert rec.phase is cdr.CdrPhase.MONITORING, (sid, t)
-                    expected = {rid: cdr.extend_run(run, t_prev, None, None) for rid, run in expected.items()}
-                    t_prev = t
-                    quiet += 1
-                    continue
-                own_pos, governing, runs = sensed_at[t]
+                seen = t in sensed_at
+                if seen:
+                    own_pos, governing, runs = sensed_at[t]
                 if i == 0:
+                    assert seen, sid
                     mode = FlightMode.GROUND  # still on the pad
                 else:
                     prev = result.ticks[i - 1]
-                    assert own_pos == (prev.own_east, prev.own_north, prev.own_up)
+                    assert not seen or own_pos == (prev.own_east, prev.own_north, prev.own_up)
+                    own_pos = (prev.own_east, prev.own_north, prev.own_up)
                     mode = prev.flight_mode
                 present = {it.intruder_id: (it.east, it.north, it.up) for it in rec.intruders}
                 nearest = None
+                zones = []
                 for rid in expected:
                     sep = zone = None
                     if rid in present:
                         sep = geo.distance_3d(own_pos, present[rid])
                         zone = envelopes.classify(sep, env(mode))
+                        zones.append(zone)
                         if nearest is None or sep < nearest[1]:
                             nearest = (rid, sep, zone, present[rid])
                     expected[rid] = cdr.extend_run(expected[rid], t_prev, sep, zone)
-                    assert runs[rid] == expected[rid], (sid, t, rid)
-                    assert runs[rid][2] is zone, (sid, t, rid)
-                    observed += rid in present
+                    if seen:
+                        assert runs[rid] == expected[rid], (sid, t, rid)
+                        assert runs[rid][2] is zone, (sid, t, rid)
+                        observed += rid in present
                 t_prev = t
-                if nearest is None:
+                if not seen:
+                    assert idle and all(zone is Zone.CLEAR for zone in zones), (sid, t)
+                    assert rec.phase is cdr.CdrPhase.MONITORING, (sid, t)
+                    quiet += 1
+                elif nearest is None:
                     assert governing is None, (sid, t)
                 else:
                     assert (governing.intruder_id, governing.separation, governing.zone, governing.pos) == nearest
+                idle = rec.phase is cdr.CdrPhase.MONITORING and (nearest is None or nearest[2] is Zone.CLEAR)
         assert recorded > 0 and observed > 0 and quiet > 0
 
     def test_system_off_senses_nothing(self, monkeypatch):
@@ -464,13 +474,13 @@ class TestPerRunEnvelopes:
         assert len(calls) == recorded
 
 
-# ---------------------------------------------------------------- quiet runs
+# ---------------------------------------------------------------- idle runs
 
 
 def reference_run(scenario, params=None):
-    """engine.run as it was before quiet runs: every tick advances the
-    intruders, senses, decides and steps the ownship once, kept as the
-    reference for the quiet-run path."""
+    """engine.run without idle runs: every tick advances the intruders,
+    senses, decides and steps the ownship once, kept as the reference
+    for the idle-run path."""
     if params is None:
         params = scenario.sim
     sc = scenario
@@ -638,16 +648,25 @@ def reference_run(scenario, params=None):
     )
 
 
+def float_bits(ticks):
+    """Every float of the records, the intruder cells' included, as bytes:
+    equal bytes are equal floats bit for bit, where 0.0 == -0.0."""
+    floats = array("d")
+    for rec in ticks:
+        floats.extend(rec[:5])
+        for it in rec.intruders:
+            floats.extend(it[1:5])
+    return floats.tobytes()
+
+
 def assert_same_run(sc, params=None):
-    """engine.run equals reference_run: every record, the terminal and
-    the end time.  The record's floats are compared by repr, because 0.0
-    == -0.0 but they print apart; a whole NamedTuple's repr would spend
-    most of the time on its enums' repr."""
+    """engine.run equals reference_run: every record, bit for bit in its
+    floats, the terminal and the end time."""
     got, want = engine.run(sc, params), reference_run(sc, params)
-    got_r, want_r = [(repr(r[:5]), r[5:]) for r in got.ticks], [(repr(r[:5]), r[5:]) for r in want.ticks]
-    if got_r != want_r:
-        k = next((k for k, (a, b) in enumerate(zip(got_r, want_r)) if a != b), min(len(got_r), len(want_r)))
-        pytest.fail(f"{sc.id}: record {k} of {len(got_r)}/{len(want_r)} differs")
+    if got.ticks != want.ticks or float_bits(got.ticks) != float_bits(want.ticks):
+        k = next((k for k, (a, b) in enumerate(zip(got.ticks, want.ticks))
+                  if a != b or float_bits([a]) != float_bits([b])), min(len(got.ticks), len(want.ticks)))
+        pytest.fail(f"{sc.id}: record {k} of {len(got.ticks)}/{len(want.ticks)} differs")
     assert got.terminal == want.terminal, sc.id
     assert repr(got.end_time) == repr(want.end_time), sc.id
     assert (got.departure_time, got.ground_decision) == (want.departure_time, want.ground_decision)
@@ -664,15 +683,44 @@ def enu_scenario(*lines):
     return parse_scenario(ROUTE1 + "\n".join(lines) + "\n")
 
 
-# Far from the route, so it only breaks the quiet runs.
+# Far from the route, so it only changes which intruders are present.
 def far_linger(iid, spawn, hold=15):
     return (f"INTRUDER {iid} DRONE PREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR=20000,20000,300 HOLD={hold}",
             f"SPAWN {iid} AT {spawn}")
 
 
+def far_swarm(count=20):
+    """count intruders present for the whole flight and never nearer than
+    6 km to ROUTE1, alternately LINGER and PASS_BY heading away, like the
+    benchmark's swarm workload."""
+    lines = []
+    for i in range(count):
+        east, north = 5000 + 400 * i, 4000 + 250 * (i % 5)
+        script = ("LINGER SPEED=1 HOLD=5000" if i % 2 == 0 else f"PASS_BY SPEED={10 + i} TRACK={30 + 2 * i}")
+        lines.append(f"INTRUDER s{i:02d} DRONE PREDICTABLE SCRIPT {script} ANCHOR={east},{north},{150 + 15 * i}")
+    return lines
+
+
+def calls_made(monkeypatch, module, name, sc, params=None):
+    """The argument tuples of every call one engine.run makes to
+    module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, name, spy)
+        engine.run(sc, params)
+    return calls
+
+
 class TestQuietRuns:
-    """Quiet ticks are stepped in runs; every run must equal the tick by
-    tick loop it replaced."""
+    """Idle ticks, with or without intruders present (a quiet run has
+    none), are stepped in runs; every run must equal the tick by tick loop
+    it replaced."""
 
     @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.5])
     @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
@@ -685,8 +733,8 @@ class TestQuietRuns:
     ])
     @pytest.mark.parametrize("dt", [0.1, 0.3, 0.5])
     def test_spawn_mid_flight_phase(self, spawn, mode, dt):
-        """A spawn ends a quiet run, and the run after the intruder has
-        gone ends at the next one.  At dt 0.5 the clock is exact, so each
+        """A spawn ends an idle run, and so does the expiry, and the run
+        after the intruder has gone ends at the next spawn.  At dt 0.5 the clock is exact, so each
         spawn falls on a tick."""
         sc = enu_scenario(*far_linger("f1", spawn), *far_linger("f2", spawn + 30))
         res = assert_same_run(sc, replace(sc.sim, dt=dt))
@@ -699,20 +747,25 @@ class TestQuietRuns:
         """At dt 0.5 the clock is exact: the intruder's one present tick is
         at rel == lifetime, after a tick where it was still pending.  At
         0.75 s that tick follows the departure tick, so it is the first
-        of a quiet run unless the lifetime test counts it present."""
+        of an idle run unless the lifetime test counts it present."""
         sc = enu_scenario(*far_linger("f1", spawn, hold=0.25))
         res = assert_same_run(sc, replace(sc.sim, dt=0.5))
         assert [rec.t for rec in res.ticks if rec.intruders] == [spawn + 0.25]
 
-    def test_trajectory_whose_first_sample_is_after_spawn(self):
+    def test_trajectory_whose_first_sample_is_after_spawn(self, monkeypatch):
         """Between the spawn and the first sample the intruder is neither
-        pending nor gone, so no quiet run may cover those ticks."""
+        pending nor gone, so no idle run may cover those ticks.  Far off
+        and CLEAR, it is then stepped in idle runs, and the last sample
+        falls inside one."""
         traj = Trajectory(((40.0, EnuPoint(20000.0, 20000.0, 300.0)), (70.0, EnuPoint(19000.0, 20000.0, 300.0))))
         rec = IntruderRecord("c1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=200.0,
                              trajectory=traj)
-        res = assert_same_run(replace(PACK["ref-route1"], intruders=(rec,)))
+        sc = replace(PACK["ref-route1"], intruders=(rec,))
+        res = assert_same_run(sc)
         present = [r.t for r in res.ticks if r.intruders]
         assert 240.0 <= present[0] < 240.2 and 269.8 < present[-1] <= 270.0
+        decided = {args[1] for args in calls_made(monkeypatch, cdr, "cdr_step", sc)}
+        assert sum(t in decided for t in present) < 5 and present[-1] not in decided
 
     @pytest.mark.parametrize("max_sim_time", [0.05, 100.0, 100.05, 300.0, 560.0, 690.0])
     def test_time_budget_inside_a_quiet_run(self, max_sim_time):
@@ -746,24 +799,28 @@ class TestQuietRuns:
         assert len({rec.own_track for rec in after if not rec.intruders}) > 2  # turning in a quiet run
 
     def test_pursuit_hold(self):
-        """A pursuer holding at its anchor, then chasing, then gone."""
-        sc = enu_scenario(
-            "INTRUDER p1 BIRD UNPREDICTABLE SCRIPT PURSUIT SPEED=15 ANCHOR=1500,1500,250 HOLD=20 DURATION=80",
-            "SPAWN p1 AT 100",
-        )
-        for dt in (0.1, 0.25):
+        """A pursuer holding at its anchor, then chasing, then gone.  The
+        far one stays CLEAR, so it chases inside idle runs."""
+        for anchor, dt in itertools.product([(1500.0, 1500.0), (20000.0, 20000.0)], [0.1, 0.25]):
+            sc = enu_scenario(
+                f"INTRUDER p1 BIRD UNPREDICTABLE SCRIPT PURSUIT SPEED=15 ANCHOR={anchor[0]},{anchor[1]},250 "
+                "HOLD=20 DURATION=80",
+                "SPAWN p1 AT 100",
+            )
             res = assert_same_run(sc, replace(sc.sim, dt=dt))
             seen = [(rec.intruders[0].east, rec.intruders[0].north) for rec in res.ticks if rec.intruders]
-            assert seen[0] == (1500.0, 1500.0) and seen[-1] != seen[0]
+            assert seen[0] == anchor and seen[-1] != seen[0]
             assert res.ticks[-1].t > 600.0 and not res.ticks[-1].intruders
 
     @settings(max_examples=40, deadline=None)
-    @given(dt=st.floats(0.05, 1.0), max_sim_time=st.floats(0.05, 800.0))
-    def test_run_ends_by_max_sim_time(self, dt, max_sim_time):
-        """Cut anywhere in the climb, the cruise or the descent, and around
-        two spawns, a run ends by max_sim_time: TIMED_OUT only when the next
-        tick would overrun it, and landed otherwise."""
-        sc = enu_scenario(*far_linger("f1", 150), *far_linger("f2", 400))
+    @given(dt=st.floats(0.05, 1.0), max_sim_time=st.floats(0.05, 800.0), held=st.booleans())
+    def test_run_ends_by_max_sim_time(self, dt, max_sim_time, held):
+        """Cut anywhere in the climb, the cruise or the descent, around two
+        spawns, and with or without an intruder held far off from 100 s on,
+        a run ends by max_sim_time: TIMED_OUT only when the next tick would
+        overrun it, and landed otherwise."""
+        held = far_linger("f3", 100, hold=1000) if held else ()
+        sc = enu_scenario(*far_linger("f1", 150), *far_linger("f2", 400), *held)
         params = replace(sc.sim, dt=dt, max_sim_time=max_sim_time)
         res = assert_same_run(sc, params)
         last = res.ticks[-1].t if res.ticks else res.departure_time
@@ -772,3 +829,96 @@ class TestQuietRuns:
             assert last + dt > max_sim_time
         else:
             assert res.terminal.kind is TerminalKind.LANDED_AT
+
+    @pytest.mark.parametrize("dt", [0.1, 0.2])
+    @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
+    def test_far_swarm(self, monkeypatch, dt, cas_enabled):
+        """Twenty far intruders present for the whole flight: every tick
+        but a few is idle, so one ownship_step call covers a run of them."""
+        sc = enu_scenario(*far_swarm())
+        params = replace(sc.sim, dt=dt, cas_enabled=cas_enabled)
+        res = assert_same_run(sc, params)
+        assert res.terminal.kind is TerminalKind.LANDED_AT
+        assert all(len(rec.intruders) == 20 for rec in res.ticks)
+        assert {it.zone for rec in res.ticks for it in rec.intruders} == {Zone.CLEAR}
+        assert len(calls_made(monkeypatch, agents, "ownship_step", sc, params)) < len(res.ticks) / 50
+
+    @pytest.mark.parametrize("dt", [0.1, 0.3])
+    def test_run_ends_where_a_zone_rises(self, monkeypatch, dt):
+        """A head-on drone, present and CLEAR for half a minute, enters the
+        caution ring: the idle run ends on that tick, which the decision
+        sees, and the tick before it is still in the run."""
+        sc = enu_scenario(
+            "INTRUDER h1 DRONE PREDICTABLE SCRIPT PASS_BY SPEED=20 ANCHOR=-2500,-7000,304.8 TRACK=20 DURATION=45",
+            "SPAWN h1 AT 200",
+        )
+        params = replace(sc.sim, dt=dt)
+        res = assert_same_run(sc, params)
+        governing = {args[1]: args[4] for args in calls_made(monkeypatch, cdr, "cdr_step", sc, params)}
+        k = next(i for i, rec in enumerate(res.ticks)
+                 if governing.get(rec.t) is not None and governing[rec.t].zone is not Zone.CLEAR)
+        assert governing[res.ticks[k].t].zone is Zone.CAUTION
+        assert res.ticks[k - 1].t not in governing and res.ticks[k - 1].intruders
+        assert res.ticks[k].t - min(rec.t for rec in res.ticks if rec.intruders) > 30.0
+
+    @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
+    def test_intruder_expires_mid_run(self, monkeypatch, cas_enabled):
+        """f1 goes at 315 s while p1, a far pursuer listed before it and
+        present since 290 s, stays.  p1's pass has gone past the expiry
+        when f1's ends the run there, so p1's position and running record
+        must be taken at the shorter length: the records, and the running
+        records the decision sees, are the reference's."""
+        sc = enu_scenario(
+            "INTRUDER p1 BIRD UNPREDICTABLE SCRIPT PURSUIT SPEED=15 ANCHOR=20000,20000,250 DURATION=200",
+            "SPAWN p1 AT 290",
+            *far_linger("f1", 300),
+        )
+        params = replace(sc.sim, cas_enabled=cas_enabled)
+        res = assert_same_run(sc, params)
+        ids = [tuple(it.intruder_id for it in rec.intruders) for rec in res.ticks]
+        assert [a for a, b in zip(ids, [None, *ids]) if a != b] == [(), ("p1",), ("p1", "f1"), ("p1",), ()]
+        # Each ownship_step call starts from a recorded position and takes
+        # the tick after it first; few start a tick with intruders present.
+        first_ids = {(r.own_east, r.own_north, r.own_up): ids[i + 1] for i, r in enumerate(res.ticks[:-1])}
+        steps = calls_made(monkeypatch, agents, "ownship_step", sc, params)
+        assert sum(bool(first_ids.get(args[:3])) for args in steps) < sum(map(bool, ids)) / 50
+        if cas_enabled:
+            seen = {}
+            step = cdr.cdr_step
+
+            def spy(state, t, own_pos, own_track, governing, runs, *rest):
+                seen[t] = (state, governing, dict(runs))
+                return step(state, t, own_pos, own_track, governing, runs, *rest)
+
+            monkeypatch.setattr(cdr, "cdr_step", spy)
+            engine.run(sc, params)
+            got, seen = seen, {}
+            reference_run(sc, params)
+            assert got and all(got[t] == seen[t] for t in got)
+
+    def test_system_off_collides_inside_a_run(self, monkeypatch):
+        """With the system off, a loiterer parked on the ownship's recorded
+        position at 400 s: the run ends on the tick of contact, the
+        tick after a long run with the loiterer present."""
+        params = replace(PACK["ref-route1"].sim, cas_enabled=False)
+        clear = engine.run(PACK["ref-route1"], params)
+        hit = next(rec for rec in clear.ticks if rec.t >= 400.0)
+        sc = enu_scenario(
+            f"INTRUDER c1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 "
+            f"ANCHOR={hit.own_east!r},{hit.own_north!r},{hit.own_up!r} HOLD=1000",
+            "SPAWN c1 AT 100",
+        )
+        res = assert_same_run(sc, params)
+        assert res.terminal.kind is TerminalKind.COLLIDED and res.end_time == hit.t
+        assert res.ticks[-1].intruders[0].separation == 0.0
+        steps = calls_made(monkeypatch, agents, "ownship_step", sc, params)
+        assert len(steps[-1]) == 9 and len(steps[-2]) == 10 and len(steps) < len(res.ticks) / 50
+
+    def test_float_bits_tell_signed_zeros_apart(self):
+        """The reference comparison sees a sign flip on a zero in the
+        ownship or an intruder cell, which == does not."""
+        rec = next(r for r in engine.run(PACK["sc-03"]).ticks if r.intruders)
+        flipped = rec._replace(intruders=(rec.intruders[0]._replace(up=-0.0),))
+        zero = rec._replace(intruders=(rec.intruders[0]._replace(up=0.0),))
+        assert flipped == zero and float_bits([flipped]) != float_bits([zero])
+        assert float_bits([rec._replace(own_track=0.0)]) != float_bits([rec._replace(own_track=-0.0)])
