@@ -61,8 +61,9 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -248,13 +249,13 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
                         if prev_pos[r.id] is None and t_next - r.spawn_time <= r.lifetime], default=math.inf)
             count = min(int((min(stop, max_sim_time) - t) / dt) + 2, _RUN_TICKS) if t_next < stop else 0
             path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, count)
-            ts = []
-            while len(ts) < len(path) and t_next < stop and t_next <= max_sim_time:
-                ts.append(t_next)
-                t_next += dt
-            n = len(ts)
-            own = [p[:3] for p in path[:n]]  # post-move positions; pre[k] is tick k's pre-move one
-            pre = [own_pos, *own]
+            # Each tick's time as the loop's clock adds it up, and the ticks
+            # before the stop and within max_sim_time.
+            ts = list(accumulate(repeat(dt, len(path) - 1), initial=t_next))
+            n = min(len(path), bisect_left(ts, stop), bisect_right(ts, max_sim_time))
+            present = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
+            own = [p[:3] for p in path[:n]] if present else []  # post-move positions
+            pre = [own_pos, *own]  # pre[k] is tick k's pre-move position
             # One pass per present intruder.  A pass that ends the run
             # early shortens it for the passes after it, and the passes
             # are then made again at the shorter length.
@@ -262,11 +263,9 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             while n != n_run:
                 n_run = n
                 cols = []  # (id, ticks, position, running record) per pass
-                for rec in airborne_records:
+                for rec in present:
                     rid = rec.id
                     pos = prev_pos[rid]
-                    if pos is None:
-                        continue
                     rrun = extended = runs[rid]
                     t_prev = t
                     its = []
@@ -292,15 +291,15 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
                     cols.append((rid, its, pos, rrun))
             if n:
                 columns = zip(*[c[1] for c in cols]) if cols else repeat(())
-                for (o_e, o_n, o_u, o_trk), t_k, row in zip(path, ts[:n], columns):
-                    ticks.append(tuple.__new__(
-                        TickRecord, (t_k, o_e, o_n, o_u, o_trk, mode, cdr_state.phase, row, active_label)
-                    ))
+                es, ns, us, trks = zip(*path[:n])
+                ticks += map(tuple.__new__, repeat(TickRecord), zip(
+                    ts, es, ns, us, trks, repeat(mode), repeat(cdr_state.phase), columns, repeat(active_label)
+                ))
                 for rid, _, pos, rrun in cols:
                     prev_pos[rid] = pos
                     runs[rid] = rrun
                 east, north, up, track = path[n - 1]
-                own_pos = own[n - 1]
+                own_pos = (east, north, up)
                 t = ts[n - 1]
             t_next = t + dt
 
