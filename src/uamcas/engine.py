@@ -253,8 +253,8 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             # before the stop and within max_sim_time.
             ts = list(accumulate(repeat(dt, len(path) - 1), initial=t_next))
             n = min(len(path), bisect_left(ts, stop), bisect_right(ts, max_sim_time))
-            present = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
-            own = [p[:3] for p in path[:n]] if present else []  # post-move positions
+            present_recs = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
+            own = [p[:3] for p in path[:n]] if present_recs else []  # post-move positions
             pre = [own_pos, *own]  # pre[k] is tick k's pre-move position
             # One pass per present intruder.  A pass that ends the run
             # early shortens it for the passes after it, and the passes
@@ -263,7 +263,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             while n != n_run:
                 n_run = n
                 cols = []  # (id, ticks, position, running record) per pass
-                for rec in present:
+                for rec in present_recs:
                     rid = rec.id
                     pos = prev_pos[rid]
                     rrun = extended = runs[rid]

@@ -892,6 +892,12 @@ class TestPackExport:
         assert captured.out == ""
         assert [p.name for p in out.iterdir()] == ["renamed.scn"]
         assert load_pack(out).ids() == ["sc-03"]
+        # A foreign file that does not load would keep the export from
+        # loading too.
+        (out / "renamed.scn").write_text("SCENARIO x\nBOGUS\n")
+        assert main(["pack", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out / 'renamed.scn'}: line ")
+        assert [p.name for p in out.iterdir()] == ["renamed.scn"]
 
     def test_export_into_a_directory_without_a_clash(self, scn_dir, tmp_path, capsys):
         """A file named for an exported id is overwritten, whatever it

@@ -649,8 +649,8 @@ def reference_run(scenario, params=None):
 
 
 def float_bits(ticks):
-    """Every float of the records, the intruder cells' included, as bytes:
-    equal bytes are equal floats bit for bit, where 0.0 == -0.0."""
+    """Every float of the records, the intruder cells' included, as bytes,
+    which tell 0.0 from -0.0 where == does not."""
     floats = array("d")
     for rec in ticks:
         floats.extend(rec[:5])
