@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .geo import EnuPoint, non_finite_error, normalize_track, track_unit
+from .geo import EnuPoint, enu_points, non_finite_error, normalize_track, track_unit
 from .maneuvers import (
     Action,
     InfeasibleManeuverError,
@@ -454,43 +454,46 @@ class IntruderRecord:
 
 def intruder_state_at(
     rec: IntruderRecord,
-    t: float,
-    ownship_pos: EnuPoint | None = None,
+    t: float | list[float],
+    ownship_pos: Vec3 | None | list[Vec3] = None,
     prev_pos: EnuPoint | None = None,
     dt: float | None = None,
-) -> tuple[EnuPoint, Vec3] | None:
+) -> tuple[EnuPoint, Vec3] | None | list[EnuPoint]:
     """Position and velocity of the intruder at sim time t, or None when
-    absent.
+    absent; given a list of tick times and each tick's pre-move ownship
+    position (the run form), its positions at those ticks in a list that
+    ends before the first tick where it is absent.
 
     Closed-form modes ignore prev_pos/dt.  A pursuing intruder past its
-    hold period is stepped from prev_pos toward the current ownship
-    position; the engine supplies both every tick.
+    hold period is stepped from prev_pos (in a run, its position on the
+    tick before) toward the ownship position; the engine supplies both
+    every tick.  One tick is a run of one, so a run equals one call per
+    tick bit for bit.
     """
-    if t < rec.spawn_time:
-        return None
-    rel = t - rec.spawn_time
-    if rel > rec.lifetime:
-        return None
-
-    if rec.trajectory is not None:
-        return _playback(rec.trajectory, rel)
-
+    ts = t if type(t) is list else [t]
+    spawn = rec.spawn_time
+    rels = [t_k - spawn for t_k in ts] if ts and ts[0] >= spawn else []
+    del rels[bisect_right(rels, rec.lifetime):]  # from the first tick past the lifetime
     script = rec.script
-    if script.mode is ScriptMode.PASS_BY:
-        ue, un = script.unit
-        east, north, up = script.anchor
-        pos = EnuPoint(east + script.speed * rel * ue, north + script.speed * rel * un, up)
-        return pos, (script.speed * ue, script.speed * un, 0.0)
-
-    if script.mode is ScriptMode.LINGER:
-        return script.anchor, (0.0, 0.0, 0.0)
-
-    # PURSUIT
-    if rel <= script.linger_duration or ownship_pos is None:
-        return script.anchor, (0.0, 0.0, 0.0)
-    start = prev_pos if prev_pos is not None else script.anchor
-    step = script.speed * (dt if dt is not None else 0.0)
-    return _pursuit_step(start, ownship_pos, script.speed, step)
+    if rec.trajectory is not None:
+        path, vel = _playback(rec.trajectory, rels)
+    elif script.mode is ScriptMode.PASS_BY:
+        (ue, un), (east, north, up), speed = script.unit, script.anchor, script.speed
+        path = enu_points([(east + speed * rel * ue, north + speed * rel * un, up) for rel in rels])
+        vel = (speed * ue, speed * un, 0.0)
+    elif script.mode is ScriptMode.LINGER:
+        path, vel = [script.anchor] * len(rels), (0.0, 0.0, 0.0)
+    else:  # PURSUIT
+        step = script.speed * (dt if dt is not None else 0.0)
+        path = []
+        pos = prev_pos
+        for rel, own in zip(rels, ownship_pos if ts is t else (ownship_pos,)):
+            if rel <= script.linger_duration or own is None:
+                pos, vel = script.anchor, (0.0, 0.0, 0.0)
+            else:
+                pos, vel = _pursuit_step(pos if pos is not None else script.anchor, own, script.speed, step)
+            path.append(pos)
+    return path if ts is t else (path[0], vel) if path else None
 
 
 def _pursuit_step(
@@ -510,17 +513,22 @@ def _pursuit_step(
     return new_pos, vel
 
 
-def _playback(traj: Trajectory, rel: float) -> tuple[EnuPoint, Vec3] | None:
+def _playback(traj: Trajectory, rels: list[float]) -> tuple[list[EnuPoint], Vec3 | None]:
+    """Positions at rising times since spawn, none before the first
+    sample (intruder_state_at ends the list past the last one), and the
+    velocity of the last position's segment."""
     times = traj.times
-    if rel < times[0]:  # intruder_state_at returns early past the last sample
-        return None
-    i = bisect_right(times, rel)
-    if i == len(times):
-        i -= 1
-    lo_t, (lo_e, lo_n, lo_u) = traj.samples[i - 1]
-    hi_t, (hi_e, hi_n, hi_u) = traj.samples[i]
+    if not rels or rels[0] < times[0]:
+        return [], None
+    last = len(times) - 1
+    i = min(bisect_right(times, rels[0]), last)  # a forward cursor: bisect_right(times, rel), at most last
+    path = []
+    for rel in rels:
+        while i < last and times[i] <= rel:
+            i += 1
+        lo_t, (lo_e, lo_n, lo_u) = traj.samples[i - 1]
+        hi_t, (hi_e, hi_n, hi_u) = traj.samples[i]
+        u = (rel - lo_t) / (hi_t - lo_t)
+        path.append((lo_e + u * (hi_e - lo_e), lo_n + u * (hi_n - lo_n), lo_u + u * (hi_u - lo_u)))
     span = hi_t - lo_t
-    u = (rel - lo_t) / span
-    pos = EnuPoint(lo_e + u * (hi_e - lo_e), lo_n + u * (hi_n - lo_n), lo_u + u * (hi_u - lo_u))
-    vel = ((hi_e - lo_e) / span, (hi_n - lo_n) / span, (hi_u - lo_u) / span)
-    return pos, vel
+    return enu_points(path), ((hi_e - lo_e) / span, (hi_n - lo_n) / span, (hi_u - lo_u) / span)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from operator import lt
 from typing import Mapping, NamedTuple, Sequence
 
 from .agents import (
@@ -327,6 +328,17 @@ def extend_run(run: Run, t_prev: float, separation: float | None, zone: Zone | N
     if separation is None:
         return run if last is None else (t_prev, None, None)
     return (since if last is not None and last < separation else t_prev, separation, zone)
+
+
+def fold_run(run: Run, t_prevs: Sequence[float], separations: list[float], zone: Zone) -> Run:
+    """extend_run over ticks where the intruder is present in one zone,
+    the k-th at separations[k] after a tick at t_prevs[k], in one call:
+    only the last tick whose separation does not rise moves since."""
+    since, last, _ = run
+    rising = list(map(lt, [math.inf if last is None else last, *separations], separations))
+    if False in rising:
+        since = t_prevs[len(rising) - 1 - rising[::-1].index(False)]
+    return (since, separations[-1], zone) if separations else run
 
 
 def de_escalated(run: Run, now: float, hold_duration: float, first_tick: float) -> bool:

@@ -16,17 +16,19 @@ changes (a plain Enum hashes in Python code).
 Most ticks are idle: the system is off, or in MONITORING with its last
 zone CLEAR, where cdr_step changes nothing while every present intruder
 stays CLEAR.  The loop takes a run of idle ticks in one
-agents.ownship_step call (its run form), then one pass per present
-intruder that makes a full tick's calls for it in the same order
-(intruder_state_at; with the system on, the pre-move distance_3d,
-classify and extend_run; the post-move IntruderTick), and zips the
-columns into TickRecords.  A run ends before the first tick that would
-change which intruders are present, lift a pre-move zone above CLEAR
-with the system on, bring a post-move separation to contact_distance or
-below, pass max_sim_time, or change the flight mode or waypoint index,
-and a full tick takes that one; a pass that ends it early has the passes
-made again at the shorter length.  The clock still adds dt once per
-tick, so every artifact is what full ticks would give.
+agents.ownship_step call, then one pass per present intruder in columns:
+its positions from one agents.intruder_state_at call (both run forms),
+its pre-move (system on) and post-move separations from
+geo.distances_3d (a still intruder's post-move ones are the next ticks'
+pre-move ones), one cdr.fold_run of its running record, and classify
+only for post-move separations within caution_radius.  A run ends
+before the first tick that would change which intruders are present,
+bring a pre-move separation within caution_radius with the system on
+(classify is CLEAR exactly outside it), bring a post-move one to
+contact_distance or below, pass max_sim_time, or change the flight mode
+or waypoint index, and a full tick takes that one; a pass that ends it
+early has the passes made again at the shorter length.  The clock still
+adds dt once per tick, so every artifact is what full ticks would give.
 
 The ownship is carried as local floats (position and track) plus its
 flight mode and waypoint index, and agents.ownship_step takes and
@@ -41,8 +43,8 @@ record that changes; the intruder positions are EnuPoints from
 agents.intruder_state_at.  All but the running records are NamedTuples,
 which build in half the time of a frozen dataclass or less.  The three
 tick records carry no rules, so the loop builds them with tuple.__new__
-and skips the generated __new__'s keyword handling; EnuPoint checks its
-fields in __new__ and is always built through its constructor.  Reading
+and skips the generated __new__'s keyword handling; every EnuPoint
+construction checks its fields (geo.enu_points a whole list's at once).  Reading
 a NamedTuple field by name costs more than reading a slot, so the
 per-tick readers that take most of a record's fields (trace_csv_lines,
 metrics.cpa, the geo distance helpers) unpack it by position instead.
@@ -158,6 +160,13 @@ class RunResult:
 _SEPARATION = attrgetter("separation")
 
 
+def _cut(column: list[float], limit: float) -> int:
+    """The index of the first value at or below limit, or the length."""
+    if min(column, default=math.inf) > limit:
+        return len(column)
+    return next(k for k, v in enumerate(column) if v <= limit)
+
+
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     """Execute one scenario end to end."""
     if params is None:
@@ -220,8 +229,10 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     ownship_step = agents.ownship_step
     intruder_state_at = agents.intruder_state_at
     distance_3d = geo.distance_3d
+    distances_3d = geo.distances_3d
     classify = envelopes.classify
     extend_run = cdr.extend_run
+    fold_run = cdr.fold_run
     cdr_step = cdr.cdr_step
 
     # The ownship, as plain values; env and own_pos always belong to
@@ -256,48 +267,40 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             present_recs = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
             own = [p[:3] for p in path[:n]] if present_recs else []  # post-move positions
             pre = [own_pos, *own]  # pre[k] is tick k's pre-move position
-            # One pass per present intruder.  A pass that ends the run
-            # early shortens it for the passes after it, and the passes
-            # are then made again at the shorter length.
+            caution = env.caution_radius
+            # One pass per present intruder in columns, all made again when
+            # one shortens the run (see above).
             n_run = -1
             while n != n_run:
                 n_run = n
-                cols = []  # (id, ticks, position, running record) per pass
+                cols = []  # (id, positions, pre-move and post-move separations) per pass
                 for rec in present_recs:
-                    rid = rec.id
-                    pos = prev_pos[rid]
-                    rrun = extended = runs[rid]
-                    t_prev = t
-                    its = []
-                    for t_k, o_pre, o_post in zip(ts[:n], pre, own):
-                        st = intruder_state_at(rec, t_k, o_pre, pos, dt)
-                        if st is None:
-                            break
-                        p = st[0]
-                        if cas_enabled:
-                            sep = distance_3d(o_pre, p)
-                            zone = classify(sep, env)
-                            if zone is not Zone.CLEAR:
-                                break
-                            extended = extend_run(rrun, t_prev, sep, zone)
-                        sep = distance_3d(o_post, p)
-                        if sep <= contact_distance:
-                            break
-                        p_e, p_n, p_u = pos = p
-                        its.append(tuple.__new__(IntruderTick, (rid, p_e, p_n, p_u, sep, classify(sep, env))))
-                        rrun = extended
-                        t_prev = t_k
-                    n = len(its)
-                    cols.append((rid, its, pos, rrun))
+                    ps = intruder_state_at(rec, ts[:n], pre, prev_pos[rec.id], dt)
+                    m = len(ps)
+                    if m and ps.count(ps[0]) == m:  # still: post[k] is sensed[k + 1]
+                        seps = distances_3d(pre[:m + 1], repeat(ps[0]))
+                        sensed, post = seps[:m], seps[1:]
+                    else:
+                        sensed, post = distances_3d(pre, ps) if cas_enabled else None, distances_3d(own, ps)
+                    if cas_enabled:
+                        m = _cut(sensed, caution)
+                    n = _cut(post[:m], contact_distance)
+                    cols.append((rec.id, ps[:n], sensed, post[:n]))
             if n:
-                columns = zip(*[c[1] for c in cols]) if cols else repeat(())
+                cells = []
+                for rid, ps, sensed, post in cols:
+                    zones = [Zone.CLEAR] * n if min(post) > caution else [
+                        Zone.CLEAR if sep > caution else classify(sep, env) for sep in post]
+                    cells.append(map(tuple.__new__, repeat(IntruderTick),
+                                     zip(repeat(rid), *zip(*ps), post, zones)))
+                    prev_pos[rid] = ps[-1]
+                    if cas_enabled:
+                        runs[rid] = fold_run(runs[rid], [t, *ts], sensed[:n], Zone.CLEAR)
+                columns = zip(*cells) if cells else repeat(())
                 es, ns, us, trks = zip(*path[:n])
                 ticks += map(tuple.__new__, repeat(TickRecord), zip(
                     ts, es, ns, us, trks, repeat(mode), repeat(cdr_state.phase), columns, repeat(active_label)
                 ))
-                for rid, _, pos, rrun in cols:
-                    prev_pos[rid] = pos
-                    runs[rid] = rrun
                 east, north, up, track = path[n - 1]
                 own_pos = (east, north, up)
                 t = ts[n - 1]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -56,8 +57,8 @@ class EnuPoint(_EnuFields):
 
     An immutable tuple: the simulation builds several per tick, and a
     tuple builds in half the time of a frozen dataclass or less.  Every
-    construction, also through _replace and _make, rejects non-finite
-    components.
+    construction, also through _replace, _make and enu_points, rejects
+    non-finite components.
     """
 
     __slots__ = ()
@@ -70,6 +71,14 @@ class EnuPoint(_EnuFields):
     @classmethod
     def _make(cls, iterable) -> "EnuPoint":
         return cls(*iterable)
+
+
+def enu_points(triples: list[tuple[float, float, float]]) -> list[EnuPoint]:
+    """EnuPoint(*p) for each p: a longer list is built as tuples after one
+    check of all the components, unless one is not finite."""
+    if len(triples) > 1 and all(map(math.isfinite, chain.from_iterable(triples))):
+        return list(map(tuple.__new__, repeat(EnuPoint), triples))
+    return [EnuPoint(*p) for p in triples]
 
 
 def non_finite_error(east: float, north: float, up: float) -> ValueError:
@@ -158,6 +167,13 @@ def distance_3d(a: EnuPoint, b: EnuPoint) -> float:
     a_e, a_n, a_u = a
     b_e, b_n, b_u = b
     return math.sqrt((b_e - a_e) ** 2 + (b_n - a_n) ** 2 + (b_u - a_u) ** 2)
+
+
+def distances_3d(a: Iterable[EnuPoint], b: Iterable[EnuPoint]) -> list[float]:
+    """distance_3d of each pair a[k], b[k] up to the shorter sequence, by
+    the same operations."""
+    return [math.sqrt((b_e - a_e) ** 2 + (b_n - a_n) ** 2 + (b_u - a_u) ** 2)
+            for (a_e, a_n, a_u), (b_e, b_n, b_u) in zip(a, b)]
 
 
 def bearing(a: EnuPoint, b: EnuPoint) -> float:

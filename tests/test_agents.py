@@ -3,10 +3,11 @@ computations (climb timing, turn geometry) and closed-form positions."""
 
 import math
 from bisect import bisect_right
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from uamcas.geo import EnuPoint
 from uamcas.agents import (
@@ -352,6 +353,104 @@ class TestRunForm:
 
     def test_zero_ticks(self):
         assert ownship_step(*cruise_state((0.0, 0.0, 304.8), 0.0, idx=1), VT, follow_plan(self.ROUTE), 0.1, 0) == []
+
+
+# A drone replaying four samples, each on a multiple of 0.25 s.
+TRAJ = Trajectory(((2.0, EnuPoint(0, 0, 100)), (2.5, EnuPoint(30, -10, 120)),
+                   (4.0, EnuPoint(30, 70, 120)), (9.25, EnuPoint(-400, 70, 900))))
+SCRIPTS = {
+    "linger": ScriptedBehavior(ScriptMode.LINGER, 1.0, EnuPoint(500, 500, 120), linger_duration=6.0),
+    "pass-by": ScriptedBehavior(ScriptMode.PASS_BY, 17.0, EnuPoint(-300, 40, 90), track=33.0),
+    "pass-by-duration": ScriptedBehavior(ScriptMode.PASS_BY, 17.0, EnuPoint(-300, 40, 90), track=33.0,
+                                         duration=6.5),
+    "pursuit": ScriptedBehavior(ScriptMode.PURSUIT, 15.0, EnuPoint(2000, 1500, 250), linger_duration=3.0,
+                                duration=8.0),
+}
+KINDS = [*SCRIPTS, "playback"]
+
+
+def intruder(kind, spawn):
+    source = {"trajectory": TRAJ} if kind == "playback" else {"script": SCRIPTS[kind]}
+    return IntruderRecord("I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=spawn, **source)
+
+
+class TestIntruderRunForm:
+    """intruder_state_at given a list of tick times: the positions of one
+    call per tick, each pursuit step from the one before, up to the first
+    tick where the intruder is absent."""
+
+    @staticmethod
+    def ticks(start, dt, count):
+        """The tick times as the engine's clock adds them up, and an
+        ownship position for each."""
+        ts = list(accumulate(repeat(dt, count - 1), initial=start))
+        return ts, [(30.0 * k, 10.0 * k, 300.0 - k) for k in range(count)]
+
+    @staticmethod
+    def per_tick(rec, ts, own, prev, dt):
+        out = []
+        for t, o in zip(ts, own):
+            st = intruder_state_at(rec, t, o, prev, dt)
+            if st is None:
+                break
+            prev = st[0]
+            out.append(prev)
+        return out
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.7])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_equals_one_call_per_tick(self, kind, dt):
+        """From the spawn on to past the intruder's end (PASS_BY without a
+        duration never ends), and any prefix of the run."""
+        ts, own = self.ticks(102.0 if kind == "playback" else 100.0, dt, 300)  # the first sample
+        rec = intruder(kind, 100.0)
+        want = self.per_tick(rec, ts, own, None, dt)
+        got = intruder_state_at(rec, ts, own, None, dt)
+        assert len(want) > 4
+        assert (len(want) == len(ts)) is (kind == "pass-by")
+        assert repr(got) == repr(want)
+        assert repr(intruder_state_at(rec, ts[:3], own, None, dt)) == repr(want[:3])
+
+    @pytest.mark.parametrize("prev", [None, EnuPoint(1900, 1400, 240)])
+    @pytest.mark.parametrize("start", [101.0, 104.0], ids=["hold", "chasing"])
+    def test_pursuit_starts_from_prev_pos(self, start, prev):
+        """A run that starts in the hold, or while chasing, from the given
+        position or (none given) from the anchor."""
+        ts, own = self.ticks(start, 0.1, 40)
+        rec = intruder("pursuit", 100.0)
+        want = self.per_tick(rec, ts, own, prev, 0.1)
+        assert len(want) == 40 and len(set(want)) > 15
+        assert repr(intruder_state_at(rec, ts, own, prev, 0.1)) == repr(want)
+
+    def test_ticks_on_the_samples_and_the_lifetime(self):
+        """At dt 0.25 the clock is exact: ticks fall on every sample time,
+        the last one included, and on rel == lifetime, the last present
+        tick of each intruder that ends."""
+        ts, own = self.ticks(100.0, 0.25, 60)
+        ends = {"linger": 6.0, "pass-by-duration": 6.5, "pursuit": 8.0, "playback": 9.25}
+        for kind, lifetime in ends.items():
+            spawn = 98.0 if kind == "playback" else 100.0  # present from the first tick on
+            got = intruder_state_at(intruder(kind, spawn), ts, own, None, 0.25)
+            assert ts[len(got) - 1] - spawn == lifetime and len(got) < len(ts)
+        assert [got[k] for k in (0, 2, 8, 29)] == [p for _, p in TRAJ.samples] and len(got) == 30
+
+    def test_absent_at_the_first_tick(self):
+        ts, own = self.ticks(99.9, 0.1, 50)
+        for kind in KINDS:
+            assert intruder_state_at(intruder(kind, 100.0), ts, own, None, 0.1) == []
+        assert intruder_state_at(intruder("playback", 100.0), [101.9, 102.0], own, None, 0.1) == []
+        assert intruder_state_at(intruder("linger", 0.0), [], [], None, 0.1) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KINDS), spawn=st.floats(0.0, 500.0), dt=st.floats(0.05, 1.0),
+           start=st.floats(-2.0, 12.0), count=st.integers(1, 120))
+    def test_drawn_runs(self, kind, spawn, dt, start, count):
+        """Any spawn, tick and start time, the start before the spawn, in
+        the hold, between samples or past the end."""
+        ts, own = self.ticks(spawn + start, dt, count)
+        rec = intruder(kind, spawn)
+        want = self.per_tick(rec, ts, own, None, dt)
+        assert repr(intruder_state_at(rec, ts, own, None, dt)) == repr(want)
 
 
 class TestSpeedInvariant:

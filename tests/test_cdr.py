@@ -37,6 +37,7 @@ from uamcas.cdr import (
     decide,
     diversion_target,
     extend_run,
+    fold_run,
     heading_threat,
     relative_position,
     takeoff_delay_check,
@@ -361,6 +362,20 @@ def fold(history, before):
     for t, sep, zone in history:
         run, t_prev = extend_run(run, t_prev, sep, zone), t
     return run
+
+
+class TestFoldRun:
+    """fold_run over a column equals extend_run once per tick."""
+
+    @given(seps=st.lists(st.sampled_from([400.0, 401.0, 401.5, 402.0, 900.0]), max_size=30),
+           last=st.sampled_from([None, 300.0, 401.0, 1e6]), zone=st.sampled_from(Zone))
+    def test_equals_extend_run_per_tick(self, seps, last, zone):
+        t_prevs = [10.0 + 0.5 * k for k in range(len(seps))]
+        want = (3.0, last, None if last is None else Zone.CLEAR)
+        got = fold_run(want, t_prevs, seps, zone)
+        for t_prev, sep in zip(t_prevs, seps):
+            want = extend_run(want, t_prev, sep, zone)
+        assert got == want
 
 
 def resolved(history, now, hold):

@@ -4,6 +4,7 @@ determinism, the disabled-system baseline, and terminal conditions."""
 import itertools
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
@@ -454,24 +455,26 @@ class TestPerRunEnvelopes:
         assert recorded > 0 and observed > 0 and quiet > 0
 
     def test_system_off_senses_nothing(self, monkeypatch):
-        """With the system off only the tick records classify: one call per
-        recorded intruder, none for sensing, and no decision tree."""
+        """With the system off nothing is sensed: no decision tree, no
+        running record, and classify sees only recorded post-move
+        separations, each once and in tick order (an idle run's records
+        classify only those within the caution radius)."""
         calls = []
         classify = envelopes.classify
 
-        def counting(sep, env):
+        def spying(sep, env):
             calls.append(sep)
             return classify(sep, env)
 
         def fail(*args):
-            raise AssertionError("cdr_step called with the system off")
+            raise AssertionError("sensing with the system off")
 
-        monkeypatch.setattr(envelopes, "classify", counting)
-        monkeypatch.setattr(cdr, "cdr_step", fail)
+        monkeypatch.setattr(envelopes, "classify", spying)
+        for name in ("cdr_step", "extend_run", "fold_run"):
+            monkeypatch.setattr(cdr, name, fail)
         res = run("sc-09", cas_enabled=False)
-        recorded = sum(len(rec.intruders) for rec in res.ticks)
-        assert recorded > 0
-        assert len(calls) == recorded
+        recorded = iter([it.separation for rec in res.ticks for it in rec.intruders])
+        assert calls and all(sep in recorded for sep in calls)  # a subsequence of the records
 
 
 # ---------------------------------------------------------------- idle runs
@@ -767,6 +770,32 @@ class TestQuietRuns:
         decided = {args[1] for args in calls_made(monkeypatch, cdr, "cdr_step", sc)}
         assert sum(t in decided for t in present) < 5 and present[-1] not in decided
 
+    @pytest.mark.parametrize("dt", [0.1, 0.25])
+    def test_playback_inside_idle_runs(self, monkeypatch, dt):
+        """A far drone replaying 40 samples at uneven times, most of its
+        ticks inside idle runs, each starting between samples: every cell
+        is the samples' interpolation at its tick (at dt 0.25 also on
+        sample times and the last one)."""
+        times = list(itertools.accumulate([0.0, *(1.0 + 0.25 * (k % 4) for k in range(39))]))
+        samples = tuple((t, EnuPoint(20000.0 - 15.0 * t, 20000.0 + 40.0 * math.sin(t), 300.0 + t))
+                        for t in times)
+        rec = IntruderRecord("c1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=150.0,
+                             trajectory=Trajectory(samples))
+        sc = replace(PACK["ref-route1"], intruders=(rec,))
+        params = replace(sc.sim, dt=dt)
+        res = assert_same_run(sc, params)
+        cells = [(r.t, r.intruders[0]) for r in res.ticks if r.intruders]
+        for t, cell in cells:
+            rel = t - 150.0
+            i = min(bisect_right(times, rel), len(times) - 1)
+            (lo_t, lo), (hi_t, hi) = samples[i - 1], samples[i]
+            u = (rel - lo_t) / (hi_t - lo_t)
+            want = tuple(a + u * (b - a) for a, b in zip(lo, hi))
+            assert repr(cell[1:4]) == repr(want), t
+        assert len(cells) > 200 and cells[-1][0] - 150.0 <= times[-1] < cells[-1][0] - 150.0 + dt
+        decided = {args[1] for args in calls_made(monkeypatch, cdr, "cdr_step", sc, params)}
+        assert sum(t in decided for t, _ in cells) < 5
+
     @pytest.mark.parametrize("max_sim_time", [0.05, 100.0, 100.05, 300.0, 560.0, 690.0])
     def test_time_budget_inside_a_quiet_run(self, max_sim_time):
         sc = enu_scenario(*far_linger("f1", 650))
@@ -913,6 +942,31 @@ class TestQuietRuns:
         assert res.ticks[-1].intruders[0].separation == 0.0
         steps = calls_made(monkeypatch, agents, "ownship_step", sc, params)
         assert len(steps[-1]) == 9 and len(steps[-2]) == 10 and len(steps) < len(res.ticks) / 50
+
+    @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
+    def test_separation_on_the_caution_radius(self, monkeypatch, cas_enabled):
+        """A loiterer 1.5 km abeam of the cruise, with the caution radius
+        set to the separation it is recorded at, 230 s in, with the system
+        off: that separation is CAUTION, on the record inside an idle run
+        and, with the system on, pre-move on the next tick, which the
+        decision sees."""
+        sc = enu_scenario("INTRUDER c1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR=-3300,-4676,304.8 HOLD=500",
+                          "SPAWN c1 AT 200")
+        off = engine.run(sc, replace(sc.sim, cas_enabled=False))
+        k = next(i for i, rec in enumerate(off.ticks) if rec.t >= 230.0)
+        radius = off.ticks[k].intruders[0].separation
+        seps = [rec.intruders[0].separation for rec in off.ticks[:k + 1] if rec.intruders]
+        assert all(a > b for a, b in zip(seps, seps[1:]))  # closing in
+        env = envelopes.EnvelopeParams(forward_override=envelopes.EnvelopeSet(radius, 1000.0, 150.0))
+        sc = replace(sc, envelope_params=env)
+        params = replace(sc.sim, cas_enabled=cas_enabled)
+        res = assert_same_run(sc, params)
+        cell = res.ticks[k].intruders[0]
+        assert cell.separation == radius and cell.zone is Zone.CAUTION
+        decided = {args[1]: args[4] for args in calls_made(monkeypatch, cdr, "cdr_step", sc, params)}
+        assert res.ticks[k].t not in decided and res.ticks[k - 1].intruders
+        if cas_enabled:
+            assert decided[res.ticks[k + 1].t].zone is Zone.CAUTION
 
     def test_float_bits_tell_signed_zeros_apart(self):
         """The reference comparison sees a sign flip on a zero in the

@@ -15,6 +15,8 @@ from uamcas.geo import (
     Route,
     bearing,
     cpa_linear,
+    distance_3d,
+    distances_3d,
     distance_point_to_polyline,
     distance_segment_to_polyline,
     from_enu,
@@ -88,6 +90,15 @@ class TestProjection:
         assert back.lat == pytest.approx(p.lat, abs=1e-12)
         assert back.lon == pytest.approx(p.lon, abs=1e-12)
         assert back.alt == pytest.approx(p.alt, abs=1e-9)
+
+
+class TestDistances:
+    @given(st.lists(st.tuples(*[st.floats(-1e4, 1e4)] * 6), max_size=20))
+    def test_columns_equal_one_call_per_pair(self, pairs):
+        a = [EnuPoint(*p[:3]) for p in pairs]
+        b = [EnuPoint(*p[3:]) for p in pairs]
+        assert repr(distances_3d(a, b)) == repr([distance_3d(p, q) for p, q in zip(a, b)])
+        assert distances_3d(a, b[:2]) == distances_3d(a[:2], b)
 
 
 class TestBearing:

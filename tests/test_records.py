@@ -21,7 +21,7 @@ from uamcas.agents import (
 from uamcas.cdr import CdrPhase, IntruderObservation
 from uamcas.engine import IntruderTick, TickRecord
 from uamcas.envelopes import Zone
-from uamcas.geo import EnuPoint
+from uamcas.geo import EnuPoint, enu_points
 
 POINT = EnuPoint(1.0, 2.0, 300.0)
 # (east, north, up, track, mode, idx), as ownship_step takes them.
@@ -73,6 +73,16 @@ class TestEnuPointChecks:
             POINT._replace(**{field: value})
         with pytest.raises(ValueError, match="non-finite ENU component"):
             EnuPoint._make(fields.values())
+        for count in (1, 2, 5):
+            with pytest.raises(ValueError, match="non-finite ENU component"):
+                enu_points([*[tuple(POINT)] * (count - 1), tuple(fields.values())])
+
+    def test_enu_points_builds_points(self):
+        triples = [(1.0, 2.0, 3.0), (-0.0, 5.0, 6.0), (7.0, 8.0, 9.0)]
+        for count in (0, 1, 3):
+            points = enu_points(triples[:count])
+            assert points == [EnuPoint(*p) for p in triples[:count]]
+            assert all(type(p) is EnuPoint for p in points)
 
 
 class TestOwnshipStateChecks:
