@@ -13,6 +13,8 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import sub, truediv
 from typing import Mapping
 
 from .geo import EnuPoint, enu_points, non_finite_error, normalize_track, track_unit
@@ -386,6 +388,12 @@ class Trajectory:
             raise TrajectoryError("trajectory times must strictly increase")
         object.__setattr__(self, "times", times)
 
+    @cached_property
+    def top_speed(self) -> float:
+        """The fastest segment's speed, worked out on first use, not at parsing."""
+        points = [p for _, p in self.samples]
+        return max(map(truediv, map(math.dist, points[1:], points), map(sub, self.times[1:], self.times)))
+
 
 @dataclass(frozen=True)
 class ScriptedBehavior:
@@ -420,6 +428,11 @@ class ScriptedBehavior:
         if self.duration is not None and self.duration <= 0.0:
             raise ValueError("script duration must be positive")
         object.__setattr__(self, "unit", track_unit(self.track))
+
+    @property
+    def top_speed(self) -> float:
+        """The most the intruder moves in a second."""
+        return 0.0 if self.mode is ScriptMode.LINGER else self.speed
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,12 @@ or waypoint index, and a full tick takes that one; a pass that ends it
 early has the passes made again at the shorter length.  The clock still
 adds dt once per tick, so every artifact is what full ticks would give.
 
+Beside the records, RunResult.stretches keeps per intruder its reach, the
+most its position relative to the ownship moves in one tick ((ownship
+and its top speeds) * dt, widened for rounding), and its stretches, runs
+of recorded ticks at one cell: an idle pass adds one, whose least
+separation is the zone test's, and a full tick adds or extends one.
+
 The ownship is carried as local floats (position and track) plus its
 flight mode and waypoint index, and agents.ownship_step takes and
 returns exactly those values.  The decision reads only the ownship's
@@ -46,7 +52,7 @@ tick records carry no rules, so the loop builds them with tuple.__new__
 and skips the generated __new__'s keyword handling; every EnuPoint
 construction checks its fields (geo.enu_points a whole list's at once).  Reading
 a NamedTuple field by name costs more than reading a slot, so the
-per-tick readers that take most of a record's fields (trace_csv_lines,
+readers that take most of a record's fields (trace_csv_lines,
 metrics.cpa, the geo distance helpers) unpack it by position instead.
 
 Float formatting dominates trace rendering, and a tick often repeats
@@ -125,7 +131,7 @@ class IntruderTick(NamedTuple):
     """One present intruder in a tick's post-move snapshot.  separation
     is geo.distance_3d(ownship, intruder) of exactly the recorded
     positions, so it equals that distance bit for bit; metrics.cpa takes
-    its sampled distances from it."""
+    its sampled distances and the ends of its bound from it."""
 
     intruder_id: str
     east: float
@@ -155,6 +161,8 @@ class RunResult:
     ground_decision: cdr.GroundDecision
     departure_time: float
     end_time: float
+    # The stretch index: per intruder, (reach, [[first tick, count, cell, least separation], ...]).
+    stretches: dict[str, tuple[float, list[list]]]
 
 
 _SEPARATION = attrgetter("separation")
@@ -198,6 +206,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             ground_decision=decision,
             departure_time=math.inf,
             end_time=0.0,
+            stretches={},
         )
 
     departure = decision.delay_s
@@ -234,6 +243,11 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     extend_run = cdr.extend_run
     fold_run = cdr.fold_run
     cdr_step = cdr.cdr_step
+    # The stretch index (see above); last holds each intruder's latest stretch.
+    own_top = max(perf.cruise_speed, perf.climb_rate, perf.descent_rate)
+    reach = {r.id: (own_top + (r.script or r.trajectory).top_speed) * dt * (1 + 1e-6) + 1e-6 for r in airborne_records}
+    index: dict[str, tuple[float, list[list]]] = {}
+    last: dict[str, list] = {}
 
     # The ownship, as plain values; env and own_pos always belong to
     # them, and the post-move values of one tick are the pre-move values
@@ -288,9 +302,12 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
                     cols.append((rec.id, ps[:n], sensed, post[:n]))
             if n:
                 cells = []
-                for rid, ps, sensed, post in cols:
-                    zones = [Zone.CLEAR] * n if min(post) > caution else [
+                for cell, (rid, ps, sensed, post) in enumerate(cols):
+                    least = min(post)
+                    zones = [Zone.CLEAR] * n if least > caution else [
                         Zone.CLEAR if sep > caution else classify(sep, env) for sep in post]
+                    last[rid] = stretch = [len(ticks), n, cell, least]
+                    index[rid][1].append(stretch)
                     cells.append(map(tuple.__new__, repeat(IntruderTick),
                                      zip(repeat(rid), *zip(*ps), post, zones)))
                     prev_pos[rid] = ps[-1]
@@ -360,7 +377,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
         # 5. Record the post-move snapshot.
         intruder_ticks = []
         contact = False
-        for rid, pos in present:
+        for cell, (rid, pos) in enumerate(present):
             sep = distance_3d(own_pos, pos)
             p_e, p_n, p_u = pos
             intruder_ticks.append(
@@ -368,6 +385,13 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             )
             if sep <= contact_distance:
                 contact = True
+            stretch = last.get(rid)
+            if stretch and stretch[0] + stretch[1] == len(ticks) and stretch[2] == cell:
+                stretch[1] += 1
+                stretch[3] = min(stretch[3], sep)
+            else:
+                last[rid] = stretch = [len(ticks), 1, cell, sep]
+                index.setdefault(rid, (reach[rid], []))[1].append(stretch)
         ticks.append(
             tuple.__new__(
                 TickRecord,
@@ -389,6 +413,7 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
         ground_decision=decision,
         departure_time=departure,
         end_time=t,
+        stretches=index,
     )
 
 

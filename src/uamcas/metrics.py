@@ -28,57 +28,59 @@ def theoretical_flight_time(origin: GeoPoint, route: Route, perf: PerformanceMod
 
 def cpa(result: RunResult) -> dict[str, float]:
     """Minimum 3-D separation over the encounter, per intruder, in the
-    order intruders first appear.
-
-    Each sampled distance is the tick's recorded separation, which the
-    engine computes as geo.distance_3d of the same recorded positions.
-    Within each tick both agents move linearly, so the continuous
-    minimum on a tick interval is the closed-form CPA of the relative
-    motion (geo.cpa_linear, inlined with the same operations in the
-    same order); each result can only be at or below every sampled
-    separation.  One sweep over the ticks keeps, per intruder, the index
-    of its last tick, its relative position there and its minimum so
-    far; an intruder absent at the tick before starts afresh, so no
-    interval bridges an absence.
+    order intruders first appear: the least recorded separation S, or
+    less on an interval between two consecutive recorded ticks (in one
+    stretch or across abutting ones, never across an absence), as the
+    closed-form CPA of the linear relative motion (geo.cpa_linear inlined,
+    the same operations in the same order).  A relative segment of length
+    L <= reach is at least min(a, b) - L/2 from the ownship, a and b being
+    its end separations, so only intervals with an end at or below
+    S + reach/2 are evaluated; min is exact and a skipped interval cannot
+    go below S, so the result is every interval's, bit for bit.
     """
+    ticks = result.ticks
     sqrt = math.sqrt
-    inf = math.inf
-    last_seen: dict[str, tuple[int, float, float, float, float, float]] = {}
-    for k, (t, own_e, own_n, own_u, _, _, _, intruders, _) in enumerate(result.ticks):
-        for iid, east, north, up, sep, _ in intruders:
+    minima = {}
+    for iid, (reach, stretches) in result.stretches.items():
+        low = min([s[3] for s in stretches])
+        limit = low + reach / 2
+        spans = []  # (tick, its cell, the next tick's cell) of each interval to evaluate
+        end = cell_before = None
+        for first, count, cell, least in stretches:
+            if first == end and min(ticks[first - 1][7][cell_before][4], ticks[first][7][cell][4]) <= limit:
+                spans.append((first - 1, cell_before, cell))
+            if least <= limit:
+                seps = [rec[7][cell][4] for rec in ticks[first:first + count]]
+                spans += [(first + i, cell, cell)
+                          for i, (a, b) in enumerate(zip(seps, seps[1:])) if a <= limit or b <= limit]
+            end, cell_before = first + count, cell
+        for k, c0, c1 in spans:
+            t0, own_e, own_n, own_u, _, _, _, intruders, _ = ticks[k]
+            _, east, north, up, _, _ = intruders[c0]
+            px, py, pz = east - own_e, north - own_n, up - own_u
+            t, own_e, own_n, own_u, _, _, _, intruders, _ = ticks[k + 1]
+            _, east, north, up, _, _ = intruders[c1]
             dx, dy, dz = east - own_e, north - own_n, up - own_u
-            last = last_seen.get(iid)
-            if last is None:
-                low = inf
+            span = t - t0
+            vx, vy, vz = (dx - px) / span, (dy - py) / span, (dz - pz) / span
+            v2 = vx * vx + vy * vy + vz * vz
+            if v2 == 0.0:
+                t_star = 0.0
             else:
-                k0, t0, px, py, pz, low = last
-                if k0 == k - 1:
-                    span = t - t0
-                    vx, vy, vz = (dx - px) / span, (dy - py) / span, (dz - pz) / span
-                    v2 = vx * vx + vy * vy + vz * vz
-                    if v2 == 0.0:
-                        t_star = 0.0
-                    else:
-                        t_star = -(px * vx + py * vy + pz * vz) / v2
-                        # max(0.0, min(span, t_star)), as cpa_linear clamps.
-                        t_star = t_star if t_star < span else span
-                        t_star = t_star if t_star > 0.0 else 0.0
-                    ex, ey, ez = px + vx * t_star, py + vy * t_star, pz + vz * t_star
-                    d = sqrt(ex * ex + ey * ey + ez * ez)
-                    if d < low:
-                        low = d
-            if sep < low:
-                low = sep
-            last_seen[iid] = (k, t, dx, dy, dz, low)
-    return {iid: last[5] for iid, last in last_seen.items()}
+                t_star = -(px * vx + py * vy + pz * vz) / v2
+                # max(0.0, min(span, t_star)), as cpa_linear clamps.
+                t_star = t_star if t_star < span else span
+                t_star = t_star if t_star > 0.0 else 0.0
+            ex, ey, ez = px + vx * t_star, py + vy * t_star, pz + vz * t_star
+            d = sqrt(ex * ex + ey * ey + ez * ez)
+            if d < low:
+                low = d
+        minima[iid] = low
+    return minima
 
 
 def intruder_ids(result: RunResult) -> list[str]:
-    seen: dict[str, None] = {}
-    for rec in result.ticks:
-        for it in rec.intruders:
-            seen.setdefault(it.intruder_id, None)
-    return list(seen)
+    return list(result.stretches)
 
 
 @dataclass(frozen=True)

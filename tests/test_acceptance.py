@@ -265,11 +265,17 @@ def test_criterion_09_cpa_analytic_vs_brute():
         rel_v = intr_v - own_v
 
         ticks = []
+        # The stretch index the engine would keep: one stretch over every
+        # tick, and as the reach the most the relative position moves in
+        # one tick.
+        reach = float(np.linalg.norm(own_v) + np.linalg.norm(intr_v)) * dt * (1 + 1e-6) + 1e-6
+        stretch = [0, n_ticks, 0, math.inf]
         for i in range(n_ticks):
             t = i * dt
             op = own_p + own_v * t
             ip = intr_p + intr_v * t
             sep = float(np.linalg.norm(ip - op))
+            stretch[3] = min(stretch[3], sep)
             ticks.append(engine.TickRecord(
                 t=t,
                 own_east=op[0], own_north=op[1], own_up=op[2],
@@ -286,6 +292,7 @@ def test_criterion_09_cpa_analytic_vs_brute():
             ground_decision=cdr.GroundDecision.depart("ROUTE1", 0.0),
             departure_time=0.0,
             end_time=(n_ticks - 1) * dt,
+            stretches={"i1": (reach, [stretch])},
         )
         analytic = metrics.cpa(result)["i1"]
 

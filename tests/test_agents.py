@@ -586,6 +586,16 @@ class TestTrajectories:
         pos, _ = intruder_state_at(rec, 105.0)
         assert pos.east == pytest.approx(50.0)
 
+    def test_top_speed(self):
+        """A replay's top speed is its fastest segment's, worked out on
+        first use; a script's is its speed, and nothing for a loiterer."""
+        traj = Trajectory(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(30, 40, 0)), (10.5, EnuPoint(30, 40, 150))))
+        assert "top_speed" not in vars(traj)
+        assert traj.top_speed == 300.0 and vars(traj)["top_speed"] == 300.0
+        for mode, speed in [(ScriptMode.PASS_BY, 343.0), (ScriptMode.PURSUIT, 12.5), (ScriptMode.LINGER, 0.0)]:
+            script = ScriptedBehavior(mode, speed=speed or 12.5, anchor=EnuPoint(0, 0, 0))
+            assert script.top_speed == speed
+
     def test_record_validation(self):
         # a record carries exactly one of a trajectory and a script
         traj = Trajectory(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0))))

@@ -22,6 +22,7 @@ RUN_REPORTS_DIGEST = "a63c8098ef832806b67392d334f25fc3c134133e7322393d4c3fd3deb2
 BATCH_DT_DIGESTS = {
     "0.05": "9e061843e07b968a5f198fb5d6bc790ed911eb81e4db13b30e12cba23e8a15db",
     "0.2": "ab975b6bfd0db8aa73d01a02cbed6612b2ba0a7540243d42edbcb8ba14c8ba36",
+    "1.0": "66bcf9e8e0b55405590509b4ac0738b03a51744dfe5bc735d518b289457181b2",
 }
 
 
@@ -53,8 +54,10 @@ def test_default_pack_batch(workdir, capsys):
 
 @pytest.mark.parametrize("dt", sorted(BATCH_DT_DIGESTS))
 def test_default_pack_batch_at_other_ticks(workdir, capsys, dt):
-    """The default pack at a finer and a coarser tick, where quiet runs
-    and intruder spawns fall on other ticks than at the default dt."""
+    """The default pack at a finer and two coarser ticks, where quiet runs
+    and intruder spawns fall on other ticks than at the default dt.  At
+    dt 1.0 each intruder's reach, and so the span of ticks metrics.cpa
+    evaluates around the least separation, is the widest."""
     assert main(["batch", "--pack", "default", "--dt", dt, "--format", "both", "--out", "batch"]) == 0
     assert digest(workdir / "batch", capsys.readouterr().out) == BATCH_DT_DIGESTS[dt]
 

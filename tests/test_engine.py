@@ -20,6 +20,8 @@ from uamcas.pack import default_pack
 from uamcas.geo import EnuPoint
 from uamcas.scenario_io import parse_scenario, serialize_scenario
 
+from test_metrics import assert_matches_reference
+
 PACK = default_pack()
 
 
@@ -274,7 +276,7 @@ def synth_trace(rows):
         scenario_id="synth", ticks=ticks,
         terminal=engine.Terminal(TerminalKind.LANDED_AT, "V2"),
         ground_decision=cdr.GroundDecision.depart("ROUTE1", 0.0),
-        departure_time=0.0, end_time=ticks[-1].t if ticks else 0.0,
+        departure_time=0.0, end_time=ticks[-1].t if ticks else 0.0, stretches={},
     )
 
 
@@ -483,7 +485,8 @@ class TestPerRunEnvelopes:
 def reference_run(scenario, params=None):
     """engine.run without idle runs: every tick advances the intruders,
     senses, decides and steps the ownship once, kept as the reference
-    for the idle-run path."""
+    for the idle-run path.  It keeps no stretch index: reference_cpa
+    reads its records."""
     if params is None:
         params = scenario.sim
     sc = scenario
@@ -513,6 +516,7 @@ def reference_run(scenario, params=None):
             ground_decision=decision,
             departure_time=math.inf,
             end_time=0.0,
+            stretches={},
         )
 
     departure = decision.delay_s
@@ -648,6 +652,7 @@ def reference_run(scenario, params=None):
         ground_decision=decision,
         departure_time=departure,
         end_time=t,
+        stretches={},
     )
 
 
@@ -664,7 +669,8 @@ def float_bits(ticks):
 
 def assert_same_run(sc, params=None):
     """engine.run equals reference_run: every record, bit for bit in its
-    floats, the terminal and the end time."""
+    floats, the terminal and the end time; and metrics.cpa of the run
+    equals reference_cpa over the reference's records."""
     got, want = engine.run(sc, params), reference_run(sc, params)
     if got.ticks != want.ticks or float_bits(got.ticks) != float_bits(want.ticks):
         k = next((k for k, (a, b) in enumerate(zip(got.ticks, want.ticks))
@@ -673,6 +679,7 @@ def assert_same_run(sc, params=None):
     assert got.terminal == want.terminal, sc.id
     assert repr(got.end_time) == repr(want.end_time), sc.id
     assert (got.departure_time, got.ground_decision) == (want.departure_time, want.ground_decision)
+    assert_matches_reference(got, want)
     return got
 
 

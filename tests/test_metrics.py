@@ -1,19 +1,30 @@
 """Outcome accounting: baseline times, the CPA estimator against brute
-force, and the delay decomposition."""
+force and against the sweep of every interval it replaced, and the delay
+decomposition."""
 
 import math
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from uamcas import cli, metrics
-from uamcas.agents import DEFAULT_PERFORMANCE, FlightMode, OwnshipConfig
+from uamcas import cli, engine, geo, metrics
+from uamcas.agents import (
+    DEFAULT_PERFORMANCE,
+    FlightMode,
+    IntruderBehavior,
+    IntruderKind,
+    IntruderRecord,
+    OwnshipConfig,
+    ScriptedBehavior,
+    ScriptMode,
+    Trajectory,
+)
 from uamcas.cdr import CdrPhase, GroundDecision
 from uamcas.engine import IntruderTick, RunResult, Terminal, TerminalKind, TickRecord
 from uamcas.envelopes import Zone
-from uamcas.geo import cpa_linear, distance_3d
+from uamcas.geo import EnuPoint, distance_3d
 from uamcas.pack import default_pack
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
@@ -42,10 +53,44 @@ class TestTheoreticalTimes:
         assert vertical / 2 == pytest.approx(179.294, abs=1e-3)
 
 
+def present_ticks(ticks):
+    """Per intruder, in first-appearance order, each record that lists it:
+    (tick index, cell index, relative position, separation)."""
+    seen = {}
+    for k, rec in enumerate(ticks):
+        for cell, (iid, east, north, up, sep, _) in enumerate(rec.intruders):
+            rel = (east - rec.own_east, north - rec.own_north, up - rec.own_up)
+            seen.setdefault(iid, []).append((k, cell, rel, sep))
+    return seen
+
+
+def largest_step(cells):
+    """The longest relative step between two consecutive recorded ticks."""
+    return max((math.dist(a[2], b[2]) for a, b in zip(cells, cells[1:]) if b[0] == a[0] + 1), default=0.0)
+
+
+def stretch_index(ticks):
+    """A RunResult's stretch index for hand-built records: one stretch per
+    run of consecutive ticks that list the intruder at one cell, and the
+    longest relative step, with the engine's margin, as the reach."""
+    index = {}
+    for iid, cells in present_ticks(ticks).items():
+        stretches = []
+        for k, cell, _, sep in cells:
+            s = stretches[-1] if stretches else None
+            if s and s[0] + s[1] == k and s[2] == cell:
+                s[1] += 1
+                s[3] = min(s[3], sep)
+            else:
+                stretches.append([k, 1, cell, sep])
+        index[iid] = (largest_step(cells) * (1 + 1e-6) + 1e-6, stretches)
+    return index
+
+
 def synth_result(tick_data, terminal=None, departure=0.0, route="ROUTE1"):
     """tick_data: [(t, (ox,oy,oz), [(iid, (x,y,z)), ...])]; each
     separation is geo.distance_3d of the two positions, as the engine
-    records it."""
+    records it, and the stretch index is stretch_index's."""
     ticks = []
     for t, own, intruders in tick_data:
         its = tuple(
@@ -73,6 +118,7 @@ def synth_result(tick_data, terminal=None, departure=0.0, route="ROUTE1"):
         ground_decision=GroundDecision.depart(route, departure),
         departure_time=departure,
         end_time=ticks[-1].t if ticks else 0.0,
+        stretches=stretch_index(ticks),
     )
 
 
@@ -133,41 +179,92 @@ class TestCpa:
         ]
         assert metrics.intruder_ids(synth_result(data)) == ["B", "A", "C"]
 
+    def test_minimum_across_abutting_stretches(self):
+        """J appears ahead of I in the list as I crosses the ownship, so
+        I's two ticks are two abutting stretches at cells 0 and 1; the
+        interval between them holds the minimum."""
+        data = [
+            (1.0, (0.0, 0.0, 300.0), [("I", (-50.0, 0.0, 300.0))]),
+            (2.0, (0.0, 0.0, 300.0), [("J", (900.0, 0.0, 300.0)), ("I", (50.0, 0.0, 300.0))]),
+        ]
+        result = synth_result(data)
+        assert result.stretches["I"][1] == [[0, 1, 0, 50.0], [1, 1, 1, 50.0]]
+        assert metrics.cpa(result)["I"] == pytest.approx(0.0, abs=1e-9)
 
-def reference_cpa(result, intruder_id):
-    """One intruder's minimum by a rescan of every tick: the per-intruder
-    loop the one-sweep metrics.cpa replaced, kept as its reference."""
-    best = math.inf
-    prev = None
-    for rec in result.ticks:
-        it = None
-        for cand in rec.intruders:
-            if cand.intruder_id == intruder_id:
-                it = cand
-                break
-        if it is None:
-            prev = None
-            continue
-        own_p = (rec.own_east, rec.own_north, rec.own_up)
-        intr_p = (it.east, it.north, it.up)
-        rel = (intr_p[0] - own_p[0], intr_p[1] - own_p[1], intr_p[2] - own_p[2])
-        best = min(best, math.sqrt(rel[0] ** 2 + rel[1] ** 2 + rel[2] ** 2))
-        if prev is not None:
-            t0, rel0 = prev
-            span = rec.t - t0
-            rel_vel = ((rel[0] - rel0[0]) / span, (rel[1] - rel0[1]) / span, (rel[2] - rel0[2]) / span)
-            _, d = cpa_linear(rel0, rel_vel, span)
-            best = min(best, d)
-        prev = (rec.t, rel)
-    return best
+    def test_minimum_between_ticks_farther_than_the_least_sample(self):
+        """The intruder passes 1 m off between two ticks about 50 m away,
+        then stops 30 m away: the least recorded separation is 30 m, yet
+        the minimum is in an interval with no end at 30 m."""
+        data = [
+            (1.0, (0.0, 0.0, 300.0), [("I", (-50.0, 1.0, 300.0))]),
+            (2.0, (0.0, 0.0, 300.0), [("I", (50.0, 1.0, 300.0))]),
+            (3.0, (0.0, 0.0, 300.0), [("I", (30.0, 0.0, 300.0))]),
+        ]
+        result = synth_result(data)
+        assert result.stretches["I"][1][0][3] == 30.0
+        assert metrics.cpa(result)["I"] == pytest.approx(1.0)
 
 
-def assert_matches_reference(result):
+def reference_cpa(result):
+    """The sweep of every recorded tick that metrics.cpa replaced, kept as
+    its reference: per intruder, the minimum over every sampled
+    separation and every interval between two consecutive recorded ticks,
+    with the same operations in the same order."""
+    sqrt = math.sqrt
+    inf = math.inf
+    last_seen = {}
+    for k, (t, own_e, own_n, own_u, _, _, _, intruders, _) in enumerate(result.ticks):
+        for iid, east, north, up, sep, _ in intruders:
+            dx, dy, dz = east - own_e, north - own_n, up - own_u
+            last = last_seen.get(iid)
+            if last is None:
+                low = inf
+            else:
+                k0, t0, px, py, pz, low = last
+                if k0 == k - 1:
+                    span = t - t0
+                    vx, vy, vz = (dx - px) / span, (dy - py) / span, (dz - pz) / span
+                    v2 = vx * vx + vy * vy + vz * vz
+                    if v2 == 0.0:
+                        t_star = 0.0
+                    else:
+                        t_star = -(px * vx + py * vy + pz * vz) / v2
+                        # max(0.0, min(span, t_star)), as cpa_linear clamps.
+                        t_star = t_star if t_star < span else span
+                        t_star = t_star if t_star > 0.0 else 0.0
+                    ex, ey, ez = px + vx * t_star, py + vy * t_star, pz + vz * t_star
+                    d = sqrt(ex * ex + ey * ey + ez * ez)
+                    if d < low:
+                        low = d
+            if sep < low:
+                low = sep
+            last_seen[iid] = (k, t, dx, dy, dz, low)
+    return {iid: last[5] for iid, last in last_seen.items()}
+
+
+def assert_matches_reference(result, reference=None):
+    """metrics.cpa of result equals reference_cpa over the records of
+    reference (result itself by default), bit for bit and in order."""
     minima = metrics.cpa(result)
-    ids = metrics.intruder_ids(result)
-    assert list(minima) == ids
-    for iid in ids:
-        assert minima[iid] == reference_cpa(result, iid), (result.scenario_id, iid)
+    want = reference_cpa(result if reference is None else reference)
+    assert metrics.intruder_ids(result) == list(minima) == list(want), result.scenario_id
+    assert [v.hex() for v in minima.values()] == [v.hex() for v in want.values()], result.scenario_id
+
+
+def assert_index_holds(result):
+    """The engine's stretch index lists each intruder's recorded ticks in
+    order, at their cells, with each stretch's least separation, and
+    every relative step between two consecutive recorded ticks is within
+    the intruder's reach: the premise of metrics.cpa's bound."""
+    seen = present_ticks(result.ticks)
+    assert list(result.stretches) == list(seen)
+    for iid, (reach, stretches) in result.stretches.items():
+        cells = seen[iid]
+        assert [(k, c) for f, n, c, _ in stretches for k in range(f, f + n)] == [(k, c) for k, c, _, _ in cells]
+        for first, count, cell, least in stretches:
+            assert least == min(rec.intruders[cell].separation for rec in result.ticks[first:first + count])
+        step = largest_step(cells)
+        assert step <= reach, (result.scenario_id, iid, step, reach)
 
 
 class TestCpaMatchesReference:
@@ -189,6 +286,78 @@ class TestCpaMatchesReference:
             ]
             data.append((0.1 * (k + 1), own, present))
         assert_matches_reference(synth_result(data))
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 1.0])
+    def test_steps_within_reach_over_the_pack(self, dt):
+        """Every pack run, at fine and coarse ticks, through the top of
+        climb, touchdown, turns and diversions."""
+        for sc in PACK:
+            for cas_enabled in (True, False):
+                result = engine.run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled))
+                assert_index_holds(result)
+                assert_matches_reference(result)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dt=st.floats(0.05, 1.0), cas_enabled=st.booleans())
+    def test_drawn_encounters(self, data, dt, cas_enabled):
+        """ref-route1 against one to four drawn intruders crossing its path
+        at fast and slow speeds, coming and going, so cells shift between
+        abutting stretches."""
+        intruders = data.draw(st.lists(encounter(), min_size=1, max_size=4))
+        sc = replace(ROUTE1, intruders=tuple(
+            replace(rec, id=f"d{i}") for i, rec in enumerate(intruders)))
+        result = engine.run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled))
+        assert_index_holds(result)
+        assert_matches_reference(result)
+
+
+ROUTE1 = PACK["ref-route1"]
+ROUTE1_LEGS = geo.project_route(ROUTE1.vertiports["V1"].position, ROUTE1.routes["ROUTE1"])
+
+
+@st.composite
+def encounter(draw):
+    """An intruder near a drawn point of ROUTE1 about when the ownship
+    passes it (the climb takes 179 s, then 78 m/s along the legs): a
+    PASS_BY up to the speed of sound, a PURSUIT, a replay with one fast
+    segment, or a LINGER, spawning up to a minute ahead and often gone
+    before the flight ends."""
+    leg = draw(st.integers(0, len(ROUTE1_LEGS) - 2))
+    u = draw(st.floats(0.0, 1.0))
+    a, b = ROUTE1_LEGS[leg], ROUTE1_LEGS[leg + 1]
+    along = sum(math.dist(p, q) for p, q in zip(ROUTE1_LEGS[:leg], ROUTE1_LEGS[1:leg + 1]))
+    at = 179.3 + (along + u * math.dist(a, b)) / 78.0
+    off = [draw(st.floats(-300.0, 300.0)) for _ in range(3)]
+    point = (a.east + u * (b.east - a.east) + off[0], a.north + u * (b.north - a.north) + off[1], 304.8 + off[2])
+    lead = draw(st.floats(0.5, 60.0))
+    spawn = max(0.0, at - lead)
+    duration = draw(st.none() | st.floats(1.0, 120.0))
+    kind = draw(st.sampled_from(["PASS_BY", "PURSUIT", "PLAYBACK", "LINGER"]))
+    if kind == "PLAYBACK":
+        fast = draw(st.floats(50.0, 700.0))
+        track = math.radians(draw(st.floats(0.0, 360.0)))
+        step = (math.sin(track), math.cos(track))
+        times = [0.0, lead, lead + 1.0, lead + 20.0]
+        lengths = [-fast / 2 - 10.0 * lead, -fast / 2, fast / 2, fast / 2 + 200.0]
+        samples = tuple((t, EnuPoint(point[0] + d * step[0], point[1] + d * step[1], point[2]))
+                        for t, d in zip(times, lengths))
+        return IntruderRecord("d", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
+                              spawn_time=spawn, trajectory=Trajectory(samples))
+    speed = draw(st.sampled_from([343.0, 20.0]) | st.floats(1.0, 343.0))
+    if kind == "PASS_BY":
+        track = draw(st.floats(0.0, 360.0))
+        ue, un = geo.track_unit(track)
+        back = speed * (at - spawn)
+        anchor = EnuPoint(point[0] - back * ue, point[1] - back * un, point[2])
+        script = ScriptedBehavior(ScriptMode.PASS_BY, speed, anchor, track=track, duration=duration)
+    elif kind == "PURSUIT":
+        hold = draw(st.floats(0.0, 20.0))
+        script = ScriptedBehavior(ScriptMode.PURSUIT, speed, EnuPoint(*point), linger_duration=hold,
+                                  duration=duration)
+    else:
+        script = ScriptedBehavior(ScriptMode.LINGER, 1.0, EnuPoint(*point),
+                                  linger_duration=duration or draw(st.floats(0.0, 200.0)))
+    return IntruderRecord("d", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=spawn, script=script)
 
 
 class TestDelays:
@@ -222,7 +391,7 @@ class TestDelays:
             scenario_id="p", ticks=[],
             terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
             ground_decision=GroundDecision.postpone(),
-            departure_time=math.inf, end_time=0.0,
+            departure_time=math.inf, end_time=0.0, stretches={},
         )
         rep = metrics.delays(res, self.BASE)
         assert rep.d_ground == math.inf
