@@ -15,19 +15,21 @@ changes (a plain Enum hashes in Python code).
 
 Most ticks are idle: the system is off, or in MONITORING with its last
 zone CLEAR, where cdr_step changes nothing while every present intruder
-stays CLEAR.  The loop takes a run of idle ticks in one
-agents.ownship_step call, then one pass per present intruder in columns:
-its positions from one agents.intruder_state_at call (both run forms),
-its pre-move (system on) and post-move separations from
-geo.distances_3d (a still intruder's post-move ones are the next ticks'
-pre-move ones), one cdr.fold_run of its running record, and classify
-only for post-move separations within caution_radius.  A run ends
-before the first tick that would change which intruders are present,
-bring a pre-move separation within caution_radius with the system on
-(classify is CLEAR exactly outside it), bring a post-move one to
-contact_distance or below, pass max_sim_time, or change the flight mode
-or waypoint index, and a full tick takes that one; a pass that ends it
-early has the passes made again at the shorter length.  The clock still
+stays CLEAR.  The loop takes a run of idle ticks, those of the next 256
+before the next spawn and within max_sim_time (one bisection each), in
+one agents.ownship_step call, then one pass per present intruder, in
+order, in columns: its positions from one agents.intruder_state_at call
+(both run forms), its pre-move (system on) and post-move separations
+from geo.distances_3d (a still intruder's post-move ones are the next
+ticks' pre-move ones), one cdr.fold_run of its running record, and
+classify only for post-move separations within caution_radius.  A run
+ends before the first tick that would change which intruders are
+present, bring a pre-move separation within caution_radius with the
+system on (classify is CLEAR exactly outside it), bring a post-move one
+to contact_distance or below, pass max_sim_time, or change the flight
+mode or waypoint index, and a full tick takes that one.  A pass that
+ends it early shortens the later passes, and every column is cut to the
+run (a shorter column is a prefix of a longer one).  The clock still
 adds dt once per tick, so every artifact is what full ticks would give.
 
 Beside the records, RunResult.stretches keeps per intruder its reach, the
@@ -214,11 +216,9 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     guidance = agents.follow_plan(plan)
 
     # Pin departure-relative spawn clocks now that departure is known.
-    records = [
-        r if r.ground_clock else replace(r, spawn_time=r.spawn_time + departure)
-        for r in sc.intruders
+    airborne_records = [
+        replace(r, spawn_time=r.spawn_time + departure) for r in sc.intruders if not r.ground_clock
     ]
-    airborne_records = [r for r in records if not r.ground_clock]
 
     cdr_state = cdr.CdrState(first_tick=departure + params.dt)
     runs: dict[str, cdr.Run] = {r.id: (departure, None, None) for r in airborne_records}
@@ -243,11 +243,10 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     extend_run = cdr.extend_run
     fold_run = cdr.fold_run
     cdr_step = cdr.cdr_step
-    # The stretch index (see above); last holds each intruder's latest stretch.
+    # The stretch index (see above).
     own_top = max(perf.cruise_speed, perf.climb_rate, perf.descent_rate)
     reach = {r.id: (own_top + (r.script or r.trajectory).top_speed) * dt * (1 + 1e-6) + 1e-6 for r in airborne_records}
     index: dict[str, tuple[float, list[list]]] = {}
-    last: dict[str, list] = {}
 
     # The ownship, as plain values; env and own_pos always belong to
     # them, and the post-move values of one tick are the pre-move values
@@ -272,42 +271,38 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
         if not cas_enabled or cdr_state.phase is CdrPhase.MONITORING and cdr_state.prev_zone is Zone.CLEAR:
             stop = min([r.spawn_time for r in airborne_records
                         if prev_pos[r.id] is None and t_next - r.spawn_time <= r.lifetime], default=math.inf)
-            count = min(int((min(stop, max_sim_time) - t) / dt) + 2, _RUN_TICKS) if t_next < stop else 0
-            path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, count)
-            # Each tick's time as the loop's clock adds it up, and the ticks
-            # before the stop and within max_sim_time.
-            ts = list(accumulate(repeat(dt, len(path) - 1), initial=t_next))
-            n = min(len(path), bisect_left(ts, stop), bisect_right(ts, max_sim_time))
+            # Each tick's time as the loop's clock adds it up.
+            ts = list(accumulate(repeat(dt, _RUN_TICKS - 1), initial=t_next))
+            path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt,
+                                min(bisect_left(ts, stop), bisect_right(ts, max_sim_time)))
+            n = len(path)
             present_recs = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
-            own = [p[:3] for p in path[:n]] if present_recs else []  # post-move positions
+            own = [p[:3] for p in path] if present_recs else []  # post-move positions
             pre = [own_pos, *own]  # pre[k] is tick k's pre-move position
             caution = env.caution_radius
-            # One pass per present intruder in columns, all made again when
-            # one shortens the run (see above).
-            n_run = -1
-            while n != n_run:
-                n_run = n
-                cols = []  # (id, positions, pre-move and post-move separations) per pass
-                for rec in present_recs:
-                    ps = intruder_state_at(rec, ts[:n], pre, prev_pos[rec.id], dt)
-                    m = len(ps)
-                    if m and ps.count(ps[0]) == m:  # still: post[k] is sensed[k + 1]
-                        seps = distances_3d(pre[:m + 1], repeat(ps[0]))
-                        sensed, post = seps[:m], seps[1:]
-                    else:
-                        sensed, post = distances_3d(pre, ps) if cas_enabled else None, distances_3d(own, ps)
-                    if cas_enabled:
-                        m = _cut(sensed, caution)
-                    n = _cut(post[:m], contact_distance)
-                    cols.append((rec.id, ps[:n], sensed, post[:n]))
+            # One pass per present intruder in columns; each cuts the run
+            # for the passes after it, and the columns are cut to the run.
+            cols = []  # (id, positions, pre-move and post-move separations) per pass
+            for rec in present_recs:
+                ps = intruder_state_at(rec, ts[:n], pre, prev_pos[rec.id], dt)
+                m = len(ps)
+                if m and ps.count(ps[0]) == m:  # still: post[k] is sensed[k + 1]
+                    seps = distances_3d(pre[:m + 1], repeat(ps[0]))
+                    sensed, post = seps[:m], seps[1:]
+                else:
+                    sensed, post = distances_3d(pre, ps) if cas_enabled else None, distances_3d(own, ps)
+                if cas_enabled:
+                    m = _cut(sensed, caution)
+                n = _cut(post[:m], contact_distance)
+                cols.append((rec.id, ps, sensed, post))
             if n:
                 cells = []
                 for cell, (rid, ps, sensed, post) in enumerate(cols):
+                    ps, post = ps[:n], post[:n]
                     least = min(post)
                     zones = [Zone.CLEAR] * n if least > caution else [
                         Zone.CLEAR if sep > caution else classify(sep, env) for sep in post]
-                    last[rid] = stretch = [len(ticks), n, cell, least]
-                    index[rid][1].append(stretch)
+                    index[rid][1].append([len(ticks), n, cell, least])
                     cells.append(map(tuple.__new__, repeat(IntruderTick),
                                      zip(repeat(rid), *zip(*ps), post, zones)))
                     prev_pos[rid] = ps[-1]
@@ -385,13 +380,12 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
             )
             if sep <= contact_distance:
                 contact = True
-            stretch = last.get(rid)
+            stretch = index[rid][1][-1] if rid in index else None
             if stretch and stretch[0] + stretch[1] == len(ticks) and stretch[2] == cell:
                 stretch[1] += 1
                 stretch[3] = min(stretch[3], sep)
             else:
-                last[rid] = stretch = [len(ticks), 1, cell, sep]
-                index.setdefault(rid, (reach[rid], []))[1].append(stretch)
+                index.setdefault(rid, (reach[rid], []))[1].append([len(ticks), 1, cell, sep])
         ticks.append(
             tuple.__new__(
                 TickRecord,

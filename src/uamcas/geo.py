@@ -307,7 +307,8 @@ def cpa_linear(
     """Closest point of approach for linear relative motion on [0, t_max].
 
     Returns (t_star, distance).  Minimizes |rel_pos + rel_vel * t|, a
-    quadratic in t, clamped to the interval.
+    quadratic in t, clamped to the interval.  metrics.cpa calls it on
+    each interval between recorded ticks that it evaluates.
     """
     px, py, pz = rel_pos
     vx, vy, vz = rel_vel

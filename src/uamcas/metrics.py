@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 from .agents import PerformanceModel
 from .engine import RunResult, Terminal, TerminalKind
-from .geo import GeoPoint, Route, polyline_length
+from .geo import GeoPoint, Route, cpa_linear, polyline_length
 
 
 def theoretical_flight_time(origin: GeoPoint, route: Route, perf: PerformanceModel) -> float:
@@ -31,15 +31,14 @@ def cpa(result: RunResult) -> dict[str, float]:
     order intruders first appear: the least recorded separation S, or
     less on an interval between two consecutive recorded ticks (in one
     stretch or across abutting ones, never across an absence), as the
-    closed-form CPA of the linear relative motion (geo.cpa_linear inlined,
-    the same operations in the same order).  A relative segment of length
-    L <= reach is at least min(a, b) - L/2 from the ownship, a and b being
-    its end separations, so only intervals with an end at or below
-    S + reach/2 are evaluated; min is exact and a skipped interval cannot
-    go below S, so the result is every interval's, bit for bit.
+    closed-form CPA of the linear relative motion, geo.cpa_linear.  A
+    relative segment of length L <= reach is at least min(a, b) - L/2
+    from the ownship, a and b being its end separations, so only
+    intervals with an end at or below S + reach/2 are evaluated; min is
+    exact and a skipped interval cannot go below S, so the result is
+    every interval's, bit for bit.
     """
     ticks = result.ticks
-    sqrt = math.sqrt
     minima = {}
     for iid, (reach, stretches) in result.stretches.items():
         low = min([s[3] for s in stretches])
@@ -60,21 +59,9 @@ def cpa(result: RunResult) -> dict[str, float]:
             px, py, pz = east - own_e, north - own_n, up - own_u
             t, own_e, own_n, own_u, _, _, _, intruders, _ = ticks[k + 1]
             _, east, north, up, _, _ = intruders[c1]
-            dx, dy, dz = east - own_e, north - own_n, up - own_u
             span = t - t0
-            vx, vy, vz = (dx - px) / span, (dy - py) / span, (dz - pz) / span
-            v2 = vx * vx + vy * vy + vz * vz
-            if v2 == 0.0:
-                t_star = 0.0
-            else:
-                t_star = -(px * vx + py * vy + pz * vz) / v2
-                # max(0.0, min(span, t_star)), as cpa_linear clamps.
-                t_star = t_star if t_star < span else span
-                t_star = t_star if t_star > 0.0 else 0.0
-            ex, ey, ez = px + vx * t_star, py + vy * t_star, pz + vz * t_star
-            d = sqrt(ex * ex + ey * ey + ez * ez)
-            if d < low:
-                low = d
+            rel_vel = ((east - own_e - px) / span, (north - own_n - py) / span, (up - own_u - pz) / span)
+            low = min(low, cpa_linear((px, py, pz), rel_vel, span)[1])
         minima[iid] = low
     return minima
 

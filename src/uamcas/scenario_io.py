@@ -12,14 +12,15 @@ A scenario file is line oriented; ``#`` starts a comment.  Directives:
     SPAWN <id> AT <seconds> [GROUND]
     SET <GROUP>.<FIELD> <value>
 
-Script keys: SPEED, ANCHOR=<east,north,up>, TRACK, HOLD, OFFSET,
-DURATION.  SET groups: ENV (safety envelopes), CDR (decision logic),
-GROUND (departure check), SIM (engine) and PERF (ownship performance,
-whose defaults OWNSHIP picks; it alone says how the ownship flies, so a
-route has no altitude).  Any numeric value may carry a trailing ``ft``
-and is converted to metres.  SPAWN times are relative to the ownship
-departure unless marked GROUND, which pins the intruder to the
-absolute clock and restricts it to the pre-departure scan.
+Script keys, each at most once: SPEED, ANCHOR=<east,north,up>, TRACK,
+HOLD, OFFSET, DURATION.  SET groups: ENV (safety envelopes), CDR
+(decision logic), GROUND (departure check), SIM (engine) and PERF
+(ownship performance, whose defaults OWNSHIP picks; it alone says how
+the ownship flies, so a route has no altitude).  Any numeric value may
+carry a trailing ``ft`` and is converted to metres.  SPAWN times are
+relative to the ownship departure unless marked GROUND, which pins the
+intruder to the absolute clock and restricts it to the pre-departure
+scan.
 
 An id (of a SCENARIO, VERTIPORT, ROUTE or INTRUDER) names output
 files and fills CSV cells, so it is made of ASCII letters, digits,
@@ -462,14 +463,15 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
                 errors.append((n, "SCRIPT source needs a mode: PASS_BY, LINGER or PURSUIT"))
                 continue
             kv: dict[str, str] = {}
-            bad = False
+            errors_before = len(errors)
             for tok in toks[6:]:
                 key, eq, val = tok.partition("=")
                 if not eq or key not in _SCRIPT_FIELDS:
                     errors.append((n, f"bad script argument {tok!r}"))
-                    bad = True
+                elif key in kv:
+                    errors.append((n, f"duplicate script argument {key!r}"))
                 kv[key] = val
-            if bad:
+            if len(errors) > errors_before:
                 continue
             missing = [k for k in ("SPEED", "ANCHOR") if k not in kv]
             if missing:

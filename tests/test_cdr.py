@@ -45,6 +45,7 @@ from uamcas.cdr import (
 from uamcas.envelopes import Zone
 from uamcas.geo import EnuPoint
 from uamcas.maneuvers import Action, ManeuverCommand, TurnDirection
+from uamcas.pack import default_pack
 from uamcas.scenario_io import parse_scenario
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
@@ -302,6 +303,27 @@ class TestDecisionTable:
         assert set(pinned) == set(TABLE_KEYS)
         for key, label in pinned.items():
             assert table_command(*key).label() == label, key
+
+    def test_rows_fired_by_the_pack(self, monkeypatch):
+        """The rows that simulated flights reach: every system-on run of
+        the default pack at dt 0.05, 0.1 and 0.2.  Rows 0, 1, 5, 9 and 12
+        never fire, and row 10 (EMERGENCY LEFT) only for sc-04, sc-06 and
+        sc-11.  A change in this coverage is meant to fail here."""
+        fired = {}
+        scenario = None
+
+        def spy(*key):
+            row = decide(*key)
+            fired.setdefault(DECISION_TABLE.index(row), set()).add(scenario)
+            return row
+
+        monkeypatch.setattr(cdr, "decide", spy)
+        for dt in (0.05, 0.1, 0.2):
+            for sc in default_pack():
+                scenario = sc.id
+                engine.run(sc, replace(sc.sim, dt=dt, cas_enabled=True))
+        assert set(fired) == {2, 3, 4, 6, 7, 8, 10, 11}
+        assert fired[10] == {"sc-04", "sc-06", "sc-11"}
 
     def test_unmatched_key_raises(self):
         with pytest.raises(LookupError, match="no decision row"):

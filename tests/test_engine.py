@@ -950,6 +950,51 @@ class TestQuietRuns:
         steps = calls_made(monkeypatch, agents, "ownship_step", sc, params)
         assert len(steps[-1]) == 9 and len(steps[-2]) == 10 and len(steps) < len(res.ticks) / 50
 
+    @pytest.mark.parametrize("dt", [0.1, 0.3])
+    def test_later_pass_ends_a_run_at_caution(self, monkeypatch, dt):
+        """A far loiterer listed first keeps its pass going while the
+        head-on drone of test_run_ends_where_a_zone_rises, listed after
+        it, ends the run on the tick it enters the caution ring: the
+        loiterer's columns are cut to that run."""
+        sc = enu_scenario(
+            *far_linger("f0", 100, hold=1000),
+            "INTRUDER h1 DRONE PREDICTABLE SCRIPT PASS_BY SPEED=20 ANCHOR=-2500,-7000,304.8 TRACK=20 DURATION=45",
+            "SPAWN h1 AT 200",
+        )
+        params = replace(sc.sim, dt=dt)
+        res = assert_same_run(sc, params)
+        governing = {args[1]: args[4] for args in calls_made(monkeypatch, cdr, "cdr_step", sc, params)}
+        k = next(i for i, rec in enumerate(res.ticks)
+                 if governing.get(rec.t) is not None and governing[rec.t].zone is not Zone.CLEAR)
+        assert governing[res.ticks[k].t].zone is Zone.CAUTION
+        assert res.ticks[k - 1].t not in governing
+        assert governing[res.ticks[k].t].intruder_id == "h1"
+        assert [it.intruder_id for it in res.ticks[k - 1].intruders] == ["f0", "h1"]
+
+    def test_later_pass_ends_a_run_at_contact(self, monkeypatch):
+        """With the system off, a loiterer 500 m above the route ahead,
+        listed first, keeps its pass going, nearing, while the loiterer of
+        test_system_off_collides_inside_a_run, listed after it, ends the
+        run on the tick of contact: the first one's columns and least
+        separation are cut to that run."""
+        params = replace(PACK["ref-route1"].sim, cas_enabled=False)
+        clear = engine.run(PACK["ref-route1"], params)
+        hit = next(rec for rec in clear.ticks if rec.t >= 400.0)
+        ahead = next(rec for rec in clear.ticks if rec.t >= 420.0)
+        sc = enu_scenario(
+            f"INTRUDER f0 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 "
+            f"ANCHOR={ahead.own_east!r},{ahead.own_north!r},{ahead.own_up + 500.0!r} HOLD=1000",
+            "SPAWN f0 AT 50",
+            f"INTRUDER c1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 "
+            f"ANCHOR={hit.own_east!r},{hit.own_north!r},{hit.own_up!r} HOLD=1000",
+            "SPAWN c1 AT 100",
+        )
+        res = assert_same_run(sc, params)
+        assert res.terminal.kind is TerminalKind.COLLIDED and res.end_time == hit.t
+        assert [it.intruder_id for it in res.ticks[-1].intruders] == ["f0", "c1"]
+        steps = calls_made(monkeypatch, agents, "ownship_step", sc, params)
+        assert len(steps[-1]) == 9 and len(steps[-2]) == 10 and len(steps) < len(res.ticks) / 50
+
     @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
     def test_separation_on_the_caution_radius(self, monkeypatch, cas_enabled):
         """A loiterer 1.5 km abeam of the cruise, with the caution radius

@@ -241,6 +241,18 @@ class TestIntruderDirectives:
             parse_scenario(text)
         assert any("bad script argument 'WIBBLE=2'" in m for _, m in ei.value.errors)
 
+    def test_duplicate_script_key_reported_on_its_line(self):
+        """A script key given twice is an error on the INTRUDER line, not a
+        last-one-wins overwrite; a SET repeated keeps its last value, as a
+        --config overlay depends on."""
+        text = MINIMAL + "INTRUDER i1 DRONE PREDICTABLE SCRIPT PASS_BY SPEED=10 ANCHOR=0,0,0 SPEED=20\n"
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario(text)
+        line = len(MINIMAL.splitlines()) + 1
+        assert ei.value.errors == [(line, "duplicate script argument 'SPEED'")]
+        sc = parse_scenario(MINIMAL + "SET SIM.DT 0.5\nSET SIM.DT 0.25\n")
+        assert sc.sim.dt == 0.25
+
     def test_duplicate_intruder_and_spawn(self):
         line = "INTRUDER i1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR=0,0,0\n"
         text = MINIMAL + line + line + "SPAWN i1 AT 5\nSPAWN i1 AT 6\n"
