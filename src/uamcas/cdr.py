@@ -32,6 +32,10 @@ from .geo import (
 from .maneuvers import Action, ManeuverCommand, TurnDirection
 
 DESCEND_TARGET_ALT_M = 243.84  # 800 ft
+# The most waits one takeoff delay check may take: each wait re-scans
+# every ground intruder, so this bounds run time, as engine.MAX_TICKS
+# bounds the ticks.
+MAX_WAITS = 100_000
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,8 @@ class GroundCheckParams:
                 raise ValueError(f"{name} must be positive")
         if self.max_waits < 1:
             raise ValueError("max_waits must be at least 1")
+        if self.max_waits > MAX_WAITS:
+            raise ValueError(f"max_waits must not exceed {MAX_WAITS}")
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,19 @@ a NamedTuple field by name costs more than reading a slot, so the
 readers that take most of a record's fields (trace_csv_lines,
 metrics.cpa, the geo distance helpers) unpack it by position instead.
 
+A run executes with CPython's cyclic garbage collector paused
+(gc.disable), and the collector is enabled again on return or raise only
+if it was enabled on entry, so a caller that keeps it off keeps it off.
+A run builds hundreds of thousands of tracked tuples (TickRecords,
+IntruderTicks, ownship path tuples) that hold enum members, so the
+collector never untracks them, and every collection their allocation
+triggers re-scans the growing record list and frees nothing.  What keeps
+the pause safe is that the engine builds no reference cycles: no record
+or running value refers back to what holds it, so reference counting
+frees every dead object it makes.  Code added here that builds a cycle
+would hold that garbage until the first collection after the run.  That
+first collection still walks the run's live records once, outside run.
+
 Float formatting dominates trace rendering, and a tick often repeats
 the previous one's ownship values (east and north change on about half
 the pack's rows, track on a sixth), so trace_csv_lines keeps the text of
@@ -70,6 +83,7 @@ value, and a repeated zero that is a new object is formatted again.
 from __future__ import annotations
 
 import enum
+import gc
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -178,7 +192,17 @@ def _cut(column: list[float], limit: float) -> int:
 
 
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
-    """Execute one scenario end to end."""
+    """Execute one scenario end to end with the cyclic collector paused (see above)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(scenario, params)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
     if params is None:
         params = scenario.sim
     sc = scenario

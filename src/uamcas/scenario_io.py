@@ -60,7 +60,7 @@ from .agents import (
     ScriptMode,
     Trajectory,
 )
-from .cdr import CdrParams, GroundCheckParams
+from .cdr import MAX_WAITS, CdrParams, GroundCheckParams
 from .engine import SimParams
 from .envelopes import EnvelopeParams, EnvelopeSet, Zone, envelopes_for
 from .geo import (
@@ -278,6 +278,8 @@ def _parse_set_value(group: str, name: str, raw: str) -> object:
         v = _num(raw)
         if not v.is_integer():
             raise ValueError(f"{raw!r} is not a whole number")
+        if v > MAX_WAITS:
+            raise ValueError(f"{raw!r} must not exceed {MAX_WAITS}")
         return int(v)
     return _num(raw)
 

@@ -631,6 +631,11 @@ class TestTakeoffLadder:
     def check(self, intruders, planned="ROUTE1"):
         return takeoff_delay_check(intruders, V1, POLYS, GP, planned)
 
+    def test_max_waits_is_capped(self):
+        assert GroundCheckParams(max_waits=cdr.MAX_WAITS).max_waits == 100_000
+        with pytest.raises(ValueError, match="max_waits must not exceed 100000"):
+            GroundCheckParams(max_waits=cdr.MAX_WAITS + 1)
+
     def test_clean_sky_departs_immediately(self):
         d = self.check([])
         assert d == GroundDecision.depart("ROUTE1", 0.0)

@@ -1,6 +1,7 @@
 """Whole-run behaviour of the fast-time engine: reference flight times,
 determinism, the disabled-system baseline, and terminal conditions."""
 
+import gc
 import itertools
 import math
 from array import array
@@ -725,6 +726,64 @@ def calls_made(monkeypatch, module, name, sc, params=None):
         m.setattr(module, name, spy)
         engine.run(sc, params)
     return calls
+
+
+class TestCollectorPause:
+    """engine.run pauses the cyclic collector and leaves it as it found
+    it; the pause is safe because a run makes no cyclic garbage."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        run("sc-03", dt=0.5)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored_when_the_run_raises(self, monkeypatch, enabled):
+        (gc.enable if enabled else gc.disable)()
+
+        def fail(*args):
+            assert not gc.isenabled()
+            raise RuntimeError("ownship step failed")
+
+        monkeypatch.setattr(agents, "ownship_step", fail)
+        with pytest.raises(RuntimeError, match="ownship step failed"):
+            run("sc-03", dt=0.5)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_inside_a_run(self):
+        gc.enable()
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        sc = enu_scenario(*far_swarm())
+        gc.callbacks.append(record)
+        try:
+            res = engine.run(sc)
+        finally:
+            gc.callbacks.remove(record)
+        assert max(len(rec.intruders) for rec in res.ticks) == 20
+        assert starts == []
+
+    @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
+    def test_runs_leave_no_cyclic_garbage(self, cas_enabled):
+        """Reference counting frees every dead object a run makes, so with
+        the collector off nothing is left for it to find."""
+        gc.disable()
+        gc.collect()
+        for sc in PACK:
+            res = engine.run(sc, replace(sc.sim, cas_enabled=cas_enabled))
+            del res
+            assert gc.collect() == 0, sc.id
 
 
 class TestQuietRuns:

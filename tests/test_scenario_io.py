@@ -15,7 +15,7 @@ from uamcas.agents import (
     OwnshipConfig,
     ScriptMode,
 )
-from uamcas.cdr import GroundCheckParams
+from uamcas.cdr import MAX_WAITS, GroundCheckParams
 from uamcas.cli import resolve_pack
 from uamcas.engine import SimParams, Terminal, TerminalKind
 from uamcas.envelopes import EnvelopeSet, Zone
@@ -158,6 +158,16 @@ class TestSetDirectives:
         sc = self.with_sets("SET GROUND.MAX_WAITS 3")
         assert sc.ground_params.max_waits == 3
         assert isinstance(sc.ground_params.max_waits, int)
+
+    def test_ground_max_waits_is_capped(self):
+        """Every wait re-scans the ground intruders, so the cap bounds a
+        takeoff check's time; a value over it is an error on its line."""
+        line = len(MINIMAL.splitlines()) + 1
+        assert self.with_sets(f"SET GROUND.MAX_WAITS {MAX_WAITS}").ground_params.max_waits == 100_000
+        for raw in ("100001", "1e12"):
+            with pytest.raises(ScenarioError) as ei:
+                self.with_sets(f"SET GROUND.MAX_WAITS {raw}")
+            assert ei.value.errors == [(line, f"GROUND.MAX_WAITS: {raw!r} must not exceed 100000")]
 
     def test_envelope_override_triplet(self):
         sc = self.with_sets("SET ENV.FORWARD_OVERRIDE 2000,1000,150")
