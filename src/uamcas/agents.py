@@ -214,8 +214,9 @@ def ownship_step(
     index, carried as plain values and returned as (east, north, up,
     track, mode, idx).  A run returns each tick's (east, north, up, track)
     in a list and keeps mode and idx: it stops before the first tick that
-    would change either (top of climb, a capture, touchdown) and is empty
-    on the pad, in a hover or under a hover directive.  The given state
+    would change either (top of climb, a capture, touchdown, the tick of
+    a hover descent that reaches its target) and is empty on the pad.  A
+    hover held under a hover directive repeats the same point.  The given state
     must have a finite position, and zero altitude on the ground; a state
     that does not raises ValueError.  This is the only kinematics
     implementation: a run takes the same loops as one tick, so it equals
@@ -231,21 +232,27 @@ def ownship_step(
     run = ticks is not None
     n = ticks if run else 1
     path: list[tuple[float, float, float, float]] = []  # (east, north, up, track) per tick
-    if run and (mode is _GROUND or mode is FlightMode.HOVER or kind is GuidanceKind.HOVER
-                or kind is GuidanceKind.HOVER_DESCEND):
-        return path
 
     if kind is GuidanceKind.HOVER:
-        return east, north, up, track, FlightMode.HOVER, idx
+        if not run:
+            return east, north, up, track, FlightMode.HOVER, idx
+        return [(east, north, up, track)] * n if mode is FlightMode.HOVER else path
 
     if kind is GuidanceKind.HOVER_DESCEND:
         target = guidance.target_alt
-        if up > target:
-            new_up = max(target, up - perf.descent_rate * dt)
-            if new_up > target:
-                return east, north, new_up, track, FlightMode.VERTICAL_DESCENT, idx
-            return east, north, new_up, track, FlightMode.HOVER, idx
-        return east, north, up, track, FlightMode.HOVER, idx
+        for _ in range(n):
+            new_up = max(target, up - perf.descent_rate * dt) if up > target else up
+            new_mode = FlightMode.VERTICAL_DESCENT if new_up > target else FlightMode.HOVER
+            if not run:
+                return east, north, new_up, track, new_mode, idx
+            if new_mode is not mode:  # the tick that reaches the target ends a descent
+                break
+            up = new_up
+            path.append((east, north, up, track))
+        return path
+
+    if run and (mode is _GROUND or mode is FlightMode.HOVER):
+        return path
 
     if mode is _GROUND:
         # Departure: climb vertically off the pad.
@@ -449,7 +456,7 @@ class IntruderRecord:
     ground_clock: bool = False  # spawn_time on the absolute sim clock, not departure-relative
     csv_path: str | None = None  # provenance for round-tripping trajectory intruders
     # Seconds after spawn past which the intruder is gone for good (inf:
-    # never), derived for intruder_state_at and the engine's idle runs.
+    # never), derived for intruder_state_at and the engine's hold runs.
     lifetime: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -427,7 +427,7 @@ def cdr_step(
         if governing is None:
             # Contact evaporated before classification finished.
             new_state = replace(state, phase=CdrPhase.MONITORING, detect_started_at=None, encounter_id=None)
-        elif t - state.detect_started_at >= params.detect_duration:
+        elif not detect_hold(state, [t], params):
             entering = CdrPhase.AVOID
 
     elif phase is CdrPhase.AVOID and governing is not None and zone >= Zone.WARNING:
@@ -460,3 +460,45 @@ def cdr_step(
     if new_state.prev_zone is not zone:
         new_state = replace(new_state, prev_zone=zone)
     return new_state, cmd
+
+
+# Hold runs.  On ticks on which no intruder's presence or zone changes
+# (so the governing zone stays prev_zone), cdr_step keeps a state that
+# holds() admits and issues nothing until a stop test fires; the engine
+# steps such ticks in runs as long as the two functions below give.
+
+
+def holds(state: CdrState) -> bool:
+    """Every phase but DE_ESCALATED holds, and AVOID only below WARNING
+    (a WARNING governing zone turns AVOID into EMERGENCY)."""
+    phase = state.phase
+    return phase is not CdrPhase.DE_ESCALATED and (phase is not CdrPhase.AVOID or state.prev_zone < Zone.WARNING)
+
+
+def detect_hold(state: CdrState, ts: Sequence[float], params: CdrParams) -> int:
+    """How many of the ticks at times ts come before the first at which
+    DETECT's classification time is up; all of them in another phase."""
+    if state.phase is not CdrPhase.DETECT:
+        return len(ts)
+    started, duration = state.detect_started_at, params.detect_duration
+    return next((k for k, t in enumerate(ts) if t - started >= duration), len(ts))
+
+
+def de_escalation_hold(state: CdrState, runs: Mapping[str, Run], t_prevs: Sequence[float], ts: Sequence[float],
+                       sensed: Mapping[str, Sequence[float]], params: CdrParams) -> int:
+    """How many of the ticks at times ts, the k-th after one at
+    t_prevs[k], come before the first at which the encounter intruder
+    de-escalates in AVOID or EMERGENCY; all of them in another phase.
+    runs holds its running record before them, and sensed maps every
+    intruder present on them, each in its record's zone, to its
+    separations."""
+    if state.phase is not CdrPhase.AVOID and state.phase is not CdrPhase.EMERGENCY:
+        return len(ts)
+    run = runs[state.encounter_id]
+    separations = sensed.get(state.encounter_id)
+    for k, now in enumerate(ts):
+        if separations is not None:
+            run = extend_run(run, t_prevs[k], separations[k], run[2])
+        if de_escalated(run, now, params.hold_duration, state.first_tick):
+            return k
+    return len(ts)

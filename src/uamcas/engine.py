@@ -13,30 +13,33 @@ mode, the tick, the contact distance) are resolved once before the loop,
 and the envelope set is looked up again only when the flight mode
 changes (a plain Enum hashes in Python code).
 
-Most ticks are idle: the system is off, or in MONITORING with its last
-zone CLEAR, where cdr_step changes nothing while every present intruder
-stays CLEAR.  The loop takes a run of idle ticks, those of the next 256
-before the next spawn and within max_sim_time (one bisection each), in
-one agents.ownship_step call, then one pass per present intruder, in
-order, in columns: its positions from one agents.intruder_state_at call
-(both run forms), its pre-move (system on) and post-move separations
-from geo.distances_3d (a still intruder's post-move ones are the next
-ticks' pre-move ones), one cdr.fold_run of its running record, and
-classify only for post-move separations within caution_radius.  A run
-ends before the first tick that would change which intruders are
-present, bring a pre-move separation within caution_radius with the
-system on (classify is CLEAR exactly outside it), bring a post-move one
-to contact_distance or below, pass max_sim_time, or change the flight
-mode or waypoint index, and a full tick takes that one.  A pass that
-ends it early shortens the later passes, and every column is cut to the
-run (a shorter column is a prefix of a longer one).  The clock still
-adds dt once per tick, so every artifact is what full ticks would give.
+Most ticks hold: the system is off, or cdr.holds its state, where
+cdr_step changes nothing and issues no command while no intruder's
+presence or zone changes, until a phase stop test fires (DETECT's timer,
+de-escalation).  The loop takes a run of held ticks, those of the next
+256 before the next spawn, within max_sim_time and before DETECT's timer
+(cdr.detect_hold), in one agents.ownship_step call, then one pass per
+present intruder, in order, in columns: its positions from one
+agents.intruder_state_at call (both run forms), its pre-move (system on)
+and post-move separations from geo.distances_3d (a still intruder's
+post-move ones are the next ticks' pre-move ones), one cdr.fold_run of
+its running record, and classify only for post-move separations within
+caution_radius.  A run ends before the first tick that would change
+which intruders are present, move a pre-move separation out of its zone
+on the tick before with the system on (envelopes.zone_bounds), bring a
+post-move one to contact_distance or below, pass max_sim_time, change
+the flight mode or waypoint index, or de-escalate the encounter
+intruder on its folded record (cdr.de_escalation_hold), and a full tick
+takes that one.  A pass that ends it early shortens the later passes,
+and every column is cut to the run (a shorter column is a prefix of a
+longer one).  The clock still adds dt once per tick, so every artifact
+is what full ticks would give.
 
 Beside the records, RunResult.stretches keeps per intruder its reach, the
 most its position relative to the ownship moves in one tick ((ownship
 and its top speeds) * dt, widened for rounding), and its stretches, runs
-of recorded ticks at one cell: an idle pass adds one, whose least
-separation is the zone test's, and a full tick adds or extends one.
+of recorded ticks at one cell: a hold pass adds one, and a full tick
+adds or extends one.
 
 The ownship is carried as local floats (position and track) plus its
 flight mode and waypoint index, and agents.ownship_step takes and
@@ -93,7 +96,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import agents, cdr, envelopes, geo
 from .agents import FlightMode, NavPlan
-from .cdr import CdrPhase, IntruderObservation
+from .cdr import IntruderObservation
 from .envelopes import Zone
 from .geo import EnuPoint
 
@@ -104,7 +107,7 @@ if TYPE_CHECKING:
 # The most ticks one run may take, max_sim_time / dt: a bound on run time
 # that also rejects a dt too small to advance the clock (over 2**52 ticks).
 MAX_TICKS = 10_000_000
-# The most ticks one idle run takes: it bounds the run's columns, and the
+# The most ticks one hold run takes: it bounds the run's columns, and the
 # ownship steps computed past a tick that ends the run.
 _RUN_TICKS = 256
 
@@ -184,11 +187,11 @@ class RunResult:
 _SEPARATION = attrgetter("separation")
 
 
-def _cut(column: list[float], limit: float) -> int:
-    """The index of the first value at or below limit, or the length."""
-    if min(column, default=math.inf) > limit:
+def _cut(column: list[float], lo: float, hi: float) -> int:
+    """The index of the first value outside (lo, hi], or the length."""
+    if lo < min(column, default=math.inf) and (hi == math.inf or max(column, default=hi) <= hi):
         return len(column)
-    return next(k for k, v in enumerate(column) if v <= limit)
+    return next(k for k, v in enumerate(column) if not lo < v <= hi)
 
 
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
@@ -264,9 +267,11 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
     distance_3d = geo.distance_3d
     distances_3d = geo.distances_3d
     classify = envelopes.classify
+    zone_bounds = envelopes.zone_bounds
     extend_run = cdr.extend_run
     fold_run = cdr.fold_run
     cdr_step = cdr.cdr_step
+    holds, detect_hold, de_escalation_hold = cdr.holds, cdr.detect_hold, cdr.de_escalation_hold
     # The stretch index (see above).
     own_top = max(perf.cruise_speed, perf.climb_rate, perf.descent_rate)
     reach = {r.id: (own_top + (r.script or r.trajectory).top_speed) * dt * (1 + 1e-6) + 1e-6 for r in airborne_records}
@@ -289,16 +294,18 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
 
     while terminal is None:
         t_next = t + dt
-        # 0. An idle run (see above) while the decision is idle; an
-        # intruder absent on the last tick and not gone for good stops it
-        # short of its spawn.
-        if not cas_enabled or cdr_state.phase is CdrPhase.MONITORING and cdr_state.prev_zone is Zone.CLEAR:
+        # 0. A hold run (see above) while the decision holds; an intruder
+        # absent on the last tick and not gone for good stops it short of
+        # its spawn.
+        if not cas_enabled or holds(cdr_state):
             stop = min([r.spawn_time for r in airborne_records
                         if prev_pos[r.id] is None and t_next - r.spawn_time <= r.lifetime], default=math.inf)
             # Each tick's time as the loop's clock adds it up.
             ts = list(accumulate(repeat(dt, _RUN_TICKS - 1), initial=t_next))
-            path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt,
-                                min(bisect_left(ts, stop), bisect_right(ts, max_sim_time)))
+            n = min(bisect_left(ts, stop), bisect_right(ts, max_sim_time))
+            if cas_enabled:
+                n = detect_hold(cdr_state, ts[:n], cdr_params)
+            path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, n)
             n = len(path)
             present_recs = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
             own = [p[:3] for p in path] if present_recs else []  # post-move positions
@@ -308,7 +315,8 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
             # for the passes after it, and the columns are cut to the run.
             cols = []  # (id, positions, pre-move and post-move separations) per pass
             for rec in present_recs:
-                ps = intruder_state_at(rec, ts[:n], pre, prev_pos[rec.id], dt)
+                rid = rec.id
+                ps = intruder_state_at(rec, ts[:n], pre, prev_pos[rid], dt)
                 m = len(ps)
                 if m and ps.count(ps[0]) == m:  # still: post[k] is sensed[k + 1]
                     seps = distances_3d(pre[:m + 1], repeat(ps[0]))
@@ -316,9 +324,12 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
                 else:
                     sensed, post = distances_3d(pre, ps) if cas_enabled else None, distances_3d(own, ps)
                 if cas_enabled:
-                    m = _cut(sensed, caution)
-                n = _cut(post[:m], contact_distance)
-                cols.append((rec.id, ps, sensed, post))
+                    m = _cut(sensed, *zone_bounds(runs[rid][2], env))
+                n = _cut(post[:m], contact_distance, math.inf)
+                cols.append((rid, ps, sensed, post))
+            if cas_enabled:
+                sensed_by_id = {rid: sensed for rid, _, sensed, _ in cols}
+                n = de_escalation_hold(cdr_state, runs, [t, *ts], ts[:n], sensed_by_id, cdr_params)
             if n:
                 cells = []
                 for cell, (rid, ps, sensed, post) in enumerate(cols):
@@ -331,7 +342,7 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
                                      zip(repeat(rid), *zip(*ps), post, zones)))
                     prev_pos[rid] = ps[-1]
                     if cas_enabled:
-                        runs[rid] = fold_run(runs[rid], [t, *ts], sensed[:n], Zone.CLEAR)
+                        runs[rid] = fold_run(runs[rid], [t, *ts], sensed[:n], runs[rid][2])
                 columns = zip(*cells) if cells else repeat(())
                 es, ns, us, trks = zip(*path[:n])
                 ticks += map(tuple.__new__, repeat(TickRecord), zip(

@@ -11,6 +11,7 @@ no forward speed and get the correspondingly tighter set.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .agents import FlightMode, PerformanceModel
@@ -95,3 +96,9 @@ def classify(separation: float, env: EnvelopeSet) -> Zone:
         return Zone.CAUTION
     return Zone.CLEAR
 
+
+
+def zone_bounds(zone: Zone, env: EnvelopeSet) -> tuple[float, float]:
+    """(lo, hi): classify puts a separation s in zone exactly when lo < s <= hi."""
+    edges = (math.inf, env.caution_radius, env.warning_radius, env.collision_radius, -math.inf)
+    return edges[zone + 1], edges[zone]

@@ -347,12 +347,41 @@ class TestRunForm:
         (cruise_state((0.0, 0.0, 304.8), 0.0, idx=1),
          Guidance(GuidanceKind.HOVER_DESCEND, ROUTE, target_alt=150.0)),
         (cruise_state((2990.0, 400.0, 304.8), 90.0, idx=1), follow_plan(ROUTE)),  # captures at once
-    ], ids=["pad", "hover", "hover-directive", "hover-descend", "capture"])
+        (cruise_state((0.0, 0.0, 304.8), 0.0, idx=1)._replace(mode=FlightMode.HOVER),
+         Guidance(GuidanceKind.HOVER_DESCEND, ROUTE, target_alt=150.0)),
+    ], ids=["pad", "hover", "hover-directive", "hover-descend", "capture", "hover-above-descend-target"])
     def test_runs_that_start_with_a_change_are_empty(self, state, guidance):
         assert ownship_step(*state, VT, guidance, 0.1, 50) == []
 
     def test_zero_ticks(self):
         assert ownship_step(*cruise_state((0.0, 0.0, 304.8), 0.0, idx=1), VT, follow_plan(self.ROUTE), 0.1, 0) == []
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.7])
+    @pytest.mark.parametrize("kind,up", [
+        (GuidanceKind.HOVER, 304.8), (GuidanceKind.HOVER_DESCEND, 150.0), (GuidanceKind.HOVER_DESCEND, 120.0),
+    ], ids=["hover", "hover-descend-at-target", "hover-descend-below-target"])
+    def test_held_hover_repeats_its_point(self, kind, up, dt):
+        """A hover held under a hover directive (at or below a descent's
+        target) takes every tick asked for, each at the same point."""
+        guidance = Guidance(kind, self.ROUTE, target_alt=150.0 if kind is GuidanceKind.HOVER_DESCEND else None)
+        state = Own(700.0, -40.0, up, 33.0, FlightMode.HOVER, 1)
+        want = self.per_tick(state, guidance, dt, 300)
+        assert len(want) == 300 and set(want) == {state[:4]}
+        assert repr(ownship_step(*state, VT, guidance, dt, 300)) == repr(want)
+        assert repr(ownship_step(*state, VT, guidance, dt, 7)) == repr(want[:7])
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.7, 1.3])
+    def test_hover_descent_stops_before_its_target(self, dt):
+        """A descent under HOVER_DESCEND ends before the tick that reaches
+        the target, which settles into a hover there."""
+        guidance = Guidance(GuidanceKind.HOVER_DESCEND, self.ROUTE, target_alt=243.84)
+        state = Own(700.0, -40.0, 303.1, 33.0, FlightMode.VERTICAL_DESCENT, 1)
+        want = self.per_tick(state, guidance, dt, 8000)
+        got = ownship_step(*state, VT, guidance, dt, 8000)
+        assert len(want) > 10 and repr(got) == repr(want)
+        assert repr(ownship_step(*state, VT, guidance, dt, 7)) == repr(want[:7])
+        last = state._replace(up=got[-1][2])
+        assert last.up > 243.84 and step(last, VT, guidance, dt)[2:5] == (243.84, 33.0, FlightMode.HOVER)
 
 
 # A drone replaying four samples, each on a multiple of 0.25 s.

@@ -34,11 +34,14 @@ from uamcas.cdr import (
     build_command,
     cdr_step,
     de_escalated,
+    de_escalation_hold,
     decide,
+    detect_hold,
     diversion_target,
     extend_run,
     fold_run,
     heading_threat,
+    holds,
     relative_position,
     takeoff_delay_check,
 )
@@ -830,3 +833,51 @@ class TestPhaseMachine:
         hist = [(float(t), 2000.0 - 10 * t, Zone.CAUTION) for t in range(0, 11)]
         st, cmd = step(st, 10.0, obs(1900.0, Zone.CAUTION), runs={"X": fold(hist, -1.0)})
         assert st.phase is CdrPhase.EMERGENCY and cmd is None
+
+
+class TestHoldRuns:
+    """holds, detect_hold and de_escalation_hold against cdr_step: on ticks
+    that keep every zone and presence, cdr_step keeps a state holds admits
+    and issues nothing on exactly as many ticks as the two hold lengths
+    allow."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(phase=st.sampled_from([CdrPhase.MONITORING, CdrPhase.DETECT, CdrPhase.AVOID, CdrPhase.EMERGENCY,
+                                  CdrPhase.COLLIDED]),
+           zone=st.sampled_from([Zone.CLEAR, Zone.CAUTION, Zone.WARNING]), present=st.booleans(),
+           dt=st.sampled_from([0.1, 0.25, 1.0]), started=st.floats(-4.0, 0.0),
+           since=st.floats(-8.0, 0.0), seps=st.lists(st.sampled_from([900.0, 901.0, 901.5, 950.0]), max_size=40))
+    def test_hold_length_is_where_cdr_step_acts(self, phase, zone, present, dt, started, since, seps):
+        params = CdrParams()
+        if not present:
+            zone = Zone.CLEAR  # nothing governs
+        if phase is CdrPhase.AVOID and zone is Zone.WARNING or phase is CdrPhase.DETECT and not present:
+            return  # no hold: the first tick acts
+        state = CdrState(phase, detect_started_at=started, encounter_id="X", prev_zone=zone, first_tick=-6.0)
+        run = (since, 900.5, zone) if present else (since, None, None)
+        ts = [0.0]
+        for _ in range(max(len(seps), 12) - 1):
+            ts.append(ts[-1] + dt)
+        seps = (seps + [950.0] * len(ts))[:len(ts)] if present else None
+        t_prevs = [-dt, *ts]
+        hold = min(detect_hold(state, ts, params),
+                   de_escalation_hold(state, {"X": run}, t_prevs, ts, {"X": seps} if present else {}, params))
+        assert holds(state)
+        runs = {"X": run}
+        acts = len(ts)
+        for k, t in enumerate(ts):
+            if present:
+                runs["X"] = extend_run(runs["X"], t_prevs[k], seps[k], zone)
+            new, cmd = step(state, t, obs(seps[k], zone) if present else None, runs)
+            if new != state or cmd is not None:
+                acts = k
+                break
+        assert hold == acts
+
+    def test_no_hold_in_de_escalated_or_avoid_at_warning(self):
+        for state in (CdrState(CdrPhase.DE_ESCALATED, encounter_id="X"),
+                      CdrState(CdrPhase.AVOID, encounter_id="X", prev_zone=Zone.WARNING)):
+            assert not holds(state)
+            new, _ = step(state, 1.0, obs(900.0, state.prev_zone), {"X": (0.0, 900.0, state.prev_zone)})
+            assert new.phase is not state.phase
+

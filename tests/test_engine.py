@@ -9,11 +9,11 @@ from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uamcas import agents, cdr, engine, envelopes, geo, metrics
 from uamcas.agents import (
-    FlightMode, IntruderBehavior, IntruderKind, IntruderRecord, Trajectory,
+    FlightMode, IntruderBehavior, IntruderKind, IntruderRecord, ScriptedBehavior, ScriptMode, Trajectory,
 )
 from uamcas.engine import TerminalKind, TRACE_HEADER, trace_csv_lines
 from uamcas.envelopes import Zone
@@ -21,7 +21,7 @@ from uamcas.pack import default_pack
 from uamcas.geo import EnuPoint
 from uamcas.scenario_io import parse_scenario, serialize_scenario
 
-from test_metrics import assert_matches_reference
+from test_metrics import assert_matches_reference, encounter
 
 PACK = default_pack()
 
@@ -407,15 +407,16 @@ class TestPerRunEnvelopes:
             # zone, every absent one's None, and each record is the one
             # before it extended by this tick; the nearest present
             # intruder, the first listed on a tie, governs.  A tick the
-            # spy does not see is part of an idle run: the decision was
-            # idle (MONITORING, its last governing zone CLEAR) and every
-            # present intruder was CLEAR before the move.
+            # spy does not see is part of a hold run: the decision held
+            # (in no phase but DE_ESCALATED, and in AVOID below WARNING),
+            # keeps its phase, and every intruder keeps its presence and
+            # its zone before the move.
             sensed_at = {t: rest for t, *rest in sensed}
             assert len(sensed_at) == len(sensed)
             assert sensed_at.keys() <= {rec.t for rec in result.ticks}
             expected = {r.id: (result.departure_time, None, None) for r in sc.intruders if not r.ground_clock}
             t_prev = result.departure_time
-            idle = False  # the decision was idle on entering the tick
+            held = False  # the decision held on entering the tick
             for i, rec in enumerate(result.ticks):
                 t = rec.t
                 seen = t in sensed_at
@@ -431,13 +432,12 @@ class TestPerRunEnvelopes:
                     mode = prev.flight_mode
                 present = {it.intruder_id: (it.east, it.north, it.up) for it in rec.intruders}
                 nearest = None
-                zones = []
+                before = {rid: run[2] for rid, run in expected.items()}
                 for rid in expected:
                     sep = zone = None
                     if rid in present:
                         sep = geo.distance_3d(own_pos, present[rid])
                         zone = envelopes.classify(sep, env(mode))
-                        zones.append(zone)
                         if nearest is None or sep < nearest[1]:
                             nearest = (rid, sep, zone, present[rid])
                     expected[rid] = cdr.extend_run(expected[rid], t_prev, sep, zone)
@@ -447,20 +447,21 @@ class TestPerRunEnvelopes:
                         observed += rid in present
                 t_prev = t
                 if not seen:
-                    assert idle and all(zone is Zone.CLEAR for zone in zones), (sid, t)
-                    assert rec.phase is cdr.CdrPhase.MONITORING, (sid, t)
+                    assert held and all(run[2] is before[rid] for rid, run in expected.items()), (sid, t)
+                    assert rec.phase is prev.phase, (sid, t)
                     quiet += 1
                 elif nearest is None:
                     assert governing is None, (sid, t)
                 else:
                     assert (governing.intruder_id, governing.separation, governing.zone, governing.pos) == nearest
-                idle = rec.phase is cdr.CdrPhase.MONITORING and (nearest is None or nearest[2] is Zone.CLEAR)
+                held = rec.phase is not cdr.CdrPhase.DE_ESCALATED and not (
+                    rec.phase is cdr.CdrPhase.AVOID and nearest is not None and nearest[2] >= Zone.WARNING)
         assert recorded > 0 and observed > 0 and quiet > 0
 
     def test_system_off_senses_nothing(self, monkeypatch):
         """With the system off nothing is sensed: no decision tree, no
         running record, and classify sees only recorded post-move
-        separations, each once and in tick order (an idle run's records
+        separations, each once and in tick order (a hold run's records
         classify only those within the caution radius)."""
         calls = []
         classify = envelopes.classify
@@ -480,14 +481,14 @@ class TestPerRunEnvelopes:
         assert calls and all(sep in recorded for sep in calls)  # a subsequence of the records
 
 
-# ---------------------------------------------------------------- idle runs
+# ---------------------------------------------------------------- hold runs
 
 
 def reference_run(scenario, params=None):
-    """engine.run without idle runs: every tick advances the intruders,
-    senses, decides and steps the ownship once, kept as the reference
-    for the idle-run path.  It keeps no stretch index: reference_cpa
-    reads its records."""
+    """engine.run without hold runs: every tick advances the intruders,
+    senses, runs the decision tree and steps the ownship once, whatever
+    the phase, kept as the independent reference for the hold-run path.
+    It keeps no stretch index: reference_cpa reads its records."""
     if params is None:
         params = scenario.sim
     sc = scenario
@@ -712,6 +713,12 @@ def far_swarm(count=20):
     return lines
 
 
+def few(seen):
+    """Whether the decision tree saw few of a group's ticks: about one per
+    hold run of up to 256 ticks, and two more."""
+    return sum(seen) <= 2 + len(seen) // 100
+
+
 def calls_made(monkeypatch, module, name, sc, params=None):
     """The argument tuples of every call one engine.run makes to
     module.name."""
@@ -787,22 +794,137 @@ class TestCollectorPause:
 
 
 class TestQuietRuns:
-    """Idle ticks, with or without intruders present (a quiet run has
-    none), are stepped in runs; every run must equal the tick by tick loop
-    it replaced."""
+    """Held ticks, those on which the decision provably does nothing (the
+    system off, or no intruder's presence or zone changing before a phase
+    stop test fires), with or without intruders present (a quiet run has
+    none), are stepped in hold runs; every run must equal the tick by tick
+    loop it replaced."""
 
-    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.5])
+    # At dt 1.0, sc-02, sc-06 and sc-12 take other command sequences than
+    # at dt 0.1 (ROADMAP item 1); the runs must still match the loop.
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.3048, 0.5, 1.0])
     @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
     def test_default_pack(self, dt, cas_enabled):
         for sc in PACK:
             assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled))
+
+    def test_decision_runs_on_few_ticks(self, monkeypatch):
+        """Over the pack's system-on runs at dt 0.1 (146,837 ticks), the
+        decision tree runs only on the ticks hold runs cannot cover: 14,382
+        of them when only MONITORING with a CLEAR zone was held, 735 now."""
+        calls = sum(len(calls_made(monkeypatch, cdr, "cdr_step", sc)) for sc in PACK)
+        assert 0 < calls <= 3000
+
+    @settings(max_examples=40, deadline=None)
+    @given(intruders=st.lists(encounter(), min_size=1, max_size=4), dt=st.floats(0.05, 1.0),
+           cas_enabled=st.booleans())
+    @example(  # four drones that latch COLLIDED without contact: TIMED_OUT at 3600 s
+        intruders=[IntruderRecord("d", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=178.3, script=s)
+                   for s in [ScriptedBehavior(ScriptMode.PASS_BY, 343.0, EnuPoint(0.0, -343.0, 304.8))] * 3
+                   + [ScriptedBehavior(ScriptMode.PASS_BY, 1.0, EnuPoint(75.12264079864539, -2.778633481835989, 304.8),
+                                       track=46.0)]],
+        dt=0.3048, cas_enabled=True)
+    def test_drawn_encounters(self, intruders, dt, cas_enabled):
+        """ref-route1 against one to four intruders drawn as in
+        test_metrics.py: pursuers, replays and scripts, coming and going,
+        the nearest of them changing, each phase held in runs."""
+        sc = replace(PACK["ref-route1"], intruders=tuple(replace(rec, id=f"d{i}") for i, rec in enumerate(intruders)))
+        assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled))
+
+    @staticmethod
+    def phases(monkeypatch, lines, dt):
+        """The run of ref-route1 with the given intruder lines, checked
+        against the loop, and its ticks grouped by phase and flight mode:
+        per group, its (phase, mode), its ticks and which of them the
+        decision tree saw."""
+        sc = enu_scenario(*lines)
+        params = replace(sc.sim, dt=dt)
+        res = assert_same_run(sc, params)
+        decided = {args[1] for args in calls_made(monkeypatch, cdr, "cdr_step", sc, params)}
+        groups = [(key, list(ticks)) for key, ticks in itertools.groupby(res.ticks, lambda r: (r.phase, r.flight_mode))]
+        return res, [(key, ticks, [r.t in decided for r in ticks]) for key, ticks in groups]
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3])
+    def test_hover_held_until_the_loiterer_leaves(self, monkeypatch, dt):
+        """sc-01's loiterer on the right, held for 60 s: the ownship hovers
+        beside it in AVOID through its stay and the 5 s hold after it
+        leaves, with the decision tree on a handful of those ticks."""
+        res, groups = self.phases(monkeypatch, [
+            "INTRUDER i1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR=-6305.66,-12677.25,304.8 HOLD=60",
+            "SPAWN i1 AT 340"], dt)
+        issued = [b.command for a, b in zip(res.ticks, res.ticks[1:]) if b.command != a.command]
+        assert issued == ["HOVER", "CONTINUE_FLIGHT"]
+        (key, hover, seen), = [g for g in groups if g[0][1] is FlightMode.HOVER]
+        assert key[0] is cdr.CdrPhase.AVOID and len(hover) * dt > 60.0 and few(seen)
+        assert len({(r.own_east, r.own_north, r.own_up) for r in hover}) == 1
+        # Its record's since is the last tick it was present: the hold
+        # expires on the first tick over 5 s after that, which the
+        # decision sees.
+        gone = next(r.t for r in hover if not r.intruders)
+        (key, (de,), seen), = [g for g in groups if g[0][0] is cdr.CdrPhase.DE_ESCALATED]
+        assert seen == [True] and 5.0 - dt < de.t - gone <= 5.0 + 1e-9
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3])
+    def test_hover_descent_stops_at_its_target(self, monkeypatch, dt):
+        """sc-09's bird: the ownship descends under HOVER_AND_DESCEND_TO in
+        hold runs, the last of them ending before the tick that reaches
+        243.84 m and settles into a hover there."""
+        res, groups = self.phases(monkeypatch, [
+            "INTRUDER i1 BIRD PREDICTABLE SCRIPT PASS_BY SPEED=15 ANCHOR=-6510.72,-13681.52,304.8 TRACK=35.12 "
+            "DURATION=500",
+            "SPAWN i1 AT 300"], dt)
+        k = [key for key, _, _ in groups].index((cdr.CdrPhase.AVOID, FlightMode.VERTICAL_DESCENT))
+        (_, descent, seen), (key, hover, _) = groups[k:k + 2]
+        assert key == (cdr.CdrPhase.AVOID, FlightMode.HOVER)
+        assert descent[-1].own_up > cdr.DESCEND_TARGET_ALT_M == hover[0].own_up == hover[-1].own_up
+        assert len(descent) * dt > 30.0 and few(seen) and not seen[-1]
+
+    SC03 = ["INTRUDER i1 DRONE PREDICTABLE SCRIPT PASS_BY SPEED=20 ANCHOR=-3816.98,-14427.56,304.8 TRACK=305.12 "
+            "DURATION=400",
+            "SPAWN i1 AT 280"]
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3])
+    def test_detect_timer_ends_a_run(self, monkeypatch, dt):
+        """sc-03's crossing drone on the left: the ticks after detection
+        are one hold run, ended by the first on which DETECT's 3 s are
+        up, which the decision sees and which enters AVOID."""
+        _, groups = self.phases(monkeypatch, self.SC03, dt)
+        k = [key[0] for key, _, _ in groups].index(cdr.CdrPhase.DETECT)
+        (_, detect, seen), (key, avoid, avoid_seen) = groups[k:k + 2]
+        assert seen == [True] + [False] * (len(detect) - 1) and len(detect) > 5
+        assert key[0] is cdr.CdrPhase.AVOID and avoid_seen[0]
+        assert detect[-1].t - detect[0].t < 3.0 <= avoid[0].t - detect[0].t
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3])
+    def test_de_escalation_ends_a_run(self, monkeypatch, dt):
+        """The same drone, present and moving on: its range opens for the
+        5 s hold inside a hold run, which folds its running record, and
+        the run ends on the tick it de-escalates, which the decision sees."""
+        res, groups = self.phases(monkeypatch, self.SC03, dt)
+        k = [key[0] for key, _, _ in groups].index(cdr.CdrPhase.DE_ESCALATED)
+        (key, avoid, seen), (_, (de,), de_seen) = groups[k - 1:k + 1]
+        assert key[0] is cdr.CdrPhase.AVOID and few(seen) and not seen[-1] and de_seen == [True]
+        assert res.ticks[-1].command == de.command == "CONTINUE_FLIGHT"
+        assert avoid[-1].intruders and de.intruders and avoid[-1].intruders[0].east != de.intruders[0].east
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3])
+    def test_emergency_held(self, monkeypatch, dt):
+        """sc-04's drone, which penetrates the warning ring: EMERGENCY is
+        held in runs until the drone de-escalates and the ownship diverts."""
+        res, groups = self.phases(monkeypatch, [
+            "INTRUDER i1 DRONE UNPREDICTABLE SCRIPT PASS_BY SPEED=20 ANCHOR=-4398.35,-12734.99,304.8 TRACK=305.12 "
+            "DURATION=300",
+            "SPAWN i1 AT 280"], dt)
+        (_, emergency, seen), = [g for g in groups if g[0][0] is cdr.CdrPhase.EMERGENCY]
+        assert len(emergency) * dt > 15.0 and few(seen) and not seen[-1]
+        assert res.ticks[-1].command == "REROUTE_TO:V3"
 
     @pytest.mark.parametrize("spawn,mode", [
         (60.0, FlightMode.VERTICAL_CLIMB), (300.0, FlightMode.CRUISE), (600.0, FlightMode.VERTICAL_DESCENT),
     ])
     @pytest.mark.parametrize("dt", [0.1, 0.3, 0.5])
     def test_spawn_mid_flight_phase(self, spawn, mode, dt):
-        """A spawn ends an idle run, and so does the expiry, and the run
+        """A spawn ends a hold run, and so does the expiry, and the run
         after the intruder has gone ends at the next spawn.  At dt 0.5 the clock is exact, so each
         spawn falls on a tick."""
         sc = enu_scenario(*far_linger("f1", spawn), *far_linger("f2", spawn + 30))
@@ -816,15 +938,15 @@ class TestQuietRuns:
         """At dt 0.5 the clock is exact: the intruder's one present tick is
         at rel == lifetime, after a tick where it was still pending.  At
         0.75 s that tick follows the departure tick, so it is the first
-        of an idle run unless the lifetime test counts it present."""
+        of a hold run unless the lifetime test counts it present."""
         sc = enu_scenario(*far_linger("f1", spawn, hold=0.25))
         res = assert_same_run(sc, replace(sc.sim, dt=0.5))
         assert [rec.t for rec in res.ticks if rec.intruders] == [spawn + 0.25]
 
     def test_trajectory_whose_first_sample_is_after_spawn(self, monkeypatch):
         """Between the spawn and the first sample the intruder is neither
-        pending nor gone, so no idle run may cover those ticks.  Far off
-        and CLEAR, it is then stepped in idle runs, and the last sample
+        pending nor gone, so no hold run may cover those ticks.  Far off
+        and CLEAR, it is then stepped in hold runs, and the last sample
         falls inside one."""
         traj = Trajectory(((40.0, EnuPoint(20000.0, 20000.0, 300.0)), (70.0, EnuPoint(19000.0, 20000.0, 300.0))))
         rec = IntruderRecord("c1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=200.0,
@@ -839,7 +961,7 @@ class TestQuietRuns:
     @pytest.mark.parametrize("dt", [0.1, 0.25])
     def test_playback_inside_idle_runs(self, monkeypatch, dt):
         """A far drone replaying 40 samples at uneven times, most of its
-        ticks inside idle runs, each starting between samples: every cell
+        ticks inside hold runs, each starting between samples: every cell
         is the samples' interpolation at its tick (at dt 0.25 also on
         sample times and the last one)."""
         times = list(itertools.accumulate([0.0, *(1.0 + 0.25 * (k % 4) for k in range(39))]))
@@ -895,7 +1017,7 @@ class TestQuietRuns:
 
     def test_pursuit_hold(self):
         """A pursuer holding at its anchor, then chasing, then gone.  The
-        far one stays CLEAR, so it chases inside idle runs."""
+        far one stays CLEAR, so it chases inside hold runs."""
         for anchor, dt in itertools.product([(1500.0, 1500.0), (20000.0, 20000.0)], [0.1, 0.25]):
             sc = enu_scenario(
                 f"INTRUDER p1 BIRD UNPREDICTABLE SCRIPT PURSUIT SPEED=15 ANCHOR={anchor[0]},{anchor[1]},250 "
@@ -929,7 +1051,7 @@ class TestQuietRuns:
     @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
     def test_far_swarm(self, monkeypatch, dt, cas_enabled):
         """Twenty far intruders present for the whole flight: every tick
-        but a few is idle, so one ownship_step call covers a run of them."""
+        but a few is held, so one ownship_step call covers a run of them."""
         sc = enu_scenario(*far_swarm())
         params = replace(sc.sim, dt=dt, cas_enabled=cas_enabled)
         res = assert_same_run(sc, params)
@@ -941,7 +1063,7 @@ class TestQuietRuns:
     @pytest.mark.parametrize("dt", [0.1, 0.3])
     def test_run_ends_where_a_zone_rises(self, monkeypatch, dt):
         """A head-on drone, present and CLEAR for half a minute, enters the
-        caution ring: the idle run ends on that tick, which the decision
+        caution ring: the hold run ends on that tick, which the decision
         sees, and the tick before it is still in the run."""
         sc = enu_scenario(
             "INTRUDER h1 DRONE PREDICTABLE SCRIPT PASS_BY SPEED=20 ANCHOR=-2500,-7000,304.8 TRACK=20 DURATION=45",
@@ -1058,7 +1180,7 @@ class TestQuietRuns:
     def test_separation_on_the_caution_radius(self, monkeypatch, cas_enabled):
         """A loiterer 1.5 km abeam of the cruise, with the caution radius
         set to the separation it is recorded at, 230 s in, with the system
-        off: that separation is CAUTION, on the record inside an idle run
+        off: that separation is CAUTION, on the record inside a hold run
         and, with the system on, pre-move on the next tick, which the
         decision sees."""
         sc = enu_scenario("INTRUDER c1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR=-3300,-4676,304.8 HOLD=500",

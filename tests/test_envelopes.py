@@ -14,6 +14,7 @@ from uamcas.envelopes import (
     Zone,
     classify,
     envelopes_for,
+    zone_bounds,
 )
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
@@ -107,3 +108,11 @@ class TestClassify:
             want = Zone.CLEAR
         assert classify(sep, self.ENV) is want
 
+    @given(sep=st.floats(0, 5000) | st.sampled_from([0.0, 150.0, 1078.0, 2156.0]))
+    def test_zone_bounds_hold_exactly_the_zone(self, sep):
+        """The engine cuts a hold run where a separation leaves its zone's
+        bounds: each zone's (lo, hi] holds exactly the separations
+        classify puts in it, its edges included."""
+        for zone in Zone:
+            lo, hi = zone_bounds(zone, self.ENV)
+            assert (lo < sep <= hi) is (classify(sep, self.ENV) is zone), (zone, sep)
