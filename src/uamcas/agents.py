@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import sub, truediv
@@ -302,6 +302,8 @@ def ownship_step(
     capture = perf.capture_radius
     max_step = perf.turn_rate * dt
     cruise_speed = perf.cruise_speed
+    hypot, atan2, degrees, radians, sin, cos = math.hypot, math.atan2, math.degrees, math.radians, math.sin, math.cos
+    step_track = None  # the track the cruise-altitude step (step_e, step_n) was made from
     for _ in range(n):
         i = idx
         if kind is GuidanceKind.HOLD_TRACK:
@@ -310,7 +312,7 @@ def ownship_step(
             # FOLLOW_PLAN
             while i < n_wpts:
                 w_e, w_n, _ = wpts[i]
-                if math.hypot(w_e - east, w_n - north) > capture:
+                if hypot(w_e - east, w_n - north) > capture:
                     break
                 i += 1
             if i == n_wpts:
@@ -322,7 +324,7 @@ def ownship_step(
             if run and i != idx:
                 break
             # Outside the capture ring, so the bearing is defined.
-            target = math.degrees(math.atan2(w_e - east, w_n - north)) % 360.0
+            target = degrees(atan2(w_e - east, w_n - north)) % 360.0
 
         # Slew toward the target by at most one step (geo.signed_track_diff,
         # geo.normalize_track).  A forced side only matters while far from
@@ -345,16 +347,24 @@ def ownship_step(
 
         # Below cruise altitude (after a commanded descent) the climb back
         # comes out of the speed budget, so the total velocity never
-        # exceeds cruise_speed.
+        # exceeds cruise_speed.  At cruise altitude the step is kept while the
+        # track equals the one it was made from: a slewed track is a % 360.0
+        # result, never -0.0, so equal tracks have equal sines and cosines.
         if up >= perf.cruise_alt:
-            h_speed = cruise_speed
+            if track != step_track:
+                rad = radians(track)
+                step_e = cruise_speed * dt * sin(rad)
+                step_n = cruise_speed * dt * cos(rad)
+                step_track = track
+            east = east + step_e
+            north = north + step_n
         else:
             vs = min(perf.climb_rate, cruise_speed * 0.999)
             h_speed = math.sqrt(cruise_speed**2 - vs**2)
             up = min(perf.cruise_alt, up + vs * dt)
-        rad = math.radians(track)
-        east = east + h_speed * dt * math.sin(rad)
-        north = north + h_speed * dt * math.cos(rad)
+            rad = radians(track)
+            east = east + h_speed * dt * sin(rad)
+            north = north + h_speed * dt * cos(rad)
         if not run:
             return east, north, up, track, FlightMode.CRUISE, i
         path.append((east, north, up, track))
@@ -541,14 +551,17 @@ def _playback(traj: Trajectory, rels: list[float]) -> tuple[list[EnuPoint], Vec3
     if not rels or rels[0] < times[0]:
         return [], None
     last = len(times) - 1
-    i = min(bisect_right(times, rels[0]), last)  # a forward cursor: bisect_right(times, rel), at most last
     path = []
-    for rel in rels:
-        while i < last and times[i] <= rel:
-            i += 1
+    k = 0
+    while k < len(rels):
+        # The segment ending at sample i holds rels[k] and the rels after it before times[i].
+        i = min(bisect_right(times, rels[k]), last)
+        j = bisect_left(rels, times[i], k) if i < last else len(rels)
         lo_t, (lo_e, lo_n, lo_u) = traj.samples[i - 1]
         hi_t, (hi_e, hi_n, hi_u) = traj.samples[i]
-        u = (rel - lo_t) / (hi_t - lo_t)
-        path.append((lo_e + u * (hi_e - lo_e), lo_n + u * (hi_n - lo_n), lo_u + u * (hi_u - lo_u)))
-    span = hi_t - lo_t
-    return enu_points(path), ((hi_e - lo_e) / span, (hi_n - lo_n) / span, (hi_u - lo_u) / span)
+        span, d_e, d_n, d_u = hi_t - lo_t, hi_e - lo_e, hi_n - lo_n, hi_u - lo_u
+        for rel in rels[k:j]:
+            u = (rel - lo_t) / span
+            path.append((lo_e + u * d_e, lo_n + u * d_n, lo_u + u * d_u))
+        k = j
+    return enu_points(path), (d_e / span, d_n / span, d_u / span)

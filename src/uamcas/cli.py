@@ -79,9 +79,13 @@ def _simulate_to_trace(
     sc: Scenario, dt: float | None, cas_enabled: bool, trace: Path
 ) -> metrics.MetricsReport:
     """Run, score and write the trace of one batch run.  Only the report
-    leaves, so a batch never holds more than one run's tick records."""
-    result, report = simulate(sc, dt, cas_enabled)
-    _write_trace(result, trace)
+    leaves, so a batch never holds more than one run's tick records.  The
+    collector stays paused (engine.collector_paused) until reference
+    counting has freed them, so no collection walks them."""
+    with engine.collector_paused():
+        result, report = simulate(sc, dt, cas_enabled)
+        _write_trace(result, trace)
+        del result
     return report
 
 

@@ -61,17 +61,16 @@ readers that take most of a record's fields (trace_csv_lines,
 metrics.cpa, the geo distance helpers) unpack it by position instead.
 
 A run executes with CPython's cyclic garbage collector paused
-(gc.disable), and the collector is enabled again on return or raise only
-if it was enabled on entry, so a caller that keeps it off keeps it off.
-A run builds hundreds of thousands of tracked tuples (TickRecords,
-IntruderTicks, ownship path tuples) that hold enum members, so the
-collector never untracks them, and every collection their allocation
-triggers re-scans the growing record list and frees nothing.  What keeps
-the pause safe is that the engine builds no reference cycles: no record
-or running value refers back to what holds it, so reference counting
-frees every dead object it makes.  Code added here that builds a cycle
-would hold that garbage until the first collection after the run.  That
-first collection still walks the run's live records once, outside run.
+(collector_paused).  A run builds hundreds of thousands of tracked tuples
+(TickRecords, IntruderTicks, ownship path tuples) that hold enum members,
+so the collector never untracks them, and every collection their
+allocation triggers re-scans them and frees nothing.  They are still
+young when run returns, so cli's batch step keeps the pause until
+reference counting has freed them.  The pause is safe because the engine
+builds no reference cycles: no record or running value refers back to
+what holds it, so reference counting frees every dead object it makes.
+Code added here that builds a cycle would hold that garbage until the
+first collection after the pause.
 
 Float formatting dominates trace rendering, and a tick often repeats
 the previous one's ownship values (east and north change on about half
@@ -194,15 +193,27 @@ def _cut(column: list[float], lo: float, hi: float) -> int:
     return next(k for k, v in enumerate(column) if not lo < v <= hi)
 
 
+class collector_paused:
+    """Pause CPython's process-wide cyclic collector for a with block,
+    and on exit enable it only if it was enabled on entry (a nested pause
+    keeps it off).  Exit allocates nothing after enabling it, so a
+    collection the block made due starts after the block."""
+
+    __slots__ = ("_enabled",)
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self._enabled:
+            gc.enable()
+
+
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     """Execute one scenario end to end with the cyclic collector paused (see above)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return _run(scenario, params)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
@@ -450,6 +461,7 @@ TRACE_HEADER = "t_s,own_east_m,own_north_m,own_up_m,own_track_deg,phase,intruder
 
 
 _ZONE_TEXT = {zone: zone.name for zone in Zone}
+_PHASE_TEXT = {phase: phase.value for phase in cdr.CdrPhase}
 
 
 def trace_csv_lines(result: RunResult) -> list[str]:
@@ -473,7 +485,7 @@ def trace_csv_lines(result: RunResult) -> list[str]:
             u = "%.3f" % up
             last_up = up
         if phase is not last_phase or not (track is last_track or track == last_track and track):
-            tp = "%.3f,%s" % (track, phase.value)
+            tp = "%.3f,%s" % (track, _PHASE_TEXT[phase])
             last_track, last_phase = track, phase
         if not intruders:
             lines.append("%.3f,%s,%s,%s,,,,%s" % (t, en, u, tp, command))

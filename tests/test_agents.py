@@ -318,7 +318,7 @@ class TestRunForm:
             state = nxt
         return out
 
-    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.7])
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3048, 0.7])
     @pytest.mark.parametrize("case", ["climb", "descent", "cruise", "climb-back", "hold-track", "forced-slew"])
     def test_run_equals_one_call_per_tick(self, case, dt):
         guidance = follow_plan(self.ROUTE)
@@ -462,6 +462,19 @@ class TestIntruderRunForm:
             got = intruder_state_at(intruder(kind, spawn), ts, own, None, 0.25)
             assert ts[len(got) - 1] - spawn == lifetime and len(got) < len(ts)
         assert [got[k] for k in (0, 2, 8, 29)] == [p for _, p in TRAJ.samples] and len(got) == 30
+
+    def test_a_tick_on_a_sample_time_takes_the_sample(self):
+        """It starts the next segment (u == 0), so it takes the sample
+        exactly, also where lo + (hi - lo) != hi; the last sample ends the
+        last segment (u == 1)."""
+        traj = Trajectory(((0.0, EnuPoint(-262.0, 125.7, 100)), (1.0, EnuPoint(44.2, -434.5, 120)),
+                           (2.0, EnuPoint(337.5, -29.7, 90))))
+        rec = IntruderRecord("I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=100.0,
+                             trajectory=traj)
+        ts, own = self.ticks(100.0, 0.25, 12)
+        got = intruder_state_at(rec, ts, own, None, 0.25)
+        assert got[0:8:4] == [p for _, p in traj.samples[:2]] and 44.2 != -262.0 + (44.2 - -262.0)
+        assert repr(got) == repr(self.per_tick(rec, ts, own, None, 0.25))
 
     def test_absent_at_the_first_tick(self):
         ts, own = self.ticks(99.9, 0.1, 50)

@@ -1,6 +1,7 @@
 """Command line contract: subcommands, artifacts, exit codes, and the
 launchers."""
 
+import gc
 import importlib.util
 import json
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from uamcas import engine
+from test_engine import PACK, enu_scenario, far_swarm
+from uamcas import cli, engine
 from uamcas.cli import main
 from uamcas.engine import TRACE_HEADER
 from uamcas.metrics import BATCH_CSV_HEADER
@@ -653,6 +655,87 @@ class TestRunReportMatchesBatch:
             metric, *cells = (runs / f"{sid}_report.csv").read_text().splitlines()
             assert metric == "metric,value"
             assert {"scenario_id": sid, **dict(c.split(",") for c in cells)} == summary[sid]
+
+
+class TestBatchStepCollectorPause:
+    """A batch step (run, score, write the trace) keeps the cyclic collector
+    paused until its run's records are freed, and leaves it as it found
+    it, as engine.run does for the run alone (test_engine's
+    TestCollectorPause); the pause is safe because a step makes no cyclic
+    garbage."""
+
+    SC = PACK["sc-03"]
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored(self, tmp_path, enabled):
+        (gc.enable if enabled else gc.disable)()
+        cli._simulate_to_trace(self.SC, 0.5, True, tmp_path / "trace.csv")
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored_when_the_step_raises(self, monkeypatch, tmp_path, enabled):
+        """The trace is rendered after engine.run has returned, and the
+        collector is still paused there."""
+        (gc.enable if enabled else gc.disable)()
+
+        def fail(result):
+            assert not gc.isenabled()
+            raise RuntimeError("trace failed")
+
+        monkeypatch.setattr(engine, "trace_csv_lines", fail)
+        with pytest.raises(RuntimeError, match="trace failed"):
+            cli._simulate_to_trace(self.SC, 0.5, True, tmp_path / "trace.csv")
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_inside_a_batch_step(self, monkeypatch, tmp_path):
+        """The collector resumes once the run's records are freed, and the
+        collection the step's allocations made due starts after the step,
+        so it does not walk them."""
+        gc.enable()
+        results, starts, resumed = [], [], []
+        run, enable = engine.run, gc.enable
+
+        def spy(*args):
+            result = run(*args)
+            results.append(weakref.ref(result))
+            return result
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        def spy_enable():
+            resumed.append(results[-1]() if results else "before the run returned")
+            enable()
+
+        monkeypatch.setattr(engine, "run", spy)
+        monkeypatch.setattr(gc, "enable", spy_enable)
+        sc, trace = enu_scenario(*far_swarm()), tmp_path / "trace.csv"
+        gc.collect()  # generation 0 empty: the pause's own allocation on entry cannot start one
+        gc.callbacks.append(record)
+        try:
+            cli._simulate_to_trace(sc, None, True, trace)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(results) == 1 and resumed == [None]
+        assert trace.read_text().count("\n") > 1000
+        assert starts == []
+
+    @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
+    def test_batch_steps_leave_no_cyclic_garbage(self, tmp_path, cas_enabled):
+        """Reference counting frees every dead object a step makes, so with
+        the collector off nothing is left for it to find."""
+        gc.disable()
+        gc.collect()
+        for sc in PACK:
+            cli._simulate_to_trace(sc, None, cas_enabled, tmp_path / f"{sc.id}.csv")
+            assert gc.collect() == 0, sc.id
 
 
 class TestValidate:
