@@ -15,12 +15,14 @@ deterministic: the same invocation writes byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from . import engine, metrics, scenario_io
-from .engine import RunResult, TerminalKind
+from .engine import RunResult, Terminal, TerminalKind
 from .pack import default_pack
 from .scenario_io import Scenario, ScenarioError
 
@@ -71,28 +73,40 @@ def _apply_config(sc: Scenario, overlay: str, config: str, base_dir: Path | None
         raise ScenarioError(errors, f"{config} on {sc.id}" if whole else config) from None
 
 
-def _write_trace(result: RunResult, path: Path) -> None:
-    path.write_text("\n".join(engine.trace_csv_lines(result)) + "\n", encoding="utf-8")
+def _write_trace(lines: list[str], path: Path) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _simulate_to_trace(
-    sc: Scenario, dt: float | None, cas_enabled: bool, trace: Path
+def _simulate_pair(
+    sc: Scenario, dt: float | None, emit: Callable[[list[str]], None], compare: bool = True
 ) -> metrics.MetricsReport:
-    """Run, score and write the trace of one batch run.  Only the report
-    leaves, so a batch never holds more than one run's tick records.  The
-    collector stays paused (engine.collector_paused) until reference
-    counting has freed them, so no collection walks them."""
+    """The pair step: run and score a scenario with the system on and, with
+    compare, off, and hand each run's trace lines to emit once whole.  The
+    system-off run resumes from the records it shares with the system-on
+    run (engine.run), so its trace takes their rows from the system-on
+    trace; no other system-on row is kept past it.  Only the row (paired
+    with compare) leaves, and the collector stays paused
+    (engine.collector_paused) until reference counting has freed both
+    runs' records, the engine's memo included, so no collection walks them."""
     with engine.collector_paused():
-        result, report = simulate(sc, dt, cas_enabled)
-        _write_trace(result, trace)
+        result, row = simulate(sc, dt)
+        lines = engine.trace_csv_lines(result)
         del result
-    return report
+        emit(lines)
+        if compare:
+            off, off_row = simulate(sc, dt, cas_enabled=False)
+            lines = lines[:off.shared + 1]
+            lines += engine.trace_csv_lines(off, off.shared)[1:]
+            del off
+            emit(lines)
+            row = metrics.pair(row, off_row)
+    return row
 
 
-def _terminal_phrase(result: RunResult) -> str:
-    kind = result.terminal.kind
+def _terminal_phrase(terminal: Terminal) -> str:
+    kind = terminal.kind
     if kind is TerminalKind.LANDED_AT:
-        return f"landed at {result.terminal.vertiport}"
+        return f"landed at {terminal.vertiport}"
     if kind is TerminalKind.COLLIDED:
         return "collided"
     if kind is TerminalKind.POSTPONED_ON_GROUND:
@@ -101,29 +115,29 @@ def _terminal_phrase(result: RunResult) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    path = Path(args.scenario)
-    sc = scenario_io.load_scenario(path)
-    if args.config:
-        overlay = Path(args.config).read_text(encoding="utf-8")
-        sc = _apply_config(sc, overlay, args.config, path.parent)
-    # Both runs finish before anything is written, so a run that fails
-    # leaves no partial output.
-    result, row = simulate(sc, args.dt)
-    if args.compare:
-        off, off_row = simulate(sc, args.dt, cas_enabled=False)
-        row = metrics.pair(row, off_row)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_trace(result, out / f"{sc.id}_trace.csv")
-    if args.compare:
-        _write_trace(off, out / f"{sc.id}_trace_nocas.csv")
-    metrics.write_run_report(row, args.compare, out, args.format)
+    # One pause (engine.collector_paused) for the whole command: no
+    # collection starts inside it, so none walks the runs' records.
+    with engine.collector_paused():
+        path = Path(args.scenario)
+        sc = scenario_io.load_scenario(path)
+        if args.config:
+            overlay = Path(args.config).read_text(encoding="utf-8")
+            sc = _apply_config(sc, overlay, args.config, path.parent)
+        # Both runs finish before anything is written, so a run that fails
+        # leaves no partial output.
+        traces: list[list[str]] = []
+        row = _simulate_pair(sc, args.dt, traces.append, args.compare)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for suffix, lines in zip(("_trace.csv", "_trace_nocas.csv"), traces):
+            _write_trace(lines, out / f"{sc.id}{suffix}")
+        metrics.write_run_report(row, args.compare, out, args.format)
 
-    line = f"{sc.id}: {_terminal_phrase(result)}"
-    if row.t_sim is not None:
-        line += f", t_sim={row.t_sim:.3f} s"
-    print(line)
-    return _TERMINAL_EXIT[result.terminal.kind]
+        line = f"{sc.id}: {_terminal_phrase(row.terminal)}"
+        if row.t_sim is not None:
+            line += f", t_sim={row.t_sim:.3f} s"
+        print(line)
+        return _TERMINAL_EXIT[row.terminal.kind]
 
 
 def resolve_pack(selector: str) -> scenario_io.ScenarioPack:
@@ -155,9 +169,8 @@ def run_batch(
     traces.mkdir(parents=True, exist_ok=True)
     rows = []
     for sc in scenarios:
-        on = _simulate_to_trace(sc, dt, True, traces / f"{sc.id}.csv")
-        off = _simulate_to_trace(sc, dt, False, traces / f"{sc.id}_nocas.csv")
-        rows.append(metrics.pair(on, off))
+        paths = iter([traces / f"{sc.id}.csv", traces / f"{sc.id}_nocas.csv"])
+        rows.append(_simulate_pair(sc, dt, lambda lines: _write_trace(lines, next(paths))))
     table = metrics.summarize_batch(rows)
     metrics.write_batch_report(table, out, fmt)
     return table
@@ -193,6 +206,9 @@ def cmd_pack(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Built once: an argparse parser is a graph of cycles that only a
+# collection frees.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uamcas",
@@ -214,21 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="path to a scenario directive file")
     p_run.add_argument("--compare", action="store_true", help="also run with the system off")
     common(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_batch = sub.add_parser("batch", help="run every scenario in a pack, paired on/off")
     p_batch.add_argument("--pack", default="default", help='"default" or a directory of .scn files')
     common(p_batch)
-    p_batch.set_defaults(func=cmd_batch)
 
     p_val = sub.add_parser("validate", help="check a scenario file without running it")
     p_val.add_argument("scenario", help="path to a scenario directive file")
-    p_val.set_defaults(func=cmd_validate)
 
     p_pack = sub.add_parser("pack", help="export a pack as directive files")
     p_pack.add_argument("--pack", default="default", help='"default" or a directory of .scn files')
     p_pack.add_argument("--out", default="pack", help="output directory")
-    p_pack.set_defaults(func=cmd_pack)
 
     return parser
 
@@ -237,8 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Every input error it raises, a ScenarioError
     included, ends here as one "error: ..." line and exit code 1."""
     args = build_parser().parse_args(argv)
+    # Looked up by name on each call, so a patched cmd_* is the one called.
+    command = {"run": cmd_run, "batch": cmd_batch, "validate": cmd_validate, "pack": cmd_pack}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -41,6 +41,21 @@ and its top speeds) * dt, widened for rounding), and its stretches, runs
 of recorded ticks at one cell: a hold pass adds one, and a full tick
 adds or extends one.
 
+A system-off run repeats its system-on run record for record until the
+system first acts: while the phase is MONITORING no command has been
+issued, so guidance, flight mode, waypoint index, command label and phase
+are the system-off run's (hold runs split the two differently, but every
+record is the tick by tick loop's).  A system-on run that departs as the
+system-off run does (at once, on the planned route) fills the memo, one
+module slot: its loop state (records, clock, ownship values, prev_pos, a
+copy of the stretch index) at the start of the first full tick after
+whose cdr_step the phase is not MONITORING, or its whole run.  The next
+run takes the memo, whatever it is, and forks from it if it is the
+system-off run of the same scenario object with params equal but for
+cas_enabled: it resumes the loop from that state, RunResult.shared
+counting the records taken.  Loop state added later (ROADMAP items 1, 7
+and 9) must be carried into the memo.
+
 The ownship is carried as local floats (position and track) plus its
 flight mode and waypoint index, and agents.ownship_step takes and
 returns exactly those values.  The decision reads only the ownship's
@@ -65,8 +80,9 @@ A run executes with CPython's cyclic garbage collector paused
 (TickRecords, IntruderTicks, ownship path tuples) that hold enum members,
 so the collector never untracks them, and every collection their
 allocation triggers re-scans them and frees nothing.  They are still
-young when run returns, so cli's batch step keeps the pause until
-reference counting has freed them.  The pause is safe because the engine
+young when run returns, and the memo keeps a system-on run's alive for
+the next run, so cli's pair step keeps the pause over both runs of a pair
+until reference counting has freed them.  The pause is safe because the engine
 builds no reference cycles: no record or running value refers back to
 what holds it, so reference counting frees every dead object it makes.
 Code added here that builds a cycle would hold that garbage until the
@@ -89,7 +105,7 @@ import gc
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -181,6 +197,7 @@ class RunResult:
     end_time: float
     # The stretch index: per intruder, (reach, [[first tick, count, cell, least separation], ...]).
     stretches: dict[str, tuple[float, list[list]]]
+    shared: int = 0  # the leading records taken from the system-on run before it (see above)
 
 
 _SEPARATION = attrgetter("separation")
@@ -210,13 +227,20 @@ class collector_paused:
             gc.enable()
 
 
+_memo = None  # (scenario, params, records, loop state) of a system-on run (see above)
+
+
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
-    """Execute one scenario end to end with the cyclic collector paused (see above)."""
+    """Execute one scenario end to end with the cyclic collector paused,
+    taking the memo slot (see above)."""
+    global _memo
+    memo, _memo = _memo, None
     with collector_paused():
-        return _run(scenario, params)
+        result, _memo = _run(scenario, params, memo)
+    return result
 
 
-def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
+def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None) -> tuple[RunResult, tuple | None]:
     if params is None:
         params = scenario.sim
     sc = scenario
@@ -247,7 +271,7 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
             departure_time=math.inf,
             end_time=0.0,
             stretches={},
-        )
+        ), None
 
     departure = decision.delay_s
     plan = NavPlan(polylines[decision.route], sc.destination_id(decision.route))
@@ -302,6 +326,15 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
     active_label = ""
     terminal: Terminal | None = None
     t = departure
+
+    # The fork (see above): a system-off run resumes from the memo of its
+    # system-on run, and a system-on run that departs as it would keeps one.
+    if not cas_enabled and memo and memo[0] is sc and memo[1] == replace(params, cas_enabled=True):
+        ticks, (t, east, north, up, track, mode, idx, prev_pos, index, terminal) = memo[2:]
+        own_pos, env = (east, north, up), env_by_mode[mode]
+    shared = len(ticks)
+    watch = cas_enabled and decision == cdr.GroundDecision.depart(sc.planned_route, 0.0)
+    fork = None
 
     while terminal is None:
         t_next = t + dt
@@ -372,6 +405,8 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
         # against the pre-move ownship; the nearest (the first listed on
         # a tie) governs.  Only the decision tree reads the sensed values,
         # so sensing is skipped with the system off.
+        if watch:
+            prev_start = prev_pos.copy()
         present = []
         governing: IntruderObservation | None = None
         nearest = math.inf
@@ -400,6 +435,10 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
                 cdr_state, t_next, own_pos, track, governing, runs,
                 vertiports_enu, perf, cdr_params,
             )
+            if watch and cdr_state.phase is not cdr.CdrPhase.MONITORING:
+                watch = False
+                copied = {rid: (r, [s.copy() for s in ss]) for rid, (r, ss) in index.items()}
+                fork = len(ticks), (t, east, north, up, track, mode, idx, prev_start, copied, None)
             if command is not None:
                 active_label = command.label()
                 guidance, idx = agents.resolve_command(
@@ -446,6 +485,8 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
             terminal = Terminal(TerminalKind.LANDED_AT, guidance.plan.destination_id)
         t = t_next
 
+    if watch:  # the whole run: nothing changes its index any more
+        fork = len(ticks), (t, east, north, up, track, mode, idx, prev_pos, index, terminal)
     return RunResult(
         scenario_id=sc.id,
         ticks=ticks,
@@ -454,7 +495,8 @@ def _run(scenario: "Scenario", params: SimParams | None) -> RunResult:
         departure_time=departure,
         end_time=t,
         stretches=index,
-    )
+        shared=shared,
+    ), (sc, params, ticks[:fork[0]], fork[1]) if fork else None
 
 
 TRACE_HEADER = "t_s,own_east_m,own_north_m,own_up_m,own_track_deg,phase,intruder_id,sep_m,zone,command"
@@ -464,17 +506,17 @@ _ZONE_TEXT = {zone: zone.name for zone in Zone}
 _PHASE_TEXT = {phase: phase.value for phase in cdr.CdrPhase}
 
 
-def trace_csv_lines(result: RunResult) -> list[str]:
-    """Render a run as the plot-ready trace table, one row per tick with
-    the governing (nearest; the first listed on a tie) intruder's
-    columns."""
+def trace_csv_lines(result: RunResult, first: int = 0) -> list[str]:
+    """Render a run as the plot-ready trace table, one row per tick from
+    record first on, with the governing (nearest; the first listed on a
+    tie) intruder's columns."""
     lines = [TRACE_HEADER]
     # Text of the last east/north pair, up, and track/phase group.  A
     # value's text is reused while it is the previous row's object, or
     # equal to it and nonzero: 0.0 == -0.0, but they print differently.
     last_e = last_n = last_up = last_track = last_phase = None
     en = u = tp = ""
-    for t, east, north, up, track, _, phase, intruders, command in result.ticks:
+    for t, east, north, up, track, _, phase, intruders, command in islice(result.ticks, first, None):
         if not (
             (east is last_e or east == last_e and east)
             and (north is last_n or north == last_n and north)

@@ -658,13 +658,14 @@ class TestRunReportMatchesBatch:
 
 
 class TestBatchStepCollectorPause:
-    """A batch step (run, score, write the trace) keeps the cyclic collector
-    paused until its run's records are freed, and leaves it as it found
-    it, as engine.run does for the run alone (test_engine's
-    TestCollectorPause); the pause is safe because a step makes no cyclic
-    garbage."""
+    """A pair step (cli._simulate_pair: run, score and render the system-on
+    and the system-off side, as a batch and `run --compare` take them)
+    keeps the cyclic collector paused until both runs' records are freed,
+    and leaves it as it found it, as engine.run does for the run alone
+    (test_engine's TestCollectorPause); the pause is safe because a step
+    makes no cyclic garbage."""
 
-    SC = PACK["sc-03"]
+    SC = PACK["sc-12"]  # shares 1,014 of its 1,487 records at dt 0.5, then diverges
 
     @pytest.fixture(autouse=True)
     def keep_collector_state(self):
@@ -673,32 +674,50 @@ class TestBatchStepCollectorPause:
         (gc.enable if enabled else gc.disable)()
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    def test_state_is_restored(self, tmp_path, enabled):
+    def test_state_is_restored(self, enabled):
         (gc.enable if enabled else gc.disable)()
-        cli._simulate_to_trace(self.SC, 0.5, True, tmp_path / "trace.csv")
+        cli._simulate_pair(self.SC, 0.5, [].append)
         assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    def test_state_is_restored_when_the_step_raises(self, monkeypatch, tmp_path, enabled):
+    def test_state_is_restored_when_the_step_raises(self, monkeypatch, enabled):
         """The trace is rendered after engine.run has returned, and the
         collector is still paused there."""
         (gc.enable if enabled else gc.disable)()
 
-        def fail(result):
+        def fail(result, first=0):
             assert not gc.isenabled()
             raise RuntimeError("trace failed")
 
         monkeypatch.setattr(engine, "trace_csv_lines", fail)
         with pytest.raises(RuntimeError, match="trace failed"):
-            cli._simulate_to_trace(self.SC, 0.5, True, tmp_path / "trace.csv")
+            cli._simulate_pair(self.SC, 0.5, [].append)
         assert gc.isenabled() is enabled
 
-    def test_no_collection_starts_inside_a_batch_step(self, monkeypatch, tmp_path):
-        """The collector resumes once the run's records are freed, and the
-        collection the step's allocations made due starts after the step,
-        so it does not walk them."""
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored_when_the_step_raises_between_the_runs(self, monkeypatch, enabled):
+        """The system-off run fails while the memo holds the system-on
+        run's records, and the collector is still paused there."""
+        (gc.enable if enabled else gc.disable)()
+        run = engine.run
+
+        def fail_off(scenario, params=None):
+            if not params.cas_enabled:
+                assert not gc.isenabled() and engine._memo is not None
+                raise RuntimeError("system-off run failed")
+            return run(scenario, params)
+
+        monkeypatch.setattr(engine, "run", fail_off)
+        with pytest.raises(RuntimeError, match="system-off run failed"):
+            cli._simulate_pair(self.SC, 0.5, [].append)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_inside_a_batch_step(self, monkeypatch):
+        """The collector resumes once both runs' records are freed, and
+        the collection the step's allocations made due starts after the
+        step, so it does not walk them."""
         gc.enable()
-        results, starts, resumed = [], [], []
+        results, starts, resumed, traces = [], [], [], []
         run, enable = engine.run, gc.enable
 
         def spy(*args):
@@ -711,31 +730,105 @@ class TestBatchStepCollectorPause:
                 starts.append(info["generation"])
 
         def spy_enable():
-            resumed.append(results[-1]() if results else "before the run returned")
+            resumed.append([ref() for ref in results] if results else "before the run returned")
             enable()
 
         monkeypatch.setattr(engine, "run", spy)
         monkeypatch.setattr(gc, "enable", spy_enable)
-        sc, trace = enu_scenario(*far_swarm()), tmp_path / "trace.csv"
+        sc = enu_scenario(*far_swarm())
         gc.collect()  # generation 0 empty: the pause's own allocation on entry cannot start one
         gc.callbacks.append(record)
         try:
-            cli._simulate_to_trace(sc, None, True, trace)
+            cli._simulate_pair(sc, None, traces.append)
         finally:
             gc.callbacks.remove(record)
-        assert len(results) == 1 and resumed == [None]
-        assert trace.read_text().count("\n") > 1000
+        on, off = traces
+        assert len(results) == 2 and resumed == [[None, None]]
+        assert len(on) > 1000 and off == on  # the far swarm never leaves MONITORING
         assert starts == []
 
-    @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
-    def test_batch_steps_leave_no_cyclic_garbage(self, tmp_path, cas_enabled):
+    # on: the step of `uamcas run`, the system-on side alone; off: with
+    # its system-off side, which resumes from the system-on run's memo.
+    @pytest.mark.parametrize("compare", [False, True], ids=["on", "off"])
+    def test_batch_steps_leave_no_cyclic_garbage(self, compare):
         """Reference counting frees every dead object a step makes, so with
         the collector off nothing is left for it to find."""
         gc.disable()
         gc.collect()
         for sc in PACK:
-            cli._simulate_to_trace(sc, None, cas_enabled, tmp_path / f"{sc.id}.csv")
+            cli._simulate_pair(sc, None, lambda lines: None, compare)
             assert gc.collect() == 0, sc.id
+
+
+class TestRunCompareMatchesBatch:
+    """`run --compare` takes the pair step a batch takes."""
+
+    def test_traces_equal_the_batch_traces(self, scn_dir, tmp_path, capsys):
+        batch, runs = tmp_path / "batch", tmp_path / "runs"
+        assert main(["batch", "--dt", "0.5", "--out", str(batch)]) == 0
+        for sc in PACK:
+            main(["run", scn(scn_dir, sc.id), "--compare", "--dt", "0.5", "--out", str(runs)])
+            assert (runs / f"{sc.id}_trace.csv").read_bytes() == (batch / "traces" / f"{sc.id}.csv").read_bytes()
+            assert ((runs / f"{sc.id}_trace_nocas.csv").read_bytes()
+                    == (batch / "traces" / f"{sc.id}_nocas.csv").read_bytes()), sc.id
+        capsys.readouterr()
+
+    @pytest.fixture
+    def far_swarm_scn(self, tmp_path):
+        path = tmp_path / "far-swarm.scn"
+        path.write_text(serialize_scenario(enu_scenario(*far_swarm())))
+        return path
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, far_swarm_scn, tmp_path, capsys, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["run", str(far_swarm_scn), "--compare", "--out", str(tmp_path / "out")]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    def test_no_collection_starts_inside_a_compare_run(self, far_swarm_scn, tmp_path, capsys):
+        """The whole command, both runs of the pair and their traces, is
+        made in one pause, and the collection it made due starts after it."""
+        args = cli.build_parser().parse_args(["run", str(far_swarm_scn), "--compare", "--out", str(tmp_path / "out")])
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.collect()  # generation 0 empty: the pause's own allocation on entry cannot start one
+        gc.callbacks.append(record)
+        try:
+            assert cli.cmd_run(args) == 0
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert (tmp_path / "out" / "ref-route1_trace_nocas.csv").is_file()
+        assert starts == []
+
+
+class TestParser:
+    def test_main_leaves_no_cyclic_garbage(self, scn_dir, tmp_path, capsys):
+        """The parser is built once, so a second main call frees all it
+        makes by reference counting."""
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(2):
+                gc.collect()
+                assert main(["run", scn(scn_dir, "sc-12"), "--compare", "--dt", "0.5",
+                             "--out", str(tmp_path / "out")]) == 0
+            assert gc.collect() == 0
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
 
 
 class TestValidate:

@@ -21,7 +21,7 @@ from uamcas.pack import default_pack
 from uamcas.geo import EnuPoint
 from uamcas.scenario_io import parse_scenario, serialize_scenario
 
-from test_metrics import assert_matches_reference, encounter
+from test_metrics import assert_index_holds, assert_matches_reference, encounter
 
 PACK = default_pack()
 
@@ -669,11 +669,13 @@ def float_bits(ticks):
     return floats.tobytes()
 
 
-def assert_same_run(sc, params=None):
-    """engine.run equals reference_run: every record, bit for bit in its
-    floats, the terminal and the end time; and metrics.cpa of the run
-    equals reference_cpa over the reference's records."""
-    got, want = engine.run(sc, params), reference_run(sc, params)
+def assert_same_run(sc, params=None, got=None):
+    """engine.run (or got, a run of it already made) equals reference_run:
+    every record, bit for bit in its floats, the terminal and the end
+    time; and metrics.cpa of the run equals reference_cpa over the
+    reference's records."""
+    got = engine.run(sc, params) if got is None else got
+    want = reference_run(sc, params)
     if got.ticks != want.ticks or float_bits(got.ticks) != float_bits(want.ticks):
         k = next((k for k, (a, b) in enumerate(zip(got.ticks, want.ticks))
                   if a != b or float_bits([a]) != float_bits([b])), min(len(got.ticks), len(want.ticks)))
@@ -1209,3 +1211,129 @@ class TestQuietRuns:
         zero = rec._replace(intruders=(rec.intruders[0]._replace(up=0.0),))
         assert flipped == zero and float_bits([flipped]) != float_bits([zero])
         assert float_bits([rec._replace(own_track=0.0)]) != float_bits([rec._replace(own_track=-0.0)])
+
+
+def off_pair(sc, params=None):
+    """The system-on run of sc, then the system-off run that follows it,
+    with params (sc.sim by default) on either side."""
+    params = sc.sim if params is None else params
+    on = engine.run(sc, replace(params, cas_enabled=True))
+    return on, engine.run(sc, replace(params, cas_enabled=False))
+
+
+def assert_equal_runs(got, want):
+    """Two runs give the same records, bit for bit, terminal, end time and
+    CPA."""
+    assert got.ticks == want.ticks and float_bits(got.ticks) == float_bits(want.ticks), got.scenario_id
+    assert got.terminal == want.terminal, got.scenario_id
+    assert repr(got.end_time) == repr(want.end_time), got.scenario_id
+    assert repr(metrics.cpa(got)) == repr(metrics.cpa(want)), got.scenario_id
+
+
+class TestSharedRecords:
+    """A system-off run that follows its system-on run starts from the
+    records they share, those before the first tick the system acts on
+    (engine's memo); it must equal a system-off run made without them."""
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.3048, 1.0])
+    def test_default_pack(self, dt):
+        for sc in PACK:
+            params = replace(sc.sim, dt=dt, cas_enabled=False)
+            fresh = engine.run(sc, params)  # the run before it was a system-off one: no memo
+            _, got = off_pair(sc, params)
+            assert fresh.shared == 0
+            assert_equal_runs(got, fresh)
+            assert_same_run(sc, params, got)
+
+    SHARED = {"ground-0": 6913, "ref-route1": 6913, "ref-route2": 7431, "sc-12": 5067, "sc-13": 4606}
+
+    def test_shared_counts(self):
+        """At dt 0.1, the runs that depart at once on the planned route and
+        never act share all their records, sc-12 and sc-13 those before
+        their first DETECT; every other run acts on its first tick or
+        departs otherwise, and shares none."""
+        got = {sc.id: off_pair(sc)[1] for sc in PACK}
+        assert {sid: res.shared for sid, res in got.items() if res.shared} == self.SHARED
+        assert got["sc-12"].shared < len(got["sc-12"].ticks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(intruders=st.lists(encounter(), min_size=1, max_size=4), dt=st.floats(0.05, 1.0))
+    def test_drawn_encounters(self, intruders, dt):
+        """ref-route1 against intruders drawn as in test_metrics.py,
+        pursuers included: the system-off run after the system-on run
+        equals the loop."""
+        sc = replace(PACK["ref-route1"], intruders=tuple(replace(rec, id=f"d{i}") for i, rec in enumerate(intruders)))
+        _, got = off_pair(sc, replace(sc.sim, dt=dt))
+        assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=False), got)
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3048, 1.0])
+    @pytest.mark.parametrize("anchor,spawn", [("1000,1000,200", 120), ("500,500,250", 100)],
+                             ids=["evaded", "collided"])
+    def test_pursuit_forks_mid_run(self, anchor, spawn, dt):
+        """A pursuer that the system acts on mid-flight: the runs fork
+        there, and the rest of the system-off run is its own."""
+        sc = enu_scenario(
+            f"INTRUDER p1 BIRD UNPREDICTABLE SCRIPT PURSUIT SPEED=20 ANCHOR={anchor} HOLD=20 DURATION=80",
+            f"SPAWN p1 AT {spawn}",
+        )
+        on, got = off_pair(sc, replace(sc.sim, dt=dt))
+        k = got.shared
+        assert 0 < k < len(got.ticks) and got.ticks[:k] == on.ticks[:k] and on.ticks[k] != got.ticks[k]
+        assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=False), got)
+
+    @pytest.mark.parametrize("case", ["same-text", "dt", "contact-distance", "off-first", "taken", "sc-01"])
+    def test_no_sharing(self, case):
+        """The fork takes only the memo of the run just before, made on the
+        same scenario object with the same params but cas_enabled, and
+        departing at once on the planned route (sc-01 departs at 300 s)."""
+        sc = PACK["sc-01" if case == "sc-01" else "ref-route1"]
+        on, off = replace(sc.sim, cas_enabled=True), replace(sc.sim, cas_enabled=False)
+        target = {
+            "same-text": (parse_scenario(serialize_scenario(sc)), off),
+            "dt": (sc, replace(off, dt=0.2)),
+            "contact-distance": (sc, replace(off, contact_distance=4.0)),
+        }.get(case, (sc, off))
+        if case == "off-first":
+            got = engine.run(*target)
+            engine.run(sc, on)
+        else:
+            engine.run(sc, on)
+            if case == "taken":
+                engine.run(PACK["ref-route2"], off)
+            got = engine.run(*target)
+        assert got.shared == 0
+        assert_equal_runs(got, engine.run(*target))
+
+    @pytest.mark.parametrize("case", ["far-swarm", "sc-12"])
+    def test_on_result_is_not_shared(self, case):
+        """Changing the system-on result's records list after it returned
+        changes nothing in the system-off run that follows, whole (the far
+        swarm, which shares the finished index) or forked (sc-12, which
+        copies the index the system-on run goes on changing)."""
+        sc = enu_scenario(*far_swarm(3)) if case == "far-swarm" else PACK[case]
+        fresh = engine.run(sc, replace(sc.sim, cas_enabled=False))
+        on = engine.run(sc)
+        on.ticks.clear()
+        if case == "sc-12":
+            for _, stretches in on.stretches.values():
+                stretches[0][3] = -1.0
+                stretches.pop()
+        got = engine.run(sc, replace(sc.sim, cas_enabled=False))
+        assert got.shared > 0 and got.stretches
+        assert_equal_runs(got, fresh)
+        assert_index_holds(got)
+
+    def test_memo_leaves_no_cyclic_garbage(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for sc in PACK:
+                on = engine.run(sc)
+                del on
+                assert gc.collect() == 0, sc.id  # the memo alone
+                off = engine.run(sc, replace(sc.sim, cas_enabled=False))
+                del off
+                assert gc.collect() == 0, sc.id
+        finally:
+            (gc.enable if enabled else gc.disable)()
