@@ -83,12 +83,12 @@ def _simulate_pair(
     """The pair step: run and score a scenario with the system on and, with
     compare, off, and hand each run's trace lines to emit once whole.  The
     system-off run resumes from the records it shares with the system-on
-    run (engine.run), so its trace takes their rows from the system-on
-    trace; no other system-on row is kept past it.  Only the row (paired
-    with compare) leaves, and the collector stays paused
+    run (engine.run, engine.command_scope), so its trace takes their rows
+    from the system-on trace; no other system-on row is kept past it.  Only
+    the row (paired with compare) leaves, and the collector stays paused
     (engine.collector_paused) until reference counting has freed both
     runs' records, the engine's memo included, so no collection walks them."""
-    with engine.collector_paused():
+    with engine.collector_paused(), engine.command_scope():
         result, row = simulate(sc, dt)
         lines = engine.trace_csv_lines(result)
         del result
@@ -168,9 +168,10 @@ def run_batch(
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)
     rows = []
-    for sc in scenarios:
-        paths = iter([traces / f"{sc.id}.csv", traces / f"{sc.id}_nocas.csv"])
-        rows.append(_simulate_pair(sc, dt, lambda lines: _write_trace(lines, next(paths))))
+    with engine.command_scope():  # the runs share each plan path (engine.run)
+        for sc in scenarios:
+            paths = iter([traces / f"{sc.id}.csv", traces / f"{sc.id}_nocas.csv"])
+            rows.append(_simulate_pair(sc, dt, lambda lines: _write_trace(lines, next(paths))))
     table = metrics.summarize_batch(rows)
     metrics.write_batch_report(table, out, fmt)
     return table

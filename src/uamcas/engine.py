@@ -41,20 +41,31 @@ and its top speeds) * dt, widened for rounding), and its stretches, runs
 of recorded ticks at one cell: a hold pass adds one, and a full tick
 adds or extends one.
 
+Until its first command (any, even one that keeps the guidance) a run
+reads its ownship values from the plan path of its plan (waypoints, bit
+for bit, and destination), perf and dt.  ownship_step reads no clock and
+no intruder, and its run form equals one call per tick bit for bit, so
+the path's rows are what the run would step itself: the floats
+agents.ownship_step returned as runs first reached them (a hold run's
+rows by the run form, a full tick's by one call), which the records keep.
+
 A system-off run repeats its system-on run record for record until the
 system first acts: while the phase is MONITORING no command has been
 issued, so guidance, flight mode, waypoint index, command label and phase
 are the system-off run's (hold runs split the two differently, but every
 record is the tick by tick loop's).  A system-on run that departs as the
 system-off run does (at once, on the planned route) fills the memo, one
-module slot: its loop state (records, clock, ownship values, prev_pos, a
-copy of the stretch index) at the start of the first full tick after
-whose cdr_step the phase is not MONITORING, or its whole run.  The next
-run takes the memo, whatever it is, and forks from it if it is the
+slot: its loop state (records, clock, ownship values, prev_pos, a copy
+of the stretch index, its plan path) at the start of the first full tick
+after whose cdr_step the phase is not MONITORING, or its whole run.  The
+next run takes the memo, whatever it is, and forks from it if it is the
 system-off run of the same scenario object with params equal but for
 cas_enabled: it resumes the loop from that state, RunResult.shared
-counting the records taken.  Loop state added later (ROADMAP items 1, 7
-and 9) must be carried into the memo.
+counting the records taken.  Plan paths and the memo live for one
+command_scope (cli's batch and pair step); a run outside one keeps its
+own, so nothing outlives the command.  Loop state added later (ROADMAP
+items 1, 7 and 9) must be carried into the memo, and what a path's rows
+come to depend on into its key.
 
 The ownship is carried as local floats (position and track) plus its
 flight mode and waypoint index, and agents.ownship_step takes and
@@ -103,9 +114,10 @@ from __future__ import annotations
 import enum
 import gc
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -228,19 +240,78 @@ class collector_paused:
 
 
 _memo = None  # (scenario, params, records, loop state) of a system-on run (see above)
+_paths: dict | None = None  # the plan paths of the open command scope, by key
+
+
+class command_scope:
+    """Share the plan paths and the memo (see above) among the engine.run
+    calls of a with block, one command; a block inside another shares the
+    outer one's, and leaving the outermost drops both."""
+
+    __slots__ = ("_outermost",)
+
+    def __enter__(self) -> None:
+        global _paths
+        self._outermost = _paths is None
+        if self._outermost:
+            _paths = {}
+
+    def __exit__(self, *exc: object) -> None:
+        global _paths, _memo
+        if self._outermost:
+            _paths = _memo = None
+
+
+class _PlanPath:
+    """The undisturbed path of one plan (see above): row j of cols is the
+    ownship's east, north, up and track j ticks after departure, the floats
+    agents.ownship_step returned, and from row cuts[i] on, (mode, idx) is
+    states[i]."""
+
+    __slots__ = ("cols", "cuts", "states", "args")
+
+    def __init__(self, guidance: agents.Guidance, perf: agents.PerformanceModel, dt: float) -> None:
+        east, north, _ = guidance.plan.waypoints[0]
+        self.cols = ([east], [north], [0.0], [0.0])
+        self.cuts, self.states, self.args = [0], [(FlightMode.GROUND, 0)], (perf, guidance, dt)
+
+    def run(self, k: int, n: int) -> list[list[float]]:
+        """The run form from row k: rows k + 1 to k + n, up to the first one
+        that changes (mode, idx), as columns."""
+        cols, cuts = self.cols, self.cuts
+        cut = bisect_right(cuts, k)
+        end = cuts[cut] if cut < len(cuts) else len(cols[0])
+        if end == len(cols[0]) <= k + n:
+            path = agents.ownship_step(*[c[-1] for c in cols], *self.states[-1], *self.args, k + n + 1 - end)
+            for col, new in zip(cols, zip(*path)):
+                col += new
+            end = len(cols[0])
+        return [c[k + 1:min(end, k + n + 1)] for c in cols]
+
+    def tick(self, k: int) -> tuple[float, float, float, float, FlightMode, int]:
+        """Row k + 1 and its (mode, idx): one full tick from row k."""
+        cols, cuts, states = self.cols, self.cuts, self.states
+        if len(cols[0]) == k + 1:
+            *row, mode, idx = agents.ownship_step(*[c[k] for c in cols], *states[-1], *self.args)
+            for col, value in zip(cols, row):
+                col.append(value)
+            if (mode, idx) != states[-1]:
+                cuts.append(k + 1)
+                states.append((mode, idx))
+        return *[c[k + 1] for c in cols], *states[bisect_right(cuts, k + 1) - 1]
 
 
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
-    """Execute one scenario end to end with the cyclic collector paused,
-    taking the memo slot (see above)."""
+    """Execute one scenario end to end with the cyclic collector paused, in
+    the open command scope or its own, taking the memo slot (see above)."""
     global _memo
-    memo, _memo = _memo, None
-    with collector_paused():
-        result, _memo = _run(scenario, params, memo)
+    with collector_paused(), command_scope():
+        memo, _memo = _memo, None
+        result, _memo = _run(scenario, params, memo, _paths)
     return result
 
 
-def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None) -> tuple[RunResult, tuple | None]:
+def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, paths: dict) -> tuple[RunResult, tuple | None]:
     if params is None:
         params = scenario.sim
     sc = scenario
@@ -330,8 +401,11 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None) -> 
     # The fork (see above): a system-off run resumes from the memo of its
     # system-on run, and a system-on run that departs as it would keeps one.
     if not cas_enabled and memo and memo[0] is sc and memo[1] == replace(params, cas_enabled=True):
-        ticks, (t, east, north, up, track, mode, idx, prev_pos, index, terminal) = memo[2:]
+        ticks, (t, east, north, up, track, mode, idx, prev_pos, index, terminal, flight) = memo[2:]
         own_pos, env = (east, north, up), env_by_mode[mode]
+    else:  # the plan path (see above)
+        key = (array("d", chain.from_iterable(plan.waypoints)).tobytes(), plan.destination_id, perf, dt)
+        flight = paths.get(key) or paths.setdefault(key, _PlanPath(guidance, perf, dt))
     shared = len(ticks)
     watch = cas_enabled and decision == cdr.GroundDecision.depart(sc.planned_route, 0.0)
     fork = None
@@ -349,10 +423,14 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None) -> 
             n = min(bisect_left(ts, stop), bisect_right(ts, max_sim_time))
             if cas_enabled:
                 n = detect_hold(cdr_state, ts[:n], cdr_params)
-            path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, n)
-            n = len(path)
+            if flight:
+                es, ns, us, trks = flight.run(len(ticks), n)
+            else:  # the run form's rows as columns
+                path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, n)
+                es, ns, us, trks = list(zip(*path)) or ((),) * 4
+            n = len(es)
             present_recs = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
-            own = [p[:3] for p in path] if present_recs else []  # post-move positions
+            own = list(zip(es, ns, us)) if present_recs else []  # post-move positions
             pre = [own_pos, *own]  # pre[k] is tick k's pre-move position
             caution = env.caution_radius
             # One pass per present intruder in columns; each cuts the run
@@ -388,11 +466,10 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None) -> 
                     if cas_enabled:
                         runs[rid] = fold_run(runs[rid], [t, *ts], sensed[:n], runs[rid][2])
                 columns = zip(*cells) if cells else repeat(())
-                es, ns, us, trks = zip(*path[:n])
                 ticks += map(tuple.__new__, repeat(TickRecord), zip(
-                    ts, es, ns, us, trks, repeat(mode), repeat(cdr_state.phase), columns, repeat(active_label)
+                    ts[:n], es, ns, us, trks, repeat(mode), repeat(cdr_state.phase), columns, repeat(active_label)
                 ))
-                east, north, up, track = path[n - 1]
+                east, north, up, track = es[n - 1], ns[n - 1], us[n - 1], trks[n - 1]
                 own_pos = (east, north, up)
                 t = ts[n - 1]
             t_next = t + dt
@@ -438,15 +515,16 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None) -> 
             if watch and cdr_state.phase is not cdr.CdrPhase.MONITORING:
                 watch = False
                 copied = {rid: (r, [s.copy() for s in ss]) for rid, (r, ss) in index.items()}
-                fork = len(ticks), (t, east, north, up, track, mode, idx, prev_start, copied, None)
+                fork = len(ticks), (t, east, north, up, track, mode, idx, prev_start, copied, None, flight)
             if command is not None:
+                flight = None
                 active_label = command.label()
                 guidance, idx = agents.resolve_command(
                     own_pos, track, idx, perf, guidance, command, vertiports_enu
                 )
 
         # 4. Ownship advances.
-        east, north, up, track, new_mode, idx = ownship_step(
+        east, north, up, track, new_mode, idx = flight.tick(len(ticks)) if flight else ownship_step(
             east, north, up, track, mode, idx, perf, guidance, dt
         )
         own_pos = (east, north, up)
@@ -486,7 +564,7 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None) -> 
         t = t_next
 
     if watch:  # the whole run: nothing changes its index any more
-        fork = len(ticks), (t, east, north, up, track, mode, idx, prev_pos, index, terminal)
+        fork = len(ticks), (t, east, north, up, track, mode, idx, prev_pos, index, terminal, flight)
     return RunResult(
         scenario_id=sc.id,
         ticks=ticks,

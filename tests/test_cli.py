@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 from test_engine import PACK, enu_scenario, far_swarm
-from uamcas import cli, engine
+from uamcas import agents, cli, engine
 from uamcas.cli import main
 from uamcas.engine import TRACE_HEADER
 from uamcas.metrics import BATCH_CSV_HEADER
 from uamcas.pack import default_pack
-from uamcas.scenario_io import export_pack, load_pack, serialize_scenario
+from uamcas.scenario_io import ScenarioPack, export_pack, load_pack, serialize_scenario
 
 
 @pytest.fixture(scope="module")
@@ -812,6 +812,88 @@ class TestRunCompareMatchesBatch:
         capsys.readouterr()
         assert (tmp_path / "out" / "ref-route1_trace_nocas.csv").is_file()
         assert starts == []
+
+
+class TestCommandScope:
+    """A command's runs share the plan paths and the memo of one
+    engine.command_scope, and nothing of them outlives the command."""
+
+    def test_run_leaves_no_records(self, scn_dir, tmp_path, capsys, monkeypatch):
+        """`uamcas run` without --compare: once the command returns, the
+        engine holds neither the memo of its system-on run nor a plan path,
+        so its scenario, result and records are freed."""
+        run, kept = engine.run, []
+
+        def tracked(scenario, params=None):
+            result = run(scenario, params)
+            kept.append((weakref.ref(scenario), weakref.ref(result), result.ticks[100]))
+            return result
+
+        monkeypatch.setattr(engine, "run", tracked)
+        assert main(["run", scn(scn_dir, "ref-route1"), "--dt", "0.5", "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        sc, result, rec = kept.pop()
+        assert sc() is None and result() is None and engine._memo is None and engine._paths is None
+        assert sys.getrefcount(rec) == 2  # rec and the call's argument
+
+    def test_each_batch_flies_its_own_first_flights(self, tmp_path, monkeypatch):
+        """A batch flies each planned route once for all its runs, and two
+        batches in one process each fly their own: they step the same
+        ownship ticks, fewer than their pair steps make one by one."""
+        stepped = []
+        step = agents.ownship_step
+
+        def spy(*args):
+            path = step(*args)
+            stepped[-1] += len(path) if len(args) == 10 else 1
+            return path
+
+        monkeypatch.setattr(agents, "ownship_step", spy)
+        pack = ScenarioPack(tuple(PACK[sid] for sid in ("ref-route1", "sc-03", "sc-11")))  # all on ROUTE1
+        for out in ("first", "second"):
+            stepped.append(0)
+            cli.run_batch(pack, tmp_path / out, dt=0.5, fmt="csv", config=None)
+            assert engine._paths is None and engine._memo is None
+        stepped.append(0)
+        for sc in pack:
+            cli._simulate_pair(sc, 0.5, [].append)
+        first, second, alone = stepped
+        assert first == second < alone
+
+    @pytest.mark.parametrize("config", [None, "SET PERF.CLIMB_RATE 2.5\n"], ids=["plain", "config"])
+    def test_plan_paths_are_keyed_by_perf_and_dt(self, scn_dir, tmp_path, capsys, config):
+        """Three scenarios of one pack plan ROUTE1: one as it is, one with
+        another cruise speed, one with another tick.  Each one's traces and
+        report rows equal those of a batch of it alone, so none flies the
+        path of another; also with a config applied to all three."""
+        text = Path(scn(scn_dir, "ref-route1")).read_text()
+        variants = {"k1-plain": "", "k2-speed": "SET PERF.CRUISE_SPEED 60\n", "k3-dt": "SET SIM.DT 0.2\n"}
+        extra = []
+        if config:
+            (tmp_path / "overlay.cfg").write_text(config)
+            extra = ["--config", str(tmp_path / "overlay.cfg")]
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        for sid, sets in variants.items():
+            scn_text = text.replace("SCENARIO ref-route1", f"SCENARIO {sid}") + sets
+            (pack / f"{sid}.scn").write_text(scn_text)
+            (tmp_path / sid).mkdir()
+            (tmp_path / sid / f"{sid}.scn").write_text(scn_text)
+        assert main(["batch", "--pack", str(pack), "--out", str(tmp_path / "all"), *extra]) == 0
+        for sid in variants:
+            assert main(["batch", "--pack", str(tmp_path / sid), "--out", str(tmp_path / f"{sid}-out"), *extra]) == 0
+            alone, together = tmp_path / f"{sid}-out", tmp_path / "all"
+            for name in (f"{sid}.csv", f"{sid}_nocas.csv"):
+                assert (together / "traces" / name).read_bytes() == (alone / "traces" / name).read_bytes(), name
+            for report in ("summary.csv", "delays.csv", "cpa_compare.csv"):
+                rows = [(together / report).read_text().splitlines(), (alone / report).read_text().splitlines()]
+                mine = [[line for line in lines if line.startswith(f"{sid},")] for lines in rows]
+                assert mine[0] == mine[1] and mine[0], (sid, report)
+        capsys.readouterr()
+        # The speed and the tick reach the flights.
+        t_sim = {line.split(",")[0]: line.split(",")[3]
+                 for line in (tmp_path / "all" / "summary.csv").read_text().splitlines()[1:]}
+        assert len(set(t_sim.values())) == 3
 
 
 class TestParser:

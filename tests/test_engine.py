@@ -1096,8 +1096,9 @@ class TestQuietRuns:
         res = assert_same_run(sc, params)
         ids = [tuple(it.intruder_id for it in rec.intruders) for rec in res.ticks]
         assert [a for a, b in zip(ids, [None, *ids]) if a != b] == [(), ("p1",), ("p1", "f1"), ("p1",), ()]
-        # Each ownship_step call starts from a recorded position and takes
-        # the tick after it first; few start a tick with intruders present.
+        # Each ownship_step call starts from a position the run records (or
+        # steps past its end) and takes the tick after it first; few start
+        # a tick with intruders present.
         first_ids = {(r.own_east, r.own_north, r.own_up): ids[i + 1] for i, r in enumerate(res.ticks[:-1])}
         steps = calls_made(monkeypatch, agents, "ownship_step", sc, params)
         assert sum(bool(first_ids.get(args[:3])) for args in steps) < sum(map(bool, ids)) / 50
@@ -1130,8 +1131,11 @@ class TestQuietRuns:
         res = assert_same_run(sc, params)
         assert res.terminal.kind is TerminalKind.COLLIDED and res.end_time == hit.t
         assert res.ticks[-1].intruders[0].separation == 0.0
-        steps = calls_made(monkeypatch, agents, "ownship_step", sc, params)
-        assert len(steps[-1]) == 9 and len(steps[-2]) == 10 and len(steps) < len(res.ticks) / 50
+        # The loiterer's last run-form call reaches the tick of contact,
+        # and a full tick takes it.
+        steps = [args[1] for args in calls_made(monkeypatch, agents, "intruder_state_at", sc, params)]
+        assert steps[-1] == hit.t and isinstance(steps[-2], list) and hit.t in steps[-2]
+        assert len(steps) < len(res.ticks) / 50
 
     @pytest.mark.parametrize("dt", [0.1, 0.3])
     def test_later_pass_ends_a_run_at_caution(self, monkeypatch, dt):
@@ -1175,8 +1179,13 @@ class TestQuietRuns:
         res = assert_same_run(sc, params)
         assert res.terminal.kind is TerminalKind.COLLIDED and res.end_time == hit.t
         assert [it.intruder_id for it in res.ticks[-1].intruders] == ["f0", "c1"]
-        steps = calls_made(monkeypatch, agents, "ownship_step", sc, params)
-        assert len(steps[-1]) == 9 and len(steps[-2]) == 10 and len(steps) < len(res.ticks) / 50
+        # Each loiterer's last run-form call reaches the tick of contact,
+        # and a full tick takes it.
+        steps = calls_made(monkeypatch, agents, "intruder_state_at", sc, params)
+        for iid in ("f0", "c1"):
+            ts = [args[1] for args in steps if args[0].id == iid]
+            assert ts[-1] == hit.t and isinstance(ts[-2], list) and hit.t in ts[-2]
+            assert len(ts) < len(res.ticks) / 50
 
     @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])
     def test_separation_on_the_caution_radius(self, monkeypatch, cas_enabled):
@@ -1230,10 +1239,73 @@ def assert_equal_runs(got, want):
     assert repr(metrics.cpa(got)) == repr(metrics.cpa(want)), got.scenario_id
 
 
+class TestPlanPaths:
+    """Inside one command scope each run reads the ownship's path, from
+    departure to its first command, from the plan path of its plan, perf
+    and dt, which the runs before it filled (engine's plan paths); every
+    run must equal the loop, and leaving the scope drops the paths."""
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3048, 1.0])
+    def test_default_pack_in_one_scope(self, dt):
+        with engine.command_scope():
+            for sc in PACK:
+                for cas_enabled in (True, False):
+                    assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled))
+            paths = list(engine._paths.values())
+        assert engine._paths is None and engine._memo is None
+        # Each path a run flew to touchdown is whole: rows to touchdown.
+        landings = {len(p.cols[0]) - 1 for p in paths if p.states[-1][0] is FlightMode.GROUND and len(p.cuts) > 1}
+        assert landings == {len(run("ref-route1", dt=dt).ticks), len(run("ref-route2", dt=dt).ticks)}
+
+    def test_a_run_reads_the_path_until_its_first_command(self, monkeypatch):
+        """sc-03 acts mid-flight on ref-route1's plan: its ownship values up
+        to its first command are the float objects ref-route1 left in the
+        path, and its first ownship_step call steps the tick of that
+        command."""
+        sc = PACK["sc-03"]
+        with engine.command_scope():
+            ref = engine.run(PACK["ref-route1"])
+            got = engine.run(sc)
+            steps = calls_made(monkeypatch, agents, "ownship_step", sc)
+        k = next(i for i, rec in enumerate(got.ticks) if rec.command)
+        own = [rec[1:5] for rec in got.ticks]
+        assert all(a is b for a, b in zip(itertools.chain(*own[:k]), itertools.chain(*(rec[1:5] for rec in ref.ticks))))
+        assert steps[0][:4] == own[k - 1] and len(steps[0]) == 9
+        assert_same_run(sc, None, got)
+
+    def test_paths_tell_signed_zeros_apart(self):
+        """A route that starts at longitude -0.0 east of V1 at 0.0 starts at
+        east -0.0, which == does not tell from 0.0 but the trace prints
+        apart: the other route's run keeps its own path and trace."""
+        text = ("SCENARIO z\nOWNSHIP VECTORED_THRUST\nVERTIPORT V1 51.5 0.0\nVERTIPORT V2 51.45 -0.1\n"
+                "ROUTE R1 51.5,{} 51.45,-0.1\nPLAN R1\n")
+        negative, positive = (parse_scenario(text.format(lon)) for lon in ("-0.0", "0.0"))
+        with engine.command_scope():
+            engine.run(negative)
+            got = trace_csv_lines(engine.run(positive))
+        assert got == trace_csv_lines(engine.run(positive)) and got[1].startswith("0.100,0.000,")
+        assert trace_csv_lines(engine.run(negative))[1].startswith("0.100,-0.000,")
+
+    def test_runs_outside_a_scope_share_nothing(self):
+        """Each run outside a scope flies its own path: a cruise record of
+        the second flight holds floats equal to the first's, not the same."""
+        ref = engine.run(PACK["ref-route1"])
+        again = engine.run(PACK["ref-route1"])
+        assert engine._paths is None and engine._memo is None
+        a, b = ref.ticks[3000], again.ticks[3000]
+        assert a.flight_mode is FlightMode.CRUISE and a == b and a.own_east is not b.own_east
+
+
 class TestSharedRecords:
-    """A system-off run that follows its system-on run starts from the
-    records they share, those before the first tick the system acts on
-    (engine's memo); it must equal a system-off run made without them."""
+    """A system-off run that follows its system-on run in one command scope
+    starts from the records they share, those before the first tick the
+    system acts on (engine's memo); it must equal a system-off run made
+    without them."""
+
+    @pytest.fixture(autouse=True)
+    def scope(self):
+        with engine.command_scope():
+            yield
 
     @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.3048, 1.0])
     def test_default_pack(self, dt):
