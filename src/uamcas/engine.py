@@ -38,8 +38,10 @@ is what full ticks would give.
 Beside the records, RunResult.stretches keeps per intruder its reach, the
 most its position relative to the ownship moves in one tick ((ownship
 and its top speeds) * dt, widened for rounding), and its stretches, runs
-of recorded ticks at one cell: a hold pass adds one, and a full tick
-adds or extends one.
+of recorded ticks at one cell.  Hold runs and full ticks record through
+one builder (_record, a full tick being a run of one tick), and each
+call adds one stretch per present intruder; metrics.cpa reads the
+intervals between abutting stretches as those inside one.
 
 Until its first command (any, even one that keeps the guidance) a run
 reads its ownship values from the plan path of its plan (waypoints, bit
@@ -64,7 +66,7 @@ cas_enabled: it resumes the loop from that state, RunResult.shared
 counting the records taken.  Plan paths and the memo live for one
 command_scope (cli's batch and pair step); a run outside one keeps its
 own, so nothing outlives the command.  Loop state added later (ROADMAP
-items 1, 7 and 9) must be carried into the memo, and what a path's rows
+items 1 and 7) must be carried into the memo, and what a path's rows
 come to depend on into its key.
 
 The ownship is carried as local floats (position and track) plus its
@@ -220,6 +222,27 @@ def _cut(column: list[float], lo: float, hi: float) -> int:
     if lo < min(column, default=math.inf) and (hi == math.inf or max(column, default=hi) <= hi):
         return len(column)
     return next(k for k, v in enumerate(column) if not lo < v <= hi)
+
+
+def _record(ticks: list[TickRecord], index: dict, reach: dict[str, float], ts: list[float],
+            es, ns, us, trks, mode: FlightMode, phase: cdr.CdrPhase, label: str,
+            env: envelopes.EnvelopeSet, cols: list[tuple[str, list[EnuPoint], list[float]]]) -> None:
+    """Append the records of the ticks at times ts, the ownship at the
+    columns es, ns, us and trks, and one stretch to the index per present
+    intruder of cols, (id, positions, post-move separations) in order, its
+    place in cols being its cell; classify only for separations within
+    caution_radius."""
+    n, caution, classify = len(ts), env.caution_radius, envelopes.classify
+    cells = []
+    for cell, (rid, ps, post) in enumerate(cols):
+        least = min(post)
+        zones = [Zone.CLEAR] * n if least > caution else [
+            Zone.CLEAR if sep > caution else classify(sep, env) for sep in post]
+        (index.get(rid) or index.setdefault(rid, (reach[rid], [])))[1].append([len(ticks), n, cell, least])
+        cells.append(map(tuple.__new__, repeat(IntruderTick), zip(repeat(rid), *zip(*ps), post, zones)))
+    ticks.extend(map(tuple.__new__, repeat(TickRecord), zip(
+        ts, es, ns, us, trks, repeat(mode), repeat(phase), zip(*cells) if cells else repeat(()), repeat(label)
+    )))
 
 
 class collector_paused:
@@ -432,7 +455,6 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
             present_recs = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
             own = list(zip(es, ns, us)) if present_recs else []  # post-move positions
             pre = [own_pos, *own]  # pre[k] is tick k's pre-move position
-            caution = env.caution_radius
             # One pass per present intruder in columns; each cuts the run
             # for the passes after it, and the columns are cut to the run.
             cols = []  # (id, positions, pre-move and post-move separations) per pass
@@ -453,22 +475,12 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
                 sensed_by_id = {rid: sensed for rid, _, sensed, _ in cols}
                 n = de_escalation_hold(cdr_state, runs, [t, *ts], ts[:n], sensed_by_id, cdr_params)
             if n:
-                cells = []
-                for cell, (rid, ps, sensed, post) in enumerate(cols):
-                    ps, post = ps[:n], post[:n]
-                    least = min(post)
-                    zones = [Zone.CLEAR] * n if least > caution else [
-                        Zone.CLEAR if sep > caution else classify(sep, env) for sep in post]
-                    index[rid][1].append([len(ticks), n, cell, least])
-                    cells.append(map(tuple.__new__, repeat(IntruderTick),
-                                     zip(repeat(rid), *zip(*ps), post, zones)))
-                    prev_pos[rid] = ps[-1]
+                _record(ticks, index, reach, ts[:n], es, ns, us, trks, mode, cdr_state.phase, active_label, env,
+                        [(rid, ps[:n], post[:n]) for rid, ps, _, post in cols])
+                for rid, ps, sensed, _ in cols:
+                    prev_pos[rid] = ps[n - 1]
                     if cas_enabled:
                         runs[rid] = fold_run(runs[rid], [t, *ts], sensed[:n], runs[rid][2])
-                columns = zip(*cells) if cells else repeat(())
-                ticks += map(tuple.__new__, repeat(TickRecord), zip(
-                    ts[:n], es, ns, us, trks, repeat(mode), repeat(cdr_state.phase), columns, repeat(active_label)
-                ))
                 east, north, up, track = es[n - 1], ns[n - 1], us[n - 1], trks[n - 1]
                 own_pos = (east, north, up)
                 t = ts[n - 1]
@@ -532,32 +544,13 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
             mode = new_mode
             env = env_by_mode[mode]
 
-        # 5. Record the post-move snapshot.
-        intruder_ticks = []
-        contact = False
-        for cell, (rid, pos) in enumerate(present):
-            sep = distance_3d(own_pos, pos)
-            p_e, p_n, p_u = pos
-            intruder_ticks.append(
-                tuple.__new__(IntruderTick, (rid, p_e, p_n, p_u, sep, classify(sep, env)))
-            )
-            if sep <= contact_distance:
-                contact = True
-            stretch = index[rid][1][-1] if rid in index else None
-            if stretch and stretch[0] + stretch[1] == len(ticks) and stretch[2] == cell:
-                stretch[1] += 1
-                stretch[3] = min(stretch[3], sep)
-            else:
-                index.setdefault(rid, (reach[rid], []))[1].append([len(ticks), 1, cell, sep])
-        ticks.append(
-            tuple.__new__(
-                TickRecord,
-                (t_next, east, north, up, track, mode, cdr_state.phase,
-                 tuple(intruder_ticks), active_label),
-            )
-        )
+        # 5. Record the post-move snapshot, a hold run's record step over
+        # one tick; contact ends the run.
+        cols = [(rid, [pos], [distance_3d(own_pos, pos)]) for rid, pos in present]
+        _record(ticks, index, reach, [t_next], [east], [north], [up], [track], mode, cdr_state.phase, active_label,
+                env, cols)
 
-        if contact:
+        if any(sep <= contact_distance for _, _, (sep,) in cols):
             terminal = Terminal(TerminalKind.COLLIDED)
         elif mode is FlightMode.GROUND:
             terminal = Terminal(TerminalKind.LANDED_AT, guidance.plan.destination_id)

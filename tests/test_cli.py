@@ -2,7 +2,6 @@
 launchers."""
 
 import gc
-import importlib.util
 import json
 import os
 import subprocess
@@ -29,7 +28,6 @@ def scn_dir(tmp_path_factory):
     return d
 
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -611,23 +609,6 @@ class TestBatch:
         captured = capsys.readouterr()
         assert captured.err.startswith(expected) and captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
-
-    def test_script_writes_the_batch_artifacts(self, mini_pack_dir, tmp_path, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "run_default_pack", SCRIPTS / "run_default_pack.py"
-        )
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        a, b = tmp_path / "batch", tmp_path / "script"
-        common = ["--pack", str(mini_pack_dir), "--dt", "0.5", "--format", "both"]
-        assert main(["batch", *common, "--out", str(a)]) == 0
-        assert script.main([*common, "--out", str(b)]) == 0
-        capsys.readouterr()
-        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-        assert len(files) == 4 + 2 * 3  # four reports, two traces per scenario
-        for rel in files:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 class TestRunReportMatchesBatch:

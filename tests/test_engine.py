@@ -672,8 +672,8 @@ def float_bits(ticks):
 def assert_same_run(sc, params=None, got=None):
     """engine.run (or got, a run of it already made) equals reference_run:
     every record, bit for bit in its floats, the terminal and the end
-    time; and metrics.cpa of the run equals reference_cpa over the
-    reference's records."""
+    time; its stretch index holds; and metrics.cpa of the run equals
+    reference_cpa over the reference's records."""
     got = engine.run(sc, params) if got is None else got
     want = reference_run(sc, params)
     if got.ticks != want.ticks or float_bits(got.ticks) != float_bits(want.ticks):
@@ -683,6 +683,7 @@ def assert_same_run(sc, params=None, got=None):
     assert got.terminal == want.terminal, sc.id
     assert repr(got.end_time) == repr(want.end_time), sc.id
     assert (got.departure_time, got.ground_decision) == (want.departure_time, want.ground_decision)
+    assert_index_holds(got)
     assert_matches_reference(got, want)
     return got
 
@@ -1136,6 +1137,27 @@ class TestQuietRuns:
         steps = [args[1] for args in calls_made(monkeypatch, agents, "intruder_state_at", sc, params)]
         assert steps[-1] == hit.t and isinstance(steps[-2], list) and hit.t in steps[-2]
         assert len(steps) < len(res.ticks) / 50
+
+    def test_contact_is_inclusive(self):
+        """With the system off, a loiterer 40 m above the cruise at 400 s:
+        at a contact distance equal to its least recorded separation s,
+        the run ends COLLIDED on the tick recorded at s; at the float just
+        below s it does not end there."""
+        params = replace(PACK["ref-route1"].sim, cas_enabled=False)
+        clear = engine.run(PACK["ref-route1"], params)
+        near = next(rec for rec in clear.ticks if rec.t >= 400.0)
+        sc = enu_scenario(
+            f"INTRUDER c1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 "
+            f"ANCHOR={near.own_east!r},{near.own_north!r},{near.own_up + 40.0!r} HOLD=1000",
+            "SPAWN c1 AT 100",
+        )
+        s, t = min((it.separation, rec.t) for rec in assert_same_run(sc, params).ticks for it in rec.intruders)
+        assert 5.0 < s <= 40.0
+        hit = assert_same_run(sc, replace(params, contact_distance=s))
+        assert hit.terminal.kind is TerminalKind.COLLIDED and hit.end_time == t
+        assert hit.ticks[-1].intruders[0].separation == s
+        missed = assert_same_run(sc, replace(params, contact_distance=math.nextafter(s, 0.0)))
+        assert missed.terminal.kind is TerminalKind.LANDED_AT and missed.end_time > t
 
     @pytest.mark.parametrize("dt", [0.1, 0.3])
     def test_later_pass_ends_a_run_at_caution(self, monkeypatch, dt):
