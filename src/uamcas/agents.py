@@ -302,6 +302,8 @@ def ownship_step(
     capture = perf.capture_radius
     max_step = perf.turn_rate * dt
     cruise_speed = perf.cruise_speed
+    vs = min(perf.climb_rate, cruise_speed * 0.999)
+    h_speed = math.sqrt(cruise_speed * cruise_speed - vs * vs)
     hypot, atan2, degrees, radians, sin, cos = math.hypot, math.atan2, math.degrees, math.radians, math.sin, math.cos
     step_track = None  # the track the cruise-altitude step (step_e, step_n) was made from
     for _ in range(n):
@@ -359,8 +361,6 @@ def ownship_step(
             east = east + step_e
             north = north + step_n
         else:
-            vs = min(perf.climb_rate, cruise_speed * 0.999)
-            h_speed = math.sqrt(cruise_speed**2 - vs**2)
             up = min(perf.cruise_alt, up + vs * dt)
             rad = radians(track)
             east = east + h_speed * dt * sin(rad)

@@ -21,12 +21,13 @@ de-escalation).  The loop takes a run of held ticks, those of the next
 (cdr.detect_hold), in one agents.ownship_step call, then one pass per
 present intruder, in order, in columns: its positions from one
 agents.intruder_state_at call (both run forms), its pre-move (system on)
-and post-move separations from geo.distances_3d (a still intruder's
-post-move ones are the next ticks' pre-move ones), one cdr.fold_run of
-its running record, and classify only for post-move separations within
-caution_radius.  A run ends before the first tick that would change
-which intruders are present, move a pre-move separation out of its zone
-on the tick before with the system on (envelopes.zone_bounds), bring a
+and post-move separations from geo.distances_3d, math.dist computed in
+C with no libm pow() (a still intruder's post-move ones are the next
+ticks' pre-move ones), one cdr.fold_run of its running record, and
+classify only for post-move separations within caution_radius.  A run
+ends before the first tick that would change which intruders are
+present, move a pre-move separation out of its zone on the tick before
+with the system on (envelopes.zone_bounds), bring a
 post-move one to contact_distance or below, pass max_sim_time, change
 the flight mode or waypoint index, or de-escalate the encounter
 intruder on its folded record (cdr.de_escalation_hold), and a full tick
@@ -178,8 +179,9 @@ class Terminal:
 class IntruderTick(NamedTuple):
     """One present intruder in a tick's post-move snapshot.  separation
     is geo.distance_3d(ownship, intruder) of exactly the recorded
-    positions, so it equals that distance bit for bit; metrics.cpa takes
-    its sampled distances and the ends of its bound from it."""
+    positions, math.dist computed in C with no libm pow(), so it equals
+    that distance bit for bit; metrics.cpa takes its sampled distances
+    and the ends of its bound from it."""
 
     intruder_id: str
     east: float

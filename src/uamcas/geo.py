@@ -152,9 +152,10 @@ def from_enu(origin: GeoPoint, p: EnuPoint) -> GeoPoint:
     return GeoPoint(lat, lon, p.up + origin.alt)
 
 
-# The three distance helpers unpack their points by position, so they
+# The three distance helpers read their points by position, so they
 # take an EnuPoint or a plain (east, north, up) tuple alike: the engine
-# carries the ownship's position as floats.
+# carries the ownship's position as floats.  Separations are math.dist,
+# computed in C with no libm pow(), whose rounding varies by C library.
 
 
 def horizontal_distance(a: EnuPoint, b: EnuPoint) -> float:
@@ -164,16 +165,13 @@ def horizontal_distance(a: EnuPoint, b: EnuPoint) -> float:
 
 
 def distance_3d(a: EnuPoint, b: EnuPoint) -> float:
-    a_e, a_n, a_u = a
-    b_e, b_n, b_u = b
-    return math.sqrt((b_e - a_e) ** 2 + (b_n - a_n) ** 2 + (b_u - a_u) ** 2)
+    return math.dist(a, b)
 
 
 def distances_3d(a: Iterable[EnuPoint], b: Iterable[EnuPoint]) -> list[float]:
     """distance_3d of each pair a[k], b[k] up to the shorter sequence, by
     the same operations."""
-    return [math.sqrt((b_e - a_e) ** 2 + (b_n - a_n) ** 2 + (b_u - a_u) ** 2)
-            for (a_e, a_n, a_u), (b_e, b_n, b_u) in zip(a, b)]
+    return list(map(math.dist, a, b))
 
 
 def bearing(a: EnuPoint, b: EnuPoint) -> float:

@@ -17,11 +17,11 @@ from uamcas.cli import main
 BATCH_DIGEST = "f2c83ad118cf38fe05987808ba0c72105b1eaca7f371fbaa9326eb0f92239d39"
 RUN_SC11_DIGEST = "9d549d2429618656d44ddb8404849344c9fd253d58618b94ea233c957513bd6c"
 PACK_DIGEST = "c4ff65354538aa4334ddf0b2b3e1278677a74f9d362cb74cb20277b6be280194"
-BATCH_SHORT_HOLD_DIGEST = "87de8dd72eb771ef1fd06c90828abb3a022fb6f663fa6b24f08ecc8c5f5d1275"
+BATCH_SHORT_HOLD_DIGEST = "5983a3c4f05857987e5ee098a3b3a7839b7da82103de94c560df318ad7c14153"
 RUN_REPORTS_DIGEST = "a63c8098ef832806b67392d334f25fc3c134133e7322393d4c3fd3deb2a55853"
 BATCH_DT_DIGESTS = {
     "0.05": "9e061843e07b968a5f198fb5d6bc790ed911eb81e4db13b30e12cba23e8a15db",
-    "0.2": "ab975b6bfd0db8aa73d01a02cbed6612b2ba0a7540243d42edbcb8ba14c8ba36",
+    "0.2": "2a74bf2a417730244810bf2fcaf717e7e5f8daa282b0dd7c56d5d38e25c45c2b",
     "1.0": "66bcf9e8e0b55405590509b4ac0738b03a51744dfe5bc735d518b289457181b2",
 }
 

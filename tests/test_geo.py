@@ -2,9 +2,10 @@
 projection, dense sampling for polyline and CPA math."""
 
 import math
+from itertools import repeat
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from uamcas.geo import (
     EARTH_RADIUS_M,
@@ -99,6 +100,24 @@ class TestDistances:
         b = [EnuPoint(*p[3:]) for p in pairs]
         assert repr(distances_3d(a, b)) == repr([distance_3d(p, q) for p, q in zip(a, b)])
         assert distances_3d(a, b[:2]) == distances_3d(a[:2], b)
+        if b:  # a still intruder's column: one point against every point of a
+            assert repr(distances_3d(a, repeat(b[0]))) == repr([distance_3d(p, b[0]) for p in a])
+
+    @given(
+        st.tuples(*[st.floats(-3e4, 3e4, allow_subnormal=False)] * 3),
+        st.tuples(*[st.floats(-3e4, 3e4, allow_subnormal=False)] * 3),
+        st.tuples(*[st.floats(-50.0, 50.0, allow_subnormal=False)] * 3),
+        st.booleans(),
+    )
+    def test_within_one_ulp_of_products(self, a, far, offset, near):
+        """Against a formula written apart from geo, since reference_run
+        takes its separations from distance_3d too.  b is either anywhere
+        in +-30 km or within 50 m of a."""
+        b = tuple(p + d for p, d in zip(a, offset)) if near else far
+        dx, dy, dz = (q - p for p, q in zip(a, b))
+        expected = math.sqrt(dx * dx + dy * dy + dz * dz)
+        assume(expected > 1e-100)  # below this the products underflow
+        assert abs(distance_3d(a, b) - expected) <= math.ulp(expected)
 
 
 class TestBearing:
