@@ -30,9 +30,10 @@ DEFAULT_TURN_RATE_DEG_S = 10.0
 DEFAULT_CRUISE_ALT_M = 304.8  # 1000 ft
 DEFAULT_CLIMB_RATE_M_S = 1.7
 DEFAULT_DESCENT_RATE_M_S = 1.7
-# Ceiling on a scripted intruder's speed: the speed of sound, well above
-# any drone or bird.
-MAX_INTRUDER_SPEED_M_S = 343.0
+# Ceiling on every speed, the ownship's (PERF_SPEEDS) and a scripted
+# intruder's: the speed of sound, well above any drone or bird.
+MAX_SPEED_M_S = 343.0
+PERF_SPEEDS = ("cruise_speed", "climb_rate", "descent_rate")
 
 Vec3 = tuple[float, float, float]
 
@@ -74,6 +75,8 @@ class PerformanceModel:
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+            if name in PERF_SPEEDS and getattr(self, name) > MAX_SPEED_M_S:
+                raise ValueError(f"{name} must not exceed {MAX_SPEED_M_S!r} m/s")
 
 
 # Cruise speeds: vectored thrust is the published figure; the other three
@@ -438,8 +441,8 @@ class ScriptedBehavior:
     def __post_init__(self) -> None:
         if self.speed <= 0.0:
             raise ValueError("script speed must be positive")
-        if self.speed > MAX_INTRUDER_SPEED_M_S:
-            raise ValueError(f"script speed must not exceed {MAX_INTRUDER_SPEED_M_S!r} m/s")
+        if self.speed > MAX_SPEED_M_S:
+            raise ValueError(f"script speed must not exceed {MAX_SPEED_M_S!r} m/s")
         if self.linger_duration < 0.0:
             raise ValueError("linger duration must be non-negative")
         if self.duration is not None and self.duration <= 0.0:

@@ -66,7 +66,8 @@ system-off run of the same scenario object with params equal but for
 cas_enabled: it resumes the loop from that state, RunResult.shared
 counting the records taken.  Plan paths and the memo live for one
 command_scope (cli's batch and pair step); a run outside one keeps its
-own, so nothing outlives the command.  Loop state added later (ROADMAP
+own, so nothing outlives the command but in the RunResults that name
+their path (RunResult.leading, below).  Loop state added later (ROADMAP
 items 1 and 7) must be carried into the memo, and what a path's rows
 come to depend on into its key.
 
@@ -110,6 +111,26 @@ again only when its value changes.  Equal floats print alike with one
 exception: 0.0 == -0.0, yet they print as 0.000 and -0.000.  A text is
 therefore reused only for the same float object or an equal nonzero
 value, and a repeated zero that is a new object is formatted again.
+
+Across runs, a plan path keeps the trace text of its rows.  A run's path
+rows are its leading records, those before its first command (all of a
+run that issues none, a forked system-off run included), and
+RunResult.leading names the path and counts them.  A row's time is the
+same float in every run with the same departure, as the clock adds dt
+from it and dt is in the path key, and its ownship values are the path's
+floats, so path.text[departure] can hold each row's quiet line: phase
+MONITORING, no intruder, no command.  The first run to render path rows
+at a departure renders them as above; the second fills the text up to
+its last path row and reads it, and so do the runs after it, extending
+it as they need.  A run fills only lines it prints: one whose first
+rendered row (a forked system-off run's first unshared one) lies past
+the text's end renders as the first does.  So rows at a departure only
+one run renders (a lone run, a pack whose runs share no path) cost no
+extra time or memory.  A quiet row takes its line as it is, and any
+other path row the line's time and ownship prefix.  Whatever the clock
+comes to depend on (ROADMAP items 1 and 14 change it) must join the text
+key, as loop state must join the memo and what a path's rows depend on
+the path key.
 """
 
 from __future__ import annotations
@@ -119,7 +140,7 @@ import gc
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
@@ -214,6 +235,7 @@ class RunResult:
     # The stretch index: per intruder, (reach, [[first tick, count, cell, least separation], ...]).
     stretches: dict[str, tuple[float, list[list]]]
     shared: int = 0  # the leading records taken from the system-on run before it (see above)
+    leading: tuple[_PlanPath, int] | None = field(default=None, compare=False)  # (plan path, path rows) (see above)
 
 
 _SEPARATION = attrgetter("separation")
@@ -291,14 +313,17 @@ class _PlanPath:
     """The undisturbed path of one plan (see above): row j of cols is the
     ownship's east, north, up and track j ticks after departure, the floats
     agents.ownship_step returned, and from row cuts[i] on, (mode, idx) is
-    states[i]."""
+    states[i].  text[departure] holds the quiet trace line of each row for
+    runs that depart at departure (see above): [] once one run has
+    rendered rows, extended by the runs after it."""
 
-    __slots__ = ("cols", "cuts", "states", "args")
+    __slots__ = ("cols", "cuts", "states", "args", "text")
 
     def __init__(self, guidance: agents.Guidance, perf: agents.PerformanceModel, dt: float) -> None:
         east, north, _ = guidance.plan.waypoints[0]
         self.cols = ([east], [north], [0.0], [0.0])
         self.cuts, self.states, self.args = [0], [(FlightMode.GROUND, 0)], (perf, guidance, dt)
+        self.text: dict[float, list[str]] = {}
 
     def run(self, k: int, n: int) -> list[list[float]]:
         """The run form from row k: rows k + 1 to k + n, up to the first one
@@ -432,6 +457,7 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
         key = (array("d", chain.from_iterable(plan.waypoints)).tobytes(), plan.destination_id, perf, dt)
         flight = paths.get(key) or paths.setdefault(key, _PlanPath(guidance, perf, dt))
     shared = len(ticks)
+    leading = None
     watch = cas_enabled and decision == cdr.GroundDecision.depart(sc.planned_route, 0.0)
     fork = None
 
@@ -531,6 +557,8 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
                 copied = {rid: (r, [s.copy() for s in ss]) for rid, (r, ss) in index.items()}
                 fork = len(ticks), (t, east, north, up, track, mode, idx, prev_start, copied, None, flight)
             if command is not None:
+                if flight:
+                    leading = flight, len(ticks)
                 flight = None
                 active_label = command.label()
                 guidance, idx = agents.resolve_command(
@@ -560,6 +588,8 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
 
     if watch:  # the whole run: nothing changes its index any more
         fork = len(ticks), (t, east, north, up, track, mode, idx, prev_pos, index, terminal, flight)
+    if flight:  # no command: every record is a path row
+        leading = flight, len(ticks)
     return RunResult(
         scenario_id=sc.id,
         ticks=ticks,
@@ -569,6 +599,7 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
         end_time=t,
         stretches=index,
         shared=shared,
+        leading=leading,
     ), (sc, params, ticks[:fork[0]], fork[1]) if fork else None
 
 
@@ -577,6 +608,8 @@ TRACE_HEADER = "t_s,own_east_m,own_north_m,own_up_m,own_track_deg,phase,intruder
 
 _ZONE_TEXT = {zone: zone.name for zone in Zone}
 _PHASE_TEXT = {phase: phase.value for phase in cdr.CdrPhase}
+_MONITORING = cdr.CdrPhase.MONITORING
+_QUIET = f",{_MONITORING.value},,,,"  # a quiet line's end: no intruder, no command
 
 
 def trace_csv_lines(result: RunResult, first: int = 0) -> list[str]:
@@ -584,12 +617,31 @@ def trace_csv_lines(result: RunResult, first: int = 0) -> list[str]:
     record first on, with the governing (nearest; the first listed on a
     tie) intruder's columns."""
     lines = [TRACE_HEADER]
+    # The quiet lines of the run's n path rows (see above).  The first run
+    # to render any formats its own, and so does one whose first row lies
+    # past the text's end: a run fills only lines it prints.
+    path, n = result.leading or (None, 0)
+    text = path.text.get(result.departure_time) if n > first else None
+    if text is None or len(text) < first:
+        if text is None and n > first:
+            path.text[result.departure_time] = []
+        text, n = [], 0
+    text += ["%.3f,%.3f,%.3f,%.3f,%.3f%s" % (*rec[:5], _QUIET) for rec in islice(result.ticks, len(text), n)]
+    cut = -len(_QUIET)
+    for line, (_, _, _, _, _, _, phase, intruders, command) in zip(islice(text, first, n), islice(result.ticks, first, n)):
+        if intruders:
+            iid, _, _, _, sep, zone = intruders[0] if len(intruders) == 1 else min(intruders, key=_SEPARATION)
+            lines.append("%s,%s,%s,%.3f,%s,%s" % (line[:cut], _PHASE_TEXT[phase], iid, sep, _ZONE_TEXT[zone], command))
+        elif phase is _MONITORING and not command:
+            lines.append(line)
+        else:
+            lines.append("%s,%s,,,,%s" % (line[:cut], _PHASE_TEXT[phase], command))
     # Text of the last east/north pair, up, and track/phase group.  A
     # value's text is reused while it is the previous row's object, or
     # equal to it and nonzero: 0.0 == -0.0, but they print differently.
     last_e = last_n = last_up = last_track = last_phase = None
     en = u = tp = ""
-    for t, east, north, up, track, _, phase, intruders, command in islice(result.ticks, first, None):
+    for t, east, north, up, track, _, phase, intruders, command in islice(result.ticks, max(first, n), None):
         if not (
             (east is last_e or east == last_e and east)
             and (north is last_n or north == last_n and north)

@@ -50,6 +50,8 @@ from typing import Iterator, Sequence
 
 from .agents import (
     DEFAULT_PERFORMANCE,
+    MAX_SPEED_M_S,
+    PERF_SPEEDS,
     FlightMode,
     IntruderBehavior,
     IntruderKind,
@@ -281,6 +283,8 @@ def _parse_set_value(group: str, name: str, raw: str) -> object:
         if v > MAX_WAITS:
             raise ValueError(f"{raw!r} must not exceed {MAX_WAITS}")
         return int(v)
+    if group == "PERF" and name in PERF_SPEEDS and _num(raw) > MAX_SPEED_M_S:
+        raise ValueError(f"{raw!r} must not exceed {MAX_SPEED_M_S!r} m/s")
     return _num(raw)
 
 

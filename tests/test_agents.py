@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from uamcas.geo import EnuPoint
 from uamcas.agents import (
     DEFAULT_PERFORMANCE,
+    MAX_SPEED_M_S,
     FlightMode,
     Guidance,
     GuidanceKind,
@@ -92,6 +93,13 @@ class TestPerformanceTable:
             PerformanceModel(0.0)
         with pytest.raises(ValueError):
             PerformanceModel(78.0, climb_rate=-1.0)
+
+    @pytest.mark.parametrize("name", ["cruise_speed", "climb_rate", "descent_rate"])
+    def test_rejects_speeds_above_the_ceiling(self, name):
+        fields = {"cruise_speed": 78.0, name: MAX_SPEED_M_S}
+        assert getattr(PerformanceModel(**fields), name) == MAX_SPEED_M_S
+        with pytest.raises(ValueError, match=f"{name} must not exceed 343.0 m/s"):
+            PerformanceModel(**{**fields, name: math.nextafter(MAX_SPEED_M_S, math.inf)})
 
 
 class TestStateValidation:

@@ -1045,6 +1045,22 @@ class TestValidate:
         assert err.startswith(f"{bad}:{at}: ") and err.endswith(message), err
 
 
+    @pytest.mark.parametrize("line", [
+        "SET PERF.CRUISE_SPEED 1e160", "SET PERF.CLIMB_RATE 343.5", "SET PERF.DESCENT_RATE 1e300",
+    ])
+    def test_ownship_speeds_above_the_ceiling_fail_on_their_line(self, scn_dir, tmp_path, capsys, line):
+        """sc-03 at a cruise speed of 1e160 m/s used to validate and then
+        run on meaningless positions until it timed out at 3300 s."""
+        text = Path(scn(scn_dir, "sc-03")).read_text()
+        bad = tmp_path / "sc-03.scn"
+        bad.write_text(text + line + "\n")
+        n = len(text.splitlines()) + 1
+        assert main(["validate", str(bad)]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"{bad}:{n}: ") and err.endswith("must not exceed 343.0 m/s"), err
+        assert main(["run", str(bad), "--dt", "0.5", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line {n}: ")
+
     @pytest.mark.parametrize(
         "kind,message",
         [("not-utf8", ":0: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),

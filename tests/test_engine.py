@@ -1305,8 +1305,15 @@ class TestPlanPaths:
         with engine.command_scope():
             engine.run(negative)
             got = trace_csv_lines(engine.run(positive))
+            # A second reader of each path reads its cached lines.
+            runs = [engine.run(sc) for sc in (negative, negative, positive)]
+            lines = [trace_csv_lines(res) for res in runs]
         assert got == trace_csv_lines(engine.run(positive)) and got[1].startswith("0.100,0.000,")
         assert trace_csv_lines(engine.run(negative))[1].startswith("0.100,-0.000,")
+        assert lines[0] == lines[1] == reference_trace_lines(runs[1]) and lines[1][1].startswith("0.100,-0.000,")
+        assert lines[2] == got and runs[1].leading[0] is not runs[2].leading[0]
+        for res, ln in zip(runs[1:], lines[1:]):
+            assert ln[1] is res.leading[0].text[0.0][0]
 
     def test_runs_outside_a_scope_share_nothing(self):
         """Each run outside a scope flies its own path: a cruise record of
@@ -1316,6 +1323,85 @@ class TestPlanPaths:
         assert engine._paths is None and engine._memo is None
         a, b = ref.ticks[3000], again.ticks[3000]
         assert a.flight_mode is FlightMode.CRUISE and a == b and a.own_east is not b.own_east
+
+
+class TestPathText:
+    """Inside one command scope the second run that renders rows of a plan
+    path at one departure caches their quiet lines on the path, and the runs
+    after it take those lines (engine's trace text); every trace must
+    equal the reference renderer's."""
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2])
+    def test_default_pack_in_one_scope(self, dt):
+        """Every pack run, in pack order, rendered as the pair step does:
+        the system-off trace takes the shared rows of the system-on one."""
+        with engine.command_scope():
+            for sc in PACK:
+                on = engine.run(sc, replace(sc.sim, dt=dt))
+                lines = trace_csv_lines(on)
+                assert lines == reference_trace_lines(on), sc.id
+                off = engine.run(sc, replace(sc.sim, dt=dt, cas_enabled=False))
+                lines = lines[:off.shared + 1] + trace_csv_lines(off, off.shared)[1:]
+                assert lines == reference_trace_lines(off), sc.id
+            cached = [text for path in engine._paths.values() for text in path.text.values() if text]
+        assert cached  # the pack's runs read cached lines
+
+    def test_quiet_rows_are_the_cached_lines(self):
+        """ref-route1 meets no intruder and issues no command: the first
+        run renders its own lines, the second fills the path's text and
+        reads it, and the third reads the same lines."""
+        with engine.command_scope():
+            runs = [engine.run(PACK["ref-route1"]) for _ in range(3)]
+            path, n = runs[0].leading
+            first = trace_csv_lines(runs[0])
+            assert path.text == {0.0: []} and n == len(runs[0].ticks)
+            later = [trace_csv_lines(res) for res in runs[1:]]
+        text = path.text[0.0]
+        assert len(text) == n and all(res.leading == (path, n) for res in runs)
+        assert first == later[0] == later[1] == reference_trace_lines(runs[0])
+        assert not any(a is b for a, b in zip(first[1:], text))
+        for lines in later:
+            assert all(a is b for a, b in zip(lines[1:], text, strict=True))
+
+    def test_a_run_fills_only_lines_it_prints(self):
+        """sc-12's pair alone, as `uamcas run --compare` runs it: the
+        system-on run is the first to render its path's rows, and the
+        forked system-off run renders from its first unshared row, past
+        the text's end, so it formats its own lines and none for the text."""
+        sc = PACK["sc-12"]
+        with engine.command_scope():
+            trace_csv_lines(engine.run(sc))
+            off = engine.run(sc, replace(sc.sim, cas_enabled=False))
+            lines = trace_csv_lines(off, off.shared)
+        path, n = off.leading
+        assert 0 < off.shared < n == len(off.ticks) and path.text == {0.0: []}
+        assert lines[1:] == reference_trace_lines(off)[off.shared + 1:]
+
+    def test_leading_rows_end_at_the_first_command(self):
+        """sc-03's path rows end at its first command; the system-off run
+        after it is path rows to the end."""
+        with engine.command_scope():
+            on = engine.run(PACK["sc-03"])
+            off = engine.run(PACK["sc-03"], replace(PACK["sc-03"].sim, cas_enabled=False))
+        k = next(i for i, rec in enumerate(on.ticks) if rec.command)
+        assert on.leading[1] == k and off.leading[1] == len(off.ticks)
+
+    def test_a_latched_phase_is_not_quiet(self):
+        """An intruder that spawns inside the collision envelope latches
+        COLLIDED without a command (cdr.cdr_step), so once it is gone the
+        run's path rows have no intruder and no command but are not quiet.
+        The latch (ROADMAP item 10) is the one way a path row gets a phase
+        other than MONITORING with no intruder in sight."""
+        sc = enu_scenario("INTRUDER c1 DRONE PREDICTABLE SCRIPT LINGER SPEED=1 ANCHOR=0,30,85 HOLD=5 DURATION=5",
+                          "SPAWN c1 AT 50")
+        with engine.command_scope():
+            for _ in range(2):  # the first renders its own lines, the second fills the text
+                trace_csv_lines(engine.run(sc, replace(sc.sim, cas_enabled=False)))
+            got = engine.run(sc)
+            lines = trace_csv_lines(got)
+        assert any(not rec.intruders and rec.phase is not cdr.CdrPhase.MONITORING
+                   for rec in got.ticks[:got.leading[1]])
+        assert lines == reference_trace_lines(got)
 
 
 class TestSharedRecords:
