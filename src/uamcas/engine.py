@@ -33,8 +33,15 @@ the flight mode or waypoint index, or de-escalate the encounter
 intruder on its folded record (cdr.de_escalation_hold), and a full tick
 takes that one.  A pass that ends it early shortens the later passes,
 and every column is cut to the run (a shorter column is a prefix of a
-longer one).  The clock still adds dt once per tick, so every artifact
-is what full ticks would give.
+longer one).  A run that nothing cut, all 256 ticks, is followed by
+another: the decision holds on the next tick unless that run ends before
+it, and then a full tick takes it.  The clock is one column per
+departure and dt in the command scope, tick k at clock[k], filled lazily
+(_clock) by the sum the loop once made, clock[k + 1] = clock[k] + dt.
+The record count is the tick index, so a run (a forked one too) reads
+the next tick's time at clock[len(ticks) + 1], hold runs slice the
+column, and the runs of one departure and dt record its floats; every
+artifact is what full ticks would give.
 
 Beside the records, RunResult.stretches keeps per intruder its reach, the
 most its position relative to the ownship moves in one tick ((ownship
@@ -54,22 +61,22 @@ rows by the run form, a full tick's by one call), which the records keep.
 
 A system-off run repeats its system-on run record for record until the
 system first acts: while the phase is MONITORING no command has been
-issued, so guidance, flight mode, waypoint index, command label and phase
-are the system-off run's (hold runs split the two differently, but every
-record is the tick by tick loop's).  A system-on run that departs as the
-system-off run does (at once, on the planned route) fills the memo, one
-slot: its loop state (records, clock, ownship values, prev_pos, a copy
-of the stretch index, its plan path) at the start of the first full tick
-after whose cdr_step the phase is not MONITORING, or its whole run.  The
-next run takes the memo, whatever it is, and forks from it if it is the
-system-off run of the same scenario object with params equal but for
-cas_enabled: it resumes the loop from that state, RunResult.shared
-counting the records taken.  Plan paths and the memo live for one
-command_scope (cli's batch and pair step); a run outside one keeps its
-own, so nothing outlives the command but in the RunResults that name
-their path (RunResult.leading, below).  Loop state added later (ROADMAP
-items 1 and 7) must be carried into the memo, and what a path's rows
-come to depend on into its key.
+issued, so guidance, flight mode, waypoint index, command label and
+phase are the system-off run's (hold runs split the two differently, but
+every record is the tick by tick loop's).  A system-on run that departs
+as the system-off run does (at once, on the planned route) fills the
+memo, one slot: its loop state (records, whose count is the tick index,
+ownship values, prev_pos, a copy of the stretch index, its plan path) at
+the start of the first full tick after whose cdr_step the phase is not
+MONITORING, or its whole run.  The next run takes the memo, whatever it
+is, and forks from it if it is the system-off run of the same scenario
+object with params equal but for cas_enabled: it resumes the loop from
+that state, RunResult.shared counting the records taken.  Clock columns,
+plan paths and the memo live for one command_scope (cli's batch and pair
+step); a run outside one keeps its own, so nothing outlives the command
+but in the RunResults that name their path (RunResult.leading, below).
+Loop state added later (ROADMAP items 1 and 7) must be carried into the
+memo, and what a path's rows come to depend on into its key.
 
 The ownship is carried as local floats (position and track) plus its
 flight mode and waypoint index, and agents.ownship_step takes and
@@ -116,21 +123,22 @@ Across runs, a plan path keeps the trace text of its rows.  A run's path
 rows are its leading records, those before its first command (all of a
 run that issues none, a forked system-off run included), and
 RunResult.leading names the path and counts them.  A row's time is the
-same float in every run with the same departure, as the clock adds dt
-from it and dt is in the path key, and its ownship values are the path's
-floats, so path.text[departure] can hold each row's quiet line: phase
-MONITORING, no intruder, no command.  The first run to render path rows
-at a departure renders them as above; the second fills the text up to
-its last path row and reads it, and so do the runs after it, extending
-it as they need.  A run fills only lines it prints: one whose first
-rendered row (a forked system-off run's first unshared one) lies past
-the text's end renders as the first does.  So rows at a departure only
-one run renders (a lone run, a pack whose runs share no path) cost no
-extra time or memory.  A quiet row takes its line as it is, and any
-other path row the line's time and ownship prefix.  Whatever the clock
-comes to depend on (ROADMAP items 1 and 14 change it) must join the text
-key, as loop state must join the memo and what a path's rows depend on
-the path key.
+float at its index in the clock column of its departure and dt, dt being
+in the path key, and its ownship values are the path's floats, so
+path.text[departure], keyed by the clock column in the path's dt, can
+hold each row's quiet line: phase MONITORING, no intruder, no command.
+The first run to render path rows at a departure renders them as above;
+the second fills the text up to its last path row and reads it, and so
+do the runs after it, extending it as they need.  A run fills only lines
+it prints: one whose first rendered row (a forked system-off run's first
+unshared one) lies past the text's end renders as the first does.  So
+rows at a departure only one run renders (a lone run, a pack whose runs
+share no path) cost no extra time or memory.  A quiet row takes its line
+as it is, and any other path row the line's time and ownship prefix.  A
+change to how the clock column is filled (ROADMAP item 1) carries over
+to the text, and whatever else the clock comes to depend on must join
+the column's key, as loop state must join the memo and what a path's
+rows depend on the path key.
 """
 
 from __future__ import annotations
@@ -288,25 +296,33 @@ class collector_paused:
 
 _memo = None  # (scenario, params, records, loop state) of a system-on run (see above)
 _paths: dict | None = None  # the plan paths of the open command scope, by key
+_clocks: dict | None = None  # the clock columns of the open command scope, by (departure, dt)
 
 
 class command_scope:
-    """Share the plan paths and the memo (see above) among the engine.run
-    calls of a with block, one command; a block inside another shares the
-    outer one's, and leaving the outermost drops both."""
+    """Share the clock columns, the plan paths and the memo (see above)
+    among the engine.run calls of a with block, one command; a block inside
+    another shares the outer one's, and leaving the outermost drops them."""
 
     __slots__ = ("_outermost",)
 
     def __enter__(self) -> None:
-        global _paths
+        global _paths, _clocks
         self._outermost = _paths is None
         if self._outermost:
-            _paths = {}
+            _paths, _clocks = {}, {}
 
     def __exit__(self, *exc: object) -> None:
-        global _paths, _memo
+        global _paths, _clocks, _memo
         if self._outermost:
-            _paths = _memo = None
+            _paths = _clocks = _memo = None
+
+
+def _clock(clock: list[float], dt: float, end: int) -> list[float]:
+    """The clock column (see above), filled to _RUN_TICKS past end if shorter."""
+    if len(clock) < end:
+        clock += islice(accumulate(repeat(dt, end + _RUN_TICKS - len(clock)), initial=clock[-1]), 1, None)
+    return clock
 
 
 class _PlanPath:
@@ -314,8 +330,8 @@ class _PlanPath:
     ownship's east, north, up and track j ticks after departure, the floats
     agents.ownship_step returned, and from row cuts[i] on, (mode, idx) is
     states[i].  text[departure] holds the quiet trace line of each row for
-    runs that depart at departure (see above): [] once one run has
-    rendered rows, extended by the runs after it."""
+    runs that read the clock column of departure and dt (see above): []
+    once one run has rendered rows, extended by the runs after it."""
 
     __slots__ = ("cols", "cuts", "states", "args", "text")
 
@@ -357,11 +373,12 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     global _memo
     with collector_paused(), command_scope():
         memo, _memo = _memo, None
-        result, _memo = _run(scenario, params, memo, _paths)
+        result, _memo = _run(scenario, params, memo, _paths, _clocks)
     return result
 
 
-def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, paths: dict) -> tuple[RunResult, tuple | None]:
+def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, paths: dict,
+         clocks: dict) -> tuple[RunResult, tuple | None]:
     if params is None:
         params = scenario.sim
     sc = scenario
@@ -403,7 +420,8 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
         replace(r, spawn_time=r.spawn_time + departure) for r in sc.intruders if not r.ground_clock
     ]
 
-    cdr_state = cdr.CdrState(first_tick=departure + params.dt)
+    clock = _clock(clocks.setdefault((departure, params.dt), [departure]), params.dt, 2)
+    cdr_state = cdr.CdrState(first_tick=clock[1])
     runs: dict[str, cdr.Run] = {r.id: (departure, None, None) for r in airborne_records}
     prev_pos: dict[str, EnuPoint | None] = {r.id: None for r in airborne_records}
 
@@ -446,12 +464,11 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
     ticks: list[TickRecord] = []
     active_label = ""
     terminal: Terminal | None = None
-    t = departure
 
     # The fork (see above): a system-off run resumes from the memo of its
     # system-on run, and a system-on run that departs as it would keeps one.
     if not cas_enabled and memo and memo[0] is sc and memo[1] == replace(params, cas_enabled=True):
-        ticks, (t, east, north, up, track, mode, idx, prev_pos, index, terminal, flight) = memo[2:]
+        ticks, (east, north, up, track, mode, idx, prev_pos, index, terminal, flight) = memo[2:]
         own_pos, env = (east, north, up), env_by_mode[mode]
     else:  # the plan path (see above)
         key = (array("d", chain.from_iterable(plan.waypoints)).tobytes(), plan.destination_id, perf, dt)
@@ -462,27 +479,28 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
     fork = None
 
     while terminal is None:
-        t_next = t + dt
+        k = len(ticks)  # the tick index: the next tick is at clock[k + 1]
+        _clock(clock, dt, k + _RUN_TICKS + 2)
         # 0. A hold run (see above) while the decision holds; an intruder
         # absent on the last tick and not gone for good stops it short of
         # its spawn.
         if not cas_enabled or holds(cdr_state):
             stop = min([r.spawn_time for r in airborne_records
-                        if prev_pos[r.id] is None and t_next - r.spawn_time <= r.lifetime], default=math.inf)
-            # Each tick's time as the loop's clock adds it up.
-            ts = list(accumulate(repeat(dt, _RUN_TICKS - 1), initial=t_next))
-            n = min(bisect_left(ts, stop), bisect_right(ts, max_sim_time))
+                        if prev_pos[r.id] is None and clock[k + 1] - r.spawn_time <= r.lifetime], default=math.inf)
+            end = k + 1 + _RUN_TICKS
+            n = min(bisect_left(clock, stop, k + 1, end), bisect_right(clock, max_sim_time, k + 1, end)) - k - 1
+            ts = clock[k + 1:k + 1 + n]  # the ticks' times
             if cas_enabled:
-                n = detect_hold(cdr_state, ts[:n], cdr_params)
+                n = detect_hold(cdr_state, ts, cdr_params)
             if flight:
-                es, ns, us, trks = flight.run(len(ticks), n)
+                es, ns, us, trks = flight.run(k, n)
             else:  # the run form's rows as columns
                 path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, n)
                 es, ns, us, trks = list(zip(*path)) or ((),) * 4
             n = len(es)
             present_recs = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
             own = list(zip(es, ns, us)) if present_recs else []  # post-move positions
-            pre = [own_pos, *own]  # pre[k] is tick k's pre-move position
+            pre = [own_pos, *own]  # pre[j] is the run's tick j's pre-move position
             # One pass per present intruder in columns; each cuts the run
             # for the passes after it, and the columns are cut to the run.
             cols = []  # (id, positions, pre-move and post-move separations) per pass
@@ -500,19 +518,22 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
                 n = _cut(post[:m], contact_distance, math.inf)
                 cols.append((rid, ps, sensed, post))
             if cas_enabled:
+                t_prevs = clock[k:k + n + 1]
                 sensed_by_id = {rid: sensed for rid, _, sensed, _ in cols}
-                n = de_escalation_hold(cdr_state, runs, [t, *ts], ts[:n], sensed_by_id, cdr_params)
+                n = de_escalation_hold(cdr_state, runs, t_prevs, ts[:n], sensed_by_id, cdr_params)
             if n:
                 _record(ticks, index, reach, ts[:n], es, ns, us, trks, mode, cdr_state.phase, active_label, env,
                         [(rid, ps[:n], post[:n]) for rid, ps, _, post in cols])
                 for rid, ps, sensed, _ in cols:
                     prev_pos[rid] = ps[n - 1]
                     if cas_enabled:
-                        runs[rid] = fold_run(runs[rid], [t, *ts], sensed[:n], runs[rid][2])
+                        runs[rid] = fold_run(runs[rid], t_prevs, sensed[:n], runs[rid][2])
                 east, north, up, track = es[n - 1], ns[n - 1], us[n - 1], trks[n - 1]
                 own_pos = (east, north, up)
-                t = ts[n - 1]
-            t_next = t + dt
+            if n == _RUN_TICKS:  # nothing cut it: the next tick starts another
+                continue
+            k += n
+        t, t_next = clock[k], clock[k + 1]
 
         if t_next > max_sim_time:
             terminal = Terminal(TerminalKind.TIMED_OUT)
@@ -555,7 +576,7 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
             if watch and cdr_state.phase is not cdr.CdrPhase.MONITORING:
                 watch = False
                 copied = {rid: (r, [s.copy() for s in ss]) for rid, (r, ss) in index.items()}
-                fork = len(ticks), (t, east, north, up, track, mode, idx, prev_start, copied, None, flight)
+                fork = k, (east, north, up, track, mode, idx, prev_start, copied, None, flight)
             if command is not None:
                 if flight:
                     leading = flight, len(ticks)
@@ -584,10 +605,9 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
             terminal = Terminal(TerminalKind.COLLIDED)
         elif mode is FlightMode.GROUND:
             terminal = Terminal(TerminalKind.LANDED_AT, guidance.plan.destination_id)
-        t = t_next
 
     if watch:  # the whole run: nothing changes its index any more
-        fork = len(ticks), (t, east, north, up, track, mode, idx, prev_pos, index, terminal, flight)
+        fork = len(ticks), (east, north, up, track, mode, idx, prev_pos, index, terminal, flight)
     if flight:  # no command: every record is a path row
         leading = flight, len(ticks)
     return RunResult(
@@ -596,7 +616,7 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
         terminal=terminal,
         ground_decision=decision,
         departure_time=departure,
-        end_time=t,
+        end_time=_clock(clock, dt, len(ticks) + 1)[len(ticks)],
         stretches=index,
         shared=shared,
         leading=leading,

@@ -322,7 +322,8 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
     # Every ROUTE line's id, parsed or not, so PLAN reports only a route
     # no line defines.
     route_ids: set[str] = set()
-    # The points of each VERTIPORT and ROUTE line, for the range check.
+    # The points of each VERTIPORT and ROUTE line, for the range check and
+    # the route legs.
     points: list[tuple[int, Sequence[GeoPoint]]] = []
     sets: dict[str, dict[str, object]] = {g: {} for g in _SET_GROUPS}
     intruder_lines: list[tuple[int, list[str]]] = []
@@ -418,13 +419,17 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             errors.append((n, f"unknown directive {word!r}"))
 
     v1pos = verts["V1"].position if "V1" in verts else None
+    legs = []  # the horizontal length of each route leg in the frame
     if v1pos is not None:
         for n, line_points in points:
+            offsets = []
             for p in line_points:
                 try:
-                    plane_offset(v1pos, p)
+                    offsets.append(plane_offset(v1pos, p))
                 except GeoRangeError as exc:
                     errors.append((n, str(exc)))
+            if len(offsets) == len(line_points):
+                legs += map(math.dist, offsets, offsets[1:])
 
     # The IntruderRecord arguments of each INTRUDER line that parses, by
     # id; SPAWN adds the spawn time before any record is built.
@@ -553,6 +558,21 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
         if hold > max_time:
             errors.append((0, (
                 f"CDR.HOLD_DURATION ({hold!r}) must not exceed SIM.MAX_SIM_TIME ({max_time!r})"
+            )))
+    # A capture radius as wide as a leg captures the leg's end from its
+    # start, so the flight would skip legs it never flew.
+    leg = min(legs, default=math.inf)
+    if "PERF" in params and params["PERF"].capture_radius >= leg:
+        radius = params["PERF"].capture_radius
+        errors.append((0, f"PERF.CAPTURE_RADIUS ({radius!r}) must be below the shortest route leg ({leg!r} m)"))
+    # A climb and descent that alone outlast the whole run could never land.
+    if "PERF" in params and "SIM" in params:
+        perf, max_time = params["PERF"], params["SIM"].max_sim_time
+        vertical = perf.cruise_alt / perf.climb_rate + perf.cruise_alt / perf.descent_rate
+        if vertical > max_time:
+            errors.append((0, (
+                f"PERF.CRUISE_ALT ({perf.cruise_alt!r}) takes {vertical!r} s to climb and descend, "
+                f"more than SIM.MAX_SIM_TIME ({max_time!r})"
             )))
     # The run builds the forward and the vertical envelope set from ENV
     # and the cruise speed; their radii must be in order.

@@ -243,7 +243,7 @@ class TestRun:
 
     def test_config_overlay(self, scn_dir, tmp_path, capsys):
         cfg = tmp_path / "tight.cfg"
-        cfg.write_text("SET SIM.MAX_SIM_TIME 100\n")
+        cfg.write_text("SET SIM.MAX_SIM_TIME 400\n")  # the climb and descent alone take 358.6 s
         rc = main(["run", scn(scn_dir, "ref-route1"), "--dt", "0.5",
                    "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1  # timed out
@@ -995,13 +995,18 @@ class TestValidate:
         ("sc-14", "SET SIM.CONTACT_DISTANCE -1", "contact_distance must be non-negative"),
         ("sc-09", "SET PERF.CRUISE_ALT 200", "below PERF.CRUISE_ALT (200.0)"),
         ("sc-09", "SET CDR.DESCEND_ALT_M 0", "CDR.DESCEND_ALT_M (0.0) must lie above 0"),
+        ("sc-03", "SET PERF.CAPTURE_RADIUS 1e300", "PERF.CAPTURE_RADIUS (1e+300) must be below the shortest route leg"),
+        ("sc-03", "SET PERF.CRUISE_ALT 1e12", "more than SIM.MAX_SIM_TIME (3600.0)"),
     ])
     def test_pack_scenarios_with_bad_limits_fail_validation(
         self, scn_dir, tmp_path, capsys, sid, line, message
     ):
         """sc-14 with a negative contact distance would skip its collision,
-        and sc-09 with its descent target at the ground or above cruise would
-        die at the bird encounter; all are rejected before any run."""
+        sc-09 with its descent target at the ground or above cruise would
+        die at the bird encounter, and sc-03 with a capture radius wider than
+        a leg would land at 358.6 s without flying its route, or with a
+        cruise altitude out of reach would climb until it timed out; all are
+        rejected before any run."""
         bad = tmp_path / f"{sid}.scn"
         bad.write_text(Path(scn(scn_dir, sid)).read_text() + line + "\n")
         assert main(["validate", str(bad)]) == 1

@@ -814,9 +814,24 @@ class TestQuietRuns:
     def test_decision_runs_on_few_ticks(self, monkeypatch):
         """Over the pack's system-on runs at dt 0.1 (146,837 ticks), the
         decision tree runs only on the ticks hold runs cannot cover: 14,382
-        of them when only MONITORING with a CLEAR zone was held, 735 now."""
+        of them when only MONITORING with a CLEAR zone was held, 735 when a
+        full tick followed every hold run, 264 now that a hold run nothing
+        cut is followed by another."""
         calls = sum(len(calls_made(monkeypatch, cdr, "cdr_step", sc)) for sc in PACK)
-        assert 0 < calls <= 3000
+        assert 0 < calls <= 264
+
+    def test_decision_runs_where_the_flight_changes(self, monkeypatch):
+        """ref-route1 meets no intruder, so with the system on the decision
+        tree runs only on the ticks that change its flight mode or waypoint
+        index (its plan path's cuts): takeoff, three waypoints, the descent
+        and touchdown; every other tick is in a hold run."""
+        sc = PACK["ref-route1"]
+        with engine.command_scope():
+            res = engine.run(sc)
+            calls = calls_made(monkeypatch, cdr, "cdr_step", sc)
+        path, _ = res.leading
+        assert len(path.cuts) == 7
+        assert [args[1] for args in calls] == [res.ticks[j - 1].t for j in path.cuts[1:]]
 
     @settings(max_examples=40, deadline=None)
     @given(intruders=st.lists(encounter(), min_size=1, max_size=4), dt=st.floats(0.05, 1.0),
@@ -1265,14 +1280,15 @@ class TestPlanPaths:
     """Inside one command scope each run reads the ownship's path, from
     departure to its first command, from the plan path of its plan, perf
     and dt, which the runs before it filled (engine's plan paths); every
-    run must equal the loop, and leaving the scope drops the paths."""
+    run must equal the loop and record its clock column's floats, and
+    leaving the scope drops the paths."""
 
     @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3048, 1.0])
     def test_default_pack_in_one_scope(self, dt):
         with engine.command_scope():
             for sc in PACK:
                 for cas_enabled in (True, False):
-                    assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled))
+                    assert_reads_the_clock(assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled)), dt)
             paths = list(engine._paths.values())
         assert engine._paths is None and engine._memo is None
         # Each path a run flew to touchdown is whole: rows to touchdown.
@@ -1322,7 +1338,49 @@ class TestPlanPaths:
         again = engine.run(PACK["ref-route1"])
         assert engine._paths is None and engine._memo is None
         a, b = ref.ticks[3000], again.ticks[3000]
-        assert a.flight_mode is FlightMode.CRUISE and a == b and a.own_east is not b.own_east
+        assert a.flight_mode is FlightMode.CRUISE and a == b and a.own_east is not b.own_east and a.t is not b.t
+
+
+def assert_reads_the_clock(res, dt):
+    """res, a run made in the open command scope, records the floats of the
+    scope's clock column for its departure and dt, and ends at its own."""
+    if res.terminal.kind is TerminalKind.POSTPONED_ON_GROUND:
+        return
+    clock = engine._clocks[res.departure_time, dt]
+    assert all(rec.t is t for rec, t in zip(res.ticks, clock[1:])), res.scenario_id
+    assert res.end_time is clock[len(res.ticks)], res.scenario_id
+
+
+class TestClock:
+    """Inside one command scope the runs of one departure and dt read one
+    clock column, tick k at clock[k] (engine's clock), and record its
+    float objects; reference_run keeps its own clock, adding dt tick by
+    tick, and TestPlanPaths runs the pack in one scope against it."""
+
+    def test_runs_share_the_column_of_their_departure_and_dt(self):
+        with engine.command_scope():
+            a, b = engine.run(PACK["ref-route1"]), engine.run(PACK["ref-route2"])
+            late = engine.run(PACK["ground-300"])
+            coarse = engine.run(PACK["ref-route1"], replace(PACK["ref-route1"].sim, dt=0.2))
+            for res, dt in ((a, 0.1), (b, 0.1), (late, 0.1), (coarse, 0.2)):
+                assert_reads_the_clock(res, dt)
+            assert len(engine._clocks) == 3
+        assert len(a.ticks) < len(b.ticks) and all(x.t is y.t for x, y in zip(a.ticks, b.ticks))
+        ids = {id(rec.t) for rec in a.ticks}
+        assert late.departure_time == 300.0 and ids.isdisjoint(id(rec.t) for rec in late.ticks)
+        assert ids.isdisjoint(id(rec.t) for rec in coarse.ticks)
+        assert engine._clocks is None
+
+    def test_forked_run_reads_the_column_of_its_system_on_run(self):
+        """sc-12's system-off run forks from its system-on run's memo and
+        reads the same column, past the records it shares too."""
+        sc = PACK["sc-12"]
+        with engine.command_scope():
+            on = engine.run(sc)
+            off = engine.run(sc, replace(sc.sim, cas_enabled=False))
+            assert_reads_the_clock(off, 0.1)
+        assert 0 < off.shared < min(len(on.ticks), len(off.ticks))
+        assert all(x.t is y.t for x, y in zip(on.ticks, off.ticks))
 
 
 class TestPathText:

@@ -19,7 +19,7 @@ from uamcas.cdr import MAX_WAITS, GroundCheckParams
 from uamcas.cli import resolve_pack
 from uamcas.engine import SimParams, Terminal, TerminalKind
 from uamcas.envelopes import EnvelopeSet, Zone
-from uamcas.geo import GeoPoint, polyline_length
+from uamcas.geo import GeoPoint, horizontal_distance, polyline_length, to_enu
 from uamcas.metrics import (
     BATCH_CSV_HEADER,
     BatchTable,
@@ -201,6 +201,39 @@ class TestSetDirectives:
                 "SET CDR.TACTICAL_TRIGGER_ZONE PANIC",
             )
         assert len(ei.value.errors) == 3
+
+    # ROUTE2's first leg, to a point about 556 m north of V1, is the
+    # shortest leg of either route.
+    SHORT_LEG = "ROUTE ROUTE2 48.3537,11.786 48.3587,11.786 48.1669,11.5883"
+
+    def test_capture_radius_below_every_leg(self):
+        """A radius as wide as a leg would capture the leg's end from its
+        start, so the flight would skip it: the radius must stay below the
+        shortest leg of every route, the planned one or not."""
+        v1 = GeoPoint(48.3537, 11.786, 0.0)
+        leg = horizontal_distance(to_enu(v1, v1), to_enu(v1, GeoPoint(48.3587, 11.786, 0.0)))
+        below = math.nextafter(leg, 0.0)
+        assert self.with_sets(self.SHORT_LEG, f"SET PERF.CAPTURE_RADIUS {below!r}").perf.capture_radius == below
+        for radius in (leg, 1e300):
+            with pytest.raises(ScenarioError) as ei:
+                self.with_sets(self.SHORT_LEG, f"SET PERF.CAPTURE_RADIUS {radius!r}")
+            assert ei.value.errors == [(0, (
+                f"PERF.CAPTURE_RADIUS ({radius!r}) must be below the shortest route leg ({leg!r} m)"
+            ))]
+
+    def test_climb_and_descent_within_the_run(self):
+        """cruise_alt / climb_rate + cruise_alt / descent_rate, the least time
+        a flight takes, must not exceed SIM.MAX_SIM_TIME: here 200 + 100 s."""
+        perf = ("SET PERF.CRUISE_ALT 400", "SET PERF.CLIMB_RATE 2", "SET PERF.DESCENT_RATE 4")
+        assert self.with_sets(*perf, "SET SIM.MAX_SIM_TIME 300").sim.max_sim_time == 300.0
+        below = math.nextafter(300.0, 0.0)
+        with pytest.raises(ScenarioError) as ei:
+            self.with_sets(*perf, f"SET SIM.MAX_SIM_TIME {below!r}")
+        assert ei.value.errors == [(0, (
+            f"PERF.CRUISE_ALT (400.0) takes 300.0 s to climb and descend, more than SIM.MAX_SIM_TIME ({below!r})"
+        ))]
+        with pytest.raises(ScenarioError, match=r"PERF.CRUISE_ALT \(1000000000000.0\) takes"):
+            self.with_sets("SET PERF.CRUISE_ALT 1e12")
 
     def test_invalid_combination_is_file_level(self):
         # individually parseable, jointly violating the dataclass guard
