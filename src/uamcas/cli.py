@@ -85,10 +85,10 @@ def _simulate_pair(
     system-off run resumes from the records it shares with the system-on
     run (engine.run, engine.command_scope), so its trace takes their rows
     from the system-on trace; no other system-on row is kept past it.  Only
-    the row (paired with compare) leaves, and the collector stays paused
-    (engine.collector_paused) until reference counting has freed both
-    runs' records, the engine's memo included, so no collection walks them."""
-    with engine.collector_paused(), engine.command_scope():
+    the row (paired with compare) leaves, and the scope keeps the collector
+    paused until reference counting has freed both runs' records, the
+    engine's memo included, so no collection walks them."""
+    with engine.command_scope():
         result, row = simulate(sc, dt)
         lines = engine.trace_csv_lines(result)
         del result
@@ -115,9 +115,9 @@ def _terminal_phrase(terminal: Terminal) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    # One pause (engine.collector_paused) for the whole command: no
-    # collection starts inside it, so none walks the runs' records.
-    with engine.collector_paused():
+    # One scope, so one pause, for the whole command: no collection
+    # starts inside it, so none walks the runs' records.
+    with engine.command_scope():
         path = Path(args.scenario)
         sc = scenario_io.load_scenario(path)
         if args.config:
@@ -168,7 +168,9 @@ def run_batch(
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)
     rows = []
-    with engine.command_scope():  # the runs share each plan path (engine.run)
+    # One scope for all pair steps: the runs share each plan path, and the
+    # collector stays paused over the whole batch (engine.command_scope).
+    with engine.command_scope():
         for sc in scenarios:
             paths = iter([traces / f"{sc.id}.csv", traces / f"{sc.id}_nocas.csv"])
             rows.append(_simulate_pair(sc, dt, lambda lines: _write_trace(lines, next(paths))))

@@ -18,8 +18,8 @@ cdr_step changes nothing and issues no command while no intruder's
 presence or zone changes, until a phase stop test fires (DETECT's timer,
 de-escalation).  The loop takes a run of held ticks, those of the next
 256 before the next spawn, within max_sim_time and before DETECT's timer
-(cdr.detect_hold), in one agents.ownship_step call, then one pass per
-present intruder, in order, in columns: its positions from one
+(cdr.detect_hold), the ownship's from its path (below), then one pass
+per present intruder, in order, in columns: its positions from one
 agents.intruder_state_at call (both run forms), its pre-move (system on)
 and post-move separations from geo.distances_3d, math.dist computed in
 C with no libm pow() (a still intruder's post-move ones are the next
@@ -51,13 +51,16 @@ one builder (_record, a full tick being a run of one tick), and each
 call adds one stretch per present intruder; metrics.cpa reads the
 intervals between abutting stretches as those inside one.
 
-Until its first command (any, even one that keeps the guidance) a run
-reads its ownship values from the plan path of its plan (waypoints, bit
-for bit, and destination), perf and dt.  ownship_step reads no clock and
-no intruder, and its run form equals one call per tick bit for bit, so
-the path's rows are what the run would step itself: the floats
-agents.ownship_step returned as runs first reached them (a hold run's
-rows by the run form, a full tick's by one call), which the records keep.
+Every run flies a path (_PlanPath): the ownship's rows from a start
+state under one guidance, perf and dt, the floats agents.ownship_step
+returned as runs first reached them (a hold run's rows by the run form, a
+full tick's by one call), which the records keep.  ownship_step reads no
+clock and no intruder, and its run form equals one call per tick bit for
+bit, so a path's rows are what the run would step itself, rows stepped
+past a cut included.  Until its first command (any, even one that keeps
+the guidance) a run flies the plan path of its plan (waypoints, bit for
+bit, and destination), perf and dt from departure; a command starts a
+private path at the commanding tick, which no other run reads.
 
 A system-off run repeats its system-on run record for record until the
 system first acts: while the phase is MONITORING no command has been
@@ -72,9 +75,9 @@ MONITORING, or its whole run.  The next run takes the memo, whatever it
 is, and forks from it if it is the system-off run of the same scenario
 object with params equal but for cas_enabled: it resumes the loop from
 that state, RunResult.shared counting the records taken.  Clock columns,
-plan paths and the memo live for one command_scope (cli's batch and pair
-step); a run outside one keeps its own, so nothing outlives the command
-but in the RunResults that name their path (RunResult.leading, below).
+plan paths and the memo live for one command_scope (one per cli command);
+a run outside one opens its own, so nothing outlives the command but in
+the RunResults that name their path (RunResult.leading, below).
 Loop state added later (ROADMAP items 1 and 7) must be carried into the
 memo, and what a path's rows come to depend on into its key.
 
@@ -97,18 +100,18 @@ a NamedTuple field by name costs more than reading a slot, so the
 readers that take most of a record's fields (trace_csv_lines,
 metrics.cpa, the geo distance helpers) unpack it by position instead.
 
-A run executes with CPython's cyclic garbage collector paused
-(collector_paused).  A run builds hundreds of thousands of tracked tuples
+The outermost command scope also pauses CPython's cyclic garbage
+collector.  A run builds hundreds of thousands of tracked tuples
 (TickRecords, IntruderTicks, ownship path tuples) that hold enum members,
 so the collector never untracks them, and every collection their
 allocation triggers re-scans them and frees nothing.  They are still
-young when run returns, and the memo keeps a system-on run's alive for
-the next run, so cli's pair step keeps the pause over both runs of a pair
-until reference counting has freed them.  The pause is safe because the engine
-builds no reference cycles: no record or running value refers back to
-what holds it, so reference counting frees every dead object it makes.
-Code added here that builds a cycle would hold that garbage until the
-first collection after the pause.
+young when run returns, and the memo and the paths keep them alive for
+the runs after it, so the pause lasts the scope: a batch is one pause.
+The pause is safe because the engine builds no reference cycles: no
+record or running value refers back to what holds it, so reference
+counting frees every dead object it makes.  Code added here that builds
+a cycle would hold that garbage until the first collection after the
+scope.
 
 Float formatting dominates trace rendering, and a tick often repeats
 the previous one's ownship values (east and north change on about half
@@ -277,45 +280,35 @@ def _record(ticks: list[TickRecord], index: dict, reach: dict[str, float], ts: l
     )))
 
 
-class collector_paused:
-    """Pause CPython's process-wide cyclic collector for a with block,
-    and on exit enable it only if it was enabled on entry (a nested pause
-    keeps it off).  Exit allocates nothing after enabling it, so a
-    collection the block made due starts after the block."""
-
-    __slots__ = ("_enabled",)
-
-    def __enter__(self) -> None:
-        self._enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc: object) -> None:
-        if self._enabled:
-            gc.enable()
-
-
-_memo = None  # (scenario, params, records, loop state) of a system-on run (see above)
-_paths: dict | None = None  # the plan paths of the open command scope, by key
-_clocks: dict | None = None  # the clock columns of the open command scope, by (departure, dt)
-
-
 class command_scope:
-    """Share the clock columns, the plan paths and the memo (see above)
-    among the engine.run calls of a with block, one command; a block inside
-    another shares the outer one's, and leaving the outermost drops them."""
+    """Share the clock columns (by (departure, dt)), the plan paths (by
+    key) and the memo ((scenario, params, records, loop state) of a
+    system-on run) among the engine.run calls of a with block, one
+    command, with the cyclic collector paused (see above).  A block inside
+    another shares the outer one's, and with returns the outermost.
+    Leaving the outermost drops them, and only then enables the collector,
+    if it was enabled on entry; exit allocates nothing after enabling it,
+    so a collection the block made due starts after the block."""
 
-    __slots__ = ("_outermost",)
+    __slots__ = ("clocks", "paths", "memo", "_enabled")
 
-    def __enter__(self) -> None:
-        global _paths, _clocks
-        self._outermost = _paths is None
-        if self._outermost:
-            _paths, _clocks = {}, {}
+    def __enter__(self) -> command_scope:
+        global _scope
+        if _scope is None:
+            self.clocks, self.paths, self.memo, self._enabled = {}, {}, None, gc.isenabled()
+            gc.disable()
+            _scope = self
+        return _scope
 
     def __exit__(self, *exc: object) -> None:
-        global _paths, _clocks, _memo
-        if self._outermost:
-            _paths = _clocks = _memo = None
+        global _scope
+        if _scope is self:
+            _scope = self.clocks = self.paths = self.memo = None
+            if self._enabled:
+                gc.enable()
+
+
+_scope: command_scope | None = None  # the outermost open command scope
 
 
 def _clock(clock: list[float], dt: float, end: int) -> list[float]:
@@ -326,19 +319,20 @@ def _clock(clock: list[float], dt: float, end: int) -> list[float]:
 
 
 class _PlanPath:
-    """The undisturbed path of one plan (see above): row j of cols is the
-    ownship's east, north, up and track j ticks after departure, the floats
-    agents.ownship_step returned, and from row cuts[i] on, (mode, idx) is
-    states[i].  text[departure] holds the quiet trace line of each row for
-    runs that read the clock column of departure and dt (see above): []
-    once one run has rendered rows, extended by the runs after it."""
+    """The path of one start state and guidance (see above): row j of cols
+    is the ownship's east, north, up and track j ticks after the start, the
+    floats agents.ownship_step returned, and from row cuts[i] on, (mode,
+    idx) is states[i].  text[departure] holds the quiet trace line of each
+    row for runs that read the clock column of departure and dt (see
+    above): [] once one run has rendered rows, extended by the runs after
+    it."""
 
     __slots__ = ("cols", "cuts", "states", "args", "text")
 
-    def __init__(self, guidance: agents.Guidance, perf: agents.PerformanceModel, dt: float) -> None:
-        east, north, _ = guidance.plan.waypoints[0]
-        self.cols = ([east], [north], [0.0], [0.0])
-        self.cuts, self.states, self.args = [0], [(FlightMode.GROUND, 0)], (perf, guidance, dt)
+    def __init__(self, east: float, north: float, up: float, track: float, mode: FlightMode, idx: int,
+                 guidance: agents.Guidance, perf: agents.PerformanceModel, dt: float) -> None:
+        self.cols = ([east], [north], [up], [track])
+        self.cuts, self.states, self.args = [0], [(mode, idx)], (perf, guidance, dt)
         self.text: dict[float, list[str]] = {}
 
     def run(self, k: int, n: int) -> list[list[float]]:
@@ -368,12 +362,11 @@ class _PlanPath:
 
 
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
-    """Execute one scenario end to end with the cyclic collector paused, in
-    the open command scope or its own, taking the memo slot (see above)."""
-    global _memo
-    with collector_paused(), command_scope():
-        memo, _memo = _memo, None
-        result, _memo = _run(scenario, params, memo, _paths, _clocks)
+    """Execute one scenario end to end in the open command scope or its
+    own, taking the memo slot (see above)."""
+    with command_scope() as scope:
+        memo, scope.memo = scope.memo, None
+        result, scope.memo = _run(scenario, params, memo, scope.paths, scope.clocks)
     return result
 
 
@@ -436,7 +429,6 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
     contact_distance = params.contact_distance
     cas_enabled = params.cas_enabled
     cdr_params = sc.cdr_params
-    ownship_step = agents.ownship_step
     intruder_state_at = agents.intruder_state_at
     distance_3d = geo.distance_3d
     distances_3d = geo.distances_3d
@@ -472,9 +464,10 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
         own_pos, env = (east, north, up), env_by_mode[mode]
     else:  # the plan path (see above)
         key = (array("d", chain.from_iterable(plan.waypoints)).tobytes(), plan.destination_id, perf, dt)
-        flight = paths.get(key) or paths.setdefault(key, _PlanPath(guidance, perf, dt))
+        flight = paths.get(key) or paths.setdefault(key, _PlanPath(*own_pos, track, mode, idx, guidance, perf, dt))
     shared = len(ticks)
     leading = None
+    base = 0  # the tick index of flight's row 0
     watch = cas_enabled and decision == cdr.GroundDecision.depart(sc.planned_route, 0.0)
     fork = None
 
@@ -492,11 +485,7 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
             ts = clock[k + 1:k + 1 + n]  # the ticks' times
             if cas_enabled:
                 n = detect_hold(cdr_state, ts, cdr_params)
-            if flight:
-                es, ns, us, trks = flight.run(k, n)
-            else:  # the run form's rows as columns
-                path = ownship_step(east, north, up, track, mode, idx, perf, guidance, dt, n)
-                es, ns, us, trks = list(zip(*path)) or ((),) * 4
+            es, ns, us, trks = flight.run(k - base, n)
             n = len(es)
             present_recs = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
             own = list(zip(es, ns, us)) if present_recs else []  # post-move positions
@@ -578,18 +567,15 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
                 copied = {rid: (r, [s.copy() for s in ss]) for rid, (r, ss) in index.items()}
                 fork = k, (east, north, up, track, mode, idx, prev_start, copied, None, flight)
             if command is not None:
-                if flight:
-                    leading = flight, len(ticks)
-                flight = None
+                leading = leading or (flight, len(ticks))
                 active_label = command.label()
                 guidance, idx = agents.resolve_command(
                     own_pos, track, idx, perf, guidance, command, vertiports_enu
                 )
+                flight, base = _PlanPath(*own_pos, track, mode, idx, guidance, perf, dt), len(ticks)
 
         # 4. Ownship advances.
-        east, north, up, track, new_mode, idx = flight.tick(len(ticks)) if flight else ownship_step(
-            east, north, up, track, mode, idx, perf, guidance, dt
-        )
+        east, north, up, track, new_mode, idx = flight.tick(len(ticks) - base)
         own_pos = (east, north, up)
         if new_mode is not mode:
             mode = new_mode
@@ -608,8 +594,6 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
 
     if watch:  # the whole run: nothing changes its index any more
         fork = len(ticks), (east, north, up, track, mode, idx, prev_pos, index, terminal, flight)
-    if flight:  # no command: every record is a path row
-        leading = flight, len(ticks)
     return RunResult(
         scenario_id=sc.id,
         ticks=ticks,
@@ -619,7 +603,7 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
         end_time=_clock(clock, dt, len(ticks) + 1)[len(ticks)],
         stretches=index,
         shared=shared,
-        leading=leading,
+        leading=leading or (flight, len(ticks)),  # no command: every record is a path row
     ), (sc, params, ticks[:fork[0]], fork[1]) if fork else None
 
 

@@ -7,15 +7,35 @@ visible at a glance.
 HYPOTHESIS_PROFILE=ci selects a derandomized hypothesis profile: every
 run draws the same examples, so a property failure seen in CI
 reproduces locally with the same setting.
+
+Every test must leave the cyclic collector as it found it and no
+engine.command_scope open, or it would change the tests after it.
 """
 
+import gc
 import os
 import re
 
+import pytest
 from hypothesis import settings
+
+from uamcas import engine
 
 settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def leaves_the_collector_and_no_scope():
+    enabled = gc.isenabled()
+    yield
+    left = gc.isenabled(), engine._scope
+    (gc.enable if enabled else gc.disable)()
+    engine._scope = None
+    if left != (enabled, None):
+        pytest.fail(f"collector enabled {left[0]} (was {enabled}), command scope left open: {left[1]!r}",
+                    pytrace=False)
+
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

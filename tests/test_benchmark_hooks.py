@@ -63,7 +63,7 @@ def test_a_wrapped_ownship_step_steps_every_path_tick():
         for sc in default_pack():
             for cas_enabled in (True, False):
                 engine.run(sc, replace(sc.sim, dt=0.5, cas_enabled=cas_enabled))
-        paths = list(engine._paths.values())
+        paths = list(engine._scope.paths.values())
     seen = {tuple(map(id, row)) for row in stepped}
     # Row 0 of a path is the departure state, not a stepped tick.
     held = [tuple(map(id, row)) for p in paths for row in islice(zip(*p.cols), 1, None)]

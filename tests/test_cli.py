@@ -2,6 +2,7 @@
 launchers."""
 
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -684,7 +685,7 @@ class TestBatchStepCollectorPause:
 
         def fail_off(scenario, params=None):
             if not params.cas_enabled:
-                assert not gc.isenabled() and engine._memo is not None
+                assert not gc.isenabled() and engine._scope.memo is not None
                 raise RuntimeError("system-off run failed")
             return run(scenario, params)
 
@@ -727,6 +728,32 @@ class TestBatchStepCollectorPause:
         assert len(results) == 2 and resumed == [[None, None]]
         assert len(on) > 1000 and off == on  # the far swarm never leaves MONITORING
         assert starts == []
+
+    def test_a_batch_is_one_pause(self, monkeypatch, tmp_path):
+        """cli.run_batch keeps the collector paused over all its pair steps
+        (engine.command_scope), so no collection starts before its 42nd
+        trace is written; one did after the 16th when each pair step
+        paused it on its own."""
+        written, starts = [], []
+        write = cli._write_trace
+
+        def spy(lines, path):
+            write(lines, path)
+            written.append(path)
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(len(written))
+
+        monkeypatch.setattr(cli, "_write_trace", spy)
+        gc.enable()
+        gc.collect()  # generation 0 empty: the pause's own allocation on entry cannot start one
+        gc.callbacks.append(record)
+        try:
+            cli.run_batch(default_pack(), tmp_path, dt=0.5, fmt="csv", config=None)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(written) == 42 and [n for n in starts if n < 42] == []
 
     # on: the step of `uamcas run`, the system-on side alone; off: with
     # its system-off side, which resumes from the system-on run's memo.
@@ -814,7 +841,7 @@ class TestCommandScope:
         assert main(["run", scn(scn_dir, "ref-route1"), "--dt", "0.5", "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         sc, result, rec = kept.pop()
-        assert sc() is None and result() is None and engine._memo is None and engine._paths is None
+        assert sc() is None and result() is None and engine._scope is None
         assert sys.getrefcount(rec) == 2  # rec and the call's argument
 
     def test_each_batch_flies_its_own_first_flights(self, tmp_path, monkeypatch):
@@ -834,7 +861,7 @@ class TestCommandScope:
         for out in ("first", "second"):
             stepped.append(0)
             cli.run_batch(pack, tmp_path / out, dt=0.5, fmt="csv", config=None)
-            assert engine._paths is None and engine._memo is None
+            assert engine._scope is None
         stepped.append(0)
         for sc in pack:
             cli._simulate_pair(sc, 0.5, [].append)
@@ -892,6 +919,36 @@ class TestParser:
         finally:
             (gc.enable if was else gc.disable)()
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("inputs", ["default", "swarm", "csv-replay"])
+    def test_a_second_batch_leaves_no_cyclic_garbage(self, tmp_path, capsys, inputs):
+        """A batch is one pause (engine.command_scope), safe because
+        reference counting frees all a batch makes: with the collector off,
+        a second batch leaves nothing for it to find.  swarm and csv-replay
+        are the benchmark's inputs (perfbench/workloads.py) at seed 1."""
+        pack = "default"
+        if inputs != "default":
+            pack = tmp_path / "pack"
+            load_workloads().GENERATORS[inputs](pack, 1)
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(2):
+                gc.collect()
+                assert main(["batch", "--pack", str(pack), "--dt", "0.5", "--out", str(tmp_path / "out")]) == 0
+            assert gc.collect() == 0
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 class TestValidate:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uamcas import agents, cdr, engine, envelopes, geo, metrics
+from uamcas import agents, cdr, cli, engine, envelopes, geo, metrics
 from uamcas.agents import (
     FlightMode, IntruderBehavior, IntruderKind, IntruderRecord, ScriptedBehavior, ScriptMode, Trajectory,
 )
@@ -820,6 +820,25 @@ class TestQuietRuns:
         calls = sum(len(calls_made(monkeypatch, cdr, "cdr_step", sc)) for sc in PACK)
         assert 0 < calls <= 264
 
+    def test_ownship_steps_few_ticks(self, monkeypatch, tmp_path):
+        """Over one default-pack batch at dt 0.1 every run flies a path
+        (engine's plan paths): the runs after the first read their plan
+        path's rows, and a run keeps the rows its path stepped past a cut.
+        ownship_step made 505 calls stepping 77,465 ticks when a run
+        stepped the ownship itself after its first command, 452 stepping
+        71,241 since a command starts a private path."""
+        stepped = []  # ticks per call
+        step = agents.ownship_step
+
+        def spy(*args):
+            path = step(*args)
+            stepped.append(len(path) if len(args) == 10 else 1)
+            return path
+
+        monkeypatch.setattr(agents, "ownship_step", spy)
+        cli.run_batch(PACK, tmp_path, dt=0.1, fmt="csv", config=None)
+        assert 0 < len(stepped) <= 452 and 0 < sum(stepped) <= 71_241
+
     def test_decision_runs_where_the_flight_changes(self, monkeypatch):
         """ref-route1 meets no intruder, so with the system on the decision
         tree runs only on the ticks that change its flight mode or waypoint
@@ -1289,8 +1308,8 @@ class TestPlanPaths:
             for sc in PACK:
                 for cas_enabled in (True, False):
                     assert_reads_the_clock(assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled)), dt)
-            paths = list(engine._paths.values())
-        assert engine._paths is None and engine._memo is None
+            paths = list(engine._scope.paths.values())
+        assert engine._scope is None
         # Each path a run flew to touchdown is whole: rows to touchdown.
         landings = {len(p.cols[0]) - 1 for p in paths if p.states[-1][0] is FlightMode.GROUND and len(p.cuts) > 1}
         assert landings == {len(run("ref-route1", dt=dt).ticks), len(run("ref-route2", dt=dt).ticks)}
@@ -1336,7 +1355,7 @@ class TestPlanPaths:
         the second flight holds floats equal to the first's, not the same."""
         ref = engine.run(PACK["ref-route1"])
         again = engine.run(PACK["ref-route1"])
-        assert engine._paths is None and engine._memo is None
+        assert engine._scope is None
         a, b = ref.ticks[3000], again.ticks[3000]
         assert a.flight_mode is FlightMode.CRUISE and a == b and a.own_east is not b.own_east and a.t is not b.t
 
@@ -1346,7 +1365,7 @@ def assert_reads_the_clock(res, dt):
     scope's clock column for its departure and dt, and ends at its own."""
     if res.terminal.kind is TerminalKind.POSTPONED_ON_GROUND:
         return
-    clock = engine._clocks[res.departure_time, dt]
+    clock = engine._scope.clocks[res.departure_time, dt]
     assert all(rec.t is t for rec, t in zip(res.ticks, clock[1:])), res.scenario_id
     assert res.end_time is clock[len(res.ticks)], res.scenario_id
 
@@ -1364,12 +1383,12 @@ class TestClock:
             coarse = engine.run(PACK["ref-route1"], replace(PACK["ref-route1"].sim, dt=0.2))
             for res, dt in ((a, 0.1), (b, 0.1), (late, 0.1), (coarse, 0.2)):
                 assert_reads_the_clock(res, dt)
-            assert len(engine._clocks) == 3
+            assert len(engine._scope.clocks) == 3
         assert len(a.ticks) < len(b.ticks) and all(x.t is y.t for x, y in zip(a.ticks, b.ticks))
         ids = {id(rec.t) for rec in a.ticks}
         assert late.departure_time == 300.0 and ids.isdisjoint(id(rec.t) for rec in late.ticks)
         assert ids.isdisjoint(id(rec.t) for rec in coarse.ticks)
-        assert engine._clocks is None
+        assert engine._scope is None
 
     def test_forked_run_reads_the_column_of_its_system_on_run(self):
         """sc-12's system-off run forks from its system-on run's memo and
@@ -1401,7 +1420,7 @@ class TestPathText:
                 off = engine.run(sc, replace(sc.sim, dt=dt, cas_enabled=False))
                 lines = lines[:off.shared + 1] + trace_csv_lines(off, off.shared)[1:]
                 assert lines == reference_trace_lines(off), sc.id
-            cached = [text for path in engine._paths.values() for text in path.text.values() if text]
+            cached = [text for path in engine._scope.paths.values() for text in path.text.values() if text]
         assert cached  # the pack's runs read cached lines
 
     def test_quiet_rows_are_the_cached_lines(self):
