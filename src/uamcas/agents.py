@@ -14,7 +14,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import sub, truediv
+from itertools import chain, islice
+from operator import lt, sub, truediv
 from typing import Mapping
 
 from .geo import EnuPoint, enu_points, non_finite_error, normalize_track, track_unit
@@ -396,23 +397,40 @@ class TrajectoryError(ValueError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    samples: tuple[tuple[float, EnuPoint], ...]
-    # Sample times in order, derived from samples for playback's bisect.
-    times: list[float] = field(init=False, repr=False, compare=False)
+    """A replayed track as four float columns, one entry per sample: the
+    sample times, strictly increasing, and the east, north and up of
+    each sample in the local frame.  No per-sample object is kept; the
+    columns are stored as tuples whatever sequences they were given as.
+    """
+
+    times: tuple[float, ...]
+    east: tuple[float, ...]
+    north: tuple[float, ...]
+    up: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.samples) < 2:
+        for name in ("times", "east", "north", "up"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        times = self.times
+        if not len(times) == len(self.east) == len(self.north) == len(self.up):
+            raise TrajectoryError("trajectory columns differ in length")
+        if len(times) < 2:
             raise TrajectoryError("trajectory needs at least two samples")
-        times = [t for t, _ in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not all(map(math.isfinite, chain(times, self.east, self.north, self.up))):
+            raise TrajectoryError("trajectory samples must be finite")
+        if not all(map(lt, times, islice(times, 1, None))):
             raise TrajectoryError("trajectory times must strictly increase")
-        object.__setattr__(self, "times", times)
+
+    @property
+    def samples(self) -> tuple[tuple[float, EnuPoint], ...]:
+        """The (time, position) pairs, built from the columns on each read."""
+        return tuple(zip(self.times, map(EnuPoint, self.east, self.north, self.up)))
 
     @cached_property
     def top_speed(self) -> float:
         """The fastest segment's speed, worked out on first use, not at parsing."""
-        points = [p for _, p in self.samples]
-        return max(map(truediv, map(math.dist, points[1:], points), map(sub, self.times[1:], self.times)))
+        times, points = self.times, list(zip(self.east, self.north, self.up))
+        return max(map(truediv, map(math.dist, points[1:], points), map(sub, times[1:], times)))
 
 
 @dataclass(frozen=True)
@@ -549,8 +567,10 @@ def _pursuit_step(
 def _playback(traj: Trajectory, rels: list[float]) -> tuple[list[EnuPoint], Vec3 | None]:
     """Positions at rising times since spawn, none before the first
     sample (intruder_state_at ends the list past the last one), and the
-    velocity of the last position's segment."""
-    times = traj.times
+    velocity of the last position's segment, read from the trajectory's
+    columns: each segment's ends are looked up once, and every rel in
+    the segment is interpolated from them."""
+    times, east, north, up = traj.times, traj.east, traj.north, traj.up
     if not rels or rels[0] < times[0]:
         return [], None
     last = len(times) - 1
@@ -560,9 +580,9 @@ def _playback(traj: Trajectory, rels: list[float]) -> tuple[list[EnuPoint], Vec3
         # The segment ending at sample i holds rels[k] and the rels after it before times[i].
         i = min(bisect_right(times, rels[k]), last)
         j = bisect_left(rels, times[i], k) if i < last else len(rels)
-        lo_t, (lo_e, lo_n, lo_u) = traj.samples[i - 1]
-        hi_t, (hi_e, hi_n, hi_u) = traj.samples[i]
-        span, d_e, d_n, d_u = hi_t - lo_t, hi_e - lo_e, hi_n - lo_n, hi_u - lo_u
+        h = i - 1
+        lo_t, lo_e, lo_n, lo_u = times[h], east[h], north[h], up[h]
+        span, d_e, d_n, d_u = times[i] - lo_t, east[i] - lo_e, north[i] - lo_n, up[i] - lo_u
         for rel in rels[k:j]:
             u = (rel - lo_t) / span
             path.append((lo_e + u * d_e, lo_n + u * d_n, lo_u + u * d_u))

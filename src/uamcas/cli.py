@@ -121,7 +121,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         path = Path(args.scenario)
         sc = scenario_io.load_scenario(path)
         if args.config:
-            overlay = Path(args.config).read_text(encoding="utf-8")
+            overlay = Path(args.config).read_text(encoding="utf-8-sig")
             sc = _apply_config(sc, overlay, args.config, path.parent)
         # Both runs finish before anything is written, so a run that fails
         # leaves no partial output.
@@ -162,7 +162,7 @@ def run_batch(
     applied to each scenario, all of them before anything is written."""
     scenarios = sorted(pack, key=lambda s: s.id)
     if config:
-        overlay = Path(config).read_text(encoding="utf-8")
+        overlay = Path(config).read_text(encoding="utf-8-sig")
         scenarios = [_apply_config(sc, overlay, config, pack.base_dir) for sc in scenarios]
     out = Path(out)
     traces = out / "traces"

@@ -126,7 +126,8 @@ def plane_offset(origin: GeoPoint, p: GeoPoint) -> tuple[float, float]:
     return east, north
 
 
-_MAX_RANGE_SQ = MAX_PROJECTION_RANGE_M**2
+# in_plane_range's bound on e*e + n*n + u*u.
+MAX_RANGE_SQ = MAX_PROJECTION_RANGE_M**2
 
 
 def in_plane_range(p: EnuPoint) -> EnuPoint:
@@ -134,7 +135,7 @@ def in_plane_range(p: EnuPoint) -> EnuPoint:
     plane's origin, counting its height too."""
     east, north, up = p
     # Float products overflow to inf rather than raise, and inf is out.
-    if east * east + north * north + up * up > _MAX_RANGE_SQ:
+    if east * east + north * north + up * up > MAX_RANGE_SQ:
         raise GeoRangeError(f"point {east!r},{north!r},{up!r} beyond flat-plane validity of origin")
     return p
 

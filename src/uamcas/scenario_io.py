@@ -45,6 +45,8 @@ import io
 import math
 import re
 from dataclasses import dataclass, fields, replace
+from itertools import chain, repeat
+from operator import add, mul
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -66,6 +68,7 @@ from .cdr import MAX_WAITS, CdrParams, GroundCheckParams
 from .engine import SimParams
 from .envelopes import EnvelopeParams, EnvelopeSet, Zone, envelopes_for
 from .geo import (
+    MAX_RANGE_SQ,
     EnuPoint,
     GeoPoint,
     GeoRangeError,
@@ -148,27 +151,68 @@ def parse_trajectory_csv(text: str, origin: GeoPoint | None = None) -> Trajector
     geodetic (t_s,lat_deg,lon_deg,alt_m).  Geodetic rows are projected
     onto the local frame and need an origin.  Sample times must
     strictly increase.
+
+    A valid file is read in one bulk pass over whole columns; a file
+    that pass rejects is read again row by row, to report every bad
+    row with its line number.
     """
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
     except csv.Error as exc:
         raise ScenarioError([(reader.line_num, str(exc))]) from None
-    errors: list[tuple[int, str]] = []
     if not rows:
         raise ScenarioError([(1, "empty trajectory file")])
     header = tuple(h.strip() for h in rows[0])
-    geodetic = False
     if header == TRAJECTORY_GEO_HEADER:
-        geodetic = True
         if origin is None:
             raise ScenarioError([(1, "geodetic trajectory needs a projection origin")])
-    elif header != TRAJECTORY_ENU_HEADER:
+    elif header == TRAJECTORY_ENU_HEADER:
+        origin = None
+    else:
         raise ScenarioError(
             [(1, f"unrecognised trajectory header {','.join(header)!r}")]
         )
+    traj = _trajectory_columns(rows, origin)
+    if traj is None:
+        raise ScenarioError(_trajectory_row_errors(rows, origin))
+    return traj
 
-    samples: list[tuple[float, EnuPoint]] = []
+
+def _trajectory_columns(rows: list[list[str]], origin: GeoPoint | None) -> Trajectory | None:
+    """The trajectory of the data rows below the header (geodetic ones,
+    given an origin, projected onto it), or None when any row is bad.
+
+    Each check runs once over whole columns and accepts exactly the
+    files the row-by-row reading accepts, with the same floats: every
+    row blank or of 4 cells, every cell a float, Trajectory's finite and
+    rising columns, and in_plane_range's bound.  Geodetic rows go
+    through GeoPoint and to_enu, which raise on a bad one.
+    """
+    body = rows[1:]
+    if not {0, 4}.issuperset(map(len, body)):
+        return None
+    try:
+        vals = list(map(float, chain.from_iterable(body)))
+        # a, b, c: east, north and up, or latitude, longitude and altitude
+        # to project (unzipping no rows raises ValueError too).
+        times, a, b, c = vals[0::4], vals[1::4], vals[2::4], vals[3::4]
+        if origin is not None:
+            a, b, c = zip(*map(to_enu, repeat(origin), map(GeoPoint, a, b, c)))
+        traj = Trajectory(times, a, b, c)
+    except ValueError:
+        return None
+    east, north, up = traj.east, traj.north, traj.up
+    if max(map(add, map(add, map(mul, east, east), map(mul, north, north)), map(mul, up, up))) > MAX_RANGE_SQ:
+        return None
+    return traj
+
+
+def _trajectory_row_errors(rows: list[list[str]], origin: GeoPoint | None) -> list[tuple[int, str]]:
+    """Every (line, message) of a trajectory file the bulk pass rejects,
+    found row by row."""
+    errors: list[tuple[int, str]] = []
+    count = 0
     last_t: float | None = None
     for n, row in enumerate(rows[1:], 2):
         if not row:
@@ -191,19 +235,18 @@ def parse_trajectory_csv(text: str, origin: GeoPoint | None = None) -> Trajector
         last_t = t
         # GeoPoint and EnuPoint reject non-finite coordinates.
         try:
-            if geodetic:
+            if origin is not None:
                 pos = to_enu(origin, GeoPoint(vals[1], vals[2], vals[3]))
             else:
                 pos = EnuPoint(vals[1], vals[2], vals[3])
-            samples.append((t, in_plane_range(pos)))
+            in_plane_range(pos)
+            count += 1
         except ValueError as exc:
             errors.append((n, str(exc)))
 
-    if not errors and len(samples) < 2:
+    if not errors and count < 2:
         errors.append((len(rows), "trajectory needs at least two samples"))
-    if errors:
-        raise ScenarioError(errors)
-    return Trajectory(tuple(samples))
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +503,7 @@ def parse_scenario(text: str, base_dir: str | Path | None = None) -> Scenario:
             rel = toks[5]
             path = Path(base_dir) / rel if base_dir is not None else Path(rel)
             try:
-                traj = parse_trajectory_csv(path.read_text(encoding="utf-8"), v1pos)
+                traj = parse_trajectory_csv(path.read_text(encoding="utf-8-sig"), v1pos)
             except (OSError, UnicodeDecodeError) as exc:
                 errors.append((n, f"cannot read {rel!r}: {exc}"))
                 continue
@@ -601,7 +644,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse a directive file; a ScenarioError names the file."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ScenarioError([(0, f"not UTF-8 text: {exc}")], source=p) from None
     try:
@@ -639,7 +682,7 @@ def _trajectory_csv(traj: Trajectory) -> str:
     """traj as a local-frame CSV that parse_trajectory_csv reads back
     into an equal Trajectory, whatever frame its source file used."""
     rows = [",".join(TRAJECTORY_ENU_HEADER)]
-    rows += [f"{t!r},{_fmt_value(p)}" for t, p in traj.samples]
+    rows += map("%r,%r,%r,%r".__mod__, zip(traj.times, traj.east, traj.north, traj.up))
     return "\n".join(rows) + "\n"
 
 

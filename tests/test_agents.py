@@ -34,6 +34,12 @@ from uamcas.agents import (
 )
 from uamcas.maneuvers import Action, InfeasibleManeuverError, ManeuverCommand, TurnDirection
 
+
+def replay(samples):
+    """The Trajectory of (t, EnuPoint) samples, built from its columns."""
+    times, points = zip(*samples)
+    return Trajectory(times, *zip(*points))
+
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
 
 
@@ -393,7 +399,7 @@ class TestRunForm:
 
 
 # A drone replaying four samples, each on a multiple of 0.25 s.
-TRAJ = Trajectory(((2.0, EnuPoint(0, 0, 100)), (2.5, EnuPoint(30, -10, 120)),
+TRAJ = replay(((2.0, EnuPoint(0, 0, 100)), (2.5, EnuPoint(30, -10, 120)),
                    (4.0, EnuPoint(30, 70, 120)), (9.25, EnuPoint(-400, 70, 900))))
 SCRIPTS = {
     "linger": ScriptedBehavior(ScriptMode.LINGER, 1.0, EnuPoint(500, 500, 120), linger_duration=6.0),
@@ -475,7 +481,7 @@ class TestIntruderRunForm:
         """It starts the next segment (u == 0), so it takes the sample
         exactly, also where lo + (hi - lo) != hi; the last sample ends the
         last segment (u == 1)."""
-        traj = Trajectory(((0.0, EnuPoint(-262.0, 125.7, 100)), (1.0, EnuPoint(44.2, -434.5, 120)),
+        traj = replay(((0.0, EnuPoint(-262.0, 125.7, 100)), (1.0, EnuPoint(44.2, -434.5, 120)),
                            (2.0, EnuPoint(337.5, -29.7, 90))))
         rec = IntruderRecord("I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=100.0,
                              trajectory=traj)
@@ -545,14 +551,35 @@ class TestSpeedInvariant:
 class TestTrajectories:
     def test_needs_two_samples(self):
         with pytest.raises(TrajectoryError):
-            Trajectory(((0.0, EnuPoint(0, 0, 0)),))
+            Trajectory((0.0,), (0,), (0,), (0,))
 
     def test_times_strictly_increase(self):
         with pytest.raises(TrajectoryError):
-            Trajectory(((0.0, EnuPoint(0, 0, 0)), (0.0, EnuPoint(1, 0, 0))))
+            Trajectory((0.0, 0.0), (0, 1), (0, 0), (0, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("col", range(4))
+    def test_columns_are_finite(self, col, bad):
+        columns = [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        columns[col][1] = bad
+        with pytest.raises(TrajectoryError, match="finite"):
+            Trajectory(*columns)
+
+    def test_columns_have_one_length(self):
+        with pytest.raises(TrajectoryError, match="length"):
+            Trajectory((0.0, 1.0, 2.0), (0, 1, 2), (0, 0, 0), (0, 0))
+
+    def test_columns_are_tuples_and_samples_a_view(self):
+        """Any sequences are stored as tuples; samples is built from them
+        on each read and kept nowhere."""
+        traj = Trajectory([0.0, 2.5], [1, 4], [2, 5], [3, 6])
+        assert traj.times == (0.0, 2.5) and traj.up == (3, 6)
+        assert traj.samples == ((0.0, EnuPoint(1, 2, 3)), (2.5, EnuPoint(4, 5, 6)))
+        assert len(traj.samples) == 2 and "samples" not in vars(traj)
+        assert [type(p) for _, p in traj.samples] == [EnuPoint, EnuPoint]
 
     def test_playback_interpolates(self):
-        traj = Trajectory(
+        traj = replay(
             (
                 (0.0, EnuPoint(0, 0, 0)),
                 (10.0, EnuPoint(100, 0, 0)),
@@ -577,7 +604,7 @@ class TestTrajectories:
         """Playback bisects the times Trajectory stores once; it must give
         what a bisect over the samples themselves gives, at, between and
         outside the sample times."""
-        traj = Trajectory(
+        traj = replay(
             (
                 (0.0, EnuPoint(0, 0, 0)),
                 (0.5, EnuPoint(3, -1, 2)),
@@ -605,7 +632,7 @@ class TestTrajectories:
             "I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
             trajectory=traj,
         )
-        assert traj.times == [t for t, _ in traj.samples]
+        assert traj.times == tuple(t for t, _ in traj.samples)
         times = traj.times
         mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
         outside = [-1.0, -1e-9, times[-1] + 1e-9, 100.0]
@@ -619,15 +646,15 @@ class TestTrajectories:
                 assert ((pos.east, pos.north, pos.up), vel) == want, rel
 
     def test_equal_samples_compare_equal(self):
-        samples = ((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0)))
-        a, b = Trajectory(samples), Trajectory(tuple(samples))
+        columns = ((0.0, 10.0), (0, 100), (0, 0), (0, 0))
+        a, b = Trajectory(*columns), Trajectory(*map(list, columns))
         assert a == b
         assert hash(a) == hash(b)
-        assert a != Trajectory(((0.0, EnuPoint(0, 0, 0)), (11.0, EnuPoint(100, 0, 0))))
-        assert repr(a) == f"Trajectory(samples={samples!r})"
+        assert a != Trajectory((0.0, 11.0), (0, 100), (0, 0), (0, 0))
+        assert repr(a) == "Trajectory(times=(0.0, 10.0), east=(0, 100), north=(0, 0), up=(0, 0))"
 
     def test_spawn_time_offsets_playback(self):
-        traj = Trajectory(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0))))
+        traj = replay(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0))))
         rec = IntruderRecord(
             "I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
             spawn_time=100.0, trajectory=traj,
@@ -639,7 +666,7 @@ class TestTrajectories:
     def test_top_speed(self):
         """A replay's top speed is its fastest segment's, worked out on
         first use; a script's is its speed, and nothing for a loiterer."""
-        traj = Trajectory(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(30, 40, 0)), (10.5, EnuPoint(30, 40, 150))))
+        traj = replay(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(30, 40, 0)), (10.5, EnuPoint(30, 40, 150))))
         assert "top_speed" not in vars(traj)
         assert traj.top_speed == 300.0 and vars(traj)["top_speed"] == 300.0
         for mode, speed in [(ScriptMode.PASS_BY, 343.0), (ScriptMode.PURSUIT, 12.5), (ScriptMode.LINGER, 0.0)]:
@@ -648,7 +675,7 @@ class TestTrajectories:
 
     def test_record_validation(self):
         # a record carries exactly one of a trajectory and a script
-        traj = Trajectory(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0))))
+        traj = replay(((0.0, EnuPoint(0, 0, 0)), (10.0, EnuPoint(100, 0, 0))))
         script = ScriptedBehavior(ScriptMode.LINGER, speed=1.0, anchor=EnuPoint(0, 0, 0))
         with pytest.raises(ValueError):
             IntruderRecord("bad", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE)

@@ -250,6 +250,23 @@ class TestRun:
         assert rc == 1  # timed out
         assert "timed out" in capsys.readouterr().out
 
+    def test_config_with_a_byte_order_mark(self, scn_dir, tmp_path, capsys):
+        """A config saved with a leading byte-order mark applies as the
+        same config without one, to run and to batch."""
+        pack = tmp_path / "pack"
+        pack.mkdir()
+        (pack / "sc-03.scn").write_text(Path(scn(scn_dir, "sc-03")).read_text())
+        for encoding in ("utf-8", "utf-8-sig"):
+            cfg = tmp_path / f"{encoding}.cfg"
+            cfg.write_text("SET SIM.DT 0.5\nSET PERF.CLIMB_RATE 2.5\n", encoding=encoding)
+            assert main(["run", scn(scn_dir, "sc-03"), "--config", str(cfg), "--out", str(tmp_path / encoding)]) == 0
+            assert main(["batch", "--pack", str(pack), "--config", str(cfg), "--out", str(tmp_path / encoding / "b")]) == 0
+        capsys.readouterr()
+        plain, marked = tmp_path / "utf-8", tmp_path / "utf-8-sig"
+        assert (marked / "sc-03_trace.csv").read_bytes() == (plain / "sc-03_trace.csv").read_bytes()
+        assert (marked / "b" / "summary.csv").read_bytes() == (plain / "b" / "summary.csv").read_bytes()
+        assert (marked / "b" / "traces" / "sc-03.csv").read_bytes() == (marked / "sc-03_trace.csv").read_bytes()
+
     def test_config_error_names_the_config_line(self, scn_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("SET CDR.BOGUS 1\n")
@@ -971,6 +988,13 @@ class TestValidate:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "OK"
 
+    def test_byte_order_mark(self, scn_dir, tmp_path, capsys):
+        """sc-03 saved with a leading byte-order mark validates."""
+        marked = tmp_path / "sc-03.scn"
+        marked.write_text(Path(scn(scn_dir, "sc-03")).read_text(), encoding="utf-8-sig")
+        assert main(["validate", str(marked)]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
+
     def test_invalid_file_lists_errors(self, tmp_path, capsys):
         bad = tmp_path / "broken.scn"
         bad.write_text("SCENARIO broken\nOWNSHIP NOPE\nWIBBLE\n")
@@ -1249,6 +1273,13 @@ class TestPackExport:
         assert sorted(p.name for p in exported.iterdir()) == [
             "one-route.scn", "one-route@r0.csv", "one-route@r1.csv"
         ]
+        # The export, exported again, is the same bytes: the columns
+        # write back the floats they were read as.
+        again = tmp_path / "again"
+        assert main(["pack", "--pack", str(exported), "--out", str(again)]) == 0
+        assert sorted(p.name for p in again.iterdir()) == sorted(p.name for p in exported.iterdir())
+        for p in exported.iterdir():
+            assert (again / p.name).read_bytes() == p.read_bytes(), p.name
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["batch", "--pack", str(src), "--dt", "0.5", "--out", str(a)]) == 0
         assert main(["batch", "--pack", str(exported), "--dt", "0.5", "--out", str(b)]) == 0

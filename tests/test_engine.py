@@ -21,6 +21,7 @@ from uamcas.pack import default_pack
 from uamcas.geo import EnuPoint
 from uamcas.scenario_io import parse_scenario, serialize_scenario
 
+from test_agents import replay
 from test_metrics import assert_index_holds, assert_matches_reference, encounter
 
 PACK = default_pack()
@@ -985,7 +986,7 @@ class TestQuietRuns:
         pending nor gone, so no hold run may cover those ticks.  Far off
         and CLEAR, it is then stepped in hold runs, and the last sample
         falls inside one."""
-        traj = Trajectory(((40.0, EnuPoint(20000.0, 20000.0, 300.0)), (70.0, EnuPoint(19000.0, 20000.0, 300.0))))
+        traj = Trajectory((40.0, 70.0), (20000.0, 19000.0), (20000.0, 20000.0), (300.0, 300.0))
         rec = IntruderRecord("c1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=200.0,
                              trajectory=traj)
         sc = replace(PACK["ref-route1"], intruders=(rec,))
@@ -1005,7 +1006,7 @@ class TestQuietRuns:
         samples = tuple((t, EnuPoint(20000.0 - 15.0 * t, 20000.0 + 40.0 * math.sin(t), 300.0 + t))
                         for t in times)
         rec = IntruderRecord("c1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=150.0,
-                             trajectory=Trajectory(samples))
+                             trajectory=replay(samples))
         sc = replace(PACK["ref-route1"], intruders=(rec,))
         params = replace(sc.sim, dt=dt)
         res = assert_same_run(sc, params)

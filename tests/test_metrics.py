@@ -19,13 +19,14 @@ from uamcas.agents import (
     OwnshipConfig,
     ScriptedBehavior,
     ScriptMode,
-    Trajectory,
 )
 from uamcas.cdr import CdrPhase, GroundDecision
 from uamcas.engine import IntruderTick, RunResult, Terminal, TerminalKind, TickRecord
 from uamcas.envelopes import Zone
 from uamcas.geo import EnuPoint, distance_3d
 from uamcas.pack import default_pack
+
+from test_agents import replay
 
 VT = DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST]
 PACK = default_pack()
@@ -342,7 +343,7 @@ def encounter(draw):
         samples = tuple((t, EnuPoint(point[0] + d * step[0], point[1] + d * step[1], point[2]))
                         for t, d in zip(times, lengths))
         return IntruderRecord("d", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
-                              spawn_time=spawn, trajectory=Trajectory(samples))
+                              spawn_time=spawn, trajectory=replay(samples))
     speed = draw(st.sampled_from([343.0, 20.0]) | st.floats(1.0, 343.0))
     if kind == "PASS_BY":
         track = draw(st.floats(0.0, 360.0))

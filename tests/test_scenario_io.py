@@ -1,6 +1,8 @@
 """Scenario file grammar, trajectory CSVs, the built-in pack, and batch
 report files."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -14,12 +16,13 @@ from uamcas.agents import (
     IntruderKind,
     OwnshipConfig,
     ScriptMode,
+    Trajectory,
 )
 from uamcas.cdr import MAX_WAITS, GroundCheckParams
 from uamcas.cli import resolve_pack
 from uamcas.engine import SimParams, Terminal, TerminalKind
 from uamcas.envelopes import EnvelopeSet, Zone
-from uamcas.geo import GeoPoint, horizontal_distance, polyline_length, to_enu
+from uamcas.geo import EnuPoint, GeoPoint, horizontal_distance, in_plane_range, polyline_length, to_enu
 from uamcas.metrics import (
     BATCH_CSV_HEADER,
     BatchTable,
@@ -33,6 +36,7 @@ from uamcas.scenario_io import (
     ScenarioError,
     export_pack,
     load_pack,
+    load_scenario,
     parse_scenario,
     parse_trajectory_csv,
     serialize_scenario,
@@ -314,7 +318,7 @@ class TestIntruderDirectives:
         (rec,) = sc.intruders
         assert rec.script is None
         assert rec.csv_path == "track.csv"
-        assert rec.trajectory.samples[1][1].east == 50.0
+        assert rec.trajectory.east[1] == 50.0
 
     def test_csv_geodetic_uses_v1_origin(self, tmp_path):
         (tmp_path / "geo.csv").write_text(
@@ -323,8 +327,8 @@ class TestIntruderDirectives:
         text = MINIMAL + "INTRUDER i1 DRONE PREDICTABLE CSV geo.csv\n"
         sc = parse_scenario(text, base_dir=tmp_path)
         (rec,) = sc.intruders
-        assert rec.trajectory.samples[0][1].east == pytest.approx(0.0, abs=1e-6)
-        assert rec.trajectory.samples[1][1].north == pytest.approx(1000.0, rel=1e-3)
+        assert rec.trajectory.east[0] == pytest.approx(0.0, abs=1e-6)
+        assert rec.trajectory.north[1] == pytest.approx(1000.0, rel=1e-3)
 
     def test_non_utf8_csv_reported_with_intruder_line(self, tmp_path):
         (tmp_path / "track.csv").write_bytes(b"t_s,east_m,north_m,up_m\n0,0,0,\xff\n")
@@ -383,15 +387,15 @@ class TestIntruderDirectives:
 class TestTrajectoryCsv:
     def test_enu_header(self):
         traj = parse_trajectory_csv("t_s,east_m,north_m,up_m\n0,1,2,3\n5,4,5,6\n")
-        assert traj.samples[0] == (0.0, traj.samples[0][1])
-        assert traj.samples[1][1].up == 6.0
+        assert traj == Trajectory((0.0, 5.0), (1.0, 4.0), (2.0, 5.0), (3.0, 6.0))
+        assert traj.up[1] == 6.0
 
     def test_geodetic_needs_origin(self):
         text = "t_s,lat_deg,lon_deg,alt_m\n0,48.0,11.0,100\n5,48.1,11.0,100\n"
         with pytest.raises(ScenarioError):
             parse_trajectory_csv(text)
         traj = parse_trajectory_csv(text, origin=GeoPoint(48.0, 11.0, 0.0))
-        assert traj.samples[0][1].north == pytest.approx(0.0, abs=1e-6)
+        assert traj.north[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_unknown_header_rejected(self):
         with pytest.raises(ScenarioError) as ei:
@@ -422,6 +426,235 @@ class TestTrajectoryCsv:
         with pytest.raises(ScenarioError) as ei:
             parse_trajectory_csv(text)
         assert [n for n, _ in ei.value.errors] == [3]
+
+
+def row_by_row_trajectory(text, origin=None):
+    """parse_trajectory_csv as it read every file row by row before the
+    bulk pass, frozen here: the (t, EnuPoint) samples, or a ScenarioError
+    with every bad row."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ScenarioError([(reader.line_num, str(exc))]) from None
+    errors = []
+    if not rows:
+        raise ScenarioError([(1, "empty trajectory file")])
+    header = tuple(h.strip() for h in rows[0])
+    geodetic = False
+    if header == ("t_s", "lat_deg", "lon_deg", "alt_m"):
+        geodetic = True
+        if origin is None:
+            raise ScenarioError([(1, "geodetic trajectory needs a projection origin")])
+    elif header != ("t_s", "east_m", "north_m", "up_m"):
+        raise ScenarioError([(1, f"unrecognised trajectory header {','.join(header)!r}")])
+    samples = []
+    last_t = None
+    for n, row in enumerate(rows[1:], 2):
+        if not row:
+            continue
+        if len(row) != 4:
+            errors.append((n, f"expected 4 fields, got {len(row)}"))
+            continue
+        try:
+            vals = [float(c) for c in row]
+        except ValueError:
+            errors.append((n, f"non-numeric field in {','.join(row)!r}"))
+            continue
+        t = vals[0]
+        if not math.isfinite(t):
+            errors.append((n, f"non-finite time {row[0]!r}"))
+            continue
+        if last_t is not None and t <= last_t:
+            errors.append((n, f"time {t} does not increase over {last_t}"))
+            continue
+        last_t = t
+        try:
+            if geodetic:
+                pos = to_enu(origin, GeoPoint(vals[1], vals[2], vals[3]))
+            else:
+                pos = EnuPoint(vals[1], vals[2], vals[3])
+            samples.append((t, in_plane_range(pos)))
+        except ValueError as exc:
+            errors.append((n, str(exc)))
+    if not errors and len(samples) < 2:
+        errors.append((len(rows), "trajectory needs at least two samples"))
+    if errors:
+        raise ScenarioError(errors)
+    return samples
+
+
+TRAJECTORY_ORIGIN = GeoPoint(48.3537, 11.786, 0.0)
+ENU_HEADER = "t_s,east_m,north_m,up_m"
+GEO_HEADER = "t_s,lat_deg,lon_deg,alt_m"
+
+
+def outcome(parse, text, origin=TRAJECTORY_ORIGIN):
+    """What parse makes of text: the columns by repr (which tells -0.0
+    from 0.0 and shows every bit), or the error list."""
+    try:
+        got = parse(text, origin)
+    except ScenarioError as exc:
+        return "errors", exc.errors
+    if isinstance(got, Trajectory):
+        return "columns", repr((got.times, got.east, got.north, got.up))
+    return "columns", repr(tuple(tuple(col) for col in zip(*[(t, *p) for t, p in got])))
+
+
+@st.composite
+def trajectory_rows(draw, geodetic, min_size=2, max_size=12):
+    """The cell lists of a valid trajectory file, times strictly rising
+    and every point inside the plane's range."""
+    times = sorted(draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=min_size,
+                                 max_size=max_size, unique=True)))
+    if geodetic:
+        points = st.tuples(st.floats(47.9, 48.8), st.floats(11.3, 12.2), st.floats(0.0, 3000.0))
+    else:
+        points = st.tuples(*[st.floats(-57_000.0, 57_000.0)] * 3)
+    return [[repr(v) for v in (t, *draw(points))] for t in times]
+
+
+def trajectory_text(header, rows):
+    return "\n".join([header, *(",".join(r) for r in rows)]) + "\n"
+
+
+# Cells that break a row: not numbers, not finite, or out of range.
+BAD_CELLS = ["", "a", "1.0.0", "nan", "inf", "-inf", "1e400", "-1e400", "2e5", "-2e5", "91", "-91",
+             "181", "-181", "-1", "49.5", "13.5", " 7 ", "1_000", "0x10", "-0.0"]
+
+
+@st.composite
+def malformed_trajectory_texts(draw):
+    """A valid file with one to four faults: a bad cell, a row of the
+    wrong arity, a time that does not rise, a blank line, a NUL byte,
+    too few rows; some faults happen to leave the file valid."""
+    geodetic = draw(st.booleans())
+    rows = draw(trajectory_rows(geodetic, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(1, 4))):
+        fault = draw(st.sampled_from(["cell", "arity", "time", "blank", "nul", "cut"]))
+        k = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if fault == "blank" or not rows or not rows[k]:
+            rows.insert(k, [])
+        elif fault == "cell":
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(st.sampled_from(BAD_CELLS))
+        elif fault == "arity":
+            rows[k] = rows[k][:draw(st.integers(1, 3))] if draw(st.booleans()) else rows[k] + ["0"]
+        elif fault == "time":
+            rows[k][0] = rows[k - 1][0] if k and rows[k - 1] else "-1e9"
+        elif fault == "nul":
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] += "\0"
+        else:
+            del rows[draw(st.integers(0, len(rows))):]
+    return trajectory_text(GEO_HEADER if geodetic else ENU_HEADER, rows)
+
+
+class TestTrajectoryBulkPass:
+    """parse_trajectory_csv reads a valid file in one bulk pass, and
+    rereads a rejected one row by row for its errors: against the
+    row-by-row reading frozen above, the same columns bit for bit and
+    the same (line, message) list."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), geodetic=st.booleans())
+    def test_valid_files_give_the_same_columns(self, data, geodetic):
+        rows = data.draw(trajectory_rows(geodetic))
+        text = trajectory_text(GEO_HEADER if geodetic else ENU_HEADER, rows)
+        want = outcome(row_by_row_trajectory, text)
+        assert want[0] == "columns"
+        assert outcome(parse_trajectory_csv, text) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=malformed_trajectory_texts())
+    def test_drawn_faults_give_the_same_outcome(self, text):
+        assert outcome(parse_trajectory_csv, text) == outcome(row_by_row_trajectory, text)
+
+    @pytest.mark.parametrize("header,body,lines", [
+        (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,11.8\n2,48.4,11.8,10\n", [3]),  # arity
+        (ENU_HEADER, "0,1,2,3\n1,1,2,3,4\n2,1,2,3\n", [3]),
+        (ENU_HEADER, "0,1,2,3\n1,1,2\n5,2,1,2,3\n", [3, 4]),  # cells that would realign
+        (GEO_HEADER, "0,48.4,11.8,10\n1,x,11.8,10\n2,48.4,11.8,10\n", [3]),  # not numeric
+        (ENU_HEADER, "0,1,2,3\n1,1,,3\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,10\nnan,48.4,11.8,10\n2,48.4,11.8,10\n", [3]),  # not finite
+        (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,inf,10\n2,48.4,11.8,10\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,11.8,inf\n2,48.4,11.8,10\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,10\n1,nan,11.8,10\n2,48.4,11.8,10\n", [3]),
+        (ENU_HEADER, "0,1,2,3\n1,1,nan,3\n2,1,-inf,3\n3,1e400,2,3\n", [3, 4, 5]),
+        (GEO_HEADER, "0,48.4,11.8,10\n0,48.4,11.8,10\n2,48.4,11.8,10\n", [3]),  # time does not rise
+        (ENU_HEADER, "0,1,2,3\n-1,1,2,3\n2,1,2,3\n", [3]),
+        (ENU_HEADER, "0,1,2,3\n1,1,2,2e5\n2,1,2,3\n", [3]),  # out of range
+        (ENU_HEADER, "0,1,2,3\n1,60000,60000,60000\n2,1,2,3\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,10\n1,91,11.8,10\n2,48.4,181,10\n3,48.4,11.8,-1\n", [3, 4, 5]),
+        (GEO_HEADER, "0,48.4,11.8,10\n1,49.5,11.8,10\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,10\n1,91,11.8,10\n", [3]),  # each of GeoPoint's ranges alone
+        (GEO_HEADER, "0,48.4,11.8,10\n1,-91,11.8,10\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,181,10\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,-181,10\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,11.8,-1\n", [3]),
+        # At the plane's edge: beyond plane_offset's hypot bound only, and
+        # beyond in_plane_range's e*e + n*n + u*u bound only.
+        (GEO_HEADER, "0,48.4,11.8,0\n1,49.20892078533354,11.367408416465787,0\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,0\n1,47.465418855468954,11.574595444017486,0\n", [3]),
+        (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,11.8,2e5\n", [3]),
+        (ENU_HEADER, "0,1,2,3\n\n\n", [4]),  # blank lines, one sample
+        (GEO_HEADER, "", [1]),  # no sample
+        (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,11.8\0,10\n", [3]),  # NUL byte
+        (ENU_HEADER, "0,1\n1,x,1,1\n1,1,1,1\n0.5,1,1,1\nnan,0,0,0\n", [2, 3, 5, 6]),  # several bad rows
+    ])
+    def test_each_fault_gives_the_same_errors(self, header, body, lines):
+        text = f"{header}\n{body}"
+        want = outcome(row_by_row_trajectory, text)
+        assert want[0] == "errors" and [n for n, _ in want[1]] == lines
+        assert outcome(parse_trajectory_csv, text) == want
+
+    @pytest.mark.parametrize("row,origin", [
+        ("-90.0001,0,0", GeoPoint(-89.9995, 0.0, 0.0)),
+        ("90.0001,0,0", GeoPoint(89.9995, 0.0, 0.0)),
+        ("0,180.0001,0", GeoPoint(0.0, 179.9995, 0.0)),
+        ("0,-180.0001,0", GeoPoint(0.0, -179.9995, 0.0)),
+    ])
+    def test_geodetic_ranges_near_a_pole_or_the_antimeridian(self, row, origin):
+        """Within the plane's range of such an origin, only GeoPoint's
+        latitude and longitude ranges reject a point."""
+        text = f"{GEO_HEADER}\n0,{origin.lat!r},{origin.lon!r},0\n1,{row}\n"
+        want = outcome(row_by_row_trajectory, text, origin)
+        assert want[0] == "errors" and "out of range" in want[1][0][1]
+        assert outcome(parse_trajectory_csv, text, origin) == want
+
+    @pytest.mark.parametrize("east,ok", [(1e5, True), (math.nextafter(1e5, math.inf), False)])
+    def test_the_plane_edge_is_inside(self, east, ok):
+        """A point whose e*e + n*n + u*u is exactly the bound is kept."""
+        text = f"{ENU_HEADER}\n0,{east!r},0,0\n1,0,0,0\n"
+        want = outcome(row_by_row_trajectory, text)
+        assert (want[0] == "columns") is ok
+        assert outcome(parse_trajectory_csv, text) == want
+
+    def test_blank_lines_and_spaces_are_read_alike(self):
+        text = f"{ENU_HEADER}\n\n 0 ,1,2,3\n\n1.5,-0.0, 4e3 ,-0.0\n\n"
+        assert outcome(parse_trajectory_csv, text) == outcome(row_by_row_trajectory, text)
+        assert repr(parse_trajectory_csv(text).east) == "(1.0, -0.0)"
+        assert repr(parse_trajectory_csv(text).up) == "(3.0, -0.0)"
+
+
+class TestByteOrderMark:
+    """A file saved with a leading UTF-8 byte-order mark, as some editors
+    do, loads equal to the same file without one."""
+
+    @pytest.mark.parametrize("header,rows", [
+        (ENU_HEADER, "0,0,0,100\n10,50,0,100\n"),
+        (GEO_HEADER, "0,48.3537,11.786,100\n10,48.3627,11.786,100\n"),
+    ], ids=["enu", "geodetic"])
+    def test_scenario_and_trajectory_files(self, tmp_path, header, rows):
+        text = MINIMAL + "INTRUDER i1 DRONE PREDICTABLE CSV track.csv\n"
+        loaded = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            d = tmp_path / encoding
+            d.mkdir()
+            (d / "t-01.scn").write_text(text, encoding=encoding)
+            (d / "track.csv").write_text(f"{header}\n{rows}", encoding=encoding)
+            assert (d / "t-01.scn").read_bytes().startswith(b"\xef\xbb\xbf") is (encoding == "utf-8-sig")
+            loaded.append((load_scenario(d / "t-01.scn"), load_pack(d)["t-01"]))
+        plain, marked = loaded
+        assert marked == plain and plain[0] == plain[1] and plain[0].intruders[0].trajectory is not None
 
 
 # A scenario with every kind of numeric slot: (line number, text to
