@@ -14,9 +14,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import lt, sub, truediv
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .geo import EnuPoint, enu_points, non_finite_error, normalize_track, track_unit
 from .maneuvers import (
@@ -505,25 +505,25 @@ class IntruderRecord:
 
 def intruder_state_at(
     rec: IntruderRecord,
-    t: float | list[float],
-    ownship_pos: Vec3 | None | list[Vec3] = None,
+    ts: list[float],
+    ownship_pos: Sequence[Vec3] | None = None,
     prev_pos: EnuPoint | None = None,
     dt: float | None = None,
-) -> tuple[EnuPoint, Vec3] | None | list[EnuPoint]:
-    """Position and velocity of the intruder at sim time t, or None when
-    absent; given a list of tick times and each tick's pre-move ownship
-    position (the run form), its positions at those ticks in a list that
-    ends before the first tick where it is absent.
+) -> tuple[list[EnuPoint], Vec3 | None]:
+    """The intruder on the ticks at rising sim times ts, given each tick's
+    pre-move ownship position: its positions in a list that ends before
+    the first tick where it is absent, and its velocity at the last of
+    them (None for an empty list).  One tick is a run of one, and a run
+    equals one call per tick bit for bit.
 
-    Closed-form modes ignore prev_pos/dt.  A pursuing intruder past its
-    hold period is stepped from prev_pos (in a run, its position on the
-    tick before) toward the ownship position; the engine supplies both
-    every tick.  One tick is a run of one, so a run equals one call per
-    tick bit for bit.
+    Closed-form modes ignore the ownship, prev_pos and dt.  A pursuing
+    intruder past its hold period is stepped from its position on the
+    tick before (prev_pos for the first) toward that tick's ownship
+    position; with no ownship positions (the ground check) it holds at
+    its anchor.
     """
-    ts = t if type(t) is list else [t]
     spawn = rec.spawn_time
-    rels = [t_k - spawn for t_k in ts] if ts and ts[0] >= spawn else []
+    rels = [t - spawn for t in ts] if ts and ts[0] >= spawn else []
     del rels[bisect_right(rels, rec.lifetime):]  # from the first tick past the lifetime
     script = rec.script
     if rec.trajectory is not None:
@@ -536,15 +536,14 @@ def intruder_state_at(
         path, vel = [script.anchor] * len(rels), (0.0, 0.0, 0.0)
     else:  # PURSUIT
         step = script.speed * (dt if dt is not None else 0.0)
-        path = []
-        pos = prev_pos
-        for rel, own in zip(rels, ownship_pos if ts is t else (ownship_pos,)):
+        path, pos, vel = [], prev_pos, None
+        for rel, own in zip(rels, repeat(None) if ownship_pos is None else ownship_pos):
             if rel <= script.linger_duration or own is None:
                 pos, vel = script.anchor, (0.0, 0.0, 0.0)
             else:
                 pos, vel = _pursuit_step(pos if pos is not None else script.anchor, own, script.speed, step)
             path.append(pos)
-    return path if ts is t else (path[0], vel) if path else None
+    return path, (vel if path else None)
 
 
 def _pursuit_step(

@@ -173,9 +173,9 @@ def takeoff_delay_check(
     def blocked_at(tau: float) -> frozenset[str]:
         blocked: frozenset[str] = frozenset()
         for rec in intruders:
-            st = intruder_state_at(rec, tau)
-            if st is not None:
-                blocked |= heading_threat(st[0], st[1], v1, route_polylines, params)
+            path, vel = intruder_state_at(rec, [tau])
+            if path:
+                blocked |= heading_threat(path[0], vel, v1, route_polylines, params)
         return blocked
 
     for k in range(params.max_waits + 1):

@@ -1,47 +1,56 @@
 """Fixed-timestep simulation loop.
 
-Per tick, in a fixed order chosen once for determinism: intruders
-advance and, when the avoidance system is enabled, are sensed in the
-same pass against the not-yet-moved ownship (separation and zone, which
-extend each intruder's running record, cdr.extend_run, and pick the
-nearest intruder; with the system off nothing reads them, so sensing is
-skipped); the decision tree runs on the nearest intruder and the
-records; finally the ownship moves under the resulting guidance.  The
-recorded tick snapshot pairs post-move positions so trace geometry is
-time-consistent.  Per-run constants (the envelope set of each flight
-mode, the tick, the contact distance) are resolved once before the loop,
-and the envelope set is looked up again only when the flight mode
-changes (a plain Enum hashes in Python code).
+Every tick takes the same stages, in an order fixed once for
+determinism: (1) the intruders advance; (2) with the avoidance system
+on, they are sensed against the not-yet-moved ownship (pre-move
+separations and zones; with the system off nothing reads them, so
+sensing is skipped), and each intruder's running record takes the tick
+(cdr.fold_run); (3) the decision tree runs on the nearest intruder and
+the records; (4) the ownship moves under the resulting guidance; (5)
+the tick is recorded, post-move positions paired so trace geometry is
+time-consistent, and contact or touchdown ends the flight.  Per-run
+constants (the envelope set of each flight mode, the parameters, each
+intruder's reach) are resolved once before the loop, and each stage
+calls its layer through the module attribute, so a patched attribute is
+the one called.
 
-Most ticks hold: the system is off, or cdr.holds its state, where
-cdr_step changes nothing and issues no command while no intruder's
-presence or zone changes, until a phase stop test fires (DETECT's timer,
-de-escalation).  The loop takes a run of held ticks, those of the next
-256 before the next spawn, within max_sim_time and before DETECT's timer
-(cdr.detect_hold), the ownship's from its path (below), then one pass
-per present intruder, in order, in columns: its positions from one
-agents.intruder_state_at call (both run forms), its pre-move (system on)
-and post-move separations from geo.distances_3d, math.dist computed in
-C with no libm pow() (a still intruder's post-move ones are the next
-ticks' pre-move ones), one cdr.fold_run of its running record, and
-classify only for post-move separations within caution_radius.  A run
+The loop takes these stages over runs of ticks, in columns, and _run
+reads as that sequence, a strategic phase and the memo fork (below)
+before it.  Most ticks hold: the system is off, or cdr.holds its state,
+where cdr_step changes nothing and issues no command while no
+intruder's presence or zone changes, until a phase stop test fires
+(DETECT's timer, de-escalation).  A hold run takes such ticks, those of
+the next 256 before the next spawn of an intruder not yet present,
+within max_sim_time and before DETECT's timer (cdr.detect_hold); as the
+decision holds, it skips stage 3 and takes the ownship's rows from its
+path (below) first.  A full tick is a run of one through the same
+stages, with the decision between sensing and the ownship step.  Both
+make one pass per intruder (_sense), in order: its positions and its
+velocity at the last from one agents.intruder_state_at call, and its
+pre-move (system on) and post-move separations from geo.distances_3d,
+math.dist computed in C with no libm pow() (a still intruder's post-move
+ones are the next ticks' pre-move ones); a full tick's post-move ones
+follow its ownship step.  A hold run passes the present intruders and
 ends before the first tick that would change which intruders are
 present, move a pre-move separation out of its zone on the tick before
-with the system on (envelopes.zone_bounds), bring a
-post-move one to contact_distance or below, pass max_sim_time, change
-the flight mode or waypoint index, or de-escalate the encounter
-intruder on its folded record (cdr.de_escalation_hold), and a full tick
-takes that one.  A pass that ends it early shortens the later passes,
-and every column is cut to the run (a shorter column is a prefix of a
-longer one).  A run that nothing cut, all 256 ticks, is followed by
-another: the decision holds on the next tick unless that run ends before
-it, and then a full tick takes it.  The clock is one column per
-departure and dt in the command scope, tick k at clock[k], filled lazily
-(_clock) by the sum the loop once made, clock[k + 1] = clock[k] + dt.
-The record count is the tick index, so a run (a forked one too) reads
-the next tick's time at clock[len(ticks) + 1], hold runs slice the
-column, and the runs of one departure and dt record its floats; every
-artifact is what full ticks would give.
+with the system on (envelopes.zone_bounds), bring a post-move one to
+contact_distance or below, pass max_sim_time, change the flight mode or
+waypoint index, or de-escalate the encounter intruder on its folded
+record (cdr.de_escalation_hold), and a full tick takes that one.  A pass
+that ends it early shortens the later passes, and every column is cut
+to the run (a shorter column is a prefix of a longer one).  A full tick
+passes every intruder not gone for good and takes no cuts.  A run that
+nothing cut, all 256 ticks, is followed by another: the decision holds
+on the next tick unless that run ends before it, and then a full tick
+takes it.  classify runs once per pass for the zone of the folded record
+and in the record stage only for post-move separations within
+caution_radius.  The clock is one column per departure and dt in the
+command scope, tick k at clock[k], filled lazily (_clock) by the sum the
+loop once made, clock[k + 1] = clock[k] + dt.  The record count is the
+tick index, so a run (a forked one too) reads the next tick's time at
+clock[len(ticks) + 1], hold runs slice the column, and the runs of one
+departure and dt record its floats; every artifact is what full ticks
+would give.
 
 Beside the records, RunResult.stretches keeps per intruder its reach, the
 most its position relative to the ownship moves in one tick ((ownship
@@ -86,16 +95,16 @@ flight mode and waypoint index, and agents.ownship_step takes and
 returns exactly those values.  The decision reads only the ownship's
 position and track, and agents.resolve_command, on a tick that issues a
 command, reads those plus the waypoint index, so no ownship object is
-ever built.  The records built on every tick are TickRecord, one
-IntruderTick per present intruder, and, with the system on, an
-IntruderObservation for each intruder nearer than those before it in the
-pass, plus a plain (since, separation, zone) tuple for each running
-record that changes; the intruder positions are EnuPoints from
-agents.intruder_state_at.  All but the running records are NamedTuples,
-which build in half the time of a frozen dataclass or less.  The three
-tick records carry no rules, so the loop builds them with tuple.__new__
-and skips the generated __new__'s keyword handling; every EnuPoint
-construction checks its fields (geo.enu_points a whole list's at once).  Reading
+ever built.  The records built on every tick are TickRecord and one
+IntruderTick per present intruder, plus, with the system on, a plain
+(since, separation, zone) tuple for each running record that changes and
+on a full tick one IntruderObservation of the nearest intruder; the
+intruder positions are EnuPoints from agents.intruder_state_at.  All but
+the running records are NamedTuples, which build in half the time of a
+frozen dataclass or less.  The three tick records carry no rules, so the
+loop builds them with tuple.__new__ and skips the generated __new__'s
+keyword handling; every EnuPoint construction checks its fields
+(geo.enu_points a whole list's at once).  Reading
 a NamedTuple field by name costs more than reading a slot, so the
 readers that take most of a record's fields (trace_csv_lines,
 metrics.cpa, the geo distance helpers) unpack it by position instead.
@@ -154,7 +163,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import agents, cdr, envelopes, geo
 from .agents import FlightMode, NavPlan
@@ -370,241 +379,184 @@ def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
     return result
 
 
+def _strategic_phase(sc: "Scenario", cas_enabled: bool) -> tuple[cdr.GroundDecision, dict[str, EnuPoint], dict]:
+    """The departure decision, with the vertiports and route polylines in
+    the local frame.  Only intruders scheduled on the absolute clock exist
+    before departure; the rest are encounter scripts pinned to the
+    departure the decision produces."""
+    origin = sc.vertiports["V1"].position
+    vertiports_enu = {vid: geo.to_enu(origin, vp.position) for vid, vp in sc.vertiports.items()}
+    polylines = {rid: geo.project_route(origin, route) for rid, route in sc.routes.items()}
+    if not cas_enabled:
+        return cdr.GroundDecision.depart(sc.planned_route, 0.0), vertiports_enu, polylines
+    ground = [r for r in sc.intruders if r.ground_clock]
+    decision = cdr.takeoff_delay_check(ground, vertiports_enu["V1"], polylines, sc.ground_params, sc.planned_route)
+    return decision, vertiports_enu, polylines
+
+
+def _start(sc: "Scenario", params: SimParams, memo: tuple | None, paths: dict, plan: NavPlan,
+           guidance: agents.Guidance, airborne: list[agents.IntruderRecord]) -> tuple[list[TickRecord], tuple]:
+    """The memo fork (see above): the records a run starts with and its
+    loop state (east, north, up, track, mode, idx, prev_pos, index,
+    terminal, flight).  A system-off run resumes from the memo of its
+    system-on run; any other starts on the pad, flying its plan path."""
+    if not params.cas_enabled and memo and memo[0] is sc and memo[1] == replace(params, cas_enabled=True):
+        return memo[2], memo[3]
+    east, north, _ = plan.waypoints[0]
+    pad = (east, north, 0.0, 0.0, FlightMode.GROUND, 0)
+    key = (array("d", chain.from_iterable(plan.waypoints)).tobytes(), plan.destination_id, sc.perf, params.dt)
+    flight = paths.get(key) or paths.setdefault(key, _PlanPath(*pad, guidance, sc.perf, params.dt))
+    return [], (*pad, {r.id: None for r in airborne}, {}, None, flight)
+
+
+def _hold_ticks(clock: list[float], k: int, live: list[agents.IntruderRecord], prev_pos: dict,
+                max_sim_time: float) -> list[float]:
+    """The times of a hold run from tick k + 1: the next _RUN_TICKS ticks
+    within max_sim_time, short of the next spawn of a live intruder not
+    yet present."""
+    stop = min([r.spawn_time for r in live if prev_pos[r.id] is None], default=math.inf)
+    end = k + 1 + _RUN_TICKS
+    return clock[k + 1:min(bisect_left(clock, stop, k + 1, end), bisect_right(clock, max_sim_time, k + 1, end))]
+
+
+def _sense(recs: list[agents.IntruderRecord], ts: list[float], path: list, prev_pos: dict, dt: float,
+           cas_enabled: bool, cuts: tuple | None) -> tuple[list[tuple], int]:
+    """Intruder advance and sensing over the ticks at times ts, one pass
+    per intruder of recs, in order: its positions and velocity from one
+    agents.intruder_state_at call, its pre-move separations (with the
+    system on) and the post-move ones path reaches, path[j] being tick j's
+    pre-move ownship position, from geo.distances_3d.  cuts is a hold
+    run's (runs, env, contact_distance): each pass ends the run before
+    the first tick on which the intruder is absent, its pre-move
+    separation leaves its record's zone (with the system on) or its
+    post-move one comes to contact_distance or below, which shortens the
+    passes after it.  A full tick passes None and takes no cuts.  Returns
+    (intruder, positions, velocity, pre-move, post-move) per pass and the
+    run's length."""
+    n, cols = len(ts), []
+    for rec in recs:
+        ps, vel = agents.intruder_state_at(rec, ts[:n], path, prev_pos[rec.id], dt)
+        m = len(ps)
+        if m and ps.count(ps[0]) == m:  # still: post[j] is sensed[j + 1]
+            seps = geo.distances_3d(path[:m + 1], repeat(ps[0]))
+            sensed, post = seps[:m], seps[1:]
+        else:
+            sensed = geo.distances_3d(path, ps) if cas_enabled else None
+            post = geo.distances_3d(islice(path, 1, None), ps)
+        if cuts:
+            runs, env, contact_distance = cuts
+            if cas_enabled:
+                m = _cut(sensed, *envelopes.zone_bounds(runs[rec.id][2], env))
+            n = _cut(post[:m], contact_distance, math.inf)
+        cols.append((rec, ps, vel, sensed, post))
+    return cols, n
+
+
+def _decide(state: cdr.CdrState, cols: list[tuple], runs: dict, t: float, own_pos: tuple, track: float,
+            vertiports_enu: dict, perf: agents.PerformanceModel, params: cdr.CdrParams) -> tuple:
+    """A full tick's decision, cdr.cdr_step on the pre-move position and
+    track: the nearest present intruder of the pass (the first listed on
+    a tie) governs."""
+    near = min([col for col in cols if col[1]], key=lambda col: col[3][0], default=None)
+    governing = near and tuple.__new__(IntruderObservation, (
+        near[0].id, near[0].kind, near[1][0], near[2], near[3][0], runs[near[0].id][2]))
+    return cdr.cdr_step(state, t, own_pos, track, governing, runs, vertiports_enu, perf, params)
+
+
 def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, paths: dict,
          clocks: dict) -> tuple[RunResult, tuple | None]:
     if params is None:
         params = scenario.sim
-    sc = scenario
-    origin = sc.vertiports["V1"].position
-    vertiports_enu: Mapping[str, EnuPoint] = {
-        vid: geo.to_enu(origin, vp.position) for vid, vp in sc.vertiports.items()
-    }
-    polylines = {rid: geo.project_route(origin, route) for rid, route in sc.routes.items()}
-    perf = sc.perf
-
-    # Strategic phase.  Only intruders scheduled on the absolute clock
-    # exist before departure; the rest are encounter scripts pinned to
-    # the departure the decision produces.
-    if params.cas_enabled:
-        ground_records = [r for r in sc.intruders if r.ground_clock]
-        decision = cdr.takeoff_delay_check(
-            ground_records, vertiports_enu["V1"], polylines, sc.ground_params, sc.planned_route
-        )
-    else:
-        decision = cdr.GroundDecision.depart(sc.planned_route, 0.0)
-
+    sc, perf, dt, cas_enabled, cdr_params = scenario, scenario.perf, params.dt, params.cas_enabled, scenario.cdr_params
+    decision, vertiports_enu, polylines = _strategic_phase(sc, cas_enabled)
     if decision.postponed:
-        return RunResult(
-            scenario_id=sc.id,
-            ticks=[],
-            terminal=Terminal(TerminalKind.POSTPONED_ON_GROUND),
-            ground_decision=decision,
-            departure_time=math.inf,
-            end_time=0.0,
-            stretches={},
-        ), None
-
+        return RunResult(sc.id, [], Terminal(TerminalKind.POSTPONED_ON_GROUND), decision, math.inf, 0.0, {}), None
     departure = decision.delay_s
     plan = NavPlan(polylines[decision.route], sc.destination_id(decision.route))
     guidance = agents.follow_plan(plan)
-
     # Pin departure-relative spawn clocks now that departure is known.
-    airborne_records = [
-        replace(r, spawn_time=r.spawn_time + departure) for r in sc.intruders if not r.ground_clock
-    ]
-
-    clock = _clock(clocks.setdefault((departure, params.dt), [departure]), params.dt, 2)
+    airborne = [replace(r, spawn_time=r.spawn_time + departure) for r in sc.intruders if not r.ground_clock]
+    clock = _clock(clocks.setdefault((departure, dt), [departure]), dt, 2)
     cdr_state = cdr.CdrState(first_tick=clock[1])
-    runs: dict[str, cdr.Run] = {r.id: (departure, None, None) for r in airborne_records}
-    prev_pos: dict[str, EnuPoint | None] = {r.id: None for r in airborne_records}
-
-    # Per-run constants: the envelope set of every flight mode, the
-    # loop-invariant parameters, and the layers called every tick (bound
-    # here, so a patched module attribute is still the one called).
-    env_by_mode = {
-        mode: envelopes.envelopes_for(perf, mode, sc.envelope_params) for mode in FlightMode
-    }
-    dt = params.dt
-    max_sim_time = params.max_sim_time
-    contact_distance = params.contact_distance
-    cas_enabled = params.cas_enabled
-    cdr_params = sc.cdr_params
-    intruder_state_at = agents.intruder_state_at
-    distance_3d = geo.distance_3d
-    distances_3d = geo.distances_3d
-    classify = envelopes.classify
-    zone_bounds = envelopes.zone_bounds
-    extend_run = cdr.extend_run
-    fold_run = cdr.fold_run
-    cdr_step = cdr.cdr_step
-    holds, detect_hold, de_escalation_hold = cdr.holds, cdr.detect_hold, cdr.de_escalation_hold
-    # The stretch index (see above).
-    own_top = max(perf.cruise_speed, perf.climb_rate, perf.descent_rate)
-    reach = {r.id: (own_top + (r.script or r.trajectory).top_speed) * dt * (1 + 1e-6) + 1e-6 for r in airborne_records}
-    index: dict[str, tuple[float, list[list]]] = {}
-
-    # The ownship, as plain values; env and own_pos always belong to
-    # them, and the post-move values of one tick are the pre-move values
-    # of the next.
-    east, north, _ = plan.waypoints[0]
-    up = track = 0.0
-    mode = FlightMode.GROUND
-    idx = 0
-    own_pos = (east, north, up)
-    env = env_by_mode[mode]
-
-    ticks: list[TickRecord] = []
-    active_label = ""
-    terminal: Terminal | None = None
-
-    # The fork (see above): a system-off run resumes from the memo of its
-    # system-on run, and a system-on run that departs as it would keeps one.
-    if not cas_enabled and memo and memo[0] is sc and memo[1] == replace(params, cas_enabled=True):
-        ticks, (east, north, up, track, mode, idx, prev_pos, index, terminal, flight) = memo[2:]
-        own_pos, env = (east, north, up), env_by_mode[mode]
-    else:  # the plan path (see above)
-        key = (array("d", chain.from_iterable(plan.waypoints)).tobytes(), plan.destination_id, perf, dt)
-        flight = paths.get(key) or paths.setdefault(key, _PlanPath(*own_pos, track, mode, idx, guidance, perf, dt))
-    shared = len(ticks)
-    leading = None
-    base = 0  # the tick index of flight's row 0
+    runs: dict[str, cdr.Run] = {r.id: (departure, None, None) for r in airborne}
+    env_by_mode = {mode: envelopes.envelopes_for(perf, mode, sc.envelope_params) for mode in FlightMode}
+    own_top = max(perf.cruise_speed, perf.climb_rate, perf.descent_rate)  # the stretch index's reach (see above)
+    reach = {r.id: (own_top + (r.script or r.trajectory).top_speed) * dt * (1 + 1e-6) + 1e-6 for r in airborne}
+    ticks, (east, north, up, track, mode, idx, prev_pos, index, terminal, flight) = _start(
+        sc, params, memo, paths, plan, guidance, airborne)
+    shared, leading, base, label, fork, full = len(ticks), None, 0, "", None, False  # base: flight's row 0
     watch = cas_enabled and decision == cdr.GroundDecision.depart(sc.planned_route, 0.0)
-    fork = None
 
     while terminal is None:
         k = len(ticks)  # the tick index: the next tick is at clock[k + 1]
         _clock(clock, dt, k + _RUN_TICKS + 2)
-        # 0. A hold run (see above) while the decision holds; an intruder
-        # absent on the last tick and not gone for good stops it short of
-        # its spawn.
-        if not cas_enabled or holds(cdr_state):
-            stop = min([r.spawn_time for r in airborne_records
-                        if prev_pos[r.id] is None and clock[k + 1] - r.spawn_time <= r.lifetime], default=math.inf)
-            end = k + 1 + _RUN_TICKS
-            n = min(bisect_left(clock, stop, k + 1, end), bisect_right(clock, max_sim_time, k + 1, end)) - k - 1
-            ts = clock[k + 1:k + 1 + n]  # the ticks' times
+        own_pos, env = (east, north, up), env_by_mode[mode]
+        live = [r for r in airborne if prev_pos[r.id] is not None or clock[k + 1] - r.spawn_time <= r.lifetime]
+        # 0. The run: a full tick, a run of one passing every live
+        # intruder, or, while the decision holds, a hold run passing the
+        # present ones, whose ownship rows come first.
+        if full or cas_enabled and not cdr.holds(cdr_state):
+            hold, recs, ts, path = False, live, clock[k + 1:k + 2], [own_pos]
+            if ts[0] > params.max_sim_time:
+                terminal = Terminal(TerminalKind.TIMED_OUT)
+                break
+        else:
+            hold, recs = True, [r for r in live if prev_pos[r.id] is not None]
+            ts = _hold_ticks(clock, k, live, prev_pos, params.max_sim_time)
             if cas_enabled:
-                n = detect_hold(cdr_state, ts, cdr_params)
-            es, ns, us, trks = flight.run(k - base, n)
-            n = len(es)
-            present_recs = [rec for rec in airborne_records if prev_pos[rec.id] is not None]
-            own = list(zip(es, ns, us)) if present_recs else []  # post-move positions
-            pre = [own_pos, *own]  # pre[j] is the run's tick j's pre-move position
-            # One pass per present intruder in columns; each cuts the run
-            # for the passes after it, and the columns are cut to the run.
-            cols = []  # (id, positions, pre-move and post-move separations) per pass
-            for rec in present_recs:
-                rid = rec.id
-                ps = intruder_state_at(rec, ts[:n], pre, prev_pos[rid], dt)
-                m = len(ps)
-                if m and ps.count(ps[0]) == m:  # still: post[k] is sensed[k + 1]
-                    seps = distances_3d(pre[:m + 1], repeat(ps[0]))
-                    sensed, post = seps[:m], seps[1:]
-                else:
-                    sensed, post = distances_3d(pre, ps) if cas_enabled else None, distances_3d(own, ps)
-                if cas_enabled:
-                    m = _cut(sensed, *zone_bounds(runs[rid][2], env))
-                n = _cut(post[:m], contact_distance, math.inf)
-                cols.append((rid, ps, sensed, post))
-            if cas_enabled:
-                t_prevs = clock[k:k + n + 1]
-                sensed_by_id = {rid: sensed for rid, _, sensed, _ in cols}
-                n = de_escalation_hold(cdr_state, runs, t_prevs, ts[:n], sensed_by_id, cdr_params)
-            if n:
-                _record(ticks, index, reach, ts[:n], es, ns, us, trks, mode, cdr_state.phase, active_label, env,
-                        [(rid, ps[:n], post[:n]) for rid, ps, _, post in cols])
-                for rid, ps, sensed, _ in cols:
-                    prev_pos[rid] = ps[n - 1]
-                    if cas_enabled:
-                        runs[rid] = fold_run(runs[rid], t_prevs, sensed[:n], runs[rid][2])
-                east, north, up, track = es[n - 1], ns[n - 1], us[n - 1], trks[n - 1]
-                own_pos = (east, north, up)
-            if n == _RUN_TICKS:  # nothing cut it: the next tick starts another
-                continue
-            k += n
-        t, t_next = clock[k], clock[k + 1]
-
-        if t_next > max_sim_time:
-            terminal = Terminal(TerminalKind.TIMED_OUT)
-            break
-
-        # 1-2. Intruders advance and, with the system on, are sensed
-        # against the pre-move ownship; the nearest (the first listed on
-        # a tie) governs.  Only the decision tree reads the sensed values,
-        # so sensing is skipped with the system off.
-        if watch:
-            prev_start = prev_pos.copy()
-        present = []
-        governing: IntruderObservation | None = None
-        nearest = math.inf
-        for rec in airborne_records:
-            rid = rec.id
-            st = intruder_state_at(rec, t_next, own_pos, prev_pos[rid], dt)
-            if st is None:
-                prev_pos[rid] = None
-                if cas_enabled:
-                    runs[rid] = extend_run(runs[rid], t, None, None)
-                continue
-            pos, vel = st
-            prev_pos[rid] = pos
-            present.append((rid, pos))
-            if cas_enabled:
-                sep = distance_3d(own_pos, pos)
-                zone = classify(sep, env)
-                runs[rid] = extend_run(runs[rid], t, sep, zone)
-                if sep < nearest:
-                    nearest = sep
-                    governing = tuple.__new__(IntruderObservation, (rid, rec.kind, pos, vel, sep, zone))
-
-        # 3. The decision, on the pre-move position and track.
+                ts = ts[:cdr.detect_hold(cdr_state, ts, cdr_params)]
+            es, ns, us, trks = flight.run(k - base, len(ts))
+            ts, path = ts[:len(es)], [own_pos, *zip(es, ns, us)] if recs else []
+        # 1-2. The intruders advance and are sensed; each running record
+        # takes the run.
+        cols, n = _sense(recs, ts, path, prev_pos, dt, cas_enabled,
+                         (runs, env, params.contact_distance) if hold else None)
+        t_prevs = clock[k:k + n + 1]
+        if hold and cas_enabled:
+            sensed = {rec.id: seps for rec, _, _, seps, _ in cols}
+            n = cdr.de_escalation_hold(cdr_state, runs, t_prevs, ts[:n], sensed, cdr_params)
+        if not n:  # cut before its first tick: a full tick takes that one
+            full = True
+            continue
         if cas_enabled:
-            cdr_state, command = cdr_step(
-                cdr_state, t_next, own_pos, track, governing, runs,
-                vertiports_enu, perf, cdr_params,
-            )
-            if watch and cdr_state.phase is not cdr.CdrPhase.MONITORING:
-                watch = False
-                copied = {rid: (r, [s.copy() for s in ss]) for rid, (r, ss) in index.items()}
-                fork = k, (east, north, up, track, mode, idx, prev_start, copied, None, flight)
-            if command is not None:
-                leading = leading or (flight, len(ticks))
-                active_label = command.label()
-                guidance, idx = agents.resolve_command(
-                    own_pos, track, idx, perf, guidance, command, vertiports_enu
-                )
-                flight, base = _PlanPath(*own_pos, track, mode, idx, guidance, perf, dt), len(ticks)
-
-        # 4. Ownship advances.
-        east, north, up, track, new_mode, idx = flight.tick(len(ticks) - base)
-        own_pos = (east, north, up)
-        if new_mode is not mode:
-            mode = new_mode
-            env = env_by_mode[mode]
-
-        # 5. Record the post-move snapshot, a hold run's record step over
-        # one tick; contact ends the run.
-        cols = [(rid, [pos], [distance_3d(own_pos, pos)]) for rid, pos in present]
-        _record(ticks, index, reach, [t_next], [east], [north], [up], [track], mode, cdr_state.phase, active_label,
-                env, cols)
-
-        if any(sep <= contact_distance for _, _, (sep,) in cols):
+            for rec, ps, _, seps, _ in cols:
+                runs[rec.id] = (cdr.fold_run(runs[rec.id], t_prevs, seps[:n], envelopes.classify(seps[n - 1], env))
+                                if ps else cdr.extend_run(runs[rec.id], t_prevs[0], None, None))
+        if not hold:
+            if cas_enabled:  # 3. The decision, and the memo at the first that leaves MONITORING
+                cdr_state, command = _decide(cdr_state, cols, runs, ts[0], own_pos, track, vertiports_enu, perf,
+                                             cdr_params)
+                if watch and cdr_state.phase is not cdr.CdrPhase.MONITORING:
+                    watch = False
+                    copied = {rid: (r, [s.copy() for s in ss]) for rid, (r, ss) in index.items()}
+                    fork = k, (east, north, up, track, mode, idx, prev_pos.copy(), copied, None, flight)
+                if command is not None:
+                    leading = leading or (flight, k)
+                    label = command.label()
+                    guidance, idx = agents.resolve_command(own_pos, track, idx, perf, guidance, command, vertiports_enu)
+                    flight, base = _PlanPath(*own_pos, track, mode, idx, guidance, perf, dt), k
+            # 4. The ownship steps, and the post-move separations follow.
+            east, north, up, track, mode, idx = flight.tick(k - base)
+            es, ns, us, trks = [east], [north], [up], [track]
+            cols = [(rec, ps, vel, seps, geo.distances_3d([(east, north, up)], ps)) for rec, ps, vel, seps, _ in cols]
+        # 5. The post-move snapshot; contact or touchdown ends the flight.
+        _record(ticks, index, reach, ts[:n], es, ns, us, trks, mode, cdr_state.phase, label, env_by_mode[mode],
+                [(rec.id, ps[:n], post[:n]) for rec, ps, _, _, post in cols if ps])
+        for rec, ps, _, _, _ in cols:
+            prev_pos[rec.id] = ps[n - 1] if ps else None
+        east, north, up, track, present = es[n - 1], ns[n - 1], us[n - 1], trks[n - 1], ticks[-1].intruders
+        if present and min(map(_SEPARATION, present)) <= params.contact_distance:
             terminal = Terminal(TerminalKind.COLLIDED)
         elif mode is FlightMode.GROUND:
             terminal = Terminal(TerminalKind.LANDED_AT, guidance.plan.destination_id)
+        full = hold and n < _RUN_TICKS  # a run something cut: a full tick takes the tick after it
 
     if watch:  # the whole run: nothing changes its index any more
         fork = len(ticks), (east, north, up, track, mode, idx, prev_pos, index, terminal, flight)
-    return RunResult(
-        scenario_id=sc.id,
-        ticks=ticks,
-        terminal=terminal,
-        ground_decision=decision,
-        departure_time=departure,
-        end_time=_clock(clock, dt, len(ticks) + 1)[len(ticks)],
-        stretches=index,
-        shared=shared,
-        leading=leading or (flight, len(ticks)),  # no command: every record is a path row
-    ), (sc, params, ticks[:fork[0]], fork[1]) if fork else None
+    end_time = _clock(clock, dt, len(ticks) + 1)[len(ticks)]
+    leading = leading or (flight, len(ticks))  # no command: every record is a path row
+    return (RunResult(sc.id, ticks, terminal, decision, departure, end_time, index, shared, leading),
+            (sc, params, ticks[:fork[0]], fork[1]) if fork else None)
 
 
 TRACE_HEADER = "t_s,own_east_m,own_north_m,own_up_m,own_track_deg,phase,intruder_id,sep_m,zone,command"

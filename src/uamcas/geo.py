@@ -114,20 +114,22 @@ class Route:
                 raise ValueError("consecutive route waypoints coincide")
 
 
+# The one range rule, MAX_PROJECTION_RANGE_M squared: plane_offset bounds
+# e*e + n*n by it and in_plane_range e*e + n*n + u*u, which agree bit for
+# bit at u == 0.
+MAX_RANGE_SQ = MAX_PROJECTION_RANGE_M**2
+
+
 def plane_offset(origin: GeoPoint, p: GeoPoint) -> tuple[float, float]:
     """(east, north) of p in the tangent plane at origin; GeoRangeError
     when p is too far from origin for a flat plane."""
     east = EARTH_RADIUS_M * math.cos(math.radians(origin.lat)) * math.radians(p.lon - origin.lon)
     north = EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
-    if math.hypot(east, north) > MAX_PROJECTION_RANGE_M:
+    if east * east + north * north > MAX_RANGE_SQ:
         raise GeoRangeError(
             f"point {p.lat:.4f},{p.lon:.4f} beyond flat-plane validity of origin"
         )
     return east, north
-
-
-# in_plane_range's bound on e*e + n*n + u*u.
-MAX_RANGE_SQ = MAX_PROJECTION_RANGE_M**2
 
 
 def in_plane_range(p: EnuPoint) -> EnuPoint:

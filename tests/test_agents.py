@@ -418,9 +418,10 @@ def intruder(kind, spawn):
 
 
 class TestIntruderRunForm:
-    """intruder_state_at given a list of tick times: the positions of one
+    """intruder_state_at over a list of tick times: the positions of one
     call per tick, each pursuit step from the one before, up to the first
-    tick where the intruder is absent."""
+    tick where the intruder is absent, and the velocity of that call at
+    the last of them."""
 
     @staticmethod
     def ticks(start, dt, count):
@@ -431,14 +432,15 @@ class TestIntruderRunForm:
 
     @staticmethod
     def per_tick(rec, ts, own, prev, dt):
-        out = []
+        """Runs of one tick: the positions and the last velocity."""
+        out, last = [], None
         for t, o in zip(ts, own):
-            st = intruder_state_at(rec, t, o, prev, dt)
-            if st is None:
+            ps, vel = intruder_state_at(rec, [t], [o], prev, dt)
+            if not ps:
                 break
-            prev = st[0]
+            (prev,), last = ps, vel
             out.append(prev)
-        return out
+        return out, last
 
     @pytest.mark.parametrize("dt", [0.05, 0.1, 0.7])
     @pytest.mark.parametrize("kind", KINDS)
@@ -449,10 +451,10 @@ class TestIntruderRunForm:
         rec = intruder(kind, 100.0)
         want = self.per_tick(rec, ts, own, None, dt)
         got = intruder_state_at(rec, ts, own, None, dt)
-        assert len(want) > 4
-        assert (len(want) == len(ts)) is (kind == "pass-by")
+        assert len(want[0]) > 4 and want[1] is not None
+        assert (len(want[0]) == len(ts)) is (kind == "pass-by")
         assert repr(got) == repr(want)
-        assert repr(intruder_state_at(rec, ts[:3], own, None, dt)) == repr(want[:3])
+        assert repr(intruder_state_at(rec, ts[:3], own, None, dt)) == repr(self.per_tick(rec, ts[:3], own, None, dt))
 
     @pytest.mark.parametrize("prev", [None, EnuPoint(1900, 1400, 240)])
     @pytest.mark.parametrize("start", [101.0, 104.0], ids=["hold", "chasing"])
@@ -462,7 +464,7 @@ class TestIntruderRunForm:
         ts, own = self.ticks(start, 0.1, 40)
         rec = intruder("pursuit", 100.0)
         want = self.per_tick(rec, ts, own, prev, 0.1)
-        assert len(want) == 40 and len(set(want)) > 15
+        assert len(want[0]) == 40 and len(set(want[0])) > 15
         assert repr(intruder_state_at(rec, ts, own, prev, 0.1)) == repr(want)
 
     def test_ticks_on_the_samples_and_the_lifetime(self):
@@ -473,7 +475,7 @@ class TestIntruderRunForm:
         ends = {"linger": 6.0, "pass-by-duration": 6.5, "pursuit": 8.0, "playback": 9.25}
         for kind, lifetime in ends.items():
             spawn = 98.0 if kind == "playback" else 100.0  # present from the first tick on
-            got = intruder_state_at(intruder(kind, spawn), ts, own, None, 0.25)
+            got, _ = intruder_state_at(intruder(kind, spawn), ts, own, None, 0.25)
             assert ts[len(got) - 1] - spawn == lifetime and len(got) < len(ts)
         assert [got[k] for k in (0, 2, 8, 29)] == [p for _, p in TRAJ.samples] and len(got) == 30
 
@@ -487,15 +489,16 @@ class TestIntruderRunForm:
                              trajectory=traj)
         ts, own = self.ticks(100.0, 0.25, 12)
         got = intruder_state_at(rec, ts, own, None, 0.25)
-        assert got[0:8:4] == [p for _, p in traj.samples[:2]] and 44.2 != -262.0 + (44.2 - -262.0)
+        assert got[0][0:8:4] == [p for _, p in traj.samples[:2]] and 44.2 != -262.0 + (44.2 - -262.0)
         assert repr(got) == repr(self.per_tick(rec, ts, own, None, 0.25))
 
     def test_absent_at_the_first_tick(self):
         ts, own = self.ticks(99.9, 0.1, 50)
         for kind in KINDS:
-            assert intruder_state_at(intruder(kind, 100.0), ts, own, None, 0.1) == []
-        assert intruder_state_at(intruder("playback", 100.0), [101.9, 102.0], own, None, 0.1) == []
-        assert intruder_state_at(intruder("linger", 0.0), [], [], None, 0.1) == []
+            assert intruder_state_at(intruder(kind, 100.0), ts, own, None, 0.1) == ([], None)
+        assert intruder_state_at(intruder("playback", 100.0), [101.9, 102.0], own, None, 0.1) == ([], None)
+        assert intruder_state_at(intruder("linger", 0.0), [], [], None, 0.1) == ([], None)
+        assert intruder_state_at(intruder("pursuit", 0.0), [], [], None, 0.1) == ([], None)
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(KINDS), spawn=st.floats(0.0, 500.0), dt=st.floats(0.05, 1.0),
@@ -590,15 +593,15 @@ class TestTrajectories:
             "I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
             trajectory=traj,
         )
-        pos, vel = intruder_state_at(rec, 5.0)
+        [pos], vel = intruder_state_at(rec, [5.0])
         assert (pos.east, pos.north) == pytest.approx((50.0, 0.0))
         assert vel == pytest.approx((10.0, 0.0, 0.0))
-        pos, vel = intruder_state_at(rec, 15.0)
+        [pos], vel = intruder_state_at(rec, [15.0])
         assert (pos.east, pos.north, pos.up) == pytest.approx((100.0, 50.0, 25.0))
         assert vel == pytest.approx((0.0, 10.0, 5.0))
         # inclusive endpoints, absent outside
-        assert intruder_state_at(rec, 20.0)[0].north == 100.0
-        assert intruder_state_at(rec, 20.01) is None
+        assert intruder_state_at(rec, [20.0])[0][0].north == 100.0
+        assert intruder_state_at(rec, [20.01]) == ([], None)
 
     def test_playback_matches_a_bisect_over_the_samples(self):
         """Playback bisects the times Trajectory stores once; it must give
@@ -637,12 +640,12 @@ class TestTrajectories:
         mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
         outside = [-1.0, -1e-9, times[-1] + 1e-9, 100.0]
         for rel in [*times, *mids, *outside]:
-            got = intruder_state_at(rec, rel)
+            got = intruder_state_at(rec, [rel])
             want = reference(rel)
             if want is None:
-                assert got is None, rel
+                assert got == ([], None), rel
             else:
-                pos, vel = got
+                [pos], vel = got
                 assert ((pos.east, pos.north, pos.up), vel) == want, rel
 
     def test_equal_samples_compare_equal(self):
@@ -659,8 +662,8 @@ class TestTrajectories:
             "I1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
             spawn_time=100.0, trajectory=traj,
         )
-        assert intruder_state_at(rec, 99.9) is None
-        pos, _ = intruder_state_at(rec, 105.0)
+        assert intruder_state_at(rec, [99.9]) == ([], None)
+        [pos], _ = intruder_state_at(rec, [105.0])
         assert pos.east == pytest.approx(50.0)
 
     def test_top_speed(self):
@@ -696,13 +699,13 @@ class TestScriptedMotion:
             "D1", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
             spawn_time=50.0, script=script,
         )
-        assert intruder_state_at(rec, 49.9) is None
-        pos, vel = intruder_state_at(rec, 60.0)
+        assert intruder_state_at(rec, [49.9]) == ([], None)
+        [pos], vel = intruder_state_at(rec, [60.0])
         assert pos.east == pytest.approx(100.0)
         assert pos.up == 100.0
         assert vel == pytest.approx((10.0, 0.0, 0.0))
-        assert intruder_state_at(rec, 70.0) is not None  # duration inclusive
-        assert intruder_state_at(rec, 70.1) is None
+        assert intruder_state_at(rec, [70.0])[0]  # duration inclusive
+        assert intruder_state_at(rec, [70.1]) == ([], None)
 
     def test_linger_then_despawn(self):
         script = ScriptedBehavior(
@@ -713,10 +716,10 @@ class TestScriptedMotion:
             "D2", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
             script=script,
         )
-        pos, vel = intruder_state_at(rec, 15.0)
+        [pos], vel = intruder_state_at(rec, [15.0])
         assert pos == EnuPoint(500, 500, 120)
         assert vel == (0.0, 0.0, 0.0)
-        assert intruder_state_at(rec, 30.1) is None
+        assert intruder_state_at(rec, [30.1]) == ([], None)
 
     def test_pursuit_holds_then_chases(self):
         script = ScriptedBehavior(
@@ -728,13 +731,15 @@ class TestScriptedMotion:
             script=script,
         )
         own = EnuPoint(0, 0, 50)
-        pos, vel = intruder_state_at(rec, 5.0, ownship_pos=own, prev_pos=None, dt=1.0)
+        [pos], vel = intruder_state_at(rec, [5.0], ownship_pos=[own], prev_pos=None, dt=1.0)
         assert pos == script.anchor and vel == (0.0, 0.0, 0.0)
-        pos, vel = intruder_state_at(
-            rec, 11.0, ownship_pos=own, prev_pos=script.anchor, dt=1.0
+        [pos], vel = intruder_state_at(
+            rec, [11.0], ownship_pos=[own], prev_pos=script.anchor, dt=1.0
         )
         assert pos.east == pytest.approx(95.0)
         assert vel == pytest.approx((-5.0, 0.0, 0.0))
+        # With no ownship (the ground check) it holds at its anchor.
+        assert intruder_state_at(rec, [11.0], prev_pos=script.anchor, dt=1.0) == ([script.anchor], (0.0, 0.0, 0.0))
 
     def test_pursuit_does_not_overshoot(self):
         script = ScriptedBehavior(ScriptMode.PURSUIT, speed=5.0, anchor=EnuPoint(100, 0, 50))
@@ -743,8 +748,8 @@ class TestScriptedMotion:
             script=script,
         )
         own = EnuPoint(0, 0, 50)
-        pos, _ = intruder_state_at(
-            rec, 1.0, ownship_pos=own, prev_pos=EnuPoint(2, 0, 50), dt=1.0
+        [pos], _ = intruder_state_at(
+            rec, [1.0], ownship_pos=[own], prev_pos=EnuPoint(2, 0, 50), dt=1.0
         )
         assert (pos.east, pos.north, pos.up) == (0.0, 0.0, 50.0)
 

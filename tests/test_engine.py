@@ -585,13 +585,13 @@ def reference_run(scenario, params=None):
         nearest = math.inf
         for rec in airborne_records:
             rid = rec.id
-            st = intruder_state_at(rec, t_next, own_pos, prev_pos[rid], dt)
-            if st is None:
+            ps, vel = intruder_state_at(rec, [t_next], [own_pos], prev_pos[rid], dt)
+            if not ps:
                 prev_pos[rid] = None
                 if cas_enabled:
                     runs[rid] = extend_run(runs[rid], t, None, None)
                 continue
-            pos, vel = st
+            pos, = ps
             prev_pos[rid] = pos
             present.append((rid, pos))
             if cas_enabled:
@@ -1167,10 +1167,10 @@ class TestQuietRuns:
         res = assert_same_run(sc, params)
         assert res.terminal.kind is TerminalKind.COLLIDED and res.end_time == hit.t
         assert res.ticks[-1].intruders[0].separation == 0.0
-        # The loiterer's last run-form call reaches the tick of contact,
-        # and a full tick takes it.
+        # The loiterer's last hold-run call reaches the tick of contact,
+        # and a full tick, a run of one, takes it.
         steps = [args[1] for args in calls_made(monkeypatch, agents, "intruder_state_at", sc, params)]
-        assert steps[-1] == hit.t and isinstance(steps[-2], list) and hit.t in steps[-2]
+        assert steps[-1] == [hit.t] and len(steps[-2]) > 1 and hit.t in steps[-2]
         assert len(steps) < len(res.ticks) / 50
 
     def test_contact_is_inclusive(self):
@@ -1236,12 +1236,12 @@ class TestQuietRuns:
         res = assert_same_run(sc, params)
         assert res.terminal.kind is TerminalKind.COLLIDED and res.end_time == hit.t
         assert [it.intruder_id for it in res.ticks[-1].intruders] == ["f0", "c1"]
-        # Each loiterer's last run-form call reaches the tick of contact,
-        # and a full tick takes it.
+        # Each loiterer's last hold-run call reaches the tick of contact,
+        # and a full tick, a run of one, takes it.
         steps = calls_made(monkeypatch, agents, "intruder_state_at", sc, params)
         for iid in ("f0", "c1"):
             ts = [args[1] for args in steps if args[0].id == iid]
-            assert ts[-1] == hit.t and isinstance(ts[-2], list) and hit.t in ts[-2]
+            assert ts[-1] == [hit.t] and len(ts[-2]) > 1 and hit.t in ts[-2]
             assert len(ts) < len(res.ticks) / 50
 
     @pytest.mark.parametrize("cas_enabled", [True, False], ids=["on", "off"])

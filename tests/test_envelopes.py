@@ -63,12 +63,17 @@ class TestRadii:
         assert env.warning_radius == pytest.approx(780.0)
         assert env.caution_radius == pytest.approx(2340.0)
 
-    def test_overrides_bypass_formula(self):
+    @pytest.mark.parametrize("field,mode,other,other_warning", [
+        ("forward_override", FlightMode.CRUISE, FlightMode.HOVER, 220.0),
+        ("vertical_override", FlightMode.HOVER, FlightMode.CRUISE, 1078.0),
+    ], ids=["forward", "vertical"])
+    def test_overrides_bypass_formula(self, field, mode, other, other_warning):
         fixed = EnvelopeSet(2000.0, 1000.0, 150.0)
-        p = EnvelopeParams(forward_override=fixed)
-        assert envelopes_for(VT, FlightMode.CRUISE, p) is fixed
-        # vertical side still computed
-        assert envelopes_for(VT, FlightMode.HOVER, p).warning_radius == 220.0
+        p = EnvelopeParams(**{field: fixed})
+        assert envelopes_for(VT, mode, p) is fixed
+        # the other side still computed
+        assert envelopes_for(VT, other, p) == envelopes_for(VT, other)
+        assert envelopes_for(VT, other, p).warning_radius == other_warning
 
     def test_set_ordering_enforced(self):
         with pytest.raises(ValueError):

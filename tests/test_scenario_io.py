@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from uamcas.agents import (
     IntruderBehavior,
     IntruderKind,
+    IntruderRecord,
     OwnshipConfig,
     ScriptMode,
     Trajectory,
@@ -22,7 +24,8 @@ from uamcas.cdr import MAX_WAITS, GroundCheckParams
 from uamcas.cli import resolve_pack
 from uamcas.engine import SimParams, Terminal, TerminalKind
 from uamcas.envelopes import EnvelopeSet, Zone
-from uamcas.geo import EnuPoint, GeoPoint, horizontal_distance, in_plane_range, polyline_length, to_enu
+from uamcas.geo import (EARTH_RADIUS_M, EnuPoint, GeoPoint, GeoRangeError, horizontal_distance, in_plane_range,
+                        plane_offset, polyline_length, to_enu)
 from uamcas.metrics import (
     BATCH_CSV_HEADER,
     BatchTable,
@@ -85,6 +88,9 @@ OWNSHIP WARP_DRIVE
 VERTIPORT V1 48.0 11.0
 VERTIPORT V1 48.1 11.1
 SPAWN ghost AT 10
+SET ENV
+INTRUDER x DRONE PREDICTABLE
+INTRUDER y DRONE PREDICTABLE CSV a.csv b.csv
 """
         with pytest.raises(ScenarioError) as ei:
             parse_scenario(bad)
@@ -96,6 +102,9 @@ SPAWN ghost AT 10
         assert "ownship configuration" in by_line[3]
         assert "duplicate vertiport" in by_line[5]
         assert "unknown intruder" in by_line[6]
+        assert by_line[7] == "SET takes GROUP.FIELD and a value"
+        assert by_line[8] == "INTRUDER needs id, kind, behaviour, and a source"
+        assert by_line[9] == "CSV source takes exactly one path"
         # file-level problems land on line 0
         assert any(n == 0 and "PLAN" in m for n, m in errs)
         assert any(n == 0 and "two VERTIPORT" in m for n, m in errs)
@@ -397,10 +406,14 @@ class TestTrajectoryCsv:
         traj = parse_trajectory_csv(text, origin=GeoPoint(48.0, 11.0, 0.0))
         assert traj.north[0] == pytest.approx(0.0, abs=1e-6)
 
-    def test_unknown_header_rejected(self):
+    @pytest.mark.parametrize("text,message", [
+        ("time,x,y,z\n0,1,2,3\n", "unrecognised trajectory header 'time,x,y,z'"),
+        ("", "empty trajectory file"),
+    ], ids=["unknown-header", "empty"])
+    def test_file_fault_is_an_error_on_line_1(self, text, message):
         with pytest.raises(ScenarioError) as ei:
-            parse_trajectory_csv("time,x,y,z\n0,1,2,3\n")
-        assert "unrecognised trajectory header" in str(ei.value)
+            parse_trajectory_csv(text)
+        assert ei.value.errors == [(1, message)]
 
     def test_row_errors_collected(self):
         text = (
@@ -590,10 +603,6 @@ class TestTrajectoryBulkPass:
         (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,181,10\n", [3]),
         (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,-181,10\n", [3]),
         (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,11.8,-1\n", [3]),
-        # At the plane's edge: beyond plane_offset's hypot bound only, and
-        # beyond in_plane_range's e*e + n*n + u*u bound only.
-        (GEO_HEADER, "0,48.4,11.8,0\n1,49.20892078533354,11.367408416465787,0\n", [3]),
-        (GEO_HEADER, "0,48.4,11.8,0\n1,47.465418855468954,11.574595444017486,0\n", [3]),
         (GEO_HEADER, "0,48.4,11.8,10\n1,48.4,11.8,2e5\n", [3]),
         (ENU_HEADER, "0,1,2,3\n\n\n", [4]),  # blank lines, one sample
         (GEO_HEADER, "", [1]),  # no sample
@@ -619,6 +628,35 @@ class TestTrajectoryBulkPass:
         want = outcome(row_by_row_trajectory, text, origin)
         assert want[0] == "errors" and "out of range" in want[1][0][1]
         assert outcome(parse_trajectory_csv, text, origin) == want
+
+    @pytest.mark.parametrize("lat,lon,ok", [
+        (49.20892078533354, 11.367408416465787, True),
+        (47.465418855468954, 11.574595444017486, False),
+    ])
+    def test_one_range_rule_at_the_plane_edge(self, lat, lon, ok):
+        """Two points at altitude 0 that a hypot bound and the squared-sum
+        bound tell apart: the first's hypot is just over 100 km and its
+        e*e + n*n exactly the bound, the second's hypot within 100 km and
+        its e*e + n*n over.  A vertiport or route point (plane_offset) and
+        a trajectory sample, by both paths, get the one verdict ok."""
+        origin = TRAJECTORY_ORIGIN
+        east = EARTH_RADIUS_M * math.cos(math.radians(origin.lat)) * math.radians(lon - origin.lon)
+        north = EARTH_RADIUS_M * math.radians(lat - origin.lat)
+        assert (math.hypot(east, north) > 1e5) is ok and (east * east + north * north > 1e10) is not ok
+
+        def accepts(check, *args):
+            try:
+                check(*args)
+            except GeoRangeError:
+                return False
+            return True
+
+        assert accepts(plane_offset, origin, GeoPoint(lat, lon, 0.0)) is ok
+        assert accepts(in_plane_range, EnuPoint(east, north, 0.0)) is ok
+        text = f"{GEO_HEADER}\n0,48.4,11.8,0\n1,{lat!r},{lon!r},0\n"
+        want = outcome(row_by_row_trajectory, text)
+        assert (want[0] == "columns") is ok
+        assert outcome(parse_trajectory_csv, text) == want
 
     @pytest.mark.parametrize("east,ok", [(1e5, True), (math.nextafter(1e5, math.inf), False)])
     def test_the_plane_edge_is_inside(self, east, ok):
@@ -790,6 +828,24 @@ class TestRoundTrip:
     def test_parse_serialize_identity(self, sid):
         sc = self.PACK[sid]
         assert parse_scenario(serialize_scenario(sc)) == sc
+
+    @pytest.mark.parametrize("line", [
+        "SET ENV.FORWARD_OVERRIDE 2000,1000,150",
+        "SET ENV.VERTICAL_OVERRIDE 900,450,60",
+        "SET CDR.TACTICAL_TRIGGER_ZONE WARNING",
+    ])
+    def test_set_line_round_trips(self, line):
+        """An envelope set and a zone are written back by name and value."""
+        sc = parse_scenario(MINIMAL + line + "\n")
+        assert sc != parse_scenario(MINIMAL)
+        assert parse_scenario(serialize_scenario(sc)) == sc
+
+    def test_replay_without_a_source_path_is_not_serialized(self):
+        traj = Trajectory((0.0, 10.0), (0.0, 50.0), (0.0, 0.0), (100.0, 100.0))
+        rec = IntruderRecord("r0", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, trajectory=traj)
+        sc = replace(parse_scenario(MINIMAL), intruders=(rec,))
+        with pytest.raises(ScenarioError, match="intruder 'r0' has no source path to serialize"):
+            serialize_scenario(sc)
 
     def test_export_then_load_matches(self, tmp_path):
         files = export_pack(self.PACK, tmp_path)
