@@ -3,8 +3,10 @@ intruder state generation (CSV playback and scripted behaviors).
 
 The ownship is a point mass flying a climb / waypoint-cruise / descent
 profile.  Avoidance commands are resolved into a Guidance directive
-once, at issuance, and the per-tick step function is pure in
-(state, perf, guidance, dt), with the state passed as plain values.
+once, at issuance.  The kinematics have one form, ownship_step, pure in
+(state, perf, guidance, dt, ticks) with the state passed as plain
+values: a run of ticks that ends after the first tick that changes the
+flight mode or the next waypoint index, one tick being a run of one.
 """
 
 from __future__ import annotations
@@ -209,69 +211,61 @@ def ownship_step(
     perf: PerformanceModel,
     guidance: Guidance,
     dt: float,
-    ticks: int | None = None,
-) -> tuple[float, float, float, float, FlightMode, int] | list[tuple[float, float, float, float]]:
-    """Advance the ownship one tick under the active directive, or, given
-    a tick count, up to that many ticks (the run form).
+    ticks: int,
+) -> tuple[list[tuple[float, float, float, float]], FlightMode, int]:
+    """Advance the ownship under the active directive by a run of up to
+    ticks ticks that ends after the first tick that changes its flight
+    mode or next waypoint index.
 
     The ownship is its position, track, flight mode and next waypoint
-    index, carried as plain values and returned as (east, north, up,
-    track, mode, idx).  A run returns each tick's (east, north, up, track)
-    in a list and keeps mode and idx: it stops before the first tick that
-    would change either (top of climb, a capture, touchdown, the tick of
-    a hover descent that reaches its target) and is empty on the pad.  A
-    hover held under a hover directive repeats the same point.  The given state
-    must have a finite position, and zero altitude on the ground; a state
-    that does not raises ValueError.  This is the only kinematics
-    implementation: a run takes the same loops as one tick, so it equals
-    one call per tick bit for bit.
+    index, carried as plain values.  Returns each tick's (east, north, up,
+    track) in a list, and the mode and index of the last.  The changing
+    ticks are the pad's first, top of climb, a capture, destination
+    capture, touchdown, a hover descent reaching its target and a hover
+    reverting to cruise; a hover held under a hover directive repeats
+    the same point.  One tick is a run of one, and the ticks of a run are
+    those of runs of one, bit for bit: this is the only kinematics
+    implementation.  The given state must have a finite position, and
+    zero altitude on the ground; a state that does not, a dt that is not
+    positive or fewer than one tick raises ValueError.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if ticks < 1:
+        raise ValueError("ticks must be positive")
     if not (_isfinite(east) and _isfinite(north) and _isfinite(up)):
         raise non_finite_error(east, north, up)
     if mode is _GROUND and up != 0.0:
         raise ValueError("ground mode requires zero altitude")
     kind = guidance.kind
-    run = ticks is not None
-    n = ticks if run else 1
     path: list[tuple[float, float, float, float]] = []  # (east, north, up, track) per tick
 
     if kind is GuidanceKind.HOVER:
-        if not run:
-            return east, north, up, track, FlightMode.HOVER, idx
-        return [(east, north, up, track)] * n if mode is FlightMode.HOVER else path
+        return [(east, north, up, track)] * (ticks if mode is FlightMode.HOVER else 1), FlightMode.HOVER, idx
 
     if kind is GuidanceKind.HOVER_DESCEND:
         target = guidance.target_alt
-        for _ in range(n):
-            new_up = max(target, up - perf.descent_rate * dt) if up > target else up
-            new_mode = FlightMode.VERTICAL_DESCENT if new_up > target else FlightMode.HOVER
-            if not run:
-                return east, north, new_up, track, new_mode, idx
-            if new_mode is not mode:  # the tick that reaches the target ends a descent
-                break
-            up = new_up
+        for _ in range(ticks):
+            up = max(target, up - perf.descent_rate * dt) if up > target else up
             path.append((east, north, up, track))
-        return path
-
-    if run and (mode is _GROUND or mode is FlightMode.HOVER):
-        return path
+            new_mode = FlightMode.VERTICAL_DESCENT if up > target else FlightMode.HOVER
+            if new_mode is not mode:  # the tick that reaches the target ends a descent
+                return path, new_mode, idx
+        return path, mode, idx
 
     if mode is _GROUND:
         # Departure: climb vertically off the pad.
-        new_up = min(perf.cruise_alt, perf.climb_rate * dt)
-        return east, north, new_up, track, FlightMode.VERTICAL_CLIMB, idx
+        return [(east, north, min(perf.cruise_alt, perf.climb_rate * dt), track)], FlightMode.VERTICAL_CLIMB, idx
 
     if mode is FlightMode.VERTICAL_CLIMB:
-        for _ in range(n):
+        for _ in range(ticks):
             new_up = up + perf.climb_rate * dt
             if new_up >= perf.cruise_alt:
                 break
             up = new_up
             path.append((east, north, up, track))
-        if run or path:
-            return path if run else (east, north, up, track, mode, idx)
+        else:
+            return path, mode, idx
         # Top of climb: level off aligned with the outbound course,
         # skipping plan points already inside the capture ring (the
         # departure pad itself, for a fresh climb-out).
@@ -287,18 +281,18 @@ def ownship_step(
         if de != 0.0 or dn != 0.0:
             # Straight above the waypoint the current track is kept.
             track = math.degrees(math.atan2(de, dn)) % 360.0
-        return east, north, perf.cruise_alt, track, FlightMode.CRUISE, idx
+        path.append((east, north, perf.cruise_alt, track))
+        return path, FlightMode.CRUISE, idx
 
     if mode is FlightMode.VERTICAL_DESCENT:
-        for _ in range(n):
+        for _ in range(ticks):
             new_up = up - perf.descent_rate * dt
             if new_up <= 0.0:
-                break
+                path.append((east, north, 0.0, track))
+                return path, _GROUND, idx
             up = new_up
             path.append((east, north, up, track))
-        if run or path:
-            return path if run else (east, north, up, track, mode, idx)
-        return east, north, 0.0, track, _GROUND, idx
+        return path, mode, idx
 
     # Cruise (also reached from HOVER when guidance reverts to a path).
     wpts = guidance.plan.waypoints
@@ -310,7 +304,7 @@ def ownship_step(
     h_speed = math.sqrt(cruise_speed * cruise_speed - vs * vs)
     hypot, atan2, degrees, radians, sin, cos = math.hypot, math.atan2, math.degrees, math.radians, math.sin, math.cos
     step_track = None  # the track the cruise-altitude step (step_e, step_n) was made from
-    for _ in range(n):
+    for _ in range(ticks):
         i = idx
         if kind is GuidanceKind.HOLD_TRACK:
             target = guidance.target_track
@@ -323,12 +317,8 @@ def ownship_step(
                 i += 1
             if i == n_wpts:
                 # Destination captured: descend onto the pad.
-                return path if run else (
-                    east, north, max(0.0, up - perf.descent_rate * dt), track,
-                    FlightMode.VERTICAL_DESCENT, i,
-                )
-            if run and i != idx:
-                break
+                path.append((east, north, max(0.0, up - perf.descent_rate * dt), track))
+                return path, FlightMode.VERTICAL_DESCENT, i
             # Outside the capture ring, so the bearing is defined.
             target = degrees(atan2(w_e - east, w_n - north)) % 360.0
 
@@ -369,10 +359,10 @@ def ownship_step(
             rad = radians(track)
             east = east + h_speed * dt * sin(rad)
             north = north + h_speed * dt * cos(rad)
-        if not run:
-            return east, north, up, track, FlightMode.CRUISE, i
         path.append((east, north, up, track))
-    return path
+        if i != idx or mode is not FlightMode.CRUISE:  # a capture, or a hover reverting to cruise
+            return path, FlightMode.CRUISE, i
+    return path, mode, idx
 
 
 class IntruderKind(enum.Enum):

@@ -11,13 +11,13 @@ from dataclasses import dataclass, replace
 from operator import lt
 from typing import Mapping, NamedTuple, Sequence
 
+from . import agents
 from .agents import (
     IntruderKind,
     IntruderRecord,
     HeadOnStrategy,
     PerformanceModel,
     Vec3,
-    intruder_state_at,
 )
 from .envelopes import Zone
 from .geo import (
@@ -173,7 +173,7 @@ def takeoff_delay_check(
     def blocked_at(tau: float) -> frozenset[str]:
         blocked: frozenset[str] = frozenset()
         for rec in intruders:
-            path, vel = intruder_state_at(rec, [tau])
+            path, vel = agents.intruder_state_at(rec, [tau])
             if path:
                 blocked |= heading_threat(path[0], vel, v1, route_polylines, params)
         return blocked

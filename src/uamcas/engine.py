@@ -62,14 +62,18 @@ intervals between abutting stretches as those inside one.
 
 Every run flies a path (_PlanPath): the ownship's rows from a start
 state under one guidance, perf and dt, the floats agents.ownship_step
-returned as runs first reached them (a hold run's rows by the run form, a
-full tick's by one call), which the records keep.  ownship_step reads no
-clock and no intruder, and its run form equals one call per tick bit for
-bit, so a path's rows are what the run would step itself, rows stepped
-past a cut included.  Until its first command (any, even one that keeps
-the guidance) a run flies the plan path of its plan (waypoints, bit for
-bit, and destination), perf and dt from departure; a command starts a
-private path at the commanding tick, which no other run reads.
+returned, which the records keep.  The path is the ownship's only state:
+each loop pass reads the ownship from the row of its tick.  It is
+stepped in one place (_PlanPath._step), by an ownship_step run from its
+last row that ends after the row that changes (mode, idx), a cut; a hold
+run reads the rows before the next cut, and a full tick the row after
+its own, stepped to first.  ownship_step reads no clock and no intruder,
+and a run of it equals runs of one bit for bit, so a path's rows are
+what the run would step itself, rows stepped past a cut included.
+Until its first command (any, even one that keeps the guidance) a run
+flies the plan path of its plan (waypoints, bit for bit, and
+destination), perf and dt from departure; a command starts a private
+path at the commanding tick, which no other run reads.
 
 A system-off run repeats its system-on run record for record until the
 system first acts: while the phase is MONITORING no command has been
@@ -78,9 +82,10 @@ phase are the system-off run's (hold runs split the two differently, but
 every record is the tick by tick loop's).  A system-on run that departs
 as the system-off run does (at once, on the planned route) fills the
 memo, one slot: its loop state (records, whose count is the tick index,
-ownship values, prev_pos, a copy of the stretch index, its plan path) at
-the start of the first full tick after whose cdr_step the phase is not
-MONITORING, or its whole run.  The next run takes the memo, whatever it
+prev_pos, a copy of the stretch index, its plan path, which holds the
+ownship, and the tick of the path's row 0) at the start of the first
+full tick after whose cdr_step the phase is not MONITORING, or its
+whole run.  The next run takes the memo, whatever it
 is, and forks from it if it is the system-off run of the same scenario
 object with params equal but for cas_enabled: it resumes the loop from
 that state, RunResult.shared counting the records taken.  Clock columns,
@@ -90,12 +95,11 @@ the RunResults that name their path (RunResult.leading, below).
 Loop state added later (ROADMAP items 1 and 7) must be carried into the
 memo, and what a path's rows come to depend on into its key.
 
-The ownship is carried as local floats (position and track) plus its
-flight mode and waypoint index, and agents.ownship_step takes and
-returns exactly those values.  The decision reads only the ownship's
-position and track, and agents.resolve_command, on a tick that issues a
-command, reads those plus the waypoint index, so no ownship object is
-ever built.  The records built on every tick are TickRecord and one
+The ownship is a path row: floats (position and track) plus its flight
+mode and waypoint index, the plain values agents.ownship_step takes.
+The decision reads only the ownship's position and track, and
+agents.resolve_command, on a tick that issues a command, reads those
+plus the waypoint index, so no ownship object is ever built.  The records built on every tick are TickRecord and one
 IntruderTick per present intruder, plus, with the system on, a plain
 (since, separation, zone) tuple for each running record that changes and
 on a full tick one IntruderObservation of the nearest intruder; the
@@ -344,30 +348,33 @@ class _PlanPath:
         self.cuts, self.states, self.args = [0], [(mode, idx)], (perf, guidance, dt)
         self.text: dict[float, list[str]] = {}
 
-    def run(self, k: int, n: int) -> list[list[float]]:
-        """The run form from row k: rows k + 1 to k + n, up to the first one
-        that changes (mode, idx), as columns."""
-        cols, cuts = self.cols, self.cuts
-        cut = bisect_right(cuts, k)
-        end = cuts[cut] if cut < len(cuts) else len(cols[0])
-        if end == len(cols[0]) <= k + n:
-            path = agents.ownship_step(*[c[-1] for c in cols], *self.states[-1], *self.args, k + n + 1 - end)
-            for col, new in zip(cols, zip(*path)):
-                col += new
-            end = len(cols[0])
-        return [c[k + 1:min(end, k + n + 1)] for c in cols]
-
-    def tick(self, k: int) -> tuple[float, float, float, float, FlightMode, int]:
-        """Row k + 1 and its (mode, idx): one full tick from row k."""
+    def _step(self, k: int, n: int) -> None:
+        """Step the path on to row k + n, unless it holds that row or a cut
+        past row k: one agents.ownship_step run from its last row, with a
+        cut at the row that changes (mode, idx), on which the run ends."""
         cols, cuts, states = self.cols, self.cuts, self.states
-        if len(cols[0]) == k + 1:
-            *row, mode, idx = agents.ownship_step(*[c[k] for c in cols], *states[-1], *self.args)
-            for col, value in zip(cols, row):
-                col.append(value)
+        if cuts[-1] <= k and len(cols[0]) <= k + n:
+            rows, mode, idx = agents.ownship_step(*[c[-1] for c in cols], *states[-1], *self.args,
+                                                  k + n + 1 - len(cols[0]))
+            for col, new in zip(cols, zip(*rows)):
+                col += new
             if (mode, idx) != states[-1]:
-                cuts.append(k + 1)
+                cuts.append(len(cols[0]) - 1)
                 states.append((mode, idx))
-        return *[c[k + 1] for c in cols], *states[bisect_right(cuts, k + 1) - 1]
+
+    def run(self, k: int, n: int) -> list[list[float]]:
+        """Rows k + 1 to k + n, up to the first one that changes (mode,
+        idx), as columns."""
+        self._step(k, n)
+        cuts = self.cuts
+        cut = bisect_right(cuts, k)
+        end = min(cuts[cut], k + n + 1) if cut < len(cuts) else k + n + 1
+        return [c[k + 1:end] for c in self.cols]
+
+    def row(self, k: int) -> tuple[float, float, float, float, FlightMode, int]:
+        """Row k and its (mode, idx), stepped to if the path ends before it."""
+        self._step(k - 1, 1)
+        return *[c[k] for c in self.cols], *self.states[bisect_right(self.cuts, k) - 1]
 
 
 def run(scenario: "Scenario", params: SimParams | None = None) -> RunResult:
@@ -397,16 +404,16 @@ def _strategic_phase(sc: "Scenario", cas_enabled: bool) -> tuple[cdr.GroundDecis
 def _start(sc: "Scenario", params: SimParams, memo: tuple | None, paths: dict, plan: NavPlan,
            guidance: agents.Guidance, airborne: list[agents.IntruderRecord]) -> tuple[list[TickRecord], tuple]:
     """The memo fork (see above): the records a run starts with and its
-    loop state (east, north, up, track, mode, idx, prev_pos, index,
-    terminal, flight).  A system-off run resumes from the memo of its
-    system-on run; any other starts on the pad, flying its plan path."""
+    loop state (prev_pos, index, terminal, flight, base).  A system-off
+    run resumes from the memo of its system-on run; any other starts on
+    the pad, row 0 of its plan path."""
     if not params.cas_enabled and memo and memo[0] is sc and memo[1] == replace(params, cas_enabled=True):
         return memo[2], memo[3]
     east, north, _ = plan.waypoints[0]
-    pad = (east, north, 0.0, 0.0, FlightMode.GROUND, 0)
     key = (array("d", chain.from_iterable(plan.waypoints)).tobytes(), plan.destination_id, sc.perf, params.dt)
-    flight = paths.get(key) or paths.setdefault(key, _PlanPath(*pad, guidance, sc.perf, params.dt))
-    return [], (*pad, {r.id: None for r in airborne}, {}, None, flight)
+    flight = paths.get(key) or paths.setdefault(
+        key, _PlanPath(east, north, 0.0, 0.0, FlightMode.GROUND, 0, guidance, sc.perf, params.dt))
+    return [], ({r.id: None for r in airborne}, {}, None, flight, 0)
 
 
 def _hold_ticks(clock: list[float], k: int, live: list[agents.IntruderRecord], prev_pos: dict,
@@ -482,14 +489,15 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
     env_by_mode = {mode: envelopes.envelopes_for(perf, mode, sc.envelope_params) for mode in FlightMode}
     own_top = max(perf.cruise_speed, perf.climb_rate, perf.descent_rate)  # the stretch index's reach (see above)
     reach = {r.id: (own_top + (r.script or r.trajectory).top_speed) * dt * (1 + 1e-6) + 1e-6 for r in airborne}
-    ticks, (east, north, up, track, mode, idx, prev_pos, index, terminal, flight) = _start(
-        sc, params, memo, paths, plan, guidance, airborne)
-    shared, leading, base, label, fork, full = len(ticks), None, 0, "", None, False  # base: flight's row 0
+    # base is the tick at flight's row 0: row k - base is the ownship at tick k.
+    ticks, (prev_pos, index, terminal, flight, base) = _start(sc, params, memo, paths, plan, guidance, airborne)
+    shared, leading, label, fork, full = len(ticks), None, "", None, False
     watch = cas_enabled and decision == cdr.GroundDecision.depart(sc.planned_route, 0.0)
 
     while terminal is None:
         k = len(ticks)  # the tick index: the next tick is at clock[k + 1]
         _clock(clock, dt, k + _RUN_TICKS + 2)
+        east, north, up, track, mode, idx = flight.row(k - base)
         own_pos, env = (east, north, up), env_by_mode[mode]
         live = [r for r in airborne if prev_pos[r.id] is not None or clock[k + 1] - r.spawn_time <= r.lifetime]
         # 0. The run: a full tick, a run of one passing every live
@@ -529,22 +537,22 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
                 if watch and cdr_state.phase is not cdr.CdrPhase.MONITORING:
                     watch = False
                     copied = {rid: (r, [s.copy() for s in ss]) for rid, (r, ss) in index.items()}
-                    fork = k, (east, north, up, track, mode, idx, prev_pos.copy(), copied, None, flight)
+                    fork = k, (prev_pos.copy(), copied, None, flight, base)
                 if command is not None:
                     leading = leading or (flight, k)
                     label = command.label()
                     guidance, idx = agents.resolve_command(own_pos, track, idx, perf, guidance, command, vertiports_enu)
                     flight, base = _PlanPath(*own_pos, track, mode, idx, guidance, perf, dt), k
             # 4. The ownship steps, and the post-move separations follow.
-            east, north, up, track, mode, idx = flight.tick(k - base)
-            es, ns, us, trks = [east], [north], [up], [track]
-            cols = [(rec, ps, vel, seps, geo.distances_3d([(east, north, up)], ps)) for rec, ps, vel, seps, _ in cols]
+            *post, mode, _ = flight.row(k + 1 - base)
+            es, ns, us, trks = ([v] for v in post)
+            cols = [(rec, ps, vel, seps, geo.distances_3d([post[:3]], ps)) for rec, ps, vel, seps, _ in cols]
         # 5. The post-move snapshot; contact or touchdown ends the flight.
         _record(ticks, index, reach, ts[:n], es, ns, us, trks, mode, cdr_state.phase, label, env_by_mode[mode],
                 [(rec.id, ps[:n], post[:n]) for rec, ps, _, _, post in cols if ps])
         for rec, ps, _, _, _ in cols:
             prev_pos[rec.id] = ps[n - 1] if ps else None
-        east, north, up, track, present = es[n - 1], ns[n - 1], us[n - 1], trks[n - 1], ticks[-1].intruders
+        present = ticks[-1].intruders
         if present and min(map(_SEPARATION, present)) <= params.contact_distance:
             terminal = Terminal(TerminalKind.COLLIDED)
         elif mode is FlightMode.GROUND:
@@ -552,7 +560,7 @@ def _run(scenario: "Scenario", params: SimParams | None, memo: tuple | None, pat
         full = hold and n < _RUN_TICKS  # a run something cut: a full tick takes the tick after it
 
     if watch:  # the whole run: nothing changes its index any more
-        fork = len(ticks), (east, north, up, track, mode, idx, prev_pos, index, terminal, flight)
+        fork = len(ticks), (prev_pos, index, terminal, flight, base)
     end_time = _clock(clock, dt, len(ticks) + 1)[len(ticks)]
     leading = leading or (flight, len(ticks))  # no command: every record is a path row
     return (RunResult(sc.id, ticks, terminal, decision, departure, end_time, index, shared, leading),

@@ -59,8 +59,9 @@ class Own(NamedTuple):
 
 
 def step(state, perf, guidance, dt):
-    """One ownship_step from state, returning the next one."""
-    return Own._make(ownship_step(*state, perf, guidance, dt))
+    """A run of one tick from state, returning the next state."""
+    [row], mode, idx = ownship_step(*state, perf, guidance, dt, 1)
+    return Own(*row, mode, idx)
 
 
 def cruise_state(pos, track, idx=0):
@@ -315,60 +316,80 @@ class TestHoverDirectives:
 
 
 class TestRunForm:
-    """ownship_step given a tick count: the same states as one call per
-    tick, up to the first tick that changes the flight mode or the
-    waypoint index."""
+    """ownship_step over a run of ticks: the same rows as runs of one,
+    up to and including the first tick that changes the flight mode or
+    the waypoint index, whose mode and index the run returns."""
 
     ROUTE = plan((0, 0, 0), (3000, 400, 0), (3500, -2500, 0), (-1000, -3000, 0))
+    CRUISING = cruise_state((0.0, 0.0, 304.8), 0.0, idx=1)
+    HOVERING = CRUISING._replace(mode=FlightMode.HOVER)
+    # (start state, guidance, the flight mode a run of 8000 ticks ends in)
+    CASES = {
+        "climb": (Own(0.0, 0.0, 0.0, 0.0, FlightMode.VERTICAL_CLIMB, 0), follow_plan(ROUTE), FlightMode.CRUISE),
+        "descent": (Own(-1000.0, -3000.0, 304.8, 250.0, FlightMode.VERTICAL_DESCENT, 4), follow_plan(ROUTE),
+                    FlightMode.GROUND),
+        "cruise": (CRUISING, follow_plan(ROUTE), FlightMode.CRUISE),
+        "climb-back": (cruise_state((0.0, 0.0, 200.0), 0.0, idx=1), follow_plan(ROUTE), FlightMode.CRUISE),
+        "hold-track": (CRUISING, Guidance(GuidanceKind.HOLD_TRACK, ROUTE, target_track=135.0,
+                                          slew=TurnDirection.LEFT), FlightMode.CRUISE),
+        "forced-slew": (CRUISING, Guidance(GuidanceKind.FOLLOW_PLAN, ROUTE, slew=TurnDirection.LEFT),
+                        FlightMode.CRUISE),
+        # Starts at or a few ticks before a transition.
+        "pad": (Own(0.0, 0.0, 0.0, 0.0, FlightMode.GROUND, 0), follow_plan(ROUTE), FlightMode.VERTICAL_CLIMB),
+        "top-of-climb": (Own(0.0, 0.0, 304.0, 0.0, FlightMode.VERTICAL_CLIMB, 0), follow_plan(ROUTE),
+                         FlightMode.CRUISE),
+        "capture": (cruise_state((2990.0, 400.0, 304.8), 90.0, idx=1), follow_plan(ROUTE), FlightMode.CRUISE),
+        "destination-capture": (cruise_state((-900.0, -3000.0, 304.8), 270.0, idx=3), follow_plan(ROUTE),
+                                FlightMode.VERTICAL_DESCENT),
+        "touchdown": (Own(-1000.0, -3000.0, 1.0, 250.0, FlightMode.VERTICAL_DESCENT, 4), follow_plan(ROUTE),
+                      FlightMode.GROUND),
+        "hover-to-cruise": (HOVERING, follow_plan(ROUTE), FlightMode.CRUISE),
+    }
 
     def per_tick(self, state, guidance, dt, limit):
-        """One call per tick, while mode and idx stay as given."""
-        out = []
+        """Runs of one from state, for limit ticks or through the first
+        that changes mode or idx: the rows, and the last tick's mode and
+        idx."""
+        rows = []
         for _ in range(limit):
             nxt = step(state, VT, guidance, dt)
+            rows.append(nxt[:4])
             if nxt.mode is not state.mode or nxt.idx != state.idx:
-                break
-            out.append(nxt[:4])
+                return rows, nxt.mode, nxt.idx
             state = nxt
-        return out
+        return rows, state.mode, state.idx
 
     @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3048, 0.7])
-    @pytest.mark.parametrize("case", ["climb", "descent", "cruise", "climb-back", "hold-track", "forced-slew"])
-    def test_run_equals_one_call_per_tick(self, case, dt):
-        guidance = follow_plan(self.ROUTE)
-        state = cruise_state((0.0, 0.0, 304.8), 0.0, idx=1)
-        if case == "climb":
-            state = Own(0.0, 0.0, 0.0, 0.0, FlightMode.VERTICAL_CLIMB, 0)
-        elif case == "descent":
-            state = Own(-1000.0, -3000.0, 304.8, 250.0, FlightMode.VERTICAL_DESCENT, 4)
-        elif case == "climb-back":
-            state = cruise_state((0.0, 0.0, 200.0), 0.0, idx=1)
-        elif case == "hold-track":
-            guidance = Guidance(GuidanceKind.HOLD_TRACK, self.ROUTE, target_track=135.0,
-                                slew=TurnDirection.LEFT)
-        elif case == "forced-slew":
-            guidance = Guidance(GuidanceKind.FOLLOW_PLAN, self.ROUTE, slew=TurnDirection.LEFT)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_run_equals_runs_of_one(self, case, dt):
+        state, guidance, end_mode = self.CASES[case]
         want = self.per_tick(state, guidance, dt, 8000)
-        got = ownship_step(*state, VT, guidance, dt, 8000)
-        assert len(want) > 10
-        assert repr(got) == repr(want)
-        assert repr(ownship_step(*state, VT, guidance, dt, 7)) == repr(want[:7])
+        rows, mode, idx = ownship_step(*state, VT, guidance, dt, 8000)
+        assert mode is end_mode
+        if case == "hold-track":  # no transition: every tick asked for
+            assert len(rows) == 8000 and idx == state.idx
+        else:
+            assert (mode, idx) != (state.mode, state.idx)
+        assert repr((rows, mode, idx)) == repr(want)
+        assert repr(ownship_step(*state, VT, guidance, dt, 7)) == repr(self.per_tick(state, guidance, dt, 7))
 
     @pytest.mark.parametrize("state,guidance", [
-        (Own(0.0, 0.0, 0.0, 0.0, FlightMode.GROUND, 0), follow_plan(ROUTE)),
-        (cruise_state((0.0, 0.0, 304.8), 0.0, idx=1)._replace(mode=FlightMode.HOVER), follow_plan(ROUTE)),
-        (cruise_state((0.0, 0.0, 304.8), 0.0, idx=1), Guidance(GuidanceKind.HOVER, ROUTE)),
-        (cruise_state((0.0, 0.0, 304.8), 0.0, idx=1),
-         Guidance(GuidanceKind.HOVER_DESCEND, ROUTE, target_alt=150.0)),
-        (cruise_state((2990.0, 400.0, 304.8), 90.0, idx=1), follow_plan(ROUTE)),  # captures at once
-        (cruise_state((0.0, 0.0, 304.8), 0.0, idx=1)._replace(mode=FlightMode.HOVER),
-         Guidance(GuidanceKind.HOVER_DESCEND, ROUTE, target_alt=150.0)),
+        (CASES["pad"][0], follow_plan(ROUTE)),
+        (HOVERING, follow_plan(ROUTE)),
+        (CRUISING, Guidance(GuidanceKind.HOVER, ROUTE)),
+        (CRUISING, Guidance(GuidanceKind.HOVER_DESCEND, ROUTE, target_alt=150.0)),
+        (CASES["capture"][0], follow_plan(ROUTE)),
+        (HOVERING, Guidance(GuidanceKind.HOVER_DESCEND, ROUTE, target_alt=150.0)),
     ], ids=["pad", "hover", "hover-directive", "hover-descend", "capture", "hover-above-descend-target"])
-    def test_runs_that_start_with_a_change_are_empty(self, state, guidance):
-        assert ownship_step(*state, VT, guidance, 0.1, 50) == []
+    def test_runs_that_start_with_a_change_take_exactly_that_one_tick(self, state, guidance):
+        rows, mode, idx = ownship_step(*state, VT, guidance, 0.1, 50)
+        assert len(rows) == 1 and (mode, idx) != (state.mode, state.idx)
+        assert (rows, mode, idx) == self.per_tick(state, guidance, 0.1, 50)
 
-    def test_zero_ticks(self):
-        assert ownship_step(*cruise_state((0.0, 0.0, 304.8), 0.0, idx=1), VT, follow_plan(self.ROUTE), 0.1, 0) == []
+    @pytest.mark.parametrize("ticks", [0, -1])
+    def test_zero_ticks(self, ticks):
+        with pytest.raises(ValueError, match="ticks must be positive"):
+            ownship_step(*self.CRUISING, VT, follow_plan(self.ROUTE), 0.1, ticks)
 
     @pytest.mark.parametrize("dt", [0.05, 0.1, 0.7])
     @pytest.mark.parametrize("kind,up", [
@@ -380,22 +401,22 @@ class TestRunForm:
         guidance = Guidance(kind, self.ROUTE, target_alt=150.0 if kind is GuidanceKind.HOVER_DESCEND else None)
         state = Own(700.0, -40.0, up, 33.0, FlightMode.HOVER, 1)
         want = self.per_tick(state, guidance, dt, 300)
-        assert len(want) == 300 and set(want) == {state[:4]}
+        assert len(want[0]) == 300 and set(want[0]) == {state[:4]} and want[1:] == (FlightMode.HOVER, 1)
         assert repr(ownship_step(*state, VT, guidance, dt, 300)) == repr(want)
-        assert repr(ownship_step(*state, VT, guidance, dt, 7)) == repr(want[:7])
+        assert repr(ownship_step(*state, VT, guidance, dt, 7)) == repr(self.per_tick(state, guidance, dt, 7))
 
     @pytest.mark.parametrize("dt", [0.05, 0.1, 0.7, 1.3])
-    def test_hover_descent_stops_before_its_target(self, dt):
-        """A descent under HOVER_DESCEND ends before the tick that reaches
-        the target, which settles into a hover there."""
+    def test_hover_descent_ends_on_its_target(self, dt):
+        """A descent under HOVER_DESCEND ends on the tick that reaches the
+        target, which settles into a hover there."""
         guidance = Guidance(GuidanceKind.HOVER_DESCEND, self.ROUTE, target_alt=243.84)
         state = Own(700.0, -40.0, 303.1, 33.0, FlightMode.VERTICAL_DESCENT, 1)
         want = self.per_tick(state, guidance, dt, 8000)
-        got = ownship_step(*state, VT, guidance, dt, 8000)
-        assert len(want) > 10 and repr(got) == repr(want)
-        assert repr(ownship_step(*state, VT, guidance, dt, 7)) == repr(want[:7])
-        last = state._replace(up=got[-1][2])
-        assert last.up > 243.84 and step(last, VT, guidance, dt)[2:5] == (243.84, 33.0, FlightMode.HOVER)
+        rows, mode, idx = got = ownship_step(*state, VT, guidance, dt, 8000)
+        assert len(rows) > 10 and repr(got) == repr(want)
+        assert repr(ownship_step(*state, VT, guidance, dt, 7)) == repr(self.per_tick(state, guidance, dt, 7))
+        assert all(up > 243.84 for _, _, up, _ in rows[:-1])
+        assert rows[-1] == (700.0, -40.0, 243.84, 33.0) and (mode, idx) == (FlightMode.HOVER, 1)
 
 
 # A drone replaying four samples, each on a multiple of 0.25 s.

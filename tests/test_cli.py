@@ -869,9 +869,9 @@ class TestCommandScope:
         step = agents.ownship_step
 
         def spy(*args):
-            path = step(*args)
-            stepped[-1] += len(path) if len(args) == 10 else 1
-            return path
+            result = step(*args)
+            stepped[-1] += len(result[0])
+            return result
 
         monkeypatch.setattr(agents, "ownship_step", spy)
         pack = ScenarioPack(tuple(PACK[sid] for sid in ("ref-route1", "sc-03", "sc-11")))  # all on ROUTE1

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from uamcas import agents, cdr, cli, engine, envelopes, geo, metrics
 from uamcas.agents import (
-    FlightMode, IntruderBehavior, IntruderKind, IntruderRecord, ScriptedBehavior, ScriptMode, Trajectory,
+    DEFAULT_PERFORMANCE, FlightMode, IntruderBehavior, IntruderKind, IntruderRecord, OwnshipConfig, ScriptedBehavior,
+    ScriptMode, Trajectory,
 )
 from uamcas.engine import TerminalKind, TRACE_HEADER, trace_csv_lines
 from uamcas.envelopes import Zone
@@ -137,6 +138,17 @@ class TestTerminals:
         assert res.departure_time == 300.0
         assert res.ground_decision.route == "ROUTE1"
         assert res.terminal.kind is TerminalKind.LANDED_AT
+
+    def test_ground_check_calls_the_module_attribute(self, monkeypatch):
+        """sc-01's departure check scans its ground-clock intruder at 0 s
+        (blocked) and 300 s (clear) through agents.intruder_state_at, so a
+        patched attribute sees those one-time calls: no ownship
+        positions, one time each."""
+        sc = PACK["sc-01"]
+        calls = calls_made(monkeypatch, agents, "intruder_state_at", sc)
+        checks = [(args[0].id, args[1]) for args in calls if len(args) == 2]
+        assert checks == [("g1", [0.0]), ("g1", [300.0])]
+        assert [r.id for r in sc.intruders if r.ground_clock] == ["g1"]
 
     def test_reroute_departure_uses_other_route(self):
         res = run("ground-660", dt=0.5)
@@ -615,8 +627,8 @@ def reference_run(scenario, params=None):
                 )
 
         # 4. Ownship advances.
-        east, north, up, track, new_mode, idx = ownship_step(
-            east, north, up, track, mode, idx, perf, guidance, dt
+        [(east, north, up, track)], new_mode, idx = ownship_step(
+            east, north, up, track, mode, idx, perf, guidance, dt, 1
         )
         own_pos = (east, north, up)
         if new_mode is not mode:
@@ -723,6 +735,20 @@ def few(seen):
     return sum(seen) <= 2 + len(seen) // 100
 
 
+def drawn_flights():
+    """An airframe, and one to four intruders drawn for ROUTE1 as in
+    test_metrics.py, about when that airframe passes."""
+    return st.sampled_from(OwnshipConfig).flatmap(lambda config: st.tuples(
+        st.just(config), st.lists(encounter(DEFAULT_PERFORMANCE[config].cruise_speed), min_size=1, max_size=4)))
+
+
+def drawn_flight(config, intruders):
+    """ref-route1 flown by config's airframe, with its default
+    performance, against intruders."""
+    return replace(PACK["ref-route1"], ownship_config=config, perf=DEFAULT_PERFORMANCE[config],
+                   intruders=tuple(replace(rec, id=f"d{i}") for i, rec in enumerate(intruders)))
+
+
 def calls_made(monkeypatch, module, name, sc, params=None):
     """The argument tuples of every call one engine.run makes to
     module.name."""
@@ -827,18 +853,22 @@ class TestQuietRuns:
         path's rows, and a run keeps the rows its path stepped past a cut.
         ownship_step made 505 calls stepping 77,465 ticks when a run
         stepped the ownship itself after its first command, 452 stepping
-        71,241 since a command starts a private path."""
+        71,241 since a command starts a private path, and 395 stepping
+        71,247 since a run ends after the tick that changes the flight
+        mode or waypoint index: a path's hold runs step the transition
+        rows its full ticks stepped one call each before, and 6 of them
+        are rows no run reads."""
         stepped = []  # ticks per call
         step = agents.ownship_step
 
         def spy(*args):
-            path = step(*args)
-            stepped.append(len(path) if len(args) == 10 else 1)
-            return path
+            result = step(*args)
+            stepped.append(len(result[0]))
+            return result
 
         monkeypatch.setattr(agents, "ownship_step", spy)
         cli.run_batch(PACK, tmp_path, dt=0.1, fmt="csv", config=None)
-        assert 0 < len(stepped) <= 452 and 0 < sum(stepped) <= 71_241
+        assert 0 < len(stepped) <= 395 and 0 < sum(stepped) <= 71_247
 
     def test_decision_runs_where_the_flight_changes(self, monkeypatch):
         """ref-route1 meets no intruder, so with the system on the decision
@@ -854,19 +884,21 @@ class TestQuietRuns:
         assert [args[1] for args in calls] == [res.ticks[j - 1].t for j in path.cuts[1:]]
 
     @settings(max_examples=40, deadline=None)
-    @given(intruders=st.lists(encounter(), min_size=1, max_size=4), dt=st.floats(0.05, 1.0),
-           cas_enabled=st.booleans())
+    @given(flight=drawn_flights(), dt=st.floats(0.05, 1.0), cas_enabled=st.booleans())
     @example(  # four drones that latch COLLIDED without contact: TIMED_OUT at 3600 s
-        intruders=[IntruderRecord("d", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=178.3, script=s)
-                   for s in [ScriptedBehavior(ScriptMode.PASS_BY, 343.0, EnuPoint(0.0, -343.0, 304.8))] * 3
-                   + [ScriptedBehavior(ScriptMode.PASS_BY, 1.0, EnuPoint(75.12264079864539, -2.778633481835989, 304.8),
-                                       track=46.0)]],
+        flight=(OwnshipConfig.VECTORED_THRUST, [
+            IntruderRecord("d", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=178.3, script=s)
+            for s in [ScriptedBehavior(ScriptMode.PASS_BY, 343.0, EnuPoint(0.0, -343.0, 304.8))] * 3
+            + [ScriptedBehavior(ScriptMode.PASS_BY, 1.0, EnuPoint(75.12264079864539, -2.778633481835989, 304.8),
+                                track=46.0)]]),
         dt=0.3048, cas_enabled=True)
-    def test_drawn_encounters(self, intruders, dt, cas_enabled):
-        """ref-route1 against one to four intruders drawn as in
-        test_metrics.py: pursuers, replays and scripts, coming and going,
-        the nearest of them changing, each phase held in runs."""
-        sc = replace(PACK["ref-route1"], intruders=tuple(replace(rec, id=f"d{i}") for i, rec in enumerate(intruders)))
+    def test_drawn_encounters(self, flight, dt, cas_enabled):
+        """ref-route1, flown by a drawn airframe, against one to four
+        intruders drawn as in test_metrics.py: pursuers, replays and
+        scripts, coming and going, the nearest of them changing, each
+        phase held in runs, and held hovers, hover descents and the
+        DESCEND head-on row of the slower airframes."""
+        sc = drawn_flight(*flight)
         assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=cas_enabled))
 
     @staticmethod
@@ -1328,7 +1360,7 @@ class TestPlanPaths:
         k = next(i for i, rec in enumerate(got.ticks) if rec.command)
         own = [rec[1:5] for rec in got.ticks]
         assert all(a is b for a, b in zip(itertools.chain(*own[:k]), itertools.chain(*(rec[1:5] for rec in ref.ticks))))
-        assert steps[0][:4] == own[k - 1] and len(steps[0]) == 9
+        assert steps[0][:4] == own[k - 1] and steps[0][-1] == 1
         assert_same_run(sc, None, got)
 
     def test_paths_tell_signed_zeros_apart(self):
@@ -1515,12 +1547,12 @@ class TestSharedRecords:
         assert got["sc-12"].shared < len(got["sc-12"].ticks)
 
     @settings(max_examples=40, deadline=None)
-    @given(intruders=st.lists(encounter(), min_size=1, max_size=4), dt=st.floats(0.05, 1.0))
-    def test_drawn_encounters(self, intruders, dt):
-        """ref-route1 against intruders drawn as in test_metrics.py,
-        pursuers included: the system-off run after the system-on run
-        equals the loop."""
-        sc = replace(PACK["ref-route1"], intruders=tuple(replace(rec, id=f"d{i}") for i, rec in enumerate(intruders)))
+    @given(flight=drawn_flights(), dt=st.floats(0.05, 1.0))
+    def test_drawn_encounters(self, flight, dt):
+        """ref-route1, flown by a drawn airframe, against intruders drawn
+        as in test_metrics.py, pursuers included: the system-off run after
+        the system-on run equals the loop."""
+        sc = drawn_flight(*flight)
         _, got = off_pair(sc, replace(sc.sim, dt=dt))
         assert_same_run(sc, replace(sc.sim, dt=dt, cas_enabled=False), got)
 

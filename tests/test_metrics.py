@@ -317,17 +317,18 @@ ROUTE1_LEGS = geo.project_route(ROUTE1.vertiports["V1"].position, ROUTE1.routes[
 
 
 @st.composite
-def encounter(draw):
-    """An intruder near a drawn point of ROUTE1 about when the ownship
-    passes it (the climb takes 179 s, then 78 m/s along the legs): a
-    PASS_BY up to the speed of sound, a PURSUIT, a replay with one fast
-    segment, or a LINGER, spawning up to a minute ahead and often gone
-    before the flight ends."""
+def encounter(draw, cruise_speed=78.0):
+    """A drone or a bird near a drawn point of ROUTE1 about when the
+    ownship passes it (the climb takes 179 s, then cruise_speed along
+    the legs): a PASS_BY up to the speed of sound, a PURSUIT, a replay
+    with one fast segment, or a LINGER, spawning up to a minute ahead
+    and often gone before the flight ends."""
+    intruder_kind = draw(st.sampled_from([IntruderKind.DRONE, IntruderKind.BIRD]))
     leg = draw(st.integers(0, len(ROUTE1_LEGS) - 2))
     u = draw(st.floats(0.0, 1.0))
     a, b = ROUTE1_LEGS[leg], ROUTE1_LEGS[leg + 1]
     along = sum(math.dist(p, q) for p, q in zip(ROUTE1_LEGS[:leg], ROUTE1_LEGS[1:leg + 1]))
-    at = 179.3 + (along + u * math.dist(a, b)) / 78.0
+    at = 179.3 + (along + u * math.dist(a, b)) / cruise_speed
     off = [draw(st.floats(-300.0, 300.0)) for _ in range(3)]
     point = (a.east + u * (b.east - a.east) + off[0], a.north + u * (b.north - a.north) + off[1], 304.8 + off[2])
     lead = draw(st.floats(0.5, 60.0))
@@ -342,7 +343,7 @@ def encounter(draw):
         lengths = [-fast / 2 - 10.0 * lead, -fast / 2, fast / 2, fast / 2 + 200.0]
         samples = tuple((t, EnuPoint(point[0] + d * step[0], point[1] + d * step[1], point[2]))
                         for t, d in zip(times, lengths))
-        return IntruderRecord("d", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE,
+        return IntruderRecord("d", intruder_kind, IntruderBehavior.PREDICTABLE,
                               spawn_time=spawn, trajectory=replay(samples))
     speed = draw(st.sampled_from([343.0, 20.0]) | st.floats(1.0, 343.0))
     if kind == "PASS_BY":
@@ -358,7 +359,7 @@ def encounter(draw):
     else:
         script = ScriptedBehavior(ScriptMode.LINGER, 1.0, EnuPoint(*point),
                                   linger_duration=duration or draw(st.floats(0.0, 200.0)))
-    return IntruderRecord("d", IntruderKind.DRONE, IntruderBehavior.PREDICTABLE, spawn_time=spawn, script=script)
+    return IntruderRecord("d", intruder_kind, IntruderBehavior.PREDICTABLE, spawn_time=spawn, script=script)
 
 
 class TestDelays:

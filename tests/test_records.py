@@ -108,12 +108,13 @@ class TestOwnshipStateChecks:
 
     def test_valid_states_step(self):
         for state in (CRUISING, ON_PAD):
-            assert len(step(state)) == 6
+            rows, _, _ = step(state)
+            assert len(rows) == 1 and len(rows[0]) == 4
 
 
 def step(state):
-    """ownship_step from state toward a plan point 5 km east."""
+    """A run of one tick from state toward a plan point 5 km east."""
     return ownship_step(
         *state, DEFAULT_PERFORMANCE[OwnshipConfig.VECTORED_THRUST],
-        follow_plan(NavPlan((EnuPoint(5000.0, 0.0, 0.0),), "V2")), 0.1,
+        follow_plan(NavPlan((EnuPoint(5000.0, 0.0, 0.0),), "V2")), 0.1, 1,
     )
